@@ -57,7 +57,6 @@ from .streaming.link import WIFI6_LINK, WirelessLink
 from .streaming.loss import RECOVERY_CHOICES, parse_loss_spec
 from .streaming.server import SCHEDULER_CHOICES
 from .streaming.traces import parse_trace_spec
-from .streaming.validation import PRICING_MODES
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -154,12 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--controller", choices=CONTROLLER_CHOICES, default=None,
         help="fleet only: per-client rate controller; clients then adapt "
              "their codec rung per frame (default: pinned codecs)",
-    )
-    fleet_group.add_argument(
-        "--pricing", choices=PRICING_MODES, default=None,
-        help="fleet only: transport pricing — 'backlog' queues each "
-             "client's frames behind its own transmit backlog (default); "
-             "'round' replays the legacy round-priced engine",
     )
     fleet_group.add_argument(
         "--cohorts", action="store_true", default=False,
@@ -266,7 +259,6 @@ def main(argv: list[str] | None = None) -> int:
         "--loss": args.loss,
         "--recovery": args.recovery,
         "--controller": args.controller,
-        "--pricing": args.pricing,
         "--cohorts": args.cohorts or None,
         "--shards": args.shards,
         "--tracers": args.tracers,
@@ -299,13 +291,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.tracers is not None and args.tracers < 0:
         print("--tracers must be >= 0", file=sys.stderr)
-        return 2
-    if args.cohorts and args.pricing is not None:
-        print(
-            "--pricing does not apply to --cohorts (contention is priced "
-            "by analytic waterfilling)",
-            file=sys.stderr,
-        )
         return 2
     if args.recovery is not None and args.loss is None:
         print("--recovery requires --loss (a lossless link needs no recovery)",
@@ -353,7 +338,6 @@ def main(argv: list[str] | None = None) -> int:
         link=fleet_link,
         controller=args.controller,
         recovery=args.recovery,
-        pricing=args.pricing if args.pricing is not None else "backlog",
         cohorts=args.cohorts,
         n_shards=args.shards if args.shards is not None else 1,
         tracers_per_cohort=args.tracers if args.tracers is not None else 1,

@@ -305,7 +305,6 @@ def run_fleet(
     lenient_codecs: bool = False,
     controller: str | RateController | None = None,
     ladder: QualityLadder | None = None,
-    pricing: str = "backlog",
     recovery: str | None = None,
     cohorts: bool = False,
     n_shards: int = 1,
@@ -323,9 +322,7 @@ def run_fleet(
     ``controller`` switches the fleet to adaptive rate control: every
     client starts on its cycled codec's rung and re-picks per frame
     from ``ladder`` (the CLI's ``--controller``/``--trace`` flags feed
-    this path).  ``pricing`` selects the engine's transport pricing
-    (``backlog`` per-stream queueing, or the legacy ``round``; the
-    CLI's ``--pricing`` flag feeds it).
+    this path).
 
     ``recovery`` names the loss-recovery policy (``arq``, ``fec``, or
     ``skip``; the CLI's ``--recovery`` flag feeds it) and requires a
@@ -338,8 +335,8 @@ def run_fleet(
     O(classes) work, sharded ``n_shards`` ways with
     ``tracers_per_cohort`` fully-reported tracer clients each — the
     mode behind ``repro fleet --clients 1000000 --cohorts``.  Cohort
-    mode prices contention by analytic waterfilling, so it composes
-    with ``controller`` but not with ``pricing="round"``.
+    mode prices contention by analytic waterfilling and composes with
+    ``controller``.
     """
     config = config or ExperimentConfig()
     codecs = tuple(config.codec_names or DEFAULT_FLEET_CODECS)
@@ -355,11 +352,6 @@ def run_fleet(
     else:
         streamable = [streaming_codec_name(name) for name in codecs]
     if cohorts:
-        if pricing != "backlog":
-            raise ValueError(
-                "cohort mode prices contention by analytic waterfilling; "
-                "pricing modes do not apply"
-            )
         specs = build_fleet_cohorts(
             config,
             n_clients,
@@ -395,7 +387,6 @@ def run_fleet(
         seed=config.seed,
         controller=controller,
         ladder=ladder,
-        pricing=pricing,
         recovery=recovery,
     )
     solo = {

@@ -33,7 +33,6 @@ from .adaptive import (
 )
 from .engine import (
     FRAME_READY,
-    PRICING_MODES,
     TRANSMIT_DONE,
     TRANSMIT_START,
     CodecStreamSource,
@@ -98,7 +97,6 @@ __all__ = [
     "FRAME_READY",
     "TRANSMIT_START",
     "TRANSMIT_DONE",
-    "PRICING_MODES",
     "Event",
     "FrameSource",
     "PrecomputedSource",

@@ -17,11 +17,9 @@ that loop at frame granularity:
   dwell times, stalls — and is shared by the single-session and fleet
   simulators (both dispatch through
   :class:`~repro.streaming.engine.StreamingEngine`), so both use the
-  same controller inputs and report the same metrics.  Under the
-  default ``pricing="backlog"`` the fleet now queues each client's
-  payloads behind that client's own backlog exactly as the solo
-  session always did; the legacy round-priced fleet semantics remain
-  available as ``pricing="round"``;
+  same controller inputs and report the same metrics: the fleet
+  queues each client's payloads behind that client's own backlog
+  exactly as the solo session does;
 * :func:`simulate_adaptive_session` streams one client over a (usually
   time-varying) link and reports rung switches, time-in-rung, stall
   time, and delivered perceptual quality on top of the usual
@@ -434,9 +432,7 @@ def simulate_adaptive_session(
         encode_time_s=2 * height * width / (encode_throughput_mpixels_s * 1e6),
         adaptation=state,
     )
-    outcome = StreamingEngine(link, pricing="backlog", recovery=recovery).run(
-        [spec], seed=seed
-    )[0]
+    outcome = StreamingEngine(link, recovery=recovery).run([spec], seed=seed)[0]
     return AdaptiveSessionReport(
         encoder=f"adaptive:{policy.name}",
         frames=outcome.frames,

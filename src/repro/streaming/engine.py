@@ -17,14 +17,9 @@ ns-3-style discrete-event core:
   rung, a :class:`LinkScheduler` divides the air among concurrent
   transmissions, and a (possibly traced)
   :class:`~repro.streaming.link.WirelessLink` prices them;
-* two **transport pricing** disciplines: ``"backlog"`` gives every
-  stream its own display clock and queues payloads behind the stream's
-  transmit backlog, resolving cross-stream contention event by event in
-  the fluid limit; ``"round"`` replays the legacy fleet semantics —
-  every round's payloads offered together at the round start — for
-  continuity with previously published tables (bit for bit up to the
-  per-stream jitter-RNG change below; exactly so on jitter-free
-  links).
+* **backlog pricing**: every stream runs on its own display clock and
+  queues payloads behind its own transmit backlog, with cross-stream
+  contention resolved event by event in the scheduler's fluid limit.
 
 The public simulators are now thin wrappers: a solo session is a fleet
 of one, a pinned codec is a non-adaptive stream, and the fleet simply
@@ -48,12 +43,7 @@ import numpy as np
 from ..codecs.ladder import encode_frame_rungs
 from .link import WirelessLink
 from .loss import LossRuntime, LossStats, get_recovery_policy
-from .validation import (
-    PRICING_MODES,
-    validate_pricing,
-    validate_stream_timing,
-    validate_stream_window,
-)
+from .validation import validate_stream_timing, validate_stream_window
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..codecs.ladder import QualityLadder
@@ -81,7 +71,6 @@ __all__ = [
     "StreamSpec",
     "StreamOutcome",
     "StreamingEngine",
-    "PRICING_MODES",
 ]
 
 #: Payload remainders below this many bits count as fully drained
@@ -171,41 +160,23 @@ class FrameTiming:
 # -- link schedulers ----------------------------------------------------
 
 
-class LinkScheduler(abc.ABC):
-    """Divides one link's capacity among simultaneous frame payloads."""
+class LinkScheduler:
+    """Divides one link's capacity among concurrently backlogged flows.
+
+    The default discipline is generalized processor sharing (capacity
+    in proportion to weight); subclasses with different preemption
+    rules override :meth:`instantaneous_shares`.
+    """
 
     #: Registry name (the CLI's ``--scheduler`` spelling).
     name: str = ""
-
-    @abc.abstractmethod
-    def drain_times_s(
-        self,
-        payload_bits: Sequence[float],
-        weights: Sequence[float],
-        link: WirelessLink,
-        start_s: float = 0.0,
-    ) -> list[float]:
-        """Completion time of each payload, offered at ``start_s``.
-
-        Returns one drain time per payload: how long after the round
-        starts that client's last bit leaves the air.  Zero-size
-        payloads never occupy the link.  ``start_s`` anchors the round
-        on the session clock so traced links price each round at its
-        own bandwidth; constant links ignore it.  (This is the batch
-        entry point ``pricing="round"`` replays; the event kernel uses
-        :meth:`instantaneous_shares` instead.)
-        """
 
     def instantaneous_shares(self, weights: Sequence[float]) -> list[float]:
         """Fraction of link capacity each backlogged flow gets *now*.
 
         The event kernel calls this whenever the set of in-flight
         transmissions changes and lets each flow drain at its share of
-        the (possibly traced) link rate until the next event.  The
-        default is generalized processor sharing — capacity in
-        proportion to weight — which makes any subclass work under
-        ``pricing="backlog"``; disciplines with different preemption
-        rules (e.g. strict priority) override it.
+        the (possibly traced) link rate until the next event.
 
         Parameters
         ----------
@@ -223,84 +194,28 @@ class LinkScheduler(abc.ABC):
         total = sum(weights)
         return [w / total for w in weights]
 
-    @staticmethod
-    def _validate(payload_bits: Sequence[float], weights: Sequence[float]) -> None:
-        """Reject mismatched lengths, negative payloads, bad weights."""
-        if len(payload_bits) != len(weights):
-            raise ValueError(
-                f"{len(payload_bits)} payloads but {len(weights)} weights"
-            )
-        if any(p < 0 for p in payload_bits):
-            raise ValueError("payloads must be >= 0 bits")
-        if any(w <= 0 for w in weights):
-            raise ValueError("scheduler weights must be positive")
-
 
 class FairShareScheduler(LinkScheduler):
     """Weighted fair queueing in the fluid (GPS) limit.
 
     Every backlogged client receives capacity in proportion to its
     weight; when one drains, its share redistributes among the rest.
-    Equal weights give the classic per-client ``1/n`` fair share.  In
-    round pricing on a traced link the rate is re-sampled at the start
-    of each fluid step (a drain event), a piecewise approximation that
-    is exact whenever trace boundaries do not fall inside a step; the
-    event kernel's backlog pricing integrates the trace exactly
-    instead.
+    Equal weights give the classic per-client ``1/n`` fair share.
     """
 
     name = "fair"
-
-    def drain_times_s(self, payload_bits, weights, link, start_s=0.0):
-        """See :meth:`LinkScheduler.drain_times_s`."""
-        self._validate(payload_bits, weights)
-        remaining = [float(bits) for bits in payload_bits]
-        finish = [0.0] * len(remaining)
-        active = [i for i, bits in enumerate(remaining) if bits > 0]
-        now = 0.0
-        while active:
-            bandwidth = link.at(start_s + now) * 1e6
-            total_weight = sum(weights[i] for i in active)
-            rates = {i: bandwidth * weights[i] / total_weight for i in active}
-            step = min(remaining[i] / rates[i] for i in active)
-            now += step
-            still_active = []
-            for i in active:
-                remaining[i] -= rates[i] * step
-                if remaining[i] <= _DRAIN_EPSILON_BITS:
-                    finish[i] = now
-                else:
-                    still_active.append(i)
-            active = still_active
-        return finish
 
 
 class PriorityScheduler(LinkScheduler):
     """Strict priority: heavier clients transmit first, then the rest.
 
-    Ties break in client order.  The heaviest client sees a dedicated
-    link — useful to model one latency-critical headset among best-
-    effort peers.  On a traced link each transmission serializes at its
-    own (queued) start time, so fades land on whoever is on the air.
+    Ties break in client order.  The heaviest backlogged client sees a
+    dedicated link — useful to model one latency-critical headset
+    among best-effort peers.  On a traced link fades land on whoever
+    is on the air.
     """
 
     name = "priority"
-
-    def drain_times_s(self, payload_bits, weights, link, start_s=0.0):
-        """See :meth:`LinkScheduler.drain_times_s`."""
-        self._validate(payload_bits, weights)
-        order = sorted(
-            range(len(payload_bits)), key=lambda i: (-weights[i], i)
-        )
-        finish = [0.0] * len(payload_bits)
-        now = 0.0
-        for i in order:
-            if payload_bits[i] > 0:
-                now += link.serialization_time_s(
-                    payload_bits[i], start_s=start_s + now
-                )
-                finish[i] = now
-        return finish
 
     def instantaneous_shares(self, weights):
         """All capacity to the heaviest backlogged flow (ties: first)."""
@@ -720,14 +635,13 @@ class StreamSpec:
         Frames to stream.
     target_fps:
         The stream's own display refresh rate; sets its frame interval
-        (and, under ``pricing="backlog"``, its clock).
+        and its clock.
     encode_time_s:
         Server-side encode time charged to every frame.
     weight:
         Scheduling weight under contention.
     start_s:
-        Session time the stream joins (``pricing="backlog"`` only);
-        models late joiners.
+        Session time the stream joins; models late joiners.
     stop_s:
         Session time the stream departs, or ``None`` to stream all
         ``n_frames``.  Frames whose ready time falls at or after
@@ -867,28 +781,6 @@ class StreamingEngine:
         The (possibly traced) wireless link all streams share.
     scheduler:
         Link scheduling discipline (name or :class:`LinkScheduler`).
-    pricing:
-        Transport pricing mode, one of
-        :data:`~repro.streaming.validation.PRICING_MODES`:
-
-        ``"backlog"``
-            Each stream runs on its own display clock (``start_s`` +
-            multiples of its frame interval) and queues payloads behind
-            its own transmit backlog.  Concurrent transmissions share
-            the link in the fluid limit of the scheduler's
-            :meth:`~LinkScheduler.instantaneous_shares`, integrated
-            exactly through a traced link's capacity profile.
-        ``"round"``
-            The legacy fleet semantics: all streams tick on one round
-            clock (the fastest stream's interval) and every round's
-            payloads are offered together at the round start via
-            :meth:`~LinkScheduler.drain_times_s`, with backlog feeding
-            the controllers and the stall metric rather than the
-            scheduler.  Drain pricing is preserved bit for bit; jitter
-            overhead now draws from the per-stream spawned RNGs, so on
-            links with ``jitter_ms > 0`` transmit times differ from
-            the pre-engine shared-RNG draws (a one-time, documented
-            change).
     recovery:
         Loss recovery policy — a name from
         :data:`~repro.streaming.loss.RECOVERY_CHOICES`, a
@@ -899,7 +791,13 @@ class StreamingEngine:
 
     Notes
     -----
-    A single-stream run under ``"backlog"`` is priced analytically —
+    Each stream runs on its own display clock (``start_s`` + multiples
+    of its frame interval) and queues payloads behind its own transmit
+    backlog.  Concurrent transmissions share the link in the fluid
+    limit of the scheduler's :meth:`~LinkScheduler.instantaneous_shares`,
+    integrated exactly through a traced link's capacity profile.
+
+    A single-stream run is priced analytically —
     the event timeline of a lone stream is deterministic, so each
     frame resolves at its :data:`FRAME_READY` event exactly as the
     historical session loops did (controller feedback included), which
@@ -912,12 +810,10 @@ class StreamingEngine:
         self,
         link: WirelessLink,
         scheduler: str | LinkScheduler = "fair",
-        pricing: str = "backlog",
         recovery=None,
     ):
         self.link = link
         self.scheduler = get_scheduler(scheduler)
-        self.pricing = validate_pricing(pricing)
         if link.loss is not None:
             self.recovery = get_recovery_policy(recovery)
         elif recovery is not None:
@@ -973,9 +869,7 @@ class StreamingEngine:
                     rtt_s=self.link.rtt_s,
                 )
         self._events: list[Event] = []
-        if self.pricing == "round":
-            self._run_round_priced(runtimes)
-        elif len(runtimes) == 1:
+        if len(runtimes) == 1:
             self._run_solo(runtimes[0])
         else:
             self._run_event_kernel(runtimes)
@@ -1017,84 +911,6 @@ class StreamingEngine:
 
     def _log(self, time_s: float, kind: str, stream: str, frame_index: int) -> None:
         self._events.append(Event(time_s, kind, stream, frame_index))
-
-    # -- round pricing (legacy fleet semantics) -------------------------
-
-    def _run_round_priced(self, runtimes: list[_StreamRuntime]) -> None:
-        """All streams tick together; each round priced as one batch."""
-        if any(rt.spec.start_s != 0.0 for rt in runtimes):
-            raise ValueError(
-                'staggered start_s requires pricing="backlog"; '
-                'round pricing shares one round clock'
-            )
-        interval_s = 1.0 / max(rt.spec.target_fps for rt in runtimes)
-        n_rounds = max(rt.spec.n_frames for rt in runtimes)
-        weights_all = [rt.spec.weight for rt in runtimes]
-        for frame_index in range(n_rounds):
-            round_start_s = frame_index * interval_s
-            # A departed stream (stop_s at or before this round's start)
-            # contributes nothing to the round's batch — the round-clock
-            # equivalent of the backlog kernel never producing frames
-            # after the departure.
-            active = [
-                rt
-                for rt in runtimes
-                if frame_index < rt.spec.n_frames
-                and (rt.spec.stop_s is None or round_start_s < rt.spec.stop_s)
-            ]
-            if not active:
-                continue
-            payloads: list[int] = []
-            rung_names: list[str] = []
-            for rt in active:
-                payload, rung_name = self._choose_payload(
-                    rt, frame_index, round_start_s
-                )
-                payloads.append(payload)
-                rung_names.append(rung_name)
-                self._log(round_start_s, FRAME_READY, rt.spec.name, frame_index)
-            weights = (
-                weights_all
-                if len(active) == len(runtimes)
-                else [rt.spec.weight for rt in active]
-            )
-            # FEC parity inflates what the link must carry, so drain
-            # pricing sees wire bits; payload bits stay the reported
-            # (and controller-visible) frame size.  Lossless links take
-            # the unmodified historical path.
-            wire_payloads = (
-                [rt.loss.wire_bits(p) for rt, p in zip(active, payloads)]
-                if self.link.loss is not None
-                else payloads
-            )
-            drains = self.scheduler.drain_times_s(
-                wire_payloads, weights, self.link, start_s=round_start_s
-            )
-            for rt, payload, rung_name, drain in zip(
-                active, payloads, rung_names, drains
-            ):
-                recovery_s = (
-                    rt.loss.on_frame(rt.rng, payload, drain, round_start_s)
-                    if rt.loss is not None
-                    else 0.0
-                )
-                overhead = self.link.overhead_time_s(rt.rng)
-                if rt.spec.adaptation is not None:
-                    rt.spec.adaptation.record(payload, drain)
-                rt.timings.append(
-                    FrameTiming(
-                        frame_index=frame_index,
-                        payload_bits=payload,
-                        encode_time_s=rt.spec.encode_time_s,
-                        serialization_time_s=drain,
-                        transmit_time_s=drain + overhead + recovery_s,
-                        rung=rung_name,
-                    )
-                )
-                self._log(round_start_s, TRANSMIT_START, rt.spec.name, frame_index)
-                self._log(
-                    round_start_s + drain, TRANSMIT_DONE, rt.spec.name, frame_index
-                )
 
     # -- solo fast path (deterministic timeline) ------------------------
 

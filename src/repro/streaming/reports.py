@@ -382,13 +382,23 @@ def _fleet_to_dict(report) -> dict[str, Any]:
         "scheduler": report.scheduler,
         "n_frames": report.n_frames,
         "controller": report.controller,
-        "pricing": report.pricing,
+        # Backlog queueing is the only transport pricing; the key stays
+        # so payloads remain byte-identical to earlier writers.
+        "pricing": "backlog",
     }
 
 
 def _fleet_from_dict(data: dict[str, Any]):
     from .server import FleetReport
 
+    pricing = data.get("pricing", "backlog")
+    if pricing != "backlog":
+        # Its horizon and utilization were measured on a clock this
+        # build no longer models; re-deriving them would be wrong.
+        raise ValueError(
+            f"fleet report priced with {pricing!r}; only backlog-priced "
+            "reports load (round pricing was removed, see docs/migration.md)"
+        )
     return FleetReport(
         clients=tuple(_client_from_dict(c) for c in data["clients"]),
         link=link_from_dict(data["link"]),
@@ -397,7 +407,6 @@ def _fleet_from_dict(data: dict[str, Any]):
         controller=(
             None if data.get("controller") is None else str(data["controller"])
         ),
-        pricing=str(data.get("pricing", "backlog")),
     )
 
 

@@ -16,12 +16,10 @@ discrete-event kernel in :mod:`repro.streaming.engine`:
 * encoded payloads contend for one
   :class:`~repro.streaming.link.WirelessLink` under a
   :class:`~repro.streaming.engine.LinkScheduler` — weighted fair share
-  in the fluid (GPS) limit, or strict priority.  The default
-  ``pricing="backlog"`` runs every client on its own display clock
-  and queues its payloads behind its own transmit backlog (so mixed
-  refresh rates and late joiners need no fastest-client hack);
-  ``pricing="round"`` replays the legacy round-priced engine (bit for
-  bit on jitter-free links; jitter now draws from per-client RNGs);
+  in the fluid (GPS) limit, or strict priority.  Every client runs on
+  its own display clock and queues its payloads behind its own
+  transmit backlog (so mixed refresh rates and late joiners need no
+  fastest-client hack);
 * per-client :class:`ClientReport`\\ s (a
   :class:`~repro.streaming.session.SessionReport` each, so the
   encode-vs-serialization fps bound applies unchanged) roll up into a
@@ -126,9 +124,7 @@ class ClientConfig:
         Server-side encoder rate for this client's stream.
     start_s:
         Session time this client joins the fleet (a late joiner's
-        first frame is ready at ``start_s``).  Requires
-        ``pricing="backlog"``; the legacy round pricing shares one
-        round clock.
+        first frame is ready at ``start_s``).
     stop_s:
         Session time this client leaves the fleet, or ``None`` to
         stream all ``n_frames``.  Frames whose ready time falls at or
@@ -262,7 +258,6 @@ class FleetReport:
     scheduler: str
     n_frames: int
     controller: str | None = None
-    pricing: str = "backlog"
 
     @property
     def n_clients(self) -> int:
@@ -348,32 +343,15 @@ class FleetReport:
             return float(np.percentile(latencies, percentile))
         return self.latency_sketch().quantile(percentile / 100.0)
 
-    def _presence_time_s(self, report: ClientReport) -> float:
-        """Display time ``report`` streamed for, on the pricing clock.
-
-        Backlog pricing ticks each client's own display clock, so a
-        client's presence is its frame count at its own rate
-        (:attr:`ClientReport.active_time_s`).  Legacy round pricing
-        ticks one round clock at the fastest client's rate — every
-        client consumes *rounds*, so its frames count round intervals,
-        not intervals of its own rate.
-        """
-        if self.pricing == "round":
-            round_fps = max(r.target_fps for r in self.clients)
-            return len(report.frames) / round_fps
-        return report.active_time_s
-
     @property
     def horizon_s(self) -> float:
         """Fleet horizon: when the last client's last frame was ready.
 
-        The latest ``start_s`` plus presence time over the fleet — the
-        duration demand is averaged over in
-        :attr:`link_utilization` — measured on the clock the pricing
-        mode ticks on (per-client display clocks under ``"backlog"``,
-        one round clock under ``"round"``).
+        The latest ``start_s`` plus presence time
+        (:attr:`ClientReport.active_time_s`) over the fleet — the
+        duration demand is averaged over in :attr:`link_utilization`.
         """
-        return max(r.start_s + self._presence_time_s(r) for r in self.clients)
+        return max(r.start_s + r.active_time_s for r in self.clients)
 
     @property
     def link_utilization(self) -> float:
@@ -399,7 +377,7 @@ class FleetReport:
             * report.target_fps
             * (presence / horizon)
             for report in self.clients
-            if (presence := self._presence_time_s(report)) > 0
+            if (presence := report.active_time_s) > 0
         )
         return demand / (self.link.bandwidth_mbps * 1e6)
 
@@ -627,7 +605,6 @@ def simulate_fleet(
     seed: int = 0,
     controller: str | RateController | None = None,
     ladder: QualityLadder | None = None,
-    pricing: str = "backlog",
     recovery=None,
 ) -> FleetReport:
     """Stream ``n_frames`` stereo frames per client over one shared link.
@@ -635,7 +612,11 @@ def simulate_fleet(
     Each client renders and encodes its own stream (scene, gaze,
     resolution, codec) and all payloads contend for the link under
     ``scheduler``, dispatched through the
-    :class:`~repro.streaming.engine.StreamingEngine`.  ``n_jobs``
+    :class:`~repro.streaming.engine.StreamingEngine`: every client has
+    its own display clock — frames arrive at ``start_s + k /
+    target_fps`` and queue behind the client's own transmit backlog —
+    and cross-client contention resolves event by event in the
+    scheduler's fluid limit.  ``n_jobs``
     parallelizes the render+encode work across client streams; results
     are bit-identical for any value.
 
@@ -669,22 +650,6 @@ def simulate_fleet(
         Quality ladder for adaptive runs; defaults to
         :meth:`~repro.codecs.ladder.QualityLadder.default`.  Only
         valid with a controller.
-    pricing:
-        Transport pricing mode.  The default ``"backlog"`` gives every
-        client its own display clock — frames arrive at
-        ``start_s + k / target_fps`` and queue behind the client's own
-        transmit backlog, with cross-client contention resolved event
-        by event in the scheduler's fluid limit (this is the semantics
-        :func:`~repro.streaming.adaptive.simulate_adaptive_session`
-        always had, now shared by the fleet; it admits mixed refresh
-        rates and staggered ``start_s`` without a fastest-client
-        hack).  ``"round"`` replays the legacy engine: one round
-        clock at the fastest client's interval, every round's payloads
-        offered together at the round start, backlog feeding the
-        controllers and the stall metric rather than the scheduler.
-        Drain pricing is bit-for-bit; jitter draws now come from the
-        per-client spawned RNGs (see the migration notes), so jittery
-        links see a one-time report change versus PR 3.
     recovery:
         Loss recovery policy (name from
         :data:`~repro.streaming.loss.RECOVERY_CHOICES` or a
@@ -712,22 +677,11 @@ def simulate_fleet(
     if controller is None and ladder is not None:
         raise ValueError("ladder only applies when a controller is given")
     engine_scheduler = get_scheduler(scheduler)
-    engine = StreamingEngine(
-        link, scheduler=engine_scheduler, pricing=pricing, recovery=recovery
-    )
-    if engine.pricing == "round":
-        # The legacy round clock ticks at the fastest client's
-        # interval, so a departing client consumes rounds — not frames
-        # of its own rate — until ``stop_s``.
-        round_fps = max(c.target_fps for c in clients)
-        frame_counts = [
-            frames_within_window(n_frames, round_fps, 0.0, c.stop_s) for c in clients
-        ]
-    else:
-        frame_counts = [
-            frames_within_window(n_frames, c.target_fps, c.start_s, c.stop_s)
-            for c in clients
-        ]
+    engine = StreamingEngine(link, scheduler=engine_scheduler, recovery=recovery)
+    frame_counts = [
+        frames_within_window(n_frames, c.target_fps, c.start_s, c.stop_s)
+        for c in clients
+    ]
 
     policy: RateController | None = None
     adapters: list[AdaptationState] | None = None
@@ -749,8 +703,6 @@ def simulate_fleet(
             start_rungs = pinned
         else:
             rung_maps = [tuple(range(len(ladder)))] * len(clients)
-        # Budgets and deadlines are judged against each client's own
-        # refresh rate, whatever clock the pricing mode ticks on.
         adapters = [
             AdaptationState(policy, ladder, start, 1.0 / client.target_fps)
             for start, client in zip(start_rungs, clients)
@@ -799,5 +751,4 @@ def simulate_fleet(
         scheduler=engine_scheduler.name,
         n_frames=n_frames,
         controller=policy.name if policy is not None else None,
-        pricing=engine.pricing,
     )

@@ -265,7 +265,7 @@ def simulate_session(
         target_fps=target_fps,
         encode_time_s=2 * height * width / (encode_throughput_mpixels_s * 1e6),
     )
-    engine = StreamingEngine(link, pricing="backlog", recovery=recovery)
+    engine = StreamingEngine(link, recovery=recovery)
     outcome = engine.run([spec], seed=seed)[0]
     return SessionReport(
         encoder=encoder,

@@ -15,22 +15,12 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "PRICING_MODES",
     "validate_stream_timing",
     "validate_stream_window",
-    "validate_pricing",
     "validate_probability",
     "validate_burst_length",
     "validate_backoff",
 ]
-
-#: Transport pricing disciplines the engine understands: ``"backlog"``
-#: queues each stream's payloads behind its own transmit backlog
-#: (per-stream clocks, event-driven contention); ``"round"`` replays
-#: the legacy fleet semantics where every round's payloads are offered
-#: together at the round start.
-PRICING_MODES = ("backlog", "round")
-
 
 def validate_stream_timing(
     n_frames: int | None = None,
@@ -100,31 +90,6 @@ def validate_stream_window(
         raise ValueError(
             f"{prefix}stop_s must be > start_s ({start_s}), got {stop_s}"
         )
-
-
-def validate_pricing(pricing: str) -> str:
-    """Canonicalize a transport-pricing mode name.
-
-    Parameters
-    ----------
-    pricing:
-        One of :data:`PRICING_MODES`.
-
-    Returns
-    -------
-    str
-        The validated mode, unchanged.
-
-    Raises
-    ------
-    ValueError
-        For unknown modes.
-    """
-    if pricing not in PRICING_MODES:
-        raise ValueError(
-            f"unknown pricing {pricing!r}; expected one of {PRICING_MODES}"
-        )
-    return pricing
 
 
 def validate_probability(value: float, name: str) -> float:

@@ -1,13 +1,9 @@
 """Tests for the discrete-event streaming kernel.
 
-The two bit-for-bit properties here are the refactor's acceptance
-criteria: a fleet of one reproduces the solo session exactly, and
-``pricing="round"`` reproduces the legacy round-priced fleet engine
-(drain times from one batched scheduler call per round, jitter from
-per-client spawned RNGs) exactly.
+The bit-for-bit property here is the refactor's acceptance criterion:
+a fleet of one reproduces the solo session exactly.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,12 +21,11 @@ from repro.streaming.engine import (
     PriorityScheduler,
     StreamingEngine,
     StreamSpec,
-    get_scheduler,
 )
 from repro.streaming.link import WirelessLink
 from repro.streaming.server import ClientConfig, simulate_fleet
 from repro.streaming.session import ENCODER_CHOICES, simulate_session
-from repro.streaming.validation import PRICING_MODES, validate_stream_timing
+from repro.streaming.validation import validate_stream_timing
 
 JITTERY_LINK = WirelessLink(bandwidth_mbps=200.0, propagation_ms=3.0, jitter_ms=1.0)
 CALM_LINK = WirelessLink(bandwidth_mbps=200.0, propagation_ms=3.0)
@@ -87,103 +82,25 @@ class TestFleetOfOneIsSolo:
         assert fleet.clients[0].adaptive.stall_time_s == solo.adaptive.stall_time_s
 
 
-class TestRoundPricingIsLegacyFleet:
-    """Acceptance: ``pricing="round"`` == the PR 3 round-priced loop."""
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        n_clients=st.integers(min_value=1, max_value=3),
-        scheduler=st.sampled_from(("fair", "priority")),
-        seed=st.integers(min_value=0, max_value=2**16),
-        jitter=st.booleans(),
-    )
-    def test_round_pricing_matches_reference_round_loop(
-        self, n_clients, scheduler, seed, jitter
-    ):
-        """Property: every round is priced by one batched scheduler
-        call at the round start — the PR 3 loop, transcribed — plus a
-        jitter draw from this PR's per-client spawned RNGs (the one
-        documented departure from PR 3; jitter-free links are
-        bit-for-bit with the old engine)."""
-        link = JITTERY_LINK if jitter else CALM_LINK
-        clients = [
-            ClientConfig(name=f"c{i}", codec="bd", height=16, width=16,
-                         weight=1.0 + i)
-            for i in range(n_clients)
-        ]
-        n_frames = 2
-        report = simulate_fleet(
-            clients, link, scheduler=scheduler, n_frames=n_frames, seed=seed,
-            pricing="round",
-        )
-        assert report.pricing == "round"
-
-        # Reference: the legacy round loop over the engine's payloads.
-        sched = get_scheduler(scheduler)
-        rngs = [
-            np.random.default_rng(child)
-            for child in np.random.SeedSequence(seed).spawn(n_clients)
-        ]
-        interval = 1.0 / max(c.target_fps for c in clients)
-        weights = [c.weight for c in clients]
-        for k in range(n_frames):
-            payloads = [r.frames[k].payload_bits for r in report.clients]
-            drains = sched.drain_times_s(
-                payloads, weights, link, start_s=k * interval
-            )
-            for ci, r in enumerate(report.clients):
-                overhead = link.overhead_time_s(rngs[ci])
-                assert r.frames[k].serialization_time_s == drains[ci]
-                assert r.frames[k].transmit_time_s == drains[ci] + overhead
-
-    def test_round_equals_backlog_when_nothing_queues(self):
-        """On an uncongested constant link with equal refresh rates the
-        two pricings agree: every frame drains within its interval, so
-        backlog queueing never engages."""
-        clients = [
-            ClientConfig(name=f"c{i}", codec="bd", height=16, width=16)
-            for i in range(3)
-        ]
-        rounds = simulate_fleet(clients, CALM_LINK, n_frames=2, seed=3,
-                                pricing="round")
-        backlog = simulate_fleet(clients, CALM_LINK, n_frames=2, seed=3,
-                                 pricing="backlog")
-        for a, b in zip(rounds.clients, backlog.clients):
-            assert [f.payload_bits for f in a.frames] == [
-                f.payload_bits for f in b.frames
-            ]
-            assert [f.serialization_time_s for f in a.frames] == pytest.approx(
-                [f.serialization_time_s for f in b.frames]
-            )
-
-    def test_round_pricing_rejects_staggered_starts(self):
-        clients = [
-            ClientConfig(name="a", height=16, width=16),
-            ClientConfig(name="b", height=16, width=16, start_s=0.1),
-        ]
-        with pytest.raises(ValueError, match="backlog"):
-            simulate_fleet(clients, CALM_LINK, n_frames=1, pricing="round")
-
-    def test_unknown_pricing_rejected(self):
-        client = ClientConfig(name="a", height=16, width=16)
-        with pytest.raises(ValueError, match="unknown pricing"):
-            simulate_fleet([client], CALM_LINK, n_frames=1, pricing="auction")
-
-
 class TestPerClientJitterRngs:
     def test_adding_a_client_never_perturbs_existing_jitter_draws(self):
         """Satellite: spawned per-client RNGs.  Under strict priority
         the top client's drains are contention-free, so with stable
-        per-client RNG streams its frame timings must be identical
-        whether or not a second client exists."""
+        per-client RNG streams its frame timings must match whether or
+        not a second client exists — to float round-off, since alone it
+        is priced by the solo path and in company by the event kernel.
+        A different jitter draw would move them by milliseconds."""
         top = ClientConfig(name="top", codec="bd", height=16, width=16,
                            weight=10.0)
         extra = ClientConfig(name="extra", codec="raw", height=16, width=16)
         alone = simulate_fleet([top], JITTERY_LINK, scheduler="priority",
-                               n_frames=3, seed=21, pricing="round")
+                               n_frames=3, seed=21).client("top").frames
         crowd = simulate_fleet([top, extra], JITTERY_LINK, scheduler="priority",
-                               n_frames=3, seed=21, pricing="round")
-        assert frame_fields(alone.client("top")) == frame_fields(crowd.client("top"))
+                               n_frames=3, seed=21).client("top").frames
+        assert [f.payload_bits for f in crowd] == [f.payload_bits for f in alone]
+        assert [f.transmit_time_s for f in crowd] == pytest.approx(
+            [f.transmit_time_s for f in alone], rel=1e-12
+        )
 
 
 class TestBacklogPricing:
@@ -292,19 +209,6 @@ class TestEventLog:
             assert (TRANSMIT_START, k) in kinds
             assert (TRANSMIT_DONE, k) in kinds
 
-    def test_round_pricing_logs_rounds(self):
-        specs = [
-            StreamSpec(name="a", source=PrecomputedSource([(100,)]),
-                       n_frames=1, target_fps=1.0),
-            StreamSpec(name="b", source=PrecomputedSource([(100,)]),
-                       n_frames=1, target_fps=1.0),
-        ]
-        engine = StreamingEngine(TOY_LINK, pricing="round")
-        engine.run(specs, seed=0)
-        ready = [e for e in engine.last_events if e.kind == FRAME_READY]
-        assert {e.stream for e in ready} == {"a", "b"}
-        assert all(e.time_s == 0.0 for e in ready)
-
 
 class TestSchedulersShares:
     def test_fair_shares_are_weight_proportional(self):
@@ -359,7 +263,6 @@ class TestEngineValidation:
             PrecomputedSource([])
         with pytest.raises(ValueError, match="same number of rungs"):
             PrecomputedSource([(1, 2), (1,)])
-        assert PRICING_MODES == ("backlog", "round")
 
 
 class TestLadderEncodeCache:

@@ -119,6 +119,12 @@ class TestEnvelope:
         with pytest.raises(TypeError, match="decodes to"):
             FleetReport.from_json(session_report.to_json())
 
+    def test_round_priced_fleet_rejected(self, fleet_report):
+        data = report_to_dict(fleet_report)
+        data["pricing"] = "round"
+        with pytest.raises(ValueError, match="round"):
+            report_from_dict(data)
+
     def test_subclass_does_not_masquerade(self, adaptive_report):
         # Exact-type dispatch: an AdaptiveSessionReport must tag as
         # adaptive-session, not fall back to its SessionReport base.

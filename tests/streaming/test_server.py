@@ -3,7 +3,12 @@
 import pytest
 
 from repro.scenes.gaze import GazeSample
-from repro.streaming.engine import FrameTiming
+from repro.streaming.engine import (
+    FrameTiming,
+    PrecomputedSource,
+    StreamingEngine,
+    StreamSpec,
+)
 from repro.streaming.link import WirelessLink
 from repro.streaming.server import (
     SCHEDULER_CHOICES,
@@ -33,48 +38,45 @@ def small_clients(n, codec="bd", **kwargs):
     ]
 
 
-class TestFairShareScheduler:
-    def test_equal_weights_split_capacity(self):
-        # 100 b/s split two ways: the 100-bit payload drains at 50 b/s
-        # in 2 s; the survivor then gets the whole link.
-        finish = FairShareScheduler().drain_times_s([100, 300], [1.0, 1.0], TOY_LINK)
-        assert finish == pytest.approx([2.0, 4.0])
+def drain_times(scheduler, payloads, weights):
+    """Airtime of one frame per stream, every frame ready at t = 0."""
+    specs = [
+        StreamSpec(
+            name=f"s{i}", source=PrecomputedSource([(bits,)]), n_frames=1,
+            target_fps=0.01, weight=weight,
+        )
+        for i, (bits, weight) in enumerate(zip(payloads, weights))
+    ]
+    outcomes = StreamingEngine(TOY_LINK, scheduler=scheduler).run(specs)
+    return [outcome.frames[0].serialization_time_s for outcome in outcomes]
 
+
+class TestFairShareScheduler:
     def test_weights_bias_shares(self):
         # 3:1 weights: client 0 drains its 150 bits at 75 b/s in 2 s
         # while client 1 got 25 b/s; the rest finishes at full rate.
-        finish = FairShareScheduler().drain_times_s([150, 150], [3.0, 1.0], TOY_LINK)
-        assert finish == pytest.approx([2.0, 3.0])
+        assert drain_times("fair", [150, 150], [3.0, 1.0]) == pytest.approx([2.0, 3.0])
 
     def test_last_finisher_equals_total_airtime(self):
         # Work conservation: the link never idles while bits remain.
         payloads = [70, 330, 200]
-        finish = FairShareScheduler().drain_times_s(payloads, [1.0, 1.0, 1.0], TOY_LINK)
+        finish = drain_times("fair", payloads, [1.0, 1.0, 1.0])
         assert max(finish) == pytest.approx(sum(payloads) / 100.0)
 
     def test_zero_payload_never_occupies_link(self):
-        finish = FairShareScheduler().drain_times_s([0, 100], [1.0, 1.0], TOY_LINK)
-        assert finish == pytest.approx([0.0, 1.0])
+        assert drain_times("fair", [0, 100], [1.0, 1.0]) == pytest.approx([0.0, 1.0])
 
     def test_single_client_gets_full_link(self):
-        finish = FairShareScheduler().drain_times_s([250], [1.0], TOY_LINK)
-        assert finish == pytest.approx([2.5])
+        assert drain_times("fair", [250], [1.0]) == pytest.approx([2.5])
 
 
 class TestPriorityScheduler:
-    def test_heavier_weight_preempts(self):
-        finish = PriorityScheduler().drain_times_s([100, 300], [1.0, 2.0], TOY_LINK)
-        assert finish == pytest.approx([4.0, 3.0])
-
     def test_ties_break_in_client_order(self):
-        finish = PriorityScheduler().drain_times_s([100, 100], [1.0, 1.0], TOY_LINK)
-        assert finish == pytest.approx([1.0, 2.0])
+        assert drain_times("priority", [100, 100], [1.0, 1.0]) == pytest.approx([1.0, 2.0])
 
     def test_top_client_is_uncontended(self):
-        alone = PriorityScheduler().drain_times_s([300], [1.0], TOY_LINK)[0]
-        crowded = PriorityScheduler().drain_times_s(
-            [300, 500, 500], [9.0, 1.0, 1.0], TOY_LINK
-        )[0]
+        alone = drain_times("priority", [300], [1.0])[0]
+        crowded = drain_times("priority", [300, 500, 500], [9.0, 1.0, 1.0])[0]
         assert crowded == pytest.approx(alone)
 
 
@@ -88,14 +90,6 @@ class TestSchedulerValidation:
     def test_unknown_scheduler(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
             get_scheduler("round-robin")
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="weights"):
-            FairShareScheduler().drain_times_s([1, 2], [1.0], TOY_LINK)
-        with pytest.raises(ValueError, match=">= 0"):
-            FairShareScheduler().drain_times_s([-1], [1.0], TOY_LINK)
-        with pytest.raises(ValueError, match="positive"):
-            PriorityScheduler().drain_times_s([1], [0.0], TOY_LINK)
 
 
 class TestClientConfig:
@@ -201,10 +195,10 @@ class TestFleetReport:
         assert idle.horizon_s == 0.0
         assert idle.link_utilization == 0.0
 
-    def test_round_pricing_presence_ticks_the_round_clock(self):
-        # Under legacy round pricing every client consumes rounds at
-        # the fastest client's rate, so four frames are four round
-        # intervals — not four intervals of the slow client's own fps.
+    def test_presence_ticks_each_clients_own_clock(self):
+        # Four frames are 4/20 s of presence at 20 fps but 4/10 s at
+        # 10 fps: the slow client sets the horizon, and the fast
+        # client's demand counts for half of it.
         def timings(n):
             return [
                 FrameTiming(
@@ -221,17 +215,12 @@ class TestFleetReport:
             ClientReport(encoder="bd", frames=timings(4), target_fps=20.0, name="fast"),
             ClientReport(encoder="bd", frames=timings(4), target_fps=10.0, name="slow"),
         )
-        kwargs = dict(link=SHARED_LINK, scheduler="fair", n_frames=4)
-        round_fleet = FleetReport(clients=clients, pricing="round", **kwargs)
-        backlog_fleet = FleetReport(clients=clients, pricing="backlog", **kwargs)
-        # Round clock: both clients were present for 4 / 20 s.
-        assert round_fleet.horizon_s == pytest.approx(4 / 20.0)
-        # Backlog clock: the slow client's own fps sets its presence.
-        assert backlog_fleet.horizon_s == pytest.approx(4 / 10.0)
-        # Equal presence under round pricing means neither client's
-        # demand is discounted relative to the other.
-        demand = sum(r.mean_payload_bits * r.target_fps for r in clients)
-        assert round_fleet.link_utilization == pytest.approx(
+        fleet = FleetReport(
+            clients=clients, link=SHARED_LINK, scheduler="fair", n_frames=4
+        )
+        assert fleet.horizon_s == pytest.approx(4 / 10.0)
+        demand = 1000 * 20.0 * 0.5 + 1000 * 10.0
+        assert fleet.link_utilization == pytest.approx(
             demand / (SHARED_LINK.bandwidth_mbps * 1e6)
         )
 

@@ -131,18 +131,11 @@ class TestFleet:
         assert code == 0
         assert "controller fixed" in capsys.readouterr().out
 
-    def test_fleet_pricing_forwarded(self, capsys):
-        code = main(
-            ["fleet", "--clients", "2", "--pricing", "round",
-             "--codecs", "bd", "--height", "48", "--width", "48",
-             "--frames", "1"]
-        )
-        assert code == 0
-        assert "fleet fps" in capsys.readouterr().out
-
-    def test_pricing_rejected_elsewhere(self, capsys):
-        assert main(["fig10", "--pricing", "round"]) == 2
-        assert "only affect the fleet" in capsys.readouterr().err
+    def test_pricing_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--pricing", "round"])
+        assert exc.value.code == 2
+        assert "--pricing" in capsys.readouterr().err
 
     def test_fleet_rejects_bad_trace_specs(self, capsys):
         assert main(["fleet", "--trace", "sine:1:2:3"]) == 2
