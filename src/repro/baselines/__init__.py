@@ -12,7 +12,6 @@ from .png_codec import (
     png_filter_rows,
     png_unfilter_rows,
 )
-from .registry import BASELINE_NAMES, baseline_bits, bd_bits, nocom_bits, scc_bits
 from .scc import (
     DEFAULT_SCC_ECCENTRICITY,
     SCCTable,
@@ -32,11 +31,6 @@ __all__ = [
     "png_encode",
     "png_filter_rows",
     "png_unfilter_rows",
-    "BASELINE_NAMES",
-    "baseline_bits",
-    "bd_bits",
-    "nocom_bits",
-    "scc_bits",
     "DEFAULT_SCC_ECCENTRICITY",
     "SCCTable",
     "greedy_set_cover",

@@ -1,14 +1,12 @@
 """The paper's primary contribution: perceptual color adjustment.
 
 Analytical per-tile adjustment (Fig. 6 two-case geometry), the R/B axis
-optimizer, the frame pipeline in front of Base+Delta, and the iterative
-reference solver used to validate the convex relaxation.
+optimizer, and the frame pipeline in front of Base+Delta.
 """
 
 from .adjust import CASE2_PLACEMENTS, AxisAdjustment, adjust_tiles, case2_plane
 from .optimizer import OptimizedTiles, optimize_tiles, tile_bd_bits
 from .pipeline import DEFAULT_FOVEAL_RADIUS_DEG, FrameResult, PerceptualEncoder
-from .reference_solver import ReferenceSolution, solve_tile_reference, true_objective_bits
 
 __all__ = [
     "CASE2_PLACEMENTS",
@@ -21,7 +19,4 @@ __all__ = [
     "DEFAULT_FOVEAL_RADIUS_DEG",
     "FrameResult",
     "PerceptualEncoder",
-    "ReferenceSolution",
-    "solve_tile_reference",
-    "true_objective_bits",
 ]

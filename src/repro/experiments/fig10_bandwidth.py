@@ -18,14 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..baselines.registry import BASELINE_NAMES
 from ..codecs.context import FrameContext
 from ..codecs.registry import get_codec, resolve_codec_name
 from ..codecs.wrappers import PerceptualCodec
 from ..encoding.accounting import UNCOMPRESSED_BPP
 from .common import ExperimentConfig, encoder_for, format_table, render_eval_frames
 
-__all__ = ["SceneBandwidth", "BandwidthResult", "run"]
+__all__ = ["BASELINE_NAMES", "SceneBandwidth", "BandwidthResult", "run"]
+
+#: Baseline roster in the paper's plotting order.  Each entry resolves
+#: to a registered codec (a test keeps this in sync with the registry).
+BASELINE_NAMES = ("NoCom", "SCC", "BD", "PNG")
 
 #: Fig. 10 display names of the canonical codecs; other registry codecs
 #: (e.g. ``variable-bd`` via ``--codecs``) are shown under their own name.

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
 from ..streaming.engine import FrameTiming
 from ..streaming.loss import Backoff
+from ..streaming.reports import OMIT_DEFAULT, Report
 from ..streaming.server import ClientReport
 from ..streaming.traces import BandwidthTrace
 from .protocol import (
@@ -113,7 +113,7 @@ class LoadgenConfig:
 
 
 @dataclass(frozen=True)
-class LoadgenClientReport(ClientReport):
+class LoadgenClientReport(ClientReport, tag="loadgen-client"):
     """One loadgen connection's view of its stream.
 
     Frame rows measure what the *client* saw: ``serialization_time_s``
@@ -144,12 +144,12 @@ class LoadgenClientReport(ClientReport):
     protocol_errors: int = 0
     bytes_received: int = 0
     completed: bool = False
-    reconnects: int = 0
-    resyncs: int = 0
+    reconnects: int = field(default=0, metadata=OMIT_DEFAULT)
+    resyncs: int = field(default=0, metadata=OMIT_DEFAULT)
 
 
 @dataclass(frozen=True)
-class LoadgenReport:
+class LoadgenReport(Report, tag="loadgen"):
     """Aggregate outcome of one load-generation run."""
 
     clients: tuple[LoadgenClientReport, ...]
@@ -218,24 +218,6 @@ class LoadgenReport:
                 f"{self.total_resyncs} resyncs"
             )
         return text
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """Serialize through :mod:`repro.streaming.reports`."""
-        from ..streaming.reports import report_to_json
-
-        return report_to_json(self, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LoadgenReport":
-        """Load a report serialized by :meth:`to_json`."""
-        from ..streaming.reports import report_from_json
-
-        report = report_from_json(text)
-        if not isinstance(report, cls):
-            raise TypeError(
-                f"payload decodes to {type(report).__name__}, not {cls.__name__}"
-            )
-        return report
 
 
 async def _run_connection(config: LoadgenConfig, index: int) -> LoadgenClientReport:
@@ -418,69 +400,3 @@ async def run_loadgen(config: LoadgenConfig) -> LoadgenReport:
     return LoadgenReport(
         clients=tuple(reports), duration_s=loop.time() - started
     )
-
-
-def _loadgen_client_to_dict(report: LoadgenClientReport) -> dict[str, Any]:
-    from ..streaming.reports import _client_to_dict
-
-    data = {
-        **_client_to_dict(report),
-        "protocol_errors": report.protocol_errors,
-        "bytes_received": report.bytes_received,
-        "completed": report.completed,
-    }
-    if report.reconnects:
-        data["reconnects"] = report.reconnects
-    if report.resyncs:
-        data["resyncs"] = report.resyncs
-    return data
-
-
-def _loadgen_client_from_dict(data: dict[str, Any]) -> LoadgenClientReport:
-    from ..streaming.reports import adaptive_stats_from_dict, frame_timing_from_dict
-
-    return LoadgenClientReport(
-        encoder=str(data["encoder"]),
-        target_fps=float(data["target_fps"]),
-        frames=[frame_timing_from_dict(f) for f in data["frames"]],
-        name=str(data["name"]),
-        scene=str(data["scene"]),
-        weight=float(data.get("weight", 1.0)),
-        adaptive=adaptive_stats_from_dict(data.get("adaptive")),
-        protocol_errors=int(data.get("protocol_errors", 0)),
-        bytes_received=int(data.get("bytes_received", 0)),
-        completed=bool(data.get("completed", False)),
-        reconnects=int(data.get("reconnects", 0)),
-        resyncs=int(data.get("resyncs", 0)),
-    )
-
-
-def _loadgen_report_to_dict(report: LoadgenReport) -> dict[str, Any]:
-    return {
-        "clients": [_loadgen_client_to_dict(c) for c in report.clients],
-        "duration_s": report.duration_s,
-    }
-
-
-def _loadgen_report_from_dict(data: dict[str, Any]) -> LoadgenReport:
-    return LoadgenReport(
-        clients=tuple(_loadgen_client_from_dict(c) for c in data["clients"]),
-        duration_s=float(data.get("duration_s", 0.0)),
-    )
-
-
-def _register_report_types() -> None:
-    from ..streaming.reports import register_report_type
-
-    register_report_type(
-        "loadgen-client",
-        LoadgenClientReport,
-        _loadgen_client_to_dict,
-        _loadgen_client_from_dict,
-    )
-    register_report_type(
-        "loadgen", LoadgenReport, _loadgen_report_to_dict, _loadgen_report_from_dict
-    )
-
-
-_register_report_types()

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..streaming.adaptive import get_controller
 from ..streaming.engine import AdaptationState, FrameTiming
+from ..streaming.reports import OMIT_DEFAULT, Report
 from ..streaming.server import ClientReport
 from ..streaming.traces import BandwidthTrace
 from ..streaming.validation import validate_stream_timing
@@ -152,7 +152,7 @@ class ServeConfig:
 
 
 @dataclass(frozen=True)
-class ServedClientReport(ClientReport):
+class ServedClientReport(ClientReport, tag="served-client"):
     """One connection's outcome, in the fleet report's vocabulary.
 
     A :class:`~repro.streaming.server.ClientReport` — same frame rows,
@@ -180,9 +180,9 @@ class ServedClientReport(ClientReport):
     queue_drops: int = 0
     protocol_errors: int = 0
     bytes_sent: int = 0
-    chaos_drops: int = 0
-    chaos_delays: int = 0
-    chaos_resets: int = 0
+    chaos_drops: int = field(default=0, metadata=OMIT_DEFAULT)
+    chaos_delays: int = field(default=0, metadata=OMIT_DEFAULT)
+    chaos_resets: int = field(default=0, metadata=OMIT_DEFAULT)
 
     @property
     def dropped_frames(self) -> int:
@@ -191,7 +191,7 @@ class ServedClientReport(ClientReport):
 
 
 @dataclass(frozen=True)
-class ServerReport:
+class ServerReport(Report, tag="server"):
     """Aggregate outcome of a serving run — the live FleetReport.
 
     Mirrors :class:`~repro.streaming.server.FleetReport` where the
@@ -205,8 +205,8 @@ class ServerReport:
     ladder: tuple[str, ...]
     duration_s: float = 0.0
     scene: str = ""
-    handshake_errors: int = 0
-    unclean_closes: int = 0
+    handshake_errors: int = field(default=0, metadata=OMIT_DEFAULT)
+    unclean_closes: int = field(default=0, metadata=OMIT_DEFAULT)
 
     @property
     def n_clients(self) -> int:
@@ -319,24 +319,6 @@ class ServerReport:
                 f"{self.unclean_closes} cancelled)"
             )
         return text
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """Serialize through :mod:`repro.streaming.reports`."""
-        from ..streaming.reports import report_to_json
-
-        return report_to_json(self, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServerReport":
-        """Load a report serialized by :meth:`to_json`."""
-        from ..streaming.reports import report_from_json
-
-        report = report_from_json(text)
-        if not isinstance(report, cls):
-            raise TypeError(
-                f"payload decodes to {type(report).__name__}, not {cls.__name__}"
-            )
-        return report
 
 
 class _EmptyConnection(Exception):
@@ -898,85 +880,3 @@ class StreamServer:
                     task.cancel()
             await asyncio.gather(sender_task, reader_task, return_exceptions=True)
             self._finished.append(connection.report())
-
-
-def _served_client_to_dict(report: ServedClientReport) -> dict[str, Any]:
-    from ..streaming.reports import _client_to_dict
-
-    body = {
-        **_client_to_dict(report),
-        "deadline_drops": report.deadline_drops,
-        "queue_drops": report.queue_drops,
-        "protocol_errors": report.protocol_errors,
-        "bytes_sent": report.bytes_sent,
-    }
-    # Chaos counters only exist on the wire when chaos ran, so
-    # faithful-serving payloads stay byte-identical to before.
-    if report.chaos_drops or report.chaos_delays or report.chaos_resets:
-        body["chaos_drops"] = report.chaos_drops
-        body["chaos_delays"] = report.chaos_delays
-        body["chaos_resets"] = report.chaos_resets
-    return body
-
-
-def _served_client_from_dict(data: dict[str, Any]) -> ServedClientReport:
-    from ..streaming.reports import adaptive_stats_from_dict, frame_timing_from_dict
-
-    return ServedClientReport(
-        encoder=str(data["encoder"]),
-        target_fps=float(data["target_fps"]),
-        frames=[frame_timing_from_dict(f) for f in data["frames"]],
-        name=str(data["name"]),
-        scene=str(data["scene"]),
-        weight=float(data.get("weight", 1.0)),
-        adaptive=adaptive_stats_from_dict(data.get("adaptive")),
-        deadline_drops=int(data.get("deadline_drops", 0)),
-        queue_drops=int(data.get("queue_drops", 0)),
-        protocol_errors=int(data.get("protocol_errors", 0)),
-        bytes_sent=int(data.get("bytes_sent", 0)),
-        chaos_drops=int(data.get("chaos_drops", 0)),
-        chaos_delays=int(data.get("chaos_delays", 0)),
-        chaos_resets=int(data.get("chaos_resets", 0)),
-    )
-
-
-def _server_report_to_dict(report: ServerReport) -> dict[str, Any]:
-    body = {
-        "clients": [_served_client_to_dict(c) for c in report.clients],
-        "ladder": list(report.ladder),
-        "duration_s": report.duration_s,
-        "scene": report.scene,
-    }
-    if report.handshake_errors:
-        body["handshake_errors"] = report.handshake_errors
-    if report.unclean_closes:
-        body["unclean_closes"] = report.unclean_closes
-    return body
-
-
-def _server_report_from_dict(data: dict[str, Any]) -> ServerReport:
-    return ServerReport(
-        clients=tuple(_served_client_from_dict(c) for c in data["clients"]),
-        ladder=tuple(str(name) for name in data["ladder"]),
-        duration_s=float(data.get("duration_s", 0.0)),
-        scene=str(data.get("scene", "")),
-        handshake_errors=int(data.get("handshake_errors", 0)),
-        unclean_closes=int(data.get("unclean_closes", 0)),
-    )
-
-
-def _register_report_types() -> None:
-    from ..streaming.reports import register_report_type
-
-    register_report_type(
-        "served-client",
-        ServedClientReport,
-        _served_client_to_dict,
-        _served_client_from_dict,
-    )
-    register_report_type(
-        "server", ServerReport, _server_report_to_dict, _server_report_from_dict
-    )
-
-
-_register_report_types()

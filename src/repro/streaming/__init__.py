@@ -67,7 +67,6 @@ from .loss import (
 )
 from .reports import (
     REPORT_FORMAT_VERSION,
-    register_report_type,
     report_from_json,
     report_to_json,
 )
@@ -148,7 +147,6 @@ __all__ = [
     "simulate_fleet",
     "solo_sustainable_fps",
     "REPORT_FORMAT_VERSION",
-    "register_report_type",
     "report_to_json",
     "report_from_json",
     "QuantileSketch",

@@ -256,7 +256,7 @@ def get_controller(controller: str | RateController, **kwargs) -> RateController
 
 
 @dataclass(frozen=True)
-class AdaptiveSessionReport(SessionReport):
+class AdaptiveSessionReport(SessionReport, tag="adaptive-session"):
     """A :class:`~repro.streaming.session.SessionReport` plus adaptation.
 
     All aggregate properties of the base report apply unchanged; the

@@ -65,6 +65,7 @@ from .engine import (
 )
 from .link import WIFI6_LINK, WirelessLink
 from .loss import LossRuntime, RecoveryPolicy, get_recovery_policy
+from .reports import Report
 from .server import ClientReport
 from .sketch import QuantileSketch
 from .traces import BandwidthTrace
@@ -758,7 +759,7 @@ def _simulate_shard(
 
 
 @dataclass(frozen=True)
-class CohortFleetReport:
+class CohortFleetReport(Report, tag="cohort-fleet"):
     """Aggregate outcome of a cohort-mode fleet simulation.
 
     Mirrors :class:`~repro.streaming.server.FleetReport` at fleet
@@ -901,28 +902,6 @@ class CohortFleetReport:
             return None
         total = sum(n for n, _ in pairs)
         return float(sum(n * q for n, q in pairs) / total)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """Serialize through :mod:`repro.streaming.reports`.
-
-        Tagged ``"report": "cohort-fleet"`` so the generic loader
-        reads it back alongside every other report type.
-        """
-        from .reports import report_to_json
-
-        return report_to_json(self, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CohortFleetReport":
-        """Load a report serialized by :meth:`to_json`."""
-        from .reports import report_from_json
-
-        report = report_from_json(text)
-        if not isinstance(report, cls):
-            raise TypeError(
-                f"payload decodes to {type(report).__name__}, not {cls.__name__}"
-            )
-        return report
 
     def summary(self) -> str:
         """One-line fleet health readout."""

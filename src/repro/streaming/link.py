@@ -22,11 +22,12 @@ via the trace's precomputed cumulative-capacity arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .loss import LossTrace
+from .reports import OMIT_DEFAULT
 from .traces import BandwidthTrace
 
 __all__ = ["WirelessLink", "WIFI6_LINK", "WIGIG_LINK", "HALF_NORMAL_MEAN_FACTOR"]
@@ -70,7 +71,7 @@ class WirelessLink:
     propagation_ms: float = 2.0
     jitter_ms: float = 0.0
     trace: BandwidthTrace | None = None
-    loss: LossTrace | None = None
+    loss: LossTrace | None = field(default=None, metadata=OMIT_DEFAULT)
 
     def __post_init__(self):
         if self.bandwidth_mbps <= 0:

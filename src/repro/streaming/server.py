@@ -72,6 +72,7 @@ from .engine import (
     get_scheduler,
 )
 from .link import WIFI6_LINK, WirelessLink
+from .reports import Report
 from .session import ENCODER_CHOICES, SessionReport, build_streaming_codec
 from .validation import validate_stream_timing, validate_stream_window
 
@@ -221,7 +222,7 @@ class ClientConfig:
 
 
 @dataclass(frozen=True)
-class ClientReport(SessionReport):
+class ClientReport(SessionReport, tag="client"):
     """One client's session outcome inside a fleet.
 
     Identical to a :class:`~repro.streaming.session.SessionReport` —
@@ -249,8 +250,11 @@ class ClientReport(SessionReport):
         return len(self.frames) / self.target_fps
 
 
+# Backlog queueing is the only transport pricing; the constant key keeps
+# payloads byte-identical to earlier writers, and the reader rejects
+# reports priced any other way.
 @dataclass(frozen=True)
-class FleetReport:
+class FleetReport(Report, tag="fleet", constants={"pricing": "backlog"}):
     """Aggregate outcome of a multi-client streaming simulation."""
 
     clients: tuple[ClientReport, ...]
@@ -450,30 +454,6 @@ class FleetReport:
             r.adaptive.mean_quality for r in self.clients if r.adaptive is not None
         ]
         return float(np.mean(qualities)) if qualities else None
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """Serialize through :mod:`repro.streaming.reports`.
-
-        The payload is type-tagged (``"report": "fleet"``) so the
-        generic :func:`~repro.streaming.reports.report_from_json`
-        loader reads it back alongside session/client/server payloads.
-        """
-        from .reports import report_to_json
-
-        return report_to_json(self, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FleetReport":
-        """Load a report serialized by :meth:`to_json`."""
-        from .reports import report_from_json
-
-        report = report_from_json(text)
-        if not isinstance(report, cls):
-            raise TypeError(
-                f"payload decodes to {type(report).__name__}, "
-                f"not {cls.__name__}"
-            )
-        return report
 
     def summary(self) -> str:
         """One-line fleet health readout."""

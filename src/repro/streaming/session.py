@@ -19,7 +19,7 @@ BD, and perceptual+BD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from ..scenes.library import Scene
 from .engine import CodecStreamSource, FrameTiming, StreamingEngine, StreamSpec
 from .link import WirelessLink
 from .loss import LossStats
+from .reports import OMIT_DEFAULT, Report
 from .validation import validate_stream_timing
 
 __all__ = [
@@ -65,7 +66,7 @@ def build_streaming_codec(encoder: str, perceptual_encoder: PerceptualEncoder | 
 
 
 @dataclass(frozen=True)
-class SessionReport:
+class SessionReport(Report, tag="session"):
     """Aggregate outcome of a simulated streaming session.
 
     ``loss`` carries the per-stream
@@ -75,9 +76,9 @@ class SessionReport:
     """
 
     encoder: str
-    frames: list[FrameTiming]
     target_fps: float
-    loss: LossStats | None = None
+    frames: list[FrameTiming]
+    loss: LossStats | None = field(default=None, metadata=OMIT_DEFAULT)
 
     @property
     def mean_payload_bits(self) -> float:
@@ -117,38 +118,6 @@ class SessionReport:
     def meets_target(self) -> bool:
         """Whether the sustainable rate reaches the target refresh rate."""
         return self.sustainable_fps >= self.target_fps
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """Serialize through :mod:`repro.streaming.reports`.
-
-        The payload is type-tagged, so the generic
-        :func:`~repro.streaming.reports.report_from_json` loader — and
-        the ``from_json`` classmethod on any report class — can read
-        it back.  Subclasses serialize with their own tag and extra
-        fields automatically.
-        """
-        from .reports import report_to_json
-
-        return report_to_json(self, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SessionReport":
-        """Load a report serialized by :meth:`to_json`.
-
-        Decoding dispatches on the payload's type tag; the result must
-        be an instance of ``cls`` (calling
-        ``ClientReport.from_json`` on a fleet payload is an error, but
-        ``SessionReport.from_json`` accepts any session subclass).
-        """
-        from .reports import report_from_json
-
-        report = report_from_json(text)
-        if not isinstance(report, cls):
-            raise TypeError(
-                f"payload decodes to {type(report).__name__}, "
-                f"not {cls.__name__}"
-            )
-        return report
 
 
 def simulate_session(

@@ -227,8 +227,8 @@ class BandwidthTrace:
         """Segment rates in Mbps, aligned with :attr:`times_s`.
 
         ``BandwidthTrace(trace.times_s, trace.rates_mbps)`` rebuilds an
-        equivalent trace — the round-trip report serialization in
-        :mod:`repro.streaming.reports` relies on exactly that.
+        equivalent trace — :meth:`to_dict` and :meth:`from_dict` rely on
+        exactly that.
         """
         return tuple(float(r) / 1e6 for r in self._rates_bps)
 
@@ -315,6 +315,15 @@ class BandwidthTrace:
 
     def __hash__(self) -> int:
         return hash((self._times.tobytes(), self._rates_bps.tobytes()))
+
+    def to_dict(self) -> dict[str, list[float]]:
+        """JSON-ready mapping: segment start times and rates."""
+        return {"times_s": list(self.times_s), "rates_mbps": list(self.rates_mbps)}
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Sequence[float]]) -> "BandwidthTrace":
+        """Rebuild a trace serialized by :meth:`to_dict`."""
+        return cls(data["times_s"], data["rates_mbps"])
 
     def __repr__(self) -> str:
         return (

@@ -8,11 +8,15 @@ from repro.baselines.foveated import (
     foveate_frame,
     foveated_bd_bits,
 )
-from repro.baselines.registry import bd_bits
+from repro.codecs import FrameContext, get_codec
 from repro.color.srgb import encode_srgb8
 from repro.core.pipeline import PerceptualEncoder
 from repro.scenes.display import QUEST2_DISPLAY
 from repro.scenes.library import render_scene
+
+
+def plain_bd_bits(frame):
+    return get_codec("bd").encode(FrameContext.from_srgb8(encode_srgb8(frame))).total_bits
 
 
 @pytest.fixture(scope="module")
@@ -57,14 +61,14 @@ class TestFoveateFrame:
 class TestFoveatedBits:
     def test_cheaper_than_plain_bd(self, setup):
         frame, ecc = setup
-        plain = bd_bits(encode_srgb8(frame))
+        plain = plain_bd_bits(frame)
         foveated = foveated_bd_bits(frame, ecc)
         assert foveated < plain / 2
 
     def test_all_foveal_matches_plain_bd(self, setup):
         frame, ecc = setup
         config = FoveationConfig(half_rate_deg=1e6, quarter_rate_deg=1e6)
-        assert foveated_bd_bits(frame, ecc, config) == bd_bits(encode_srgb8(frame))
+        assert foveated_bd_bits(frame, ecc, config) == plain_bd_bits(frame)
 
     def test_wider_fovea_costs_more(self, setup):
         frame, ecc = setup

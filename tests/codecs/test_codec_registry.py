@@ -1,8 +1,7 @@
-"""Tests for the unified codec registry and its shims."""
+"""Tests for the unified codec registry."""
 
 import pytest
 
-from repro.baselines.registry import BASELINE_NAMES, baseline_bits
 from repro.codecs import (
     Codec,
     CodecRegistry,
@@ -13,8 +12,8 @@ from repro.codecs import (
     resolve_codec_name,
     streaming_codec_names,
 )
-from repro.color.srgb import encode_srgb8
 from repro.core.pipeline import FrameResult
+from repro.experiments.fig10_bandwidth import BASELINE_NAMES
 from repro.scenes.library import render_scene
 from repro.streaming.session import ENCODER_CHOICES
 
@@ -106,18 +105,9 @@ class TestKwargRouting:
         with pytest.raises(TypeError, match="nocom"):
             get_codec("nocom", level=3)
 
-    def test_shim_routes_tile_size_to_bd_only(self, scene_frame):
-        srgb = encode_srgb8(scene_frame)
-        assert baseline_bits("BD", srgb, tile_size=8) != baseline_bits(
-            "BD", srgb, tile_size=4
-        )
-        for name in ("NoCom", "PNG", "SCC"):
-            with pytest.raises(TypeError, match="tile_size"):
-                baseline_bits(name, srgb, tile_size=8)
-
 
 class TestShimSync:
-    """The legacy rosters stay derived from / verified against the registry."""
+    """The experiment and streaming rosters stay in sync with the registry."""
 
     def test_baseline_names_resolve_to_registered_codecs(self):
         resolved = {resolve_codec_name(name) for name in BASELINE_NAMES}
@@ -129,10 +119,3 @@ class TestShimSync:
         for name in ENCODER_CHOICES:
             # Every streaming choice resolves to a registered codec.
             assert resolve_codec_name(name) in available_codecs()
-
-    def test_shim_agrees_with_direct_codec_calls(self, scene_frame):
-        srgb = encode_srgb8(scene_frame)
-        ctx = FrameContext.from_srgb8(srgb)
-        for name in BASELINE_NAMES:
-            direct = get_codec(name).encode(ctx).total_bits
-            assert baseline_bits(name, srgb) == direct, name

@@ -14,8 +14,9 @@ so the analytical solution can be validated against it:
   softmax/softmin smoothing so gradients exist, annealed toward the
   true max/min.
 
-It is *not* part of the real-time path; it exists for tests and the
-relaxation-fidelity ablation, on single tiles.
+It is *not* part of the real-time path: it is the test oracle the
+analytical solution is checked against, on single tiles, and it lives
+with the tests because it needs scipy, which the package does not.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from ..color.dkl import RGB_TO_DKL
-from ..color.srgb import linear_to_srgb
+from repro.color.dkl import RGB_TO_DKL
+from repro.color.srgb import linear_to_srgb
 
 __all__ = ["ReferenceSolution", "solve_tile_reference", "true_objective_bits"]
 

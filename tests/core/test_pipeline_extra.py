@@ -69,11 +69,12 @@ class TestModelVariants:
 
 class TestBookkeeping:
     def test_baseline_breakdown_matches_standalone_bd(self, frame):
-        from repro.baselines.registry import bd_bits
+        from repro.codecs import FrameContext, get_codec
         from repro.color.srgb import encode_srgb8
 
         result = PerceptualEncoder().encode_frame(frame, 25.0)
-        assert result.baseline_breakdown.total_bits == bd_bits(encode_srgb8(frame))
+        plain = get_codec("bd").encode(FrameContext.from_srgb8(encode_srgb8(frame)))
+        assert result.baseline_breakdown.total_bits == plain.total_bits
 
     def test_original_srgb_is_quantized_input(self, frame):
         from repro.color.srgb import encode_srgb8

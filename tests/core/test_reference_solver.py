@@ -6,8 +6,9 @@ import pytest
 from repro.color.dkl import RGB_TO_DKL
 from repro.core.adjust import adjust_tiles
 from repro.core.optimizer import optimize_tiles
-from repro.core.reference_solver import solve_tile_reference, true_objective_bits
 from repro.perception.model import ParametricModel
+
+from reference_solver import solve_tile_reference, true_objective_bits
 
 
 def _tile(rng, pixels=4, ecc=30.0, spread=0.02):

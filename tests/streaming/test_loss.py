@@ -37,7 +37,8 @@ from repro.streaming.loss import (
     get_recovery_policy,
     parse_loss_spec,
 )
-from repro.streaming.reports import loss_stats_to_dict, loss_trace_to_dict
+from repro.streaming.server import FleetReport
+from repro.streaming.session import SessionReport
 from repro.streaming.validation import (
     validate_backoff,
     validate_burst_length,
@@ -54,6 +55,18 @@ def _lossy_link(trace: LossTrace) -> WirelessLink:
 def _payload_stream(seed: int, n_frames: int) -> list[int]:
     rng = np.random.default_rng(seed)
     return [int(b) for b in rng.integers(30_000, 150_000, size=n_frames)]
+
+
+def _session(outcome) -> SessionReport:
+    """An engine outcome as a session report, for serialization checks."""
+    return SessionReport(
+        encoder="bd", target_fps=72.0, frames=outcome.frames, loss=outcome.loss
+    )
+
+
+def _fleet(link: WirelessLink) -> FleetReport:
+    """An empty fleet report on ``link``, for link serialization checks."""
+    return FleetReport(clients=(), link=link, scheduler="fair", n_frames=0)
 
 
 def frame_fields(outcome):
@@ -504,8 +517,7 @@ class TestSameSeedLossyDeterminism:
             assert frame_fields(a) == frame_fields(b)
             assert a.loss == b.loss
             # Byte-identical serialization, not just value equality.
-            assert json.dumps(loss_stats_to_dict(a.loss), sort_keys=True) == \
-                json.dumps(loss_stats_to_dict(b.loss), sort_keys=True)
+            assert _session(a).to_json() == _session(b).to_json()
 
     def test_different_seeds_diverge(self):
         first = self._run("arq", seed=1)
@@ -566,19 +578,16 @@ class TestLosslessBitIdentity:
         assert stats.packets_lost == 0
 
     def test_lossless_link_serialization_has_no_loss_key(self):
-        from repro.streaming.reports import link_to_dict
-
-        assert "loss" not in link_to_dict(CALM_LINK)
-        lossy = link_to_dict(_lossy_link(LossTrace.bernoulli(0.02)))
-        assert lossy["loss"]["p_loss_good"] == pytest.approx(0.02)
+        assert "loss" not in json.loads(_fleet(CALM_LINK).to_json())["link"]
+        lossy = json.loads(_fleet(_lossy_link(LossTrace.bernoulli(0.02))).to_json())
+        assert lossy["link"]["loss"]["p_loss_good"] == pytest.approx(0.02)
 
     def test_loss_trace_serialization_round_trips(self):
-        from repro.streaming.reports import loss_trace_from_dict
-
         trace = LossTrace.gilbert_elliott(
             0.01, 5.0, packet_bits=9000, reorder_prob=0.1, reorder_depth=2
         )
-        assert loss_trace_from_dict(loss_trace_to_dict(trace)) == trace
+        report = _fleet(_lossy_link(trace))
+        assert FleetReport.from_json(report.to_json()).link.loss == trace
 
     def test_default_packet_is_an_mtu(self):
         assert DEFAULT_PACKET_BITS == 12_000  # 1500 bytes

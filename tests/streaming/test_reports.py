@@ -6,11 +6,19 @@ matching ``from_json``, and the registry's type tags dispatch without
 the caller knowing which report a file holds.
 """
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.scenes import get_scene
+from repro.serving import (
+    LoadgenClientReport,
+    LoadgenReport,
+    ServedClientReport,
+    ServerReport,
+)
 from repro.streaming import (
     REPORT_FORMAT_VERSION,
     BandwidthTrace,
@@ -24,8 +32,13 @@ from repro.streaming import (
     simulate_session,
 )
 from repro.streaming.adaptive import AdaptiveSessionReport
-from repro.streaming.reports import report_from_dict, report_to_dict
+from repro.streaming.cohort import CohortFleetReport, CohortSummary
+from repro.streaming.engine import AdaptiveStats, FrameTiming
+from repro.streaming.loss import LossStats, LossTrace
+from repro.streaming.reports import _REPORT_TYPES, report_from_dict, report_to_dict
+from repro.streaming.server import ClientReport
 from repro.streaming.session import SessionReport
+from repro.streaming.sketch import QuantileSketch
 
 LINK = WirelessLink(bandwidth_mbps=200.0, propagation_ms=2.0)
 
@@ -130,3 +143,124 @@ class TestEnvelope:
         # adaptive-session, not fall back to its SessionReport base.
         data = json.loads(adaptive_report.to_json())
         assert data["report"] == "adaptive-session"
+
+
+# -- optional fields ------------------------------------------------------
+
+FRAMES = [
+    FrameTiming(
+        frame_index=k, payload_bits=1000 + k, encode_time_s=0.001,
+        serialization_time_s=0.002, transmit_time_s=0.004, rung="bd",
+    )
+    for k in range(2)
+]
+LOSS = LossStats(policy="arq", frames_lost=2)
+STATS = AdaptiveStats(
+    controller="throughput", rungs=("bd", "bd"), rung_switches=0,
+    time_in_rung={"bd": 0.25}, stall_time_s=0.5, mean_quality=0.75,
+)
+LOSSY_TRACED = WirelessLink.traced(
+    BandwidthTrace([0.0, 0.5], [50.0, 5.0]), jitter_ms=0.2,
+    loss=LossTrace.bernoulli(0.1),
+)
+#: Every field a ClientReport may leave at its default, set.
+CLIENT_FIELDS = dict(
+    encoder="bd", target_fps=72.0, frames=FRAMES, loss=LOSS, name="c0",
+    scene="office", weight=2.0, adaptive=STATS, start_s=0.25, stop_s=1.5,
+)
+
+
+def _served_client():
+    return ServedClientReport(
+        **CLIENT_FIELDS, deadline_drops=1, queue_drops=2, protocol_errors=3,
+        bytes_sent=4, chaos_drops=5, chaos_delays=6, chaos_resets=7,
+    )
+
+
+def _loadgen_client():
+    return LoadgenClientReport(
+        **CLIENT_FIELDS, protocol_errors=1, bytes_received=2, completed=True,
+        reconnects=3, resyncs=4,
+    )
+
+
+def _cohort_fleet():
+    summary = CohortSummary(
+        name="cell0", scene="office", codec="bd", n_members=9, n_tracers=1,
+        weight=2.0, target_fps=72.0, start_s=0.25, stop_s=1.5,
+        frames_streamed=2, member_payload_bits=2001, mean_serialization_s=0.002,
+        encode_time_s=0.001, member_link=LOSSY_TRACED, adaptive=STATS,
+    )
+    latency = QuantileSketch()
+    latency.add(np.array([0.004, 0.005, 0.009]))
+    return CohortFleetReport(
+        cohorts=(summary,), tracers=(ClientReport(**CLIENT_FIELDS),),
+        link=LOSSY_TRACED, scheduler="priority", seed=3, latency=latency,
+        controller="throughput",
+    )
+
+
+#: One report per tag, every defaulted field set to something else.
+FULL_REPORTS = {
+    "session": lambda: SessionReport(
+        encoder="bd", target_fps=72.0, frames=FRAMES, loss=LOSS
+    ),
+    "adaptive-session": lambda: AdaptiveSessionReport(
+        encoder="adaptive:throughput", target_fps=72.0, frames=FRAMES,
+        loss=LOSS, adaptive=STATS, ladder=("bd", "raw"),
+    ),
+    "client": lambda: ClientReport(**CLIENT_FIELDS),
+    "fleet": lambda: FleetReport(
+        clients=(ClientReport(**CLIENT_FIELDS),), link=LOSSY_TRACED,
+        scheduler="priority", n_frames=2, controller="throughput",
+    ),
+    "cohort-fleet": _cohort_fleet,
+    "served-client": _served_client,
+    "server": lambda: ServerReport(
+        clients=(_served_client(),), ladder=("bd", "raw"), duration_s=2.0,
+        scene="office", handshake_errors=1, unclean_closes=2,
+    ),
+    "loadgen-client": _loadgen_client,
+    "loadgen": lambda: LoadgenReport(clients=(_loadgen_client(),), duration_s=2.0),
+}
+
+
+class TestOptionalFields:
+    """Readers and writers agree on every field, set or not."""
+
+    def test_every_tag_has_a_full_report(self):
+        assert sorted(FULL_REPORTS) == sorted(_REPORT_TYPES)
+
+    @pytest.mark.parametrize("tag", sorted(FULL_REPORTS))
+    def test_full_report_sets_every_defaulted_field(self, tag):
+        report = FULL_REPORTS[tag]()
+        at_default = [
+            spec.name
+            for spec in dataclasses.fields(report)
+            if spec.default is not dataclasses.MISSING
+            and getattr(report, spec.name) == spec.default
+        ]
+        assert at_default == []
+
+    @pytest.mark.parametrize("tag", sorted(FULL_REPORTS))
+    def test_full_report_round_trips(self, tag):
+        report = FULL_REPORTS[tag]()
+        assert json.loads(report.to_json())["report"] == tag
+        assert report_from_json(report.to_json()) == report
+
+    def test_zero_chaos_counter_is_omitted(self):
+        report = ServedClientReport(
+            encoder="serving:fixed", target_fps=72.0, frames=[], chaos_resets=2
+        )
+        data = report_to_dict(report)
+        assert data["chaos_resets"] == 2
+        assert "chaos_drops" not in data and "chaos_delays" not in data
+
+    def test_old_form_chaos_counters_load(self):
+        # Earlier writers emitted the three chaos counters together, so
+        # a zero counter can sit next to a non-zero one.
+        report = ServedClientReport(
+            encoder="serving:fixed", target_fps=72.0, frames=[], chaos_resets=2
+        )
+        data = {**report_to_dict(report), "chaos_drops": 0, "chaos_delays": 0}
+        assert report_from_dict(data) == report
