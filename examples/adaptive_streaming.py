@@ -12,6 +12,8 @@ Run:  python examples/adaptive_streaming.py
 
 from __future__ import annotations
 
+from repro.codecs.ladder import QualityLadder, encode_rung_streams
+from repro.scenes.display import QUEST2_DISPLAY
 from repro.scenes.library import get_scene
 from repro.streaming import (
     BandwidthTrace,
@@ -25,11 +27,22 @@ from repro.streaming.adaptive import FixedController
 TRACE = BandwidthTrace.square(high_mbps=75.0, low_mbps=22.0, period_s=0.3)
 LINK = WirelessLink.traced(TRACE, propagation_ms=3.0)
 
-SESSION = dict(n_frames=144, height=128, width=128, loop_frames=8)
+SESSION = dict(n_frames=144, height=128, width=128)
+N_LOOP_FRAMES = 8
 
 
 def main() -> None:
     scene = get_scene("fortnite")
+    # Encode the loop frames at every ladder rung once; every policy's
+    # timeline cycles the same rung streams.
+    rung_streams = encode_rung_streams(
+        scene,
+        [rung.build() for rung in QualityLadder.default()],
+        N_LOOP_FRAMES,
+        SESSION["height"],
+        SESSION["width"],
+        QUEST2_DISPLAY,
+    )
     print(
         f"fading link: {TRACE.bandwidth_mbps_at(0.0):g} / {TRACE.min_mbps:g} Mbps, "
         f"0.3 s per phase | 128x128 stereo at 72 fps\n"
@@ -41,14 +54,18 @@ def main() -> None:
         ("buffer", "buffer"),
         ("throughput", "throughput"),
     ]:
-        report = simulate_adaptive_session(scene, LINK, controller, **SESSION)
+        report = simulate_adaptive_session(
+            scene, LINK, controller, rung_streams=rung_streams, **SESSION
+        )
         stats = report.adaptive
         print(
             f"{label:>17} {report.mean_payload_bits / 8e3:9.1f} "
             f"{stats.stall_time_s * 1e3:9.1f} {stats.rung_switches:9d} "
             f"{stats.mean_quality:8.3f}"
         )
-    report = simulate_adaptive_session(scene, LINK, "throughput", **SESSION)
+    report = simulate_adaptive_session(
+        scene, LINK, "throughput", rung_streams=rung_streams, **SESSION
+    )
     dwell = ", ".join(
         f"{name} {seconds:.2f}s"
         for name, seconds in sorted(

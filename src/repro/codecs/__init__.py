@@ -31,7 +31,6 @@ from .registry import (
 from .batch import encode_batch, make_contexts
 from .ladder import (
     DEFAULT_LADDER_SPEC,
-    LadderEncodeCache,
     QualityLadder,
     QualityRung,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "streaming_codec_names",
     "encode_batch",
     "make_contexts",
-    "LadderEncodeCache",
     "QualityLadder",
     "QualityRung",
     "DEFAULT_LADDER_SPEC",

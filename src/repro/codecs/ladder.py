@@ -37,8 +37,7 @@ __all__ = [
     "QualityLadder",
     "DEFAULT_LADDER_SPEC",
     "encode_stereo_bits",
-    "encode_frame_rungs",
-    "LadderEncodeCache",
+    "encode_rung_streams",
 ]
 
 #: ``(codec name, nominal quality)`` pairs of the default ladder, in
@@ -90,12 +89,10 @@ class QualityRung:
     def build(self, perceptual_encoder: "PerceptualEncoder | None" = None) -> "Codec":
         """Instantiate this rung's codec.
 
-        Mirrors the routing of
-        :func:`repro.streaming.session.build_streaming_codec` so a rung
-        and a pinned streaming session construct bit-identical codecs:
-        the perceptual rung wraps ``perceptual_encoder`` and the BD
-        variants inherit its tile size, keeping every rung's tiling
-        consistent within one ladder.
+        The one place a streaming codec is built, so every simulator
+        constructs bit-identical codecs: the perceptual rung wraps
+        ``perceptual_encoder`` and the BD variants inherit its tile
+        size, keeping every rung's tiling consistent within one ladder.
 
         Parameters
         ----------
@@ -255,11 +252,10 @@ def encode_stereo_bits(
 ) -> tuple[int, ...]:
     """Stereo-payload bits of one frame under each codec.
 
-    The one ladder-encode loop every rung-stream producer shares (the
-    adaptive session, the fleet engine, and the calibration sweep):
-    each eye gets a single :class:`~repro.codecs.context.FrameContext`
-    reused across all codecs, so quantization and tiling run at most
-    once per eye however many rungs are encoded.
+    The per-frame step of :func:`encode_rung_streams`: each eye gets a
+    single :class:`~repro.codecs.context.FrameContext` reused across all
+    codecs, so quantization and tiling run at most once per eye however
+    many rungs are encoded.
 
     Parameters
     ----------
@@ -285,145 +281,53 @@ def encode_stereo_bits(
     )
 
 
-def encode_frame_rungs(
+def encode_rung_streams(
     scene,
     codecs: Sequence["Codec"],
+    n_frames: int,
     height: int,
     width: int,
     display: "DisplayGeometry",
-    frame_index: int,
-    fixation: tuple[float, float] | None = None,
-) -> tuple[int, ...]:
-    """Render one stereo frame and encode it with each codec.
+    fixations: Sequence[tuple[float, float]] | None = None,
+) -> list[tuple[int, ...]]:
+    """Render and encode a stream's frames at every codec rung.
 
-    The one render → eccentricity-map → encode step shared by every
-    per-frame rung producer (:class:`LadderEncodeCache` here, the
-    engine's ``CodecStreamSource``), so fixation handling and context
-    sharing cannot drift between them.
-
-    Parameters
-    ----------
-    scene:
-        The scene to render.
-    codecs:
-        Codec instances, one per rung (order preserved).
-    height, width:
-        Per-eye render resolution.
-    display:
-        Headset geometry for the eccentricity map.
-    frame_index:
-        Animation frame to render.
-    fixation:
-        Normalized gaze point; ``None`` keeps the centered default
-        (the exact call a fixation-less session makes, so cached maps
-        are shared).
-
-    Returns
-    -------
-    tuple of int
-        Summed both-eye payload bits, one entry per codec.
-    """
-    eyes = scene.render_stereo(height, width, frame=frame_index)
-    if fixation is None:
-        eccentricity = display.eccentricity_map(height, width)
-    else:
-        eccentricity = display.eccentricity_map(height, width, fixation=fixation)
-    return encode_stereo_bits(codecs, eyes, eccentricity, display)
-
-
-class LadderEncodeCache:
-    """Memoized per-frame ladder payload sizes for one content setup.
-
-    A rate-control study sweeps many policies (and schedulers) over
-    *identical* content, and every sweep needs the same numbers: the
-    encoded size of each frame at each ladder rung.  This cache binds
-    one ``(scene, ladder, resolution, display)`` configuration, builds
-    the rung codecs once, and encodes each requested ``(frame,
-    fixation)`` at most once — so a three-controller sweep pays the
-    ladder-encode cost of a single run.
-
-    Only stateless rung codecs are cacheable: a stateful codec's
-    payload for frame *k* depends on the frames it saw before, so its
-    sizes cannot be reused across independently-controlled streams.
+    The one producer of per-frame rung sizes behind every simulator:
+    the solo and adaptive sessions, the exact fleet and the cohort
+    fleet all precompute their streams here and replay them through
+    :class:`~repro.streaming.engine.PrecomputedSource`.  Frames are
+    rendered and encoded in display order, so stateful codecs see
+    their frames serially.
 
     Parameters
     ----------
     scene:
         The scene to render (a :class:`~repro.scenes.library.Scene`).
-    ladder:
-        The :class:`QualityLadder` whose rungs are encoded.
+    codecs:
+        Codec instances, one per rung (order preserved); they are
+        ``reset()`` before the first frame.
+    n_frames:
+        Frames to render and encode, starting at animation frame 0.
     height, width:
         Per-eye render resolution.
     display:
         Headset geometry for the eccentricity map.
-    perceptual_encoder:
-        Shared perceptual encoder forwarded to
-        :meth:`QualityRung.build`.
+    fixations:
+        One normalized gaze point per frame; ``None`` keeps the gaze
+        centered on every frame.
 
-    Attributes
-    ----------
-    encode_count:
-        How many unique ``(frame, fixation)`` keys were actually
-        rendered and encoded.
-    hits:
-        How many requests were answered from memory.
+    Returns
+    -------
+    list of tuple of int
+        One tuple of summed both-eye payload bits per frame, one entry
+        per codec.
     """
-
-    def __init__(
-        self,
-        scene,
-        ladder: QualityLadder,
-        height: int,
-        width: int,
-        display: "DisplayGeometry",
-        perceptual_encoder: "PerceptualEncoder | None" = None,
-    ):
-        codecs = [ladder.build_codec(i, perceptual_encoder) for i in range(len(ladder))]
-        stateful = [
-            ladder[i].name for i, codec in enumerate(codecs) if codec.stateful
-        ]
-        if stateful:
-            raise ValueError(
-                f"stateful rung codecs cannot be cached across sweeps: {stateful}"
-            )
-        self.scene = scene
-        self.ladder = ladder
-        self.height = height
-        self.width = width
-        self.display = display
-        self.encode_count = 0
-        self.hits = 0
-        self._codecs = codecs
-        self._bits: dict[tuple[int, tuple[float, float] | None], tuple[int, ...]] = {}
-
-    def rung_bits(
-        self, frame_index: int, fixation: tuple[float, float] | None = None
-    ) -> tuple[int, ...]:
-        """Payload bits of one frame at every rung, best rung first.
-
-        Parameters
-        ----------
-        frame_index:
-            Animation frame to render.
-        fixation:
-            Normalized gaze point; ``None`` keeps the centered default
-            (and matches what a fixation-less session encodes).
-
-        Returns
-        -------
-        tuple of int
-            Summed both-eye payload bits per rung, computed on first
-            request and replayed from memory afterwards.
-        """
-        key = (frame_index, fixation)
-        cached = self._bits.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        bits = encode_frame_rungs(
-            self.scene, self._codecs, self.height, self.width, self.display,
-            frame_index, fixation,
-        )
-        self._bits[key] = bits
-        self.encode_count += 1
-        return bits
+    for codec in codecs:
+        codec.reset()
+    streams = []
+    for index in range(n_frames):
+        fixation = fixations[index] if fixations is not None else (0.5, 0.5)
+        eyes = scene.render_stereo(height, width, frame=index)
+        eccentricity = display.eccentricity_map(height, width, fixation=fixation)
+        streams.append(encode_stereo_bits(codecs, eyes, eccentricity, display))
+    return streams

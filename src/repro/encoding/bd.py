@@ -19,10 +19,9 @@ Two interfaces are provided:
   round-trip.  Encode and decode run through the vectorized kernels of
   :mod:`repro.encoding.packing` (bit-plane decomposition +
   ``np.packbits``), emitting whole per-(tile, channel) delta runs per
-  kernel call instead of one ``BitWriter`` call per field; the
-  per-field reference implementation is retained as
-  :meth:`BDCodec.encode_legacy` / :meth:`BDCodec.decode_legacy` and
-  property tests assert the two produce *byte-identical* streams.
+  kernel call instead of one ``BitWriter`` call per field; property
+  tests assert *byte-identical* streams against the per-field
+  ``BitWriter`` / ``BitReader`` reference path kept in the test suite.
 * :func:`bd_breakdown` / :func:`delta_widths` — fast vectorized bit
   *accounting* over tile stacks, used by the frame-scale experiments
   (the stream contents are irrelevant for bandwidth numbers).
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import SizeBreakdown
-from .bitio import BitReader, BitWriter
+from .bitio import BitReader
 from .packing import (
     bits_to_bytes,
     bytes_to_bits,
@@ -148,8 +147,7 @@ def bd_stream_bytes(tiles: np.ndarray, grid: TileGrid) -> bytes:
     (:func:`~repro.encoding.packing.scatter_fields`): all bases at
     once, all width fields at once, then the delta runs of each
     distinct width (at most 8 passes).  The bytes are identical to
-    what the per-field ``BitWriter`` loop produces
-    (:meth:`BDCodec.encode_legacy`).
+    what a per-field ``BitWriter`` loop produces.
 
     Parameters
     ----------
@@ -222,11 +220,9 @@ class BDCodec:
     codec, adjusting pixels so the deltas shrink (paper Fig. 7).
 
     :meth:`encode` and :meth:`decode` run on the vectorized kernels of
-    :mod:`repro.encoding.packing`; :meth:`encode_legacy` and
-    :meth:`decode_legacy` retain the per-field ``BitWriter`` /
-    ``BitReader`` reference implementation.  Both directions are
-    interchangeable — the streams are byte-identical and either decoder
-    accepts either encoder's output (property-tested).
+    :mod:`repro.encoding.packing`; property tests hold both to a
+    per-field ``BitWriter`` / ``BitReader`` reference path, byte for
+    byte in each direction.
     """
 
     def __init__(self, tile_size: int = 4):
@@ -300,52 +296,3 @@ class BDCodec:
         flat = bases[:, None] + deltas
         tiles = flat.reshape(grid.n_tiles, 3, p).transpose(0, 2, 1)
         return untile_frame(np.ascontiguousarray(tiles), grid)
-
-    def encode_legacy(self, frame_srgb8) -> EncodedFrame:
-        """Reference encoder: one ``BitWriter`` call per field.
-
-        Retained as the executable definition of the stream format;
-        property tests assert :meth:`encode` matches it byte for byte.
-        """
-        frame = _validate_frame(frame_srgb8)
-        tiles, grid = tile_frame(frame, self.tile_size)
-        bases = tiles.min(axis=1)  # (n_tiles, 3)
-        widths = delta_widths(tiles)
-
-        writer = BitWriter()
-        writer.write(grid.height, 16)
-        writer.write(grid.width, 16)
-        writer.write(self.tile_size, 8)
-        deltas = tiles.astype(np.int64) - bases[:, None, :]
-        for tile_index in range(tiles.shape[0]):
-            for channel in range(3):
-                writer.write(int(bases[tile_index, channel]), BASE_FIELD_BITS)
-                width = int(widths[tile_index, channel])
-                writer.write(width, WIDTH_FIELD_BITS)
-                if width:
-                    writer.write_many(deltas[tile_index, :, channel], width)
-
-        breakdown = bd_breakdown(tiles, n_pixels=grid.height * grid.width)
-        return EncodedFrame(data=writer.getvalue(), grid=grid, breakdown=breakdown)
-
-    def decode_legacy(self, encoded: EncodedFrame) -> np.ndarray:
-        """Reference decoder: one ``BitReader`` call per field run."""
-        reader = BitReader(encoded.data)
-        height = reader.read(16)
-        width = reader.read(16)
-        tile_size = reader.read(8)
-        grid = TileGrid(height=height, width=width, tile_size=tile_size)
-        if grid != encoded.grid:
-            raise ValueError("bitstream header disagrees with the encoded frame's grid")
-        pixels_per_tile = grid.pixels_per_tile
-        tiles = np.empty((grid.n_tiles, pixels_per_tile, 3), dtype=np.uint8)
-        for tile_index in range(grid.n_tiles):
-            for channel in range(3):
-                base = reader.read(BASE_FIELD_BITS)
-                delta_width = reader.read(WIDTH_FIELD_BITS)
-                if delta_width:
-                    values = reader.read_many(pixels_per_tile, delta_width)
-                    tiles[tile_index, :, channel] = base + values
-                else:
-                    tiles[tile_index, :, channel] = base
-        return untile_frame(tiles, grid)

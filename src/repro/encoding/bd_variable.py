@@ -18,11 +18,9 @@ the evaluation scenes.
 A full bitstream codec (:class:`VariableBDCodec`) with exact round-trip
 is provided alongside the fast accounting, mirroring the fixed-width
 module: encode and decode run on the vectorized kernels of
-:mod:`repro.encoding.packing`, and the per-field ``BitWriter`` /
-``BitReader`` reference implementation is retained as
-:meth:`VariableBDCodec.encode_legacy` /
-:meth:`VariableBDCodec.decode_legacy` with property tests asserting
-byte-identical streams.
+:mod:`repro.encoding.packing`, with property tests asserting
+byte-identical streams against a per-field ``BitWriter`` /
+``BitReader`` reference path kept in the test suite.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from .bd import (
     _validate_frame,
     _WIDTH_LUT,
 )
-from .bitio import BitReader, BitWriter
 from .packing import (
     bits_to_bytes,
     gather_field_runs,
@@ -118,8 +115,7 @@ def variable_bd_stream_bytes(tiles: np.ndarray, grid: TileGrid, group_size: int)
     is allocated and each field family — bases, the per-group width
     fields, the delta runs of each distinct width — is scattered into
     place with :func:`~repro.encoding.packing.scatter_fields`.  Bytes
-    are identical to the per-field ``BitWriter`` loop
-    (:meth:`VariableBDCodec.encode_legacy`).
+    are identical to a per-field ``BitWriter`` loop.
     """
     arr = _validate_tiles(tiles, group_size)
     n_tiles, p = arr.shape[0], arr.shape[1]
@@ -180,9 +176,8 @@ class VariableBDCodec:
     a 4-bit width followed by ``group_size`` deltas of that width.
     Round-trip is exact; a test asserts stream length against the
     accounting, as for the fixed codec.  :meth:`encode` /
-    :meth:`decode` are vectorized; :meth:`encode_legacy` /
-    :meth:`decode_legacy` retain the per-field reference path that the
-    byte-equality property tests compare against.
+    :meth:`decode` are vectorized; byte-equality property tests
+    compare them against a per-field reference path.
     """
 
     def __init__(self, tile_size: int = 4, group_size: int = 4):
@@ -263,69 +258,3 @@ class VariableBDCodec:
         flat = bases[:, None] + deltas.reshape(n_tc, p)
         tiles = flat.reshape(grid.n_tiles, 3, p).transpose(0, 2, 1)
         return untile_frame(np.ascontiguousarray(tiles), grid)
-
-    def encode_legacy(self, frame_srgb8) -> VariableEncodedFrame:
-        """Reference encoder: one ``BitWriter`` call per field.
-
-        Retained as the executable definition of the stream format;
-        property tests assert :meth:`encode` matches it byte for byte.
-        """
-        frame = _validate_frame(frame_srgb8)
-        tiles, grid = tile_frame(frame, self.tile_size)
-        bases = tiles.min(axis=1)
-        widths = group_delta_widths(tiles, self.group_size)
-        deltas = tiles.astype(np.int64) - bases[:, None, :]
-
-        writer = BitWriter()
-        writer.write(grid.height, 16)
-        writer.write(grid.width, 16)
-        writer.write(self.tile_size, 8)
-        n_groups = grid.pixels_per_tile // self.group_size
-        for tile_index in range(tiles.shape[0]):
-            for channel in range(3):
-                writer.write(int(bases[tile_index, channel]), BASE_FIELD_BITS)
-                for group in range(n_groups):
-                    width = int(widths[tile_index, group, channel])
-                    writer.write(width, WIDTH_FIELD_BITS)
-                    if width:
-                        start = group * self.group_size
-                        writer.write_many(
-                            deltas[tile_index, start : start + self.group_size, channel],
-                            width,
-                        )
-        breakdown = variable_bd_breakdown(
-            tiles, self.group_size, n_pixels=grid.height * grid.width
-        )
-        return VariableEncodedFrame(
-            data=writer.getvalue(), grid=grid, group_size=self.group_size,
-            breakdown=breakdown,
-        )
-
-    def decode_legacy(self, encoded: VariableEncodedFrame) -> np.ndarray:
-        """Reference decoder: one ``BitReader`` call per field run."""
-        reader = BitReader(encoded.data)
-        height = reader.read(16)
-        width = reader.read(16)
-        tile_size = reader.read(8)
-        grid = TileGrid(height=height, width=width, tile_size=tile_size)
-        if grid != encoded.grid:
-            raise ValueError("bitstream header disagrees with the encoded frame's grid")
-        pixels = grid.pixels_per_tile
-        n_groups = pixels // encoded.group_size
-        tiles = np.empty((grid.n_tiles, pixels, 3), dtype=np.uint8)
-        for tile_index in range(grid.n_tiles):
-            for channel in range(3):
-                base = reader.read(BASE_FIELD_BITS)
-                for group in range(n_groups):
-                    delta_width = reader.read(WIDTH_FIELD_BITS)
-                    start = group * encoded.group_size
-                    if delta_width:
-                        values = reader.read_many(encoded.group_size, delta_width)
-                        tiles[tile_index, start : start + encoded.group_size, channel] = (
-                            base + values
-                        )
-                    else:
-                        tiles[
-                            tile_index, start : start + encoded.group_size, channel
-                        ] = base
-        return untile_frame(tiles, grid)

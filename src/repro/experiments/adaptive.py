@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codecs.ladder import LadderEncodeCache, QualityLadder
+from ..codecs.ladder import QualityLadder, encode_rung_streams
 from ..scenes.library import get_scene
 from ..streaming.adaptive import (
     AdaptiveSessionReport,
@@ -46,7 +46,8 @@ FADE_PERIOD_S = 0.29
 #: Frames streamed per policy (~2.3 s at 72 fps: four full fade cycles).
 N_STREAM_FRAMES = 168
 
-#: Unique animation frames encoded per run; the timeline cycles them.
+#: Unique animation frames encoded once; every policy's timeline cycles
+#: them.
 N_LOOP_FRAMES = 8
 
 
@@ -126,23 +127,6 @@ class AdaptiveResult:
         return "adaptive vs fixed: " + "; ".join(parts)
 
 
-def _measure_rung_bits(cache: LadderEncodeCache) -> np.ndarray:
-    """Per-frame payload bits of each rung over the loop frames.
-
-    Fills the shared :class:`~repro.codecs.ladder.LadderEncodeCache`,
-    so the per-policy sweeps that follow replay these encodes instead
-    of re-paying them.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(n_rungs, N_LOOP_FRAMES)``.
-    """
-    return np.column_stack(
-        [cache.rung_bits(index) for index in range(N_LOOP_FRAMES)]
-    ).astype(float)
-
-
 def _calibrate_trace(bits: np.ndarray, target_fps: float) -> BandwidthTrace:
     """A square-wave fade that only the cheapest rung survives.
 
@@ -189,13 +173,18 @@ def run(config: ExperimentConfig | None = None, target_fps: float = 72.0) -> Ada
     ladder = QualityLadder.default()
 
     scene = get_scene(scene_name)
-    # Every policy streams the identical content, so one shared encode
-    # cache serves both the calibration measurement and every sweep —
-    # the ladder is encoded once, not once per policy.
-    cache = LadderEncodeCache(
-        scene, ladder, config.height, config.width, config.display
+    # Every policy streams the identical content, so one encode of the
+    # loop frames serves both the calibration measurement and every
+    # sweep — the ladder is encoded once, not once per policy.
+    rung_streams = encode_rung_streams(
+        scene,
+        [ladder.build_codec(i) for i in range(len(ladder))],
+        N_LOOP_FRAMES,
+        config.height,
+        config.width,
+        config.display,
     )
-    bits = _measure_rung_bits(cache)
+    bits = np.array(rung_streams, dtype=float).T  # (n_rungs, N_LOOP_FRAMES)
     trace = _calibrate_trace(bits, target_fps)
     link = WirelessLink.traced(trace, propagation_ms=3.0)
 
@@ -207,8 +196,7 @@ def run(config: ExperimentConfig | None = None, target_fps: float = 72.0) -> Ada
         target_fps=target_fps,
         display=config.display,
         seed=config.seed,
-        encode_cache=cache,
-        loop_frames=N_LOOP_FRAMES,
+        rung_streams=rung_streams,
     )
     reports: dict[str, AdaptiveSessionReport] = {}
     for index, rung in enumerate(ladder):

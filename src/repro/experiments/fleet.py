@@ -24,13 +24,13 @@ import numpy as np
 from ..codecs.ladder import QualityLadder
 from ..codecs.registry import resolve_codec_name
 from ..scenes.gaze import saccade_trace
-from ..streaming.adaptive import FixedController, RateController, get_controller
+from ..streaming.adaptive import RateController, get_controller
 from ..streaming.cohort import CohortFleetReport, CohortSpec, simulate_cohort_fleet
 from ..streaming.link import WIFI6_LINK, WirelessLink
 from ..streaming.server import (
     ClientConfig,
     FleetReport,
-    _encode_streams,
+    encode_client_streams,
     simulate_fleet,
     solo_sustainable_fps,
 )
@@ -214,10 +214,12 @@ def build_fleet_cohorts(
     which is what makes million-client fleets affordable: encode cost
     is O(classes), not O(clients).
 
-    Adaptive fleets replicate :func:`~repro.streaming.server.simulate_fleet`'s
-    rung policy exactly: each cohort starts on the rung matching its
-    codec, and a pinned :class:`~repro.streaming.adaptive.FixedController`
-    encodes only the pinned rung.
+    Representatives encode through
+    :func:`~repro.streaming.server.encode_client_streams`, the rung plan
+    :func:`~repro.streaming.server.simulate_fleet` uses: each cohort
+    starts on the rung matching its codec, and a pinned
+    :class:`~repro.streaming.adaptive.FixedController` encodes only the
+    pinned rung.
     """
     if n_clients < 1:
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
@@ -246,35 +248,14 @@ def build_fleet_cohorts(
                 gaze_trace=tuple(trace),
             )
         )
-    frame_counts = [config.n_frames] * n_classes
-
-    rung_maps: list[tuple[int, ...]] | None = None
-    start_rungs = [0] * n_classes
-    if controller is not None:
-        policy = get_controller(controller)
-        ladder = ladder if ladder is not None else QualityLadder.default()
-        start_rungs = [ladder.index_of(rep.codec) for rep in representatives]
-        if isinstance(policy, FixedController):
-            if policy.rung is None:
-                pinned = start_rungs
-            elif isinstance(policy.rung, str):
-                pinned = [ladder.index_of(policy.rung)] * n_classes
-            else:
-                pinned = [int(policy.rung)] * n_classes
-            rung_maps = [(rung,) for rung in pinned]
-            start_rungs = pinned
-        else:
-            rung_maps = [tuple(range(len(ladder)))] * n_classes
-        streams = _encode_streams(
-            representatives, config.display, frame_counts, n_jobs, ladder, rung_maps
-        )
-    else:
-        streams = _encode_streams(
-            representatives, config.display, frame_counts, n_jobs
-        )
+    policy = get_controller(controller) if controller is not None else None
+    ladder = ladder if ladder is not None else QualityLadder.default()
+    plans = encode_client_streams(
+        representatives, config.n_frames, config.display, ladder, policy, n_jobs
+    )
 
     cohorts = []
-    for r, rep in enumerate(representatives):
+    for r, (rep, (start, rung_map, stream)) in enumerate(zip(representatives, plans)):
         count = (n_clients - r - 1) // period + 1
         cohorts.append(
             CohortSpec(
@@ -282,13 +263,13 @@ def build_fleet_cohorts(
                 scene=rep.scene,
                 codec=rep.codec,
                 n_members=count,
-                payloads=tuple(tuple(frame) for frame in streams[r]),
+                payloads=tuple(stream),
                 n_frames=config.n_frames,
                 target_fps=target_fps,
                 encode_time_s=rep.encode_time_s,
                 n_tracers=min(tracers_per_cohort, count),
-                rung_map=rung_maps[r] if rung_maps is not None else None,
-                start_rung=start_rungs[r],
+                rung_map=rung_map,
+                start_rung=start,
             )
         )
     return cohorts

@@ -11,7 +11,6 @@ from .calibration import ObserverProfile, calibrated_model, sample_population
 from .geometry import (
     ChannelExtrema,
     channel_extrema,
-    channel_extrema_paper,
     channel_halfwidth,
     contains,
     mahalanobis,
@@ -36,7 +35,6 @@ __all__ = [
     "sample_population",
     "ChannelExtrema",
     "channel_extrema",
-    "channel_extrema_paper",
     "channel_halfwidth",
     "contains",
     "mahalanobis",

@@ -15,10 +15,9 @@ This module provides, fully vectorized over batches of pixels:
   Eq. 10 normalization with unit constant term);
 * per-channel extrema of an ellipsoid — the highest and lowest point
   along R, G or B — via the closed form ``p = center +/- Q^{-1} e_k /
-  sqrt(e_k^T Q^{-1} e_k)``;
-* the paper's own extrema recipe (Eq. 11-13: cross product of tangent
-  planes, then line-ellipsoid intersection in DKL), retained as an
-  independent cross-check of the closed form.
+  sqrt(e_k^T Q^{-1} e_k)``, which the tests cross-check against the
+  paper's own Eq. 11-13 recipe (cross product of tangent planes, then
+  line-ellipsoid intersection in DKL).
 
 Channel indices follow numpy order: 0 = R, 1 = G, 2 = B.
 """
@@ -38,7 +37,6 @@ __all__ = [
     "paper_normalized_coefficients",
     "channel_halfwidth",
     "channel_extrema",
-    "channel_extrema_paper",
     "contains",
     "mahalanobis",
 ]
@@ -189,44 +187,6 @@ def channel_extrema(centers, semi_axes, axis: int) -> ChannelExtrema:
     displacement = unnormalized / halfwidth[..., None]
     return ChannelExtrema(
         low=c - displacement, high=c + displacement, displacement=displacement, axis=axis
-    )
-
-
-def channel_extrema_paper(centers, semi_axes, axis: int) -> ChannelExtrema:
-    """The paper's Eq. 11-13 extrema recipe, kept as a cross-check.
-
-    Steps: build the quadric (Eq. 9-10 without normalization — the
-    direction is scale invariant), intersect the two tangent-condition
-    planes to get the extrema direction ``v`` (Eq. 12 generalized to any
-    channel), convert ``v`` to DKL, scale it onto the ellipsoid (Eq.
-    13b) and map the two surface points back to RGB (Eq. 13c).
-    """
-    if axis not in _CHANNELS:
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-    c, s = _validate(centers, semi_axes)
-    q = quadric_matrix(s)
-    others = [j for j in _CHANNELS if j != axis]
-    # Tangent-condition planes: rows `others` of 2M p + L = 0; their
-    # normals are rows of 2Q.  The constant offsets do not affect the
-    # direction of the intersection line.
-    n1 = 2.0 * q[..., others[0], :]
-    n2 = 2.0 * q[..., others[1], :]
-    v = np.cross(n1, n2)
-    # Eq. 13a: express the direction in DKL.
-    x = v @ RGB_TO_DKL.T
-    # Eq. 13b: scale so kappa +/- x*t lies on the axis-aligned ellipsoid.
-    t = 1.0 / np.sqrt(np.sum(np.square(x / s), axis=-1))
-    kappa = c @ RGB_TO_DKL.T
-    step = x * t[..., None]
-    high = (kappa + step) @ DKL_TO_RGB.T
-    low = (kappa - step) @ DKL_TO_RGB.T
-    # Orient so `high` really is the channel maximum (the cross product's
-    # sign is arbitrary).
-    flip = high[..., axis] < low[..., axis]
-    high_fixed = np.where(flip[..., None], low, high)
-    low_fixed = np.where(flip[..., None], high, low)
-    return ChannelExtrema(
-        low=low_fixed, high=high_fixed, displacement=high_fixed - c, axis=axis
     )
 
 

@@ -35,7 +35,6 @@ from .engine import (
     FRAME_READY,
     TRANSMIT_DONE,
     TRANSMIT_START,
-    CodecStreamSource,
     Event,
     FrameSource,
     PrecomputedSource,
@@ -86,7 +85,6 @@ from .session import (
     ENCODER_CHOICES,
     FrameTiming,
     SessionReport,
-    build_streaming_codec,
     simulate_session,
 )
 from .sketch import QuantileSketch
@@ -99,7 +97,6 @@ __all__ = [
     "Event",
     "FrameSource",
     "PrecomputedSource",
-    "CodecStreamSource",
     "StreamSpec",
     "StreamOutcome",
     "StreamingEngine",
@@ -123,7 +120,6 @@ __all__ = [
     "ENCODER_CHOICES",
     "FrameTiming",
     "SessionReport",
-    "build_streaming_codec",
     "simulate_session",
     "CONTROLLER_CHOICES",
     "AdaptationState",

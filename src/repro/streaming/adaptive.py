@@ -37,7 +37,7 @@ import abc
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..codecs.ladder import LadderEncodeCache, QualityLadder, encode_stereo_bits
+from ..codecs.ladder import QualityLadder, encode_rung_streams
 from ..core.pipeline import PerceptualEncoder
 from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from ..scenes.library import Scene
@@ -122,13 +122,29 @@ class FixedController(RateController):
     def __init__(self, rung: int | str | None = None):
         self.rung = rung
 
+    def pinned_index(self, ladder: QualityLadder) -> int | None:
+        """The ladder index this controller pins, or ``None`` to hold.
+
+        Raises
+        ------
+        ValueError
+            If the pinned index lies outside ``ladder``.
+        KeyError
+            If no rung carries the pinned name.
+        """
+        if self.rung is None:
+            return None
+        index = ladder.index_of(self.rung) if isinstance(self.rung, str) else int(self.rung)
+        if not 0 <= index < len(ladder):
+            raise ValueError(
+                f"fixed rung {self.rung!r} outside ladder of {len(ladder)} rungs"
+            )
+        return index
+
     def select_rung(self, ladder: QualityLadder, ctx: ControllerContext) -> int:
         """Return the pinned rung (or hold the client's current one)."""
-        if self.rung is None:
-            return ctx.current_rung
-        if isinstance(self.rung, str):
-            return ladder.index_of(self.rung)
-        return int(self.rung)
+        pinned = self.pinned_index(ladder)
+        return ctx.current_rung if pinned is None else pinned
 
 
 class BufferController(RateController):
@@ -282,19 +298,18 @@ def simulate_adaptive_session(
     encode_throughput_mpixels_s: float = 500.0,
     seed: int = 0,
     start_rung: str | int | None = None,
-    loop_frames: int | None = None,
     rung_streams: Sequence[tuple[int, ...]] | None = None,
-    encode_cache: LadderEncodeCache | None = None,
     recovery=None,
 ) -> AdaptiveSessionReport:
     """Stream one client with per-frame rate control over a link.
 
     Each frame interval the server renders a stereo frame, encodes it
-    at **every** ladder rung, asks the controller which rung to
-    transmit, and ships that payload over the (possibly time-varying)
-    link.  Transmissions queue behind any backlog from earlier frames,
-    so sustained over-subscription shows up as stall time rather than
-    silently overlapping transmissions.
+    at **every** ladder rung (precomputed through
+    :func:`~repro.codecs.ladder.encode_rung_streams`), asks the
+    controller which rung to transmit, and ships that payload over the
+    (possibly time-varying) link.  Transmissions queue behind any
+    backlog from earlier frames, so sustained over-subscription shows up
+    as stall time rather than silently overlapping transmissions.
 
     Parameters
     ----------
@@ -325,24 +340,15 @@ def simulate_adaptive_session(
     start_rung:
         Rung (index or name) in effect before the first frame;
         defaults to the best rung.
-    loop_frames:
-        Encode only this many unique frames and cycle them over the
-        timeline — decouples simulated duration from encode cost for
-        long fading studies.  ``None`` encodes every frame.
     rung_streams:
         Precomputed per-frame ladder sizes (one tuple of payload bits
-        per frame, best rung first), e.g. from a previous run over the
-        same scene and ladder.  Skips rendering and encoding entirely;
-        shorter streams cycle like ``loop_frames``.  Callers sweeping
-        several policies over identical content use this to pay the
-        ladder-encode cost once.
-    encode_cache:
-        Shared :class:`~repro.codecs.ladder.LadderEncodeCache` for the
-        session's scene/ladder/resolution.  Frames are encoded through
-        the cache (and therefore at most once across every controller
-        and scheduler sweep sharing it).  Mutually exclusive with
-        ``rung_streams``; ``ladder`` defaults to the cache's ladder and
-        must match it when given.
+        per frame, best rung first), e.g. from
+        :func:`~repro.codecs.ladder.encode_rung_streams` over the same
+        scene and ladder.  Skips rendering and encoding entirely; a
+        stream shorter than ``n_frames`` cycles over the timeline,
+        decoupling simulated duration from encode cost.  Callers
+        sweeping several policies over identical content pass one
+        shared stream to pay the ladder-encode cost once.
     recovery:
         Loss recovery policy (name from
         :data:`~repro.streaming.loss.RECOVERY_CHOICES` or a
@@ -359,25 +365,8 @@ def simulate_adaptive_session(
         target_fps=target_fps,
         encode_throughput_mpixels_s=encode_throughput_mpixels_s,
     )
-    if loop_frames is not None and loop_frames <= 0:
-        raise ValueError(f"loop_frames must be positive, got {loop_frames}")
-    if encode_cache is not None and rung_streams is not None:
-        raise ValueError("encode_cache and rung_streams are mutually exclusive")
-    if encode_cache is not None:
-        if ladder is None:
-            ladder = encode_cache.ladder
-        elif ladder is not encode_cache.ladder:
-            raise ValueError("ladder must match the encode_cache's ladder")
-        if (
-            encode_cache.scene is not scene
-            or (encode_cache.height, encode_cache.width) != (height, width)
-            or encode_cache.display != display
-        ):
-            raise ValueError(
-                "encode_cache was built for a different scene, resolution, "
-                "or display than this session"
-            )
 
+    engine = StreamingEngine(link, recovery=recovery)
     policy = get_controller(controller)
     ladder = ladder if ladder is not None else QualityLadder.default()
     interval_s = 1.0 / target_fps
@@ -389,7 +378,6 @@ def simulate_adaptive_session(
         initial = int(start_rung)
     state = AdaptationState(policy, ladder, initial, interval_s)
 
-    n_unique = min(n_frames, loop_frames) if loop_frames is not None else n_frames
     if rung_streams is not None:
         rung_streams = [tuple(frame_bits) for frame_bits in rung_streams]
         if not rung_streams:
@@ -399,27 +387,17 @@ def simulate_adaptive_session(
                 f"rung_streams entries must have one size per rung "
                 f"({len(ladder)} rungs)"
             )
-    elif encode_cache is not None:
-        # The shared cache pays the ladder-encode cost at most once per
-        # unique frame across every sweep that reuses it.
-        rung_streams = [encode_cache.rung_bits(index) for index in range(n_unique)]
     else:
-        # Encode the whole ladder for each unique frame; long sessions
-        # can cycle a short scene loop instead of paying encode cost
-        # per frame.  Pass perceptual_encoder through as-is (None
-        # included): the ladder's codec cache is keyed on encoder
-        # identity, so a fresh default encoder per call would defeat
-        # instance reuse across repeated sweeps.
+        # Pass perceptual_encoder through as-is (None included): the
+        # ladder's codec cache is keyed on encoder identity, so a fresh
+        # default encoder per call would defeat instance reuse across
+        # repeated sweeps.
         codecs = [
             ladder.build_codec(i, perceptual_encoder) for i in range(len(ladder))
         ]
-        eccentricity = display.eccentricity_map(height, width)
-        rung_streams = []
-        for index in range(n_unique):
-            eyes = scene.render_stereo(height, width, frame=index)
-            rung_streams.append(
-                encode_stereo_bits(codecs, eyes, eccentricity, display)
-            )
+        rung_streams = encode_rung_streams(
+            scene, codecs, n_frames, height, width, display
+        )
 
     # One adaptive stream through the shared kernel, under the same
     # backlog pricing the fleet uses: payloads queue behind the
@@ -432,7 +410,7 @@ def simulate_adaptive_session(
         encode_time_s=2 * height * width / (encode_throughput_mpixels_s * 1e6),
         adaptation=state,
     )
-    outcome = StreamingEngine(link, recovery=recovery).run([spec], seed=seed)[0]
+    outcome = engine.run([spec], seed=seed)[0]
     return AdaptiveSessionReport(
         encoder=f"adaptive:{policy.name}",
         frames=outcome.frames,

@@ -11,8 +11,8 @@ ns-3-style discrete-event core:
   encoding), :data:`TRANSMIT_START` (its payload reaches the air), and
   :data:`TRANSMIT_DONE` (its last bit drains);
 * **pluggable components**: a :class:`FrameSource` produces per-frame
-  payload sizes (rendering + encoding, possibly through a
-  :class:`~repro.codecs.ladder.LadderEncodeCache`), a rate controller
+  payload sizes (precomputed by
+  :func:`~repro.codecs.ladder.encode_rung_streams`), a rate controller
   (:mod:`repro.streaming.adaptive`) picks each frame's quality-ladder
   rung, a :class:`LinkScheduler` divides the air among concurrent
   transmissions, and a (possibly traced)
@@ -36,19 +36,16 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..codecs.ladder import encode_frame_rungs
 from .link import WirelessLink
 from .loss import LossRuntime, LossStats, get_recovery_policy
 from .validation import validate_stream_timing, validate_stream_window
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..codecs.ladder import QualityLadder
-    from ..scenes.display import DisplayGeometry
-    from ..scenes.library import Scene
 
 __all__ = [
     "FRAME_READY",
@@ -66,7 +63,6 @@ __all__ = [
     "AdaptationState",
     "FrameSource",
     "PrecomputedSource",
-    "CodecStreamSource",
     "frames_within_window",
     "StreamSpec",
     "StreamOutcome",
@@ -494,12 +490,10 @@ class FrameSource(abc.ABC):
     """Produces each frame's encoded payload sizes, one per rung.
 
     A source answers one question — "how many bits is frame *k* at
-    every available quality rung" — and hides *how*: rendering and
-    encoding on demand (:class:`CodecStreamSource`), replaying
-    precomputed streams (:class:`PrecomputedSource`), or reading a
-    shared :class:`~repro.codecs.ladder.LadderEncodeCache`.  The engine
-    requests frames in display order, so stateful codecs behind a
-    source see their frames serially.
+    every available quality rung" — and hides *how*: replaying
+    precomputed streams (:class:`PrecomputedSource`) or serving a
+    pre-encoded :class:`~repro.serving.frames.FrameBank`.  The engine
+    requests frames in display order.
     """
 
     @abc.abstractmethod
@@ -532,68 +526,6 @@ class PrecomputedSource(FrameSource):
     def rung_bits(self, frame_index: int) -> tuple[int, ...]:
         """Frame sizes, cycling over the precomputed stream."""
         return self._frames[frame_index % len(self._frames)]
-
-
-class CodecStreamSource(FrameSource):
-    """Renders a scene and encodes each frame with the given codecs.
-
-    One shared :class:`~repro.codecs.context.FrameContext` per eye per
-    frame keeps quantization and tiling at most-once work however many
-    rungs are encoded.  Frames are encoded on first request and
-    memoized, so the engine can ask again (e.g. when replaying) without
-    re-paying the encode.
-
-    Parameters
-    ----------
-    scene:
-        The scene to render.
-    codecs:
-        Codec instances, one per rung (a single pinned codec is a
-        1-rung ladder).  They are ``reset()`` at construction.
-    height, width:
-        Per-eye render resolution.
-    display:
-        Headset geometry for the eccentricity map.
-    fixation_for:
-        Optional ``frame_index -> (x, y)`` gaze lookup; ``None`` keeps
-        the centered default.
-    """
-
-    def __init__(
-        self,
-        scene: "Scene",
-        codecs: Sequence,
-        height: int,
-        width: int,
-        display: "DisplayGeometry",
-        fixation_for: Callable[[int], tuple[float, float]] | None = None,
-    ):
-        if not codecs:
-            raise ValueError("a codec stream source needs at least one codec")
-        for codec in codecs:
-            codec.reset()
-        self._scene = scene
-        self._codecs = list(codecs)
-        self._height = height
-        self._width = width
-        self._display = display
-        self._fixation_for = fixation_for
-        self._cache: dict[int, tuple[int, ...]] = {}
-
-    def rung_bits(self, frame_index: int) -> tuple[int, ...]:
-        """Render and encode frame ``frame_index`` (memoized)."""
-        cached = self._cache.get(frame_index)
-        if cached is not None:
-            return cached
-        fixation = (
-            self._fixation_for(frame_index) if self._fixation_for is not None else None
-        )
-        bits = encode_frame_rungs(
-            self._scene, self._codecs, self._height, self._width, self._display,
-            frame_index, fixation,
-        )
-        self._cache[frame_index] = bits
-        return bits
 
 
 # -- stream specification and outcome -----------------------------------

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..codecs.ladder import QualityLadder, encode_stereo_bits
+from ..codecs.ladder import QualityLadder, encode_rung_streams
 from ..parallel import gather, worker_pool
 from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from ..scenes.gaze import GazeSample
@@ -73,7 +73,7 @@ from .engine import (
 )
 from .link import WIFI6_LINK, WirelessLink
 from .reports import Report
-from .session import ENCODER_CHOICES, SessionReport, build_streaming_codec
+from .session import ENCODER_CHOICES, SessionReport
 from .validation import validate_stream_timing, validate_stream_window
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,6 +89,7 @@ __all__ = [
     "ClientReport",
     "FleetReport",
     "solo_sustainable_fps",
+    "encode_client_streams",
     "simulate_fleet",
 ]
 
@@ -324,7 +325,7 @@ class FleetReport(Report, tag="fleet", constants={"pricing": "backlog"}):
                 sketch.add(np.asarray(latencies_s))
         return sketch
 
-    def tail_latency_s(self, percentile: float = 95.0, *, exact: bool = False) -> float:
+    def tail_latency_s(self, percentile: float = 95.0) -> float:
         """Latency percentile across every frame of every client.
 
         Answered from :meth:`latency_sketch`, which defers to
@@ -336,15 +337,9 @@ class FleetReport(Report, tag="fleet", constants={"pricing": "backlog"}):
         ----------
         percentile:
             Percentile in ``(0, 100]``.
-        exact:
-            Force the legacy exact path: materialize every sample and
-            take ``numpy.percentile`` directly, whatever the size.
         """
         if not 0 < percentile <= 100:
             raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-        if exact:
-            latencies = [f.motion_to_photon_s for r in self.clients for f in r.frames]
-            return float(np.percentile(latencies, percentile))
         return self.latency_sketch().quantile(percentile / 100.0)
 
     @property
@@ -504,74 +499,91 @@ def solo_sustainable_fps(report: ClientReport, link: WirelessLink) -> float:
     return 1.0 / bottleneck if bottleneck > 0 else float("inf")
 
 
-def _encode_client_stream(
+def _client_stream(
     client: ClientConfig,
-    display: DisplayGeometry,
     n_frames: int,
-    ladder: QualityLadder | None = None,
-    rung_indices: tuple[int, ...] | None = None,
+    rung_map: tuple[int, ...],
+    display: DisplayGeometry,
+    ladder: QualityLadder,
 ) -> list[tuple[int, ...]]:
-    """Render and encode one client's whole stream, in display order.
+    """One client's rung stream: its ``rung_map`` rungs under its gaze."""
+    fixations = [client.fixation_at(k / client.target_fps) for k in range(n_frames)]
+    return encode_rung_streams(
+        get_scene(client.scene),
+        [ladder.build_codec(index) for index in rung_map],
+        n_frames,
+        client.height,
+        client.width,
+        display,
+        fixations,
+    )
 
-    Runs as a unit — inline or as one process-pool task — so stateful
-    codecs always see their frames serially and in order.  Without a
-    ladder the client's configured codec is the only "rung"; with one,
-    every frame is rendered once and encoded at each requested rung,
-    sharing the per-eye :class:`~repro.codecs.context.FrameContext`.
+
+def encode_client_streams(
+    clients: Sequence[ClientConfig],
+    n_frames: int,
+    display: DisplayGeometry,
+    ladder: QualityLadder,
+    policy: RateController | None = None,
+    n_jobs: int = 1,
+) -> list[tuple[int, tuple[int, ...], list[tuple[int, ...]]]]:
+    """Plan which rungs each client encodes, then encode its stream.
+
+    The one rung plan behind both fleet builders (this module's
+    :func:`simulate_fleet` and the cohort builder of
+    :mod:`repro.experiments.fleet`).  Every client starts on the rung
+    matching its configured codec.  A client that only ever transmits
+    one rung — every client without a ``policy``, and every client
+    under a :class:`~repro.streaming.adaptive.FixedController`, which
+    may pin another rung — encodes just that rung; any other policy
+    encodes the whole ladder.
+
+    Each client's stream renders and encodes as one unit through
+    :func:`~repro.codecs.ladder.encode_rung_streams` — inline, or as one
+    process-pool task per client when ``n_jobs > 1`` — so stateful
+    codecs see their frames serially and in order, and results are
+    bit-identical for any ``n_jobs``.  A departing client encodes only
+    the frames the engine will stream
+    (:func:`~repro.streaming.engine.frames_within_window`).
 
     Returns
     -------
     list of tuple
-        One tuple per frame holding the payload bits of each requested
-        rung (a 1-tuple in the non-adaptive case).
+        Per client: its start rung, the ladder indices its stream holds
+        (in stream order), and the stream (one tuple of payload bits per
+        frame).
+
+    Raises
+    ------
+    ValueError
+        If a fixed controller pins a rung outside ``ladder``.
     """
-    scene = get_scene(client.scene)
-    if ladder is None:
-        codecs = [build_streaming_codec(client.codec)]
+    starts = [ladder.index_of(client.codec) for client in clients]
+    if policy is None or isinstance(policy, FixedController):
+        pinned = policy.pinned_index(ladder) if policy is not None else None
+        if pinned is not None:
+            starts = [pinned] * len(clients)
+        rung_maps = [(start,) for start in starts]
     else:
-        indices = rung_indices if rung_indices is not None else tuple(range(len(ladder)))
-        codecs = [ladder.build_codec(i) for i in indices]
-    for codec in codecs:
-        codec.reset()
-    payloads: list[tuple[int, ...]] = []
-    for index in range(n_frames):
-        eyes = scene.render_stereo(client.height, client.width, frame=index)
-        fixation = client.fixation_at(index / client.target_fps)
-        eccentricity = display.eccentricity_map(
-            client.height, client.width, fixation=fixation
+        rung_maps = [tuple(range(len(ladder)))] * len(clients)
+    tasks = [
+        (
+            client,
+            frames_within_window(
+                n_frames, client.target_fps, client.start_s, client.stop_s
+            ),
+            rung_map,
         )
-        payloads.append(encode_stereo_bits(codecs, eyes, eccentricity, display))
-    return payloads
-
-
-def _encode_streams(
-    clients: Sequence[ClientConfig],
-    display: DisplayGeometry,
-    frame_counts: Sequence[int],
-    n_jobs: int,
-    ladder: QualityLadder | None = None,
-    rung_indices: Sequence[tuple[int, ...] | None] | None = None,
-) -> list[list[tuple[int, ...]]]:
-    """Per-client payload streams, fanned over processes when asked.
-
-    ``frame_counts`` holds each client's post-departure frame count
-    (:func:`~repro.streaming.engine.frames_within_window`), so an
-    early-leaving client never pays for frames the engine would drop.
-    """
-    per_client = rung_indices if rung_indices is not None else [None] * len(clients)
+        for client, rung_map in zip(clients, rung_maps)
+    ]
     if n_jobs == 1 or len(clients) == 1:
-        return [
-            _encode_client_stream(c, display, count, ladder, indices)
-            for c, count, indices in zip(clients, frame_counts, per_client)
-        ]
-    with worker_pool(min(n_jobs, len(clients))) as pool:
-        futures = [
-            pool.submit(
-                _encode_client_stream, client, display, count, ladder, indices
+        streams = [_client_stream(*task, display, ladder) for task in tasks]
+    else:
+        with worker_pool(min(n_jobs, len(clients))) as pool:
+            streams = gather(
+                [pool.submit(_client_stream, *task, display, ladder) for task in tasks]
             )
-            for client, count, indices in zip(clients, frame_counts, per_client)
-        ]
-        return gather(futures)
+    return list(zip(starts, rung_maps, streams))
 
 
 def simulate_fleet(
@@ -658,55 +670,27 @@ def simulate_fleet(
         raise ValueError("ladder only applies when a controller is given")
     engine_scheduler = get_scheduler(scheduler)
     engine = StreamingEngine(link, scheduler=engine_scheduler, recovery=recovery)
-    frame_counts = [
-        frames_within_window(n_frames, c.target_fps, c.start_s, c.stop_s)
-        for c in clients
-    ]
-
-    policy: RateController | None = None
-    adapters: list[AdaptationState] | None = None
-    rung_maps: list[tuple[int, ...]] = []
-    if controller is not None:
-        policy = get_controller(controller)
-        ladder = ladder if ladder is not None else QualityLadder.default()
-        start_rungs = [ladder.index_of(client.codec) for client in clients]
-        if isinstance(policy, FixedController):
-            # A pinned fleet only ever transmits one rung per client —
-            # skip encoding the rest of the ladder.
-            if policy.rung is None:
-                pinned = start_rungs
-            elif isinstance(policy.rung, str):
-                pinned = [ladder.index_of(policy.rung)] * len(clients)
-            else:
-                pinned = [int(policy.rung)] * len(clients)
-            rung_maps = [(rung,) for rung in pinned]
-            start_rungs = pinned
-        else:
-            rung_maps = [tuple(range(len(ladder)))] * len(clients)
-        adapters = [
-            AdaptationState(policy, ladder, start, 1.0 / client.target_fps)
-            for start, client in zip(start_rungs, clients)
-        ]
-        streams = _encode_streams(
-            clients, display, frame_counts, n_jobs, ladder, rung_maps
-        )
-    else:
-        streams = _encode_streams(clients, display, frame_counts, n_jobs)
-
+    policy = get_controller(controller) if controller is not None else None
+    ladder = ladder if ladder is not None else QualityLadder.default()
+    plans = encode_client_streams(clients, n_frames, display, ladder, policy, n_jobs)
     specs = [
         StreamSpec(
             name=client.name,
-            source=PrecomputedSource(streams[ci]),
+            source=PrecomputedSource(stream),
             n_frames=n_frames,
             target_fps=client.target_fps,
             encode_time_s=client.encode_time_s,
             weight=client.weight,
             start_s=client.start_s,
             stop_s=client.stop_s,
-            adaptation=adapters[ci] if adapters is not None else None,
-            rung_map=rung_maps[ci] if adapters is not None else None,
+            adaptation=(
+                AdaptationState(policy, ladder, start, 1.0 / client.target_fps)
+                if policy is not None
+                else None
+            ),
+            rung_map=rung_map,
         )
-        for ci, client in enumerate(clients)
+        for client, (start, rung_map, stream) in zip(clients, plans)
     ]
     outcomes = engine.run(specs, seed=seed)
 

@@ -23,11 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..codecs.registry import get_codec, streaming_codec_names
+from ..codecs.ladder import QualityLadder, encode_rung_streams
+from ..codecs.registry import streaming_codec_names
 from ..core.pipeline import PerceptualEncoder
 from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from ..scenes.library import Scene
-from .engine import CodecStreamSource, FrameTiming, StreamingEngine, StreamSpec
+from .engine import FrameTiming, PrecomputedSource, StreamingEngine, StreamSpec
 from .link import WirelessLink
 from .loss import LossStats
 from .reports import OMIT_DEFAULT, Report
@@ -37,32 +38,12 @@ __all__ = [
     "FrameTiming",
     "SessionReport",
     "simulate_session",
-    "build_streaming_codec",
     "ENCODER_CHOICES",
 ]
 
 #: Valid per-frame encoder choices for a session, derived from the
 #: codec registry (every codec registered with a ``streaming`` name).
 ENCODER_CHOICES = streaming_codec_names()
-
-
-def build_streaming_codec(encoder: str, perceptual_encoder: PerceptualEncoder | None = None):
-    """Instantiate a per-frame streaming codec by its streaming name.
-
-    Session-level knobs are routed explicitly to the codecs that take
-    them: the perceptual codec wraps ``perceptual_encoder`` (a default
-    :class:`~repro.core.pipeline.PerceptualEncoder` if omitted), the BD
-    variants inherit its tile size so every encoder in a comparison
-    tiles identically.
-    """
-    if encoder not in ENCODER_CHOICES:
-        raise ValueError(f"unknown encoder {encoder!r}; expected one of {ENCODER_CHOICES}")
-    perceptual = perceptual_encoder if perceptual_encoder is not None else PerceptualEncoder()
-    if encoder == "perceptual":
-        return get_codec(encoder, encoder=perceptual)
-    if encoder in ("bd", "variable-bd"):
-        return get_codec(encoder, tile_size=perceptual.tile_size)
-    return get_codec(encoder)
 
 
 @dataclass(frozen=True)
@@ -132,8 +113,6 @@ def simulate_session(
     perceptual_encoder: PerceptualEncoder | None = None,
     encode_throughput_mpixels_s: float = 500.0,
     seed: int = 0,
-    controller=None,
-    ladder=None,
     recovery=None,
 ) -> SessionReport:
     """Stream ``n_frames`` stereo frames of a scene over a link.
@@ -160,9 +139,9 @@ def simulate_session(
         :class:`~repro.streaming.traces.BandwidthTrace` for a fading
         channel (each frame then serializes at its own send time).
     encoder:
-        Streaming codec name.  With a ``controller`` this becomes the
-        *starting* rung on the ladder — so ``controller="fixed"``
-        reproduces the pinned-codec session.
+        Streaming codec name (one of :data:`ENCODER_CHOICES`).  For
+        per-frame rate control over a quality ladder, use
+        :func:`~repro.streaming.adaptive.simulate_adaptive_session`.
     n_frames, height, width, target_fps, display:
         Stream length, per-eye resolution, refresh target, and headset
         geometry.
@@ -172,15 +151,6 @@ def simulate_session(
         Server-side encoder rate in megapixels per second.
     seed:
         Seed for the link-jitter stream.
-    controller:
-        Optional rate-control policy (name or
-        :class:`~repro.streaming.adaptive.RateController`).  When set,
-        the session adapts its codec per frame over ``ladder`` and an
-        :class:`~repro.streaming.adaptive.AdaptiveSessionReport` is
-        returned instead.
-    ladder:
-        Optional :class:`~repro.codecs.ladder.QualityLadder` for the
-        adaptive path; defaults to the registry-derived ladder.
     recovery:
         Loss recovery policy (name from
         :data:`~repro.streaming.loss.RECOVERY_CHOICES` or a
@@ -190,38 +160,18 @@ def simulate_session(
     Returns
     -------
     SessionReport
-        Per-frame timings and aggregate rates (an
-        :class:`~repro.streaming.adaptive.AdaptiveSessionReport` when
-        ``controller`` is given).
+        Per-frame timings and aggregate rates.
     """
-    if controller is not None:
-        from .adaptive import simulate_adaptive_session  # import cycle guard
-
-        return simulate_adaptive_session(
-            scene,
-            link,
-            controller=controller,
-            ladder=ladder,
-            start_rung=encoder,
-            n_frames=n_frames,
-            height=height,
-            width=width,
-            target_fps=target_fps,
-            display=display,
-            perceptual_encoder=perceptual_encoder,
-            encode_throughput_mpixels_s=encode_throughput_mpixels_s,
-            seed=seed,
-            recovery=recovery,
-        )
-    if ladder is not None:
-        raise ValueError("ladder only applies when a controller is given")
     validate_stream_timing(
         n_frames=n_frames,
         target_fps=target_fps,
         encode_throughput_mpixels_s=encode_throughput_mpixels_s,
     )
-
-    codec = build_streaming_codec(encoder, perceptual_encoder)
+    if encoder not in ENCODER_CHOICES:
+        raise ValueError(f"unknown encoder {encoder!r}; expected one of {ENCODER_CHOICES}")
+    engine = StreamingEngine(link, recovery=recovery)
+    ladder = QualityLadder.default()
+    codec = ladder.build_codec(ladder.index_of(encoder), perceptual_encoder)
 
     # A solo session is a fleet of one: a single engine stream under
     # backlog pricing (frames queue behind the stream's own transmit
@@ -229,12 +179,13 @@ def simulate_session(
     # from its actual send time).
     spec = StreamSpec(
         name="session",
-        source=CodecStreamSource(scene, [codec], height, width, display),
+        source=PrecomputedSource(
+            encode_rung_streams(scene, [codec], n_frames, height, width, display)
+        ),
         n_frames=n_frames,
         target_fps=target_fps,
         encode_time_s=2 * height * width / (encode_throughput_mpixels_s * 1e6),
     )
-    engine = StreamingEngine(link, recovery=recovery)
     outcome = engine.run([spec], seed=seed)[0]
     return SessionReport(
         encoder=encoder,

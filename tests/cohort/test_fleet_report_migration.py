@@ -2,9 +2,7 @@
 
 The migration contract: sketch-backed ``tail_latency_s()`` must pin
 the *old exact values* on small fleets — below the centroid budget the
-sketch reproduces ``numpy.percentile`` bit for bit — and the
-``exact=True`` fallback must keep the historic materialize-everything
-path available at any scale.
+sketch reproduces ``numpy.percentile`` bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ def small_fleet_report():
 
 
 def test_sketch_default_pins_the_old_exact_values():
-    """Regression pin: on a small fleet the sketch path, the exact
-    fallback, and a by-hand numpy.percentile all agree bit for bit."""
+    """Regression pin: on a small fleet the sketch path and a by-hand
+    numpy.percentile agree bit for bit."""
     report = small_fleet_report()
     latencies = [
         frame.motion_to_photon_s
@@ -43,7 +41,6 @@ def test_sketch_default_pins_the_old_exact_values():
     for percentile in (50.0, 90.0, 95.0, 99.0):
         by_hand = float(np.percentile(latencies, percentile))
         assert report.tail_latency_s(percentile) == by_hand
-        assert report.tail_latency_s(percentile, exact=True) == by_hand
 
 
 def test_latency_sketch_accounts_every_frame():
@@ -61,4 +58,4 @@ def test_percentile_validation_is_unchanged():
     with pytest.raises(ValueError, match="percentile"):
         report.tail_latency_s(101.0)
     with pytest.raises(ValueError, match="percentile"):
-        report.tail_latency_s(-1.0, exact=True)
+        report.tail_latency_s(-1.0)

@@ -18,6 +18,8 @@ from repro.encoding.bd import (
 from repro.encoding.tiling import tile_frame
 from repro.scenes.library import render_scene
 
+from bd_reference import decode_legacy, encode_legacy
+
 
 class TestDeltaWidths:
     def test_constant_channel_needs_zero_bits(self):
@@ -148,7 +150,7 @@ class TestVectorizedMatchesLegacy:
         frame = encode_srgb8(render_scene("office", 48, 48))
         codec = BDCodec(tile_size=4)
         vectorized = codec.encode(frame)
-        legacy = codec.encode_legacy(frame)
+        legacy = encode_legacy(codec, frame)
         assert vectorized.data == legacy.data
         assert vectorized.breakdown == legacy.breakdown
 
@@ -156,11 +158,11 @@ class TestVectorizedMatchesLegacy:
         for label, frame, tile_size in _edge_case_frames(rng):
             codec = BDCodec(tile_size=tile_size)
             vectorized = codec.encode(frame)
-            legacy = codec.encode_legacy(frame)
+            legacy = encode_legacy(codec, frame)
             assert vectorized.data == legacy.data, label
             assert vectorized.breakdown == legacy.breakdown, label
             assert np.array_equal(codec.decode(vectorized), frame), label
-            assert np.array_equal(codec.decode_legacy(vectorized), frame), label
+            assert np.array_equal(decode_legacy(vectorized), frame), label
             assert np.array_equal(codec.decode(legacy), frame), label
 
     @settings(max_examples=25, deadline=None)
@@ -175,10 +177,10 @@ class TestVectorizedMatchesLegacy:
         frame = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
         codec = BDCodec(tile_size=tile_size)
         vectorized = codec.encode(frame)
-        legacy = codec.encode_legacy(frame)
+        legacy = encode_legacy(codec, frame)
         assert vectorized.data == legacy.data
         assert np.array_equal(codec.decode(vectorized), frame)
-        assert np.array_equal(codec.decode_legacy(vectorized), frame)
+        assert np.array_equal(decode_legacy(vectorized), frame)
 
     def test_truncated_stream_raises_eof(self, rng):
         frame = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
@@ -192,7 +194,7 @@ class TestVectorizedMatchesLegacy:
         with pytest.raises(EOFError, match="exhausted"):
             codec.decode(truncated)
         with pytest.raises(EOFError, match="exhausted"):
-            codec.decode_legacy(truncated)
+            decode_legacy(truncated)
 
     def test_header_grid_mismatch_raises(self, rng):
         frame = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)

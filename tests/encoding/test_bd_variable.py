@@ -13,6 +13,8 @@ from repro.encoding.bd_variable import (
 )
 from repro.encoding.tiling import tile_frame
 
+from bd_reference import decode_variable_legacy, encode_variable_legacy
+
 
 class TestGroupWidths:
     def test_uniform_tile_zero_widths(self):
@@ -131,11 +133,11 @@ class TestVectorizedMatchesLegacy:
         for label, frame, tile_size, group_size in cases:
             codec = VariableBDCodec(tile_size=tile_size, group_size=group_size)
             vectorized = codec.encode(frame)
-            legacy = codec.encode_legacy(frame)
+            legacy = encode_variable_legacy(codec, frame)
             assert vectorized.data == legacy.data, label
             assert vectorized.breakdown == legacy.breakdown, label
             assert np.array_equal(codec.decode(vectorized), frame), label
-            assert np.array_equal(codec.decode_legacy(vectorized), frame), label
+            assert np.array_equal(decode_variable_legacy(vectorized), frame), label
             assert np.array_equal(codec.decode(legacy), frame), label
 
     @settings(max_examples=20, deadline=None)
@@ -151,10 +153,10 @@ class TestVectorizedMatchesLegacy:
         frame = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
         codec = VariableBDCodec(tile_size=tile_size, group_size=group_size)
         vectorized = codec.encode(frame)
-        legacy = codec.encode_legacy(frame)
+        legacy = encode_variable_legacy(codec, frame)
         assert vectorized.data == legacy.data
         assert np.array_equal(codec.decode(vectorized), frame)
-        assert np.array_equal(codec.decode_legacy(vectorized), frame)
+        assert np.array_equal(decode_variable_legacy(vectorized), frame)
 
     def test_truncated_stream_raises_eof(self, rng):
         from repro.encoding.bd_variable import VariableEncodedFrame
@@ -171,7 +173,7 @@ class TestVectorizedMatchesLegacy:
         with pytest.raises(EOFError, match="exhausted"):
             codec.decode(truncated)
         with pytest.raises(EOFError, match="exhausted"):
-            codec.decode_legacy(truncated)
+            decode_variable_legacy(truncated)
 
 
 class TestValidation:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.color.dkl import DKL_TO_RGB, RGB_TO_DKL
 from repro.perception.geometry import (
     channel_extrema,
-    channel_extrema_paper,
     channel_halfwidth,
     contains,
     mahalanobis,
@@ -17,6 +16,8 @@ from repro.perception.geometry import (
     quadric_matrix,
 )
 from repro.perception.model import ParametricModel
+
+from geometry_reference import channel_extrema_paper
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.codecs.ladder import QualityLadder, encode_frame_rungs
+from repro.codecs.ladder import QualityLadder, encode_rung_streams
 from repro.scenes import get_scene
 from repro.scenes.display import QUEST2_DISPLAY
 from repro.serving.frames import FrameBank, filler_payload
@@ -78,14 +78,11 @@ class TestFromScene:
     def test_sizes_match_the_simulator_encode_path(self, bank):
         # The bank must price frames exactly like the ladder encode the
         # simulators run, or the twin contract is void at the source.
-        scene = get_scene("office")
-        ladder = QualityLadder.default()
-        for frame in range(2):
-            codecs = [rung.build() for rung in ladder]
-            expected = encode_frame_rungs(
-                scene, codecs, 32, 32, QUEST2_DISPLAY, frame
-            )
-            assert bank.rung_bits(frame) == tuple(expected)
+        codecs = [rung.build() for rung in QualityLadder.default()]
+        expected = encode_rung_streams(
+            get_scene("office"), codecs, 2, 32, 32, QUEST2_DISPLAY
+        )
+        assert bank.rung_streams == expected
 
     def test_bitstream_rungs_carry_real_bytes(self, bank):
         # BD-family rungs emit actual packed bitstreams (distinct from

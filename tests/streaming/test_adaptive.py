@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codecs.context import FrameContext
 from repro.codecs.ladder import QualityLadder, QualityRung
-from repro.scenes.display import QUEST2_DISPLAY
+from repro.experiments.common import ExperimentConfig
+from repro.experiments.fleet import run_fleet
 from repro.scenes.library import get_scene
 from repro.streaming.adaptive import (
     CONTROLLER_CHOICES,
@@ -21,7 +21,7 @@ from repro.streaming.adaptive import (
 )
 from repro.streaming.link import WirelessLink
 from repro.streaming.server import ClientConfig, simulate_fleet
-from repro.streaming.session import ENCODER_CHOICES, build_streaming_codec
+from repro.streaming.session import ENCODER_CHOICES, simulate_session
 from repro.streaming.traces import BandwidthTrace
 
 SHARED_LINK = WirelessLink(bandwidth_mbps=200.0, propagation_ms=3.0, jitter_ms=1.0)
@@ -62,20 +62,6 @@ class TestQualityLadder:
         with pytest.raises(KeyError, match="no rung"):
             ladder.index_of("h265")
 
-    def test_build_codec_matches_streaming_construction(self, ladder):
-        """A rung and a pinned session construct bit-identical codecs."""
-        frame = get_scene("office").render(32, 32, eye="left")
-        ecc = QUEST2_DISPLAY.eccentricity_map(32, 32)
-        for name in ("raw", "bd", "variable-bd", "perceptual"):
-            index = ladder.index_of(name)
-            rung_bits = ladder.build_codec(index).encode(
-                FrameContext(frame, eccentricity=ecc, display=QUEST2_DISPLAY)
-            ).total_bits
-            session_bits = build_streaming_codec(name).encode(
-                FrameContext(frame, eccentricity=ecc, display=QUEST2_DISPLAY)
-            ).total_bits
-            assert rung_bits == session_bits
-
     def test_rejects_bad_ladders(self):
         rung = QualityRung(name="a", codec="bd", quality=0.5)
         with pytest.raises(ValueError, match="at least one"):
@@ -105,6 +91,28 @@ class TestControllers:
         assert FixedController().select_rung(ladder, ctx(current_rung=2)) == 2
         assert FixedController(rung=1).select_rung(ladder, ctx()) == 1
         assert FixedController(rung="perceptual").select_rung(ladder, ctx()) == 4
+
+    @pytest.mark.parametrize("path", ["fleet", "cohort-fleet", "adaptive-session"])
+    def test_out_of_range_fixed_rung_raises_on_every_path(self, path):
+        """One resolution of the pinned index: no path clamps it or
+        fails with a bare IndexError."""
+        controller = FixedController(rung=99)
+        with pytest.raises(ValueError, match="rung 99 outside ladder of 5 rungs"):
+            if path == "fleet":
+                simulate_fleet(
+                    [ClientConfig(name="a", height=16, width=16)], SHARED_LINK,
+                    n_frames=1, controller=controller,
+                )
+            elif path == "cohort-fleet":
+                run_fleet(
+                    ExperimentConfig(height=16, width=16, n_frames=1),
+                    n_clients=2, cohorts=True, controller=controller,
+                )
+            else:
+                simulate_adaptive_session(
+                    get_scene("office"), SHARED_LINK, controller,
+                    n_frames=1, height=16, width=16,
+                )
 
     def test_buffer_steps_with_occupancy(self, ladder):
         controller = BufferController(high_s=0.01, low_s=0.002)
@@ -199,22 +207,11 @@ class TestAdaptiveSession:
         assert all(frame.rung in report.ladder for frame in report.frames)
         assert sum(stats.time_in_rung.values()) == pytest.approx(4 / 72.0)
 
-    def test_loop_frames_cycle_payloads(self):
-        link = WirelessLink(bandwidth_mbps=500.0, propagation_ms=3.0)
-        report = simulate_adaptive_session(
-            get_scene("office"), link, FixedController(rung=0),
-            n_frames=6, height=32, width=32, loop_frames=2,
-        )
-        payloads = [frame.payload_bits for frame in report.frames]
-        assert payloads[0:2] == payloads[2:4] == payloads[4:6]
-
     def test_rejects_bad_arguments(self):
         link = WirelessLink(bandwidth_mbps=500.0)
         scene = get_scene("office")
         with pytest.raises(ValueError, match="n_frames"):
             simulate_adaptive_session(scene, link, n_frames=0)
-        with pytest.raises(ValueError, match="loop_frames"):
-            simulate_adaptive_session(scene, link, n_frames=2, loop_frames=0)
         with pytest.raises(ValueError, match="at least one frame"):
             simulate_adaptive_session(scene, link, n_frames=2, rung_streams=[])
         with pytest.raises(ValueError, match="one size per rung"):
@@ -231,16 +228,14 @@ class TestAdaptiveSession:
         assert payloads == [5000, 5200, 5000, 5200]  # cycles the streams
 
     def test_session_controller_starts_on_requested_encoder(self):
-        """simulate_session(controller='fixed') reproduces the pinned
-        session's payloads for the requested encoder."""
-        from repro.streaming.session import simulate_session
-
+        """A fixed controller started on an encoder's rung reproduces
+        the pinned session's payloads for that encoder."""
         link = WirelessLink(bandwidth_mbps=500.0, propagation_ms=3.0)
         scene = get_scene("office")
         kwargs = dict(n_frames=2, height=32, width=32, seed=4)
         pinned = simulate_session(scene, link, encoder="bd", **kwargs)
-        adaptive = simulate_session(
-            scene, link, encoder="bd", controller="fixed", **kwargs
+        adaptive = simulate_adaptive_session(
+            scene, link, "fixed", start_rung="bd", **kwargs
         )
         assert adaptive.adaptive.rungs == ("bd", "bd")
         assert [f.payload_bits for f in adaptive.frames] == [

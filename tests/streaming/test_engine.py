@@ -8,8 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codecs.ladder import LadderEncodeCache, QualityLadder
-from repro.scenes.display import QUEST2_DISPLAY
 from repro.scenes.library import get_scene
 from repro.streaming.adaptive import simulate_adaptive_session
 from repro.streaming.engine import (
@@ -263,74 +261,3 @@ class TestEngineValidation:
             PrecomputedSource([])
         with pytest.raises(ValueError, match="same number of rungs"):
             PrecomputedSource([(1, 2), (1,)])
-
-
-class TestLadderEncodeCache:
-    def test_sweep_encodes_each_frame_once(self, monkeypatch):
-        import repro.codecs.ladder as ladder_module
-
-        calls = []
-        real = ladder_module.encode_stereo_bits
-
-        def counting(codecs, eyes, eccentricity, display):
-            calls.append(len(codecs))
-            return real(codecs, eyes, eccentricity, display)
-
-        monkeypatch.setattr(ladder_module, "encode_stereo_bits", counting)
-        cache = LadderEncodeCache(
-            get_scene("office"), QualityLadder.default(), 32, 32, QUEST2_DISPLAY
-        )
-        first = [cache.rung_bits(k) for k in range(2)]
-        again = [cache.rung_bits(k) for k in range(2)]
-        assert first == again
-        assert len(calls) == 2  # one encode per unique frame, ever
-        assert cache.encode_count == 2 and cache.hits == 2
-
-    def test_cache_matches_direct_encoding(self):
-        ladder = QualityLadder.default()
-        cache = LadderEncodeCache(get_scene("office"), ladder, 32, 32, QUEST2_DISPLAY)
-        report = simulate_adaptive_session(
-            get_scene("office"), CALM_LINK, "buffer",
-            n_frames=3, height=32, width=32, encode_cache=cache,
-        )
-        direct = simulate_adaptive_session(
-            get_scene("office"), CALM_LINK, "buffer",
-            n_frames=3, height=32, width=32,
-        )
-        assert frame_fields(report) == frame_fields(direct)
-
-    def test_cache_rejects_mismatched_ladder_and_rung_streams(self):
-        ladder = QualityLadder.default()
-        cache = LadderEncodeCache(get_scene("office"), ladder, 32, 32, QUEST2_DISPLAY)
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            simulate_adaptive_session(
-                get_scene("office"), CALM_LINK, n_frames=1,
-                encode_cache=cache, rung_streams=[(1,) * len(ladder)],
-            )
-        with pytest.raises(ValueError, match="match the encode_cache"):
-            simulate_adaptive_session(
-                get_scene("office"), CALM_LINK, n_frames=1,
-                encode_cache=cache, ladder=QualityLadder.default(),
-            )
-
-    def test_cache_rejects_mismatched_content(self):
-        ladder = QualityLadder.default()
-        cache = LadderEncodeCache(get_scene("office"), ladder, 32, 32, QUEST2_DISPLAY)
-        with pytest.raises(ValueError, match="different scene"):
-            simulate_adaptive_session(
-                get_scene("fortnite"), CALM_LINK, n_frames=1, encode_cache=cache
-            )
-        with pytest.raises(ValueError, match="different scene"):
-            simulate_adaptive_session(
-                get_scene("office"), CALM_LINK, n_frames=1,
-                height=64, width=64, encode_cache=cache,
-            )
-
-    def test_cache_rejects_stateful_rungs(self):
-        from repro.codecs.ladder import QualityRung
-
-        ladder = QualityLadder(
-            rungs=(QualityRung(name="t", codec="temporal-bd", quality=0.9),)
-        )
-        with pytest.raises(ValueError, match="stateful"):
-            LadderEncodeCache(get_scene("office"), ladder, 32, 32, QUEST2_DISPLAY)

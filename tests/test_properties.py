@@ -16,11 +16,12 @@ from repro.core.pipeline import PerceptualEncoder
 from repro.encoding.bd import bd_breakdown
 from repro.perception.geometry import (
     channel_extrema,
-    channel_extrema_paper,
     channel_halfwidth,
     mahalanobis,
 )
 from repro.perception.model import ParametricModel
+
+from perception.geometry_reference import channel_extrema_paper
 
 MODEL = ParametricModel()
 
