@@ -37,7 +37,6 @@ def sweep_controllers(scene):
             scene,
             LINK,
             controller,
-            ladder=ladder,
             n_frames=N_STREAM_FRAMES,
             height=96,
             width=96,

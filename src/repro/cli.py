@@ -53,9 +53,9 @@ from .experiments.quality import (
     run_rate_distortion,
 )
 from .streaming.adaptive import CONTROLLER_CHOICES
+from .streaming.engine import SCHEDULER_CHOICES
 from .streaming.link import WIFI6_LINK, WirelessLink
 from .streaming.loss import RECOVERY_CHOICES, parse_loss_spec
-from .streaming.server import SCHEDULER_CHOICES
 from .streaming.traces import parse_trace_spec
 
 __all__ = ["main", "EXPERIMENTS"]

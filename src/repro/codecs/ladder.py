@@ -22,13 +22,12 @@ exactly like the per-representation quality tables in DASH work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .context import FrameContext
 from .registry import get_codec, resolve_codec_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.pipeline import PerceptualEncoder
     from ..scenes.display import DisplayGeometry
     from .base import Codec
 
@@ -67,15 +66,11 @@ class QualityRung:
     quality:
         Modeled delivered perceptual quality in ``(0, 1]``; ``1.0`` is
         pixel-exact.
-    codec_kwargs:
-        Extra constructor keyword arguments for the codec, stored as a
-        tuple of ``(key, value)`` pairs so the rung stays hashable.
     """
 
     name: str
     codec: str
     quality: float
-    codec_kwargs: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self):
         if not self.name:
@@ -86,20 +81,14 @@ class QualityRung:
             )
         object.__setattr__(self, "codec", resolve_codec_name(self.codec))
 
-    def build(self, perceptual_encoder: "PerceptualEncoder | None" = None) -> "Codec":
+    def build(self) -> "Codec":
         """Instantiate this rung's codec.
 
         The one place a streaming codec is built, so every simulator
-        constructs bit-identical codecs: the perceptual rung wraps
-        ``perceptual_encoder`` and the BD variants inherit its tile
-        size, keeping every rung's tiling consistent within one ladder.
-
-        Parameters
-        ----------
-        perceptual_encoder:
-            The session's perceptual encoder; a default
-            :class:`~repro.core.pipeline.PerceptualEncoder` is built
-            when omitted.
+        constructs bit-identical codecs: the perceptual rung wraps a
+        default :class:`~repro.core.pipeline.PerceptualEncoder` and the
+        BD variants inherit its tile size, keeping every rung's tiling
+        consistent within one ladder.
 
         Returns
         -------
@@ -109,15 +98,12 @@ class QualityRung:
         """
         from ..core.pipeline import PerceptualEncoder  # cycle guard
 
-        kwargs = dict(self.codec_kwargs)
-        encoder = (
-            perceptual_encoder if perceptual_encoder is not None else PerceptualEncoder()
-        )
+        encoder = PerceptualEncoder()
         if self.codec == "perceptual":
-            kwargs.setdefault("encoder", encoder)
-        elif self.codec in ("bd", "variable-bd", "temporal-bd"):
-            kwargs.setdefault("tile_size", encoder.tile_size)
-        return get_codec(self.codec, **kwargs)
+            return get_codec(self.codec, encoder=encoder)
+        if self.codec in ("bd", "variable-bd", "temporal-bd"):
+            return get_codec(self.codec, tile_size=encoder.tile_size)
+        return get_codec(self.codec)
 
 
 @dataclass(frozen=True)
@@ -154,10 +140,8 @@ class QualityLadder:
                 f"(best first), got {qualities}"
             )
         # Built-codec cache (not a dataclass field: it is mutable
-        # bookkeeping, irrelevant to equality/hashing).  One
-        # (encoder, codec) entry per rung index — bounded by the
-        # ladder length, so a long-lived ladder never accumulates
-        # references to every encoder it has seen.
+        # bookkeeping, irrelevant to equality/hashing), one codec per
+        # stateless rung index.
         object.__setattr__(self, "_codec_cache", {})
 
     @classmethod
@@ -209,29 +193,23 @@ class QualityLadder:
                     return index
         raise KeyError(f"no rung named {name!r}; have {list(self.names)}")
 
-    def build_codec(
-        self, index: int, perceptual_encoder: "PerceptualEncoder | None" = None
-    ) -> "Codec":
+    def build_codec(self, index: int) -> "Codec":
         """The codec instance for the rung at ``index``.
 
-        Stateless codecs are cached: as long as a rung is requested
-        with the same ``perceptual_encoder`` (identity) as last time,
-        the same instance is returned — so a controller sweep that
-        rebuilds its ladder codecs per run (or a fleet that builds
-        them per client) reuses instances instead of reconstructing
-        the whole ladder each time.  The cache keeps one entry per
-        rung (a different encoder simply replaces it), so a long-lived
-        ladder stays bounded.  Stateful codecs (``Codec.stateful``,
-        e.g. temporal BD) carry per-stream history, so they are never
-        cached: each call returns a fresh instance.
+        Stateless codecs are cached, one instance per rung, so a
+        controller sweep that rebuilds its ladder codecs per run (or a
+        fleet that builds them per client) reuses instances instead of
+        reconstructing the whole ladder each time.  Stateful codecs
+        (``Codec.stateful``, e.g. temporal BD) carry per-stream
+        history, so they are never cached: each call returns a fresh
+        instance.
         """
         cache: dict = self._codec_cache  # type: ignore[attr-defined]
-        hit = cache.get(index)
-        if hit is not None and hit[0] is perceptual_encoder:
-            return hit[1]
-        codec = self.rungs[index].build(perceptual_encoder)
-        if not codec.stateful:
-            cache[index] = (perceptual_encoder, codec)
+        codec = cache.get(index)
+        if codec is None:
+            codec = self.rungs[index].build()
+            if not codec.stateful:
+                cache[index] = codec
         return codec
 
     def __len__(self) -> int:

@@ -189,7 +189,6 @@ def run(config: ExperimentConfig | None = None, target_fps: float = 72.0) -> Ada
     link = WirelessLink.traced(trace, propagation_ms=3.0)
 
     session_kwargs = dict(
-        ladder=ladder,
         n_frames=N_STREAM_FRAMES,
         height=config.height,
         width=config.width,

@@ -200,7 +200,6 @@ def build_fleet_cohorts(
     *,
     n_jobs: int = 1,
     controller: str | RateController | None = None,
-    ladder: QualityLadder | None = None,
     tracers_per_cohort: int = 1,
 ) -> list[CohortSpec]:
     """Fold ``n_clients`` into scene x codec equivalence classes.
@@ -249,9 +248,13 @@ def build_fleet_cohorts(
             )
         )
     policy = get_controller(controller) if controller is not None else None
-    ladder = ladder if ladder is not None else QualityLadder.default()
     plans = encode_client_streams(
-        representatives, config.n_frames, config.display, ladder, policy, n_jobs
+        representatives,
+        config.n_frames,
+        config.display,
+        QualityLadder.default(),
+        policy,
+        n_jobs,
     )
 
     cohorts = []
@@ -285,7 +288,6 @@ def run_fleet(
     target_fps: float = 72.0,
     lenient_codecs: bool = False,
     controller: str | RateController | None = None,
-    ladder: QualityLadder | None = None,
     recovery: str | None = None,
     cohorts: bool = False,
     n_shards: int = 1,
@@ -302,8 +304,8 @@ def run_fleet(
 
     ``controller`` switches the fleet to adaptive rate control: every
     client starts on its cycled codec's rung and re-picks per frame
-    from ``ladder`` (the CLI's ``--controller``/``--trace`` flags feed
-    this path).
+    from :meth:`~repro.codecs.ladder.QualityLadder.default` (the CLI's
+    ``--controller``/``--trace`` flags feed this path).
 
     ``recovery`` names the loss-recovery policy (``arq``, ``fec``, or
     ``skip``; the CLI's ``--recovery`` flag feeds it) and requires a
@@ -340,7 +342,6 @@ def run_fleet(
             target_fps,
             n_jobs=n_jobs,
             controller=controller,
-            ladder=ladder,
             tracers_per_cohort=tracers_per_cohort,
         )
         report = simulate_cohort_fleet(
@@ -349,7 +350,6 @@ def run_fleet(
             scheduler=scheduler,
             seed=config.seed,
             controller=controller,
-            ladder=ladder,
             recovery=recovery,
             n_shards=n_shards,
             n_jobs=n_jobs,
@@ -367,7 +367,6 @@ def run_fleet(
         display=config.display,
         seed=config.seed,
         controller=controller,
-        ladder=ladder,
         recovery=recovery,
     )
     solo = {

@@ -104,28 +104,20 @@ def _encode_frame(
 
 def _encode_frame_by_name(
     scene_name: str,
-    rung_fields: tuple[tuple[str, str, float, tuple], ...],
+    ladder: QualityLadder,
     height: int,
     width: int,
     display: DisplayGeometry,
     frame_index: int,
 ) -> tuple[tuple[int, ...], tuple[bytes, ...]]:
-    """Process-pool entry point: rebuild scene + ladder from names.
+    """Process-pool entry point: rebuild the scene from its name.
 
-    Worker processes receive plain strings and tuples instead of live
-    objects — scenes and ladders rebuild cheaply, and codec instances
-    (which may hold unpicklable caches) never cross the pipe.
+    Scenes rebuild cheaply, so workers receive the scene's name instead
+    of the live object; each rung's codec is built fresh in the worker.
     """
-    from ..codecs.ladder import QualityRung
-
-    scene = get_scene(scene_name)
-    ladder = QualityLadder(
-        rungs=tuple(
-            QualityRung(name=name, codec=codec, quality=quality, codec_kwargs=kwargs)
-            for name, codec, quality, kwargs in rung_fields
-        )
+    return _encode_frame(
+        get_scene(scene_name), ladder, height, width, display, frame_index
     )
-    return _encode_frame(scene, ladder, height, width, display, frame_index)
 
 
 class FrameBank(FrameSource):
@@ -243,16 +235,12 @@ class FrameBank(FrameSource):
                 for index in range(n_frames)
             ]
         else:
-            rung_fields = tuple(
-                (rung.name, rung.codec, rung.quality, rung.codec_kwargs)
-                for rung in ladder
-            )
             with worker_pool(min(n_jobs, n_frames)) as pool:
                 results = pool_map(
                     pool,
                     _encode_frame_by_name,
                     [scene_name] * n_frames,
-                    [rung_fields] * n_frames,
+                    [ladder] * n_frames,
                     [height] * n_frames,
                     [width] * n_frames,
                     [display] * n_frames,

@@ -20,11 +20,8 @@ by tracer clients — with tail latencies rolled up through the
 
 from .adaptive import (
     CONTROLLER_CHOICES,
-    AdaptationState,
     AdaptiveSessionReport,
-    AdaptiveStats,
     BufferController,
-    ControllerContext,
     FixedController,
     RateController,
     ThroughputController,
@@ -33,14 +30,23 @@ from .adaptive import (
 )
 from .engine import (
     FRAME_READY,
+    SCHEDULER_CHOICES,
     TRANSMIT_DONE,
     TRANSMIT_START,
+    AdaptationState,
+    AdaptiveStats,
+    ControllerContext,
     Event,
+    FairShareScheduler,
     FrameSource,
+    FrameTiming,
+    LinkScheduler,
     PrecomputedSource,
+    PriorityScheduler,
     StreamingEngine,
     StreamOutcome,
     StreamSpec,
+    get_scheduler,
 )
 from .cohort import (
     CohortFleetReport,
@@ -70,23 +76,13 @@ from .reports import (
     report_to_json,
 )
 from .server import (
-    SCHEDULER_CHOICES,
     ClientConfig,
     ClientReport,
-    FairShareScheduler,
     FleetReport,
-    LinkScheduler,
-    PriorityScheduler,
-    get_scheduler,
     simulate_fleet,
     solo_sustainable_fps,
 )
-from .session import (
-    ENCODER_CHOICES,
-    FrameTiming,
-    SessionReport,
-    simulate_session,
-)
+from .session import ENCODER_CHOICES, SessionReport, simulate_session
 from .sketch import QuantileSketch
 from .traces import TRACE_SPEC_KINDS, BandwidthTrace, parse_trace_spec
 

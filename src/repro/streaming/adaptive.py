@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..codecs.ladder import QualityLadder, encode_rung_streams
-from ..core.pipeline import PerceptualEncoder
 from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from ..scenes.library import Scene
 from .engine import (
@@ -54,15 +53,12 @@ from .session import SessionReport
 from .validation import validate_stream_timing
 
 __all__ = [
-    "ControllerContext",
     "RateController",
     "FixedController",
     "BufferController",
     "ThroughputController",
     "CONTROLLER_CHOICES",
     "get_controller",
-    "AdaptiveStats",
-    "AdaptationState",
     "AdaptiveSessionReport",
     "simulate_adaptive_session",
 ]
@@ -72,17 +68,17 @@ class RateController(abc.ABC):
     """Policy choosing the next frame's ladder rung.
 
     Controllers are **stateless**: every signal they may react to
-    arrives in the :class:`ControllerContext`, and all feedback state
-    (backlog, goodput EWMA) lives in the per-client
-    :class:`AdaptationState`.  One controller instance can therefore
-    drive any number of clients.
+    arrives in the :class:`~repro.streaming.engine.ControllerContext`,
+    and all feedback state (backlog, goodput EWMA) lives in the
+    per-client :class:`~repro.streaming.engine.AdaptationState`.  One
+    controller instance can therefore drive any number of clients.
     """
 
     #: Registry name (the CLI's ``--controller`` spelling).
     name: str = ""
 
     #: Weight of the newest sample in the goodput EWMA that
-    #: :class:`AdaptationState` maintains on this controller's behalf
+    #: :class:`~repro.streaming.engine.AdaptationState` maintains on this controller's behalf
     #: (and feeds back via ``ControllerContext.goodput_bps``).
     #: Controllers that react to goodput may override it.
     ewma_alpha: float = 0.3
@@ -239,28 +235,24 @@ _CONTROLLERS: dict[str, type[RateController]] = {
 CONTROLLER_CHOICES = tuple(_CONTROLLERS)
 
 
-def get_controller(controller: str | RateController, **kwargs) -> RateController:
+def get_controller(controller: str | RateController) -> RateController:
     """Resolve a controller name (or pass an instance through).
+
+    Named controllers take their default tuning; construct the class
+    directly (e.g. ``ThroughputController(safety=0.5)``) to tune one.
 
     Parameters
     ----------
     controller:
         A name from :data:`CONTROLLER_CHOICES` or a ready
         :class:`RateController` instance.
-    kwargs:
-        Constructor arguments for a named controller; rejected when an
-        instance is passed.
 
     Raises
     ------
     ValueError
-        For unknown names, or kwargs alongside an instance.
+        For unknown names.
     """
     if isinstance(controller, RateController):
-        if kwargs:
-            raise ValueError(
-                "controller kwargs have no effect when an instance is passed"
-            )
         return controller
     try:
         factory = _CONTROLLERS[controller]
@@ -268,7 +260,7 @@ def get_controller(controller: str | RateController, **kwargs) -> RateController
         raise ValueError(
             f"unknown controller {controller!r}; expected one of {CONTROLLER_CHOICES}"
         ) from None
-    return factory(**kwargs)
+    return factory()
 
 
 @dataclass(frozen=True)
@@ -288,13 +280,11 @@ def simulate_adaptive_session(
     scene: Scene,
     link: WirelessLink,
     controller: str | RateController = "throughput",
-    ladder: QualityLadder | None = None,
     n_frames: int = 8,
     height: int = 192,
     width: int = 192,
     target_fps: float = 72.0,
     display: DisplayGeometry = QUEST2_DISPLAY,
-    perceptual_encoder: PerceptualEncoder | None = None,
     encode_throughput_mpixels_s: float = 500.0,
     seed: int = 0,
     start_rung: str | int | None = None,
@@ -318,9 +308,7 @@ def simulate_adaptive_session(
     link:
         The wireless link; attach a trace for a fading channel.
     controller:
-        Rate-control policy (name or instance).
-    ladder:
-        Quality ladder; defaults to
+        Rate-control policy (name or instance); it picks rungs of
         :meth:`~repro.codecs.ladder.QualityLadder.default`.
     n_frames:
         Frames to stream.
@@ -330,8 +318,6 @@ def simulate_adaptive_session(
         Display refresh rate; sets the frame interval.
     display:
         Headset geometry for the eccentricity map.
-    perceptual_encoder:
-        Shared perceptual encoder for the ladder's perceptual/BD rungs.
     encode_throughput_mpixels_s:
         Server-side encoder rate (as in
         :func:`~repro.streaming.session.simulate_session`).
@@ -358,7 +344,7 @@ def simulate_adaptive_session(
     Returns
     -------
     AdaptiveSessionReport
-        Per-frame timings plus :class:`AdaptiveStats`.
+        Per-frame timings plus :class:`~repro.streaming.engine.AdaptiveStats`.
     """
     validate_stream_timing(
         n_frames=n_frames,
@@ -368,7 +354,7 @@ def simulate_adaptive_session(
 
     engine = StreamingEngine(link, recovery=recovery)
     policy = get_controller(controller)
-    ladder = ladder if ladder is not None else QualityLadder.default()
+    ladder = QualityLadder.default()
     interval_s = 1.0 / target_fps
     if start_rung is None:
         initial = 0
@@ -388,15 +374,13 @@ def simulate_adaptive_session(
                 f"({len(ladder)} rungs)"
             )
     else:
-        # Pass perceptual_encoder through as-is (None included): the
-        # ladder's codec cache is keyed on encoder identity, so a fresh
-        # default encoder per call would defeat instance reuse across
-        # repeated sweeps.
-        codecs = [
-            ladder.build_codec(i, perceptual_encoder) for i in range(len(ladder))
-        ]
         rung_streams = encode_rung_streams(
-            scene, codecs, n_frames, height, width, display
+            scene,
+            [ladder.build_codec(i) for i in range(len(ladder))],
+            n_frames,
+            height,
+            width,
+            display,
         )
 
     # One adaptive stream through the shared kernel, under the same

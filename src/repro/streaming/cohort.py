@@ -20,20 +20,22 @@ clients, proven against the exact engine by *tracer clients*:
   :class:`~repro.streaming.traces.BandwidthTrace` when the share
   changes across segments.
 * Per-cohort state (backlog, adaptation rung, goodput EWMA) then
-  advances through the **same recurrence** the exact engine's solo
-  path uses, frame by frame on the effective member link — O(cohorts
-  x frames) work, independent of member count.  Member jitter is
-  drawn as vectorized matrices; on jitter-free links all members are
-  bit-identical and aggregate as one weighted add per frame.
-* The first ``n_tracers`` members of each cohort are **tracers**:
-  their :class:`~repro.streaming.server.ClientReport` is produced by
-  this module *and* reproducible by running
-  :class:`~repro.streaming.engine.StreamingEngine` on the cohort's
-  effective member link with :func:`tracer_seed` — bit for bit,
-  jitter included, because the tracer RNG replicates the engine's
-  ``SeedSequence.spawn`` construction exactly.  The equivalence suite
-  (``tests/streaming/test_cohort_equivalence.py``) property-tests
-  this.
+  advances through the exact engine's own solo recurrence,
+  :meth:`~repro.streaming.engine.StreamingEngine.solo_trajectory`, on
+  the effective member link — O(cohorts x frames) work, independent
+  of member count.  Member jitter is drawn as vectorized matrices; on
+  jitter-free links all members are bit-identical and aggregate as
+  one weighted add per frame.
+* The first ``n_tracers`` members of each cohort are **tracers**,
+  priced from that trajectory by
+  :meth:`~repro.streaming.engine.StreamingEngine.price_trajectory`:
+  their :class:`~repro.streaming.server.ClientReport` is reproducible
+  by running :class:`~repro.streaming.engine.StreamingEngine` on the
+  cohort's effective member link with :func:`tracer_seed` — bit for
+  bit, loss and jitter included, because the tracer RNG replicates
+  the engine's ``SeedSequence.spawn`` construction exactly.  The
+  equivalence suite (``tests/streaming/test_cohort_equivalence.py``)
+  property-tests this.
 
 Fleets shard over :func:`repro.parallel.worker_pool`: cohorts hash to
 shards by name (CRC-32), every per-cohort computation is independent
@@ -50,29 +52,29 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from ..codecs.ladder import QualityLadder
 from ..parallel import gather, worker_pool
 from .adaptive import RateController, get_controller
 from .engine import (
     AdaptationState,
     AdaptiveStats,
-    FrameTiming,
+    PrecomputedSource,
+    StreamingEngine,
+    StreamSpec,
     frames_within_window,
     get_scheduler,
 )
 from .link import WIFI6_LINK, WirelessLink
-from .loss import LossRuntime, RecoveryPolicy, get_recovery_policy
+from .loss import RecoveryPolicy
 from .reports import Report
 from .server import ClientReport
 from .sketch import QuantileSketch
 from .traces import BandwidthTrace
 from .validation import validate_stream_timing, validate_stream_window
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..codecs.ladder import QualityLadder
 
 __all__ = [
     "CohortSpec",
@@ -247,8 +249,8 @@ def tracer_seed(seed: int, cohort_index: int, tracer_index: int) -> int:
 
     Running ``StreamingEngine(member_link).run([tracer_spec],
     seed=tracer_seed(seed, ci, ti))`` yields the identical
-    :class:`~repro.streaming.engine.FrameTiming` rows (jitter draws
-    included) as the cohort engine's tracer ``ti`` of cohort ``ci`` —
+    :class:`~repro.streaming.engine.FrameTiming` rows (loss and jitter
+    draws included) as the cohort engine's tracer ``ti`` of cohort ``ci`` —
     the contract the equivalence suite checks.  Seeds are derived
     through ``SeedSequence`` entropy mixing, so they are deterministic,
     well spread, and independent of sharding.
@@ -545,114 +547,59 @@ def _simulate_cohort(
     spec: CohortSpec,
     member_link: WirelessLink,
     policy: RateController | None,
-    ladder: "QualityLadder | None",
     seed: int,
     n_cohorts: int,
-    recovery: RecoveryPolicy | None = None,
+    recovery: RecoveryPolicy | None,
 ) -> _CohortOutcome:
-    """Advance one cohort through the solo recurrence on its member link.
+    """Advance one cohort through the engine's solo path on its member link.
 
-    The deterministic trajectory below mirrors the exact engine's
-    single-stream path (``StreamingEngine._run_solo``) operation for
-    operation — same queue-wait source, same serialization call, same
-    backlog clamp — which is what makes tracer reports bit-for-bit
-    reproducible there.  Jitter never feeds back into backlog or the
-    controller (it is post-transmission overhead), so the trajectory is
-    shared by every member and computed once.
+    The members' trajectory is
+    :meth:`~repro.streaming.engine.StreamingEngine.solo_trajectory` of
+    the cohort's stream on its effective member link, computed once:
+    loss and jitter never feed back into backlog or the controller, so
+    every member shares it.  On a lossy link it serializes **wire**
+    bits (FEC inflation is deterministic).
 
-    On a lossy member link the trajectory serializes **wire** bits
-    (FEC inflation is deterministic, so it stays member-shared), while
-    the stochastic recovery delay — erasure draws, ARQ rounds,
-    reordering — lands only on tracers, whose per-frame draw order
-    (loss before jitter) replicates the engine's exactly.  Bulk
+    Each tracer is that trajectory priced by
+    :meth:`~repro.streaming.engine.StreamingEngine.price_trajectory`
+    with the RNG a one-stream engine run spawns from its
+    :func:`tracer_seed` and its own loss state, which is what makes
+    tracer reports bit-for-bit reproducible on the exact engine.  Bulk
     members keep the deterministic trajectory: the mean-field
     approximation prices their airtime and backlog truthfully but
     folds no recovery delay into the latency sketch; tracers carry the
     loss telemetry the fleet reports on.
     """
-    interval_s = spec.interval_s
-    state: AdaptationState | None = None
-    if policy is not None:
-        if ladder is None:  # pragma: no cover - caller always pairs them
-            raise ValueError("a controller requires a ladder")
-        state = AdaptationState(policy, ladder, spec.start_rung, interval_s)
-    loss_trace = member_link.loss
-    width = len(spec.payloads[0])
-    rung_map = spec.rung_map if spec.rung_map is not None else tuple(range(width))
-    backlog_s = 0.0
-    frame_rows: list[tuple[int, int, str, float, float]] = []
-    for k in range(spec.frames_to_stream):
-        time_s = spec.start_s + k * interval_s
-        bits = spec.payloads[k % len(spec.payloads)]
-        if state is None:
-            payload, rung_name = bits[0], ""
-        else:
-            chosen = state.choose(k, time_s, bits, member_link.at(time_s) * 1e6)
-            local = rung_map.index(chosen) if chosen in rung_map else 0
-            payload, rung_name = bits[local], state.ladder[rung_map[local]].name
-        queue_wait_s = state.backlog_s if state is not None else backlog_s
-        send_start_s = time_s + queue_wait_s
-        wire_bits = (
-            recovery.wire_bits(payload, loss_trace.packet_bits)
-            if loss_trace is not None and recovery is not None
-            else payload
-        )
-        serialization_s = member_link.serialization_time_s(
-            wire_bits, start_s=send_start_s
-        )
-        if state is not None:
-            state.record(payload, serialization_s)
-        else:
-            backlog_s = max(0.0, backlog_s + serialization_s - interval_s)
-        frame_rows.append((k, payload, rung_name, queue_wait_s, serialization_s))
+    engine = StreamingEngine(member_link, recovery=recovery)
+    stream = StreamSpec(
+        name=spec.name,
+        source=PrecomputedSource(spec.payloads),
+        n_frames=spec.n_frames,
+        target_fps=spec.target_fps,
+        encode_time_s=spec.encode_time_s,
+        weight=spec.weight,
+        start_s=spec.start_s,
+        stop_s=spec.stop_s,
+        adaptation=(
+            AdaptationState(policy, QualityLadder.default(), spec.start_rung, spec.interval_s)
+            if policy is not None
+            else None
+        ),
+        rung_map=spec.rung_map,
+    )
+    frame_rows = engine.solo_trajectory(stream)
+    stats = stream.adaptation.stats() if stream.adaptation is not None else None
 
-    stats = state.stats() if state is not None else None
-
-    # Tracer members: replicate the engine's per-stream RNG spawn
-    # (SeedSequence(seed).spawn(1)[0] for a one-stream run) so jitter
-    # draws — one half-normal per frame, in frame order — match bit
-    # for bit.  On a lossy link the loss draws precede the jitter draw
-    # within each frame, again matching the engine.
     tracers: list[ClientReport] = []
     for ti in range(spec.n_tracers):
         rng = np.random.default_rng(
             np.random.SeedSequence(tracer_seed(seed, index, ti)).spawn(1)[0]
         )
-        loss_runtime = (
-            LossRuntime(
-                loss_trace,
-                recovery,
-                interval_s=interval_s,
-                rtt_s=member_link.rtt_s,
-            )
-            if loss_trace is not None and recovery is not None
-            else None
-        )
-        timings = []
-        for k, payload, rung_name, queue_wait_s, serialization_s in frame_rows:
-            recovery_s = (
-                loss_runtime.on_frame(
-                    rng, payload, serialization_s, spec.start_s + k * interval_s
-                )
-                if loss_runtime is not None
-                else 0.0
-            )
-            overhead_s = member_link.overhead_time_s(rng)
-            timings.append(
-                FrameTiming(
-                    frame_index=k,
-                    payload_bits=payload,
-                    encode_time_s=spec.encode_time_s,
-                    serialization_time_s=serialization_s,
-                    transmit_time_s=queue_wait_s + serialization_s + overhead_s
-                    + recovery_s,
-                    rung=rung_name,
-                )
-            )
+        loss = engine.loss_runtime(stream)
         tracers.append(
             ClientReport(
                 encoder=spec.codec,
-                frames=timings,
+                frames=engine.price_trajectory(stream, frame_rows, rng, loss),
                 target_fps=spec.target_fps,
                 name=f"{spec.name}/tracer{ti}",
                 scene=spec.scene,
@@ -660,21 +607,18 @@ def _simulate_cohort(
                 adaptive=stats,
                 start_s=spec.start_s,
                 stop_s=spec.stop_s,
-                loss=loss_runtime.stats() if loss_runtime is not None else None,
+                loss=loss.stats() if loss is not None else None,
             )
         )
 
     sketch = QuantileSketch()
-    if member_link.jitter_ms == 0.0 and loss_trace is None:
+    if member_link.jitter_ms == 0.0 and member_link.loss is None:
         # Every member is bit-identical: one weighted add per frame.
-        overhead_s = member_link.overhead_time_s(None)
-        latencies_s = np.asarray(
-            [
-                spec.encode_time_s + (queue_wait_s + serialization_s + overhead_s)
-                for _, _, _, queue_wait_s, serialization_s in frame_rows
-            ]
+        frames = engine.price_trajectory(stream, frame_rows, None, None)
+        sketch.add(
+            np.asarray([timing.motion_to_photon_s for timing in frames]),
+            weight=float(spec.n_members),
         )
-        sketch.add(latencies_s, weight=float(spec.n_members))
     else:
         # Tracers carry their own draws; bulk members draw vectorized
         # half-normal jitter matrices from the cohort's spawned stream
@@ -741,16 +685,13 @@ def _simulate_cohort(
 def _simulate_shard(
     tasks: list[tuple[int, CohortSpec, WirelessLink]],
     policy: RateController | None,
-    ladder: "QualityLadder | None",
     seed: int,
     n_cohorts: int,
-    recovery: RecoveryPolicy | None = None,
+    recovery: RecoveryPolicy | None,
 ) -> list[_CohortOutcome]:
     """Run one shard's cohorts (a picklable process-pool task)."""
     return [
-        _simulate_cohort(
-            index, spec, member_link, policy, ladder, seed, n_cohorts, recovery
-        )
+        _simulate_cohort(index, spec, member_link, policy, seed, n_cohorts, recovery)
         for index, spec, member_link in tasks
     ]
 
@@ -797,7 +738,7 @@ class CohortFleetReport(Report, tag="cohort-fleet"):
     @property
     def is_lossy(self) -> bool:
         """Whether the fleet ran on a lossy link (tracers carry stats)."""
-        return any(report.loss is not None for report in self.tracers)
+        return self.link.loss is not None
 
     @property
     def tracer_resyncs(self) -> int:
@@ -937,7 +878,6 @@ def simulate_cohort_fleet(
     scheduler: str = "fair",
     seed: int = 0,
     controller: str | RateController | None = None,
-    ladder: "QualityLadder | None" = None,
     recovery: "str | RecoveryPolicy | None" = None,
     n_shards: int = 1,
     n_jobs: int = 1,
@@ -966,11 +906,8 @@ def simulate_cohort_fleet(
         Master seed (>= 0) for tracer and member jitter streams.
     controller:
         Optional rate-control policy (name or instance); every cohort
-        then adapts from its ``start_rung`` over ``ladder``.
-    ladder:
-        Quality ladder for adaptive runs; defaults to
-        :meth:`~repro.codecs.ladder.QualityLadder.default`.  Only
-        valid with a controller.
+        then adapts from its ``start_rung`` over
+        :meth:`~repro.codecs.ladder.QualityLadder.default`.
     recovery:
         Loss recovery policy (name from
         :data:`~repro.streaming.loss.RECOVERY_CHOICES` or a
@@ -1002,24 +939,12 @@ def simulate_cohort_fleet(
         raise ValueError(f"n_shards must be a positive integer, got {n_shards!r}")
     if not isinstance(n_jobs, int) or n_jobs < 1:
         raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
-    if controller is None and ladder is not None:
-        raise ValueError("ladder only applies when a controller is given")
+    # Resolves the scheduler and recovery policy as an exact run would.
+    engine = StreamingEngine(link, scheduler, recovery)
 
-    recovery_policy: RecoveryPolicy | None = None
-    if link.loss is not None:
-        recovery_policy = get_recovery_policy(recovery)
-    elif recovery is not None:
-        raise ValueError(
-            "a recovery policy needs a lossy link; set WirelessLink.loss "
-            "(e.g. LossTrace.bernoulli(0.01)) or drop the recovery argument"
-        )
-
-    policy: RateController | None = None
-    if controller is not None:
-        from ..codecs.ladder import QualityLadder
-
-        policy = get_controller(controller)
-        ladder = ladder if ladder is not None else QualityLadder.default()
+    policy = get_controller(controller) if controller is not None else None
+    if policy is not None:
+        ladder = QualityLadder.default()
         for spec in cohorts:
             if not 0 <= spec.start_rung < len(ladder):
                 raise ValueError(
@@ -1027,8 +952,7 @@ def simulate_cohort_fleet(
                     f"outside ladder of {len(ladder)} rungs"
                 )
 
-    engine_scheduler = get_scheduler(scheduler)
-    member_links = plan_member_links(cohorts, link, engine_scheduler.name)
+    member_links = plan_member_links(cohorts, link, engine.scheduler.name)
 
     shard_tasks: list[list[tuple[int, CohortSpec, WirelessLink]]] = [
         [] for _ in range(n_shards)
@@ -1041,7 +965,7 @@ def simulate_cohort_fleet(
     n_cohorts = len(cohorts)
     if n_jobs == 1 or len(shards) == 1:
         shard_results = [
-            _simulate_shard(tasks, policy, ladder, seed, n_cohorts, recovery_policy)
+            _simulate_shard(tasks, policy, seed, n_cohorts, engine.recovery)
             for tasks in shards
         ]
     else:
@@ -1051,10 +975,9 @@ def simulate_cohort_fleet(
                     _simulate_shard,
                     tasks,
                     policy,
-                    ladder,
                     seed,
                     n_cohorts,
-                    recovery_policy,
+                    engine.recovery,
                 )
                 for tasks in shards
             ]
@@ -1077,7 +1000,7 @@ def simulate_cohort_fleet(
         cohorts=tuple(summaries),
         tracers=tuple(tracers),
         link=link,
-        scheduler=engine_scheduler.name,
+        scheduler=engine.scheduler.name,
         seed=seed,
         latency=fleet_sketch,
         controller=policy.name if policy is not None else None,

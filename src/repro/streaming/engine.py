@@ -686,19 +686,16 @@ class _Flow:
 class _StreamRuntime:
     """Mutable per-stream bookkeeping for one engine run."""
 
-    __slots__ = (
-        "spec", "rng", "queue", "flow", "pending_start", "timings", "backlog_s", "loss"
-    )
+    __slots__ = ("spec", "rng", "queue", "flow", "pending_start", "timings", "loss")
 
-    def __init__(self, spec: StreamSpec, rng: np.random.Generator):
+    def __init__(self, spec: StreamSpec, rng: np.random.Generator, loss: LossRuntime | None):
         self.spec = spec
         self.rng = rng
         self.queue: deque = deque()
         self.flow: _Flow | None = None
         self.pending_start = False
         self.timings: list[FrameTiming] = []
-        self.backlog_s = 0.0  # non-adaptive solo streams track their own
-        self.loss: LossRuntime | None = None  # set by run() on lossy links
+        self.loss = loss
 
 
 # -- the engine ---------------------------------------------------------
@@ -733,7 +730,9 @@ class StreamingEngine:
     the event timeline of a lone stream is deterministic, so each
     frame resolves at its :data:`FRAME_READY` event exactly as the
     historical session loops did (controller feedback included), which
-    keeps solo reports bit-for-bit stable.  Multi-stream runs resolve
+    keeps solo reports bit-for-bit stable.  That path is public as
+    :meth:`solo_trajectory` plus :meth:`price_trajectory`, which the
+    cohort engine prices its members with.  Multi-stream runs resolve
     contention event by event, so a controller sees a frame's feedback
     when its transmission actually completes.
     """
@@ -791,15 +790,10 @@ class StreamingEngine:
             np.random.default_rng(child)
             for child in np.random.SeedSequence(seed).spawn(len(streams))
         ]
-        runtimes = [_StreamRuntime(spec, rng) for spec, rng in zip(streams, rngs)]
-        if self.link.loss is not None:
-            for rt in runtimes:
-                rt.loss = LossRuntime(
-                    self.link.loss,
-                    self.recovery,
-                    interval_s=rt.spec.interval_s,
-                    rtt_s=self.link.rtt_s,
-                )
+        runtimes = [
+            _StreamRuntime(spec, rng, self.loss_runtime(spec))
+            for spec, rng in zip(streams, rngs)
+        ]
         self._events: list[Event] = []
         if len(runtimes) == 1:
             self._run_solo(runtimes[0])
@@ -820,16 +814,27 @@ class StreamingEngine:
             for rt in runtimes
         ]
 
+    def loss_runtime(self, spec: StreamSpec) -> LossRuntime | None:
+        """A fresh loss state machine for one stream, ``None`` if lossless."""
+        if self.link.loss is None:
+            return None
+        return LossRuntime(self.link.loss, self.recovery, spec.interval_s, self.link.rtt_s)
+
     # -- shared helpers -------------------------------------------------
 
+    def _wire_bits(self, payload: int) -> float:
+        """Bits the link carries for a payload (FEC-inflated when lossy)."""
+        if self.recovery is None:
+            return payload
+        return self.recovery.wire_bits(payload, self.link.loss.packet_bits)
+
     def _choose_payload(
-        self, rt: _StreamRuntime, frame_index: int, time_s: float
+        self, spec: StreamSpec, frame_index: int, time_s: float
     ) -> tuple[int, str]:
         """Ask the stream's controller (if any) for this frame's rung.
 
         Returns the payload bits and the rung name ("" when pinned).
         """
-        spec = rt.spec
         bits = spec.source.rung_bits(frame_index)
         state = spec.adaptation
         if state is None:
@@ -844,63 +849,88 @@ class StreamingEngine:
     def _log(self, time_s: float, kind: str, stream: str, frame_index: int) -> None:
         self._events.append(Event(time_s, kind, stream, frame_index))
 
-    # -- solo fast path (deterministic timeline) ------------------------
+    # -- solo path (deterministic timeline) -----------------------------
 
-    def _run_solo(self, rt: _StreamRuntime) -> None:
-        """Backlog pricing for a lone stream, resolved analytically.
+    def solo_trajectory(self, spec: StreamSpec) -> list[tuple[int, int, str, float, float]]:
+        """The draw-free recurrence of a stream alone on the link.
 
-        With no cross-stream contention every frame's fate is fixed the
-        moment it is ready: it queues behind the stream's backlog,
-        serializes through the (possibly traced) link from its send
-        time, and rolls the backlog forward.  Resolving at the
-        :data:`FRAME_READY` event preserves the historical session
-        loops bit for bit, controller feedback order included.
+        Each frame queues behind the stream's backlog, serializes its
+        wire bits from its send time, and feeds ``spec.adaptation`` (a
+        pinned stream rolls its own backlog).  Loss and jitter never
+        feed back, so streams with equal specs on one link share the
+        trajectory; :meth:`price_trajectory` adds each one's draws.
+        Returns one ``(frame_index, payload_bits, rung, queue_wait_s,
+        serialization_s)`` row per streamed frame.
         """
-        spec = rt.spec
         state = spec.adaptation
         interval_s = spec.interval_s
+        backlog_s = 0.0  # pinned streams track their own
+        rows = []
         for frame_index in range(spec.frames_to_stream):
             time_s = spec.start_s + frame_index * interval_s
-            self._log(time_s, FRAME_READY, spec.name, frame_index)
-            payload, rung_name = self._choose_payload(rt, frame_index, time_s)
+            payload, rung_name = self._choose_payload(spec, frame_index, time_s)
             # The payload queues behind the existing backlog before it
             # can start serializing; the wait is part of this frame's
             # latency (transmit time) but not of its airtime
             # (serialization).
-            queue_wait_s = state.backlog_s if state is not None else rt.backlog_s
-            send_start_s = time_s + queue_wait_s
-            # Loss draws land before the jitter draw — the fixed
-            # per-frame draw order the cohort tracers replicate.  On a
-            # lossless link neither branch draws nor changes a bit.
-            if rt.loss is not None:
-                serialization = self.link.serialization_time_s(
-                    rt.loss.wire_bits(payload), start_s=send_start_s
-                )
-                recovery_s = rt.loss.on_frame(rt.rng, payload, serialization, time_s)
+            queue_wait_s = state.backlog_s if state is not None else backlog_s
+            serialization_s = self.link.serialization_time_s(
+                self._wire_bits(payload), start_s=time_s + queue_wait_s
+            )
+            if state is not None:
+                state.record(payload, serialization_s)
             else:
-                serialization = self.link.serialization_time_s(
-                    payload, start_s=send_start_s
-                )
-                recovery_s = 0.0
-            overhead = self.link.overhead_time_s(rt.rng)
-            rt.timings.append(
+                backlog_s = max(0.0, backlog_s + serialization_s - interval_s)
+            rows.append((frame_index, payload, rung_name, queue_wait_s, serialization_s))
+        return rows
+
+    def price_trajectory(
+        self,
+        spec: StreamSpec,
+        rows: Sequence[tuple[int, int, str, float, float]],
+        rng: np.random.Generator | None,
+        loss: LossRuntime | None,
+    ) -> list[FrameTiming]:
+        """Price :meth:`solo_trajectory` rows with one stream's draws.
+
+        Per frame, ``loss`` (from :meth:`loss_runtime`) draws first,
+        then one jitter draw, both from ``rng``: the solo path's fixed
+        draw order.  ``rng=None`` prices jitter-free on a lossless link.
+        """
+        timings = []
+        for frame_index, payload, rung_name, queue_wait_s, serialization_s in rows:
+            time_s = spec.start_s + frame_index * spec.interval_s
+            recovery_s = (
+                loss.on_frame(rng, payload, serialization_s, time_s)
+                if loss is not None
+                else 0.0
+            )
+            overhead_s = self.link.overhead_time_s(rng)
+            timings.append(
                 FrameTiming(
                     frame_index=frame_index,
                     payload_bits=payload,
                     encode_time_s=spec.encode_time_s,
-                    serialization_time_s=serialization,
-                    transmit_time_s=queue_wait_s + serialization + overhead
+                    serialization_time_s=serialization_s,
+                    transmit_time_s=queue_wait_s + serialization_s + overhead_s
                     + recovery_s,
                     rung=rung_name,
                 )
             )
-            if state is not None:
-                state.record(payload, serialization)
-            else:
-                rt.backlog_s = max(0.0, rt.backlog_s + serialization - interval_s)
+        return timings
+
+    def _run_solo(self, rt: _StreamRuntime) -> None:
+        """A lone stream: its trajectory, its draws, then its event log."""
+        spec = rt.spec
+        rows = self.solo_trajectory(spec)
+        rt.timings = self.price_trajectory(spec, rows, rt.rng, rt.loss)
+        for frame_index, _, _, queue_wait_s, serialization_s in rows:
+            time_s = spec.start_s + frame_index * spec.interval_s
+            send_start_s = time_s + queue_wait_s
+            self._log(time_s, FRAME_READY, spec.name, frame_index)
             self._log(send_start_s, TRANSMIT_START, spec.name, frame_index)
             self._log(
-                send_start_s + serialization, TRANSMIT_DONE, spec.name, frame_index
+                send_start_s + serialization_s, TRANSMIT_DONE, spec.name, frame_index
             )
 
     # -- the event kernel (fluid contention) ----------------------------
@@ -975,8 +1005,8 @@ class StreamingEngine:
             spec = rt.spec
             if kind == FRAME_READY:
                 self._log(time_s, FRAME_READY, spec.name, frame_index)
-                payload, rung_name = self._choose_payload(rt, frame_index, time_s)
-                wire = rt.loss.wire_bits(payload) if rt.loss is not None else payload
+                payload, rung_name = self._choose_payload(spec, frame_index, time_s)
+                wire = self._wire_bits(payload)
                 rt.queue.append((frame_index, payload, wire, rung_name, time_s))
                 if rt.flow is None and not rt.pending_start:
                     rt.pending_start = True

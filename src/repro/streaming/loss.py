@@ -711,10 +711,9 @@ class LossRuntime:
 
     Owns the Gilbert–Elliott chain state carried across frames, the
     decoder poisoning/resync state, and the running telemetry counters.
-    The engine (and the cohort tracer loop, which must replicate the
-    engine's draws exactly) calls :meth:`wire_bits` before pricing a
-    frame's serialization and :meth:`on_frame` immediately after it —
-    before the jitter draw — passing the same per-stream ``rng``.
+    The engine calls :meth:`on_frame` once a frame's serialization is
+    priced, before its jitter draw, passing the same per-stream
+    ``rng``.
 
     Parameters
     ----------

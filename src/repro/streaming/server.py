@@ -41,7 +41,7 @@ Two orthogonal extensions ride on the same kernel:
   independently re-picks its codec rung per frame from a
   :class:`~repro.codecs.ladder.QualityLadder`, reporting rung
   switches, time-in-rung, stall time, and delivered quality via
-  :class:`~repro.streaming.adaptive.AdaptiveStats`.  The ``fixed``
+  :class:`~repro.streaming.engine.AdaptiveStats`.  The ``fixed``
   controller reproduces the non-adaptive engine bit for bit.
 """
 
@@ -59,17 +59,13 @@ from ..scenes.gaze import GazeSample
 from ..scenes.library import get_scene
 from .adaptive import FixedController, RateController, get_controller
 from .engine import (
-    SCHEDULER_CHOICES,
     AdaptationState,
     AdaptiveStats,
-    FairShareScheduler,
     LinkScheduler,
     PrecomputedSource,
-    PriorityScheduler,
     StreamingEngine,
     StreamSpec,
     frames_within_window,
-    get_scheduler,
 )
 from .link import WIFI6_LINK, WirelessLink
 from .reports import Report
@@ -81,11 +77,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ClientConfig",
-    "LinkScheduler",
-    "FairShareScheduler",
-    "PriorityScheduler",
-    "SCHEDULER_CHOICES",
-    "get_scheduler",
     "ClientReport",
     "FleetReport",
     "solo_sustainable_fps",
@@ -230,7 +221,7 @@ class ClientReport(SessionReport, tag="client"):
     including the encode-vs-serialization sustainable-fps bound — with
     the frame serialization times reflecting *contended* drain times
     under the fleet's scheduler.  Adaptive fleets additionally attach
-    the client's :class:`~repro.streaming.adaptive.AdaptiveStats`.
+    the client's :class:`~repro.streaming.engine.AdaptiveStats`.
     """
 
     name: str = ""
@@ -596,7 +587,6 @@ def simulate_fleet(
     display: DisplayGeometry = QUEST2_DISPLAY,
     seed: int = 0,
     controller: str | RateController | None = None,
-    ladder: QualityLadder | None = None,
     recovery=None,
 ) -> FleetReport:
     """Stream ``n_frames`` stereo frames per client over one shared link.
@@ -636,12 +626,10 @@ def simulate_fleet(
         Optional rate-control policy (name or
         :class:`~repro.streaming.adaptive.RateController`).  When set,
         every client starts on the rung matching its configured codec
-        and independently re-picks a rung each frame; the ``fixed``
-        controller reproduces the non-adaptive engine bit for bit.
-    ladder:
-        Quality ladder for adaptive runs; defaults to
-        :meth:`~repro.codecs.ladder.QualityLadder.default`.  Only
-        valid with a controller.
+        and independently re-picks a rung of
+        :meth:`~repro.codecs.ladder.QualityLadder.default` each frame;
+        the ``fixed`` controller reproduces the non-adaptive engine bit
+        for bit.
     recovery:
         Loss recovery policy (name from
         :data:`~repro.streaming.loss.RECOVERY_CHOICES` or a
@@ -654,7 +642,7 @@ def simulate_fleet(
     -------
     FleetReport
         Per-client reports plus fleet aggregates (adaptive runs carry
-        per-client :class:`~repro.streaming.adaptive.AdaptiveStats`).
+        per-client :class:`~repro.streaming.engine.AdaptiveStats`).
     """
     clients = tuple(clients)
     if not clients:
@@ -666,12 +654,9 @@ def simulate_fleet(
     validate_stream_timing(n_frames=n_frames)
     if not isinstance(n_jobs, int) or n_jobs < 1:
         raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
-    if controller is None and ladder is not None:
-        raise ValueError("ladder only applies when a controller is given")
-    engine_scheduler = get_scheduler(scheduler)
-    engine = StreamingEngine(link, scheduler=engine_scheduler, recovery=recovery)
+    engine = StreamingEngine(link, scheduler=scheduler, recovery=recovery)
     policy = get_controller(controller) if controller is not None else None
-    ladder = ladder if ladder is not None else QualityLadder.default()
+    ladder = QualityLadder.default()
     plans = encode_client_streams(clients, n_frames, display, ladder, policy, n_jobs)
     specs = [
         StreamSpec(
@@ -712,7 +697,7 @@ def simulate_fleet(
     return FleetReport(
         clients=reports,
         link=link,
-        scheduler=engine_scheduler.name,
+        scheduler=engine.scheduler.name,
         n_frames=n_frames,
         controller=policy.name if policy is not None else None,
     )

@@ -25,7 +25,6 @@ import numpy as np
 
 from ..codecs.ladder import QualityLadder, encode_rung_streams
 from ..codecs.registry import streaming_codec_names
-from ..core.pipeline import PerceptualEncoder
 from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from ..scenes.library import Scene
 from .engine import FrameTiming, PrecomputedSource, StreamingEngine, StreamSpec
@@ -35,7 +34,6 @@ from .reports import OMIT_DEFAULT, Report
 from .validation import validate_stream_timing
 
 __all__ = [
-    "FrameTiming",
     "SessionReport",
     "simulate_session",
     "ENCODER_CHOICES",
@@ -110,7 +108,6 @@ def simulate_session(
     width: int = 192,
     target_fps: float = 72.0,
     display: DisplayGeometry = QUEST2_DISPLAY,
-    perceptual_encoder: PerceptualEncoder | None = None,
     encode_throughput_mpixels_s: float = 500.0,
     seed: int = 0,
     recovery=None,
@@ -145,8 +142,6 @@ def simulate_session(
     n_frames, height, width, target_fps, display:
         Stream length, per-eye resolution, refresh target, and headset
         geometry.
-    perceptual_encoder:
-        Shared perceptual encoder; BD variants inherit its tile size.
     encode_throughput_mpixels_s:
         Server-side encoder rate in megapixels per second.
     seed:
@@ -171,7 +166,7 @@ def simulate_session(
         raise ValueError(f"unknown encoder {encoder!r}; expected one of {ENCODER_CHOICES}")
     engine = StreamingEngine(link, recovery=recovery)
     ladder = QualityLadder.default()
-    codec = ladder.build_codec(ladder.index_of(encoder), perceptual_encoder)
+    codec = ladder.build_codec(ladder.index_of(encoder))
 
     # A solo session is a fleet of one: a single engine stream under
     # backlog pricing (frames queue behind the stream's own transmit

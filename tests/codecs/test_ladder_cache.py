@@ -5,7 +5,6 @@ import pytest
 
 from repro.codecs import FrameContext, get_codec
 from repro.codecs.ladder import QualityLadder, QualityRung
-from repro.core.pipeline import PerceptualEncoder
 from repro.encoding.bd import BDCodec
 from repro.encoding.bd_variable import VariableBDCodec
 
@@ -23,15 +22,6 @@ class TestLadderCodecCache:
         first = [ladder.build_codec(i) for i in range(len(ladder))]
         second = [ladder.build_codec(i) for i in range(len(ladder))]
         assert all(a is b for a, b in zip(first, second))
-
-    def test_same_encoder_reuses_different_encoder_rebuilds(self):
-        ladder = QualityLadder.default()
-        index = ladder.index_of("bd")
-        enc_a = PerceptualEncoder()
-        enc_b = PerceptualEncoder()
-        assert ladder.build_codec(index, enc_a) is ladder.build_codec(index, enc_a)
-        assert ladder.build_codec(index, enc_a) is not ladder.build_codec(index, enc_b)
-        assert ladder.build_codec(index, None) is not ladder.build_codec(index, enc_a)
 
     def test_stateful_rungs_never_cached(self):
         ladder = QualityLadder(

@@ -77,7 +77,7 @@ def test_sharding_is_invisible_for_adaptive_fleets():
     )
     reports = [
         simulate_cohort_fleet(
-            specs, link, seed=9, controller="buffer", ladder=ladder,
+            specs, link, seed=9, controller="buffer",
             n_shards=n_shards, n_jobs=n_jobs,
         )
         for n_shards, n_jobs in ((1, 1), (4, 4), (7, 3))

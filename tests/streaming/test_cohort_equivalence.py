@@ -12,8 +12,9 @@ while the bulk-member roll-ups are checked tolerance-banded.
 
 Hypothesis generates the fleet configurations: mixed refresh rates,
 staggered join/leave windows, fair and priority schedulers, constant
-and step/Markov-traced links, pinned and adaptive rate control.  Every
-scenario carries at least 8 tracer clients.
+and step/Markov-traced links, lossless and lossy links under every
+recovery policy, pinned and adaptive rate control.  Every scenario
+carries at least 8 tracer clients.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.streaming.engine import (
     StreamSpec,
 )
 from repro.streaming.link import HALF_NORMAL_MEAN_FACTOR, WirelessLink
+from repro.streaming.loss import RECOVERY_CHOICES, LossTrace
 from repro.streaming.traces import BandwidthTrace
 
 REFRESH_RATES = (60.0, 72.0, 90.0, 120.0)
@@ -81,15 +83,24 @@ def cohort_fleets(draw, rung_count: int = 1):
     return specs
 
 
+LOSS_TRACES = (
+    LossTrace.bernoulli(0.1),
+    LossTrace.gilbert_elliott(0.05, mean_burst_packets=3.0),
+    LossTrace.bernoulli(0.1, reorder_prob=0.2, reorder_depth=2),
+)
+
+
 @st.composite
-def shared_links(draw, jitter_ms: float = 0.0):
+def shared_links(draw, jitter_ms: float = 0.0, lossy: bool = False):
     """Constant, step-down, or Markov-traced shared links."""
     kind = draw(st.sampled_from(("const", "step", "markov")))
+    loss = draw(st.sampled_from(LOSS_TRACES)) if lossy else None
     if kind == "const":
         return WirelessLink(
             bandwidth_mbps=draw(st.sampled_from((60.0, 150.0, 400.0))),
             propagation_ms=3.0,
             jitter_ms=jitter_ms,
+            loss=loss,
         )
     if kind == "step":
         trace = BandwidthTrace.step_down(
@@ -105,17 +116,22 @@ def shared_links(draw, jitter_ms: float = 0.0):
             horizon_s=2.0,
             seed=draw(st.integers(min_value=0, max_value=5)),
         )
-    return WirelessLink.traced(trace, propagation_ms=3.0, jitter_ms=jitter_ms)
+    return WirelessLink.traced(
+        trace, propagation_ms=3.0, jitter_ms=jitter_ms, loss=loss
+    )
 
 
 def exact_tracer_outcome(spec, member_link, seed, cohort_index, tracer_index,
-                         controller=None, ladder=None):
+                         controller=None, recovery=None):
     """One tracer, replayed through the exact engine on the member link."""
     adaptation = None
     rung_map = spec.rung_map
     if controller is not None:
         adaptation = AdaptationState(
-            get_controller(controller), ladder, spec.start_rung, spec.interval_s
+            get_controller(controller),
+            QualityLadder.default(),
+            spec.start_rung,
+            spec.interval_s,
         )
     engine_spec = StreamSpec(
         name="tracer",
@@ -128,22 +144,23 @@ def exact_tracer_outcome(spec, member_link, seed, cohort_index, tracer_index,
         adaptation=adaptation,
         rung_map=rung_map,
     )
-    engine = StreamingEngine(member_link)
+    engine = StreamingEngine(member_link, recovery=recovery)
     return engine.run(
         [engine_spec], seed=tracer_seed(seed, cohort_index, tracer_index)
     )[0]
 
 
-def assert_tracers_bit_for_bit(specs, report, seed, controller=None, ladder=None):
+def assert_tracers_bit_for_bit(specs, report, seed, controller=None, recovery=None):
     for ci, spec in enumerate(specs):
         member_link = report.cohorts[ci].member_link
         for ti in range(spec.n_tracers):
             outcome = exact_tracer_outcome(
-                spec, member_link, seed, ci, ti, controller, ladder
+                spec, member_link, seed, ci, ti, controller, recovery
             )
             tracer = report.tracer(f"{spec.name}/tracer{ti}")
             assert outcome.frames == tracer.frames
             assert outcome.adaptive == tracer.adaptive
+            assert outcome.loss == tracer.loss
 
 
 @SETTINGS
@@ -168,12 +185,33 @@ def test_tracers_match_exact_engine_bit_for_bit(specs, link, scheduler, seed):
 )
 def test_adaptive_tracers_match_exact_engine(specs, link, scheduler, controller, seed):
     """Rung choices, switches, stalls, and goodput EWMAs all agree."""
-    ladder = QualityLadder.default()
+    report = simulate_cohort_fleet(
+        specs, link, scheduler=scheduler, seed=seed, controller=controller
+    )
+    assert_tracers_bit_for_bit(specs, report, seed, controller)
+
+
+@SETTINGS
+@given(
+    specs=cohort_fleets(rung_count=len(QualityLadder.default())),
+    link=shared_links(jitter_ms=0.3, lossy=True),
+    scheduler=st.sampled_from(("fair", "priority")),
+    controller=st.sampled_from((None, "buffer", "throughput")),
+    recovery=st.sampled_from(RECOVERY_CHOICES),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_lossy_tracers_match_exact_engine(
+    specs, link, scheduler, controller, recovery, seed
+):
+    """Loss draws precede each frame's jitter draw on both paths, so
+    frames, loss telemetry and adaptation agree under every recovery
+    policy, pinned or adaptive."""
     report = simulate_cohort_fleet(
         specs, link, scheduler=scheduler, seed=seed, controller=controller,
-        ladder=ladder,
+        recovery=recovery,
     )
-    assert_tracers_bit_for_bit(specs, report, seed, controller, ladder)
+    assert report.is_lossy
+    assert_tracers_bit_for_bit(specs, report, seed, controller, recovery)
 
 
 @SETTINGS

@@ -13,7 +13,8 @@ each recovery policy, and process-pool encoding.  The remaining
 scenarios cover every other producer of rung streams: solo sessions for
 each streaming encoder, adaptive sessions that render their own frames,
 the ``adaptive`` experiment's policy sweep, and cohort fleets under each
-controller setting.
+controller setting, on lossless links and on lossy ones under each
+recovery policy.
 """
 
 from __future__ import annotations
@@ -154,6 +155,22 @@ def cohort_fleet(controller):
     ).report
 
 
+def lossy_cohort_fleet(loss: LossTrace, recovery, controller):
+    """Two tracers per cohort, so the tracer loss draws are pinned too."""
+    link = WirelessLink.traced(
+        BandwidthTrace.square(high_mbps=40.0, low_mbps=4.0, period_s=0.02),
+        propagation_ms=2.0, jitter_ms=0.3, loss=loss,
+    )
+    config = ExperimentConfig(height=16, width=16, n_frames=4, seed=2)
+    return run_fleet(
+        config, n_clients=24, link=link, cohorts=True, tracers_per_cohort=2,
+        controller=controller, recovery=recovery,
+    ).report
+
+
+BURSTY_LOSS = LossTrace.gilbert_elliott(0.05, mean_burst_packets=3.0)
+REORDERING_LOSS = LossTrace.bernoulli(0.1, reorder_prob=0.2, reorder_depth=2)
+
 REPORT_SCENARIOS = {
     **{
         f"session-{encoder}-{'lossy' if lossy else 'jittery'}": functools.partial(
@@ -176,6 +193,17 @@ REPORT_SCENARIOS = {
     "cohort-fixed": lambda: cohort_fleet("fixed"),
     "cohort-fixed-perceptual": lambda: cohort_fleet(FixedController(rung="perceptual")),
     "cohort-throughput": lambda: cohort_fleet("throughput"),
+    **{
+        f"cohort-lossy-{recovery}-{controller or 'pinned'}": functools.partial(
+            lossy_cohort_fleet, BURSTY_LOSS, recovery, controller
+        )
+        for recovery in ("arq", "fec", "skip")
+        for controller in (None, "throughput")
+    },
+    # No recovery argument: a lossy link defaults to ARQ.
+    "cohort-lossy-reorder-buffer": functools.partial(
+        lossy_cohort_fleet, REORDERING_LOSS, None, "buffer"
+    ),
 }
 
 REPORT_SHA256 = {
@@ -184,6 +212,13 @@ REPORT_SHA256 = {
     "adaptive-throughput": "81d659b77dccf5998f7bc46afec840f34c47ee21633ab4e3f6e5082e0687b2a4",
     "cohort-fixed": "a9e39f3067ee6315359b305ed4c0066730539d77899bd172a32e08cc7c7f82c4",
     "cohort-fixed-perceptual": "824c100bd83932e57f0e1ed11e95358120d1fdc23ca85ef9ae9358daaec50d62",
+    "cohort-lossy-arq-pinned": "8a52f4cfce2a53509f020697c5892752b959083e0cded8f87c6a27e871f67aed",
+    "cohort-lossy-arq-throughput": "1a25e6c5f74ac07c9dce4dbe4cd20fc578f3573cf64f6e74d6f33f95d918597f",
+    "cohort-lossy-fec-pinned": "47991590076d1dba7bbb660805bda791e6b81c2e3d7be84d82f34f61fda8c19c",
+    "cohort-lossy-fec-throughput": "0d6a0307dc5da1060a1d25992e686d23d9426adef14debfb9b3287a439e726d4",
+    "cohort-lossy-reorder-buffer": "c14327c2aedb52c9b56a95b227f97027c99c7be3ea9f7222631ffaa18ffd2212",
+    "cohort-lossy-skip-pinned": "46fe081139dd8db073ca332e653f0b13a77fc8f06aef2dcad7f5c8ce5a546c42",
+    "cohort-lossy-skip-throughput": "3ff8257868c0037935e5e5696e548e32b7d6e3956a798fc324b8b75240725826",
     "cohort-none": "3ae38729d9a02b1ebccd60dd4fd9446121884eabb7371c065be3951d68e0c531",
     "cohort-throughput": "d31caeb58e2a2a32ab8323c971a21d465c839c7299589e4222e1a7b7b7a4a490",
     "experiment-buffer": "a92cb1e5b22d1fd977d7a04894060141b45005889c7907a2dfa56b4664dc02da",

@@ -4,20 +4,20 @@ import pytest
 
 from repro.scenes.gaze import GazeSample
 from repro.streaming.engine import (
+    SCHEDULER_CHOICES,
+    FairShareScheduler,
     FrameTiming,
     PrecomputedSource,
+    PriorityScheduler,
     StreamingEngine,
     StreamSpec,
+    get_scheduler,
 )
 from repro.streaming.link import WirelessLink
 from repro.streaming.server import (
-    SCHEDULER_CHOICES,
     ClientConfig,
     ClientReport,
-    FairShareScheduler,
     FleetReport,
-    PriorityScheduler,
-    get_scheduler,
     simulate_fleet,
     solo_sustainable_fps,
 )
