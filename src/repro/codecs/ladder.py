@@ -222,11 +222,16 @@ class QualityLadder:
         return self.rungs[index]
 
 
+def _bits_and_payload(encoded) -> tuple[int, bytes | None]:
+    return encoded.total_bits, encoded.metadata.get("payload")
+
+
 def encode_stereo_bits(
     codecs: Sequence["Codec"],
     eyes,
     eccentricity,
     display: "DisplayGeometry",
+    payloads: list | None = None,
 ) -> tuple[int, ...]:
     """Stereo-payload bits of one frame under each codec.
 
@@ -245,6 +250,10 @@ def encode_stereo_bits(
         Shared per-pixel eccentricity map for both eyes.
     display:
         Headset geometry forwarded to the contexts.
+    payloads:
+        Optional list that receives one tuple for the frame: per codec,
+        the bitstream it wrote to ``metadata["payload"]`` (both eyes
+        joined in order), or ``None`` for a codec that writes none.
 
     Returns
     -------
@@ -254,9 +263,15 @@ def encode_stereo_bits(
     ctxs = [
         FrameContext(eye, eccentricity=eccentricity, display=display) for eye in eyes
     ]
-    return tuple(
-        sum(codec.encode(ctx).total_bits for ctx in ctxs) for codec in codecs
-    )
+    bits, streams = [], []
+    for codec in codecs:
+        # Each eye's encoded result is dropped as soon as it is read.
+        eye_bits, eye_streams = zip(*[_bits_and_payload(codec.encode(ctx)) for ctx in ctxs])
+        bits.append(sum(eye_bits))
+        streams.append(None if None in eye_streams else b"".join(eye_streams))
+    if payloads is not None:
+        payloads.append(tuple(streams))
+    return tuple(bits)
 
 
 def encode_rung_streams(
@@ -267,15 +282,17 @@ def encode_rung_streams(
     width: int,
     display: "DisplayGeometry",
     fixations: Sequence[tuple[float, float]] | None = None,
+    payloads: list | None = None,
 ) -> list[tuple[int, ...]]:
     """Render and encode a stream's frames at every codec rung.
 
-    The one producer of per-frame rung sizes behind every simulator:
-    the solo and adaptive sessions, the exact fleet and the cohort
-    fleet all precompute their streams here and replay them through
-    :class:`~repro.streaming.engine.PrecomputedSource`.  Frames are
-    rendered and encoded in display order, so stateful codecs see
-    their frames serially.
+    The one producer of per-frame rung sizes behind every simulator and
+    the server: the solo and adaptive sessions, the exact fleet and the
+    cohort fleet all precompute their streams here and replay them
+    through :class:`~repro.streaming.engine.PrecomputedSource`, and
+    :meth:`repro.serving.frames.FrameBank.from_scene` encodes its bank
+    here.  Frames are rendered and encoded in display order, so stateful
+    codecs see their frames serially.
 
     Parameters
     ----------
@@ -293,6 +310,9 @@ def encode_rung_streams(
     fixations:
         One normalized gaze point per frame; ``None`` keeps the gaze
         centered on every frame.
+    payloads:
+        Optional list that receives one tuple of bitstreams per frame,
+        as :func:`encode_stereo_bits` fills it.
 
     Returns
     -------
@@ -307,5 +327,5 @@ def encode_rung_streams(
         fixation = fixations[index] if fixations is not None else (0.5, 0.5)
         eyes = scene.render_stereo(height, width, frame=index)
         eccentricity = display.eccentricity_map(height, width, fixation=fixation)
-        streams.append(encode_stereo_bits(codecs, eyes, eccentricity, display))
+        streams.append(encode_stereo_bits(codecs, eyes, eccentricity, display, payloads))
     return streams

@@ -58,10 +58,6 @@ def _bank_arguments(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument("--height", type=int, default=96, help="per-eye frame height")
     group.add_argument("--width", type=int, default=96, help="per-eye frame width")
-    group.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="process-pool width for bank encoding",
-    )
 
 
 def _build_bank(args: argparse.Namespace) -> FrameBank:
@@ -70,7 +66,6 @@ def _build_bank(args: argparse.Namespace) -> FrameBank:
         n_frames=args.bank_frames,
         height=args.height,
         width=args.width,
-        n_jobs=args.jobs,
     )
 
 

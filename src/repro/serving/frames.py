@@ -3,22 +3,22 @@
 A live server cannot afford to render and ladder-encode on the frame
 clock of every connection, and it does not need to: clients streaming
 the same scene at the same resolution share content.  A
-:class:`FrameBank` renders a scene once, encodes every frame at every
-ladder rung — fanned out across a :func:`repro.parallel.worker_pool`
-when asked — and serves two queries forever after: *how many bits is
-frame k at rung r* and *give me those bytes*.
+:class:`FrameBank` encodes a scene once, through
+:func:`repro.codecs.ladder.encode_rung_streams` — the loop every
+simulator prices its streams with — and serves two queries forever
+after: *how many bits is frame k at rung r* and *give me those bytes*.
 
-The bank subclasses the engine's
-:class:`~repro.streaming.engine.FrameSource`, so the **same object**
-answers the simulator (which only needs sizes) and the socket (which
-needs bytes).  That shared source is the digital-twin contract: when
-`tests/test_serving_twin.py` runs one bank through
-:func:`~repro.streaming.adaptive.simulate_adaptive_session` and
-through a loopback server, any divergence is in the transport, not the
-content.
+The bank is the engine's
+:class:`~repro.streaming.engine.PrecomputedSource` plus payload bytes,
+so the **same object** answers the simulator (which only needs sizes)
+and the socket (which needs bytes).  That shared source is the
+digital-twin contract: when `tests/test_serving_twin.py` runs one bank
+through :func:`~repro.streaming.adaptive.simulate_adaptive_session`
+and through a loopback server, any divergence is in the transport, not
+the content.
 
-Payload bytes are real bitstreams where the codec produces them (the
-BD family emits its packed stream as ``metadata["payload"]``) and
+Payload bytes are real bitstreams where the codec writes one (the BD
+family emits its packed stream as ``metadata["payload"]``) and
 deterministic filler at the codec-reported size everywhere else —
 either way, the bytes on the wire occupy exactly the bits the
 simulator accounts for.
@@ -28,12 +28,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..codecs.context import FrameContext
-from ..codecs.ladder import QualityLadder
-from ..parallel import pool_map, worker_pool
+from ..codecs.ladder import QualityLadder, encode_rung_streams
 from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from ..scenes.library import Scene, get_scene
-from ..streaming.engine import FrameSource
+from ..streaming.engine import PrecomputedSource, modeled_encode_time_s
 
 __all__ = ["FrameBank", "filler_payload"]
 
@@ -55,79 +53,25 @@ def filler_payload(payload_bits: int, frame_index: int, rung_index: int) -> byte
     return (seed * (n_bytes // len(seed) + 1))[:n_bytes]
 
 
-def _encode_frame(
-    scene: Scene,
-    ladder: QualityLadder,
-    height: int,
-    width: int,
-    display: DisplayGeometry,
-    frame_index: int,
-) -> tuple[tuple[int, ...], tuple[bytes, ...]]:
-    """Render one frame and encode every rung, collecting bytes.
-
-    Mirrors :func:`repro.codecs.ladder.encode_stereo_bits` — one
-    :class:`~repro.codecs.context.FrameContext` per eye shared across
-    rungs — but builds each rung's codec fresh with ``payload=True``
-    where the codec supports it, so the ladder's shared codec cache is
-    never mutated and real bitstreams come out where available.
-    """
-    eyes = scene.render_stereo(height, width, frame=frame_index)
-    eccentricity = display.eccentricity_map(height, width)
-    ctxs = [
-        FrameContext(eye, eccentricity=eccentricity, display=display) for eye in eyes
-    ]
-    bits: list[int] = []
-    payloads: list[bytes] = []
-    for rung_index, rung in enumerate(ladder):
-        codec = rung.build()
-        if hasattr(codec, "payload"):
-            codec.payload = True
-        total_bits = 0
-        stream = bytearray()
-        have_stream = True
-        for ctx in ctxs:
-            encoded = codec.encode(ctx)
-            total_bits += encoded.total_bits
-            eye_payload = encoded.metadata.get("payload")
-            if isinstance(eye_payload, (bytes, bytearray)):
-                stream.extend(eye_payload)
-            else:
-                have_stream = False
-        bits.append(int(total_bits))
-        payloads.append(
-            bytes(stream)
-            if have_stream and stream
-            else filler_payload(int(total_bits), frame_index, rung_index)
+def _bank_payloads(rung_streams, streams) -> list[tuple[bytes, ...]]:
+    """Each rung's own bitstream, or filler of its priced length where it has none."""
+    return [
+        tuple(
+            stream or filler_payload(bits, frame_index, rung_index)
+            for rung_index, (bits, stream) in enumerate(zip(frame_bits, frame_streams))
         )
-    return tuple(bits), tuple(payloads)
+        for frame_index, (frame_bits, frame_streams) in enumerate(zip(rung_streams, streams))
+    ]
 
 
-def _encode_frame_by_name(
-    scene_name: str,
-    ladder: QualityLadder,
-    height: int,
-    width: int,
-    display: DisplayGeometry,
-    frame_index: int,
-) -> tuple[tuple[int, ...], tuple[bytes, ...]]:
-    """Process-pool entry point: rebuild the scene from its name.
+class FrameBank(PrecomputedSource):
+    """Per-frame ladder sizes plus the payload bytes that carry them.
 
-    Scenes rebuild cheaply, so workers receive the scene's name instead
-    of the live object; each rung's codec is built fresh in the worker.
-    """
-    return _encode_frame(
-        get_scene(scene_name), ladder, height, width, display, frame_index
-    )
-
-
-class FrameBank(FrameSource):
-    """Pre-encoded per-frame ladder payloads for one scene setup.
-
-    Construct with :meth:`from_scene` (render + encode, optionally on a
-    process pool) or :meth:`from_rung_streams` (synthetic sizes — the
-    twin test's entry point).  Shorter banks cycle over the stream
-    timeline, exactly like the engine's
-    :class:`~repro.streaming.engine.PrecomputedSource`.
+    Construct with :meth:`from_scene` (render + encode a scene) or
+    :meth:`from_rung_streams` (synthetic sizes — the twin test's entry
+    point).  Frame sizes, cycling and validation are the engine's
+    :class:`~repro.streaming.engine.PrecomputedSource`; the bank adds
+    one payload per ``(frame, rung)``.
 
     Parameters
     ----------
@@ -138,8 +82,8 @@ class FrameBank(FrameSource):
     payloads:
         Matching payload bytes, one tuple of ``bytes`` per frame.
     encode_time_s:
-        Modeled per-frame encode latency the server charges (mirrors
-        the simulators' ``encode_throughput_mpixels_s`` accounting).
+        Modeled per-frame encode latency the server charges (see
+        :func:`~repro.streaming.engine.modeled_encode_time_s`).
     scene_name, height, width:
         Provenance, echoed into reports.
     """
@@ -154,23 +98,14 @@ class FrameBank(FrameSource):
         height: int = 0,
         width: int = 0,
     ):
-        rung_streams = [tuple(int(b) for b in frame) for frame in rung_streams]
+        super().__init__(rung_streams)
         payloads = [tuple(bytes(p) for p in frame) for frame in payloads]
-        if not rung_streams:
-            raise ValueError("a frame bank needs at least one frame")
-        if len(rung_streams) != len(payloads):
+        widths = {len(self._frames[0])} | {len(frame) for frame in payloads}
+        if len(payloads) != len(self._frames) or widths != {len(ladder)}:
             raise ValueError(
-                f"rung_streams and payloads disagree on frame count: "
-                f"{len(rung_streams)} vs {len(payloads)}"
+                f"rung_streams and payloads must list the same frames, each "
+                f"with one entry per rung ({len(ladder)} rungs)"
             )
-        for index, (frame_bits, frame_payloads) in enumerate(
-            zip(rung_streams, payloads)
-        ):
-            if len(frame_bits) != len(ladder) or len(frame_payloads) != len(ladder):
-                raise ValueError(
-                    f"frame {index} must carry one entry per rung "
-                    f"({len(ladder)} rungs)"
-                )
         if encode_time_s < 0:
             raise ValueError(f"encode_time_s must be >= 0, got {encode_time_s}")
         self.ladder = ladder
@@ -178,7 +113,6 @@ class FrameBank(FrameSource):
         self.scene_name = scene_name
         self.height = height
         self.width = width
-        self._rung_streams = rung_streams
         self._payloads = payloads
 
     # -- construction ---------------------------------------------------
@@ -193,9 +127,15 @@ class FrameBank(FrameSource):
         width: int = 192,
         display: DisplayGeometry = QUEST2_DISPLAY,
         encode_throughput_mpixels_s: float = 500.0,
-        n_jobs: int = 1,
     ) -> "FrameBank":
         """Render and ladder-encode ``n_frames`` of a scene.
+
+        Frames go through :func:`~repro.codecs.ladder.encode_rung_streams`
+        in display order, so the bank prices every rung — stateful ones
+        included — exactly as the simulators do.  Each rung's codec is
+        built fresh, with its bitstream switched on where it has one;
+        the ladder's cached codecs, which simulators share, are never
+        touched.
 
         Parameters
         ----------
@@ -213,45 +153,25 @@ class FrameBank(FrameSource):
         encode_throughput_mpixels_s:
             Modeled server-side encoder rate; sets the bank's
             ``encode_time_s`` with the same formula the simulators use.
-        n_jobs:
-            Frames encode in parallel on a
-            :func:`repro.parallel.worker_pool` of this width; ``1``
-            stays in-process.  Results are identical for any value.
         """
         if n_frames < 1:
             raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-        if n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        if isinstance(scene, str):
-            scene_name, scene_obj = scene, get_scene(scene)
-        else:
-            scene_name, scene_obj = scene.name, scene
+        scene = get_scene(scene) if isinstance(scene, str) else scene
         ladder = ladder if ladder is not None else QualityLadder.default()
-        encode_time_s = 2 * height * width / (encode_throughput_mpixels_s * 1e6)
-
-        if n_jobs == 1 or n_frames == 1:
-            results = [
-                _encode_frame(scene_obj, ladder, height, width, display, index)
-                for index in range(n_frames)
-            ]
-        else:
-            with worker_pool(min(n_jobs, n_frames)) as pool:
-                results = pool_map(
-                    pool,
-                    _encode_frame_by_name,
-                    [scene_name] * n_frames,
-                    [ladder] * n_frames,
-                    [height] * n_frames,
-                    [width] * n_frames,
-                    [display] * n_frames,
-                    range(n_frames),
-                )
+        codecs = [rung.build() for rung in ladder]
+        for codec in codecs:
+            if hasattr(codec, "payload"):
+                codec.payload = True
+        streams: list[tuple[bytes | None, ...]] = []
+        rung_streams = encode_rung_streams(
+            scene, codecs, n_frames, height, width, display, payloads=streams
+        )
         return cls(
             ladder=ladder,
-            rung_streams=[bits for bits, _ in results],
-            payloads=[payloads for _, payloads in results],
-            encode_time_s=encode_time_s,
-            scene_name=scene_name,
+            rung_streams=rung_streams,
+            payloads=_bank_payloads(rung_streams, streams),
+            encode_time_s=modeled_encode_time_s(height, width, encode_throughput_mpixels_s),
+            scene_name=scene.name,
             height=height,
             width=width,
         )
@@ -271,19 +191,13 @@ class FrameBank(FrameSource):
         become a servable bank, so simulator and server stream
         byte-for-bit the same ladder sizes.
         """
-        ladder = ladder if ladder is not None else QualityLadder.default()
         rung_streams = [tuple(int(b) for b in frame) for frame in rung_streams]
-        payloads = [
-            tuple(
-                filler_payload(bits, frame_index, rung_index)
-                for rung_index, bits in enumerate(frame_bits)
-            )
-            for frame_index, frame_bits in enumerate(rung_streams)
-        ]
         return cls(
-            ladder=ladder,
+            ladder=ladder if ladder is not None else QualityLadder.default(),
             rung_streams=rung_streams,
-            payloads=payloads,
+            payloads=_bank_payloads(
+                rung_streams, [[None] * len(frame) for frame in rung_streams]
+            ),
             encode_time_s=encode_time_s,
             scene_name=scene_name,
         )
@@ -293,16 +207,12 @@ class FrameBank(FrameSource):
     @property
     def n_unique_frames(self) -> int:
         """Frames actually encoded (streams cycle over them)."""
-        return len(self._rung_streams)
+        return len(self._frames)
 
     @property
     def rung_streams(self) -> list[tuple[int, ...]]:
         """Per-frame ladder sizes, in ``simulate_adaptive_session`` form."""
-        return list(self._rung_streams)
-
-    def rung_bits(self, frame_index: int) -> tuple[int, ...]:
-        """Payload bits of frame ``frame_index`` at every rung."""
-        return self._rung_streams[frame_index % len(self._rung_streams)]
+        return list(self._frames)
 
     def payload(self, frame_index: int, rung_index: int) -> bytes:
         """The wire bytes of one frame at one rung."""

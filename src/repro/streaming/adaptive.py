@@ -47,6 +47,7 @@ from .engine import (
     PrecomputedSource,
     StreamingEngine,
     StreamSpec,
+    modeled_encode_time_s,
 )
 from .link import WirelessLink
 from .session import SessionReport
@@ -391,7 +392,7 @@ def simulate_adaptive_session(
         source=PrecomputedSource(rung_streams),
         n_frames=n_frames,
         target_fps=target_fps,
-        encode_time_s=2 * height * width / (encode_throughput_mpixels_s * 1e6),
+        encode_time_s=modeled_encode_time_s(height, width, encode_throughput_mpixels_s),
         adaptation=state,
     )
     outcome = engine.run([spec], seed=seed)[0]

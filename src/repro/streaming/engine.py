@@ -64,6 +64,7 @@ __all__ = [
     "FrameSource",
     "PrecomputedSource",
     "frames_within_window",
+    "modeled_encode_time_s",
     "StreamSpec",
     "StreamOutcome",
     "StreamingEngine",
@@ -551,6 +552,11 @@ def frames_within_window(
         return n_frames
     by_departure = math.ceil((stop_s - start_s) * target_fps - 1e-9)
     return max(1, min(n_frames, by_departure))
+
+
+def modeled_encode_time_s(height: int, width: int, encode_throughput_mpixels_s: float) -> float:
+    """Modeled server-side encode time of one stereo frame (both eyes)."""
+    return 2 * height * width / (encode_throughput_mpixels_s * 1e6)
 
 
 @dataclass

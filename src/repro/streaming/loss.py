@@ -600,14 +600,13 @@ class DropSkipPolicy(RecoveryPolicy):
         return RecoveryResult(n_lost == 0, 0.0, 0)
 
 
-def get_recovery_policy(
-    policy: "str | RecoveryPolicy | None", **kwargs
-) -> RecoveryPolicy:
+def get_recovery_policy(policy: "str | RecoveryPolicy | None") -> RecoveryPolicy:
     """Resolve a recovery policy by name or pass an instance through.
 
     Mirrors :func:`~repro.streaming.adaptive.get_controller`: ``None``
-    and ``"arq"`` both give the default ARQ policy; keyword arguments
-    are forwarded to the named policy's constructor.
+    and ``"arq"`` both give the default ARQ policy, and named policies
+    take their default tuning; construct the class directly (e.g.
+    ``FecPolicy(k=4)``) to tune one.
 
     Raises
     ------
@@ -615,10 +614,6 @@ def get_recovery_policy(
         For unknown policy names (listing :data:`RECOVERY_CHOICES`).
     """
     if isinstance(policy, RecoveryPolicy):
-        if kwargs:
-            raise ValueError(
-                "cannot pass policy kwargs alongside a policy instance"
-            )
         return policy
     if policy is None:
         policy = "arq"
@@ -630,7 +625,7 @@ def get_recovery_policy(
             f"unknown recovery policy {policy!r}; "
             f"expected one of {RECOVERY_CHOICES}"
         ) from None
-    return cls(**kwargs)
+    return cls()
 
 
 @dataclass(frozen=True)

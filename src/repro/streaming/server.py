@@ -66,6 +66,7 @@ from .engine import (
     StreamingEngine,
     StreamSpec,
     frames_within_window,
+    modeled_encode_time_s,
 )
 from .link import WIFI6_LINK, WirelessLink
 from .reports import Report
@@ -183,7 +184,9 @@ class ClientConfig:
     @property
     def encode_time_s(self) -> float:
         """Server-side encode time for one stereo frame."""
-        return 2 * self.height * self.width / (self.encode_throughput_mpixels_s * 1e6)
+        return modeled_encode_time_s(
+            self.height, self.width, self.encode_throughput_mpixels_s
+        )
 
     def fixation_at(self, time_s: float) -> tuple[float, float]:
         """Gaze point in effect at a session time.

@@ -27,7 +27,13 @@ from ..codecs.ladder import QualityLadder, encode_rung_streams
 from ..codecs.registry import streaming_codec_names
 from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from ..scenes.library import Scene
-from .engine import FrameTiming, PrecomputedSource, StreamingEngine, StreamSpec
+from .engine import (
+    FrameTiming,
+    PrecomputedSource,
+    StreamingEngine,
+    StreamSpec,
+    modeled_encode_time_s,
+)
 from .link import WirelessLink
 from .loss import LossStats
 from .reports import OMIT_DEFAULT, Report
@@ -179,7 +185,7 @@ def simulate_session(
         ),
         n_frames=n_frames,
         target_fps=target_fps,
-        encode_time_s=2 * height * width / (encode_throughput_mpixels_s * 1e6),
+        encode_time_s=modeled_encode_time_s(height, width, encode_throughput_mpixels_s),
     )
     outcome = engine.run([spec], seed=seed)[0]
     return SessionReport(

@@ -1,15 +1,44 @@
 """FrameBank tests: sizes match the simulators, bytes match the sizes."""
 
+import hashlib
+import json
+
 import pytest
 
-from repro.codecs.ladder import QualityLadder, encode_rung_streams
+from repro.codecs.ladder import QualityLadder, QualityRung, encode_rung_streams
 from repro.scenes import get_scene
 from repro.scenes.display import QUEST2_DISPLAY
 from repro.serving.frames import FrameBank, filler_payload
 
 
+#: A ladder with a stateful rung: temporal BD prices each frame
+#: against the one before it.
+TEMPORAL_LADDER = QualityLadder(
+    (QualityRung("bd", "bd", 1.0), QualityRung("temporal-bd", "temporal-bd", 0.9))
+)
+
+#: SHA-256 of office banks on the default ladder, keyed by
+#: ``(n_frames, size)``: the JSON of ``rung_streams``, then every
+#: ``payload(f, r)`` in frame-major order (perfbench's ``bank_digest``).
+#: ``(4, 96)`` is the ``repro serve`` default bank.  Recorded on an
+#: earlier tree: changes to how a bank renders and encodes its frames
+#: must leave these bytes identical.
+PINNED_BANKS = {
+    (2, 32): "b9d43a2428f43441c4b2d94a4a8dcf46f1a499fea0818bf00befc0e67d5b14f2",
+    (4, 96): "69a7eef68866b6ba49d781c10b37ed753e4685171be2ccf95de7a41b0efa2f4f",
+}
+
+
 def _sub_ladder(n: int) -> QualityLadder:
     return QualityLadder(rungs=QualityLadder.default().rungs[:n])
+
+
+def bank_digest(bank: FrameBank) -> str:
+    digest = hashlib.sha256(json.dumps(bank.rung_streams).encode())
+    for frame in range(bank.n_unique_frames):
+        for rung in range(len(bank.ladder)):
+            digest.update(bank.payload(frame, rung))
+    return digest.hexdigest()
 
 
 class TestFillerPayload:
@@ -75,14 +104,40 @@ class TestFromScene:
     def bank(self):
         return FrameBank.from_scene("office", n_frames=2, height=32, width=32)
 
-    def test_sizes_match_the_simulator_encode_path(self, bank):
+    @pytest.mark.parametrize(
+        "ladder",
+        [QualityLadder.default(), TEMPORAL_LADDER],
+        ids=["default", "temporal-bd"],
+    )
+    def test_sizes_match_the_simulator_encode_path(self, ladder):
         # The bank must price frames exactly like the ladder encode the
         # simulators run, or the twin contract is void at the source.
-        codecs = [rung.build() for rung in QualityLadder.default()]
+        # A stateful rung must see the frames in order, as in a stream.
+        bank = FrameBank.from_scene(
+            "office", ladder=ladder, n_frames=4, height=32, width=32
+        )
+        codecs = [rung.build() for rung in ladder]
         expected = encode_rung_streams(
-            get_scene("office"), codecs, 2, 32, 32, QUEST2_DISPLAY
+            get_scene("office"), codecs, 4, 32, 32, QUEST2_DISPLAY
         )
         assert bank.rung_streams == expected
+
+    @pytest.mark.parametrize("n_frames, size", sorted(PINNED_BANKS))
+    def test_bank_bytes_are_pinned(self, n_frames, size):
+        bank = FrameBank.from_scene(
+            "office", n_frames=n_frames, height=size, width=size
+        )
+        assert bank_digest(bank) == PINNED_BANKS[n_frames, size]
+
+    def test_shared_ladder_codecs_stay_bits_only(self):
+        # The bank turns on bitstreams in codecs of its own; the
+        # ladder's cached instances, which simulators share, keep
+        # pricing without building bytes.
+        ladder = _sub_ladder(4)
+        shared = [ladder.build_codec(index) for index in range(len(ladder))]
+        FrameBank.from_scene("office", ladder=ladder, n_frames=1, height=16, width=16)
+        for codec in shared:
+            assert getattr(codec, "payload", False) is False
 
     def test_bitstream_rungs_carry_real_bytes(self, bank):
         # BD-family rungs emit actual packed bitstreams (distinct from
@@ -102,15 +157,6 @@ class TestFromScene:
         for rung_index in range(len(ladder)):
             bits = bank.rung_bits(0)[rung_index]
             assert len(bank.payload(0, rung_index)) == (bits + 7) // 8
-
-    def test_parallel_encode_is_bit_identical(self, bank):
-        pooled = FrameBank.from_scene(
-            "office", n_frames=2, height=32, width=32, n_jobs=2
-        )
-        assert pooled.rung_streams == bank.rung_streams
-        for frame in range(2):
-            for rung in range(len(bank.ladder)):
-                assert pooled.payload(frame, rung) == bank.payload(frame, rung)
 
     def test_encode_time_uses_the_simulator_formula(self, bank):
         assert bank.encode_time_s == pytest.approx(2 * 32 * 32 / 500e6)

@@ -9,10 +9,19 @@ import asyncio
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from repro.color import encode_srgb8
+from repro.encoding.bd import BDCodec
+from repro.encoding.bd import EncodedFrame as BDStream
+from repro.encoding.bd_variable import VariableBDCodec, VariableEncodedFrame
+from repro.encoding.tiling import TileGrid
+from repro.scenes import get_scene
 from repro.serving import (
+    Ack,
     Bye,
+    Frame,
     FrameBank,
     Hello,
     LoadgenConfig,
@@ -239,6 +248,85 @@ class TestBackpressure:
         assert not isinstance(messages[0], Welcome)
 
 
+async def _receive_frames(config: ServeConfig, setup: StreamSetup) -> list[Frame]:
+    """Stream one session to a raw client that ACKs every frame."""
+    server = StreamServer(config)
+    await server.start()
+    try:
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(encode_message(Hello(setup=setup)))
+        await writer.drain()
+        decoder = MessageDecoder()
+        frames: list[Frame] = []
+        done = False
+        while not done:
+            data = await reader.read(65536)
+            if not data:
+                break
+            for message in decoder.feed(data):
+                if isinstance(message, Frame):
+                    frames.append(message)
+                    writer.write(encode_message(Ack(message.frame_index, 0.0)))
+                elif isinstance(message, Bye):
+                    done = True
+            await writer.drain()
+        writer.close()
+        await writer.wait_closed()
+    finally:
+        await server.stop()
+    return frames
+
+
+def _decode_eye(codec, data: bytes, grid: TileGrid) -> np.ndarray:
+    # Decoders read only the stream (trailing bytes are ignored) and
+    # check its header against the grid; the size breakdown is unused.
+    if isinstance(codec, VariableBDCodec):
+        return codec.decode(VariableEncodedFrame(data, grid, codec.group_size, None))
+    return codec.decode(BDStream(data, grid, None))
+
+
+class TestServedPayloads:
+    """A client decodes what the server sends back to the rendered eyes."""
+
+    SIZE = 32
+
+    @pytest.fixture(scope="class")
+    def bank(self):
+        return FrameBank.from_scene(
+            "office", n_frames=2, height=self.SIZE, width=self.SIZE
+        )
+
+    @pytest.mark.parametrize(
+        "rung, codec",
+        [("bd", BDCodec(4)), ("variable-bd", VariableBDCodec(4, 4))],
+        ids=["bd", "variable-bd"],
+    )
+    def test_pinned_rung_payloads_decode_to_both_eyes(self, bank, rung, codec):
+        setup = StreamSetup(
+            scene="office", height=self.SIZE, width=self.SIZE, target_fps=100.0,
+            n_frames=4, controller="fixed", start_rung=rung,
+        )
+        frames = asyncio.run(
+            asyncio.wait_for(_receive_frames(ServeConfig(bank=bank, port=0), setup), 30.0)
+        )
+        assert [frame.frame_index for frame in frames] == [0, 1, 2, 3]
+        grid = TileGrid(self.SIZE, self.SIZE, 4)
+        scene = get_scene("office")
+        for frame in frames:
+            assert frame.rung == bank.ladder.index_of(rung)
+            eyes = scene.render_stereo(
+                self.SIZE, self.SIZE, frame=frame.frame_index % bank.n_unique_frames
+            )
+            # The payload is the left eye's stream, then the right's;
+            # re-encoding the decoded left eye says where the right
+            # one starts.
+            left = _decode_eye(codec, frame.payload, grid)
+            split = len(codec.encode(left).data)
+            right = _decode_eye(codec, frame.payload[split:], grid)
+            np.testing.assert_array_equal(left, encode_srgb8(eyes[0]))
+            np.testing.assert_array_equal(right, encode_srgb8(eyes[1]))
+
+
 class TestCli:
     def test_loadgen_spawn_server_smoke(self, capsys, tmp_path):
         # The single-process smoke the CI job runs, scaled down.
@@ -291,6 +379,22 @@ class TestCli:
         assert "serving 'office'" in out
         rebuilt = ServerReport.from_json(report_path.read_text())
         assert rebuilt.n_clients == 0
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (serve_main, ["--port", "0", "--bank-frames", "1", "--duration", "0.1"]),
+            (loadgen_main, ["--port", "1", "--frames", "1", "--timeout", "2"]),
+        ],
+        ids=["serve", "loadgen"],
+    )
+    def test_bank_jobs_flag_is_rejected(self, main, argv, capsys):
+        # Banks encode serially; argparse refuses the flag before any
+        # bank is built or socket opened.
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "2", *argv])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_bad_scene_exits_2(self, capsys):
         assert serve_main(["--scene", "no-such-scene"]) == 2
