@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet_group.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="fleet only: process-pool width for per-client encoding (default 1)",
+        help="fleet only: process-pool width for encoding, one task per scene and size (default 1)",
     )
     fleet_group.add_argument(
         "--scheduler", choices=SCHEDULER_CHOICES, default=None,

@@ -124,6 +124,11 @@ class Codec(abc.ABC):
     #: stream in display order, so batch parallelism keeps them serial.
     stateful: bool = False
 
+    #: Whether :meth:`encode` reads the gaze (``ctx.eccentricity``).  A
+    #: gaze-free codec's result depends on the frame alone, so a fleet
+    #: encodes it once per frame for all clients of one scene and size.
+    gaze_contingent: bool = False
+
     @abc.abstractmethod
     def encode(self, ctx: "FrameContext") -> EncodedFrame:
         """Encode one frame described by a shared context."""

@@ -36,6 +36,7 @@ __all__ = [
     "QualityLadder",
     "DEFAULT_LADDER_SPEC",
     "encode_stereo_bits",
+    "encode_scene_streams",
     "encode_rung_streams",
 ]
 
@@ -235,7 +236,7 @@ def encode_stereo_bits(
 ) -> tuple[int, ...]:
     """Stereo-payload bits of one frame under each codec.
 
-    The per-frame step of :func:`encode_rung_streams`: each eye gets a
+    The per-frame step of :func:`encode_scene_streams`: each eye gets a
     single :class:`~repro.codecs.context.FrameContext` reused across all
     codecs, so quantization and tiling run at most once per eye however
     many rungs are encoded.
@@ -274,6 +275,87 @@ def encode_stereo_bits(
     return tuple(bits)
 
 
+def encode_scene_streams(
+    scene,
+    streams: Sequence[
+        tuple[Sequence["Codec"], int, Sequence[tuple[float, float]] | None]
+    ],
+    height: int,
+    width: int,
+    display: "DisplayGeometry",
+    payloads: list | None = None,
+) -> list[list[tuple[int, ...]]]:
+    """Render and encode several streams of one scene and size together.
+
+    The one render/encode loop behind every simulator and the server:
+    :func:`encode_rung_streams` is its one-stream case, and
+    :func:`~repro.streaming.server.encode_client_streams` runs each
+    fleet's (scene, resolution) group through it.  Frames run in display
+    order, so stateful codecs see their frames serially.  Frame ``k`` is
+    rendered once, then each stream encodes only what no other stream
+    has encoded for that frame: streams holding one stateless codec
+    instance share its result, per frame if the codec is gaze-free and
+    per fixation if it is :attr:`~repro.codecs.base.Codec.gaze_contingent`.
+    Only frame ``k``'s eyes and results are held at a time.
+
+    Parameters
+    ----------
+    scene:
+        The scene to render (a :class:`~repro.scenes.library.Scene`).
+    streams:
+        One ``(codecs, n_frames, fixations)`` triple per stream: codec
+        instances, one per rung (order preserved; ``reset()`` before the
+        first frame); frames to encode from animation frame 0; and one
+        normalized gaze point per frame, or ``None`` for a centered gaze.
+    height, width:
+        Per-eye render resolution.
+    display:
+        Headset geometry for the eccentricity maps.
+    payloads:
+        Optional list that receives, per stream, one tuple of bitstreams
+        per frame, as :func:`encode_stereo_bits` fills it.
+
+    Returns
+    -------
+    list of list of tuple of int
+        Per stream, one tuple of summed both-eye payload bits per frame,
+        one entry per codec.
+    """
+    for codecs, _, _ in streams:
+        for codec in codecs:
+            codec.reset()
+    bits = [[] for _ in streams]
+    streams_payloads = [[] for _ in streams]
+    for index in range(max((n_frames for _, n_frames, _ in streams), default=0)):
+        eyes = scene.render_stereo(height, width, frame=index)
+        done = {}  # share key -> (bits, payload), for this frame only
+        for (codecs, n_frames, fixations), rows, rows_payloads in zip(
+            streams, bits, streams_payloads
+        ):
+            if index >= n_frames:
+                continue
+            fixation = fixations[index] if fixations is not None else (0.5, 0.5)
+            # A stateful codec's result also depends on its history: never shared.
+            keys = [
+                object() if codec.stateful
+                else (id(codec), fixation if codec.gaze_contingent else None)
+                for codec in codecs
+            ]
+            todo = {key: codec for key, codec in zip(keys, codecs) if key not in done}
+            if todo:
+                eccentricity = display.eccentricity_map(height, width, fixation=fixation)
+                frame_payloads: list = []
+                encoded = encode_stereo_bits(
+                    list(todo.values()), eyes, eccentricity, display, frame_payloads
+                )
+                done.update(zip(todo, zip(encoded, frame_payloads[0])))
+            rows.append(tuple(done[key][0] for key in keys))
+            rows_payloads.append(tuple(done[key][1] for key in keys))
+    if payloads is not None:
+        payloads.extend(streams_payloads)
+    return bits
+
+
 def encode_rung_streams(
     scene,
     codecs: Sequence["Codec"],
@@ -286,33 +368,12 @@ def encode_rung_streams(
 ) -> list[tuple[int, ...]]:
     """Render and encode a stream's frames at every codec rung.
 
-    The one producer of per-frame rung sizes behind every simulator and
-    the server: the solo and adaptive sessions, the exact fleet and the
-    cohort fleet all precompute their streams here and replay them
-    through :class:`~repro.streaming.engine.PrecomputedSource`, and
+    The one-stream case of :func:`encode_scene_streams`, which documents
+    the arguments: the solo and adaptive sessions precompute their
+    streams here and replay them through
+    :class:`~repro.streaming.engine.PrecomputedSource`, and
     :meth:`repro.serving.frames.FrameBank.from_scene` encodes its bank
-    here.  Frames are rendered and encoded in display order, so stateful
-    codecs see their frames serially.
-
-    Parameters
-    ----------
-    scene:
-        The scene to render (a :class:`~repro.scenes.library.Scene`).
-    codecs:
-        Codec instances, one per rung (order preserved); they are
-        ``reset()`` before the first frame.
-    n_frames:
-        Frames to render and encode, starting at animation frame 0.
-    height, width:
-        Per-eye render resolution.
-    display:
-        Headset geometry for the eccentricity map.
-    fixations:
-        One normalized gaze point per frame; ``None`` keeps the gaze
-        centered on every frame.
-    payloads:
-        Optional list that receives one tuple of bitstreams per frame,
-        as :func:`encode_stereo_bits` fills it.
+    here.  ``payloads`` receives one tuple of bitstreams per frame.
 
     Returns
     -------
@@ -320,12 +381,10 @@ def encode_rung_streams(
         One tuple of summed both-eye payload bits per frame, one entry
         per codec.
     """
-    for codec in codecs:
-        codec.reset()
-    streams = []
-    for index in range(n_frames):
-        fixation = fixations[index] if fixations is not None else (0.5, 0.5)
-        eyes = scene.render_stereo(height, width, frame=index)
-        eccentricity = display.eccentricity_map(height, width, fixation=fixation)
-        streams.append(encode_stereo_bits(codecs, eyes, eccentricity, display, payloads))
-    return streams
+    collected: list = []
+    (stream,) = encode_scene_streams(
+        scene, [(codecs, n_frames, fixations)], height, width, display, collected
+    )
+    if payloads is not None:
+        payloads.extend(collected[0])
+    return stream

@@ -140,6 +140,8 @@ class PerceptualCodec(Codec):
     subclasses :class:`~repro.codecs.base.EncodedFrame`.
     """
 
+    gaze_contingent = True
+
     def __init__(self, encoder=None, **encoder_kwargs):
         # Imported here: core.pipeline itself imports codecs.base.
         from ..core.pipeline import PerceptualEncoder

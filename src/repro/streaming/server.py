@@ -26,10 +26,11 @@ discrete-event kernel in :mod:`repro.streaming.engine`:
   :class:`FleetReport` with tail latency, clients meeting target, and
   aggregate link utilization.
 
-Client streams are independent until their payloads meet at the link,
-so with ``n_jobs > 1`` the render+encode work fans out over a process
-pool, one task per client stream — frames within a stream stay serial
-and ordered, which is what stateful codecs require.
+Clients of one scene and resolution share their render+encode work
+(each frame is rendered once for the group), so with ``n_jobs > 1`` it
+fans out over a process pool, one task per (scene, resolution) group —
+frames within a group stay serial and ordered, which is what stateful
+codecs require.
 
 Two orthogonal extensions ride on the same kernel:
 
@@ -52,7 +53,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..codecs.ladder import QualityLadder, encode_rung_streams
+from ..codecs.ladder import QualityLadder, encode_scene_streams
 from ..parallel import gather, worker_pool
 from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from ..scenes.gaze import GazeSample
@@ -493,26 +494,6 @@ def solo_sustainable_fps(report: ClientReport, link: WirelessLink) -> float:
     return 1.0 / bottleneck if bottleneck > 0 else float("inf")
 
 
-def _client_stream(
-    client: ClientConfig,
-    n_frames: int,
-    rung_map: tuple[int, ...],
-    display: DisplayGeometry,
-    ladder: QualityLadder,
-) -> list[tuple[int, ...]]:
-    """One client's rung stream: its ``rung_map`` rungs under its gaze."""
-    fixations = [client.fixation_at(k / client.target_fps) for k in range(n_frames)]
-    return encode_rung_streams(
-        get_scene(client.scene),
-        [ladder.build_codec(index) for index in rung_map],
-        n_frames,
-        client.height,
-        client.width,
-        display,
-        fixations,
-    )
-
-
 def encode_client_streams(
     clients: Sequence[ClientConfig],
     n_frames: int,
@@ -532,12 +513,14 @@ def encode_client_streams(
     may pin another rung — encodes just that rung; any other policy
     encodes the whole ladder.
 
-    Each client's stream renders and encodes as one unit through
-    :func:`~repro.codecs.ladder.encode_rung_streams` — inline, or as one
-    process-pool task per client when ``n_jobs > 1`` — so stateful
-    codecs see their frames serially and in order, and results are
-    bit-identical for any ``n_jobs``.  A departing client encodes only
-    the frames the engine will stream
+    Clients of one (scene, resolution) group encode together through
+    :func:`~repro.codecs.ladder.encode_scene_streams`: each frame is
+    rendered once per group, each gaze-free rung encoded once per frame
+    and each gaze-contingent rung once per (frame, fixation), while
+    stateful rungs stay per client.  With ``n_jobs > 1`` the groups fan
+    out as one process-pool task each; results are bit-identical for
+    any ``n_jobs``.  A departing client encodes only the frames the
+    engine will stream
     (:func:`~repro.streaming.engine.frames_within_window`).
 
     Returns
@@ -550,8 +533,11 @@ def encode_client_streams(
     Raises
     ------
     ValueError
-        If a fixed controller pins a rung outside ``ladder``.
+        If ``n_jobs`` is not a positive integer, or a fixed controller
+        pins a rung outside ``ladder``.
     """
+    if not isinstance(n_jobs, int) or n_jobs < 1:
+        raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
     starts = [ladder.index_of(client.codec) for client in clients]
     if policy is None or isinstance(policy, FixedController):
         pinned = policy.pinned_index(ladder) if policy is not None else None
@@ -560,23 +546,28 @@ def encode_client_streams(
         rung_maps = [(start,) for start in starts]
     else:
         rung_maps = [tuple(range(len(ladder)))] * len(clients)
-    tasks = [
-        (
-            client,
-            frames_within_window(
-                n_frames, client.target_fps, client.start_s, client.stop_s
-            ),
-            rung_map,
+    specs = []
+    for client, rung_map in zip(clients, rung_maps):
+        count = frames_within_window(
+            n_frames, client.target_fps, client.start_s, client.stop_s
         )
-        for client, rung_map in zip(clients, rung_maps)
+        fixations = [client.fixation_at(k / client.target_fps) for k in range(count)]
+        specs.append(([ladder.build_codec(rung) for rung in rung_map], count, fixations))
+    groups: dict[tuple[str, int, int], list[int]] = {}
+    for index, client in enumerate(clients):
+        groups.setdefault((client.scene, client.height, client.width), []).append(index)
+    tasks = [
+        (get_scene(scene), [specs[index] for index in members], height, width, display)
+        for (scene, height, width), members in groups.items()
     ]
-    if n_jobs == 1 or len(clients) == 1:
-        streams = [_client_stream(*task, display, ladder) for task in tasks]
+    if n_jobs == 1 or len(tasks) <= 1:
+        results = [encode_scene_streams(*task) for task in tasks]
     else:
-        with worker_pool(min(n_jobs, len(clients))) as pool:
-            streams = gather(
-                [pool.submit(_client_stream, *task, display, ladder) for task in tasks]
-            )
+        with worker_pool(min(n_jobs, len(tasks))) as pool:
+            results = gather([pool.submit(encode_scene_streams, *task) for task in tasks])
+    order = [index for members in groups.values() for index in members]
+    encoded = dict(zip(order, (stream for result in results for stream in result)))
+    streams = [encoded[index] for index in range(len(clients))]
     return list(zip(starts, rung_maps, streams))
 
 
@@ -602,8 +593,8 @@ def simulate_fleet(
     target_fps`` and queue behind the client's own transmit backlog —
     and cross-client contention resolves event by event in the
     scheduler's fluid limit.  ``n_jobs``
-    parallelizes the render+encode work across client streams; results
-    are bit-identical for any value.
+    parallelizes the render+encode work across (scene, resolution)
+    groups of clients; results are bit-identical for any value.
 
     Parameters
     ----------
@@ -618,7 +609,8 @@ def simulate_fleet(
     n_frames:
         Frames streamed per client.
     n_jobs:
-        Process-pool width for per-client encoding.
+        Process-pool width for encoding, one task per (scene,
+        resolution) group.
     display:
         Headset geometry shared by all clients.
     seed:
@@ -655,8 +647,6 @@ def simulate_fleet(
         duplicates = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"duplicate client names: {duplicates}")
     validate_stream_timing(n_frames=n_frames)
-    if not isinstance(n_jobs, int) or n_jobs < 1:
-        raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
     engine = StreamingEngine(link, scheduler=scheduler, recovery=recovery)
     policy = get_controller(controller) if controller is not None else None
     ladder = QualityLadder.default()

@@ -9,7 +9,9 @@ byte-identical, so existing report files and digests keep matching.
 The fleet scenarios cover what the kernel prices differently from a
 round-clock model: staggered joins, a departure, mixed refresh rates,
 jitter, both schedulers, adaptation on a traced link, lossy links under
-each recovery policy, and process-pool encoding.  The remaining
+each recovery policy, and process-pool encoding.  The sharing scenarios
+put several clients on one scene and size, so frames, gaze-free rungs
+and equal fixations are encoded once for the group.  The remaining
 scenarios cover every other producer of rung streams: solo sessions for
 each streaming encoder, adaptive sessions that render their own frames,
 the ``adaptive`` experiment's policy sweep, and cohort fleets under each
@@ -109,6 +111,70 @@ def test_fleet_report_json_is_pinned(name):
 
 def test_pooled_fleet_matches_the_serial_pin():
     assert sha256(contended_fair(n_jobs=2).to_json()) == PINNED_SHA256["contended-fair"]
+
+
+# -- fleets whose clients share scenes, frames and rungs --------------------
+
+SHARED_CONFIG = ExperimentConfig(height=16, width=16, n_frames=3, seed=4)
+
+
+def shared_fleet(n_jobs: int = 1):
+    """4 clients per scene, each on its own saccade trace."""
+    return run_fleet(SHARED_CONFIG, n_clients=24, n_jobs=n_jobs).report
+
+
+def shared_throughput_fleet():
+    """Every client encodes the whole ladder."""
+    link = WirelessLink.traced(
+        BandwidthTrace.square(high_mbps=4.0, low_mbps=0.5, period_s=0.03),
+        propagation_ms=2.0,
+    )
+    return run_fleet(
+        SHARED_CONFIG, n_clients=24, link=link, controller="throughput"
+    ).report
+
+
+def mixed_groups_fleet():
+    """Static gaze over two scenes and two sizes, half the clients leaving early.
+
+    Each (scene, size) group holds one 4-frame and one 3-frame stream,
+    and both perceptual clients share a fixation.
+    """
+    clients = [
+        ClientConfig(
+            name=f"s{i}",
+            scene=("office", "thai")[i % 2],
+            codec=("perceptual", "bd", "variable-bd", "raw")[i % 4],
+            height=(16, 24)[(i // 2) % 2],
+            width=(16, 24)[(i // 2) % 2],
+            stop_s=(None, 0.03)[(i // 4) % 2],
+        )
+        for i in range(8)
+    ]
+    link = WirelessLink(bandwidth_mbps=1.0, propagation_ms=3.0, jitter_ms=0.5)
+    return simulate_fleet(clients, link, n_frames=4, seed=11)
+
+
+SHARING_SCENARIOS = {
+    "shared": shared_fleet,
+    "shared-throughput": shared_throughput_fleet,
+    "mixed-groups": mixed_groups_fleet,
+}
+
+SHARING_SHA256 = {
+    "shared": "1dd909f8af25c8618d69fff6b06a05cd32bfc3aaabfd8001bc16f846eacb846c",
+    "shared-throughput": "b079b81f432fa693d55af401b9ad16bf20d480513898c5f958b8be316fc64b81",
+    "mixed-groups": "58ad23861b44d48c629a501c0c02f17bcb60a035e0118803be41106f7d7621e0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARING_SCENARIOS))
+def test_sharing_fleet_json_is_pinned(name):
+    assert sha256(SHARING_SCENARIOS[name]().to_json()) == SHARING_SHA256[name]
+
+
+def test_pooled_sharing_fleet_matches_the_serial_pin():
+    assert sha256(shared_fleet(n_jobs=2).to_json()) == SHARING_SHA256["shared"]
 
 
 # -- every other rung-stream producer --------------------------------------
