@@ -3,7 +3,7 @@
 The pipeline per file is parse → run every registered rule → drop
 findings suppressed by an inline ``# noqa: RPR###`` → (at the run
 level) drop findings matched by the committed baseline.  Files are
-checked in parallel over :func:`repro.parallel.worker_pool` — each
+checked in parallel through :func:`repro.parallel.run_tasks` — each
 file is independent, so results are reassembled in path order and
 the output is identical for any worker count.
 
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ..parallel import run_tasks
 from .findings import RULES, Finding, ModuleContext
 from .kernels import KERNEL_MODULES, KERNEL_PRAGMA
 
@@ -234,9 +235,8 @@ class AnalysisReport:
         }
 
 
-def _check_one(args: tuple[str, str, tuple[str, ...] | None]) -> list[Finding]:
+def _check_one(path: str, root: str, rules: tuple[str, ...] | None) -> list[Finding]:
     """Picklable per-file worker for the process pool."""
-    path, root, rules = args
     return check_file(path, root=root or None, rules=rules)
 
 
@@ -259,22 +259,17 @@ def run(
 ) -> AnalysisReport:
     """Check ``paths``, apply the baseline, and report.
 
-    ``jobs > 1`` fans files over a process pool
-    (:func:`repro.parallel.worker_pool`); output is identical for any
-    worker count because per-file results are order-independent and
-    globally re-sorted.
+    ``jobs > 1`` fans files over a process pool, one task per file
+    (:func:`repro.parallel.run_tasks`, which rejects a ``jobs`` that is
+    not a positive integer); output is identical for any worker count
+    because per-file results are order-independent and globally
+    re-sorted.
     """
     root = Path(root) if root is not None else Path.cwd()
     files = collect_files(paths)
     rule_tuple = tuple(rules) if rules is not None else None
     work = [(str(f), str(root), rule_tuple) for f in files]
-    if jobs > 1 and len(files) > 1:
-        from ..parallel import pool_map, worker_pool
-
-        with worker_pool(min(jobs, len(files))) as pool:
-            per_file = pool_map(pool, _check_one, work, chunksize=8)
-    else:
-        per_file = [_check_one(item) for item in work]
+    per_file = run_tasks(_check_one, work, jobs)
 
     all_findings = sorted(f for batch in per_file for f in batch)
     fingerprints = [f.fingerprint(_source_line(f, root)) for f in all_findings]

@@ -121,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet_group.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="fleet only: process-pool width for encoding, one task per scene and size (default 1)",
+        help="fleet only: process-pool width, one task per scene and size "
+             "when encoding and one per cohort with --cohorts (default 1)",
     )
     fleet_group.add_argument(
         "--scheduler", choices=SCHEDULER_CHOICES, default=None,
@@ -160,12 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "identical clients into cohorts and advance them in "
              "O(cohorts) work, with tracer clients proven bit-for-bit "
              "against the exact engine (enables million-client fleets)",
-    )
-    fleet_group.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="fleet only, with --cohorts: shard cohorts N ways over the "
-             "process pool (results are byte-identical for any N; "
-             "default 1)",
     )
     fleet_group.add_argument(
         "--tracers", type=int, default=None, metavar="N",
@@ -260,7 +255,6 @@ def main(argv: list[str] | None = None) -> int:
         "--recovery": args.recovery,
         "--controller": args.controller,
         "--cohorts": args.cohorts or None,
-        "--shards": args.shards,
         "--tracers": args.tracers,
     }
     flags_set = [flag for flag, value in fleet_values.items() if value is not None]
@@ -283,11 +277,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace is not None and args.bandwidth is not None:
         print("--trace and --bandwidth are mutually exclusive", file=sys.stderr)
         return 2
-    if (args.shards is not None or args.tracers is not None) and not args.cohorts:
-        print("--shards and --tracers require --cohorts", file=sys.stderr)
-        return 2
-    if args.shards is not None and args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
+    if args.tracers is not None and not args.cohorts:
+        print("--tracers requires --cohorts", file=sys.stderr)
         return 2
     if args.tracers is not None and args.tracers < 0:
         print("--tracers must be >= 0", file=sys.stderr)
@@ -339,7 +330,6 @@ def main(argv: list[str] | None = None) -> int:
         controller=args.controller,
         recovery=args.recovery,
         cohorts=args.cohorts,
-        n_shards=args.shards if args.shards is not None else 1,
         tracers_per_cohort=args.tracers if args.tracers is not None else 1,
     )
 

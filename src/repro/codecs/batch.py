@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ..parallel import gather, worker_pool
+from ..parallel import run_tasks
 from .base import Codec, EncodedFrame
 from .context import FrameContext
 from .registry import get_codec, resolve_codec_name
@@ -99,24 +99,6 @@ def _encode_chunk(
     return results
 
 
-def _encode_parallel(
-    codecs: Sequence[tuple[str, Codec]],
-    ctxs: Sequence[FrameContext],
-    n_jobs: int,
-) -> dict[str, list[EncodedFrame]]:
-    """Fan stateless codecs' frames out over a process pool, in order."""
-    n_chunks = min(n_jobs, len(ctxs))
-    bounds = [round(i * len(ctxs) / n_chunks) for i in range(n_chunks + 1)]
-    chunks = [ctxs[bounds[i] : bounds[i + 1]] for i in range(n_chunks)]
-    with worker_pool(n_chunks) as pool:
-        futures = [pool.submit(_encode_chunk, codecs, chunk) for chunk in chunks]
-        parts = gather(futures)
-    return {
-        key: [frame for part in parts for frame in part[key]]
-        for key, _ in codecs
-    }
-
-
 def encode_batch(
     frames: Iterable | None = None,
     ctxs: Sequence[FrameContext] | None = None,
@@ -165,8 +147,6 @@ def encode_batch(
         ctxs = make_contexts(frames, **context_kwargs)
     elif context_kwargs:
         raise ValueError("context kwargs have no effect when ctxs are pre-built")
-    if not isinstance(n_jobs, int) or n_jobs < 1:
-        raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
 
     # Resolve the roster up front so codec_options can be validated
     # against it before any encoding work starts.
@@ -192,13 +172,19 @@ def encode_batch(
         instances.append((key, codec))
 
     stateless = [(key, codec) for key, codec in instances if not codec.stateful]
-    results: dict[str, list[EncodedFrame]] = {}
-    if n_jobs > 1 and len(ctxs) > 1 and stateless:
-        results.update(_encode_parallel(stateless, ctxs, n_jobs))
-    else:
-        for key, codec in stateless:
-            codec.reset()
-            results[key] = codec.encode_batch(ctxs)
+    # One contiguous chunk of frames per worker, none when every codec
+    # is stateful.  A non-integer n_jobs makes one chunk, so run_tasks
+    # rejects it before any encode.
+    n_frames = len(ctxs) if stateless else 0
+    n_chunks = min(n_jobs, n_frames) if isinstance(n_jobs, int) else 1
+    chunks = [
+        (stateless, ctxs[i * n_frames // n_chunks : (i + 1) * n_frames // n_chunks])
+        for i in range(n_chunks)
+    ]
+    parts = run_tasks(_encode_chunk, chunks, n_jobs)
+    results = {
+        key: [frame for part in parts for frame in part[key]] for key, _ in stateless
+    }
     for key, codec in instances:
         if codec.stateful:
             codec.reset()

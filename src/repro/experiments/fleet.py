@@ -290,7 +290,6 @@ def run_fleet(
     controller: str | RateController | None = None,
     recovery: str | None = None,
     cohorts: bool = False,
-    n_shards: int = 1,
     tracers_per_cohort: int = 1,
 ) -> FleetResult | CohortFleetResult:
     """Simulate the fleet and compare solo vs contended frame rates.
@@ -315,8 +314,8 @@ def run_fleet(
     ``cohorts=True`` switches to the mean-field fast path
     (:mod:`repro.streaming.cohort`): clients fold into scene x codec
     equivalence classes via :func:`build_fleet_cohorts` and advance in
-    O(classes) work, sharded ``n_shards`` ways with
-    ``tracers_per_cohort`` fully-reported tracer clients each — the
+    O(classes) work, with ``tracers_per_cohort`` fully-reported tracer
+    clients each and one ``n_jobs`` pool task per cohort — the
     mode behind ``repro fleet --clients 1000000 --cohorts``.  Cohort
     mode prices contention by analytic waterfilling and composes with
     ``controller``.
@@ -351,12 +350,11 @@ def run_fleet(
             seed=config.seed,
             controller=controller,
             recovery=recovery,
-            n_shards=n_shards,
             n_jobs=n_jobs,
         )
         return CohortFleetResult(report=report)
-    if n_shards != 1 or tracers_per_cohort != 1:
-        raise ValueError("n_shards and tracers_per_cohort require cohorts=True")
+    if tracers_per_cohort != 1:
+        raise ValueError("tracers_per_cohort requires cohorts=True")
     clients = build_fleet_clients(config, n_clients, tuple(streamable), target_fps)
     report = simulate_fleet(
         clients,

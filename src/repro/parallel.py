@@ -1,22 +1,21 @@
-"""Process-pool plumbing shared by the batch encoder and fleet engine.
+"""Process-pool plumbing shared by every parallel path in the library.
 
 Everything CPU-heavy in this library is pure-Python + numpy, so real
-parallel speed-ups need processes, not threads.  This module is the one
-place that decides how those pools are built: fork where the platform
-offers it (cheap start-up, so even small batches win), the platform
-default (spawn) elsewhere.  Callers submit picklable work and reassemble
-results in submission order, which keeps every parallel path
-bit-identical to its serial equivalent.
+parallel speed-ups need processes, not threads.  :func:`run_tasks` is
+the one place a process pool is made: fork where the platform offers
+it (cheap start-up, so even small batches win), the platform default
+(spawn) elsewhere.  Results come back in task order, which keeps every
+parallel path bit-identical to its serial equivalent.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-__all__ = ["worker_pool", "gather", "pool_map", "BrokenPoolError"]
+__all__ = ["run_tasks", "BrokenPoolError"]
 
 
 class BrokenPoolError(RuntimeError):
@@ -38,50 +37,35 @@ _BROKEN_POOL_HINT = (
 )
 
 
-def worker_pool(n_workers: int) -> ProcessPoolExecutor:
-    """A process pool of ``n_workers``, preferring cheap fork start-up.
+def run_tasks(fn: Callable, tasks: Sequence[tuple], n_jobs: int) -> list:
+    """``[fn(*task) for task in tasks]``, fanned over ``n_jobs`` processes.
 
-    Collect results through :func:`gather` or :func:`pool_map` so a
-    worker killed mid-task surfaces as :class:`BrokenPoolError` instead
-    of a bare ``BrokenProcessPool``.
-    """
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    return ProcessPoolExecutor(
-        max_workers=n_workers, mp_context=multiprocessing.get_context(method)
-    )
-
-
-def gather(futures: Sequence[Future]) -> list:
-    """Results of submitted futures, in submission order.
+    Runs in-process when ``n_jobs == 1`` or there is at most one task;
+    otherwise ``min(n_jobs, len(tasks))`` workers each take one task at
+    a time.  ``fn`` and every task must pickle.  Results are in task
+    order whatever the pool width, and an exception raised by ``fn``
+    propagates unchanged.
 
     Raises
     ------
+    ValueError
+        If ``n_jobs`` is not a positive integer — checked before any
+        task runs, even when there are none.
     BrokenPoolError
         If a worker process died (OOM kill, SIGKILL, hard crash)
         before the work completed.
     """
-    try:
-        return [future.result() for future in futures]
-    except BrokenProcessPool as exc:
-        raise BrokenPoolError(_BROKEN_POOL_HINT) from exc
-
-
-def pool_map(
-    pool: ProcessPoolExecutor,
-    fn: Callable,
-    *iterables: Iterable,
-    chunksize: int = 1,
-) -> list:
-    """``list(pool.map(...))`` with broken-worker translation.
-
-    Raises
-    ------
-    BrokenPoolError
-        If a worker process died before the map completed.
-    """
-    try:
-        return list(pool.map(fn, *iterables, chunksize=chunksize))
-    except BrokenProcessPool as exc:
-        raise BrokenPoolError(_BROKEN_POOL_HINT) from exc
+    if not isinstance(n_jobs, int) or n_jobs < 1:
+        raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
+    if n_jobs == 1 or len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    with ProcessPoolExecutor(
+        max_workers=min(n_jobs, len(tasks)),
+        mp_context=multiprocessing.get_context(method),
+    ) as pool:
+        futures = [pool.submit(fn, *task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            raise BrokenPoolError(_BROKEN_POOL_HINT) from exc

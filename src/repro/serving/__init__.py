@@ -9,7 +9,7 @@ over real sockets and measures it:
   against arbitrary TCP chunking;
 * :mod:`~repro.serving.frames` — :class:`FrameBank`, pre-encoded
   ladder payloads (real BD bitstreams where available) that double as
-  an engine :class:`~repro.streaming.engine.FrameSource`;
+  an engine :class:`~repro.streaming.engine.PrecomputedSource`;
 * :mod:`~repro.serving.server` — the asyncio server: paced frame
   loops, per-client send-queue backpressure, deadline drops, and live
   rung selection through the *same*

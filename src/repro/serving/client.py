@@ -27,12 +27,10 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..streaming.engine import FrameTiming
 from ..streaming.loss import Backoff
-from ..streaming.reports import OMIT_DEFAULT, Report
-from ..streaming.server import ClientReport
+from ..streaming.reports import OMIT_DEFAULT
+from ..streaming.server import ClientReport, ClientRollup
 from ..streaming.traces import BandwidthTrace
 from .protocol import (
     Ack,
@@ -149,16 +147,16 @@ class LoadgenClientReport(ClientReport, tag="loadgen-client"):
 
 
 @dataclass(frozen=True)
-class LoadgenReport(Report, tag="loadgen"):
-    """Aggregate outcome of one load-generation run."""
+class LoadgenReport(ClientRollup, tag="loadgen"):
+    """Aggregate outcome of one load-generation run.
+
+    Frame rows carry no encode time, so :meth:`tail_latency_s` (from
+    :class:`~repro.streaming.server.ClientRollup`) is the
+    client-observed delivery latency.
+    """
 
     clients: tuple[LoadgenClientReport, ...]
     duration_s: float = 0.0
-
-    @property
-    def n_clients(self) -> int:
-        """Connections attempted."""
-        return len(self.clients)
 
     @property
     def frames_received(self) -> int:
@@ -189,15 +187,6 @@ class LoadgenReport(Report, tag="loadgen"):
     def total_resyncs(self) -> int:
         """Frame-sequence discontinuities across every client."""
         return sum(r.resyncs for r in self.clients)
-
-    def tail_latency_s(self, percentile: float = 95.0) -> float:
-        """Client-observed delivery-latency percentile across frames."""
-        if not 0 < percentile <= 100:
-            raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-        latencies = [f.transmit_time_s for r in self.clients for f in r.frames]
-        if not latencies:
-            return 0.0
-        return float(np.percentile(latencies, percentile))
 
     def summary(self) -> str:
         """One-line loadgen outcome readout."""

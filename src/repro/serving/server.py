@@ -34,12 +34,10 @@ import asyncio
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..streaming.adaptive import get_controller
 from ..streaming.engine import AdaptationState, FrameTiming
-from ..streaming.reports import OMIT_DEFAULT, Report
-from ..streaming.server import ClientReport
+from ..streaming.reports import OMIT_DEFAULT
+from ..streaming.server import ClientReport, ClientRollup
 from ..streaming.traces import BandwidthTrace
 from ..streaming.validation import validate_stream_timing
 from .chaos import ChaosConfig, ChaosInjector
@@ -191,14 +189,14 @@ class ServedClientReport(ClientReport, tag="served-client"):
 
 
 @dataclass(frozen=True)
-class ServerReport(Report, tag="server"):
+class ServerReport(ClientRollup, tag="server"):
     """Aggregate outcome of a serving run — the live FleetReport.
 
-    Mirrors :class:`~repro.streaming.server.FleetReport` where the
-    concepts coincide (clients, tail latency, stalls, quality) and
-    adds what only a real server has: drop and protocol-error
-    counters, wall-clock duration, rung occupancy measured from actual
-    transmissions.
+    Shares :class:`~repro.streaming.server.FleetReport`'s roll-ups
+    (:class:`~repro.streaming.server.ClientRollup`: client count, tail
+    latency, stalls) and adds what only a real server has: drop and
+    protocol-error counters, wall-clock duration, rung occupancy
+    measured from actual transmissions.
     """
 
     clients: tuple[ServedClientReport, ...]
@@ -207,11 +205,6 @@ class ServerReport(Report, tag="server"):
     scene: str = ""
     handshake_errors: int = field(default=0, metadata=OMIT_DEFAULT)
     unclean_closes: int = field(default=0, metadata=OMIT_DEFAULT)
-
-    @property
-    def n_clients(self) -> int:
-        """Connections that completed a handshake."""
-        return len(self.clients)
 
     @property
     def frames_sent(self) -> int:
@@ -263,22 +256,6 @@ class ServerReport(Report, tag="server"):
             and self.handshake_errors == 0
             and self.unclean_closes == 0
         )
-
-    @property
-    def total_stall_time_s(self) -> float:
-        """Summed stall time across adaptive clients."""
-        return float(
-            sum(r.adaptive.stall_time_s for r in self.clients if r.adaptive is not None)
-        )
-
-    def tail_latency_s(self, percentile: float = 95.0) -> float:
-        """Motion-to-photon latency percentile across delivered frames."""
-        if not 0 < percentile <= 100:
-            raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-        latencies = [f.motion_to_photon_s for r in self.clients for f in r.frames]
-        if not latencies:
-            return 0.0
-        return float(np.percentile(latencies, percentile))
 
     @property
     def rung_occupancy(self) -> dict[str, float]:

@@ -38,7 +38,6 @@ from .engine import (
     ControllerContext,
     Event,
     FairShareScheduler,
-    FrameSource,
     FrameTiming,
     LinkScheduler,
     PrecomputedSource,
@@ -91,7 +90,6 @@ __all__ = [
     "TRANSMIT_START",
     "TRANSMIT_DONE",
     "Event",
-    "FrameSource",
     "PrecomputedSource",
     "StreamSpec",
     "StreamOutcome",

@@ -37,11 +37,11 @@ clients, proven against the exact engine by *tracer clients*:
   equivalence suite (``tests/streaming/test_cohort_equivalence.py``)
   property-tests this.
 
-Fleets shard over :func:`repro.parallel.worker_pool`: cohorts hash to
-shards by name (CRC-32), every per-cohort computation is independent
-of the shard layout (member links are planned globally, RNG streams
-key on the *global* cohort index), and results merge in global cohort
-order — so report JSON is byte-identical for any shard or job count.
+Cohorts fan out over :func:`repro.parallel.run_tasks`, one task per
+cohort: every per-cohort computation is independent of the pool
+(member links are planned globally, RNG streams key on the *global*
+cohort index), and results merge in global cohort order — so report
+JSON is byte-identical for any job count.
 
 Tail latency rolls up through a mergeable
 :class:`~repro.streaming.sketch.QuantileSketch` instead of millions of
@@ -50,14 +50,13 @@ retained samples.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..codecs.ladder import QualityLadder
-from ..parallel import gather, worker_pool
+from ..parallel import run_tasks
 from .adaptive import RateController, get_controller
 from .engine import (
     AdaptationState,
@@ -106,7 +105,7 @@ class CohortSpec:
     Attributes
     ----------
     name:
-        Unique cohort label; also the shard hash key.
+        Unique cohort label.
     n_members:
         How many clients this cohort stands for.
     payloads:
@@ -185,10 +184,6 @@ class CohortSpec:
                 f"cohort {self.name!r}: encode_time_s must be >= 0, "
                 f"got {self.encode_time_s}"
             )
-        if self.start_s < 0:
-            raise ValueError(
-                f"cohort {self.name!r}: start_s must be >= 0, got {self.start_s}"
-            )
         validate_stream_window(self.start_s, self.stop_s, name=self.name)
         if not 0 <= self.n_tracers <= self.n_members:
             raise ValueError(
@@ -253,7 +248,7 @@ def tracer_seed(seed: int, cohort_index: int, tracer_index: int) -> int:
     draws included) as the cohort engine's tracer ``ti`` of cohort ``ci`` —
     the contract the equivalence suite checks.  Seeds are derived
     through ``SeedSequence`` entropy mixing, so they are deterministic,
-    well spread, and independent of sharding.
+    well spread, and independent of the process pool.
 
     Parameters
     ----------
@@ -534,9 +529,8 @@ class CohortSummary:
 
 @dataclass(frozen=True)
 class _CohortOutcome:
-    """One cohort's full result, as returned by a shard worker."""
+    """One cohort's full result, as returned by a pool task."""
 
-    index: int
     summary: CohortSummary
     tracers: tuple[ClientReport, ...]
     sketch: QuantileSketch
@@ -622,7 +616,7 @@ def _simulate_cohort(
     else:
         # Tracers carry their own draws; bulk members draw vectorized
         # half-normal jitter matrices from the cohort's spawned stream
-        # (keyed on the global cohort index — shard-independent).
+        # (keyed on the global cohort index — pool-independent).
         for report in tracers:
             sketch.add(
                 np.asarray([timing.motion_to_photon_s for timing in report.frames])
@@ -677,23 +671,7 @@ def _simulate_cohort(
         member_link=member_link,
         adaptive=stats,
     )
-    return _CohortOutcome(
-        index=index, summary=summary, tracers=tuple(tracers), sketch=sketch
-    )
-
-
-def _simulate_shard(
-    tasks: list[tuple[int, CohortSpec, WirelessLink]],
-    policy: RateController | None,
-    seed: int,
-    n_cohorts: int,
-    recovery: RecoveryPolicy | None,
-) -> list[_CohortOutcome]:
-    """Run one shard's cohorts (a picklable process-pool task)."""
-    return [
-        _simulate_cohort(index, spec, member_link, policy, seed, n_cohorts, recovery)
-        for index, spec, member_link in tasks
-    ]
+    return _CohortOutcome(summary=summary, tracers=tuple(tracers), sketch=sketch)
 
 
 # -- the fleet report ---------------------------------------------------
@@ -708,7 +686,7 @@ class CohortFleetReport(Report, tag="cohort-fleet"):
     :class:`~repro.streaming.server.ClientReport` rows for the fully
     simulated members, and a latency
     :class:`~repro.streaming.sketch.QuantileSketch` instead of every
-    retained sample.  Deliberately carries no shard or job count —
+    retained sample.  Deliberately carries no job count —
     the result (and its JSON) is identical for any execution layout.
     """
 
@@ -879,18 +857,16 @@ def simulate_cohort_fleet(
     seed: int = 0,
     controller: str | RateController | None = None,
     recovery: "str | RecoveryPolicy | None" = None,
-    n_shards: int = 1,
     n_jobs: int = 1,
 ) -> CohortFleetReport:
     """Simulate a fleet of cohorts over one shared link.
 
     Capacity is planned once (:func:`plan_member_links`), then every
-    cohort advances independently on its effective member link —
-    hashed to ``n_shards`` shards by cohort name and fanned over a
-    :func:`repro.parallel.worker_pool` of ``n_jobs`` processes.  All
-    per-cohort randomness keys on the global cohort index, and results
-    merge in global cohort order, so the report (and its JSON) is
-    byte-identical for every ``(n_shards, n_jobs)`` combination —
+    cohort advances independently on its effective member link — one
+    :func:`repro.parallel.run_tasks` task per cohort over ``n_jobs``
+    processes.  All per-cohort randomness keys on the global cohort
+    index, and results merge in global cohort order, so the report
+    (and its JSON) is byte-identical for every ``n_jobs`` —
     property-tested in ``tests/cohort/test_sharding.py``.
 
     Parameters
@@ -916,10 +892,8 @@ def simulate_cohort_fleet(
         the same loss process the exact engine would on their member
         link and carry :class:`~repro.streaming.loss.LossStats` in
         their reports; bulk members price wire bits deterministically.
-    n_shards:
-        Shards cohorts are hashed into (per-AP/cell granularity).
     n_jobs:
-        Process-pool width; ``1`` runs the shards inline.
+        Process-pool width; ``1`` runs every cohort in-process.
 
     Returns
     -------
@@ -935,10 +909,6 @@ def simulate_cohort_fleet(
         raise ValueError(f"duplicate cohort names: {duplicates}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if not isinstance(n_shards, int) or n_shards < 1:
-        raise ValueError(f"n_shards must be a positive integer, got {n_shards!r}")
-    if not isinstance(n_jobs, int) or n_jobs < 1:
-        raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
     # Resolves the scheduler and recovery policy as an exact run would.
     engine = StreamingEngine(link, scheduler, recovery)
 
@@ -954,45 +924,19 @@ def simulate_cohort_fleet(
 
     member_links = plan_member_links(cohorts, link, engine.scheduler.name)
 
-    shard_tasks: list[list[tuple[int, CohortSpec, WirelessLink]]] = [
-        [] for _ in range(n_shards)
-    ]
-    for index, (spec, member_link) in enumerate(zip(cohorts, member_links)):
-        shard = zlib.crc32(spec.name.encode("utf-8")) % n_shards
-        shard_tasks[shard].append((index, spec, member_link))
-    shards = [tasks for tasks in shard_tasks if tasks]
-
     n_cohorts = len(cohorts)
-    if n_jobs == 1 or len(shards) == 1:
-        shard_results = [
-            _simulate_shard(tasks, policy, seed, n_cohorts, engine.recovery)
-            for tasks in shards
-        ]
-    else:
-        with worker_pool(min(n_jobs, len(shards))) as pool:
-            futures = [
-                pool.submit(
-                    _simulate_shard,
-                    tasks,
-                    policy,
-                    seed,
-                    n_cohorts,
-                    engine.recovery,
-                )
-                for tasks in shards
-            ]
-            shard_results = gather(futures)
-
-    by_index = {
-        outcome.index: outcome
-        for outcomes in shard_results
-        for outcome in outcomes
-    }
+    outcomes = run_tasks(
+        _simulate_cohort,
+        [
+            (index, spec, member_link, policy, seed, n_cohorts, engine.recovery)
+            for index, (spec, member_link) in enumerate(zip(cohorts, member_links))
+        ],
+        n_jobs,
+    )
     fleet_sketch = QuantileSketch()
     summaries: list[CohortSummary] = []
     tracers: list[ClientReport] = []
-    for index in range(n_cohorts):
-        outcome = by_index[index]
+    for outcome in outcomes:
         fleet_sketch.merge(outcome.sketch)
         summaries.append(outcome.summary)
         tracers.extend(outcome.tracers)

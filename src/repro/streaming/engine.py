@@ -10,8 +10,8 @@ ns-3-style discrete-event core:
   kinds — :data:`FRAME_READY` (a stream's next stereo frame finished
   encoding), :data:`TRANSMIT_START` (its payload reaches the air), and
   :data:`TRANSMIT_DONE` (its last bit drains);
-* **pluggable components**: a :class:`FrameSource` produces per-frame
-  payload sizes (precomputed by
+* **pluggable components**: a :class:`PrecomputedSource` replays
+  per-frame payload sizes (precomputed by
   :func:`~repro.codecs.ladder.encode_rung_streams`), a rate controller
   (:mod:`repro.streaming.adaptive`) picks each frame's quality-ladder
   rung, a :class:`LinkScheduler` divides the air among concurrent
@@ -31,7 +31,6 @@ start times and mixed refresh rates without a fastest-client hack.
 
 from __future__ import annotations
 
-import abc
 import heapq
 import math
 from collections import deque
@@ -61,7 +60,6 @@ __all__ = [
     "ControllerContext",
     "AdaptiveStats",
     "AdaptationState",
-    "FrameSource",
     "PrecomputedSource",
     "frames_within_window",
     "modeled_encode_time_s",
@@ -487,23 +485,13 @@ class AdaptationState:
 # -- frame sources ------------------------------------------------------
 
 
-class FrameSource(abc.ABC):
-    """Produces each frame's encoded payload sizes, one per rung.
-
-    A source answers one question — "how many bits is frame *k* at
-    every available quality rung" — and hides *how*: replaying
-    precomputed streams (:class:`PrecomputedSource`) or serving a
-    pre-encoded :class:`~repro.serving.frames.FrameBank`.  The engine
-    requests frames in display order.
-    """
-
-    @abc.abstractmethod
-    def rung_bits(self, frame_index: int) -> tuple[int, ...]:
-        """Payload bits of frame ``frame_index``, best rung first."""
-
-
-class PrecomputedSource(FrameSource):
+class PrecomputedSource:
     """Replays precomputed per-frame ladder sizes, cycling if short.
+
+    The engine asks its source one question — "how many bits is frame
+    *k* at every available quality rung" — in display order.  A
+    :class:`~repro.serving.frames.FrameBank` is a source that also
+    holds each rung's payload bytes.
 
     Parameters
     ----------
@@ -595,7 +583,7 @@ class StreamSpec:
     """
 
     name: str
-    source: FrameSource
+    source: PrecomputedSource
     n_frames: int
     target_fps: float
     encode_time_s: float = 0.0
@@ -613,8 +601,6 @@ class StreamSpec:
             raise ValueError(f"encode_time_s must be >= 0, got {self.encode_time_s}")
         if self.weight <= 0:
             raise ValueError(f"stream {self.name!r}: weight must be positive")
-        if self.start_s < 0:
-            raise ValueError(f"start_s must be >= 0, got {self.start_s}")
         validate_stream_window(self.start_s, self.stop_s, name=self.name)
 
     @property

@@ -425,7 +425,7 @@ class RecoveryPolicy:
     overhead, charged to the link before any loss is drawn) and
     :meth:`resolve` (whether the frame is ultimately delivered, at what
     extra latency).  Policies are frozen, stateless, and picklable —
-    one instance is shared across streams and process-pool shards; all
+    one instance is shared across streams and process-pool tasks; all
     per-stream state lives in :class:`LossRuntime`.
 
     Parameters

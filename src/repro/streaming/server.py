@@ -49,12 +49,12 @@ Two orthogonal extensions ride on the same kernel:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..codecs.ladder import QualityLadder, encode_scene_streams
-from ..parallel import gather, worker_pool
+from ..parallel import run_tasks
 from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from ..scenes.gaze import GazeSample
 from ..scenes.library import get_scene
@@ -74,12 +74,10 @@ from .reports import Report
 from .session import ENCODER_CHOICES, SessionReport
 from .validation import validate_stream_timing, validate_stream_window
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .sketch import QuantileSketch
-
 __all__ = [
     "ClientConfig",
     "ClientReport",
+    "ClientRollup",
     "FleetReport",
     "solo_sustainable_fps",
     "encode_client_streams",
@@ -162,10 +160,6 @@ class ClientConfig:
             raise ValueError(
                 f"client {self.name!r}: encode_throughput_mpixels_s must be positive"
             )
-        if self.start_s < 0:
-            raise ValueError(
-                f"client {self.name!r}: start_s must be >= 0, got {self.start_s}"
-            )
         validate_stream_window(self.start_s, self.stop_s, name=self.name)
         fx, fy = self.fixation
         if not (0.0 <= fx <= 1.0 and 0.0 <= fy <= 1.0):
@@ -246,11 +240,53 @@ class ClientReport(SessionReport, tag="client"):
         return len(self.frames) / self.target_fps
 
 
+class ClientRollup(Report):
+    """Fleet roll-ups over one :class:`ClientReport` per client.
+
+    The base of :class:`FleetReport` and of the served
+    :class:`~repro.serving.server.ServerReport` and
+    :class:`~repro.serving.client.LoadgenReport`, so the simulated and
+    served reports answer these from the same frame rows the same way.
+    It declares no field: a subclass supplies ``clients``, and its JSON
+    is its own fields alone.
+    """
+
+    @property
+    def n_clients(self) -> int:
+        """Number of clients reported."""
+        return len(self.clients)
+
+    @property
+    def total_stall_time_s(self) -> float:
+        """Summed stall time across adaptive clients (0 when pinned)."""
+        return float(
+            sum(r.adaptive.stall_time_s for r in self.clients if r.adaptive is not None)
+        )
+
+    def tail_latency_s(self, percentile: float = 95.0) -> float:
+        """Exact motion-to-photon latency percentile over every frame.
+
+        ``numpy.percentile`` over every client's frame rows; 0.0 when no
+        client has a frame.
+
+        Parameters
+        ----------
+        percentile:
+            Percentile in ``(0, 100]``.
+        """
+        if not 0 < percentile <= 100:
+            raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+        latencies = [f.motion_to_photon_s for r in self.clients for f in r.frames]
+        if not latencies:
+            return 0.0
+        return float(np.percentile(latencies, percentile))
+
+
 # Backlog queueing is the only transport pricing; the constant key keeps
 # payloads byte-identical to earlier writers, and the reader rejects
 # reports priced any other way.
 @dataclass(frozen=True)
-class FleetReport(Report, tag="fleet", constants={"pricing": "backlog"}):
+class FleetReport(ClientRollup, tag="fleet", constants={"pricing": "backlog"}):
     """Aggregate outcome of a multi-client streaming simulation."""
 
     clients: tuple[ClientReport, ...]
@@ -258,11 +294,6 @@ class FleetReport(Report, tag="fleet", constants={"pricing": "backlog"}):
     scheduler: str
     n_frames: int
     controller: str | None = None
-
-    @property
-    def n_clients(self) -> int:
-        """Number of clients simulated."""
-        return len(self.clients)
 
     @property
     def is_adaptive(self) -> bool:
@@ -302,40 +333,6 @@ class FleetReport(Report, tag="fleet", constants={"pricing": "backlog"}):
         return float(
             np.mean([f.motion_to_photon_s for r in self.clients for f in r.frames])
         )
-
-    def latency_sketch(self, max_centroids: int = 512) -> "QuantileSketch":
-        """Every frame's motion-to-photon latency as a quantile sketch.
-
-        The sketch is exact (every sample its own centroid) until the
-        frame count exceeds ``max_centroids``, then compresses to
-        constant memory — the representation fleet-scale roll-ups use
-        instead of retaining millions of samples.
-        """
-        from .sketch import QuantileSketch
-
-        sketch = QuantileSketch(max_centroids=max_centroids)
-        for report in self.clients:
-            latencies_s = [f.motion_to_photon_s for f in report.frames]
-            if latencies_s:
-                sketch.add(np.asarray(latencies_s))
-        return sketch
-
-    def tail_latency_s(self, percentile: float = 95.0) -> float:
-        """Latency percentile across every frame of every client.
-
-        Answered from :meth:`latency_sketch`, which defers to
-        ``numpy.percentile`` while uncompressed — so fleets under the
-        default 512-frame budget keep their historic exact values bit
-        for bit (pinned in ``tests/cohort/test_fleet_report_migration.py``).
-
-        Parameters
-        ----------
-        percentile:
-            Percentile in ``(0, 100]``.
-        """
-        if not 0 < percentile <= 100:
-            raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-        return self.latency_sketch().quantile(percentile / 100.0)
 
     @property
     def horizon_s(self) -> float:
@@ -386,13 +383,6 @@ class FleetReport(Report, tag="fleet", constants={"pricing": "backlog"}):
         return int(sum(r.loss.resyncs for r in self.clients if r.loss is not None))
 
     @property
-    def total_frames_lost(self) -> int:
-        """Summed undelivered frames across lossy clients."""
-        return int(
-            sum(r.loss.frames_lost for r in self.clients if r.loss is not None)
-        )
-
-    @property
     def mean_recovery_latency_s(self) -> float:
         """Mean loss-to-resync latency across the fleet's resyncs."""
         stats = [r.loss for r in self.clients if r.loss is not None]
@@ -412,23 +402,6 @@ class FleetReport(Report, tag="fleet", constants={"pricing": "backlog"}):
             r.loss.delivered_quality for r in self.clients if r.loss is not None
         ]
         return float(np.mean(values)) if values else None
-
-    @property
-    def goodput_fraction(self) -> float | None:
-        """Displayed payload over all offered bits, or ``None`` lossless."""
-        stats = [r.loss for r in self.clients if r.loss is not None]
-        if not stats:
-            return None
-        goodput = sum(s.goodput_bits for s in stats)
-        total = goodput + sum(s.wasted_bits + s.overhead_bits for s in stats)
-        return goodput / total if total else 1.0
-
-    @property
-    def total_stall_time_s(self) -> float:
-        """Summed stall time across adaptive clients (0 when pinned)."""
-        return float(
-            sum(r.adaptive.stall_time_s for r in self.clients if r.adaptive is not None)
-        )
 
     @property
     def total_rung_switches(self) -> int:
@@ -536,8 +509,6 @@ def encode_client_streams(
         If ``n_jobs`` is not a positive integer, or a fixed controller
         pins a rung outside ``ladder``.
     """
-    if not isinstance(n_jobs, int) or n_jobs < 1:
-        raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
     starts = [ladder.index_of(client.codec) for client in clients]
     if policy is None or isinstance(policy, FixedController):
         pinned = policy.pinned_index(ladder) if policy is not None else None
@@ -560,11 +531,7 @@ def encode_client_streams(
         (get_scene(scene), [specs[index] for index in members], height, width, display)
         for (scene, height, width), members in groups.items()
     ]
-    if n_jobs == 1 or len(tasks) <= 1:
-        results = [encode_scene_streams(*task) for task in tasks]
-    else:
-        with worker_pool(min(n_jobs, len(tasks))) as pool:
-            results = gather([pool.submit(encode_scene_streams, *task) for task in tasks])
+    results = run_tasks(encode_scene_streams, tasks, n_jobs)
     order = [index for members in groups.values() for index in members]
     encoded = dict(zip(order, (stream for result in results for stream in result)))
     streams = [encoded[index] for index in range(len(clients))]

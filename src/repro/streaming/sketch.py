@@ -1,10 +1,10 @@
 """Streaming quantile sketch for fleet-scale latency roll-ups.
 
-A million-client fleet produces millions of per-frame latencies; the
-:class:`~repro.streaming.server.FleetReport` tail-latency fields used
-to materialize every one of them just to answer ``p95``.  This module
-provides the constant-memory alternative: a deterministic, mergeable
-t-digest-style :class:`QuantileSketch` that keeps at most
+A million-client cohort fleet stands for millions of per-frame
+latencies, and :class:`~repro.streaming.cohort.CohortFleetReport`
+cannot materialize every one of them just to answer ``p95``.  This
+module provides the constant-memory alternative: a deterministic,
+mergeable t-digest-style :class:`QuantileSketch` that keeps at most
 ``max_centroids`` weighted centroids and answers quantile queries by
 interpolating between them.
 
@@ -18,11 +18,10 @@ Design constraints, in order:
 * **Exactness at small scale.**  Compression only starts once the
   centroid count exceeds ``max_centroids``; below that every sample is
   its own (possibly weighted) centroid and quantile queries reproduce
-  ``numpy.percentile`` over the expanded population — so small fleets
-  keep their historic exact tail-latency values bit for bit.
-* **Mergeability.**  Shards build per-cohort sketches independently;
-  :meth:`merge` folds them together.  Merging in a fixed (cohort)
-  order yields byte-identical results for any shard count.
+  ``numpy.percentile`` over the expanded population, bit for bit.
+* **Mergeability.**  Pool tasks build per-cohort sketches
+  independently; :meth:`merge` folds them together.  Merging in a fixed
+  (cohort) order yields byte-identical results for any pool width.
 
 Accuracy: the compression bound keeps each centroid's quantile span
 within ``4 q (1 - q) / max_centroids``, the t-digest ``k2`` scale —
@@ -108,8 +107,8 @@ class QuantileSketch:
         """Fold another sketch's centroids into this one.
 
         Merging per-cohort sketches in a fixed order is deterministic
-        for any shard assignment, which is what keeps sharded fleet
-        reports byte-identical to single-process runs.
+        whichever process built each one, which is what keeps pooled
+        fleet reports byte-identical to single-process runs.
         """
         other._flush()
         if not other._means.size:
@@ -117,7 +116,7 @@ class QuantileSketch:
         # Carry the donor's tracked aggregates verbatim rather than
         # recomputing them from its (sorted, possibly compressed)
         # centroids: summation order stays that of the original stream,
-        # so merging shards reproduces the single-stream sums bit for
+        # so merging cohorts reproduces the single-stream sums bit for
         # bit, and min/max survive compression.
         self._pending.append((other._means.copy(), other._weights.copy()))
         self._total_weight += other._total_weight
@@ -180,7 +179,11 @@ class QuantileSketch:
                     min(int(np.searchsorted(cum, np.ceil(position), side="right")), last)
                 ]
             )
-            return value_low + (value_high - value_low) * float(position - low)
+            # numpy's two-sided lerp: anchor on the nearer sample.
+            fraction = float(position - low)
+            if fraction >= 0.5:
+                return value_high - (value_high - value_low) * (1.0 - fraction)
+            return value_low + (value_high - value_low) * fraction
         cum = np.cumsum(self._weights)
         centers = cum - self._weights / 2.0
         target = q * self._total_weight

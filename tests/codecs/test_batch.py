@@ -162,6 +162,13 @@ class TestParallel:
             encode_batch(frames[:1], codecs=("bd",), n_jobs=0)
         with pytest.raises(ValueError, match="n_jobs"):
             encode_batch(frames[:1], codecs=("bd",), n_jobs=1.5)
+        with pytest.raises(ValueError, match="n_jobs"):
+            encode_batch(ctxs=[], codecs=("bd",), n_jobs=0)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_empty_batch_encodes_nothing(self, n_jobs):
+        results = encode_batch(ctxs=[], codecs=("bd", "temporal-bd"), n_jobs=n_jobs)
+        assert results == {"bd": [], "temporal-bd": []}
 
     @pytest.mark.slow
     @pytest.mark.skipif(

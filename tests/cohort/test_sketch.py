@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.streaming.sketch import QuantileSketch
 
@@ -44,6 +46,43 @@ def test_uncompressed_weighted_matches_expanded_population_exactly():
     expanded = np.repeat(values, weights)
     for p in (0.0, 12.5, *PERCENTILES, 100.0):
         assert sketch.quantile(p / 100.0) == float(np.percentile(expanded, p))
+
+
+def test_two_samples_at_the_median_match_numpy():
+    """The smallest case a one-sided ``a + (b - a) * t`` lerp gets wrong:
+    numpy anchors on the upper sample once ``t >= 0.5``."""
+    sketch = QuantileSketch()
+    sketch.add([0.787, 0.192])
+    assert sketch.quantile(0.5) == float(np.percentile([0.787, 0.192], 50.0))
+    assert sketch.quantile(0.5) == 0.48950000000000005
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    samples=st.lists(
+        # Three-decimal latencies, like the counterexample above: they
+        # rarely lerp exactly, so a one-sided lerp shows up quickly.
+        st.tuples(st.integers(0, 1000).map(lambda k: k / 1000), st.integers(1, 8)),
+        min_size=1,
+        max_size=40,
+    ),
+    unit_weights=st.booleans(),
+    percentile=st.floats(0.0, 100.0),
+)
+def test_uncompressed_sketch_is_numpy_percentile(samples, unit_weights, percentile):
+    """Below the budget the sketch is numpy.percentile over the expanded
+    population, bit for bit, for unit and integer weights alike."""
+    values = np.asarray([value for value, _ in samples])
+    sketch = QuantileSketch(max_centroids=max(8, len(samples)))
+    if unit_weights:
+        sketch.add(values)
+        population = values
+    else:
+        weights = np.asarray([weight for _, weight in samples])
+        sketch.add_weighted(values, weights.astype(float))
+        population = np.repeat(values, weights)
+    expected = float(np.percentile(population, percentile))
+    assert sketch.quantile(percentile / 100.0) == expected
 
 
 def test_singleton_and_mean():

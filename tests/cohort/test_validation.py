@@ -2,8 +2,7 @@
 
 Every malformed :class:`~repro.streaming.cohort.CohortSpec` and every
 bad :func:`~repro.streaming.cohort.simulate_cohort_fleet` argument must
-fail up front with a ``ValueError`` — before planning, sharding or any
-process pool starts.
+fail up front with a ``ValueError`` — before any cohort is simulated.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ INVALID = {
     "fleet-no-cohorts": lambda: fleet(cohorts=[]),
     "fleet-duplicate-names": lambda: fleet(cohorts=[cohort(), cohort()]),
     "fleet-negative-seed": lambda: fleet(seed=-1),
-    "fleet-zero-shards": lambda: fleet(n_shards=0),
     "fleet-zero-jobs": lambda: fleet(n_jobs=0),
     "fleet-recovery-on-lossless-link": lambda: fleet(recovery="arq"),
     "fleet-start-rung-outside-ladder": lambda: fleet(

@@ -1,9 +1,11 @@
-"""worker_pool edge cases the cohort engine leans on.
+"""run_tasks edge cases the cohort engine leans on.
 
-Sharded fleets submit cohort state across the process boundary; these
+Pooled fleets submit cohort state across the process boundary; these
 tests pin the behaviours that failure would turn into hangs or corrupt
-merges: pools wider than the work, exceptions propagating instead of
-deadlocking, and every cohort payload type surviving pickling.
+merges: results in task order, pools wider than the work, exceptions
+propagating instead of deadlocking, dead workers failing fast, every
+cohort payload type surviving pickling, and bad pool widths rejected
+before any work.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import signal
 import numpy as np
 import pytest
 
-from repro.parallel import BrokenPoolError, gather, pool_map, worker_pool
+from repro.parallel import BrokenPoolError, run_tasks
 from repro.streaming.cohort import CohortSpec, simulate_cohort_fleet
 from repro.streaming.link import WirelessLink
+from repro.streaming.reports import report_to_json
 from repro.streaming.sketch import QuantileSketch
 from repro.streaming.traces import BandwidthTrace
 
@@ -40,14 +43,17 @@ def _die_hard(value):
     return value  # pragma: no cover - unreachable
 
 
+def test_results_come_back_in_task_order():
+    """More tasks than workers: results still follow the task order."""
+    assert run_tasks(_square, [(n,) for n in range(5)], 2) == [0, 1, 4, 9, 16]
+
+
 def test_pool_wider_than_the_work():
-    """n_workers far beyond the task count must not stall or reorder."""
-    with worker_pool(8) as pool:
-        results = list(pool.map(_square, range(3)))
-    assert results == [0, 1, 4]
+    """n_jobs far beyond the task count must not stall or reorder."""
+    assert run_tasks(_square, [(n,) for n in range(3)], 8) == [0, 1, 4]
 
 
-def test_fleet_n_jobs_beyond_shard_count():
+def test_fleet_n_jobs_beyond_cohort_count():
     specs = [
         CohortSpec(
             name=f"tiny{i}", n_members=10, payloads=((50_000,),), n_frames=2,
@@ -55,54 +61,37 @@ def test_fleet_n_jobs_beyond_shard_count():
         for i in range(3)
     ]
     link = WirelessLink(bandwidth_mbps=200.0, propagation_ms=3.0)
-    report = simulate_cohort_fleet(specs, link, seed=0, n_shards=2, n_jobs=16)
+    report = simulate_cohort_fleet(specs, link, seed=0, n_jobs=16)
     assert report.n_clients == 30
+    assert report_to_json(report) == report_to_json(
+        simulate_cohort_fleet(specs, link, seed=0)
+    )
 
 
 def test_worker_exception_propagates_without_hanging():
-    """A worker raising mid-task must surface through future.result()
-    — promptly, and without wedging the sibling task."""
-    with worker_pool(2) as pool:
-        doomed = pool.submit(_boom, "cohort shard failed")
-        healthy = pool.submit(_square, 6)
-        with pytest.raises(RuntimeError, match="cohort shard failed"):
-            doomed.result(timeout=60)
-        assert healthy.result(timeout=60) == 36
+    """A task raising in a worker must surface promptly, as itself:
+    only dead workers get translated into BrokenPoolError."""
+    with pytest.raises(RuntimeError, match="cohort task failed") as excinfo:
+        run_tasks(_boom, [("cohort task failed",), ("sibling failed",)], 2)
+    assert not isinstance(excinfo.value, BrokenPoolError)
 
 
 def test_sigkilled_worker_fails_fast_with_broken_pool_error():
     """A worker killed by the OS (OOM killer, container limit) must not
-    hang the pool: gather() fails fast with an actionable error, not a
+    hang the pool: run_tasks fails fast with an actionable error, not a
     bare BrokenProcessPool or a deadlock."""
-    with worker_pool(2) as pool:
-        futures = [pool.submit(_die_hard, n) for n in range(4)]
-        with pytest.raises(BrokenPoolError, match="worker process died"):
-            gather(futures)
+    with pytest.raises(BrokenPoolError, match="worker process died"):
+        run_tasks(_die_hard, [(n,) for n in range(4)], 2)
 
 
-def test_sigkilled_worker_fails_fast_through_pool_map():
-    with worker_pool(2) as pool:
-        with pytest.raises(BrokenPoolError, match="worker process died"):
-            pool_map(pool, _die_hard, range(4))
-
-
-def test_gather_matches_submission_order():
-    with worker_pool(2) as pool:
-        futures = [pool.submit(_square, n) for n in range(5)]
-        assert gather(futures) == [0, 1, 4, 9, 16]
-
-
-def test_gather_propagates_ordinary_worker_exceptions():
-    """Only dead workers get translated; a plain raise stays itself."""
-    with worker_pool(2) as pool:
-        futures = [pool.submit(_boom, "shard failed")]
-        with pytest.raises(RuntimeError, match="shard failed") as excinfo:
-            gather(futures)
-        assert not isinstance(excinfo.value, BrokenPoolError)
+@pytest.mark.parametrize("n_jobs", [0, -1, 1.5])
+def test_bad_n_jobs_is_rejected_without_tasks(n_jobs):
+    with pytest.raises(ValueError, match="n_jobs must be a positive integer"):
+        run_tasks(_square, [], n_jobs)
 
 
 def test_cohort_payloads_survive_pickling():
-    """Everything a shard ships across the boundary: numpy state
+    """Everything a pool task ships across the boundary: numpy state
     arrays, frozen specs, sketches, and traced links."""
     spec = CohortSpec(
         name="pickled",
@@ -120,11 +109,9 @@ def test_cohort_payloads_survive_pickling():
     )
     state = np.linspace(0.0, 1.0, 7)
 
-    with worker_pool(2) as pool:
-        spec_back = pool.submit(_echo, spec).result(timeout=60)
-        sketch_back = pool.submit(_echo, sketch).result(timeout=60)
-        link_back = pool.submit(_echo, link).result(timeout=60)
-        state_back = pool.submit(_echo, state).result(timeout=60)
+    spec_back, sketch_back, link_back, state_back = run_tasks(
+        _echo, [(spec,), (sketch,), (link,), (state,)], 2
+    )
 
     assert spec_back == spec
     assert sketch_back == sketch

@@ -137,6 +137,16 @@ class TestFleet:
         assert exc.value.code == 2
         assert "--pricing" in capsys.readouterr().err
 
+    def test_shards_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--clients", "10", "--cohorts", "--shards", "2"])
+        assert exc.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+    def test_tracers_require_cohorts(self, capsys):
+        assert main(["fleet", "--tracers", "2"]) == 2
+        assert "--tracers requires --cohorts" in capsys.readouterr().err
+
     def test_fleet_rejects_bad_trace_specs(self, capsys):
         assert main(["fleet", "--trace", "sine:1:2:3"]) == 2
         assert "bad --trace" in capsys.readouterr().err
