@@ -9,8 +9,9 @@ evaluation scenes, and a simulated user study.
 
 Every frame coster — ``nocom``/``raw``, ``bd``, ``variable-bd``,
 ``temporal-bd``, ``png``, ``scc``, and ``perceptual`` — lives behind
-one codec registry and encodes a shared, lazily-cached
-:class:`FrameContext`.
+one codec registry, is configured by its constructor
+(``get_codec(name, **kwargs)``), and encodes a shared, lazily-cached
+:class:`FrameContext` one frame at a time.
 
 Quick start::
 
@@ -43,7 +44,6 @@ from .codecs import (
     available_codecs,
     encode_batch,
     get_codec,
-    make_contexts,
 )
 from .codecs import register as register_codec
 from .core.pipeline import DEFAULT_FOVEAL_RADIUS_DEG, FrameResult, PerceptualEncoder
@@ -73,7 +73,6 @@ __all__ = [
     "available_codecs",
     "encode_batch",
     "get_codec",
-    "make_contexts",
     "register_codec",
     "DEFAULT_FOVEAL_RADIUS_DEG",
     "FrameResult",

@@ -3,7 +3,9 @@
 Every frame coster in the library — NoCom/raw, BD and its variable- and
 temporal-width variants, PNG-class lossless, SCC, and the perceptual
 adjustment — is reachable by name through one registry and speaks one
-contract::
+contract: a codec is configured by its constructor, a sequence is
+``reset()`` and then ``encode(ctx)`` frame by frame, and a context is
+built by ``FrameContext(...)``::
 
     from repro.codecs import FrameContext, get_codec
 
@@ -28,7 +30,7 @@ from .registry import (
     streaming_codec_names,
 )
 
-from .batch import encode_batch, make_contexts
+from .batch import encode_batch
 from .ladder import (
     DEFAULT_LADDER_SPEC,
     QualityLadder,
@@ -58,7 +60,6 @@ __all__ = [
     "resolve_codec_name",
     "streaming_codec_names",
     "encode_batch",
-    "make_contexts",
     "QualityLadder",
     "QualityRung",
     "DEFAULT_LADDER_SPEC",

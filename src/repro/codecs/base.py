@@ -3,11 +3,11 @@
 Every way the library can answer "what does this frame cost" —
 NoCom/raw, Base+Delta and its variable- and temporal-width variants,
 PNG-class lossless, SCC, and the perceptual adjustment itself — is a
-:class:`Codec`: a named object with a single ``encode(ctx) ->
-EncodedFrame`` method over a shared :class:`~repro.codecs.context.
-FrameContext`.  Experiments, the streaming simulator, and the baseline
-shim all dispatch through this contract instead of carrying their own
-per-codec plumbing.
+:class:`Codec`: a named object, configured by its constructor, with a
+single ``encode(ctx) -> EncodedFrame`` method over a shared
+:class:`~repro.codecs.context.FrameContext`.  Experiments, the
+streaming simulator, and the baseline shim all dispatch through this
+contract instead of carrying their own per-codec plumbing.
 
 :class:`EncodedFrame` is the common result: total bits (always),
 an optional :class:`~repro.encoding.accounting.SizeBreakdown` for
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -112,8 +112,10 @@ class Codec(abc.ABC):
     Codecs are cheap to construct; per-codec parameters (tile size,
     compression level, wrapped encoder) are constructor keyword
     arguments, routed explicitly by
-    :func:`~repro.codecs.registry.get_codec`.  Stateful codecs
-    (temporal BD) override :meth:`reset` to drop inter-frame state.
+    :func:`~repro.codecs.registry.get_codec`.  To run a sequence, call
+    :meth:`reset`, then :meth:`encode` once per frame in display order;
+    stateful codecs (temporal BD) override :meth:`reset` to drop
+    inter-frame state.
     """
 
     #: Registry name; set by ``@register`` at class registration.
@@ -132,14 +134,6 @@ class Codec(abc.ABC):
     @abc.abstractmethod
     def encode(self, ctx: "FrameContext") -> EncodedFrame:
         """Encode one frame described by a shared context."""
-
-    def encode_batch(self, ctxs: Iterable["FrameContext"]) -> list[EncodedFrame]:
-        """Encode a frame sequence; contexts carry all shared caches.
-
-        The default implementation simply loops; stateful codecs rely
-        on the ordering (temporal BD references the previous frame).
-        """
-        return [self.encode(ctx) for ctx in ctxs]
 
     def reset(self) -> None:
         """Drop inter-frame state (no-op for stateless codecs)."""

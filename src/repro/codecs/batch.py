@@ -17,70 +17,19 @@ does serially.  Results are reassembled in input order — bit-identical
 to the serial path, because every frame's encoding depends only on its
 own context.  Stateful codecs (temporal BD) reference the previous
 frame and therefore always run serially, in order, whatever ``n_jobs``
-says.
+says: ``reset()``, then one ``encode(ctx)`` per frame.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from ..parallel import run_tasks
 from .base import Codec, EncodedFrame
 from .context import FrameContext
-from .registry import get_codec, resolve_codec_name
+from .registry import get_codec
 
-__all__ = ["make_contexts", "encode_batch"]
-
-
-def make_contexts(
-    frames: Iterable,
-    *,
-    srgb8: bool = False,
-    **context_kwargs,
-) -> list[FrameContext]:
-    """One :class:`FrameContext` per frame, sharing display/gaze setup.
-
-    ``frames`` are linear-RGB frames unless ``srgb8=True`` (uint8 sRGB).
-    Remaining keyword arguments (``display``, ``fixation``,
-    ``eccentricity``) are forwarded to every context.
-    """
-    if srgb8:
-        return [FrameContext.from_srgb8(frame, **context_kwargs) for frame in frames]
-    return [FrameContext(frame, **context_kwargs) for frame in frames]
-
-
-def _resolve_options(
-    codec_options: Mapping[str, Mapping] | None,
-    named: set[str],
-    instances: set[str],
-) -> dict[str, Mapping]:
-    """Canonicalize ``codec_options`` keys and reject ones that cannot
-    apply: unknown codecs, codecs not listed in this batch, and codecs
-    passed as ready instances (their constructors already ran)."""
-    options: dict[str, Mapping] = {}
-    for key, value in (codec_options or {}).items():
-        try:
-            canonical = resolve_codec_name(key)
-        except KeyError as exc:
-            raise ValueError(
-                f"codec_options key {key!r} is not a registered codec: {exc.args[0]}"
-            ) from None
-        if canonical in options:
-            raise ValueError(
-                f"codec_options lists codec {canonical!r} twice (key {key!r})"
-            )
-        if canonical in instances and canonical not in named:
-            raise ValueError(
-                f"codec_options for {canonical!r} cannot apply: it was passed as a "
-                f"ready instance; construct it with those options instead"
-            )
-        if canonical not in named:
-            raise ValueError(
-                f"codec_options key {key!r} does not match any codec in this "
-                f"batch ({', '.join(sorted(named | instances)) or 'none'})"
-            )
-        options[canonical] = value
-    return options
+__all__ = ["encode_batch"]
 
 
 def _encode_chunk(
@@ -104,7 +53,6 @@ def encode_batch(
     ctxs: Sequence[FrameContext] | None = None,
     codecs: Sequence = ("perceptual",),
     *,
-    codec_options: Mapping[str, Mapping] | None = None,
     n_jobs: int = 1,
     **context_kwargs,
 ) -> dict[str, list[EncodedFrame]]:
@@ -115,16 +63,12 @@ def encode_batch(
     frames:
         Linear-RGB frames to encode (ignored if ``ctxs`` is given).
     ctxs:
-        Pre-built contexts, e.g. from :func:`make_contexts`; pass these
-        to reuse caches across separate ``encode_batch`` calls.
+        Pre-built :class:`FrameContext` objects; pass these to reuse
+        caches across separate ``encode_batch`` calls.
     codecs:
-        Codec names (registry lookup) and/or ready :class:`Codec`
-        instances.
-    codec_options:
-        Per-codec constructor kwargs keyed by codec name, e.g.
-        ``{"bd": {"tile_size": 8}}``.  Every key must name (or alias) a
-        codec listed in ``codecs`` — a typo'd key raises instead of the
-        batch silently running with defaults.
+        Codec names, built at their defaults, and/or ready
+        :class:`Codec` instances configured by their constructors
+        (``get_codec("bd", tile_size=8)``).
     n_jobs:
         Process-pool width for stateless codecs.  ``1`` (default) runs
         everything serially in-process; higher values split the frames
@@ -132,8 +76,8 @@ def encode_batch(
         chunk.  Results are identical either way.  Stateful codecs
         ignore ``n_jobs``.
     context_kwargs:
-        Forwarded to :func:`make_contexts` (``display``, ``fixation``,
-        ``eccentricity``, ``srgb8``).
+        Forwarded to every ``FrameContext(frame, ...)`` built from
+        ``frames`` (``display``, ``fixation``, ``eccentricity``).
 
     Returns
     -------
@@ -144,31 +88,16 @@ def encode_batch(
     if ctxs is None:
         if frames is None:
             raise ValueError("encode_batch needs frames or ctxs")
-        ctxs = make_contexts(frames, **context_kwargs)
+        ctxs = [FrameContext(frame, **context_kwargs) for frame in frames]
     elif context_kwargs:
         raise ValueError("context kwargs have no effect when ctxs are pre-built")
 
-    # Resolve the roster up front so codec_options can be validated
-    # against it before any encoding work starts.
-    roster: list[tuple[str, Codec | None, object]] = []
-    named: set[str] = set()
-    instance_names: set[str] = set()
-    for entry in codecs:
-        if isinstance(entry, Codec):
-            key = entry.name or type(entry).__name__
-            instance_names.add(key)
-            roster.append((key, entry, entry))
-        else:
-            key = resolve_codec_name(entry)
-            named.add(key)
-            roster.append((key, None, entry))
-    options = _resolve_options(codec_options, named, instance_names)
-
     instances: list[tuple[str, Codec]] = []
-    for key, instance, _entry in roster:
+    for entry in codecs:
+        codec = entry if isinstance(entry, Codec) else get_codec(entry)
+        key = codec.name or type(codec).__name__
         if any(key == seen for seen, _ in instances):
             raise ValueError(f"codec {key!r} listed twice in one batch")
-        codec = instance if instance is not None else get_codec(key, **dict(options.get(key, {})))
         instances.append((key, codec))
 
     stateless = [(key, codec) for key, codec in instances if not codec.stateful]
@@ -188,6 +117,6 @@ def encode_batch(
     for key, codec in instances:
         if codec.stateful:
             codec.reset()
-            results[key] = codec.encode_batch(ctxs)
+            results[key] = [codec.encode(ctx) for ctx in ctxs]
     # Return in roster order regardless of the serial/parallel split.
     return {key: results[key] for key, _ in instances}

@@ -7,25 +7,21 @@ tile stack, and the gaze-dependent eccentricity map.  A
 hands the cached value to every codec that asks — so sweeping six
 codecs over a frame quantizes it once and tiles it once per tile size.
 
-A context can start from a *linear* frame (the renderer's output; what
-the perceptual codec needs) or directly from a uint8 *sRGB* frame (the
-baseline shim's input).  ``ctx.stats`` counts the expensive
-derivations, which the batch tests use to assert the amortization
-actually happens.
+One constructor builds every context: ``FrameContext(frame_linear,
+...)`` over a *linear* frame (the renderer's output; what the
+perceptual codec needs) or ``FrameContext(srgb8=..., ...)`` over an
+already-quantized uint8 *sRGB* frame (the baseline shim's input).
+``ctx.stats`` counts the expensive derivations, which the batch tests
+use to assert the amortization actually happens.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..color.srgb import encode_srgb8
 from ..encoding.tiling import TileGrid, tile_frame
 from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 __all__ = ["FrameContext"]
 
@@ -111,25 +107,10 @@ class FrameContext:
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise ValueError(f"{name} must be (H, W, 3), got {arr.shape}")
 
-    @classmethod
-    def from_linear(cls, frame_linear, **kwargs) -> "FrameContext":
-        """Context over a renderer-produced linear-RGB frame."""
-        return cls(frame_linear, **kwargs)
-
-    @classmethod
-    def from_srgb8(cls, srgb8, **kwargs) -> "FrameContext":
-        """Context over an already-quantized uint8 sRGB frame."""
-        return cls(srgb8=srgb8, **kwargs)
-
     @property
     def n_pixels(self) -> int:
         """Pixel count of the frame (the bits-per-pixel denominator)."""
         return self.height * self.width
-
-    @property
-    def has_linear(self) -> bool:
-        """Whether a linear-RGB frame is available (perceptual codecs)."""
-        return self._frame_linear is not None
 
     @property
     def frame_linear(self) -> np.ndarray:

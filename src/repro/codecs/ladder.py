@@ -83,13 +83,13 @@ class QualityRung:
         object.__setattr__(self, "codec", resolve_codec_name(self.codec))
 
     def build(self) -> "Codec":
-        """Instantiate this rung's codec.
+        """Instantiate this rung's codec at its registry defaults.
 
         The one place a streaming codec is built, so every simulator
-        constructs bit-identical codecs: the perceptual rung wraps a
-        default :class:`~repro.core.pipeline.PerceptualEncoder` and the
-        BD variants inherit its tile size, keeping every rung's tiling
-        consistent within one ladder.
+        constructs bit-identical codecs.  The perceptual rung wraps a
+        default :class:`~repro.core.pipeline.PerceptualEncoder`, whose
+        tile size the BD variants' default matches, so every rung of a
+        ladder tiles alike.
 
         Returns
         -------
@@ -97,13 +97,6 @@ class QualityRung:
             A fresh codec instance (stateful codecs are not shared
             across streams).
         """
-        from ..core.pipeline import PerceptualEncoder  # cycle guard
-
-        encoder = PerceptualEncoder()
-        if self.codec == "perceptual":
-            return get_codec(self.codec, encoder=encoder)
-        if self.codec in ("bd", "variable-bd", "temporal-bd"):
-            return get_codec(self.codec, tile_size=encoder.tile_size)
         return get_codec(self.codec)
 
 

@@ -12,10 +12,12 @@ contract over a shared :class:`~repro.codecs.context.FrameContext`:
   :class:`~repro.codecs.base.EncodedFrame`);
 * ``variable-bd`` — footnote 1's per-group delta widths;
 * ``temporal-bd`` — inter-frame BD choosing spatial vs temporal deltas
-  per tile-channel (stateful; meaningful through ``encode_batch``).
+  per tile-channel (stateful: ``reset()``, then one ``encode(ctx)`` per
+  frame in display order).
 
-Codecs that operate on sRGB tiles pull them from the context cache, so
-running several of them over one frame quantizes and tiles it once.
+Each codec is configured by its constructor.  Codecs that operate on
+sRGB tiles pull them from the context cache, so running several of
+them over one frame quantizes and tiles it once.
 """
 
 from __future__ import annotations
@@ -133,22 +135,19 @@ class SCCCodec(Codec):
 class PerceptualCodec(Codec):
     """The paper's perceptual color adjustment in front of Base+Delta.
 
-    Wraps a :class:`~repro.core.pipeline.PerceptualEncoder` (an existing
-    instance via ``encoder=...``, or one built from the remaining
-    keyword arguments) and returns its
+    Wraps a :class:`~repro.core.pipeline.PerceptualEncoder` (``encoder``,
+    or a default one when ``None``) and returns its
     :class:`~repro.core.pipeline.FrameResult` directly — ``FrameResult``
     subclasses :class:`~repro.codecs.base.EncodedFrame`.
     """
 
     gaze_contingent = True
 
-    def __init__(self, encoder=None, **encoder_kwargs):
+    def __init__(self, encoder=None):
         # Imported here: core.pipeline itself imports codecs.base.
         from ..core.pipeline import PerceptualEncoder
 
-        if encoder is not None and encoder_kwargs:
-            raise TypeError("pass either an encoder instance or its kwargs, not both")
-        self.encoder = encoder if encoder is not None else PerceptualEncoder(**encoder_kwargs)
+        self.encoder = encoder if encoder is not None else PerceptualEncoder()
 
     def encode(self, ctx: FrameContext) -> EncodedFrame:
         """Adjust colors perceptually, then cost the frame under BD."""
@@ -193,9 +192,9 @@ class VariableBDCostCodec(Codec):
 class TemporalBDCodec(Codec):
     """Inter-frame BD: spatial vs previous-frame deltas per tile-channel.
 
-    Stateful across :meth:`encode` calls — feed it one stream of frames
-    in display order (``encode_batch`` resets first, so a batch is one
-    clean sequence).  Call :meth:`reset` on a scene cut.
+    Stateful across :meth:`encode` calls — :meth:`reset`, then feed it
+    one stream of frames in display order.  Call :meth:`reset` on a
+    scene cut.
     """
 
     stateful = True
@@ -217,11 +216,6 @@ class TemporalBDCodec(Codec):
             breakdown=breakdown,
             metadata={"tile_size": self.tile_size},
         )
-
-    def encode_batch(self, ctxs) -> list[EncodedFrame]:
-        """Encode a sequence as one clean stream (state reset first)."""
-        self.reset()
-        return super().encode_batch(ctxs)
 
     def reset(self) -> None:
         """Forget the previous frame (call on a scene cut)."""

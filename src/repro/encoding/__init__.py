@@ -11,7 +11,6 @@ from .bd import (
     HEADER_BITS,
     WIDTH_FIELD_BITS,
     BDCodec,
-    EncodedFrame,
     bd_breakdown,
     bd_stream_bytes,
     delta_widths,
@@ -47,7 +46,6 @@ __all__ = [
     "HEADER_BITS",
     "WIDTH_FIELD_BITS",
     "BDCodec",
-    "EncodedFrame",
     "bd_breakdown",
     "bd_stream_bytes",
     "delta_widths",

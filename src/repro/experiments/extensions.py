@@ -207,7 +207,7 @@ def run_variable_bd(
             # fixed- and variable-width BD share each context's tiling.
             original = FrameContext(frame, eccentricity=eccentricity)
             result = perceptual.encode(original)
-            adjusted = FrameContext.from_srgb8(result.adjusted_srgb)
+            adjusted = FrameContext(srgb8=result.adjusted_srgb)
             totals["BD fixed"] += fixed.encode(original).bits_per_pixel
             totals["BD variable"] += variable.encode(original).bits_per_pixel
             totals["ours fixed"] += fixed.encode(adjusted).bits_per_pixel

@@ -132,7 +132,7 @@ def run(config: ExperimentConfig | None = None) -> BandwidthResult:
         bpp = {}
         for label, codec in codecs.items():
             codec.reset()
-            total = sum(r.total_bits for r in codec.encode_batch(ctxs))
+            total = sum(codec.encode(ctx).total_bits for ctx in ctxs)
             bpp[label] = total / (n_pixels * len(frames))
         scenes.append(SceneBandwidth(scene=name, bpp=bpp))
     return BandwidthResult(scenes=scenes)

@@ -4,16 +4,15 @@ The paper shows, per scene, side-by-side stacked bars for BD and for
 the proposed scheme, demonstrating that the entire saving comes from
 the delta component (base and metadata costs are format-fixed).
 
-Runs through the unified codec API: the perceptual codec's
-``encode_batch`` over one shared context per frame carries both our
-breakdown and the BD baseline's.
+Runs through the unified codec API: the perceptual codec's result for
+each frame's context carries both our breakdown and the BD baseline's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..codecs.batch import make_contexts
+from ..codecs.context import FrameContext
 from ..codecs.wrappers import PerceptualCodec
 from .common import ExperimentConfig, encoder_for, format_table, render_eval_frames
 
@@ -66,10 +65,9 @@ def run(config: ExperimentConfig | None = None) -> BitsResult:
         bd_totals = dict.fromkeys(_COMPONENTS, 0.0)
         ours_totals = dict.fromkeys(_COMPONENTS, 0.0)
         frames = render_eval_frames(config, name)
-        ctxs = make_contexts(
-            frames, eccentricity=eccentricity, display=config.display
-        )
-        for result in codec.encode_batch(ctxs):
+        for frame in frames:
+            ctx = FrameContext(frame, eccentricity=eccentricity, display=config.display)
+            result = codec.encode(ctx)
             for component in _COMPONENTS:
                 bd_totals[component] += result.baseline_breakdown.component_bpp()[component]
                 ours_totals[component] += result.breakdown.component_bpp()[component]

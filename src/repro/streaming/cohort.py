@@ -191,9 +191,13 @@ class CohortSpec:
                 f"got {self.n_tracers}"
             )
         if self.rung_map is not None:
-            object.__setattr__(
-                self, "rung_map", tuple(int(i) for i in self.rung_map)
-            )
+            rung_map = tuple(int(i) for i in self.rung_map)
+            if len(rung_map) != len(frames[0]):
+                raise ValueError(
+                    f"cohort {self.name!r}: rung_map lists {len(rung_map)} rungs "
+                    f"but payloads hold {len(frames[0])}"
+                )
+            object.__setattr__(self, "rung_map", rung_map)
 
     @property
     def interval_s(self) -> float:

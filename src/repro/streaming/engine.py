@@ -577,9 +577,9 @@ class StreamSpec:
         Optional per-stream :class:`AdaptationState` (controller +
         telemetry); ``None`` pins the source's first rung.
     rung_map:
-        Ladder indices available in ``source``, in source order; lets a
-        pinned fleet encode only the rung it transmits.  ``None`` means
-        the identity map.
+        Ladder indices available in ``source``, in source order, one per
+        source rung; lets a pinned fleet encode only the rung it
+        transmits.  ``None`` means the identity map.
     """
 
     name: str
@@ -602,6 +602,12 @@ class StreamSpec:
         if self.weight <= 0:
             raise ValueError(f"stream {self.name!r}: weight must be positive")
         validate_stream_window(self.start_s, self.stop_s, name=self.name)
+        n_rungs = len(self.source.rung_bits(0))
+        if self.rung_map is not None and len(self.rung_map) != n_rungs:
+            raise ValueError(
+                f"stream {self.name!r}: rung_map lists {len(self.rung_map)} rungs "
+                f"but the source holds {n_rungs}"
+            )
 
     @property
     def interval_s(self) -> float:
@@ -825,7 +831,9 @@ class StreamingEngine:
     ) -> tuple[int, str]:
         """Ask the stream's controller (if any) for this frame's rung.
 
-        Returns the payload bits and the rung name ("" when pinned).
+        Returns the payload bits and the rung name ("" when pinned);
+        raises ``ValueError`` if the controller picks a rung the
+        stream's source does not hold.
         """
         bits = spec.source.rung_bits(frame_index)
         state = spec.adaptation
@@ -835,8 +843,13 @@ class StreamingEngine:
         rung_map = (
             spec.rung_map if spec.rung_map is not None else tuple(range(len(bits)))
         )
-        local = rung_map.index(chosen) if chosen in rung_map else 0
-        return bits[local], state.ladder[rung_map[local]].name
+        if chosen not in rung_map:
+            raise ValueError(
+                f"stream {spec.name!r}: frame {frame_index} chose rung {chosen} "
+                f"({state.ladder[chosen].name}), which its rung_map "
+                f"{tuple(rung_map)} does not hold"
+            )
+        return bits[rung_map.index(chosen)], state.ladder[chosen].name
 
     def _log(self, time_s: float, kind: str, stream: str, frame_index: int) -> None:
         self._events.append(Event(time_s, kind, stream, frame_index))

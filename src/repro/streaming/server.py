@@ -111,8 +111,9 @@ class ClientConfig:
         trace is given.
     gaze_trace:
         Optional :class:`~repro.scenes.gaze.GazeSample` sequence (time
-        ascending); the fixation at each frame is the most recent
-        sample, as a zero-latency tracker would report it.
+        ascending), timed from the client's join at ``start_s``: frame
+        ``k`` uses the most recent sample at or before
+        ``k / target_fps``, as a zero-latency tracker would report it.
     encode_throughput_mpixels_s:
         Server-side encoder rate for this client's stream.
     start_s:
@@ -184,12 +185,13 @@ class ClientConfig:
         )
 
     def fixation_at(self, time_s: float) -> tuple[float, float]:
-        """Gaze point in effect at a session time.
+        """Gaze point in effect at a time since the client joined.
 
         Parameters
         ----------
         time_s:
-            Session time in seconds.
+            Seconds since the client's ``start_s``; the gaze trace is
+            timed from the join, not from session start.
 
         Returns
         -------

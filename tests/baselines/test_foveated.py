@@ -16,7 +16,7 @@ from repro.scenes.library import render_scene
 
 
 def plain_bd_bits(frame):
-    return get_codec("bd").encode(FrameContext.from_srgb8(encode_srgb8(frame))).total_bits
+    return get_codec("bd").encode(FrameContext(srgb8=encode_srgb8(frame))).total_bits
 
 
 @pytest.fixture(scope="module")

@@ -9,9 +9,9 @@ from repro.experiments.fig10_bandwidth import BASELINE_NAMES
 from repro.scenes.library import render_scene
 
 
-def frame_bits(name, frame_srgb8, **codec_options):
-    ctx = FrameContext.from_srgb8(frame_srgb8)
-    return get_codec(name, **codec_options).encode(ctx).total_bits
+def frame_bits(name, frame_srgb8, **codec_kwargs):
+    ctx = FrameContext(srgb8=frame_srgb8)
+    return get_codec(name, **codec_kwargs).encode(ctx).total_bits
 
 
 @pytest.fixture(scope="module")

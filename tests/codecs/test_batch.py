@@ -6,11 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.codecs import (
-    encode_batch,
-    get_codec,
-    make_contexts,
-)
+from repro.codecs import FrameContext, encode_batch, get_codec
 from repro.core.pipeline import FrameResult
 from repro.scenes.library import render_scene
 
@@ -24,7 +20,7 @@ class TestAmortization:
     def test_eight_frames_quantize_and_tile_once_each(self, frames):
         """The acceptance criterion: sweeping several codecs over 8
         frames derives each frame's shared context at most once."""
-        ctxs = make_contexts(frames)
+        ctxs = [FrameContext(frame) for frame in frames]
         results = encode_batch(
             ctxs=ctxs, codecs=("nocom", "bd", "png", "variable-bd", "temporal-bd")
         )
@@ -36,7 +32,7 @@ class TestAmortization:
             assert ctx.stats["eccentricity"] == 0  # nobody needed gaze
 
     def test_contexts_reusable_across_calls(self, frames):
-        ctxs = make_contexts(frames[:2])
+        ctxs = [FrameContext(frame) for frame in frames[:2]]
         encode_batch(ctxs=ctxs, codecs=("bd",))
         encode_batch(ctxs=ctxs, codecs=("variable-bd",))
         for ctx in ctxs:
@@ -44,7 +40,7 @@ class TestAmortization:
 
     def test_eccentricity_shared_when_passed(self, frames):
         ecc = np.full((32, 32), 20.0)
-        ctxs = make_contexts(frames[:2], eccentricity=ecc)
+        ctxs = [FrameContext(frame, eccentricity=ecc) for frame in frames[:2]]
         for ctx in ctxs:
             assert ctx.eccentricity is ecc
 
@@ -55,11 +51,19 @@ class TestSemantics:
         assert set(results) == {"nocom", "bd"}
 
     def test_codec_options_routed(self, frames):
-        fine = encode_batch(frames[:1], codecs=("bd",))
-        coarse = encode_batch(
-            frames[:1], codecs=("bd",), codec_options={"bd": {"tile_size": 16}}
-        )
+        """A codec is configured by its constructor: a configured
+        instance runs with its options, a name at its defaults."""
+        fine = encode_batch(frames[:1], codecs=("BD",))
+        coarse = encode_batch(frames[:1], codecs=(get_codec("bd", tile_size=16),))
+        assert fine["bd"][0].metadata["tile_size"] == 4
+        assert coarse["bd"][0].metadata["tile_size"] == 16
         assert fine["bd"][0].total_bits != coarse["bd"][0].total_bits
+
+    def test_codec_options_keyword_is_gone(self, frames):
+        with pytest.raises(TypeError, match="codec_options"):
+            encode_batch(
+                frames[:1], codecs=("bd",), codec_options={"bd": {"tile_size": 16}}
+            )
 
     def test_codec_instances_accepted(self, frames):
         codec = get_codec("bd", tile_size=8)
@@ -75,7 +79,7 @@ class TestSemantics:
             encode_batch()
 
     def test_context_kwargs_conflict_with_prebuilt_ctxs(self, frames):
-        ctxs = make_contexts(frames[:1])
+        ctxs = [FrameContext(frames[0])]
         with pytest.raises(ValueError, match="no effect"):
             encode_batch(ctxs=ctxs, codecs=("bd",), fixation=(0.2, 0.2))
 
@@ -85,45 +89,6 @@ class TestSemantics:
         for result in results["perceptual"]:
             assert isinstance(result, FrameResult)
             assert result.total_bits == result.breakdown.total_bits
-
-
-class TestOptionsValidation:
-    """Regression: a typo'd codec_options key used to run silently."""
-
-    def test_typo_key_raises(self, frames):
-        with pytest.raises(ValueError, match="percptual.*not a registered codec"):
-            encode_batch(
-                frames[:1], codecs=("perceptual",),
-                codec_options={"percptual": {"encoder": None}},
-            )
-
-    def test_key_not_in_batch_raises(self, frames):
-        with pytest.raises(ValueError, match="does not match any codec"):
-            encode_batch(
-                frames[:1], codecs=("bd",), codec_options={"png": {"level": 2}}
-            )
-
-    def test_alias_keys_accepted(self, frames):
-        # "BD" aliases "bd": options must follow the canonicalization.
-        fine = encode_batch(frames[:1], codecs=("BD",))
-        coarse = encode_batch(
-            frames[:1], codecs=("BD",), codec_options={"bd": {"tile_size": 16}}
-        )
-        assert fine["bd"][0].total_bits != coarse["bd"][0].total_bits
-
-    def test_duplicate_canonical_keys_raise(self, frames):
-        with pytest.raises(ValueError, match="twice"):
-            encode_batch(
-                frames[:1], codecs=("bd",),
-                codec_options={"bd": {"tile_size": 8}, "BD": {"tile_size": 16}},
-            )
-
-    def test_options_for_ready_instance_raise(self, frames):
-        codec = get_codec("bd", tile_size=8)
-        with pytest.raises(ValueError, match="ready instance"):
-            encode_batch(
-                frames[:1], codecs=(codec,), codec_options={"bd": {"tile_size": 4}}
-            )
 
 
 class TestParallel:
@@ -241,8 +206,12 @@ class TestTemporalState:
 
     def test_batches_do_not_leak_state(self, frames):
         codec = get_codec("temporal-bd")
-        first = codec.encode_batch(make_contexts([frames[0]]))[0]
-        again = codec.encode_batch(make_contexts([frames[0]]))[0]
-        # encode_batch resets: the second batch's first frame is fully
-        # spatial again, not temporal against the previous batch.
-        assert first.total_bits == again.total_bits
+        runs = []
+        for _ in range(2):
+            codec.reset()
+            runs.append([codec.encode(FrameContext(frame)) for frame in frames[:2]])
+        # reset() starts a clean sequence: the second run's first frame
+        # is fully spatial again, not temporal against the first run.
+        assert [r.total_bits for r in runs[0]] == [r.total_bits for r in runs[1]]
+        batch = encode_batch(frames[:2], codecs=(codec,))["temporal-bd"]
+        assert [r.total_bits for r in batch] == [r.total_bits for r in runs[0]]

@@ -59,8 +59,7 @@ class TestConstruction:
 
     def test_srgb8_only_context(self, frame):
         srgb = encode_srgb8(frame)
-        ctx = FrameContext.from_srgb8(srgb)
-        assert not ctx.has_linear
+        ctx = FrameContext(srgb8=srgb)
         assert ctx.srgb8 is srgb
         assert ctx.stats["quantize"] == 0
         with pytest.raises(ValueError, match="linear"):
@@ -68,7 +67,7 @@ class TestConstruction:
 
     def test_rejects_float_srgb(self, frame):
         with pytest.raises(TypeError, match="uint8"):
-            FrameContext.from_srgb8(np.zeros((8, 8, 3)))
+            FrameContext(srgb8=np.zeros((8, 8, 3)))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match=r"\(H, W, 3\)"):

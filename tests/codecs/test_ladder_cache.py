@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.codecs import FrameContext, get_codec
+from repro.codecs import FrameContext, PerceptualCodec, get_codec
 from repro.codecs.ladder import QualityLadder, QualityRung
+from repro.core.pipeline import PerceptualEncoder
 from repro.encoding.bd import BDCodec
 from repro.encoding.bd_variable import VariableBDCodec
 
@@ -33,6 +34,24 @@ class TestLadderCodecCache:
         a = QualityLadder.default()
         b = QualityLadder.default()
         assert a.build_codec(0) is not b.build_codec(0)
+
+
+class TestRungBuild:
+    def test_tiled_rungs_use_the_perceptual_tile_size(self):
+        """Every rung of the default ladder tiles like the perceptual
+        encoder, so its rungs price the same tile grid."""
+        tile_size = PerceptualEncoder().tile_size
+        checked = []
+        for rung in QualityLadder.default():
+            codec = rung.build()
+            if isinstance(codec, PerceptualCodec):
+                assert codec.encoder.tile_size == tile_size
+            elif hasattr(codec, "tile_size"):
+                assert codec.tile_size == tile_size
+            else:
+                continue
+            checked.append(rung.codec)
+        assert checked == ["bd", "variable-bd", "perceptual"]
 
 
 class TestPayloadWiring:

@@ -74,6 +74,23 @@ def test_start_rung_error_names_the_cohort():
         fleet(cohorts=[cohort(start_rung=5)], controller="throughput")
 
 
+def one_rung_cohort(**overrides) -> CohortSpec:
+    return CohortSpec(name="c", n_members=3, payloads=((1000,),), n_frames=4, **overrides)
+
+
+@pytest.mark.parametrize("controller", [None, "fixed"])
+def test_rung_map_longer_than_payloads_names_the_cohort(controller):
+    with pytest.raises(ValueError, match="cohort 'c': rung_map lists 2 rungs"):
+        fleet(cohorts=[one_rung_cohort(rung_map=(0, 1), start_rung=1)], controller=controller)
+
+
+def test_rung_outside_the_map_names_the_cohort():
+    """A fixed controller on ``perceptual`` over a ``nocom``-only stream
+    must not be reported at ``perceptual`` quality for ``nocom`` frames."""
+    with pytest.raises(ValueError, match="'c': frame 0 chose rung 4 .perceptual."):
+        fleet(cohorts=[one_rung_cohort(rung_map=(0,), start_rung=4)], controller="fixed")
+
+
 def test_tracer_free_lossy_fleet_reports_itself_lossy():
     """Loss is a property of the link, not of the tracers that sample it."""
     report = fleet(cohorts=[cohort(n_tracers=0)], link=LOSSY, recovery="skip")

@@ -73,7 +73,7 @@ class TestBookkeeping:
         from repro.color.srgb import encode_srgb8
 
         result = PerceptualEncoder().encode_frame(frame, 25.0)
-        plain = get_codec("bd").encode(FrameContext.from_srgb8(encode_srgb8(frame)))
+        plain = get_codec("bd").encode(FrameContext(srgb8=encode_srgb8(frame)))
         assert result.baseline_breakdown.total_bits == plain.total_bits
 
     def test_original_srgb_is_quantized_input(self, frame):

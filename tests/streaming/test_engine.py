@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codecs.ladder import QualityLadder
 from repro.scenes.library import get_scene
-from repro.streaming.adaptive import simulate_adaptive_session
+from repro.streaming.adaptive import FixedController, simulate_adaptive_session
 from repro.streaming.engine import (
     FRAME_READY,
     TRANSMIT_DONE,
     TRANSMIT_START,
+    AdaptationState,
     FairShareScheduler,
     PrecomputedSource,
     PriorityScheduler,
@@ -261,3 +263,27 @@ class TestEngineValidation:
             PrecomputedSource([])
         with pytest.raises(ValueError, match="same number of rungs"):
             PrecomputedSource([(1, 2), (1,)])
+
+
+def fixed_one_rung_stream(rung_map, start_rung):
+    """A fixed-controller stream over a one-rung (``nocom``) source."""
+    return StreamSpec(
+        name="s", source=PrecomputedSource([(1000,)]), n_frames=3, target_fps=1.0,
+        adaptation=AdaptationState(
+            FixedController(), QualityLadder.default(), start_rung, 1.0
+        ),
+        rung_map=rung_map,
+    )
+
+
+class TestRungMap:
+    def test_map_longer_than_the_source_is_rejected(self):
+        with pytest.raises(ValueError, match="stream 's': rung_map lists 2 rungs"):
+            StreamingEngine(CALM_LINK).run([fixed_one_rung_stream((0, 1), start_rung=1)])
+
+    def test_rung_outside_the_map_is_rejected(self):
+        """Was silently sent at the map's first rung (``nocom``) while
+        the stream's stats reported ``perceptual``."""
+        engine = StreamingEngine(CALM_LINK)
+        with pytest.raises(ValueError, match=r"stream 's': frame 0 chose rung 4 \(perceptual\)"):
+            engine.run([fixed_one_rung_stream((0,), start_rung=4)])

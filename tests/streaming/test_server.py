@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.codecs.ladder import QualityLadder
+from repro.scenes.display import QUEST2_DISPLAY
 from repro.scenes.gaze import GazeSample
 from repro.streaming.engine import (
     SCHEDULER_CHOICES,
@@ -18,6 +20,7 @@ from repro.streaming.server import (
     ClientConfig,
     ClientReport,
     FleetReport,
+    encode_client_streams,
     simulate_fleet,
     solo_sustainable_fps,
 )
@@ -120,6 +123,23 @@ class TestClientConfig:
         client = ClientConfig(name="c", gaze_trace=trace)
         assert client.fixation_at(0.1) == (0.2, 0.2)
         assert client.fixation_at(0.7) == (0.8, 0.6)
+
+    def test_gaze_trace_is_timed_from_the_join(self):
+        """Frame k of a late joiner reads its trace at ``k / target_fps``."""
+        trace = (GazeSample(0.0, 0.1, 0.1), GazeSample(0.5, 0.9, 0.9))
+
+        def stream(**kwargs):
+            client = ClientConfig(
+                name="c", codec="perceptual", height=16, width=16, **kwargs
+            )
+            ((_, _, rows),) = encode_client_streams(
+                [client], 1, QUEST2_DISPLAY, QualityLadder.default()
+            )
+            return rows
+
+        late = stream(gaze_trace=trace, start_s=0.5)
+        assert late == stream(gaze_trace=trace)
+        assert late != stream(fixation=(0.9, 0.9))
 
     def test_static_fixation_without_trace(self):
         client = ClientConfig(name="c", fixation=(0.3, 0.4))
