@@ -18,6 +18,7 @@ failed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable
 
@@ -271,8 +272,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs is not None and args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
-    if args.bandwidth is not None and args.bandwidth <= 0:
-        print("--bandwidth must be positive (Mbps)", file=sys.stderr)
+    if args.bandwidth is not None and not 0 < args.bandwidth < math.inf:
+        print("--bandwidth must be positive and finite (Mbps)", file=sys.stderr)
         return 2
     if args.trace is not None and args.bandwidth is not None:
         print("--trace and --bandwidth are mutually exclusive", file=sys.stderr)

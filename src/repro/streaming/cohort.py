@@ -73,7 +73,7 @@ from .reports import Report
 from .server import ClientReport
 from .sketch import QuantileSketch
 from .traces import BandwidthTrace
-from .validation import validate_stream_timing, validate_stream_window
+from .validation import validate_finite, validate_stream_timing, validate_stream_window
 
 __all__ = [
     "CohortSpec",
@@ -179,11 +179,13 @@ class CohortSpec:
         validate_stream_timing(n_frames=self.n_frames, target_fps=self.target_fps)
         if self.weight <= 0:
             raise ValueError(f"cohort {self.name!r}: weight must be positive")
+        validate_finite(self.weight, "weight", self.name)
         if self.encode_time_s < 0:
             raise ValueError(
                 f"cohort {self.name!r}: encode_time_s must be >= 0, "
                 f"got {self.encode_time_s}"
             )
+        validate_finite(self.encode_time_s, "encode_time_s", self.name)
         validate_stream_window(self.start_s, self.stop_s, name=self.name)
         if not 0 <= self.n_tracers <= self.n_members:
             raise ValueError(

@@ -41,7 +41,7 @@ import numpy as np
 
 from .link import WirelessLink
 from .loss import LossRuntime, LossStats, get_recovery_policy
-from .validation import validate_stream_timing, validate_stream_window
+from .validation import validate_finite, validate_stream_timing, validate_stream_window
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..codecs.ladder import QualityLadder
@@ -81,11 +81,11 @@ TRANSMIT_START = "transmit-start"
 #: A payload's last bit leaves the air.
 TRANSMIT_DONE = "transmit-done"
 
-#: Tie-break order for events at the same simulated time: completions
-#: land first (freeing the link and recording feedback), then newly
-#: ready frames (controllers see that feedback), then queued payloads
-#: reaching the air.
-_EVENT_ORDER = {TRANSMIT_DONE: 0, FRAME_READY: 1, TRANSMIT_START: 2}
+#: Tie-break order for heap events at the same simulated time.  The
+#: kernel's pending completion, kept beside the heap, lands before both
+#: (freeing the link and recording feedback); then newly ready frames
+#: (controllers see that feedback), then queued payloads reaching the air.
+_EVENT_ORDER = {FRAME_READY: 1, TRANSMIT_START: 2}
 
 
 @dataclass(frozen=True)
@@ -599,8 +599,10 @@ class StreamSpec:
         validate_stream_timing(n_frames=self.n_frames, target_fps=self.target_fps)
         if self.encode_time_s < 0:
             raise ValueError(f"encode_time_s must be >= 0, got {self.encode_time_s}")
+        validate_finite(self.encode_time_s, "encode_time_s", self.name)
         if self.weight <= 0:
             raise ValueError(f"stream {self.name!r}: weight must be positive")
+        validate_finite(self.weight, "weight", self.name)
         validate_stream_window(self.start_s, self.stop_s, name=self.name)
         n_rungs = len(self.source.rung_bits(0))
         if self.rung_map is not None and len(self.rung_map) != n_rungs:
@@ -664,7 +666,6 @@ class _Flow:
         "send_start_s",
         "remaining_bits",
         "share",
-        "version",
     )
 
     def __init__(
@@ -678,7 +679,6 @@ class _Flow:
         self.send_start_s = send_start_s
         self.remaining_bits = float(wire_bits)
         self.share = 0.0
-        self.version = 0
 
 
 class _StreamRuntime:
@@ -941,15 +941,21 @@ class StreamingEngine:
     # -- the event kernel (fluid contention) ----------------------------
 
     def _run_event_kernel(self, runtimes: list[_StreamRuntime]) -> None:
-        """Event-driven backlog pricing for contending streams."""
+        """Event-driven backlog pricing for contending streams.
+
+        The heap holds FRAME_READY and TRANSMIT_START events.  The one
+        completion that can land before the next reschedule is kept
+        beside it as ``(finish_s, stream_index)``: between reschedules
+        every flow drains at a fixed share of the same link, so the
+        flow with the least ``remaining_bits / share`` finishes first.
+        """
         heap: list[tuple] = []
         seq = 0
 
-        def push(time_s, kind, stream_index, frame_index=-1, version=-1):
+        def push(time_s, kind, stream_index, frame_index=-1):
             nonlocal seq
             heapq.heappush(
-                heap,
-                (time_s, _EVENT_ORDER[kind], seq, kind, stream_index, frame_index, version),
+                heap, (time_s, _EVENT_ORDER[kind], seq, kind, stream_index, frame_index)
             )
             seq += 1
 
@@ -964,7 +970,12 @@ class StreamingEngine:
                 )
 
         clock = 0.0
-        version_counter = 0
+        completion: tuple[float, int] | None = None
+        if self.link.trace is None:
+            rate_lo = rate_hi = self.link.bandwidth_mbps * 1e6
+        else:
+            rates_mbps = self.link.trace.rates_mbps
+            rate_lo, rate_hi = min(rates_mbps) * 1e6, max(rates_mbps) * 1e6
 
         def advance(now: float) -> None:
             """Drain every in-flight flow at its share up to ``now``."""
@@ -980,32 +991,75 @@ class StreamingEngine:
                     )
             clock = now
 
+        def finish_s(now: float, key: float) -> float:
+            """When a flow with ``key`` bits per unit share drains."""
+            if key == 0.0:  # drained to round-off
+                return now
+            return now + self.link.serialization_time_s(key, start_s=now)
+
         def reschedule(now: float) -> None:
-            """Re-divide the link after the active set changed."""
-            nonlocal version_counter
+            """Re-divide the link and price the next completion."""
+            nonlocal completion
+            completion = None
             active = [i for i, rt in enumerate(runtimes) if rt.flow is not None]
             if not active:
                 return
             shares = self.scheduler.instantaneous_shares(
                 [runtimes[i].spec.weight for i in active]
             )
+            keyed = []
+            least = math.inf
             for i, share in zip(active, shares):
                 flow = runtimes[i].flow
-                version_counter += 1
-                flow.version = version_counter
                 flow.share = share
                 if share <= 0.0:
                     continue  # re-priced when the active set next changes
-                if flow.remaining_bits <= _DRAIN_EPSILON_BITS:
-                    finish = now
-                else:
-                    finish = now + self.link.serialization_time_s(
-                        flow.remaining_bits / share, start_s=now
-                    )
-                push(finish, TRANSMIT_DONE, i, flow.frame_index, flow.version)
+                remaining = flow.remaining_bits
+                key = 0.0 if remaining <= _DRAIN_EPSILON_BITS else remaining / share
+                keyed.append((key, i))
+                if key < least:
+                    least = key
+            if not keyed:
+                return
+            # Price the least key, then every key within a rounding margin
+            # of it.  A key k prices as F(k) = now + serialization_time_s(k),
+            # or `now` when drained (k = 0).  Exactly, F grows by at least
+            # g / rate_hi when k grows by g bits.  One computed F errs by at
+            # most e = 4 ulp(T) / rate_lo + 4 ulp(F), with T <= rate_hi * F
+            # the target's cumulative bits: the cumulative bits at `now`,
+            # the target sum, the residual and a crossed segment boundary
+            # each round within an ulp or two of T; the division, the
+            # interpolation, `finish - now` and `now + ...` within half an
+            # ulp of F each.  Evaluating e at twice the least finish and
+            # allowing it to double for keys further out, a key more than
+            # 4 e rate_hi above the least finishes strictly later, given
+            # rates within 10^7 of each other and segments longer than the
+            # rounding.  So only keys within the margin can tie or beat the
+            # least; ties go to the lower stream index, the order in which
+            # same-time completions used to leave the event heap.
+            first = finish_s(now, least)
+            scale = 2.0 * abs(first)
+            margin = 16.0 * rate_hi * (
+                math.ulp(rate_hi * scale) / rate_lo + math.ulp(scale)
+            )
+            bound = least + margin
+            priced = {least: first}
+            for key, i in keyed:
+                if key > bound:
+                    continue
+                finish = priced.get(key)
+                if finish is None:
+                    finish = priced[key] = finish_s(now, key)
+                if completion is None or (finish, i) < completion:
+                    completion = (finish, i)
 
-        while heap:
-            time_s, _, _, kind, index, frame_index, version = heapq.heappop(heap)
+        while heap or completion is not None:
+            if completion is not None and (not heap or completion[0] <= heap[0][0]):
+                # Completions sort first among same-time events.
+                time_s, index = completion
+                kind = TRANSMIT_DONE
+            else:
+                time_s, _, _, kind, index, frame_index = heapq.heappop(heap)
             rt = runtimes[index]
             spec = rt.spec
             if kind == FRAME_READY:
@@ -1025,8 +1079,6 @@ class StreamingEngine:
                 reschedule(time_s)
             else:  # TRANSMIT_DONE
                 flow = rt.flow
-                if flow is None or flow.version != version:
-                    continue  # superseded by a later reschedule
                 self._log(time_s, TRANSMIT_DONE, spec.name, flow.frame_index)
                 advance(time_s)
                 serialization = time_s - flow.send_start_s

@@ -29,6 +29,7 @@ import numpy as np
 from .loss import LossTrace
 from .reports import OMIT_DEFAULT
 from .traces import BandwidthTrace
+from .validation import validate_finite
 
 __all__ = ["WirelessLink", "WIFI6_LINK", "WIGIG_LINK", "HALF_NORMAL_MEAN_FACTOR"]
 
@@ -74,6 +75,8 @@ class WirelessLink:
     loss: LossTrace | None = field(default=None, metadata=OMIT_DEFAULT)
 
     def __post_init__(self):
+        for name in ("bandwidth_mbps", "propagation_ms", "jitter_ms"):
+            validate_finite(getattr(self, name), name)
         if self.bandwidth_mbps <= 0:
             raise ValueError(f"bandwidth_mbps must be positive, got {self.bandwidth_mbps}")
         if self.propagation_ms < 0:

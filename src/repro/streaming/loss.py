@@ -44,6 +44,7 @@ Examples
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -285,16 +286,26 @@ class LossTrace:
         if not self.is_bursty:
             lost[:] = u[:, 1] < self.p_loss_good
             return lost, state
-        p_gb, p_bg = self.p_good_to_bad, self.p_bad_to_good
-        for i in range(n_packets):
-            lost[i] = u[i, 1] < (
-                self.p_loss_bad if state == _BAD else self.p_loss_good
-            )
-            if state == _GOOD:
-                if u[i, 0] < p_gb:
-                    state = _BAD
-            elif u[i, 0] < p_bg:
-                state = _GOOD
+        # Walk the chain one state run at a time.  A run ends at the first
+        # packet at or after its start whose transition draw fires in the
+        # run's state; every packet up to and including that one is
+        # erased with the state's loss probability.
+        fires = (
+            np.flatnonzero(u[:, 0] < self.p_good_to_bad).tolist(),
+            np.flatnonzero(u[:, 0] < self.p_bad_to_good).tolist(),
+        )
+        p_loss = (self.p_loss_good, self.p_loss_bad)
+        start = 0
+        while start < n_packets:
+            state_fires = fires[state]
+            k = bisect.bisect_left(state_fires, start)
+            if k == len(state_fires):  # the run outlasts the frame
+                lost[start:] = u[start:, 1] < p_loss[state]
+                break
+            end = state_fires[k] + 1
+            lost[start:end] = u[start:end, 1] < p_loss[state]
+            state = _BAD if state == _GOOD else _GOOD
+            start = end
         return lost, state
 
     def sample_reorder(self, rng: np.random.Generator, n_packets: int) -> int:

@@ -72,7 +72,7 @@ from .engine import (
 from .link import WIFI6_LINK, WirelessLink
 from .reports import Report
 from .session import ENCODER_CHOICES, SessionReport
-from .validation import validate_stream_timing, validate_stream_window
+from .validation import validate_finite, validate_stream_timing, validate_stream_window
 
 __all__ = [
     "ClientConfig",
@@ -155,12 +155,17 @@ class ClientConfig:
             )
         if self.target_fps <= 0:
             raise ValueError(f"client {self.name!r}: target_fps must be positive")
+        validate_finite(self.target_fps, "target_fps", self.name)
         if self.weight <= 0:
             raise ValueError(f"client {self.name!r}: weight must be positive")
+        validate_finite(self.weight, "weight", self.name)
         if self.encode_throughput_mpixels_s <= 0:
             raise ValueError(
                 f"client {self.name!r}: encode_throughput_mpixels_s must be positive"
             )
+        validate_finite(
+            self.encode_throughput_mpixels_s, "encode_throughput_mpixels_s", self.name
+        )
         validate_stream_window(self.start_s, self.stop_s, name=self.name)
         fx, fy = self.fixation
         if not (0.0 <= fx <= 1.0 and 0.0 <= fy <= 1.0):

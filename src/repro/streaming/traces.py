@@ -34,6 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .validation import validate_finite
+
 __all__ = ["BandwidthTrace", "parse_trace_spec", "TRACE_SPEC_KINDS"]
 
 #: Spec prefixes :func:`parse_trace_spec` understands.
@@ -77,6 +79,10 @@ class BandwidthTrace:
             )
         if times.size == 0:
             raise ValueError("a trace needs at least one segment")
+        if not np.all(np.isfinite(times)):
+            raise ValueError(f"times_s must be finite, got {times_s!r}")
+        if not np.all(np.isfinite(rates)):
+            raise ValueError(f"rates_mbps must be finite, got {rates_mbps!r}")
         if times[0] != 0.0:
             raise ValueError(f"the first segment must start at 0.0 s, got {times[0]}")
         if np.any(np.diff(times) <= 0):
@@ -122,6 +128,9 @@ class BandwidthTrace:
             How far out to materialize segments; the last one extends
             forever.
         """
+        for name, value in (("high_mbps", high_mbps), ("low_mbps", low_mbps),
+                            ("period_s", period_s), ("horizon_s", horizon_s)):
+            validate_finite(value, name)
         if period_s <= 0:
             raise ValueError(f"period_s must be positive, got {period_s}")
         n_segments = max(2, int(np.ceil(horizon_s / period_s)))
@@ -134,6 +143,9 @@ class BandwidthTrace:
         cls, before_mbps: float, after_mbps: float, at_s: float
     ) -> "BandwidthTrace":
         """A single permanent rate change at ``at_s`` seconds."""
+        for name, value in (("before_mbps", before_mbps), ("after_mbps", after_mbps),
+                            ("at_s", at_s)):
+            validate_finite(value, name)
         if at_s <= 0:
             raise ValueError(f"at_s must be positive, got {at_s}")
         return cls([0.0, at_s], [before_mbps, after_mbps])
@@ -170,6 +182,10 @@ class BandwidthTrace:
         levels = [float(level) for level in levels_mbps]
         if len(levels) < 2:
             raise ValueError("a Markov trace needs at least two levels")
+        for value in levels:
+            validate_finite(value, "levels_mbps")
+        for name, value in (("dt_s", dt_s), ("horizon_s", horizon_s)):
+            validate_finite(value, name)
         if not 0.0 <= p_switch <= 1.0:
             raise ValueError(f"p_switch must be in [0, 1], got {p_switch}")
         if dt_s <= 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "validate_finite",
     "validate_stream_timing",
     "validate_stream_window",
     "validate_probability",
@@ -22,16 +23,45 @@ __all__ = [
     "validate_backoff",
 ]
 
+
+def validate_finite(value: float, name: str, owner: str | None = None) -> None:
+    """Reject a NaN or infinite parameter, naming it.
+
+    A NaN compares false both ways, so it slips past every ``<= 0``
+    guard and then reorders the event kernel's completions; an infinity
+    prices a payload at zero or infinite time.  Links, traces and
+    streams therefore reject both by name before any arithmetic sees
+    them.
+
+    Parameters
+    ----------
+    value:
+        The candidate value.
+    name:
+        Parameter name used in the error message.
+    owner:
+        Optional stream/client name used to prefix the message.
+
+    Raises
+    ------
+    ValueError
+        If ``value`` is NaN or infinite.
+    """
+    if not math.isfinite(value):
+        prefix = f"{owner!r}: " if owner else ""
+        raise ValueError(f"{prefix}{name} must be finite, got {value!r}")
+
+
 def validate_stream_timing(
     n_frames: int | None = None,
     target_fps: float | None = None,
     encode_throughput_mpixels_s: float | None = None,
 ) -> None:
-    """Reject non-positive stream-timing parameters.
+    """Reject non-positive or non-finite stream-timing parameters.
 
     Pass only the parameters the caller actually has; ``None`` skips a
-    check.  Error messages are the historical ones, so callers (and
-    tests) matching on them keep working.
+    check.  Error messages for non-positive values are the historical
+    ones, so callers (and tests) matching on them keep working.
 
     Parameters
     ----------
@@ -45,7 +75,8 @@ def validate_stream_timing(
     Raises
     ------
     ValueError
-        On the first non-positive value, with the parameter named.
+        On the first non-positive or non-finite value, with the
+        parameter named.
     """
     if n_frames is not None and n_frames <= 0:
         raise ValueError(f"n_frames must be positive, got {n_frames}")
@@ -53,6 +84,13 @@ def validate_stream_timing(
         raise ValueError(f"target_fps must be positive, got {target_fps}")
     if encode_throughput_mpixels_s is not None and encode_throughput_mpixels_s <= 0:
         raise ValueError("encode_throughput_mpixels_s must be positive")
+    for name, value in (
+        ("n_frames", n_frames),
+        ("target_fps", target_fps),
+        ("encode_throughput_mpixels_s", encode_throughput_mpixels_s),
+    ):
+        if value is not None:
+            validate_finite(value, name)
 
 
 def validate_stream_window(
@@ -70,10 +108,10 @@ def validate_stream_window(
     Parameters
     ----------
     start_s:
-        Session time the stream joins; must be >= 0.
+        Session time the stream joins; must be finite and >= 0.
     stop_s:
         Session time the stream departs, or ``None`` for no departure.
-        Must leave room for at least the first frame
+        Must be finite and leave room for at least the first frame
         (``stop_s > start_s``).
     name:
         Optional stream/client name used to prefix error messages.
@@ -81,15 +119,19 @@ def validate_stream_window(
     Raises
     ------
     ValueError
-        On a negative ``start_s`` or a ``stop_s`` at or before it.
+        On a negative or non-finite ``start_s``, or a ``stop_s`` that is
+        non-finite or at or before ``start_s``.
     """
     prefix = f"{name!r}: " if name else ""
     if start_s < 0:
         raise ValueError(f"{prefix}start_s must be >= 0, got {start_s}")
+    validate_finite(start_s, "start_s", name)
     if stop_s is not None and stop_s <= start_s:
         raise ValueError(
             f"{prefix}stop_s must be > start_s ({start_s}), got {stop_s}"
         )
+    if stop_s is not None:
+        validate_finite(stop_s, "stop_s", name)
 
 
 def validate_probability(value: float, name: str) -> float:
