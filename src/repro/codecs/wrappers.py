@@ -27,7 +27,11 @@ from ..baselines.scc import DEFAULT_SCC_ECCENTRICITY, scc_bits_per_pixel
 from ..encoding.accounting import SizeBreakdown
 from ..encoding.bd import bd_breakdown, bd_stream_bytes
 from ..encoding.bd_temporal import TemporalBDAccountant
-from ..encoding.bd_variable import variable_bd_breakdown, variable_bd_stream_bytes
+from ..encoding.bd_variable import (
+    VariableBDCodec,
+    variable_bd_breakdown,
+    variable_bd_stream_bytes,
+)
 from .base import Codec, EncodedFrame
 from .context import FrameContext
 from .registry import register
@@ -164,10 +168,8 @@ class VariableBDCostCodec(Codec):
     """
 
     def __init__(self, tile_size: int = 4, group_size: int = 4, payload: bool = False):
-        if tile_size < 1:
-            raise ValueError(f"tile_size must be >= 1, got {tile_size}")
-        if group_size < 1:
-            raise ValueError(f"group_size must be >= 1, got {group_size}")
+        # The bitstream codec's constructor rejects sizes no stream can use.
+        VariableBDCodec(tile_size, group_size)
         self.tile_size = tile_size
         self.group_size = group_size
         self.payload = payload

@@ -1,8 +1,9 @@
 """Base+Delta framebuffer compression substrate (paper Sec. 2.2).
 
-Tiling, bit-level I/O (a per-field reference path plus NumPy-vectorized
-packing kernels), the BD codec itself (bit-exact round trip), and the
-size accounting every experiment reports.
+Tiling, NumPy-vectorized bit packing kernels, the BD codec itself
+(bit-exact round trip; one grouped stream format, of which fixed-width
+BD is the one-group case), and the size accounting every experiment
+reports.
 """
 
 from .accounting import UNCOMPRESSED_BPP, SizeBreakdown
@@ -23,7 +24,6 @@ from .bd_variable import (
     variable_bd_breakdown,
     variable_bd_stream_bytes,
 )
-from .bitio import BitReader, BitWriter
 from .packing import (
     bits_to_bytes,
     bytes_to_bits,
@@ -57,8 +57,6 @@ __all__ = [
     "group_delta_widths",
     "variable_bd_breakdown",
     "variable_bd_stream_bytes",
-    "BitReader",
-    "BitWriter",
     "bits_to_bytes",
     "bytes_to_bits",
     "gather_field_runs",

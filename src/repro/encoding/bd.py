@@ -13,15 +13,20 @@ all deltas non-negative, which is both what minimizes ``w`` (the paper's
 Eq. 6 remark: any base inside ``[Min, Max]`` is optimal) and what keeps
 the format sign-free.
 
-Two interfaces are provided:
+This module owns the one BD stream format.  It is written in *groups*:
+after a 40-bit header (16-bit height, 16-bit width, 8-bit tile size),
+each (tile, channel) block holds its 8-bit base, then for each group of
+``group_size`` pixels a 4-bit width and that many deltas of the width.
+Fixed-width BD is the case ``group_size = t^2`` (one group per tile
+channel); :mod:`repro.encoding.bd_variable` (the paper's footnote-1
+variant) calls into the same plan, serializer and decoder with smaller
+groups.
 
 * :class:`BDCodec` — a real bitstream encoder/decoder with exact
-  round-trip.  Encode and decode run through the vectorized kernels of
-  :mod:`repro.encoding.packing` (bit-plane decomposition +
-  ``np.packbits``), emitting whole per-(tile, channel) delta runs per
-  kernel call instead of one ``BitWriter`` call per field; property
-  tests assert *byte-identical* streams against the per-field
-  ``BitWriter`` / ``BitReader`` reference path kept in the test suite.
+  round-trip, running on the vectorized kernels of
+  :mod:`repro.encoding.packing`.  Property tests hold its streams byte
+  for byte to a per-field reference writer and reader kept in the test
+  suite (``tests/encoding/bd_reference.py``).
 * :func:`bd_breakdown` / :func:`delta_widths` — fast vectorized bit
   *accounting* over tile stacks, used by the frame-scale experiments
   (the stream contents are irrelevant for bandwidth numbers).
@@ -36,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import SizeBreakdown
-from .bitio import BitReader
 from .packing import (
     bits_to_bytes,
     bytes_to_bits,
@@ -46,6 +50,7 @@ from .packing import (
     scatter_field_runs,
     scatter_fields,
     sliding_field_values,
+    unpack_fields,
 )
 from .tiling import TileGrid, tile_frame, untile_frame
 
@@ -62,18 +67,40 @@ __all__ = [
 
 #: Bits to store one base value (8-bit sRGB channel).
 BASE_FIELD_BITS = 8
-#: Bits of per-tile-per-channel metadata: the delta width (0..8 fits in 4).
+#: Bits of each width field: one delta width (0..8 fits in 4).
 WIDTH_FIELD_BITS = 4
 #: Stream header: 16-bit height, 16-bit width, 8-bit tile size.
 HEADER_BITS = 40
 
+#: ``_WIDTH_LUT[r]`` is the delta width for a range of ``r`` —
+#: ``ceil(log2(r + 1))``, tabulated once for every possible uint8
+#: range so the hot paths index instead of taking float logs.
+_WIDTH_LUT = np.ceil(np.log2(np.arange(256, dtype=np.float64) + 1.0)).astype(np.int64)
 
-def _validate_tiles(tiles) -> np.ndarray:
+
+def _check_tile_size(tile_size: int) -> None:
+    if tile_size < 1:
+        raise ValueError(f"tile_size must be >= 1, got {tile_size}")
+
+
+def _check_group_size(pixels_per_tile: int, group_size: int) -> None:
+    if group_size < 1:
+        raise ValueError(f"group_size must be >= 1, got {group_size}")
+    if pixels_per_tile % group_size:
+        raise ValueError(
+            f"pixels per tile ({pixels_per_tile}) must be divisible by "
+            f"group_size ({group_size})"
+        )
+
+
+def _validate_tiles(tiles, group_size: int | None = None) -> np.ndarray:
     arr = np.asarray(tiles)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"tiles must be (n_tiles, pixels, 3), got {arr.shape}")
     if arr.dtype != np.uint8:
         raise TypeError(f"BD operates on uint8 sRGB codes, got dtype {arr.dtype}")
+    if group_size is not None:
+        _check_group_size(arr.shape[1], group_size)
     return arr
 
 
@@ -86,10 +113,139 @@ def _validate_frame(frame_srgb8) -> np.ndarray:
     return frame
 
 
-#: ``_WIDTH_LUT[r]`` is the delta width for a tile-channel range of ``r``
-#: — ``ceil(log2(r + 1))``, tabulated once for every possible uint8
-#: range so the hot paths index instead of taking float logs.
-_WIDTH_LUT = np.ceil(np.log2(np.arange(256, dtype=np.float64) + 1.0)).astype(np.int64)
+def _plan(arr: np.ndarray, group_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tile bases ``(n_tiles, 3)`` and group widths ``(n_tiles, n_groups, 3)``.
+
+    Deltas are taken against the *tile* base (the per-channel minimum)
+    whatever the group size, so a group's width is that of its maximum
+    minus the tile minimum.
+    """
+    n_tiles, pixels = arr.shape[0], arr.shape[1]
+    bases = arr.min(axis=1)
+    group_max = arr.reshape(n_tiles, pixels // group_size, group_size, 3).max(axis=2)
+    return bases, _WIDTH_LUT[group_max - bases[:, None, :]]
+
+
+def _breakdown(widths: np.ndarray, group_size: int, n_pixels: int | None) -> SizeBreakdown:
+    """Size decomposition of a stream with ``widths`` from :func:`_plan`."""
+    n_tiles, n_groups = widths.shape[0], widths.shape[1]
+    return SizeBreakdown(
+        base_bits=BASE_FIELD_BITS * 3 * n_tiles,
+        metadata_bits=WIDTH_FIELD_BITS * 3 * n_tiles * n_groups,
+        delta_bits=int(widths.sum()) * group_size,
+        header_bits=HEADER_BITS,
+        n_pixels=n_pixels if n_pixels is not None else n_tiles * n_groups * group_size,
+    )
+
+
+def _run_starts(widths: np.ndarray, n_groups: int, group_size: int) -> np.ndarray:
+    """Bit offset of every delta run, given the run widths in stream order.
+
+    Run ``k`` follows the header, ``k // n_groups + 1`` bases (one per
+    block begun), ``k + 1`` width fields and ``group_size`` bits per
+    width before it.
+    """
+    k = np.arange(widths.size, dtype=np.int64)
+    return (
+        HEADER_BITS
+        + BASE_FIELD_BITS * (k // n_groups + 1)
+        + WIDTH_FIELD_BITS * (k + 1)
+        + group_size * (np.cumsum(widths) - widths)
+    )
+
+
+def _header_bits(grid: TileGrid) -> np.ndarray:
+    """The 40-bit stream header as a bit array."""
+    return np.concatenate(
+        [pack_fields([grid.height, grid.width], 16), pack_fields([grid.tile_size], 8)]
+    )
+
+
+def _serialize(
+    arr: np.ndarray, grid: TileGrid, bases: np.ndarray, widths: np.ndarray, group_size: int
+) -> bytes:
+    """Scatter-pack the stream of a tile stack planned by :func:`_plan`.
+
+    The layout is fully determined by the widths, so one zeroed bit
+    array is allocated and each field family is scattered into place
+    (:func:`~repro.encoding.packing.scatter_fields`): all bases at
+    once, all width fields at once, then the delta runs of each
+    distinct width (at most 8 passes).
+    """
+    n_tiles, pixels = arr.shape[0], arr.shape[1]
+    n_groups = pixels // group_size
+    # Stream order: tile, then channel, then group.
+    run_widths = widths.transpose(0, 2, 1).reshape(-1)
+    run_starts = _run_starts(run_widths, n_groups, group_size)
+    bits = np.zeros(int(run_starts[-1]) + group_size * int(run_widths[-1]), dtype=np.uint8)
+    bits[:HEADER_BITS] = _header_bits(grid)
+    block_starts = run_starts[::n_groups] - (BASE_FIELD_BITS + WIDTH_FIELD_BITS)
+    scatter_fields(bits, block_starts, bases.reshape(-1), BASE_FIELD_BITS, validate=False)
+    scatter_fields(
+        bits, run_starts - WIDTH_FIELD_BITS, run_widths, WIDTH_FIELD_BITS, validate=False
+    )
+    # Deltas are value - tile minimum, so they are non-negative and fit
+    # their group's width by construction.
+    deltas = (arr - bases[:, None, :]).reshape(n_tiles, n_groups, group_size, 3)
+    runs = deltas.transpose(0, 3, 1, 2).reshape(-1, group_size)
+    scatter_field_runs(bits, run_starts, run_widths, runs, group_size)
+    return bits_to_bytes(bits)
+
+
+def _encode(tiles: np.ndarray, grid: TileGrid, group_size: int) -> tuple[bytes, SizeBreakdown]:
+    """Stream and breakdown of a frame's tiles, from one plan."""
+    bases, widths = _plan(tiles, group_size)
+    data = _serialize(tiles, grid, bases, widths, group_size)
+    return data, _breakdown(widths, group_size, grid.height * grid.width)
+
+
+def _decode(data: bytes, grid: TileGrid, group_size: int) -> np.ndarray:
+    """Decode a stream back to the exact ``(H, W, 3)`` uint8 frame.
+
+    Walking the stream is inherently sequential — each group's position
+    depends on the width stored before it — but only the 4-bit width
+    fields are read in that walk, against a precomputed sliding-value
+    table (:func:`~repro.encoding.packing.sliding_field_values`).
+    Bases and the delta runs of each distinct width are then gathered
+    vectorized.
+    """
+    bits = bytes_to_bits(data)
+    height, width = unpack_fields(bits, 0, 2, 16)
+    (tile_size,) = unpack_fields(bits, 32, 1, 8)
+    if TileGrid(int(height), int(width), int(tile_size)) != grid:
+        raise ValueError("bitstream header disagrees with the encoded frame's grid")
+    pixels = grid.pixels_per_tile
+    _check_group_size(pixels, group_size)
+    n_groups = pixels // group_size
+    # A bytes table (a 4-bit value fits a byte) makes each width lookup
+    # a plain C-level index returning a Python int.
+    width_at = sliding_field_values(bits, WIDTH_FIELD_BITS).tobytes()
+    # Before each group: the block's base if the group begins a block.
+    skips = ([BASE_FIELD_BITS] + [0] * (n_groups - 1)) * (grid.n_tiles * 3)
+    width_bits = WIDTH_FIELD_BITS
+    width_list: list[int] = []
+    offset = HEADER_BITS
+    try:
+        for skip in skips:
+            offset += skip
+            w = width_at[offset]
+            width_list.append(w)
+            offset += width_bits + group_size * w
+    except IndexError:
+        raise EOFError(
+            f"bitstream exhausted: need a width field at position {offset}, "
+            f"stream has {bits.size} bits"
+        ) from None
+    if offset > bits.size:
+        raise EOFError(f"bitstream exhausted: need {offset} bits, stream has {bits.size}")
+    widths = np.array(width_list, dtype=np.int64)
+    run_starts = _run_starts(widths, n_groups, group_size)
+    block_starts = run_starts[::n_groups] - (BASE_FIELD_BITS + WIDTH_FIELD_BITS)
+    bases = gather_fields(bits, block_starts, BASE_FIELD_BITS)
+    deltas = gather_field_runs(bits, run_starts, widths, group_size)
+    flat = bases[:, None] + deltas.reshape(bases.size, pixels)
+    tiles = flat.reshape(grid.n_tiles, 3, pixels).transpose(0, 2, 1)
+    return untile_frame(np.ascontiguousarray(tiles), grid)
 
 
 def delta_widths(tiles) -> np.ndarray:
@@ -100,8 +256,7 @@ def delta_widths(tiles) -> np.ndarray:
     range of 2 needs 2 bits, not 1).
     """
     arr = _validate_tiles(tiles)
-    ranges = arr.max(axis=1).astype(np.int64) - arr.min(axis=1)
-    return _WIDTH_LUT[ranges]
+    return _plan(arr, arr.shape[1])[1][:, 0]
 
 
 def bd_breakdown(tiles, n_pixels: int | None = None) -> SizeBreakdown:
@@ -116,38 +271,11 @@ def bd_breakdown(tiles, n_pixels: int | None = None) -> SizeBreakdown:
         to the padded tile-stack pixel count.
     """
     arr = _validate_tiles(tiles)
-    n_tiles, pixels_per_tile = arr.shape[0], arr.shape[1]
-    widths = delta_widths(arr)
-    return SizeBreakdown(
-        base_bits=BASE_FIELD_BITS * 3 * n_tiles,
-        metadata_bits=WIDTH_FIELD_BITS * 3 * n_tiles,
-        delta_bits=int(widths.sum()) * pixels_per_tile,
-        header_bits=HEADER_BITS,
-        n_pixels=n_pixels if n_pixels is not None else n_tiles * pixels_per_tile,
-    )
-
-
-def _header_bits(grid: TileGrid) -> np.ndarray:
-    """The 40-bit stream header as a bit array."""
-    return np.concatenate(
-        [
-            pack_fields([grid.height], 16),
-            pack_fields([grid.width], 16),
-            pack_fields([grid.tile_size], 8),
-        ]
-    )
+    return _breakdown(_plan(arr, arr.shape[1])[1], arr.shape[1], n_pixels)
 
 
 def bd_stream_bytes(tiles: np.ndarray, grid: TileGrid) -> bytes:
     """Serialize a tile stack into the BD bitstream, vectorized.
-
-    The stream layout is fully determined by the per-(tile, channel)
-    delta widths, so the encoder allocates one zeroed bit array and
-    scatters each field family into place
-    (:func:`~repro.encoding.packing.scatter_fields`): all bases at
-    once, all width fields at once, then the delta runs of each
-    distinct width (at most 8 passes).  The bytes are identical to
-    what a per-field ``BitWriter`` loop produces.
 
     Parameters
     ----------
@@ -159,48 +287,7 @@ def bd_stream_bytes(tiles: np.ndarray, grid: TileGrid) -> bytes:
         The tiling geometry to record in the header.
     """
     arr = _validate_tiles(tiles)
-    bases = arr.min(axis=1)  # (n_tiles, 3) uint8
-    ranges = arr.max(axis=1).astype(np.int64) - bases
-    widths = _WIDTH_LUT[ranges]
-    return _stream_from_plan(arr, grid, bases, widths)
-
-
-def _stream_from_plan(
-    arr: np.ndarray, grid: TileGrid, bases: np.ndarray, widths: np.ndarray
-) -> bytes:
-    """Scatter-pack the stream given precomputed bases and widths."""
-    n_tiles, p = arr.shape[0], arr.shape[1]
-    n_tc = n_tiles * 3
-    flat_widths = widths.reshape(n_tc)
-
-    block_bits = (BASE_FIELD_BITS + WIDTH_FIELD_BITS) + p * flat_widths
-    block_starts = HEADER_BITS + np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(block_bits)[:-1]]
-    )
-    total_bits = HEADER_BITS + int(block_bits.sum())
-    bits = np.zeros(total_bits, dtype=np.uint8)
-    bits[:HEADER_BITS] = _header_bits(grid)
-    scatter_fields(bits, block_starts, bases.reshape(n_tc), BASE_FIELD_BITS, validate=False)
-    scatter_fields(
-        bits, block_starts + BASE_FIELD_BITS, flat_widths, WIDTH_FIELD_BITS, validate=False
-    )
-
-    # Deltas are value - channel-min, so they are non-negative and fit
-    # their computed width by construction.
-    deltas = arr - bases[:, None, :]
-    delta_runs = deltas.transpose(0, 2, 1).reshape(n_tc, p)
-    delta_starts = block_starts + (BASE_FIELD_BITS + WIDTH_FIELD_BITS)
-    scatter_field_runs(bits, delta_starts, flat_widths, delta_runs, p)
-    return bits_to_bytes(bits)
-
-
-def _read_header(data: bytes) -> tuple[np.ndarray, TileGrid]:
-    bits = bytes_to_bits(data)
-    reader = BitReader(data)
-    height = reader.read(16)
-    width = reader.read(16)
-    tile_size = reader.read(8)
-    return bits, TileGrid(height=height, width=width, tile_size=tile_size)
+    return _serialize(arr, grid, *_plan(arr, arr.shape[1]), arr.shape[1])
 
 
 @dataclass(frozen=True)
@@ -218,81 +305,18 @@ class BDCodec:
     The codec is numerically lossless: ``decode(encode(frame))`` returns
     the input exactly.  The perceptual encoder plugs in *before* this
     codec, adjusting pixels so the deltas shrink (paper Fig. 7).
-
-    :meth:`encode` and :meth:`decode` run on the vectorized kernels of
-    :mod:`repro.encoding.packing`; property tests hold both to a
-    per-field ``BitWriter`` / ``BitReader`` reference path, byte for
-    byte in each direction.
     """
 
     def __init__(self, tile_size: int = 4):
-        if tile_size < 1:
-            raise ValueError(f"tile_size must be >= 1, got {tile_size}")
+        _check_tile_size(tile_size)
         self.tile_size = tile_size
 
     def encode(self, frame_srgb8) -> EncodedFrame:
         """Encode an ``(H, W, 3)`` uint8 sRGB frame (vectorized)."""
-        frame = _validate_frame(frame_srgb8)
-        tiles, grid = tile_frame(frame, self.tile_size)
-        bases = tiles.min(axis=1)
-        ranges = tiles.max(axis=1).astype(np.int64) - bases
-        widths = _WIDTH_LUT[ranges]
-        data = _stream_from_plan(tiles, grid, bases, widths)
-        breakdown = SizeBreakdown(
-            base_bits=BASE_FIELD_BITS * 3 * grid.n_tiles,
-            metadata_bits=WIDTH_FIELD_BITS * 3 * grid.n_tiles,
-            delta_bits=int(widths.sum()) * grid.pixels_per_tile,
-            header_bits=HEADER_BITS,
-            n_pixels=grid.height * grid.width,
-        )
+        tiles, grid = tile_frame(_validate_frame(frame_srgb8), self.tile_size)
+        data, breakdown = _encode(tiles, grid, grid.pixels_per_tile)
         return EncodedFrame(data=data, grid=grid, breakdown=breakdown)
 
     def decode(self, encoded: EncodedFrame) -> np.ndarray:
-        """Decode back to the exact ``(H, W, 3)`` uint8 frame (vectorized).
-
-        Walking the stream is inherently sequential — each (tile,
-        channel) block's position depends on the delta width stored in
-        the block before it — but only the 12-bit headers are read in
-        that walk, against precomputed sliding-value tables
-        (:func:`~repro.encoding.packing.sliding_field_values`).  The
-        delta payload, which dominates the stream, is then gathered in
-        at most one vectorized pass per distinct width.
-        """
-        bits, grid = _read_header(encoded.data)
-        if grid != encoded.grid:
-            raise ValueError("bitstream header disagrees with the encoded frame's grid")
-        p = grid.pixels_per_tile
-        n_tc = grid.n_tiles * 3
-        # The walk below does one random-access width lookup per block;
-        # a bytes table (a 4-bit value fits a byte) makes each lookup a
-        # plain C-level index returning a Python int.
-        width_at = sliding_field_values(bits, WIDTH_FIELD_BITS).tobytes()
-        width_list: list[int] = []
-        offset = HEADER_BITS
-        header_bits = BASE_FIELD_BITS + WIDTH_FIELD_BITS
-        try:
-            for _ in range(n_tc):
-                w = width_at[offset + BASE_FIELD_BITS]
-                width_list.append(w)
-                offset += header_bits + p * w
-        except IndexError:
-            raise EOFError(
-                f"bitstream exhausted: need block header at position {offset}, "
-                f"stream has {bits.size} bits"
-            ) from None
-        if offset > bits.size:
-            raise EOFError(
-                f"bitstream exhausted: need {offset} bits, stream has {bits.size}"
-            )
-        widths = np.array(width_list, dtype=np.int64)
-        # Block i starts after i full blocks: i headers plus p bits per
-        # accumulated delta width.
-        block_ends = header_bits * np.arange(1, n_tc + 1, dtype=np.int64) + p * np.cumsum(
-            widths
-        )
-        starts = HEADER_BITS + block_ends - p * widths
-        bases = gather_fields(bits, starts - header_bits, BASE_FIELD_BITS)
-        deltas = gather_field_runs(bits, starts, widths, p)
-        flat = bases[:, None] + deltas
-        tiles = flat.reshape(grid.n_tiles, 3, p).transpose(0, 2, 1)
-        return untile_frame(np.ascontiguousarray(tiles), grid)
+        """Decode back to the exact ``(H, W, 3)`` uint8 frame (vectorized)."""
+        return _decode(encoded.data, encoded.grid, encoded.grid.pixels_per_tile)

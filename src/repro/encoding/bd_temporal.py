@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import SizeBreakdown
-from .bd import BASE_FIELD_BITS, HEADER_BITS, WIDTH_FIELD_BITS, delta_widths
+from .bd import _WIDTH_LUT, BASE_FIELD_BITS, HEADER_BITS, WIDTH_FIELD_BITS, delta_widths
 
 __all__ = ["MODE_FIELD_BITS", "temporal_delta_widths", "TemporalBDAccountant"]
 
@@ -57,8 +57,7 @@ def temporal_delta_widths(tiles, previous_tiles) -> np.ndarray:
     if current.dtype != np.uint8 or previous.dtype != np.uint8:
         raise TypeError("temporal BD operates on uint8 sRGB tiles")
     magnitude = np.abs(current.astype(np.int64) - previous.astype(np.int64)).max(axis=1)
-    widths = np.ceil(np.log2(magnitude + 1.0)).astype(np.int64)
-    return np.where(magnitude > 0, widths + 1, 0)
+    return _WIDTH_LUT[magnitude] + (magnitude > 0)
 
 
 @dataclass
@@ -66,9 +65,10 @@ class TemporalBDAccountant:
     """Stateful per-stream size accounting with temporal mode choice.
 
     Feed it the tile stacks of consecutive frames (all tiled with the
-    same grid); it returns a :class:`SizeBreakdown` per frame, choosing
-    the cheaper mode per tile-channel.  The first frame is always fully
-    spatial.
+    same tile size); it returns a :class:`SizeBreakdown` per frame,
+    choosing the cheaper mode per tile-channel.  The first frame is
+    fully spatial, and so is a frame whose tile count differs from the
+    previous frame's (a resolution change).
     """
 
     pixels_per_tile: int | None = None
@@ -93,23 +93,18 @@ class TemporalBDAccountant:
             )
         n_tiles, pixels = arr.shape[0], arr.shape[1]
 
-        spatial_widths = delta_widths(arr)  # (n_tiles, 3)
-        spatial_bits = BASE_FIELD_BITS + WIDTH_FIELD_BITS + pixels * spatial_widths
-
+        widths = delta_widths(arr)  # (n_tiles, 3), spatial mode
+        use_temporal = np.zeros(widths.shape, dtype=bool)
         if self._previous is not None and self._previous.shape == arr.shape:
             temporal_widths = temporal_delta_widths(arr, self._previous)
             # Temporal mode needs no base field (the reference is the
             # previous frame) but still a width field.
-            temporal_bits = WIDTH_FIELD_BITS + pixels * temporal_widths
-            use_temporal = temporal_bits < spatial_bits
-        else:
-            temporal_bits = np.zeros_like(spatial_bits)
-            use_temporal = np.zeros_like(spatial_bits, dtype=bool)
+            use_temporal = (
+                WIDTH_FIELD_BITS + pixels * temporal_widths
+                < BASE_FIELD_BITS + WIDTH_FIELD_BITS + pixels * widths
+            )
+            widths = np.where(use_temporal, temporal_widths, widths)
 
-        chosen_delta_bits = np.where(
-            use_temporal, pixels * temporal_widths if self._previous is not None else 0,
-            pixels * spatial_widths,
-        )
         base_bits = int((~use_temporal).sum()) * BASE_FIELD_BITS
         metadata_bits = (
             n_tiles * 3 * (WIDTH_FIELD_BITS + MODE_FIELD_BITS)
@@ -118,7 +113,7 @@ class TemporalBDAccountant:
         return SizeBreakdown(
             base_bits=base_bits,
             metadata_bits=metadata_bits,
-            delta_bits=int(chosen_delta_bits.sum()),
+            delta_bits=int(widths.sum()) * pixels,
             header_bits=HEADER_BITS,
             n_pixels=n_pixels if n_pixels is not None else n_tiles * pixels,
         )

@@ -1,20 +1,20 @@
 """NumPy-vectorized MSB-first bit packing/unpacking kernels.
 
-:mod:`repro.encoding.bitio` defines the library's bitstream format
-operationally: :class:`~repro.encoding.bitio.BitWriter` appends
-unsigned fields MSB-first and zero-pads the final byte.  That
-per-field Python loop is exact but runs once per tile x channel x
-pixel — millions of interpreter-level calls per frame on the
-encode-heavy paths (fig10/fig11 sweeps, the fleet and adaptive
-engines, ladder calibration).
+The library's bitstreams are sequences of unsigned fields written
+MSB-first, with the final partial byte zero-padded.  The test suite
+keeps that format's operational definition, a per-field
+``BitWriter``/``BitReader`` (``tests/encoding/bitio.py``): exact, but
+one interpreter-level call per tile x channel x pixel — millions per
+frame on the encode-heavy paths (fig10/fig11 sweeps, the fleet and
+adaptive engines, ladder calibration).
 
-This module re-expresses the same format as array kernels: a field
+This module expresses the same format as array kernels: a field
 sequence becomes a flat ``uint8`` array of 0/1 *bits* built by
 bit-plane decomposition (shift-and-mask against every bit position at
 once), and ``np.packbits``/``np.unpackbits`` convert between bit
 arrays and the byte stream.  ``np.packbits`` zero-fills the final
 partial byte exactly like ``BitWriter.getvalue``, so streams produced
-here are byte-identical to the legacy writer — property tests in
+here are byte-identical to the per-field writer — property tests in
 ``tests/encoding/test_packing.py`` pin that equivalence.
 
 Two field layouts are supported:
@@ -25,7 +25,7 @@ Two field layouts are supported:
   :func:`pack_segments` / :func:`unpack_segments`, where segment ``s``
   carries ``counts[s]`` fields of ``widths[s]`` bits.  A whole BD
   frame (header, per-tile bases, width fields, delta runs) is one such
-  descriptor list, so an encode is a single kernel call.
+  descriptor list.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ def bytes_to_bits(data) -> np.ndarray:
 def bits_to_bytes(bits) -> bytes:
     """Pack a 0/1 bit array MSB-first, zero-padding the final byte.
 
-    The padding matches :meth:`repro.encoding.bitio.BitWriter.getvalue`
-    exactly, so kernel-built streams are byte-identical to the legacy
-    writer's.
+    The padding matches the per-field reference writer's
+    (``BitWriter.getvalue`` in ``tests/encoding/bitio.py``) exactly, so
+    kernel-built streams are byte-identical to its output.
     """
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
 

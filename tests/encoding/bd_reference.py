@@ -1,7 +1,8 @@
 """Per-field reference BD and variable-BD bitstream paths (test oracles).
 
 The executable definition of both stream formats: one ``BitWriter`` /
-``BitReader`` call per field, exactly as the format is specified.  The
+``BitReader`` call per field (from ``bitio.py`` beside this module),
+exactly as the format is specified.  The
 vectorized :class:`~repro.encoding.bd.BDCodec` and
 :class:`~repro.encoding.bd_variable.VariableBDCodec` must reproduce
 these streams byte for byte and decode each other's output; the tests
@@ -27,8 +28,9 @@ from repro.encoding.bd_variable import (
     group_delta_widths,
     variable_bd_breakdown,
 )
-from repro.encoding.bitio import BitReader, BitWriter
 from repro.encoding.tiling import TileGrid, tile_frame, untile_frame
+
+from bitio import BitReader, BitWriter
 
 
 def _write_header(writer: BitWriter, grid: TileGrid) -> None:

@@ -1,10 +1,15 @@
-"""Bit-level stream writer and reader.
+"""Per-field bit-level stream writer and reader (test oracle).
 
 The Base+Delta codec produces fields of non-byte widths (4-bit delta
 widths, w-bit deltas), so encoded frames are genuine bitstreams.  These
-classes implement MSB-first bit packing; the writer pads the final byte
-with zeros, and the reader tracks its position exactly so codecs can
-assert they consumed what they produced.
+classes implement MSB-first bit packing one field at a time; the writer
+pads the final byte with zeros, and the reader tracks its position
+exactly so callers can assert they consumed what they produced.
+
+This is the operational definition of the bit format that the
+vectorized kernels of :mod:`repro.encoding.packing` reproduce: the
+reference BD paths in ``bd_reference.py`` write and read through it,
+and ``test_packing.py`` holds the kernels byte-identical to it.
 """
 
 from __future__ import annotations

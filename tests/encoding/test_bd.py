@@ -186,15 +186,17 @@ class TestVectorizedMatchesLegacy:
         frame = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
         codec = BDCodec(tile_size=4)
         encoded = codec.encode(frame)
-        truncated = EncodedFrame(
-            data=encoded.data[: len(encoded.data) // 2],
-            grid=encoded.grid,
-            breakdown=encoded.breakdown,
-        )
-        with pytest.raises(EOFError, match="exhausted"):
-            codec.decode(truncated)
-        with pytest.raises(EOFError, match="exhausted"):
-            decode_legacy(truncated)
+        # Cut mid-stream, and inside the 40-bit header.
+        for length in (len(encoded.data) // 2, 3):
+            truncated = EncodedFrame(
+                data=encoded.data[:length],
+                grid=encoded.grid,
+                breakdown=encoded.breakdown,
+            )
+            with pytest.raises(EOFError, match="exhausted"):
+                codec.decode(truncated)
+            with pytest.raises(EOFError, match="exhausted"):
+                decode_legacy(truncated)
 
     def test_header_grid_mismatch_raises(self, rng):
         frame = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)

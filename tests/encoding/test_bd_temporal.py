@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.codecs import FrameContext, get_codec
 from repro.encoding.bd import bd_breakdown
 from repro.encoding.bd_temporal import TemporalBDAccountant, temporal_delta_widths
+from repro.scenes.library import render_scene
 
 
 def _tiles(rng, n=20, value_range=(0, 256)):
@@ -88,6 +90,22 @@ class TestAccountant:
         accountant.push(_tiles(rng))
         with pytest.raises(ValueError, match="tile size changed"):
             accountant.push(rng.integers(0, 256, (20, 64, 3), dtype=np.uint8))
+
+    def test_resolution_change_is_coded_spatially(self, rng):
+        accountant = TemporalBDAccountant()
+        accountant.push(_tiles(rng, 4))
+        larger = _tiles(rng, 16)
+        assert accountant.push(larger) == TemporalBDAccountant().push(larger)
+
+    def test_registered_codec_survives_resolution_change(self):
+        small = FrameContext(render_scene("office", 8, 8))
+        large = FrameContext(render_scene("office", 16, 16))
+        codec = get_codec("temporal-bd")
+        codec.reset()
+        codec.encode(small)
+        fresh = get_codec("temporal-bd")
+        fresh.reset()
+        assert codec.encode(large).breakdown == fresh.encode(large).breakdown
 
     def test_mode_choice_never_worse_than_spatial_deltas(self, rng):
         """Per-channel argmin guarantees delta bits <= spatial's."""

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.encoding.bd import bd_breakdown
+from repro.codecs import get_codec
+from repro.encoding.bd import BDCodec, EncodedFrame, bd_breakdown, delta_widths
 from repro.encoding.bd_variable import (
     VariableBDCodec,
+    VariableEncodedFrame,
     group_delta_widths,
     variable_bd_breakdown,
 )
@@ -159,8 +161,6 @@ class TestVectorizedMatchesLegacy:
         assert np.array_equal(decode_variable_legacy(vectorized), frame)
 
     def test_truncated_stream_raises_eof(self, rng):
-        from repro.encoding.bd_variable import VariableEncodedFrame
-
         frame = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
         codec = VariableBDCodec(tile_size=4, group_size=4)
         encoded = codec.encode(frame)
@@ -174,6 +174,39 @@ class TestVectorizedMatchesLegacy:
             codec.decode(truncated)
         with pytest.raises(EOFError, match="exhausted"):
             decode_variable_legacy(truncated)
+
+
+class TestOneGroupIsFixedWidth:
+    """Fixed-width BD is the grouped format with one group per tile channel."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from(["flat", "full"]),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_one_group_per_tile_matches_fixed(self, height, width, tile_size, content, seed):
+        rng = np.random.default_rng(seed)
+        if content == "flat":
+            frame = np.full((height, width, 3), rng.integers(0, 256), dtype=np.uint8)
+        else:
+            frame = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
+        pixels = tile_size * tile_size
+        fixed_codec = BDCodec(tile_size)
+        grouped_codec = VariableBDCodec(tile_size, pixels)
+        fixed = fixed_codec.encode(frame)
+        grouped = grouped_codec.encode(frame)
+        assert fixed.data == grouped.data
+        assert fixed.breakdown == grouped.breakdown
+        as_fixed = EncodedFrame(grouped.data, grouped.grid, grouped.breakdown)
+        as_grouped = VariableEncodedFrame(fixed.data, fixed.grid, pixels, fixed.breakdown)
+        assert np.array_equal(fixed_codec.decode(as_fixed), frame)
+        assert np.array_equal(grouped_codec.decode(as_grouped), frame)
+        tiles, _ = tile_frame(frame, tile_size)
+        assert bd_breakdown(tiles) == variable_bd_breakdown(tiles, pixels)
+        assert np.array_equal(delta_widths(tiles), group_delta_widths(tiles, pixels)[:, 0])
 
 
 class TestValidation:
@@ -190,3 +223,16 @@ class TestValidation:
     def test_rejects_float_frame(self):
         with pytest.raises(TypeError, match="uint8"):
             VariableBDCodec().encode(np.zeros((8, 8, 3)))
+
+    def test_registered_codec_rejects_indivisible_group_at_construction(self):
+        with pytest.raises(ValueError, match="divisible by group_size"):
+            get_codec("variable-bd", tile_size=4, group_size=3)
+
+    @pytest.mark.parametrize("group_size", [0, 3, 5])
+    def test_decode_rejects_unusable_record_group_size(self, rng, group_size):
+        frame = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
+        codec = VariableBDCodec(tile_size=4, group_size=4)
+        encoded = codec.encode(frame)
+        bad = VariableEncodedFrame(encoded.data, encoded.grid, group_size, encoded.breakdown)
+        with pytest.raises(ValueError, match="group_size"):
+            codec.decode(bad)

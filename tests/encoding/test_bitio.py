@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.encoding.bitio import BitReader, BitWriter
+from bitio import BitReader, BitWriter
 
 
 class TestBitWriter:

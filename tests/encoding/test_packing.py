@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.encoding.bitio import BitReader, BitWriter
 from repro.encoding.packing import (
     bits_to_bytes,
     bytes_to_bits,
@@ -25,6 +24,8 @@ from repro.encoding.packing import (
     unpack_fields,
     unpack_segments,
 )
+
+from bitio import BitReader, BitWriter
 
 
 def _segments_strategy():
