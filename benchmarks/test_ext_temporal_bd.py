@@ -9,7 +9,7 @@ similarity.  Composes with the perceptual adjustment, whose output is
 import numpy as np
 from conftest import run_once
 
-from repro.core.pipeline import PerceptualEncoder
+from repro import FrameContext, PerceptualCodec
 from repro.encoding.bd import bd_breakdown
 from repro.encoding.bd_temporal import TemporalBDAccountant
 from repro.encoding.tiling import tile_frame
@@ -19,7 +19,7 @@ from repro.scenes.library import SCENE_NAMES, get_scene
 
 def _measure(height=192, width=192, n_frames=4):
     ecc = QUEST2_DISPLAY.eccentricity_map(height, width)
-    encoder = PerceptualEncoder()
+    encoder = PerceptualCodec()
     rows = []
     for name in SCENE_NAMES:
         scene = get_scene(name)
@@ -28,7 +28,7 @@ def _measure(height=192, width=192, n_frames=4):
         n_pixels = height * width
         for index in range(n_frames):
             frame = scene.render(height, width, frame=index, eye="left")
-            adjusted = encoder.encode_frame(frame, ecc).adjusted_srgb
+            adjusted = encoder.encode(FrameContext(frame, eccentricity=ecc)).adjusted_srgb
             tiles, _ = tile_frame(adjusted, 4)
             spatial_bits += bd_breakdown(tiles, n_pixels=n_pixels).total_bits
             temporal_bits += accountant.push(tiles, n_pixels=n_pixels).total_bits

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import PerceptualEncoder, QUEST2_DISPLAY
+from repro import QUEST2_DISPLAY, FrameContext, PerceptualCodec
 from repro.perception.calibration import calibrated_model, sample_population
 from repro.scenes.library import render_scene
 from repro.study.observer import PsychometricParameters, SimulatedObserver, scene_exceedance
 
 
-def encode(encoder: PerceptualEncoder, frame, eccentricity):
-    result = encoder.encode_frame(frame, eccentricity)
-    return result
+def encode(encoder: PerceptualCodec, frame, eccentricity):
+    return encoder.encode(FrameContext(frame, eccentricity=eccentricity))
 
 
 def main() -> None:
@@ -38,7 +37,7 @@ def main() -> None:
     rng = np.random.default_rng(11)
     population = sample_population(6, rng, sensitive_fraction=0.35)
 
-    average_encoder = PerceptualEncoder()
+    average_encoder = PerceptualCodec()
     average_result = encode(average_encoder, frame, eccentricity)
     exceedance = scene_exceedance(
         [frame], [average_result.adjusted_frame], eccentricity,
@@ -57,7 +56,7 @@ def main() -> None:
     for profile in population:
         observer = SimulatedObserver(profile, params)
         p_detect = observer.detection_probability(exceedance)
-        calibrated = PerceptualEncoder(model=calibrated_model(profile))
+        calibrated = PerceptualCodec(model=calibrated_model(profile))
         result = encode(calibrated, frame, eccentricity)
         p_after = SimulatedObserver(profile, params).detection_probability(
             scene_exceedance(

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import PerceptualEncoder, QUEST2_DISPLAY, render_scene
+from repro import QUEST2_DISPLAY, FrameContext, get_codec, render_scene
 from repro.imageio import write_png
 from repro.metrics.psnr import psnr
 
@@ -36,7 +36,7 @@ def main(output_dir: str = ".") -> None:
 
     frame = render_scene("thai", height, width, eye="left")
     eccentricity = QUEST2_DISPLAY.eccentricity_map(height, width)
-    result = PerceptualEncoder().encode_frame(frame, eccentricity)
+    result = get_codec("perceptual").encode(FrameContext(frame, eccentricity=eccentricity))
 
     difference = np.abs(
         result.adjusted_srgb.astype(np.int16) - result.original_srgb.astype(np.int16)

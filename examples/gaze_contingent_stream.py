@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import PerceptualEncoder, QUEST2_DISPLAY
+from repro import QUEST2_DISPLAY, FrameContext, get_codec
 from repro.hardware.energy import OperatingPoint, power_saving_w
 from repro.hardware.cau import CAUModel
 from repro.scenes.library import get_scene
@@ -31,7 +31,7 @@ def main() -> None:
     height = width = 192
     n_frames = 6
     scene = get_scene("skyline")
-    encoder = PerceptualEncoder()
+    encoder = get_codec("perceptual")
 
     print(f"scene: {scene.name} | {n_frames} stereo frames at {height}x{width}")
     print(f"{'frame':>5} {'gaze':>14} {'L bpp':>7} {'R bpp':>7} {'vs BD':>7}")
@@ -42,7 +42,9 @@ def main() -> None:
             height, width, fixation=(gx, gy)
         )
         left, right = scene.render_stereo(height, width, frame=index)
-        results = [encoder.encode_frame(eye, eccentricity) for eye in (left, right)]
+        results = [
+            encoder.encode(FrameContext(eye, eccentricity=eccentricity)) for eye in (left, right)
+        ]
         bd_bpps.append(np.mean([r.baseline_breakdown.bits_per_pixel for r in results]))
         ours_bpps.append(np.mean([r.breakdown.bits_per_pixel for r in results]))
         reduction = np.mean([r.bandwidth_reduction_vs_bd for r in results])

@@ -28,10 +28,6 @@ Sweep several codecs over a frame sequence with shared context work::
 
     results = encode_batch(frames, codecs=("bd", "png", "perceptual"))
     print({name: sum(r.total_bits for r in rs) for name, rs in results.items()})
-
-The lower-level entry points remain available:
-``PerceptualEncoder().encode_frame(frame, eccentricity)`` returns the
-same :class:`FrameResult` the codec API does.
 """
 
 from .codecs import (
@@ -46,7 +42,7 @@ from .codecs import (
     get_codec,
 )
 from .codecs import register as register_codec
-from .core.pipeline import DEFAULT_FOVEAL_RADIUS_DEG, FrameResult, PerceptualEncoder
+from .codecs.wrappers import DEFAULT_FOVEAL_RADIUS_DEG, FrameResult, PerceptualCodec
 from .encoding.bd import BDCodec
 from .perception.model import ParametricModel, RBFModel, ScaledModel, default_model
 from .scenes.display import QUEST2_DISPLAY, DisplayGeometry
@@ -76,7 +72,7 @@ __all__ = [
     "register_codec",
     "DEFAULT_FOVEAL_RADIUS_DEG",
     "FrameResult",
-    "PerceptualEncoder",
+    "PerceptualCodec",
     "BDCodec",
     "ParametricModel",
     "RBFModel",

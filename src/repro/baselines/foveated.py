@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..color.srgb import encode_srgb8
-from ..encoding.bd import bd_breakdown
-from ..encoding.tiling import tile_frame
+from ..codecs.context import FrameContext
+from ..codecs.registry import get_codec
 
 __all__ = ["FoveationConfig", "foveate_frame", "foveated_bd_bits"]
 
@@ -116,8 +115,7 @@ def foveated_bd_bits(
     frame_linear: np.ndarray,
     eccentricity_deg: np.ndarray,
     config: FoveationConfig | None = None,
-    tile_size: int = 4,
-    encoder=None,
+    codec=None,
 ) -> int:
     """BD cost of a foveated multi-resolution frame layout.
 
@@ -129,12 +127,15 @@ def foveated_bd_bits(
     image directly accounts for how well low-resolution content
     BD-compresses without double-charging the blur.
 
-    Passing a :class:`~repro.core.pipeline.PerceptualEncoder` as
-    ``encoder`` composes the paper's color adjustment with foveation:
-    each layer is perceptually adjusted (against the correspondingly
-    downsampled eccentricity map) before BD.
+    ``codec`` prices each layer image; it defaults to the registered
+    ``bd`` codec at its default tile size.  Passing a
+    :class:`~repro.codecs.wrappers.PerceptualCodec` composes the paper's
+    color adjustment with foveation: each layer is perceptually
+    adjusted (against the correspondingly downsampled eccentricity map)
+    before BD.
     """
     config = config or FoveationConfig()
+    codec = codec if codec is not None else get_codec("bd")
     frame = np.asarray(frame_linear, dtype=np.float64)
     ecc = np.asarray(eccentricity_deg, dtype=np.float64)
     if frame.ndim != 3 or frame.shape[2] != 3:
@@ -155,10 +156,7 @@ def foveated_bd_bits(
     def layer_bpp(factor: int) -> float:
         layer = frame if factor == 1 else np.clip(_downsample(frame, factor), 0, 1)
         layer_ecc = ecc if factor == 1 else _downsample(ecc, factor)
-        if encoder is not None:
-            return encoder.encode_frame(layer, layer_ecc).breakdown.bits_per_pixel
-        tiles, grid = tile_frame(encode_srgb8(layer), tile_size)
-        return bd_breakdown(tiles, n_pixels=grid.height * grid.width).bits_per_pixel
+        return codec.encode(FrameContext(layer, eccentricity=layer_ecc)).bits_per_pixel
 
     total_bits = 0.0
     for factor, pixels in ring_pixels.items():

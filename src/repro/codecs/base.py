@@ -13,9 +13,9 @@ contract instead of carrying their own per-codec plumbing.
 an optional :class:`~repro.encoding.accounting.SizeBreakdown` for
 codecs with a base/metadata/delta decomposition, an optional
 reconstruction (what a decoder would display), and a free-form
-metadata mapping.  The perceptual pipeline's
-:class:`~repro.core.pipeline.FrameResult` subclasses it, so the richest
-result in the library *is* an ``EncodedFrame``.
+metadata mapping.  The perceptual codec's
+:class:`~repro.codecs.wrappers.FrameResult` subclasses it, so the
+richest result in the library *is* an ``EncodedFrame``.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ class Codec(abc.ABC):
     """A registered frame coster: ``encode(ctx) -> EncodedFrame``.
 
     Codecs are cheap to construct; per-codec parameters (tile size,
-    compression level, wrapped encoder) are constructor keyword
+    compression level, discrimination model) are constructor keyword
     arguments, routed explicitly by
     :func:`~repro.codecs.registry.get_codec`.  To run a sequence, call
     :meth:`reset`, then :meth:`encode` once per frame in display order;

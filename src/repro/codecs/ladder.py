@@ -86,9 +86,8 @@ class QualityRung:
         """Instantiate this rung's codec at its registry defaults.
 
         The one place a streaming codec is built, so every simulator
-        constructs bit-identical codecs.  The perceptual rung wraps a
-        default :class:`~repro.core.pipeline.PerceptualEncoder`, whose
-        tile size the BD variants' default matches, so every rung of a
+        constructs bit-identical codecs.  The perceptual rung's default
+        tile size matches the BD variants' default, so every rung of a
         ladder tiles alike.
 
         Returns

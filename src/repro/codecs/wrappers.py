@@ -8,7 +8,7 @@ contract over a shared :class:`~repro.codecs.context.FrameContext`:
 * ``bd`` — fixed-width Base+Delta accounting;
 * ``png`` — PNG-class filter+DEFLATE lossless coding;
 * ``perceptual`` — the paper's color adjustment in front of BD (its
-  result, :class:`~repro.core.pipeline.FrameResult`, *is* an
+  result, :class:`FrameResult`, *is* an
   :class:`~repro.codecs.base.EncodedFrame`);
 * ``variable-bd`` — footnote 1's per-group delta widths;
 * ``temporal-bd`` — inter-frame BD choosing spatial vs temporal deltas
@@ -22,16 +22,21 @@ them over one frame quantizes and tiles it once.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
+
 from ..baselines.png_codec import png_compressed_bits
 from ..baselines.scc import DEFAULT_SCC_ECCENTRICITY, scc_bits_per_pixel
+from ..core.optimizer import optimize_tiles
 from ..encoding.accounting import SizeBreakdown
-from ..encoding.bd import bd_breakdown, bd_stream_bytes
+from ..encoding.bd import _encode, bd_breakdown
 from ..encoding.bd_temporal import TemporalBDAccountant
-from ..encoding.bd_variable import (
-    VariableBDCodec,
-    variable_bd_breakdown,
-    variable_bd_stream_bytes,
-)
+from ..encoding.bd_variable import VariableBDCodec, variable_bd_breakdown
+from ..encoding.tiling import TileGrid, tile_frame, tile_scalar_field, untile_frame
+from ..perception.geometry import mahalanobis
+from ..perception.law import ParametricEllipsoidLaw
+from ..perception.model import DiscriminationModel, default_model
 from .base import Codec, EncodedFrame
 from .context import FrameContext
 from .registry import register
@@ -83,10 +88,11 @@ class BDCostCodec(Codec):
     def encode(self, ctx: FrameContext) -> EncodedFrame:
         """Cost the frame under fixed-width Base+Delta tiling."""
         tiles, grid = ctx.tiles(self.tile_size)
-        breakdown = bd_breakdown(tiles, n_pixels=ctx.n_pixels)
         metadata = {"tile_size": self.tile_size}
         if self.payload:
-            metadata["payload"] = bd_stream_bytes(tiles, grid)
+            metadata["payload"], breakdown = _encode(tiles, grid, grid.pixels_per_tile)
+        else:
+            breakdown = bd_breakdown(tiles, n_pixels=ctx.n_pixels)
         return EncodedFrame(
             codec=self.name,
             total_bits=breakdown.total_bits,
@@ -135,27 +141,175 @@ class SCCCodec(Codec):
         )
 
 
+#: Radius (deg eccentricity) of the untouched central region, Sec. 5.1.
+DEFAULT_FOVEAL_RADIUS_DEG = 10.0
+
+
+@dataclass(frozen=True, kw_only=True)
+class FrameResult(EncodedFrame):
+    """Everything produced by encoding one frame perceptually.
+
+    A :class:`~repro.codecs.base.EncodedFrame` (codec ``"perceptual"``)
+    carrying the generic fields — ``total_bits``, ``breakdown``, and
+    ``reconstruction`` (the adjusted sRGB frame) — plus the
+    pipeline-specific diagnostics below.
+
+    Attributes
+    ----------
+    adjusted_frame:
+        Perceptually adjusted frame, linear RGB, original size.
+    adjusted_srgb:
+        The adjusted frame quantized to uint8 sRGB (what gets BD
+        encoded and eventually displayed); also exposed as the generic
+        ``reconstruction``.
+    original_srgb:
+        The unadjusted frame quantized to uint8 sRGB — the baseline BD
+        input (the context's ``srgb8``).
+    baseline_breakdown:
+        BD size accounting for the original frame (the BD baseline);
+        the inherited ``breakdown`` accounts the adjusted frame (ours).
+    case2_fraction:
+        Fraction of tiles whose winning adjustment found a common plane
+        (paper Fig. 12's ``c2``).
+    axis_fractions:
+        Mapping axis -> fraction of tiles won by that axis.
+    max_mahalanobis:
+        Largest ellipsoid-normalized color shift over all *adjusted*
+        (non-foveal) pixels; the perceptual guarantee is ``<= 1`` up to
+        quantization.
+    grid:
+        Tile geometry used.
+    """
+
+    adjusted_frame: np.ndarray
+    adjusted_srgb: np.ndarray
+    original_srgb: np.ndarray
+    baseline_breakdown: SizeBreakdown
+    case2_fraction: float
+    axis_fractions: dict[int, float]
+    max_mahalanobis: float
+    grid: TileGrid
+
+    @property
+    def bandwidth_reduction_vs_uncompressed(self) -> float:
+        """Traffic saved vs. raw frames (paper Fig. 10 headline)."""
+        return self.breakdown.reduction_vs_uncompressed()
+
+    @property
+    def bandwidth_reduction_vs_bd(self) -> float:
+        """Traffic saved vs. plain BD on the unadjusted frame."""
+        return self.breakdown.reduction_vs(self.baseline_breakdown)
+
+
 @register("perceptual", streaming="perceptual")
 class PerceptualCodec(Codec):
     """The paper's perceptual color adjustment in front of Base+Delta.
 
-    Wraps a :class:`~repro.core.pipeline.PerceptualEncoder` (``encoder``,
-    or a default one when ``None``) and returns its
-    :class:`~repro.core.pipeline.FrameResult` directly — ``FrameResult``
-    subclasses :class:`~repro.codecs.base.EncodedFrame`.
+    The frame pipeline of the paper's Fig. 7, run on a context's linear
+    frame and eccentricity map:
+
+        per-pixel discrimination ellipsoids (Phi)
+          -> per-tile color adjustment, best of the candidate axes (the CAU)
+          -> sRGB quantization
+          -> ordinary Base+Delta accounting
+
+    Pixels inside the *foveal bypass* radius (the paper keeps the
+    central 10 degrees untouched, Sec. 5.1) are pinned by giving them
+    near-zero semi-axes; they still take part in their tile's HL/LH
+    reduction, so mixed fovea/periphery tiles stay correct rather than
+    special-cased.  The unadjusted frame's sRGB quantization and tiles,
+    which its BD baseline is accounted from, come from the context's
+    cache.
+
+    Parameters
+    ----------
+    model:
+        Discrimination model ``Phi``; defaults to the library's
+        parametric model (swap in :class:`~repro.perception.RBFModel`
+        for the paper-faithful network, or a calibrated per-user model).
+    tile_size:
+        Square tile edge; 4 matches the paper's hardware.
+    foveal_radius_deg:
+        Eccentricity below which pixels are left untouched.
+    axes:
+        Candidate optimization channels in tie-break order.
+    case2_placement:
+        Where a tile's common plane sits (see
+        :func:`~repro.core.adjust.adjust_tiles`).
     """
 
     gaze_contingent = True
 
-    def __init__(self, encoder=None):
-        # Imported here: core.pipeline itself imports codecs.base.
-        from ..core.pipeline import PerceptualEncoder
+    def __init__(
+        self,
+        model: DiscriminationModel | None = None,
+        tile_size: int = 4,
+        foveal_radius_deg: float = DEFAULT_FOVEAL_RADIUS_DEG,
+        axes: tuple[int, ...] = (2, 0),
+        case2_placement: str = "mid",
+    ):
+        if tile_size < 1:
+            raise ValueError(f"tile_size must be >= 1, got {tile_size}")
+        # Also false for NaN, which would otherwise pin no pixel at all.
+        if not foveal_radius_deg >= 0:
+            raise ValueError(f"foveal_radius_deg must be >= 0, got {foveal_radius_deg}")
+        self.model = model if model is not None else default_model()
+        self.tile_size = tile_size
+        self.foveal_radius_deg = float(foveal_radius_deg)
+        self.axes = axes
+        self.case2_placement = case2_placement
 
-        self.encoder = encoder if encoder is not None else PerceptualEncoder()
-
-    def encode(self, ctx: FrameContext) -> EncodedFrame:
+    def encode(self, ctx: FrameContext) -> FrameResult:
         """Adjust colors perceptually, then cost the frame under BD."""
-        return self.encoder.encode_frame(ctx.frame_linear, ctx.eccentricity)
+        tiles, grid = tile_frame(ctx.frame_linear, self.tile_size)
+        ecc_tiles, _ = tile_scalar_field(ctx.eccentricity, self.tile_size)
+
+        semi_axes = self.model.semi_axes(tiles, ecc_tiles)
+        foveal = ecc_tiles < self.foveal_radius_deg
+        semi_axes = np.where(
+            foveal[..., None], ParametricEllipsoidLaw.MIN_SEMI_AXIS, semi_axes
+        )
+
+        optimized = optimize_tiles(
+            tiles, semi_axes, axes=self.axes, case2_placement=self.case2_placement
+        )
+
+        n_pixels = ctx.n_pixels
+        breakdown = bd_breakdown(optimized.adjusted_srgb, n_pixels=n_pixels)
+        baseline = bd_breakdown(ctx.tiles(self.tile_size)[0], n_pixels=n_pixels)
+
+        # Perceptual guarantee audit on the pixels we actually moved, against
+        # the model's own ellipsoids (the foveal pin touched no moved pixel).
+        moved = ~foveal
+        if moved.any():
+            distances = mahalanobis(
+                optimized.adjusted[moved], tiles[moved], semi_axes[moved]
+            )
+            max_distance = float(distances.max())
+        else:
+            max_distance = 0.0
+
+        axis_values, axis_counts = np.unique(optimized.chosen_axis, return_counts=True)
+        axis_fractions = {
+            int(a): float(c) / grid.n_tiles for a, c in zip(axis_values, axis_counts)
+        }
+
+        adjusted_srgb_frame = untile_frame(optimized.adjusted_srgb, grid)
+        return FrameResult(
+            codec=self.name,
+            total_bits=breakdown.total_bits,
+            n_pixels=n_pixels,
+            breakdown=breakdown,
+            reconstruction=adjusted_srgb_frame,
+            adjusted_frame=untile_frame(optimized.adjusted, grid),
+            adjusted_srgb=adjusted_srgb_frame,
+            original_srgb=ctx.srgb8,
+            baseline_breakdown=baseline,
+            case2_fraction=float(optimized.case2.mean()),
+            axis_fractions=axis_fractions,
+            max_mahalanobis=max_distance,
+            grid=grid,
+        )
 
 
 @register("variable-bd", aliases=("varbd",), streaming="variable-bd")
@@ -177,10 +331,11 @@ class VariableBDCostCodec(Codec):
     def encode(self, ctx: FrameContext) -> EncodedFrame:
         """Cost the frame under per-group variable-width Base+Delta."""
         tiles, grid = ctx.tiles(self.tile_size)
-        breakdown = variable_bd_breakdown(tiles, self.group_size, n_pixels=ctx.n_pixels)
         metadata = {"tile_size": self.tile_size, "group_size": self.group_size}
         if self.payload:
-            metadata["payload"] = variable_bd_stream_bytes(tiles, grid, self.group_size)
+            metadata["payload"], breakdown = _encode(tiles, grid, self.group_size)
+        else:
+            breakdown = variable_bd_breakdown(tiles, self.group_size, n_pixels=ctx.n_pixels)
         return EncodedFrame(
             codec=self.name,
             total_bits=breakdown.total_bits,

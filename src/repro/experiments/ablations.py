@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..codecs.context import FrameContext
 from .common import ExperimentConfig, encoder_for, format_table, render_eval_frames
 
 __all__ = [
@@ -66,9 +67,8 @@ def _mean_bpp(config: ExperimentConfig, **encoder_overrides) -> float:
     bpps = []
     for name in config.scene_names:
         for frame in render_eval_frames(config, name):
-            bpps.append(
-                encoder.encode_frame(frame, eccentricity).breakdown.bits_per_pixel
-            )
+            ctx = FrameContext(frame, eccentricity=eccentricity)
+            bpps.append(encoder.encode(ctx).bits_per_pixel)
     return float(np.mean(bpps))
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.pipeline import PerceptualEncoder
+from ..codecs.wrappers import PerceptualCodec
 from ..perception.model import DiscriminationModel, default_model
 from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from ..scenes.library import SCENE_NAMES, get_scene
@@ -72,11 +72,11 @@ class ExperimentConfig:
         return default_model(self.model_kind)
 
 
-def encoder_for(config: ExperimentConfig, **overrides) -> PerceptualEncoder:
-    """Build the perceptual encoder the experiments evaluate."""
+def encoder_for(config: ExperimentConfig, **overrides) -> PerceptualCodec:
+    """Build the perceptual codec the experiments evaluate."""
     kwargs = {"model": config.model(), "tile_size": config.tile_size}
     kwargs.update(overrides)
-    return PerceptualEncoder(**kwargs)
+    return PerceptualCodec(**kwargs)
 
 
 def render_eval_frames(config: ExperimentConfig, scene_name: str) -> list[np.ndarray]:

@@ -25,7 +25,6 @@ import numpy as np
 
 from ..codecs.context import FrameContext
 from ..codecs.registry import get_codec
-from ..codecs.wrappers import PerceptualCodec
 from ..perception.adaptation import DarkAdaptedModel
 from ..perception.model import ParametricModel
 from ..scenes.library import get_scene
@@ -100,7 +99,7 @@ def run_gaze_latency(config: ExperimentConfig | None = None) -> GazeLatencyResul
             )
             peaks = []
             for frame in frames:
-                result = encoder.encode_frame(frame, stale)
+                result = encoder.encode(FrameContext(frame, eccentricity=stale))
                 peaks.append(
                     scene_exceedance(
                         [frame], [result.adjusted_frame], true_ecc,
@@ -159,9 +158,8 @@ def run_dark_adaptation(config: ExperimentConfig | None = None) -> DarkAdaptatio
             values = []
             for name in names:
                 for frame in render_eval_frames(config, name):
-                    values.append(
-                        encoder.encode_frame(frame, eccentricity).breakdown.bits_per_pixel
-                    )
+                    ctx = FrameContext(frame, eccentricity=eccentricity)
+                    values.append(encoder.encode(ctx).bits_per_pixel)
             return float(np.mean(values))
 
         bpp_dark[state] = mean_bpp(dark_scenes)
@@ -187,7 +185,7 @@ def run_variable_bd(
 ) -> VariableBDResult:
     """Measure footnote 1's variable-width extension on the scene suite."""
     config = config or ExperimentConfig()
-    perceptual = PerceptualCodec(encoder=encoder_for(config))
+    perceptual = encoder_for(config)
     fixed = get_codec("bd", tile_size=config.tile_size)
     variable = get_codec(
         "variable-bd", tile_size=config.tile_size, group_size=group_size

@@ -20,7 +20,6 @@ import numpy as np
 
 from ..codecs.context import FrameContext
 from ..codecs.registry import get_codec, resolve_codec_name
-from ..codecs.wrappers import PerceptualCodec
 from ..encoding.accounting import UNCOMPRESSED_BPP
 from .common import ExperimentConfig, encoder_for, format_table, render_eval_frames
 
@@ -117,7 +116,7 @@ def run(config: ExperimentConfig | None = None) -> BandwidthResult:
         )
         for label, name in zip(labels, canonical)
     }
-    codecs["Ours"] = PerceptualCodec(encoder=encoder_for(config))
+    codecs["Ours"] = encoder_for(config)
     eccentricity = config.eccentricity_map()
     n_pixels = config.height * config.width
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..codecs.context import FrameContext
-from ..codecs.wrappers import PerceptualCodec
 from .common import ExperimentConfig, encoder_for, format_table, render_eval_frames
 
 __all__ = ["SceneBits", "BitsResult", "run"]
@@ -57,7 +56,7 @@ class BitsResult:
 def run(config: ExperimentConfig | None = None) -> BitsResult:
     """Measure the component decomposition on every scene."""
     config = config or ExperimentConfig()
-    codec = PerceptualCodec(encoder=encoder_for(config))
+    codec = encoder_for(config)
     eccentricity = config.eccentricity_map()
 
     scenes = []

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..codecs.context import FrameContext
 from .common import ExperimentConfig, encoder_for, format_table, render_eval_frames
 
 __all__ = ["SceneCases", "CaseResult", "run"]
@@ -59,7 +60,7 @@ def run(config: ExperimentConfig | None = None) -> CaseResult:
     scenes = []
     for name in config.scene_names:
         fractions = [
-            encoder.encode_frame(frame, eccentricity).case2_fraction
+            encoder.encode(FrameContext(frame, eccentricity=eccentricity)).case2_fraction
             for frame in render_eval_frames(config, name)
         ]
         scenes.append(SceneCases(scene=name, case2_fraction=float(np.mean(fractions))))

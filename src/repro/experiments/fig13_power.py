@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..codecs.context import FrameContext
 from ..hardware.cau import CAUModel
 from ..hardware.energy import SYSTEM_POWER_REFERENCE_W, OperatingPoint, power_saving_w
 from ..scenes.display import (
@@ -82,7 +83,7 @@ def run(config: ExperimentConfig | None = None) -> PowerResult:
     bd_bpps, ours_bpps = [], []
     for name in config.scene_names:
         for frame in render_eval_frames(config, name):
-            result = encoder.encode_frame(frame, eccentricity)
+            result = encoder.encode(FrameContext(frame, eccentricity=eccentricity))
             bd_bpps.append(result.baseline_breakdown.bits_per_pixel)
             ours_bpps.append(result.breakdown.bits_per_pixel)
     bd_bpp = float(np.mean(bd_bpps))

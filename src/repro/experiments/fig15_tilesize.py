@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..color.srgb import encode_srgb8
+from ..codecs.context import FrameContext
+from ..codecs.registry import get_codec
 from ..encoding.accounting import UNCOMPRESSED_BPP
-from ..encoding.bd import bd_breakdown
-from ..encoding.tiling import tile_frame
 from .common import ExperimentConfig, encoder_for, format_table, render_eval_frames
 
 __all__ = ["TileSweepResult", "run", "DEFAULT_TILE_SIZES"]
@@ -62,24 +61,21 @@ def run(
         raise ValueError("need at least one tile size")
     config = config or ExperimentConfig()
     eccentricity = config.eccentricity_map()
-    n_pixels = config.height * config.width
+    bd = get_codec("bd", tile_size=4)
 
     bd_reduction: dict[str, float] = {}
     ours_reduction: dict[str, dict[int, float]] = {}
     for name in config.scene_names:
-        frames = render_eval_frames(config, name)
-        bd_bpp = np.mean([
-            bd_breakdown(tile_frame(encode_srgb8(f), 4)[0], n_pixels=n_pixels).bits_per_pixel
-            for f in frames
-        ])
+        # One context per frame: the BD reference and every tile size share it.
+        ctxs = [
+            FrameContext(f, eccentricity=eccentricity) for f in render_eval_frames(config, name)
+        ]
+        bd_bpp = np.mean([bd.encode(ctx).bits_per_pixel for ctx in ctxs])
         bd_reduction[name] = 1.0 - float(bd_bpp) / UNCOMPRESSED_BPP
         by_tile: dict[int, float] = {}
         for tile in tile_sizes:
             encoder = encoder_for(config, tile_size=tile)
-            bpp = np.mean([
-                encoder.encode_frame(f, eccentricity).breakdown.bits_per_pixel
-                for f in frames
-            ])
+            bpp = np.mean([encoder.encode(ctx).bits_per_pixel for ctx in ctxs])
             by_tile[tile] = 1.0 - float(bpp) / UNCOMPRESSED_BPP
         ours_reduction[name] = by_tile
     return TileSweepResult(

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..baselines.foveated import FoveationConfig, foveated_bd_bits
-from ..color.srgb import encode_srgb8
-from ..encoding.bd import bd_breakdown
-from ..encoding.tiling import tile_frame
+from ..codecs.context import FrameContext
+from ..codecs.registry import get_codec
 from ..metrics.psnr import psnr
 from ..metrics.temporal import flicker_report
 from ..perception.model import ParametricModel, ScaledModel
@@ -76,8 +75,8 @@ def run_rate_distortion(config: ExperimentConfig | None = None) -> RateDistortio
         bits, psnrs, peaks = [], [], []
         for name in config.scene_names:
             for frame in render_eval_frames(config, name):
-                result = encoder.encode_frame(frame, eccentricity)
-                bits.append(result.breakdown.bits_per_pixel)
+                result = encoder.encode(FrameContext(frame, eccentricity=eccentricity))
+                bits.append(result.bits_per_pixel)
                 psnrs.append(psnr(result.original_srgb, result.adjusted_srgb))
                 peaks.append(
                     scene_exceedance(
@@ -125,7 +124,7 @@ def run_flicker(config: ExperimentConfig | None = None, n_frames: int = 4) -> Fl
         inputs, outputs = [], []
         for index in range(n_frames):
             frame = scene.render(config.height, config.width, frame=index, eye="left")
-            result = encoder.encode_frame(frame, eccentricity)
+            result = encoder.encode(FrameContext(frame, eccentricity=eccentricity))
             inputs.append(result.original_srgb)
             outputs.append(result.adjusted_srgb)
         report = flicker_report(inputs, outputs)
@@ -153,6 +152,7 @@ def run_foveation_comparison(
     config = config or ExperimentConfig()
     foveation = foveation or FoveationConfig()
     encoder = encoder_for(config)
+    bd = get_codec("bd", tile_size=config.tile_size)
     eccentricity = config.eccentricity_map()
     n_pixels = config.height * config.width
 
@@ -160,17 +160,16 @@ def run_foveation_comparison(
     count = 0
     for name in config.scene_names:
         for frame in render_eval_frames(config, name):
-            tiles, _ = tile_frame(encode_srgb8(frame), config.tile_size)
-            totals["BD"] += bd_breakdown(tiles, n_pixels=n_pixels).bits_per_pixel
+            ctx = FrameContext(frame, eccentricity=eccentricity)
+            totals["BD"] += bd.encode(ctx).bits_per_pixel
             totals["foveated"] += foveated_bd_bits(
-                frame, eccentricity, foveation, config.tile_size
+                frame, eccentricity, foveation, codec=bd
             ) / n_pixels
-            result = encoder.encode_frame(frame, eccentricity)
-            totals["ours"] += result.breakdown.bits_per_pixel
+            totals["ours"] += encoder.encode(ctx).bits_per_pixel
             # Composition: each foveation layer is color-adjusted before
             # BD — the orthogonality claim of the paper's Sec. 7.
             totals["foveated+ours"] += foveated_bd_bits(
-                frame, eccentricity, foveation, config.tile_size, encoder=encoder
+                frame, eccentricity, foveation, codec=encoder
             ) / n_pixels
             count += 1
     return FoveationResult(bpp={k: v / count for k, v in totals.items()})

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..codecs.context import FrameContext
 from ..metrics.psnr import psnr
 from ..metrics.stats import Summary, summarize
 from .common import ExperimentConfig, encoder_for, format_table, render_eval_frames
@@ -61,7 +62,7 @@ def run(config: ExperimentConfig | None = None) -> PSNRResult:
     for name in config.scene_names:
         values = []
         for frame in render_eval_frames(config, name):
-            result = encoder.encode_frame(frame, eccentricity)
+            result = encoder.encode(FrameContext(frame, eccentricity=eccentricity))
             values.append(psnr(result.original_srgb, result.adjusted_srgb))
         scenes.append(ScenePSNR(scene=name, psnr_db=float(np.mean(values))))
     return PSNRResult(scenes=scenes)

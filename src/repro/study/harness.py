@@ -7,7 +7,7 @@ scene, how many of the 11 participants did *not* notice artifacts.
 
 Our participants are :class:`~repro.study.observer.SimulatedObserver`
 instances drawn from a population with realistic sensitivity spread;
-each scene's stimulus is actually encoded with the perceptual encoder
+each scene's stimulus is actually encoded with the perceptual codec
 and the per-pixel color shifts drive detection.  The harness is
 deterministic in its seed.
 """
@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.pipeline import PerceptualEncoder
+from ..codecs.context import FrameContext
+from ..codecs.wrappers import PerceptualCodec
 from ..perception.calibration import sample_population
 from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from ..scenes.library import SCENE_NAMES, get_scene
@@ -95,17 +96,17 @@ class StudyResult:
 
 
 def run_user_study(
-    encoder: PerceptualEncoder | None = None, config: StudyConfig | None = None
+    encoder: PerceptualCodec | None = None, config: StudyConfig | None = None
 ) -> StudyResult:
     """Run the simulated study and collate Fig. 14's statistics.
 
     Each scene is rendered (``n_frames`` animation frames, left eye),
-    encoded with the perceptual encoder at a centered gaze, and shown
+    encoded with the perceptual codec at a centered gaze, and shown
     to every observer; detection draws are independent per observer
     and scene, as the paper's trials were.
     """
     config = config or StudyConfig()
-    encoder = encoder if encoder is not None else PerceptualEncoder()
+    encoder = encoder if encoder is not None else PerceptualCodec()
     rng = np.random.default_rng(config.seed)
     profiles = sample_population(config.n_observers, rng)
     observers = [
@@ -119,7 +120,7 @@ def run_user_study(
         originals, adjusteds = [], []
         for frame_index in range(config.n_frames):
             frame = scene.render(config.height, config.width, frame=frame_index, eye="left")
-            result = encoder.encode_frame(frame, eccentricity)
+            result = encoder.encode(FrameContext(frame, eccentricity=eccentricity))
             originals.append(frame)
             adjusteds.append(result.adjusted_frame)
         exceedance = scene_exceedance(

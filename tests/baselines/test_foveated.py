@@ -8,15 +8,15 @@ from repro.baselines.foveated import (
     foveate_frame,
     foveated_bd_bits,
 )
-from repro.codecs import FrameContext, get_codec
+from repro.codecs import FrameContext, PerceptualCodec, get_codec
 from repro.color.srgb import encode_srgb8
-from repro.core.pipeline import PerceptualEncoder
 from repro.scenes.display import QUEST2_DISPLAY
 from repro.scenes.library import render_scene
 
 
-def plain_bd_bits(frame):
-    return get_codec("bd").encode(FrameContext(srgb8=encode_srgb8(frame))).total_bits
+def plain_bd_bits(frame, tile_size=4):
+    codec = get_codec("bd", tile_size=tile_size)
+    return codec.encode(FrameContext(srgb8=encode_srgb8(frame))).total_bits
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,12 @@ class TestFoveatedBits:
         config = FoveationConfig(half_rate_deg=1e6, quarter_rate_deg=1e6)
         assert foveated_bd_bits(frame, ecc, config) == plain_bd_bits(frame)
 
+    def test_codec_prices_every_layer(self, setup):
+        frame, ecc = setup
+        config = FoveationConfig(half_rate_deg=1e6, quarter_rate_deg=1e6)
+        bd8 = get_codec("bd", tile_size=8)
+        assert foveated_bd_bits(frame, ecc, config, codec=bd8) == plain_bd_bits(frame, 8)
+
     def test_wider_fovea_costs_more(self, setup):
         frame, ecc = setup
         narrow = foveated_bd_bits(frame, ecc, FoveationConfig(10.0, 25.0))
@@ -79,7 +85,7 @@ class TestFoveatedBits:
     def test_composition_with_perceptual_encoder(self, setup):
         frame, ecc = setup
         plain = foveated_bd_bits(frame, ecc)
-        composed = foveated_bd_bits(frame, ecc, encoder=PerceptualEncoder())
+        composed = foveated_bd_bits(frame, ecc, codec=PerceptualCodec())
         assert composed < plain
 
 

@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
+from repro import FrameResult
 from repro.codecs import FrameContext, encode_batch, get_codec
-from repro.core.pipeline import FrameResult
 from repro.scenes.library import render_scene
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import FrameResult
 from repro.codecs import (
     Codec,
     CodecRegistry,
@@ -12,7 +13,6 @@ from repro.codecs import (
     resolve_codec_name,
     streaming_codec_names,
 )
-from repro.core.pipeline import FrameResult
 from repro.experiments.fig10_bandwidth import BASELINE_NAMES
 from repro.scenes.library import render_scene
 from repro.streaming.session import ENCODER_CHOICES

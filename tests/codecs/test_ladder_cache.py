@@ -5,9 +5,14 @@ import pytest
 
 from repro.codecs import FrameContext, PerceptualCodec, get_codec
 from repro.codecs.ladder import QualityLadder, QualityRung
-from repro.core.pipeline import PerceptualEncoder
-from repro.encoding.bd import BDCodec
-from repro.encoding.bd_variable import VariableBDCodec
+from repro.encoding import bd as bd_module
+from repro.encoding import bd_variable as bd_variable_module
+from repro.encoding.bd import BDCodec, bd_breakdown, bd_stream_bytes
+from repro.encoding.bd_variable import (
+    VariableBDCodec,
+    variable_bd_breakdown,
+    variable_bd_stream_bytes,
+)
 
 
 class TestLadderCodecCache:
@@ -40,16 +45,13 @@ class TestRungBuild:
     def test_tiled_rungs_use_the_perceptual_tile_size(self):
         """Every rung of the default ladder tiles like the perceptual
         encoder, so its rungs price the same tile grid."""
-        tile_size = PerceptualEncoder().tile_size
+        tile_size = PerceptualCodec().tile_size
         checked = []
         for rung in QualityLadder.default():
             codec = rung.build()
-            if isinstance(codec, PerceptualCodec):
-                assert codec.encoder.tile_size == tile_size
-            elif hasattr(codec, "tile_size"):
-                assert codec.tile_size == tile_size
-            else:
+            if not hasattr(codec, "tile_size"):
                 continue
+            assert codec.tile_size == tile_size
             checked.append(rung.codec)
         assert checked == ["bd", "variable-bd", "perceptual"]
 
@@ -74,6 +76,46 @@ class TestPayloadWiring:
         reference = VariableBDCodec(tile_size=4, group_size=4).encode(frame)
         assert encoded.metadata["payload"] == reference.data
         assert len(encoded.metadata["payload"]) == -(-encoded.total_bits // 8)
+
+    @pytest.mark.parametrize("name", ["bd", "variable-bd"])
+    def test_payload_encode_plans_the_tiles_once(self, rng, monkeypatch, name):
+        """The stream and its breakdown come from one plan (tile minima and
+        group maxima), whichever module's ``_plan`` a path reaches."""
+        calls = []
+        plan = bd_module._plan
+
+        def counting_plan(*args):
+            calls.append(args)
+            return plan(*args)
+
+        monkeypatch.setattr(bd_module, "_plan", counting_plan)
+        monkeypatch.setattr(bd_variable_module, "_plan", counting_plan)
+        frame = rng.integers(0, 256, (16, 12, 3), dtype=np.uint8)
+        get_codec(name, payload=True).encode(FrameContext(srgb8=frame))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", [(8, 8), (13, 21), (40, 17)])
+    @pytest.mark.parametrize("tile_size,group_size", [(1, 1), (2, 2), (3, 3), (4, 8), (8, 16)])
+    def test_payload_and_breakdown_equal_the_standalone_calls(
+        self, shape, tile_size, group_size
+    ):
+        rng = np.random.default_rng(sum(shape) * 10 + tile_size)
+        # Narrow value ranges keep the delta widths small and varied.
+        frame = np.minimum(rng.integers(0, 256, 3) + rng.integers(0, 12, (*shape, 3)), 255)
+        ctx = FrameContext(srgb8=frame.astype(np.uint8))
+        tiles, grid = ctx.tiles(tile_size)
+
+        bd = get_codec("bd", tile_size=tile_size, payload=True).encode(ctx)
+        assert bd.metadata["payload"] == bd_stream_bytes(tiles, grid)
+        assert bd.breakdown == bd_breakdown(tiles, n_pixels=ctx.n_pixels)
+
+        variable = get_codec(
+            "variable-bd", tile_size=tile_size, group_size=group_size, payload=True
+        ).encode(ctx)
+        assert variable.metadata["payload"] == variable_bd_stream_bytes(tiles, grid, group_size)
+        assert variable.breakdown == variable_bd_breakdown(
+            tiles, group_size, n_pixels=ctx.n_pixels
+        )
 
     @pytest.mark.parametrize("name", ["bd", "variable-bd"])
     def test_payload_off_by_default(self, rng, name):

@@ -1,100 +1,28 @@
-"""Frame-level perceptual encoding pipeline (paper Fig. 7).
+"""Reference oracle: the frame pipeline as a standalone encoder.
 
-Ties the pieces together the way the paper's system does:
-
-    rendered linear-RGB frame + gaze
-      -> per-pixel discrimination ellipsoids (Phi, on the GPU)
-      -> per-tile color adjustment, best of Red/Blue axes (the CAU)
-      -> sRGB quantization
-      -> ordinary Base+Delta compression
-
-Pixels inside the *foveal bypass* radius (the paper keeps the central
-10 degrees untouched, following color-perception-study practice) are
-pinned by giving them near-zero semi-axes; they still participate in
-their tile's HL/LH reduction, so mixed fovea/periphery tiles remain
-correct rather than special-cased.
-
-:class:`PerceptualEncoder` is the main public entry point of the
-library; :class:`FrameResult` carries everything the experiments
-report.
+``PerceptualEncoder.encode_frame(frame, eccentricity)`` is the frame
+pipeline before :class:`repro.codecs.wrappers.PerceptualCodec` took it
+over: it checks and broadcasts its own inputs, quantizes and tiles the
+unadjusted frame itself, and evaluates the discrimination model a second
+time for its audit.  The codec reads all of that from its
+``FrameContext`` instead; ``tests/core/test_pipeline_oracle.py`` holds
+every ``FrameResult`` field of the two equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..codecs.base import EncodedFrame
-from ..color.srgb import encode_srgb8
-from ..encoding.accounting import SizeBreakdown
-from ..encoding.bd import bd_breakdown
-from ..encoding.tiling import TileGrid, tile_frame, tile_scalar_field, untile_frame
-from ..perception.geometry import mahalanobis
-from ..perception.law import ParametricEllipsoidLaw
-from ..perception.model import DiscriminationModel, default_model
-from .optimizer import optimize_tiles
+from repro.codecs.wrappers import DEFAULT_FOVEAL_RADIUS_DEG, FrameResult
+from repro.color.srgb import encode_srgb8
+from repro.core.optimizer import optimize_tiles
+from repro.encoding.bd import bd_breakdown
+from repro.encoding.tiling import tile_frame, tile_scalar_field, untile_frame
+from repro.perception.geometry import mahalanobis
+from repro.perception.law import ParametricEllipsoidLaw
+from repro.perception.model import DiscriminationModel, default_model
 
-__all__ = ["FrameResult", "PerceptualEncoder", "DEFAULT_FOVEAL_RADIUS_DEG"]
-
-#: Radius (deg eccentricity) of the untouched central region, Sec. 5.1.
-DEFAULT_FOVEAL_RADIUS_DEG = 10.0
-
-
-@dataclass(frozen=True, kw_only=True)
-class FrameResult(EncodedFrame):
-    """Everything produced by encoding one frame.
-
-    A :class:`~repro.codecs.base.EncodedFrame` (codec ``"perceptual"``)
-    carrying the generic fields — ``total_bits``, ``breakdown``, and
-    ``reconstruction`` (the adjusted sRGB frame) — plus the
-    pipeline-specific diagnostics below.
-
-    Attributes
-    ----------
-    adjusted_frame:
-        Perceptually adjusted frame, linear RGB, original size.
-    adjusted_srgb:
-        The adjusted frame quantized to uint8 sRGB (what gets BD
-        encoded and eventually displayed); also exposed as the generic
-        ``reconstruction``.
-    original_srgb:
-        The unadjusted frame quantized to uint8 sRGB — the baseline BD
-        input.
-    baseline_breakdown:
-        BD size accounting for the original frame (the BD baseline);
-        the inherited ``breakdown`` accounts the adjusted frame (ours).
-    case2_fraction:
-        Fraction of tiles whose winning adjustment found a common plane
-        (paper Fig. 12's ``c2``).
-    axis_fractions:
-        Mapping axis -> fraction of tiles won by that axis.
-    max_mahalanobis:
-        Largest ellipsoid-normalized color shift over all *adjusted*
-        (non-foveal) pixels; the perceptual guarantee is ``<= 1`` up to
-        quantization.
-    grid:
-        Tile geometry used.
-    """
-
-    adjusted_frame: np.ndarray
-    adjusted_srgb: np.ndarray
-    original_srgb: np.ndarray
-    baseline_breakdown: SizeBreakdown
-    case2_fraction: float
-    axis_fractions: dict[int, float]
-    max_mahalanobis: float
-    grid: TileGrid
-
-    @property
-    def bandwidth_reduction_vs_uncompressed(self) -> float:
-        """Traffic saved vs. raw frames (paper Fig. 10 headline)."""
-        return self.breakdown.reduction_vs_uncompressed()
-
-    @property
-    def bandwidth_reduction_vs_bd(self) -> float:
-        """Traffic saved vs. plain BD on the unadjusted frame."""
-        return self.breakdown.reduction_vs(self.baseline_breakdown)
+__all__ = ["PerceptualEncoder"]
 
 
 class PerceptualEncoder:

@@ -1,22 +1,26 @@
-"""Tests for the frame-level perceptual encoding pipeline."""
+"""Tests for the frame-level perceptual encoding pipeline (the codec)."""
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import DEFAULT_FOVEAL_RADIUS_DEG, PerceptualEncoder
+from repro import DEFAULT_FOVEAL_RADIUS_DEG, FrameContext, PerceptualCodec, get_codec
 from repro.perception.model import ParametricModel, ScaledModel
 from repro.scenes.display import QUEST2_DISPLAY
 
 
+def _encode(codec, frame, eccentricity):
+    return codec.encode(FrameContext(frame, eccentricity=eccentricity))
+
+
 @pytest.fixture(scope="module")
 def encoder():
-    return PerceptualEncoder()
+    return PerceptualCodec()
 
 
 @pytest.fixture(scope="module")
 def result(encoder, ecc_map_64_module):
     frame = _smooth(np.random.default_rng(7))
-    return encoder.encode_frame(frame, ecc_map_64_module)
+    return _encode(encoder, frame, ecc_map_64_module)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +70,7 @@ class TestFovealBypass:
     def test_foveal_pixels_untouched(self, rng):
         frame = _smooth(rng)
         ecc = QUEST2_DISPLAY.eccentricity_map(64, 64)
-        result = PerceptualEncoder().encode_frame(frame, ecc)
+        result = _encode(PerceptualCodec(), frame, ecc)
         foveal = ecc < DEFAULT_FOVEAL_RADIUS_DEG
         assert foveal.any()
         shift = np.abs(result.adjusted_frame - frame)[foveal]
@@ -75,47 +79,60 @@ class TestFovealBypass:
     def test_zero_radius_adjusts_everything(self, rng):
         frame = _smooth(rng)
         ecc = QUEST2_DISPLAY.eccentricity_map(64, 64)
-        bypass = PerceptualEncoder().encode_frame(frame, ecc)
-        adjust_all = PerceptualEncoder(foveal_radius_deg=0.0).encode_frame(frame, ecc)
+        bypass = _encode(PerceptualCodec(), frame, ecc)
+        adjust_all = _encode(PerceptualCodec(foveal_radius_deg=0.0), frame, ecc)
         assert adjust_all.breakdown.total_bits <= bypass.breakdown.total_bits
 
     def test_everything_foveal_is_identity(self, rng):
         frame = _smooth(rng)
-        result = PerceptualEncoder(foveal_radius_deg=90.0).encode_frame(frame, 5.0)
+        result = _encode(PerceptualCodec(foveal_radius_deg=90.0), frame, 5.0)
         assert np.allclose(result.adjusted_frame, frame, atol=1e-7)
         assert result.max_mahalanobis == 0.0
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="foveal_radius_deg"):
-            PerceptualEncoder(foveal_radius_deg=-1.0)
+            PerceptualCodec(foveal_radius_deg=-1.0)
+
+    def test_nan_radius_rejected(self):
+        """``ecc < nan`` is false everywhere, so NaN would pin no pixel."""
+        with pytest.raises(ValueError, match="foveal_radius_deg"):
+            PerceptualCodec(foveal_radius_deg=float("nan"))
 
 
 class TestInputHandling:
     def test_scalar_eccentricity_broadcast(self, encoder, rng):
         frame = _smooth(rng)
-        result = encoder.encode_frame(frame, 25.0)
+        result = _encode(encoder, frame, 25.0)
         assert result.grid.height == 64
 
     def test_mismatched_eccentricity_shape(self, encoder, rng):
         frame = _smooth(rng)
         with pytest.raises(ValueError, match="does not match"):
-            encoder.encode_frame(frame, np.zeros((32, 32)))
+            _encode(encoder, frame, np.zeros((32, 32)))
 
     def test_bad_frame_shape(self, encoder):
         with pytest.raises(ValueError, match=r"\(H, W, 3\)"):
-            encoder.encode_frame(np.zeros((64, 64)), 25.0)
+            _encode(encoder, np.zeros((64, 64)), 25.0)
 
     def test_non_multiple_of_tile_size(self, encoder, rng):
         frame = np.clip(_smooth(rng)[:50, :37], 0, 1)
-        result = encoder.encode_frame(frame, 25.0)
+        result = _encode(encoder, frame, 25.0)
         assert result.adjusted_frame.shape == (50, 37, 3)
         assert result.breakdown.n_pixels == 50 * 37
 
     def test_larger_tile_size(self, rng):
         frame = _smooth(rng)
-        result = PerceptualEncoder(tile_size=8).encode_frame(frame, 25.0)
+        result = _encode(PerceptualCodec(tile_size=8), frame, 25.0)
         assert result.grid.tile_size == 8
         assert result.max_mahalanobis <= 1.0 + 1e-9
+
+    def test_tile_size_configured_through_registry(self):
+        assert get_codec("perceptual", tile_size=8).tile_size == 8
+
+    @pytest.mark.parametrize("tile_size", [0, -4])
+    def test_tile_size_below_one_rejected(self, tile_size):
+        with pytest.raises(ValueError, match="tile_size"):
+            get_codec("perceptual", tile_size=tile_size)
 
 
 class TestModelInjection:
@@ -123,18 +140,18 @@ class TestModelInjection:
         frame = _smooth(rng)
         base = ParametricModel()
         sensitive = ScaledModel(base, 0.25)
-        normal = PerceptualEncoder(model=base).encode_frame(frame, 25.0)
-        tight = PerceptualEncoder(model=sensitive).encode_frame(frame, 25.0)
+        normal = _encode(PerceptualCodec(model=base), frame, 25.0)
+        tight = _encode(PerceptualCodec(model=sensitive), frame, 25.0)
         assert tight.breakdown.total_bits >= normal.breakdown.total_bits
 
     def test_case2_placement_forwarded(self, rng):
         frame = _smooth(rng)
-        a = PerceptualEncoder(case2_placement="hl").encode_frame(frame, 25.0)
-        b = PerceptualEncoder(case2_placement="lh").encode_frame(frame, 25.0)
+        a = _encode(PerceptualCodec(case2_placement="hl"), frame, 25.0)
+        b = _encode(PerceptualCodec(case2_placement="lh"), frame, 25.0)
         assert not np.array_equal(a.adjusted_srgb, b.adjusted_srgb)
 
     def test_deterministic(self, encoder, rng):
         frame = _smooth(rng)
-        first = encoder.encode_frame(frame, 25.0)
-        second = encoder.encode_frame(frame, 25.0)
+        first = _encode(encoder, frame, 25.0)
+        second = _encode(encoder, frame, 25.0)
         assert np.array_equal(first.adjusted_srgb, second.adjusted_srgb)

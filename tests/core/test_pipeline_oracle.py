@@ -1,0 +1,121 @@
+"""The perceptual codec equals the standalone encoder it replaced.
+
+``pipeline_reference.PerceptualEncoder`` is the frame pipeline as it
+stood before :class:`~repro.codecs.wrappers.PerceptualCodec` owned it.
+The codec takes the unadjusted sRGB frame and tiles from its context and
+audits against the semi-axes it already computed; every ``FrameResult``
+field must still equal the oracle's.
+
+The one exception is the audit value ``max_mahalanobis``.  The oracle
+evaluates the model a second time, on the moved pixels as one
+``(n, 3)`` array; the codec indexes the ``(tiles, pixels, 3)``
+evaluation the optimizer used.  NumPy's matmul may round those two
+shapes differently (the parametric law's luminance at tile size 1, the
+RBF network everywhere), so the audit must agree to 1e-12 relative, not
+bit for bit.
+"""
+
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from pipeline_reference import PerceptualEncoder
+
+from repro import FrameContext, FrameResult, PerceptualCodec, render_scene
+from repro.core.adjust import CASE2_PLACEMENTS
+from repro.perception.model import ParametricModel, RBFModel, ScaledModel
+from repro.scenes.display import QUEST2_DISPLAY
+
+AXES = ((2, 0), (0, 2), (1,), (0, 1, 2))
+
+MODELS = {
+    "parametric": ParametricModel(),
+    "scaled-0.5": ScaledModel(ParametricModel(), 0.5),
+    "scaled-3": ScaledModel(ParametricModel(), 3.0),
+}
+
+
+def _frame(kind: str, height: int, width: int, seed: int) -> np.ndarray:
+    if kind == "noise":
+        return np.random.default_rng(seed).uniform(0.0, 1.0, (height, width, 3))
+    return render_scene(kind, height, width, frame=seed % 3)
+
+
+def _eccentricity(kind: str, height: int, width: int, fixation, scalar: float):
+    if kind == "scalar":
+        return scalar
+    return QUEST2_DISPLAY.eccentricity_map(height, width, fixation=fixation)
+
+
+def _radius(kind: str, ecc, inside: float) -> float:
+    lo, hi = float(np.min(ecc)), float(np.max(ecc))
+    if kind == "zero":
+        return 0.0
+    if kind == "inside":
+        return lo + inside * (hi - lo)
+    return hi + 1.0
+
+
+def _assert_equal(ours: FrameResult, oracle: FrameResult):
+    """Every field equal: arrays byte for byte, the rest with ``==``.
+
+    ``max_mahalanobis`` only to rounding (see the module docstring).
+    """
+    for field in fields(FrameResult):
+        a, b = getattr(ours, field.name), getattr(oracle, field.name)
+        if field.name == "max_mahalanobis":
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0), (field.name, a, b)
+        elif isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), field.name
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, (field.name, a, b)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    height=st.integers(8, 40),
+    width=st.integers(8, 40),
+    content=st.sampled_from(["noise", "office", "fortnite", "monkey"]),
+    seed=st.integers(0, 2**16),
+    tile_size=st.integers(1, 8),
+    radius_kind=st.sampled_from(["zero", "inside", "beyond"]),
+    inside=st.floats(0.05, 0.95),
+    axes=st.sampled_from(AXES),
+    placement=st.sampled_from(CASE2_PLACEMENTS),
+    ecc_kind=st.sampled_from(["map", "scalar"]),
+    fixation=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    scalar=st.floats(0.0, 60.0),
+    model_name=st.sampled_from(sorted(MODELS)),
+)
+def test_codec_equals_oracle(
+    height, width, content, seed, tile_size, radius_kind, inside, axes, placement,
+    ecc_kind, fixation, scalar, model_name,
+):
+    frame = _frame(content, height, width, seed)
+    ecc = _eccentricity(ecc_kind, height, width, fixation, scalar)
+    params = dict(
+        model=MODELS[model_name],
+        tile_size=tile_size,
+        foveal_radius_deg=_radius(radius_kind, ecc, inside),
+        axes=axes,
+        case2_placement=placement,
+    )
+    oracle = PerceptualEncoder(**params).encode_frame(frame, ecc)
+    ours = PerceptualCodec(**params).encode(FrameContext(frame, eccentricity=ecc))
+    _assert_equal(ours, oracle)
+
+
+@pytest.mark.parametrize("tile_size,radius", [(4, 10.0), (3, 0.0), (8, 25.0)])
+def test_rbf_codec_equals_oracle_but_for_audit_rounding(tile_size, radius):
+    """The RBF network rounds differently over the moved subset in BLAS."""
+    model = RBFModel(n_train=500)
+    frame = render_scene("office", 37, 45, frame=1)
+    ecc = QUEST2_DISPLAY.eccentricity_map(37, 45, fixation=(0.3, 0.6))
+    params = dict(model=model, tile_size=tile_size, foveal_radius_deg=radius)
+    oracle = PerceptualEncoder(**params).encode_frame(frame, ecc)
+    ours = PerceptualCodec(**params).encode(FrameContext(frame, eccentricity=ecc))
+    _assert_equal(ours, oracle)

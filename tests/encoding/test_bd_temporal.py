@@ -121,20 +121,20 @@ class TestAccountant:
     def test_animated_scene_stream(self):
         """End to end with the scene generator and the perceptual
         encoder: temporal mode helps on an animated sequence."""
-        from repro.core.pipeline import PerceptualEncoder
+        from repro import FrameContext, PerceptualCodec
         from repro.encoding.tiling import tile_frame
         from repro.scenes.display import QUEST2_DISPLAY
         from repro.scenes.library import get_scene
 
         scene = get_scene("office")
         ecc = QUEST2_DISPLAY.eccentricity_map(64, 64)
-        encoder = PerceptualEncoder()
+        encoder = PerceptualCodec()
         accountant = TemporalBDAccountant()
         spatial_total = 0
         temporal_total = 0
         for index in range(3):
             frame = scene.render(64, 64, frame=index, eye="left")
-            adjusted = encoder.encode_frame(frame, ecc).adjusted_srgb
+            adjusted = encoder.encode(FrameContext(frame, eccentricity=ecc)).adjusted_srgb
             tiles, grid = tile_frame(adjusted, 4)
             spatial_total += bd_breakdown(tiles, n_pixels=64 * 64).total_bits
             temporal_total += accountant.push(tiles, n_pixels=64 * 64).total_bits

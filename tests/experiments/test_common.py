@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import PerceptualEncoder
+from repro import PerceptualCodec
 from repro.experiments.common import (
     ExperimentConfig,
     encoder_for,
@@ -34,7 +34,7 @@ class TestConfig:
 class TestEncoderFactory:
     def test_builds_encoder(self):
         encoder = encoder_for(ExperimentConfig())
-        assert isinstance(encoder, PerceptualEncoder)
+        assert isinstance(encoder, PerceptualCodec)
         assert encoder.tile_size == 4
 
     def test_overrides_apply(self):

@@ -70,18 +70,18 @@ class TestEncoderFlicker:
     def test_adjustment_does_not_amplify_flicker(self):
         """The library-level claim: per-frame adjustment keeps temporal
         variation at or below the input's on animated scenes."""
-        from repro.core.pipeline import PerceptualEncoder
+        from repro import FrameContext, PerceptualCodec
         from repro.metrics.temporal import flicker_report
         from repro.scenes.display import QUEST2_DISPLAY
         from repro.scenes.library import get_scene
 
         scene = get_scene("office")
         ecc = QUEST2_DISPLAY.eccentricity_map(64, 64)
-        encoder = PerceptualEncoder()
+        encoder = PerceptualCodec()
         inputs, outputs = [], []
         for index in range(3):
             frame = scene.render(64, 64, frame=index, eye="left")
-            result = encoder.encode_frame(frame, ecc)
+            result = encoder.encode(FrameContext(frame, eccentricity=ecc))
             inputs.append(result.original_srgb)
             outputs.append(result.adjusted_srgb)
         report = flicker_report(inputs, outputs)

@@ -52,16 +52,17 @@ class TestScaling:
 class TestCompressionEffect:
     def test_dark_adaptation_improves_dark_scene_compression(self):
         """The paper's future-work conjecture, measured."""
-        from repro.core.pipeline import PerceptualEncoder
+        from repro import FrameContext, PerceptualCodec
         from repro.perception.model import ParametricModel
         from repro.scenes.library import render_scene
 
         frame = render_scene("dumbo", 64, 64)
         base_model = ParametricModel()
-        light = PerceptualEncoder(model=base_model)
-        dark = PerceptualEncoder(model=DarkAdaptedModel(base_model, adaptation=1.0))
-        light_bits = light.encode_frame(frame, 25.0).breakdown.total_bits
-        dark_bits = dark.encode_frame(frame, 25.0).breakdown.total_bits
+        light = PerceptualCodec(model=base_model)
+        dark = PerceptualCodec(model=DarkAdaptedModel(base_model, adaptation=1.0))
+        ctx = FrameContext(frame, eccentricity=25.0)
+        light_bits = light.encode(ctx).breakdown.total_bits
+        dark_bits = dark.encode(ctx).breakdown.total_bits
         assert dark_bits < light_bits
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.pipeline import PerceptualEncoder
+from repro import PerceptualCodec
 from repro.study.harness import StudyConfig, run_user_study
 
 
@@ -70,7 +70,7 @@ class TestPaperShape:
     def test_disabled_encoder_shows_nothing(self, quick_config):
         """With an infinite foveal bypass the encoder is a no-op and
         nobody can see artifacts."""
-        encoder = PerceptualEncoder(foveal_radius_deg=1e6)
+        encoder = PerceptualCodec(foveal_radius_deg=1e6)
         result = run_user_study(encoder=encoder, config=quick_config)
         assert all(o.not_noticing == 11 for o in result.outcomes)
 

@@ -9,7 +9,7 @@ audits around it.
 import numpy as np
 import pytest
 
-from repro import PerceptualEncoder, QUEST2_DISPLAY, render_scene
+from repro import QUEST2_DISPLAY, FrameContext, PerceptualCodec, render_scene
 from repro.encoding.bd import BDCodec
 from repro.metrics.psnr import psnr
 from repro.perception.geometry import mahalanobis
@@ -21,8 +21,8 @@ from repro.scenes.library import get_scene
 def pipeline_setup():
     frame = render_scene("office", 96, 96, eye="left")
     ecc = QUEST2_DISPLAY.eccentricity_map(96, 96)
-    encoder = PerceptualEncoder()
-    return frame, ecc, encoder, encoder.encode_frame(frame, ecc)
+    encoder = PerceptualCodec()
+    return frame, ecc, encoder, encoder.encode(FrameContext(frame, eccentricity=ecc))
 
 
 class TestFullPipeline:
@@ -59,8 +59,8 @@ class TestFullPipeline:
 
     def test_rbf_model_slots_into_pipeline(self, pipeline_setup):
         frame, ecc, _, parametric_result = pipeline_setup
-        rbf_encoder = PerceptualEncoder(model=RBFModel(n_train=2000))
-        rbf_result = rbf_encoder.encode_frame(frame, ecc)
+        rbf_encoder = PerceptualCodec(model=RBFModel(n_train=2000))
+        rbf_result = rbf_encoder.encode(FrameContext(frame, eccentricity=ecc))
         # Different model realization, same ballpark of savings.
         assert rbf_result.bandwidth_reduction_vs_bd > 0.0
         ratio = (
@@ -75,9 +75,9 @@ class TestStereoPipeline:
         scene = get_scene("fortnite")
         left, right = scene.render_stereo(64, 64)
         ecc = QUEST2_DISPLAY.eccentricity_map(64, 64)
-        encoder = PerceptualEncoder()
-        left_result = encoder.encode_frame(left, ecc)
-        right_result = encoder.encode_frame(right, ecc)
+        encoder = PerceptualCodec()
+        left_result = encoder.encode(FrameContext(left, eccentricity=ecc))
+        right_result = encoder.encode(FrameContext(right, eccentricity=ecc))
         ratio = left_result.breakdown.total_bits / right_result.breakdown.total_bits
         assert 0.95 < ratio < 1.05
 
@@ -85,27 +85,27 @@ class TestStereoPipeline:
 class TestGazeContingency:
     def test_moving_fixation_changes_encoding(self):
         frame = render_scene("skyline", 64, 64)
-        encoder = PerceptualEncoder()
-        center = encoder.encode_frame(
-            frame, QUEST2_DISPLAY.eccentricity_map(64, 64, fixation=(0.5, 0.5))
-        )
-        corner = encoder.encode_frame(
-            frame, QUEST2_DISPLAY.eccentricity_map(64, 64, fixation=(0.05, 0.05))
-        )
+        encoder = PerceptualCodec()
+        center = encoder.encode(FrameContext(
+            frame, eccentricity=QUEST2_DISPLAY.eccentricity_map(64, 64, fixation=(0.5, 0.5))
+        ))
+        corner = encoder.encode(FrameContext(
+            frame, eccentricity=QUEST2_DISPLAY.eccentricity_map(64, 64, fixation=(0.05, 0.05))
+        ))
         assert not np.array_equal(center.adjusted_srgb, corner.adjusted_srgb)
 
     def test_peripheral_gaze_compresses_smooth_region_harder(self):
         """Fixating a corner pushes the (smooth, blue) sky deep into the
         periphery where ellipsoids are largest."""
         frame = render_scene("skyline", 64, 64)
-        encoder = PerceptualEncoder(foveal_radius_deg=5.0)
-        near = encoder.encode_frame(frame, 12.0)
-        far = encoder.encode_frame(frame, 45.0)
+        encoder = PerceptualCodec(foveal_radius_deg=5.0)
+        near = encoder.encode(FrameContext(frame, eccentricity=12.0))
+        far = encoder.encode(FrameContext(frame, eccentricity=45.0))
         assert far.breakdown.total_bits <= near.breakdown.total_bits
 
 
 class TestDefaultModelSingleton:
     def test_shared_across_encoders(self):
-        a = PerceptualEncoder()
-        b = PerceptualEncoder()
+        a = PerceptualCodec()
+        b = PerceptualCodec()
         assert a.model is b.model is default_model()

@@ -9,10 +9,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import FrameContext, PerceptualCodec
 from repro.color.srgb import encode_srgb8
 from repro.core.adjust import adjust_tiles
 from repro.core.optimizer import optimize_tiles, tile_bd_bits
-from repro.core.pipeline import PerceptualEncoder
 from repro.encoding.bd import bd_breakdown
 from repro.perception.geometry import (
     channel_extrema,
@@ -116,12 +116,12 @@ class TestPipelineProperties:
         frame = np.clip(
             ramp + rng.normal(0, 0.01, (height, width, 3)), 0, 1
         )
-        result = PerceptualEncoder().encode_frame(frame, 25.0)
+        result = PerceptualCodec().encode(FrameContext(frame, eccentricity=25.0))
         assert result.adjusted_frame.shape == (height, width, 3)
         assert result.max_mahalanobis <= 1.0 + 1e-9
         assert result.breakdown.n_pixels == height * width
         # Deterministic re-encode.
-        again = PerceptualEncoder().encode_frame(frame, 25.0)
+        again = PerceptualCodec().encode(FrameContext(frame, eccentricity=25.0))
         assert np.array_equal(result.adjusted_srgb, again.adjusted_srgb)
 
     @settings(max_examples=8, deadline=None)
@@ -131,6 +131,6 @@ class TestPipelineProperties:
         code beyond the analytically adjusted one."""
         rng = np.random.default_rng(seed)
         frame = np.clip(0.5 + rng.normal(0, 0.05, (24, 24, 3)), 0, 1)
-        result = PerceptualEncoder().encode_frame(frame, 25.0)
+        result = PerceptualCodec().encode(FrameContext(frame, eccentricity=25.0))
         analytic_codes = encode_srgb8(result.adjusted_frame)
         assert np.array_equal(analytic_codes, result.adjusted_srgb)
