@@ -280,18 +280,16 @@ class PerceptualCodec(Codec):
 
         # Perceptual guarantee audit on the pixels we actually moved, against
         # the model's own ellipsoids (the foveal pin touched no moved pixel).
-        moved = ~foveal
-        if moved.any():
-            distances = mahalanobis(
-                optimized.adjusted[moved], tiles[moved], semi_axes[moved]
-            )
-            max_distance = float(distances.max())
-        else:
-            max_distance = 0.0
+        # Taken over the whole tile stack and maximized under the mask:
+        # gathering the moved pixels would make one (n, 3) @ (3, 3) product,
+        # which OpenBLAS splits over its threads and at times stalls on.
+        distances = mahalanobis(optimized.adjusted, tiles, semi_axes)
+        max_distance = float(distances.max(where=~foveal, initial=0.0))
 
-        axis_values, axis_counts = np.unique(optimized.chosen_axis, return_counts=True)
         axis_fractions = {
-            int(a): float(c) / grid.n_tiles for a, c in zip(axis_values, axis_counts)
+            axis: count / grid.n_tiles
+            for axis, count in enumerate(np.bincount(optimized.chosen_axis).tolist())
+            if count
         }
 
         adjusted_srgb_frame = untile_frame(optimized.adjusted_srgb, grid)

@@ -27,6 +27,7 @@ A final gamut clamp scales any move back toward the center until the
 result lies in the unit RGB cube; scaling toward the center can never
 exit the ellipsoid, so the perceptual constraint survives the clamp.
 """
+# repro: kernel-module
 
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..perception.geometry import channel_extrema
+from ..perception.geometry import _extrema_vectors
 
 __all__ = ["CASE2_PLACEMENTS", "AxisAdjustment", "adjust_tiles", "case2_plane"]
 
@@ -90,13 +91,35 @@ def _clamp_to_gamut(centers: np.ndarray, moved: np.ndarray) -> np.ndarray:
     Because the center is always in gamut and scaling toward the center
     stays inside the (convex) ellipsoid, the clamp preserves both
     constraints.
+
+    A pixel whose move stays in the cube has scale 1, so every pixel
+    first takes ``c + (p - c)``; real frames rarely leave the cube, and
+    only the pixels that do are gathered and rescaled.  ``centers`` and
+    ``moved`` must have the same shape.
     """
     delta = moved - centers
+    outside = (moved > 1.0) | (moved < 0.0)
+    leaves = np.nonzero(outside[..., 0] | outside[..., 1] | outside[..., 2])
+    c, d, p = centers[leaves], delta[leaves], moved[leaves]
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale_high = np.where(moved > 1.0, (1.0 - centers) / delta, 1.0)
-        scale_low = np.where(moved < 0.0, -centers / delta, 1.0)
+        scale_high = np.where(p > 1.0, (1.0 - c) / d, 1.0)
+        scale_low = np.where(p < 0.0, -c / d, 1.0)
     scale = np.clip(np.minimum(scale_high, scale_low).min(axis=-1), 0.0, 1.0)
-    return centers + scale[..., None] * delta
+    clamped = np.add(centers, delta, out=delta)
+    clamped[leaves] = c + scale[:, None] * d
+    return clamped
+
+
+def _span(channel: np.ndarray) -> np.ndarray:
+    """Per-tile ``max - min`` of an ``(n_tiles, pixels)`` channel.
+
+    Reduced over a pixel-major copy, as the Base+Delta plan does: the
+    leading axis of ``(pixels, n_tiles)`` reduces as one elementwise
+    min or max per pixel, where the short strided pixel axis of the
+    tile stack costs about three times as much.
+    """
+    by_pixel = np.ascontiguousarray(channel.T)
+    return by_pixel.max(axis=0) - by_pixel.min(axis=0)
 
 
 #: Valid case-2 plane placements: the paper uses the HL/LH mean.
@@ -138,10 +161,12 @@ def adjust_tiles(
     if tiles.size and (tiles.min() < 0.0 or tiles.max() > 1.0):
         raise ValueError("tiles_rgb must be linear RGB in [0, 1]")
 
-    extrema = channel_extrema(tiles, semi_axes, axis)
+    # Only the optimized channel's extrema are needed; the extrema vector
+    # itself is needed in full, since moves follow it.
+    centers, displacement = _extrema_vectors(tiles, semi_axes, axis)
     z = tiles[..., axis]
-    low = extrema.low[..., axis]
-    high = extrema.high[..., axis]
+    low = centers[..., axis] - displacement[..., axis]
+    high = centers[..., axis] + displacement[..., axis]
 
     hl, lh, case2 = case2_plane(low, high)
     if case2_placement == "mid":
@@ -162,14 +187,13 @@ def adjust_tiles(
         step = np.where(halfwidth > 0, (target - z) / halfwidth, 0.0)
     # |step| <= 1 holds analytically; enforce against float round-off.
     np.clip(step, -1.0, 1.0, out=step)
-    moved = tiles + step[..., None] * extrema.displacement
-    adjusted = _clamp_to_gamut(tiles, moved)
+    moved = tiles + step[..., None] * displacement
+    adjusted = _clamp_to_gamut(centers, moved)
 
-    z_after = adjusted[..., axis]
     return AxisAdjustment(
         adjusted=adjusted,
         case2=case2,
-        span_before=z.max(axis=1) - z.min(axis=1),
-        span_after=z_after.max(axis=1) - z_after.min(axis=1),
+        span_before=_span(z),
+        span_after=_span(adjusted[..., axis]),
         axis=axis,
     )

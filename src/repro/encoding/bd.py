@@ -33,6 +33,7 @@ groups.
 
 All agree bit-for-bit on total size; tests assert it.
 """
+# repro: kernel-module
 
 from __future__ import annotations
 
@@ -119,11 +120,18 @@ def _plan(arr: np.ndarray, group_size: int) -> tuple[np.ndarray, np.ndarray]:
     Deltas are taken against the *tile* base (the per-channel minimum)
     whatever the group size, so a group's width is that of its maximum
     minus the tile minimum.
+
+    Both reductions run over a pixel-major ``(pixels, n_tiles, 3)``
+    copy: reducing its leading axis is one elementwise min or max per
+    pixel over whole contiguous rows, where reducing the short middle
+    axis of the uint8 stack costs about ten times as much.  The widths
+    come back as a view in the stack's axis order.
     """
     n_tiles, pixels = arr.shape[0], arr.shape[1]
-    bases = arr.min(axis=1)
-    group_max = arr.reshape(n_tiles, pixels // group_size, group_size, 3).max(axis=2)
-    return bases, _WIDTH_LUT[group_max - bases[:, None, :]]
+    by_pixel = np.ascontiguousarray(arr.transpose(1, 0, 2))
+    bases = by_pixel.min(axis=0)
+    group_max = by_pixel.reshape(pixels // group_size, group_size, n_tiles, 3).max(axis=1)
+    return bases, _WIDTH_LUT[group_max - bases].transpose(1, 0, 2)
 
 
 def _breakdown(widths: np.ndarray, group_size: int, n_pixels: int | None) -> SizeBreakdown:
@@ -238,6 +246,14 @@ def _decode(data: bytes, grid: TileGrid, group_size: int) -> np.ndarray:
         ) from None
     if offset > bits.size:
         raise EOFError(f"bitstream exhausted: need {offset} bits, stream has {bits.size}")
+    # A stream ends in the byte holding its last delta.  The stream does not
+    # record its group size, so a walk that stops short is the sign of a
+    # stream written with another group size (or of trailing bytes).
+    if offset <= bits.size - 8:
+        raise ValueError(
+            f"bitstream has {bits.size} bits but its groups of {group_size} end at "
+            f"bit {offset}: written with another group size, or followed by other data"
+        )
     widths = np.array(width_list, dtype=np.int64)
     run_starts = _run_starts(widths, n_groups, group_size)
     block_starts = run_starts[::n_groups] - (BASE_FIELD_BITS + WIDTH_FIELD_BITS)

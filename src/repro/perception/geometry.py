@@ -168,6 +168,26 @@ def channel_halfwidth(semi_axes, axis: int) -> np.ndarray:
     return np.sqrt(np.square(s) @ np.square(row))
 
 
+def _extrema_vectors(centers, semi_axes, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated centers and the extrema vector of each ellipsoid along ``axis``.
+
+    The extrema vector runs from the center to the highest point along
+    the channel (the lowest is its mirror image).  The color adjustment
+    needs it in full but only the ``axis`` component of the extrema, so
+    it builds on this rather than on :func:`channel_extrema`.
+    """
+    if axis not in _CHANNELS:
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
+    c, s = _validate(centers, semi_axes)
+    row = DKL_TO_RGB[axis]
+    weighted = np.square(s)
+    weighted *= row  # diag(s^2) B^T e_k, batched
+    halfwidth = np.sqrt(weighted @ row)
+    displacement = weighted @ DKL_TO_RGB.T  # B @ weighted per pixel
+    displacement /= halfwidth[..., None]
+    return c, displacement
+
+
 def channel_extrema(centers, semi_axes, axis: int) -> ChannelExtrema:
     """Highest and lowest ellipsoid points along an RGB channel.
 
@@ -177,14 +197,7 @@ def channel_extrema(centers, semi_axes, axis: int) -> ChannelExtrema:
     displacement's own ``axis`` component equals the channel half-width
     exactly, a property the unit tests rely on.
     """
-    if axis not in _CHANNELS:
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-    c, s = _validate(centers, semi_axes)
-    row = DKL_TO_RGB[axis]
-    weighted = np.square(s) * row  # diag(s^2) B^T e_k, batched
-    unnormalized = weighted @ DKL_TO_RGB.T  # B @ weighted per pixel
-    halfwidth = np.sqrt(weighted @ row)
-    displacement = unnormalized / halfwidth[..., None]
+    c, displacement = _extrema_vectors(centers, semi_axes, axis)
     return ChannelExtrema(
         low=c - displacement, high=c + displacement, displacement=displacement, axis=axis
     )

@@ -93,7 +93,10 @@ def _render_skyline(height: int, width: int, rng: np.random.Generator, phase: in
     frame = vertical_gradient((height, width), [0.22, 0.40, 0.75], [0.70, 0.78, 0.88])
     skyline_top = int(height * 0.55)
     building_rng = np.random.default_rng(_BASE_SEED + 7)  # static architecture
-    x = 0
+    # A building is int(width * U(0.04, 0.10)) wide and the gap after it
+    # int(width * 0.01): at widths up to 10 both are 0 for every draw, so
+    # the loop would never advance.  Such frames get no buildings.
+    x = 0 if width * 0.10 > 1.0 else width
     while x < width:
         bwidth = int(width * building_rng.uniform(0.04, 0.10))
         btop = int(skyline_top + height * building_rng.uniform(0.0, 0.18))

@@ -7,6 +7,10 @@ unadjusted frame itself, and evaluates the discrimination model a second
 time for its audit.  The codec reads all of that from its
 ``FrameContext`` instead; ``tests/core/test_pipeline_oracle.py`` holds
 every ``FrameResult`` field of the two equal.
+
+Its optimizer and Base+Delta accounting are the pre-rewrite kernels of
+``kernel_reference.py`` beside this module, so the comparison reaches
+none of the package's rewritten kernels.
 """
 
 from __future__ import annotations
@@ -15,12 +19,12 @@ import numpy as np
 
 from repro.codecs.wrappers import DEFAULT_FOVEAL_RADIUS_DEG, FrameResult
 from repro.color.srgb import encode_srgb8
-from repro.core.optimizer import optimize_tiles
-from repro.encoding.bd import bd_breakdown
 from repro.encoding.tiling import tile_frame, tile_scalar_field, untile_frame
 from repro.perception.geometry import mahalanobis
 from repro.perception.law import ParametricEllipsoidLaw
 from repro.perception.model import DiscriminationModel, default_model
+
+from kernel_reference import bd_breakdown, optimize_tiles
 
 __all__ = ["PerceptualEncoder"]
 

@@ -8,11 +8,16 @@ field must still equal the oracle's.
 
 The one exception is the audit value ``max_mahalanobis``.  The oracle
 evaluates the model a second time, on the moved pixels as one
-``(n, 3)`` array; the codec indexes the ``(tiles, pixels, 3)``
-evaluation the optimizer used.  NumPy's matmul may round those two
+``(n, 3)`` array; the codec takes the distance over the whole
+``(tiles, pixels, 3)`` stack with the semi-axes the optimizer used and
+maximizes it under the moved mask.  NumPy's matmul may round those two
 shapes differently (the parametric law's luminance at tile size 1, the
 RBF network everywhere), so the audit must agree to 1e-12 relative, not
 bit for bit.
+
+The oracle's optimizer and Base+Delta accounting are the pre-rewrite
+kernels of ``kernel_reference.py``, so this also holds the rewritten
+kernels to the old ones over whole frames.
 """
 
 from dataclasses import fields

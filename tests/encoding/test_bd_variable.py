@@ -175,6 +175,36 @@ class TestVectorizedMatchesLegacy:
         with pytest.raises(EOFError, match="exhausted"):
             decode_variable_legacy(truncated)
 
+    @pytest.mark.parametrize("wrong_group_size", [2, 8, 16])
+    def test_record_naming_another_group_size_raises(self, rng, wrong_group_size):
+        """The stream does not carry its group size; a record naming another
+        one walks to a different end, which the decoder rejects."""
+        frame = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
+        encoded = VariableBDCodec(tile_size=4, group_size=4).encode(frame)
+        misnamed = VariableEncodedFrame(
+            data=encoded.data,
+            grid=encoded.grid,
+            group_size=wrong_group_size,
+            breakdown=encoded.breakdown,
+        )
+        with pytest.raises(ValueError, match="another group size"):
+            VariableBDCodec(tile_size=4, group_size=wrong_group_size).decode(misnamed)
+
+    @pytest.mark.parametrize("group_size", [4, 16])
+    def test_trailing_byte_raises(self, rng, group_size):
+        frame = rng.integers(0, 256, (8, 12, 3), dtype=np.uint8)
+        codec = VariableBDCodec(tile_size=4, group_size=group_size)
+        encoded = codec.encode(frame)
+        padded = VariableEncodedFrame(
+            data=encoded.data + b"\x00",
+            grid=encoded.grid,
+            group_size=group_size,
+            breakdown=encoded.breakdown,
+        )
+        with pytest.raises(ValueError, match="followed by other data"):
+            codec.decode(padded)
+        assert np.array_equal(codec.decode(encoded), frame)
+
 
 class TestOneGroupIsFixedWidth:
     """Fixed-width BD is the grouped format with one group per tile channel."""

@@ -1,8 +1,16 @@
 """Tests for the six procedural evaluation scenes."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro.color.srgb import encode_srgb8
 from repro.color.utils import relative_luminance
 from repro.scenes.library import SCENE_NAMES, all_scenes, get_scene, render_scene
 
@@ -48,6 +56,39 @@ class TestRendering:
     def test_rejects_bad_eye(self):
         with pytest.raises(ValueError, match="eye"):
             render_scene("office", 16, 16, eye="middle")
+
+
+class TestNarrowSkyline:
+    """Skyline's building loop advances by ``int(width * U(0.04, 0.10)) +
+    int(width * 0.01)``, which is 0 for every draw at widths up to 10."""
+
+    #: SHA-256 of ``encode_srgb8(render_scene("skyline", 32, width, 3))``,
+    #: recorded before narrow frames skipped the building loop.  The
+    #: sRGB codes are pinned rather than the linear floats, whose last
+    #: bits may follow the host's SIMD ``sin``.
+    PINNED = {
+        11: "6805b23efa42c6733608378a9ef332632ddc3eb53e51aa26a20ecb4aafe55857",
+        16: "d39a30095a5a0937ab01d322dd56123fd1e7c0272bc0786a674e14fe1eb5938e",
+        24: "a910ceef00a66303d2183c480acced42417c751c9b054838989b4cc72816850f",
+        96: "82f9481a1ac203accfc6ba0ebf11f1ef5d200e5f273370c6f5b02fa9cdc9f3a4",
+    }
+
+    @pytest.mark.parametrize("width", sorted(PINNED))
+    def test_wider_frames_render_as_before(self, width):
+        codes = encode_srgb8(render_scene("skyline", 32, width, frame=3))
+        assert hashlib.sha256(codes.tobytes()).hexdigest() == self.PINNED[width]
+
+    def test_frames_up_to_10_wide_render(self):
+        """Run in a subprocess: before the guard these widths never returned."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        probe = (
+            "from repro.scenes.library import render_scene\n"
+            "for width in (8, 9, 10):\n"
+            "    assert render_scene('skyline', 32, width).shape == (32, width, 3)\n"
+        )
+        subprocess.run([sys.executable, "-c", probe], check=True, env=env, timeout=60)
 
 
 class TestLuminanceProfile:

@@ -278,7 +278,7 @@ async def _receive_frames(config: ServeConfig, setup: StreamSetup) -> list[Frame
 
 
 def _decode_eye(codec, data: bytes, grid: TileGrid) -> np.ndarray:
-    # Decoders read only the stream (trailing bytes are ignored) and
+    # Decoders take exactly one stream (trailing bytes are rejected) and
     # check its header against the grid; the size breakdown is unused.
     if isinstance(codec, VariableBDCodec):
         return codec.decode(VariableEncodedFrame(data, grid, codec.group_size, None))
@@ -317,14 +317,15 @@ class TestServedPayloads:
             eyes = scene.render_stereo(
                 self.SIZE, self.SIZE, frame=frame.frame_index % bank.n_unique_frames
             )
-            # The payload is the left eye's stream, then the right's;
-            # re-encoding the decoded left eye says where the right
-            # one starts.
-            left = _decode_eye(codec, frame.payload, grid)
-            split = len(codec.encode(left).data)
+            # The payload is the left eye's stream, then the right's; the
+            # rendered left eye's stream length says where the right one
+            # starts, and each part must decode as exactly one stream.
+            expected = [encode_srgb8(eye) for eye in eyes]
+            split = len(codec.encode(expected[0]).data)
+            left = _decode_eye(codec, frame.payload[:split], grid)
             right = _decode_eye(codec, frame.payload[split:], grid)
-            np.testing.assert_array_equal(left, encode_srgb8(eyes[0]))
-            np.testing.assert_array_equal(right, encode_srgb8(eyes[1]))
+            np.testing.assert_array_equal(left, expected[0])
+            np.testing.assert_array_equal(right, expected[1])
 
 
 class TestCli:
