@@ -1,10 +1,9 @@
 """Comparison baselines: NoCom, BD, PNG-class lossless, SCC, and the
 foveated-resolution comparator of the paper's Sec. 7."""
 
-from .foveated import FoveationConfig, foveate_frame, foveated_bd_bits
+from .foveated import FoveationConfig, foveated_bd_bits
 
 from .png_codec import (
-    FILTER_NAMES,
     PNGEncoded,
     png_compressed_bits,
     png_decode,
@@ -22,9 +21,7 @@ from .scc import (
 
 __all__ = [
     "FoveationConfig",
-    "foveate_frame",
     "foveated_bd_bits",
-    "FILTER_NAMES",
     "PNGEncoded",
     "png_compressed_bits",
     "png_decode",

@@ -28,7 +28,7 @@ import numpy as np
 from ..codecs.context import FrameContext
 from ..codecs.registry import get_codec
 
-__all__ = ["FoveationConfig", "foveate_frame", "foveated_bd_bits"]
+__all__ = ["FoveationConfig", "foveated_bd_bits"]
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def _block_average(frame: np.ndarray, factor: int) -> np.ndarray:
     return up[:height, :width]
 
 
-def foveate_frame(
+def _foveate_frame(
     frame_linear: np.ndarray,
     eccentricity_deg: np.ndarray,
     config: FoveationConfig | None = None,

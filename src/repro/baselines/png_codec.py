@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FILTER_NAMES",
     "png_filter_rows",
     "png_unfilter_rows",
     "png_encode",
@@ -28,9 +27,6 @@ __all__ = [
     "png_compressed_bits",
     "PNGEncoded",
 ]
-
-#: PNG filter type names, indexed by their on-wire code.
-FILTER_NAMES = ("None", "Sub", "Up", "Average", "Paeth")
 
 
 def _paeth_predictor(left: np.ndarray, up: np.ndarray, upleft: np.ndarray) -> np.ndarray:

@@ -16,10 +16,9 @@ from .srgb import (
     decode_srgb8,
     encode_srgb8,
     linear_to_srgb,
-    quantize_unit,
     srgb_to_linear,
 )
-from .utils import ensure_color_array, format_hex, parse_hex, relative_luminance
+from .utils import ensure_color_array, parse_hex, relative_luminance
 
 __all__ = [
     "DKL_TO_RGB",
@@ -31,10 +30,8 @@ __all__ = [
     "decode_srgb8",
     "encode_srgb8",
     "linear_to_srgb",
-    "quantize_unit",
     "srgb_to_linear",
     "ensure_color_array",
-    "format_hex",
     "parse_hex",
     "relative_luminance",
 ]

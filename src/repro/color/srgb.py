@@ -24,7 +24,6 @@ __all__ = [
     "srgb_to_linear",
     "encode_srgb8",
     "decode_srgb8",
-    "quantize_unit",
 ]
 
 #: Linear-domain breakpoint below which the sRGB curve is linear.
@@ -105,7 +104,7 @@ def decode_srgb8(codes) -> np.ndarray:
     return srgb_to_linear(codes.astype(np.float64) / 255.0)
 
 
-def quantize_unit(values, levels: int = 256) -> np.ndarray:
+def _quantize_unit(values, levels: int = 256) -> np.ndarray:
     """Quantize ``[0, 1]`` floats onto a uniform grid of ``levels`` codes.
 
     Utility used by baselines that quantize in spaces other than sRGB.

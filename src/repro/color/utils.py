@@ -14,7 +14,6 @@ from .srgb import srgb_to_linear
 
 __all__ = [
     "parse_hex",
-    "format_hex",
     "relative_luminance",
     "ensure_color_array",
 ]
@@ -39,7 +38,7 @@ def parse_hex(code: str) -> np.ndarray:
     return srgb_to_linear(srgb8 / 255.0)
 
 
-def format_hex(srgb8) -> str:
+def _format_hex(srgb8) -> str:
     """Format an 8-bit sRGB triple as ``#RRGGBB``."""
     arr = np.asarray(srgb8)
     if arr.shape != (3,):

@@ -6,14 +6,13 @@ Base+Delta is the ``perceptual`` codec,
 :class:`~repro.codecs.wrappers.PerceptualCodec`.
 """
 
-from .adjust import CASE2_PLACEMENTS, AxisAdjustment, adjust_tiles, case2_plane
+from .adjust import CASE2_PLACEMENTS, AxisAdjustment, adjust_tiles
 from .optimizer import OptimizedTiles, optimize_tiles, tile_bd_bits
 
 __all__ = [
     "CASE2_PLACEMENTS",
     "AxisAdjustment",
     "adjust_tiles",
-    "case2_plane",
     "OptimizedTiles",
     "optimize_tiles",
     "tile_bd_bits",

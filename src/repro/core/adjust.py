@@ -26,6 +26,11 @@ denominator serve both directions.
 A final gamut clamp scales any move back toward the center until the
 result lies in the unit RGB cube; scaling toward the center can never
 exit the ellipsoid, so the perceptual constraint survives the clamp.
+
+The kernel runs as the CAU's processing element does (paper Sec. 4.2),
+in three phases: Compute Extrema, Compute Planes and Color Shift.  The
+fixed-point CAU model (:mod:`repro.hardware.datapath`) runs the same
+phases with a quantizer at their boundaries.
 """
 # repro: kernel-module
 
@@ -37,7 +42,7 @@ import numpy as np
 
 from ..perception.geometry import _extrema_vectors
 
-__all__ = ["CASE2_PLACEMENTS", "AxisAdjustment", "adjust_tiles", "case2_plane"]
+__all__ = ["CASE2_PLACEMENTS", "AxisAdjustment", "adjust_tiles"]
 
 
 @dataclass(frozen=True)
@@ -63,24 +68,6 @@ class AxisAdjustment:
     span_before: np.ndarray
     span_after: np.ndarray
     axis: int
-
-
-def case2_plane(low_channel: np.ndarray, high_channel: np.ndarray) -> tuple:
-    """Compute HL, LH and the case-2 mask from per-pixel channel extrema.
-
-    Parameters are ``(n_tiles, pixels)`` arrays of the lowest/highest
-    reachable channel values.  Returns ``(HL, LH, case2)`` with per-tile
-    shapes.  Exposed separately because the hardware model mirrors this
-    reduction stage (the CAU's comparator trees).
-    """
-    if low_channel.shape != high_channel.shape or low_channel.ndim != 2:
-        raise ValueError(
-            f"expected matching (n_tiles, pixels) arrays, got "
-            f"{low_channel.shape} and {high_channel.shape}"
-        )
-    hl = low_channel.max(axis=1)
-    lh = high_channel.min(axis=1)
-    return hl, lh, lh >= hl
 
 
 def _clamp_to_gamut(centers: np.ndarray, moved: np.ndarray) -> np.ndarray:
@@ -151,44 +138,71 @@ def adjust_tiles(
         achieve zero span along ``axis``; they differ in how far the
         *other* channels drift.
     """
+    return _adjust_phases(
+        np.asarray(tiles_rgb, dtype=np.float64), semi_axes, axis, case2_placement, _identity
+    )
+
+
+def _identity(values: np.ndarray) -> np.ndarray:
+    return values
+
+
+def _adjust_phases(
+    tiles: np.ndarray, semi_axes, axis: int, case2_placement: str, quantize
+) -> AxisAdjustment:
+    """The body of :func:`adjust_tiles`, phase by phase.
+
+    ``quantize`` maps every value that crosses a phase boundary:
+    Compute Extrema hands on the extrema vector and the channel's
+    low/high, Compute Planes the plane, and Color Shift ends in the
+    target, the step and the clamped output.  :func:`adjust_tiles`
+    passes the identity; the fixed-point CAU model passes its ``Q2.f``
+    quantizer.  HL, LH and the case flags are comparisons of values
+    already quantized, so they need no quantizer of their own.
+    """
     if case2_placement not in CASE2_PLACEMENTS:
         raise ValueError(
             f"case2_placement must be one of {CASE2_PLACEMENTS}, got {case2_placement!r}"
         )
-    tiles = np.asarray(tiles_rgb, dtype=np.float64)
     if tiles.ndim != 3 or tiles.shape[2] != 3:
         raise ValueError(f"tiles_rgb must be (n_tiles, pixels, 3), got {tiles.shape}")
-    if tiles.size and (tiles.min() < 0.0 or tiles.max() > 1.0):
+    # Written so that NaN fails it: every comparison with NaN is False.
+    if tiles.size and not (tiles.min() >= 0.0 and tiles.max() <= 1.0):
         raise ValueError("tiles_rgb must be linear RGB in [0, 1]")
 
-    # Only the optimized channel's extrema are needed; the extrema vector
-    # itself is needed in full, since moves follow it.
+    # Compute Extrema.  Only the optimized channel's extrema are needed;
+    # the extrema vector itself is needed in full, since moves follow it.
     centers, displacement = _extrema_vectors(tiles, semi_axes, axis)
+    displacement = quantize(displacement)
     z = tiles[..., axis]
-    low = centers[..., axis] - displacement[..., axis]
-    high = centers[..., axis] + displacement[..., axis]
+    low = quantize(centers[..., axis] - displacement[..., axis])
+    high = quantize(centers[..., axis] + displacement[..., axis])
 
-    hl, lh, case2 = case2_plane(low, high)
+    # Compute Planes: the comparator trees.
+    hl = low.max(axis=1)
+    lh = high.min(axis=1)
+    case2 = lh >= hl
     if case2_placement == "mid":
         plane = 0.5 * (hl + lh)
     elif case2_placement == "hl":
         plane = hl
     else:  # "lh"
         plane = lh
-    # Case 1 target: clamp into [LH, HL]; case 2 target: the common plane.
-    target = np.where(
-        case2[:, None],
-        plane[:, None],
-        np.clip(z, lh[:, None], hl[:, None]),
-    )
+    plane = quantize(plane)
 
+    # Color Shift.  Case 1 target: clamp into [LH, HL]; case 2 target:
+    # the common plane.
+    target = quantize(
+        np.where(case2[:, None], plane[:, None], np.clip(z, lh[:, None], hl[:, None]))
+    )
     halfwidth = high - z  # equals z - low by central symmetry
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.where(halfwidth > 0, (target - z) / halfwidth, 0.0)
     # |step| <= 1 holds analytically; enforce against float round-off.
     np.clip(step, -1.0, 1.0, out=step)
+    step = quantize(step)
     moved = tiles + step[..., None] * displacement
-    adjusted = _clamp_to_gamut(centers, moved)
+    adjusted = quantize(_clamp_to_gamut(centers, moved))
 
     return AxisAdjustment(
         adjusted=adjusted,

@@ -6,39 +6,56 @@ float64 of the reference implementation.  This module answers the
 question every RTL implementer asks first: **how many fractional bits
 does the datapath need?**
 
-It mirrors the PE's three phases — Compute Extrema, Compute Planes,
-Color Shift — quantizing every cross-stage value to a configurable
-``Q2.f`` fixed-point grid (all the quantities that cross stage
-boundaries are RGB-domain values in ``[-2, 2)``: pixel channels,
-extrema displacements, plane heights, and the move steps).  Tests and
-the precision-sweep benchmark then measure, against the float
-reference:
+The model runs the encoder's own kernel: :func:`adjust_tiles_fixed_point`
+calls the three phases of :func:`repro.core.adjust.adjust_tiles` —
+Compute Extrema, Compute Planes, Color Shift — with every value that
+crosses a phase boundary rounded to a ``Q2.f`` fixed-point grid.  Those
+values are RGB-domain quantities in ``[-2, 2)``: extrema displacements,
+the channel's low/high, plane heights, targets, move steps and the
+shifted colors.  Tests and the precision-sweep benchmark then measure,
+against the float kernel:
 
 * how far the output colors diverge (codes),
 * whether the perceptual guarantee survives (Mahalanobis <= 1 + eps),
 * what happens to the compressed size.
 
-Finding (see the benchmark): 10-12 fractional bits already keep
-outputs within one 8-bit *display code* of the reference, and 20 bits
-are code-exact.  The strict Mahalanobis guarantee is much more
-demanding — the published DKL matrix is near-singular, so each
-ellipsoid has an oblique direction only ~1e-5 wide, and any
-displacement rounding at coarser resolution leaves that pancake even
-when the color change is far below a display code.  An RTL
-implementation therefore either carries ~20 fractional bits through
-the shift stage (still narrow for DesignWare operators) or accepts
-that the guarantee holds at display precision rather than in exact
-ellipsoid arithmetic.
+Finding (``benchmarks/test_ext_fixed_point.py``: 400 tiles of 16 pixels
+in ``[0.2, 0.8]``, Blue axis, 25 degrees eccentricity):
+
+=============== ======= ====== ====== ===== =====
+fractional bits 8       10     12     16    20
+max code error  2       1      1      1     0
+max Mahalanobis 290.074 63.753 18.894 1.484 1.002
+=============== ======= ====== ====== ===== =====
+
+So 10-12 fractional bits keep outputs within one 8-bit *display code*
+of the float kernel, and 20 bits are code-exact.  The strict
+Mahalanobis guarantee is much more demanding — the published DKL
+matrix is near-singular, so each ellipsoid has an oblique direction
+only ~1e-5 wide, and any displacement rounding at coarser resolution
+leaves that pancake even when the color change is far below a display
+code.  An RTL implementation therefore either carries ~20 fractional
+bits through the shift stage (still narrow for DesignWare operators)
+or accepts that the guarantee holds at display precision rather than
+in exact ellipsoid arithmetic.
+
+The ``Q2.f`` rails saturate only when a channel's reachable high
+``z + h`` (pixel value plus half-width) reaches ``2 - 2**-f``.  That
+takes semi-axes about eight or more times the parametric law's, along
+the Blue axis, whose half-width is the widest.  There the Color Shift
+step divides by the saturated ``high - z``, not by the half-width
+itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ..core.adjust import AxisAdjustment, case2_plane
-from ..perception.geometry import channel_extrema
+from ..core.adjust import AxisAdjustment, _adjust_phases
 
 __all__ = ["FixedPointSpec", "quantize_fixed", "adjust_tiles_fixed_point"]
 
@@ -50,20 +67,23 @@ class FixedPointSpec:
     Attributes
     ----------
     frac_bits:
-        Fractional bits; resolution is ``2**-frac_bits``.
+        Fractional bits, an integer; resolution is ``2**-frac_bits``.
     total_range:
-        Symmetric representable range; values saturate at the rails,
-        as hardware does.
+        Symmetric representable range, finite; values saturate at the
+        rails, as hardware does.
     """
 
     frac_bits: int = 16
     total_range: float = 2.0
 
     def __post_init__(self):
-        if not 1 <= self.frac_bits <= 52:
-            raise ValueError(f"frac_bits must be in [1, 52], got {self.frac_bits}")
-        if self.total_range <= 0:
-            raise ValueError(f"total_range must be positive, got {self.total_range}")
+        # Written so that NaN fails both checks.
+        if not (float(self.frac_bits).is_integer() and 1 <= self.frac_bits <= 52):
+            raise ValueError(f"frac_bits must be an integer in [1, 52], got {self.frac_bits}")
+        if not 0 < self.total_range < math.inf:
+            raise ValueError(
+                f"total_range must be positive and finite, got {self.total_range}"
+            )
 
     @property
     def resolution(self) -> float:
@@ -83,61 +103,16 @@ def adjust_tiles_fixed_point(
 ) -> AxisAdjustment:
     """Run the Fig. 6 adjustment through a quantized datapath.
 
-    Mirrors :func:`repro.core.adjust.adjust_tiles` stage by stage,
-    quantizing every value that crosses a pipeline-stage boundary:
-
-    1. **Compute Extrema** — per-pixel extrema displacement and channel
-       half-width (outputs of the divider/sqrt block);
-    2. **Compute Planes** — HL and LH from the comparator trees
-       (comparisons are exact; the compared values are already on the
-       grid);
-    3. **Color Shift** — the move ratio (output of the divider) and the
-       shifted colors.
+    The input colors are rounded to the grid and clipped to the unit
+    cube; then :func:`repro.core.adjust.adjust_tiles`' phases run with
+    :func:`quantize_fixed` at every phase boundary and the paper's
+    ``"mid"`` case-2 plane.  HL, LH and the case flags come from
+    comparator trees, which are exact on values already on the grid.
 
     The ellipsoid *inputs* are taken at full precision: the paper's PE
     receives them from the GPU's RBF evaluation, whose own precision is
     a separate (upstream) concern.
     """
     spec = spec or FixedPointSpec()
-    tiles = quantize_fixed(np.asarray(tiles_rgb, dtype=np.float64), spec)
-    tiles = np.clip(tiles, 0.0, 1.0)
-
-    # Phase 1: Compute Extrema.
-    extrema = channel_extrema(tiles, semi_axes, axis)
-    displacement = quantize_fixed(extrema.displacement, spec)
-    halfwidth = quantize_fixed(extrema.displacement[..., axis], spec)
-
-    z = tiles[..., axis]
-    low = quantize_fixed(z - halfwidth, spec)
-    high = quantize_fixed(z + halfwidth, spec)
-
-    # Phase 2: Compute Planes (reduction trees).
-    hl, lh, case2 = case2_plane(low, high)
-    plane = quantize_fixed(0.5 * (hl + lh), spec)
-
-    # Phase 3: Color Shift.
-    target = np.where(
-        case2[:, None], plane[:, None], np.clip(z, lh[:, None], hl[:, None])
-    )
-    target = quantize_fixed(target, spec)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(halfwidth > 0, (target - z) / halfwidth, 0.0)
-    step = quantize_fixed(np.clip(step, -1.0, 1.0), spec)
-    moved = tiles + step[..., None] * displacement
-    # Gamut clamp, as in the reference (pure comparisons + one multiply).
-    delta = moved - tiles
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale_high = np.where(moved > 1.0, (1.0 - tiles) / delta, 1.0)
-        scale_low = np.where(moved < 0.0, -tiles / delta, 1.0)
-    scale = np.clip(np.minimum(scale_high, scale_low).min(axis=-1), 0.0, 1.0)
-    adjusted = quantize_fixed(tiles + scale[..., None] * delta, spec)
-    adjusted = np.clip(adjusted, 0.0, 1.0)
-
-    z_after = adjusted[..., axis]
-    return AxisAdjustment(
-        adjusted=adjusted,
-        case2=case2,
-        span_before=z.max(axis=1) - z.min(axis=1),
-        span_after=z_after.max(axis=1) - z_after.min(axis=1),
-        axis=axis,
-    )
+    tiles = np.clip(quantize_fixed(tiles_rgb, spec), 0.0, 1.0)
+    return _adjust_phases(tiles, semi_axes, axis, "mid", partial(quantize_fixed, spec=spec))

@@ -1,6 +1,6 @@
-"""Image file I/O: real PNG files and binary PPM, dependency-free."""
+"""Image file writers: real PNG files and binary PPM, dependency-free."""
 
-from .png_file import read_png, write_png
-from .ppm import read_ppm, write_ppm
+from .png_file import write_png
+from .ppm import write_ppm
 
-__all__ = ["read_png", "write_png", "read_ppm", "write_ppm"]
+__all__ = ["write_png", "write_ppm"]

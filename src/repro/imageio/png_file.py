@@ -1,14 +1,11 @@
-"""Minimal real PNG file writer/reader (RGB8, no dependencies).
+"""Minimal real PNG file writer (RGB8, no dependencies).
 
 The baselines package already implements PNG's *compression* (filters +
 DEFLATE) for bandwidth accounting; this module adds the container —
 signature, IHDR/IDAT/IEND chunks with CRCs — so frames can be written
 as genuine ``.png`` files any viewer opens.  Used by the Fig. 9
-example to export original/adjusted image pairs for visual inspection,
-and by tests as an end-to-end check of the PNG pipeline.
-
-Only the subset we produce is supported on read: 8-bit RGB, non-
-interlaced, single IDAT sequence.
+example to export original/adjusted image pairs for visual inspection.
+The tests read the files back with a reader of their own.
 """
 
 from __future__ import annotations
@@ -19,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..baselines.png_codec import png_filter_rows, png_unfilter_rows
+from ..baselines.png_codec import png_filter_rows
 
-__all__ = ["write_png", "read_png"]
+__all__ = ["write_png"]
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _COLOR_TYPE_RGB = 2
@@ -64,47 +61,3 @@ def write_png(path, frame: np.ndarray, level: int = 6) -> int:
     path = Path(path)
     path.write_bytes(blob)
     return len(blob)
-
-
-def read_png(path) -> np.ndarray:
-    """Read back a PNG written by :func:`write_png` (8-bit RGB only)."""
-    data = Path(path).read_bytes()
-    if not data.startswith(_SIGNATURE):
-        raise ValueError(f"{path}: not a PNG file")
-    offset = len(_SIGNATURE)
-    width = height = None
-    idat = bytearray()
-    while offset < len(data):
-        (length,) = struct.unpack_from(">I", data, offset)
-        tag = data[offset + 4 : offset + 8]
-        payload = data[offset + 8 : offset + 8 + length]
-        expected_crc = struct.unpack_from(">I", data, offset + 8 + length)[0]
-        if zlib.crc32(tag + payload) & 0xFFFFFFFF != expected_crc:
-            raise ValueError(f"{path}: CRC mismatch in {tag!r} chunk")
-        if tag == b"IHDR":
-            width, height, depth, color_type, _, _, interlace = struct.unpack(
-                ">IIBBBBB", payload
-            )
-            if depth != 8 or color_type != _COLOR_TYPE_RGB or interlace != 0:
-                raise ValueError(
-                    f"{path}: unsupported PNG (need 8-bit RGB non-interlaced)"
-                )
-        elif tag == b"IDAT":
-            idat.extend(payload)
-        elif tag == b"IEND":
-            break
-        offset += 12 + length
-    if width is None or not idat:
-        raise ValueError(f"{path}: missing IHDR or IDAT")
-
-    stream = zlib.decompress(bytes(idat))
-    row_bytes = width * 3
-    if len(stream) != height * (1 + row_bytes):
-        raise ValueError(f"{path}: IDAT length mismatch")
-    filter_ids = np.empty(height, dtype=np.uint8)
-    filtered = np.empty((height, row_bytes), dtype=np.uint8)
-    for y in range(height):
-        start = y * (1 + row_bytes)
-        filter_ids[y] = stream[start]
-        filtered[y] = np.frombuffer(stream, np.uint8, row_bytes, start + 1)
-    return png_unfilter_rows(filter_ids, filtered, (height, width, 3))

@@ -1,4 +1,4 @@
-"""Binary PPM (P6) writer/reader — the zero-dependency escape hatch.
+"""Binary PPM (P6) writer — the zero-dependency escape hatch.
 
 PPM is the simplest interchange format every image tool understands;
 useful when debugging pipelines where even our PNG writer is suspect.
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["write_ppm", "read_ppm"]
+__all__ = ["write_ppm"]
 
 
 def write_ppm(path, frame: np.ndarray) -> int:
@@ -22,20 +22,3 @@ def write_ppm(path, frame: np.ndarray) -> int:
     blob = f"P6\n{width} {height}\n255\n".encode("ascii") + arr.tobytes()
     Path(path).write_bytes(blob)
     return len(blob)
-
-
-def read_ppm(path) -> np.ndarray:
-    """Read a binary PPM written by :func:`write_ppm`."""
-    data = Path(path).read_bytes()
-    parts = data.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P6":
-        raise ValueError(f"{path}: not a binary PPM (P6) file")
-    try:
-        width, height = (int(v) for v in parts[1].split())
-        maxval = int(parts[2])
-    except ValueError as error:
-        raise ValueError(f"{path}: malformed PPM header") from error
-    if maxval != 255:
-        raise ValueError(f"{path}: only 8-bit PPM supported, got maxval {maxval}")
-    pixels = np.frombuffer(parts[3], dtype=np.uint8, count=height * width * 3)
-    return pixels.reshape(height, width, 3).copy()

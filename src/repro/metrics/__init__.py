@@ -1,16 +1,14 @@
 """Objective quality metrics and reporting statistics."""
 
-from .psnr import mse, psnr, psnr_per_channel
+from .psnr import mse, psnr
 from .temporal import FlickerReport, flicker_report
-from .stats import Summary, geometric_mean, summarize
+from .stats import Summary, summarize
 
 __all__ = [
     "mse",
     "psnr",
-    "psnr_per_channel",
     "FlickerReport",
     "flicker_report",
     "Summary",
-    "geometric_mean",
     "summarize",
 ]

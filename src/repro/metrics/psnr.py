@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mse", "psnr", "psnr_per_channel"]
+__all__ = ["mse", "psnr"]
 
 
 def _validate_pair(reference, test) -> tuple[np.ndarray, np.ndarray]:
@@ -44,7 +44,7 @@ def psnr(reference, test, peak: float = 255.0) -> float:
     return float(10.0 * np.log10(peak * peak / error))
 
 
-def psnr_per_channel(reference, test, peak: float = 255.0) -> np.ndarray:
+def _psnr_per_channel(reference, test, peak: float = 255.0) -> np.ndarray:
     """PSNR of each color channel separately, shape ``(C,)``."""
     ref, tst = _validate_pair(reference, test)
     if ref.ndim != 3:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Summary", "summarize", "geometric_mean"]
+__all__ = ["Summary", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def summarize(values) -> Summary:
     )
 
 
-def geometric_mean(values) -> float:
+def _geometric_mean(values) -> float:
     """Geometric mean of positive values (compression-ratio friendly)."""
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:

@@ -14,7 +14,6 @@ from .geometry import (
     channel_halfwidth,
     contains,
     mahalanobis,
-    paper_normalized_coefficients,
     quadric_coefficients,
     quadric_matrix,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "channel_halfwidth",
     "contains",
     "mahalanobis",
-    "paper_normalized_coefficients",
     "quadric_coefficients",
     "quadric_matrix",
     "EllipsoidLawParameters",

@@ -34,7 +34,6 @@ __all__ = [
     "ChannelExtrema",
     "quadric_matrix",
     "quadric_coefficients",
-    "paper_normalized_coefficients",
     "channel_halfwidth",
     "channel_extrema",
     "contains",
@@ -55,9 +54,14 @@ def _validate(centers, semi_axes):
         c, s = np.broadcast_arrays(c, s)
         c = np.ascontiguousarray(c, dtype=np.float64)
         s = np.ascontiguousarray(s, dtype=np.float64)
-    if s.size and s.min() <= 0:
-        raise ValueError("semi-axes must be strictly positive")
+    _check_semi_axes(s)
     return c, s
+
+
+def _check_semi_axes(s: np.ndarray) -> None:
+    # Written so that NaN fails it: every comparison with NaN is False.
+    if s.size and not (s.min() > 0.0 and s.max() < np.inf):
+        raise ValueError("semi-axes must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -93,8 +97,7 @@ def quadric_matrix(semi_axes) -> np.ndarray:
     s = np.asarray(semi_axes, dtype=np.float64)
     if s.shape[-1] != 3:
         raise ValueError(f"semi_axes needs trailing axis 3, got {s.shape}")
-    if s.size and s.min() <= 0:
-        raise ValueError("semi-axes must be strictly positive")
+    _check_semi_axes(s)
     inv_sq = 1.0 / np.square(s)
     # Q = T^T diag(inv_sq) T, batched over leading dims.
     scaled = inv_sq[..., :, None] * RGB_TO_DKL
@@ -132,7 +135,7 @@ def quadric_coefficients(centers, semi_axes) -> dict[str, np.ndarray]:
     }
 
 
-def paper_normalized_coefficients(centers, semi_axes) -> dict[str, np.ndarray]:
+def _paper_normalized_coefficients(centers, semi_axes) -> dict[str, np.ndarray]:
     """Eq. 10 form of the quadric: coefficients scaled to a ``+1`` constant.
 
     The paper divides the polynomial by ``-t`` with ``t = 1 - kappa^T S

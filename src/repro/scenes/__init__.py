@@ -11,12 +11,11 @@ from .display import (
     QUEST2_LOW_RESOLUTION,
     QUEST2_REFRESH_RATES,
     DisplayGeometry,
-    peripheral_fraction,
 )
 from .gaze import GazeSample, LastSamplePredictor, LinearPredictor, saccade_trace
-from .library import SCENE_NAMES, Scene, all_scenes, get_scene, render_scene
+from .library import SCENE_NAMES, Scene, get_scene, render_scene
 from .noise import fractal_noise, value_noise
-from .primitives import draw_box, draw_disk, mix_noise, modulate, solid, vertical_gradient
+from .primitives import draw_box, draw_disk, mix_noise, modulate, vertical_gradient
 
 __all__ = [
     "QUEST2_DISPLAY",
@@ -24,14 +23,12 @@ __all__ = [
     "QUEST2_LOW_RESOLUTION",
     "QUEST2_REFRESH_RATES",
     "DisplayGeometry",
-    "peripheral_fraction",
     "GazeSample",
     "LastSamplePredictor",
     "LinearPredictor",
     "saccade_trace",
     "SCENE_NAMES",
     "Scene",
-    "all_scenes",
     "get_scene",
     "render_scene",
     "fractal_noise",
@@ -40,6 +37,5 @@ __all__ = [
     "draw_disk",
     "mix_noise",
     "modulate",
-    "solid",
     "vertical_gradient",
 ]

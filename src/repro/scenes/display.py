@@ -23,7 +23,6 @@ __all__ = [
     "QUEST2_HIGH_RESOLUTION",
     "QUEST2_REFRESH_RATES",
     "QUEST2_DISPLAY",
-    "peripheral_fraction",
 ]
 
 #: Lowest rendering resolution on Oculus Quest 2 (both eyes combined).
@@ -154,7 +153,7 @@ class DisplayGeometry:
 QUEST2_DISPLAY = DisplayGeometry()
 
 
-def peripheral_fraction(
+def _peripheral_fraction(
     eccentricity_map: np.ndarray, threshold_deg: float = 20.0
 ) -> float:
     """Fraction of pixels beyond an eccentricity threshold.

@@ -32,7 +32,7 @@ from ..color.srgb import linear_to_srgb, srgb_to_linear
 from .noise import fractal_noise, value_noise
 from .primitives import draw_box, draw_disk, mix_noise, modulate, vertical_gradient
 
-__all__ = ["Scene", "SCENE_NAMES", "get_scene", "render_scene", "all_scenes"]
+__all__ = ["Scene", "SCENE_NAMES", "get_scene", "render_scene"]
 
 _BASE_SEED = 20240427  # ASPLOS'24 opening day; fixed for reproducibility.
 
@@ -269,7 +269,7 @@ def get_scene(name: str) -> Scene:
         raise ValueError(f"unknown scene {name!r}; expected one of {SCENE_NAMES}") from None
 
 
-def all_scenes() -> list[Scene]:
+def _all_scenes() -> list[Scene]:
     """All six scenes in plotting order."""
     return [_SCENES[name] for name in SCENE_NAMES]
 

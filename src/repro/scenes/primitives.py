@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "solid",
     "vertical_gradient",
     "draw_box",
     "draw_disk",
@@ -21,7 +20,7 @@ __all__ = [
 ]
 
 
-def solid(shape: tuple[int, int], color) -> np.ndarray:
+def _solid(shape: tuple[int, int], color) -> np.ndarray:
     """A constant-color frame of ``shape`` (height, width)."""
     height, width = shape
     frame = np.empty((height, width, 3), dtype=np.float64)

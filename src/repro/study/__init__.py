@@ -1,7 +1,6 @@
 """Simulated human-subject study (paper Sec. 5.2, 6.3, Fig. 14)."""
 
 from .harness import SceneOutcome, StudyConfig, StudyResult, run_user_study
-from .staircase import CalibrationRun, StaircaseConfig, calibrate_profile, run_staircase
 from .observer import (
     PsychometricParameters,
     SimulatedObserver,
@@ -11,10 +10,6 @@ from .observer import (
 )
 
 __all__ = [
-    "CalibrationRun",
-    "StaircaseConfig",
-    "calibrate_profile",
-    "run_staircase",
     "SceneOutcome",
     "StudyConfig",
     "StudyResult",

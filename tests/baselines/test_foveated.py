@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.foveated import (
     FoveationConfig,
-    foveate_frame,
+    _foveate_frame,
     foveated_bd_bits,
 )
 from repro.codecs import FrameContext, PerceptualCodec, get_codec
@@ -29,33 +29,33 @@ def setup():
 class TestFoveateFrame:
     def test_fovea_untouched(self, setup):
         frame, ecc = setup
-        out = foveate_frame(frame, ecc)
+        out = _foveate_frame(frame, ecc)
         foveal = ecc < FoveationConfig().half_rate_deg
         assert np.array_equal(out[foveal], frame[foveal])
 
     def test_periphery_blurred(self, setup):
         frame, ecc = setup
-        out = foveate_frame(frame, ecc)
+        out = _foveate_frame(frame, ecc)
         periphery = ecc >= FoveationConfig().quarter_rate_deg
         assert periphery.any()
         assert not np.allclose(out[periphery], frame[periphery])
 
     def test_output_in_gamut(self, setup):
         frame, ecc = setup
-        out = foveate_frame(frame, ecc)
+        out = _foveate_frame(frame, ecc)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_zero_thresholds_blur_everything(self, setup):
         frame, ecc = setup
         config = FoveationConfig(half_rate_deg=0.0, quarter_rate_deg=0.0)
-        out = foveate_frame(frame, ecc, config)
+        out = _foveate_frame(frame, ecc, config)
         # Everything is in the 4x ring: values constant over 4x4 blocks.
         assert np.allclose(out[:4, :4], out[0, 0])
 
     def test_shape_validation(self, setup):
         frame, _ = setup
         with pytest.raises(ValueError, match="does not match"):
-            foveate_frame(frame, np.zeros((4, 4)))
+            _foveate_frame(frame, np.zeros((4, 4)))
 
 
 class TestFoveatedBits:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.png_codec import (
-    FILTER_NAMES,
     png_compressed_bits,
     png_decode,
     png_encode,
@@ -51,7 +50,7 @@ class TestFiltering:
             ids = np.full(6, mode, dtype=np.uint8)
             assert np.array_equal(
                 png_unfilter_rows(ids, filtered, frame.shape), frame
-            ), FILTER_NAMES[mode]
+            ), f"filter type {mode}"
 
     def test_constant_rows_choose_cheap_filter(self):
         frame = np.full((4, 8, 3), 100, dtype=np.uint8)

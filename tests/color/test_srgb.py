@@ -11,7 +11,7 @@ from repro.color.srgb import (
     decode_srgb8,
     encode_srgb8,
     linear_to_srgb,
-    quantize_unit,
+    _quantize_unit,
     srgb_to_linear,
 )
 
@@ -104,20 +104,20 @@ class TestQuantized:
 
 class TestQuantizeUnit:
     def test_endpoints_preserved(self):
-        assert quantize_unit(0.0) == 0.0
-        assert quantize_unit(1.0) == 1.0
+        assert _quantize_unit(0.0) == 0.0
+        assert _quantize_unit(1.0) == 1.0
 
     def test_grid_size(self):
-        values = quantize_unit(np.linspace(0, 1, 100), levels=4)
+        values = _quantize_unit(np.linspace(0, 1, 100), levels=4)
         unique = np.unique(values)
         assert len(unique) == 4
         assert np.allclose(unique, [0.0, 1 / 3, 2 / 3, 1.0])
 
     def test_rejects_bad_levels(self):
         with pytest.raises(ValueError, match="levels"):
-            quantize_unit([0.5], levels=1)
+            _quantize_unit([0.5], levels=1)
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=2, max_value=256))
     def test_error_bounded_by_half_step(self, x, levels):
-        q = float(quantize_unit(x, levels=levels))
+        q = float(_quantize_unit(x, levels=levels))
         assert abs(q - x) <= 0.5 / (levels - 1) + 1e-12

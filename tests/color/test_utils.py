@@ -6,7 +6,7 @@ import pytest
 from repro.color.srgb import encode_srgb8
 from repro.color.utils import (
     ensure_color_array,
-    format_hex,
+    _format_hex,
     parse_hex,
     relative_luminance,
 )
@@ -26,7 +26,7 @@ class TestHex:
     def test_round_trip_through_srgb(self):
         for code in FIG1_COLORS:
             linear = parse_hex(code)
-            assert format_hex(encode_srgb8(linear)) == code.upper()
+            assert _format_hex(encode_srgb8(linear)) == code.upper()
 
     def test_fig1_colors_are_close_but_distinct(self):
         linears = np.array([parse_hex(c) for c in FIG1_COLORS])
@@ -41,11 +41,11 @@ class TestHex:
 
     def test_format_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="triple"):
-            format_hex(np.zeros((2, 3)))
+            _format_hex(np.zeros((2, 3)))
 
     def test_format_rejects_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 255\]"):
-            format_hex(np.array([0, 0, 300]))
+            _format_hex(np.array([0, 0, 300]))
 
 
 class TestLuminance:

@@ -11,7 +11,9 @@ their outputs do not need:
   ``channel_extrema`` (the package builds only the optimized
   channel's);
 * ``_clamp_to_gamut`` computes a scale for every pixel (the package
-  rescales only the pixels whose move leaves the unit cube).
+  rescales only the pixels whose move leaves the unit cube);
+* ``case2_plane`` is the HL/LH reduction the package's adjustment now
+  takes inline.
 
 Each function body is unchanged; only the imports point at this module,
 so the oracle chain never reaches a rewritten kernel.
@@ -26,7 +28,7 @@ import numpy as np
 
 from repro.color.dkl import DKL_TO_RGB
 from repro.color.srgb import encode_srgb8
-from repro.core.adjust import CASE2_PLACEMENTS, AxisAdjustment, case2_plane
+from repro.core.adjust import CASE2_PLACEMENTS, AxisAdjustment
 from repro.core.optimizer import OptimizedTiles
 from repro.encoding.accounting import SizeBreakdown
 from repro.encoding.bd import (
@@ -43,6 +45,7 @@ __all__ = [
     "delta_widths",
     "bd_breakdown",
     "channel_extrema",
+    "case2_plane",
     "_clamp_to_gamut",
     "adjust_tiles",
     "tile_bd_bits",
@@ -106,6 +109,23 @@ def channel_extrema(centers, semi_axes, axis: int) -> ChannelExtrema:
 
 
 # -- repro.core.adjust ------------------------------------------------------
+
+
+def case2_plane(low_channel: np.ndarray, high_channel: np.ndarray) -> tuple:
+    """Compute HL, LH and the case-2 mask from per-pixel channel extrema.
+
+    Parameters are ``(n_tiles, pixels)`` arrays of the lowest/highest
+    reachable channel values.  Returns ``(HL, LH, case2)`` with per-tile
+    shapes.
+    """
+    if low_channel.shape != high_channel.shape or low_channel.ndim != 2:
+        raise ValueError(
+            f"expected matching (n_tiles, pixels) arrays, got "
+            f"{low_channel.shape} and {high_channel.shape}"
+        )
+    hl = low_channel.max(axis=1)
+    lh = high_channel.min(axis=1)
+    return hl, lh, lh >= hl
 
 
 def _clamp_to_gamut(centers: np.ndarray, moved: np.ndarray) -> np.ndarray:

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adjust import CASE2_PLACEMENTS, adjust_tiles, case2_plane
+from repro.core.adjust import CASE2_PLACEMENTS, adjust_tiles
 from repro.perception.geometry import channel_extrema, mahalanobis
 from repro.perception.model import ParametricModel
+
+from kernel_reference import case2_plane
 
 
 def _tiles_and_axes(rng, n_tiles=30, pixels=16, ecc=25.0, low=0.2, high=0.8):
@@ -141,6 +143,19 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             adjust_tiles(tiles, axes, 2)
 
+    def test_rejects_nan_tile(self, rng):
+        tiles, axes = _tiles_and_axes(rng, n_tiles=4)
+        tiles[2, 3, 0] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            adjust_tiles(tiles, axes, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_semi_axis(self, rng, bad):
+        tiles, axes = _tiles_and_axes(rng, n_tiles=4)
+        axes[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="semi-axes"):
+            adjust_tiles(tiles, axes, 2)
+
     def test_single_pixel_tile_unchanged_span(self, rng):
         tiles, axes = _tiles_and_axes(rng, n_tiles=3, pixels=1)
         result = adjust_tiles(tiles, axes, 2)
@@ -150,6 +165,8 @@ class TestValidation:
 
 
 class TestCase2PlaneHelper:
+    """The HL/LH reduction the kernel oracle (``kernel_reference``) builds on."""
+
     def test_shapes_and_values(self):
         low = np.array([[0.1, 0.3], [0.2, 0.2]])
         high = np.array([[0.5, 0.6], [0.3, 0.25]])

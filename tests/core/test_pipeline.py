@@ -114,6 +114,12 @@ class TestInputHandling:
         with pytest.raises(ValueError, match=r"\(H, W, 3\)"):
             _encode(encoder, np.zeros((64, 64)), 25.0)
 
+    def test_nan_eccentricity_fails_in_the_kernel(self, encoder, rng):
+        """A NaN eccentricity makes NaN semi-axes, which the adjustment
+        rejects before any color is moved."""
+        with pytest.raises(ValueError, match="semi-axes"):
+            _encode(encoder, _smooth(rng), float("nan"))
+
     def test_non_multiple_of_tile_size(self, encoder, rng):
         frame = np.clip(_smooth(rng)[:50, :37], 0, 1)
         result = _encode(encoder, frame, 25.0)

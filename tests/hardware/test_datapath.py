@@ -46,6 +46,10 @@ class TestQuantize:
             FixedPointSpec(frac_bits=0)
         with pytest.raises(ValueError, match="total_range"):
             FixedPointSpec(total_range=0.0)
+        with pytest.raises(ValueError, match="total_range"):
+            FixedPointSpec(total_range=float("nan"))
+        with pytest.raises(ValueError, match="frac_bits"):
+            FixedPointSpec(frac_bits=2.5)
 
 
 class TestDatapathAccuracy:
@@ -109,3 +113,22 @@ class TestDatapathAccuracy:
         fixed = adjust_tiles_fixed_point(tiles, axes, 0, FixedPointSpec(frac_bits=16))
         assert fixed.axis == 0
         assert np.all(fixed.span_after <= fixed.span_before + 2 * 2.0**-16)
+
+
+class TestNonFiniteInput:
+    """NaN fails the kernel's checks: the model raises, never returns NaN colors."""
+
+    def test_rejects_nan_tile(self, workload):
+        tiles, axes = workload
+        tiles = tiles.copy()
+        tiles[3, 5, 1] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            adjust_tiles_fixed_point(tiles, axes, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_semi_axis(self, workload, bad):
+        tiles, axes = workload
+        axes = axes.copy()
+        axes[7, 2, 0] = bad
+        with pytest.raises(ValueError, match="semi-axes"):
+            adjust_tiles_fixed_point(tiles, axes, 2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.psnr import mse, psnr, psnr_per_channel
+from repro.metrics.psnr import mse, psnr, _psnr_per_channel
 
 
 class TestMSE:
@@ -61,11 +61,11 @@ class TestPerChannel:
         a = np.zeros((4, 4, 3), dtype=np.uint8)
         b = a.copy()
         b[..., 2] = 10  # damage blue only
-        values = psnr_per_channel(a, b)
+        values = _psnr_per_channel(a, b)
         assert values[0] == float("inf")
         assert values[1] == float("inf")
         assert np.isfinite(values[2])
 
     def test_requires_3d(self):
         with pytest.raises(ValueError, match=r"\(H, W, C\)"):
-            psnr_per_channel(np.zeros((4, 4)), np.zeros((4, 4)))
+            _psnr_per_channel(np.zeros((4, 4)), np.zeros((4, 4)))

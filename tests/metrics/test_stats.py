@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.stats import geometric_mean, summarize
+from repro.metrics.stats import _geometric_mean, summarize
 
 
 class TestSummarize:
@@ -35,19 +35,19 @@ class TestSummarize:
 
 class TestGeometricMean:
     def test_known_value(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
+        assert _geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
 
     def test_single_value(self):
-        assert geometric_mean([7.0]) == pytest.approx(7.0)
+        assert _geometric_mean([7.0]) == pytest.approx(7.0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
-            geometric_mean([1.0, 0.0])
+            _geometric_mean([1.0, 0.0])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
-            geometric_mean([])
+            _geometric_mean([])
 
     def test_leq_arithmetic_mean(self, rng):
         values = rng.uniform(0.5, 2.0, 50)
-        assert geometric_mean(values) <= values.mean() + 1e-12
+        assert _geometric_mean(values) <= values.mean() + 1e-12

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from repro.color.dkl import DKL_TO_RGB, RGB_TO_DKL
 from repro.perception.geometry import (
+    _paper_normalized_coefficients,
     channel_extrema,
     channel_halfwidth,
     contains,
     mahalanobis,
-    paper_normalized_coefficients,
     quadric_coefficients,
     quadric_matrix,
 )
@@ -63,6 +63,11 @@ class TestQuadricMatrix:
         with pytest.raises(ValueError, match="positive"):
             quadric_matrix(np.array([1e-3, 0.0, 1e-3]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_axes(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            quadric_matrix(np.array([1e-3, bad, 1e-3]))
+
 
 class TestQuadricCoefficients:
     def test_polynomial_vanishes_on_surface(self, sample):
@@ -84,7 +89,7 @@ class TestQuadricCoefficients:
     def test_paper_normalization_constant_is_one(self, sample):
         centers, axes = sample
         raw = quadric_coefficients(centers, axes)
-        normalized = paper_normalized_coefficients(centers, axes)
+        normalized = _paper_normalized_coefficients(centers, axes)
         for key in ("A", "B", "C", "D", "E", "F", "G", "H", "I"):
             assert np.allclose(normalized[key], raw[key] / raw["c0"])
 
@@ -95,7 +100,8 @@ class TestQuadricCoefficients:
         axes = np.array([1e-3, 1e-3, 1e-3])
         center = DKL_TO_RGB @ np.array([1e-3, 0.0, 0.0])  # surface hits origin
         with pytest.raises(ValueError, match="Eq. 10"):
-            paper_normalized_coefficients(center, axes)
+            _paper_normalized_coefficients(center, axes)
+
 
 
 class TestChannelExtrema:
@@ -166,6 +172,14 @@ class TestContainment:
     def test_mahalanobis_zero_at_center(self, sample):
         centers, axes = sample
         assert np.allclose(mahalanobis(centers, centers, axes), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mahalanobis_rejects_non_finite_axes(self, sample, bad):
+        centers, axes = sample
+        axes = axes.copy()
+        axes[0, 1] = bad
+        with pytest.raises(ValueError, match="semi-axes"):
+            mahalanobis(centers, centers, axes)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=0.0, max_value=0.999))

@@ -9,7 +9,7 @@ from repro.scenes.display import (
     QUEST2_LOW_RESOLUTION,
     QUEST2_REFRESH_RATES,
     DisplayGeometry,
-    peripheral_fraction,
+    _peripheral_fraction,
 )
 
 
@@ -43,7 +43,7 @@ class TestEccentricityMap:
     def test_most_pixels_peripheral(self):
         """The paper's motivation: >90% of pixels beyond 20 deg."""
         ecc = QUEST2_DISPLAY.eccentricity_map(128, 128)
-        assert peripheral_fraction(ecc, 20.0) > 0.9
+        assert _peripheral_fraction(ecc, 20.0) > 0.9
 
     def test_rejects_out_of_frame_fixation(self):
         with pytest.raises(ValueError, match="fixation"):
@@ -133,11 +133,11 @@ class TestQuestConstants:
 
 class TestPeripheralFraction:
     def test_all_foveal(self):
-        assert peripheral_fraction(np.zeros((4, 4)), 20.0) == 0.0
+        assert _peripheral_fraction(np.zeros((4, 4)), 20.0) == 0.0
 
     def test_all_peripheral(self):
-        assert peripheral_fraction(np.full((4, 4), 30.0), 20.0) == 1.0
+        assert _peripheral_fraction(np.full((4, 4), 30.0), 20.0) == 1.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
-            peripheral_fraction(np.zeros((0,)), 20.0)
+            _peripheral_fraction(np.zeros((0,)), 20.0)

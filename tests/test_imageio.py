@@ -1,11 +1,13 @@
-"""Tests for the PNG-file and PPM writers/readers."""
+"""Tests for the PNG-file and PPM writers, read back by the reference readers."""
 
 import numpy as np
 import pytest
 
 from repro.color.srgb import encode_srgb8
-from repro.imageio import read_png, read_ppm, write_png, write_ppm
+from repro.imageio import write_png, write_ppm
 from repro.scenes.library import render_scene
+
+from imageio_reference import read_png, read_ppm
 
 
 @pytest.fixture
