@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from conftest import run_once
 
-from repro.codecs import encode_batch
+from repro.codecs.batch import encode_batch
 from repro.experiments.fleet import run_fleet
 from repro.scenes.library import render_scene
 from repro.streaming.link import WIFI6_LINK

@@ -15,12 +15,9 @@ from __future__ import annotations
 from repro.codecs.ladder import QualityLadder, encode_rung_streams
 from repro.scenes.display import QUEST2_DISPLAY
 from repro.scenes.library import get_scene
-from repro.streaming import (
-    BandwidthTrace,
-    WirelessLink,
-    simulate_adaptive_session,
-)
-from repro.streaming.adaptive import FixedController
+from repro.streaming.adaptive import FixedController, simulate_adaptive_session
+from repro.streaming.link import WirelessLink
+from repro.streaming.traces import BandwidthTrace
 
 # ~1.3x the raw-rung demand at 128x128 when good, a rate only the
 # perceptual rung fits through when faded, 0.3 s per phase.

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import QUEST2_DISPLAY, FrameContext, get_codec, render_scene
-from repro.imageio import write_png
+from repro.imageio.png_file import write_png
 from repro.metrics.psnr import psnr
 
 

@@ -11,12 +11,8 @@ Run:  python examples/fleet_streaming.py
 
 from __future__ import annotations
 
-from repro.streaming import (
-    WirelessLink,
-    ClientConfig,
-    simulate_fleet,
-    solo_sustainable_fps,
-)
+from repro.streaming.fleet import ClientConfig, simulate_fleet, solo_sustainable_fps
+from repro.streaming.link import WirelessLink
 
 LINK = WirelessLink(bandwidth_mbps=300.0, propagation_ms=3.0)
 

@@ -14,7 +14,8 @@ Run:  python examples/remote_streaming.py
 from __future__ import annotations
 
 from repro.scenes.library import get_scene
-from repro.streaming import WIFI6_LINK, WIGIG_LINK, WirelessLink, simulate_session
+from repro.streaming.link import WIFI6_LINK, WIGIG_LINK, WirelessLink
+from repro.streaming.session import simulate_session
 
 LINKS = {
     "WiGig 1.8G": WIGIG_LINK,

@@ -30,46 +30,31 @@ Sweep several codecs over a frame sequence with shared context work::
     print({name: sum(r.total_bits for r in rs) for name, rs in results.items()})
 """
 
-from .codecs import (
-    Codec,
-    CodecRegistry,
-    EncodedFrame,
-    FrameContext,
-    QualityLadder,
-    QualityRung,
-    available_codecs,
-    encode_batch,
-    get_codec,
-)
-from .codecs import register as register_codec
+from .codecs.base import Codec, EncodedFrame
+from .codecs.batch import encode_batch
+from .codecs.context import FrameContext
+from .codecs.ladder import QualityLadder, QualityRung
+from .codecs.registry import available_codecs, get_codec
 from .codecs.wrappers import DEFAULT_FOVEAL_RADIUS_DEG, FrameResult, PerceptualCodec
 from .encoding.bd import BDCodec
 from .perception.model import ParametricModel, RBFModel, ScaledModel, default_model
 from .scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from .scenes.library import SCENE_NAMES, get_scene, render_scene
-from .streaming import (
-    WIFI6_LINK,
-    WIGIG_LINK,
-    BandwidthTrace,
-    ClientConfig,
-    FleetReport,
-    WirelessLink,
-    simulate_adaptive_session,
-    simulate_fleet,
-    simulate_session,
-)
+from .streaming.adaptive import simulate_adaptive_session
+from .streaming.fleet import ClientConfig, FleetReport, simulate_fleet
+from .streaming.link import WIFI6_LINK, WIGIG_LINK, WirelessLink
+from .streaming.session import simulate_session
+from .streaming.traces import BandwidthTrace
 
 __version__ = "1.3.0"
 
 __all__ = [
     "Codec",
-    "CodecRegistry",
     "EncodedFrame",
     "FrameContext",
     "available_codecs",
     "encode_batch",
     "get_codec",
-    "register_codec",
     "DEFAULT_FOVEAL_RADIUS_DEG",
     "FrameResult",
     "PerceptualCodec",

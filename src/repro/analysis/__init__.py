@@ -18,30 +18,3 @@ Run ``python -m repro.analysis`` (stdlib-only, fast) or ``repro
 lint``.  See ``docs/analysis.md`` for the catalog, suppression, and
 baseline workflow.
 """
-
-from .driver import (
-    AnalysisReport,
-    check_file,
-    check_source,
-    collect_files,
-    load_baseline,
-    run,
-    write_baseline,
-)
-from .findings import Finding, ModuleContext, RULES, rule_catalog
-from .cli import main
-
-__all__ = [
-    "AnalysisReport",
-    "Finding",
-    "ModuleContext",
-    "RULES",
-    "check_file",
-    "check_source",
-    "collect_files",
-    "load_baseline",
-    "main",
-    "rule_catalog",
-    "run",
-    "write_baseline",
-]

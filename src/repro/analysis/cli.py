@@ -15,8 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .driver import run, write_baseline
-from .findings import rule_catalog
+from .driver import rule_catalog, run, write_baseline
 
 __all__ = ["main"]
 

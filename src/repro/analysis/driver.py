@@ -24,10 +24,11 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..parallel import run_tasks
-from .findings import RULES, Finding, ModuleContext
+from .findings import _RULES, Finding, ModuleContext
 from .kernels import KERNEL_MODULES, KERNEL_PRAGMA
 
-# Importing the rule modules populates the registry.
+# Importing the rule modules fills the rule table, so it is complete
+# wherever this module is imported.
 from . import units as _units  # noqa: F401
 from . import determinism as _determinism  # noqa: F401
 from . import asyncsafe as _asyncsafe  # noqa: F401
@@ -41,6 +42,7 @@ __all__ = [
     "load_baseline",
     "write_baseline",
     "run",
+    "rule_catalog",
 ]
 
 BASELINE_VERSION = 1
@@ -86,6 +88,11 @@ def _is_kernel(module: str, source: str) -> bool:
     return KERNEL_PRAGMA in head
 
 
+def rule_catalog() -> list[tuple[str, str]]:
+    """``(rule id, description)`` pairs, sorted by id (for --list/docs)."""
+    return sorted((rid, desc) for rid, (_, desc) in _RULES.items())
+
+
 def check_source(
     source: str,
     *,
@@ -118,7 +125,7 @@ def check_source(
     tree = ast.parse(source, filename=path)
     lines = source.splitlines()
     ctx = ModuleContext(path=path, module=module, source=source, kernel=kernel, lines=lines)
-    selected = RULES if rules is None else {r: RULES[r] for r in rules}
+    selected = _RULES if rules is None else {r: _RULES[r] for r in rules}
     findings: list[Finding] = []
     for rule_id, (rule, _desc) in selected.items():
         for finding in rule(tree, ctx):

@@ -22,9 +22,7 @@ __all__ = [
     "Finding",
     "ModuleContext",
     "Rule",
-    "RULES",
     "register_rule",
-    "rule_catalog",
 ]
 
 
@@ -84,22 +82,18 @@ class ModuleContext:
 Rule = Callable[[ast.Module, ModuleContext], Iterator[Finding]]
 
 #: rule id -> (rule callable, one-line description).  Populated by the
-#: rule modules at import time via :func:`register_rule`.
-RULES: dict[str, tuple[Rule, str]] = {}
+#: rule modules at import time via :func:`register_rule`; read only by
+#: :mod:`repro.analysis.driver`, which imports every rule module.
+_RULES: dict[str, tuple[Rule, str]] = {}
 
 
 def register_rule(rule_id: str, description: str) -> Callable[[Rule], Rule]:
-    """Class/function decorator adding a checker to :data:`RULES`."""
+    """Function decorator adding a checker to the rule table."""
 
     def deco(fn: Rule) -> Rule:
-        if rule_id in RULES:
+        if rule_id in _RULES:
             raise ValueError(f"duplicate rule id {rule_id!r}")
-        RULES[rule_id] = (fn, description)
+        _RULES[rule_id] = (fn, description)
         return fn
 
     return deco
-
-
-def rule_catalog() -> list[tuple[str, str]]:
-    """``(rule id, description)`` pairs, sorted by id (for --list/docs)."""
-    return sorted((rid, desc) for rid, (_, desc) in RULES.items())

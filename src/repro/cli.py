@@ -24,7 +24,6 @@ from typing import Callable
 
 from .codecs.registry import available_codecs, resolve_codec_name, streaming_codec_names
 from .experiments import (
-    ExperimentConfig,
     adaptive as adaptive_experiment,
     fleet as fleet_experiment,
     fig02_ellipsoids,
@@ -37,6 +36,7 @@ from .experiments import (
     sec61_hardware,
     sec63_psnr,
 )
+from .experiments.common import ExperimentConfig
 from .experiments.ablations import (
     run_axis_ablation,
     run_fovea_ablation,

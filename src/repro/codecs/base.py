@@ -118,7 +118,7 @@ class Codec(abc.ABC):
     inter-frame state.
     """
 
-    #: Registry name; set by ``@register`` at class registration.
+    #: Registry name; each built-in codec class declares its own.
     name: str = ""
 
     #: Whether :meth:`encode` carries state between frames (temporal

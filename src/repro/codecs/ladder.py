@@ -139,21 +139,14 @@ class QualityLadder:
 
     @classmethod
     def default(cls) -> "QualityLadder":
-        """The registry-derived default ladder.
-
-        Builds :data:`DEFAULT_LADDER_SPEC` — NoCom, PNG, BD,
-        variable BD, perceptual at descending bitrates — skipping any
-        codec missing from the registry, so downstream registries with
-        a subset of the built-ins still get a working ladder.
-        """
-        rungs = []
-        for codec_name, quality in DEFAULT_LADDER_SPEC:
-            try:
-                canonical = resolve_codec_name(codec_name)
-            except KeyError:
-                continue
-            rungs.append(QualityRung(name=canonical, codec=canonical, quality=quality))
-        return cls(rungs=tuple(rungs))
+        """The default ladder: :data:`DEFAULT_LADDER_SPEC` — NoCom, PNG,
+        BD, variable BD, perceptual at descending bitrates."""
+        return cls(
+            rungs=tuple(
+                QualityRung(name=codec, codec=codec, quality=quality)
+                for codec, quality in DEFAULT_LADDER_SPEC
+            )
+        )
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -165,7 +158,7 @@ class QualityLadder:
 
         Accepts a rung name, a codec-registry name, or an alias
         (``raw`` finds the ``nocom`` rung), so a
-        :class:`~repro.streaming.server.ClientConfig` codec maps
+        :class:`~repro.streaming.fleet.ClientConfig` codec maps
         straight onto its pinned rung.
 
         Raises
@@ -281,7 +274,7 @@ def encode_scene_streams(
 
     The one render/encode loop behind every simulator and the server:
     :func:`encode_rung_streams` is its one-stream case, and
-    :func:`~repro.streaming.server.encode_client_streams` runs each
+    :func:`~repro.streaming.fleet.encode_client_streams` runs each
     fleet's (scene, resolution) group through it.  Frames run in display
     order, so stateful codecs see their frames serially.  Frame ``k`` is
     rendered once, then each stream encodes only what no other stream

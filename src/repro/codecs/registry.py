@@ -1,144 +1,87 @@
 """Codec registry: one place every frame coster is looked up from.
 
-The registry maps case-insensitive names (plus aliases like ``raw`` for
-``nocom`` and the Fig. 10 spellings ``NoCom``/``SCC``/``BD``/``PNG``)
-to codec factories.  Consumers ask :func:`get_codec` for an instance —
-per-codec keyword arguments are routed to the factory explicitly, so a
+The registry is a literal table of the built-in codec classes.  Names
+are case-insensitive, and aliases (``raw`` for ``nocom``, plus the
+Fig. 10 spellings ``NoCom``/``SCC``/``BD``/``PNG``) resolve to their
+canonical name.  Consumers ask :func:`get_codec` for an instance —
+per-codec keyword arguments are routed to the class explicitly, so a
 parameter a codec does not take (``tile_size`` on PNG) raises instead
 of being silently dropped.
 
-Codecs meaningful as *per-frame streaming encoders* register with a
-``streaming`` display name; :func:`streaming_codec_names` is what
+Codecs meaningful as *per-frame streaming encoders* carry a streaming
+display name; :func:`streaming_codec_names` is what
 ``repro.streaming.session.ENCODER_CHOICES`` is derived from.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
-
 from .base import Codec
+from .wrappers import (
+    BDCostCodec,
+    NoComCodec,
+    PerceptualCodec,
+    PNGCostCodec,
+    SCCCodec,
+    TemporalBDCodec,
+    VariableBDCostCodec,
+)
 
 __all__ = [
-    "CodecRegistry",
-    "DEFAULT_REGISTRY",
-    "register",
     "get_codec",
     "available_codecs",
     "resolve_codec_name",
     "streaming_codec_names",
 ]
 
+#: Canonical name -> codec class, in display order.
+_CODECS: dict[str, type[Codec]] = {
+    cls.name: cls
+    for cls in (
+        NoComCodec,
+        BDCostCodec,
+        PNGCostCodec,
+        SCCCodec,
+        PerceptualCodec,
+        VariableBDCostCodec,
+        TemporalBDCodec,
+    )
+}
 
-class CodecRegistry:
-    """Name -> codec-factory mapping with aliases and streaming roster."""
+#: Alternative spelling -> canonical name.
+_ALIASES: dict[str, str] = {"raw": "nocom", "varbd": "variable-bd", "tbd": "temporal-bd"}
 
-    def __init__(self):
-        self._factories: dict[str, Callable[..., Codec]] = {}
-        self._aliases: dict[str, str] = {}
-        self._streaming: list[str] = []
-
-    def register(
-        self,
-        name: str,
-        *,
-        aliases: tuple[str, ...] = (),
-        streaming: str | None = None,
-    ) -> Callable[[type], type]:
-        """Class decorator registering a codec factory under ``name``.
-
-        ``aliases`` are alternative lookup spellings (all names are
-        case-insensitive).  ``streaming`` marks the codec as a valid
-        per-frame streaming encoder under the given display name (e.g.
-        ``nocom`` streams as ``"raw"``).
-        """
-        key = name.lower()
-
-        def decorator(factory: type) -> type:
-            if key in self._factories or key in self._aliases:
-                raise ValueError(f"codec name {name!r} is already registered")
-            self._factories[key] = factory
-            factory.name = key
-            for alias in aliases:
-                alias_key = alias.lower()
-                if alias_key in self._factories or alias_key in self._aliases:
-                    raise ValueError(f"codec alias {alias!r} is already registered")
-                self._aliases[alias_key] = key
-            if streaming is not None:
-                self._streaming.append(streaming)
-            return factory
-
-        return decorator
-
-    def resolve(self, name: str) -> str:
-        """Canonical registry name for ``name`` (case/alias tolerant)."""
-        key = str(name).lower()
-        if key in self._factories:
-            return key
-        if key in self._aliases:
-            return self._aliases[key]
-        raise KeyError(
-            f"unknown codec {name!r}; available: {', '.join(self.names())}"
-        )
-
-    def get(self, name: str, **kwargs) -> Codec:
-        """Instantiate the codec registered under ``name``.
-
-        Keyword arguments are the codec's own constructor parameters;
-        an argument the codec does not accept raises ``TypeError``
-        naming the codec, rather than being ignored.
-        """
-        canonical = self.resolve(name)
-        try:
-            return self._factories[canonical](**kwargs)
-        except TypeError as exc:
-            raise TypeError(f"codec {canonical!r}: {exc}") from exc
-
-    def names(self) -> tuple[str, ...]:
-        """Canonical codec names in registration order."""
-        return tuple(self._factories)
-
-    def streaming_names(self) -> tuple[str, ...]:
-        """Display names of per-frame streaming encoders, in order."""
-        return tuple(self._streaming)
-
-    def __contains__(self, name: object) -> bool:
-        try:
-            self.resolve(str(name))
-        except KeyError:
-            return False
-        return True
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._factories)
-
-    def __len__(self) -> int:
-        return len(self._factories)
-
-
-#: The library-wide registry all built-in codecs register into.
-DEFAULT_REGISTRY = CodecRegistry()
-
-
-def register(name: str, **kwargs) -> Callable[[type], type]:
-    """``@register("name")`` — add a codec class to the default registry."""
-    return DEFAULT_REGISTRY.register(name, **kwargs)
-
-
-def get_codec(name: str, **kwargs) -> Codec:
-    """Instantiate a codec from the default registry by (alias) name."""
-    return DEFAULT_REGISTRY.get(name, **kwargs)
-
-
-def available_codecs() -> tuple[str, ...]:
-    """Canonical names of every registered codec."""
-    return DEFAULT_REGISTRY.names()
+#: Display names of the per-frame streaming encoders, in order.
+_STREAMING: tuple[str, ...] = ("raw", "bd", "perceptual", "variable-bd")
 
 
 def resolve_codec_name(name: str) -> str:
     """Canonicalize a codec name or alias (raises ``KeyError`` if unknown)."""
-    return DEFAULT_REGISTRY.resolve(name)
+    key = str(name).lower()
+    key = _ALIASES.get(key, key)
+    if key not in _CODECS:
+        raise KeyError(f"unknown codec {name!r}; available: {', '.join(_CODECS)}")
+    return key
+
+
+def get_codec(name: str, **kwargs) -> Codec:
+    """Instantiate the codec named ``name`` (case/alias tolerant).
+
+    Keyword arguments are the codec's own constructor parameters; an
+    argument the codec does not accept raises ``TypeError`` naming the
+    codec, rather than being ignored.
+    """
+    canonical = resolve_codec_name(name)
+    try:
+        return _CODECS[canonical](**kwargs)
+    except TypeError as exc:
+        raise TypeError(f"codec {canonical!r}: {exc}") from exc
+
+
+def available_codecs() -> tuple[str, ...]:
+    """Canonical names of every codec, in display order."""
+    return tuple(_CODECS)
 
 
 def streaming_codec_names() -> tuple[str, ...]:
-    """Names valid as ``simulate_session`` encoders, registry-derived."""
-    return DEFAULT_REGISTRY.streaming_names()
+    """Names valid as ``simulate_session`` encoders."""
+    return _STREAMING

@@ -39,7 +39,6 @@ from ..perception.law import ParametricEllipsoidLaw
 from ..perception.model import DiscriminationModel, default_model
 from .base import Codec, EncodedFrame
 from .context import FrameContext
-from .registry import register
 
 __all__ = [
     "NoComCodec",
@@ -47,14 +46,17 @@ __all__ = [
     "BDCostCodec",
     "PNGCostCodec",
     "PerceptualCodec",
+    "FrameResult",
+    "DEFAULT_FOVEAL_RADIUS_DEG",
     "VariableBDCostCodec",
     "TemporalBDCodec",
 ]
 
 
-@register("nocom", aliases=("raw",), streaming="raw")
 class NoComCodec(Codec):
     """Uncompressed framebuffer: 24 bits per pixel, no transform."""
+
+    name = "nocom"
 
     def encode(self, ctx: FrameContext) -> EncodedFrame:
         """Cost the frame at a flat 24 bits per pixel."""
@@ -67,7 +69,6 @@ class NoComCodec(Codec):
         )
 
 
-@register("bd", streaming="bd")
 class BDCostCodec(Codec):
     """Fixed-width Base+Delta on the frame as-is (the BD baseline).
 
@@ -78,6 +79,8 @@ class BDCostCodec(Codec):
     — as ``metadata["payload"]``, decodable with
     :class:`repro.encoding.bd.BDCodec`.
     """
+
+    name = "bd"
 
     def __init__(self, tile_size: int = 4, payload: bool = False):
         if tile_size < 1:
@@ -102,9 +105,10 @@ class BDCostCodec(Codec):
         )
 
 
-@register("png")
 class PNGCostCodec(Codec):
     """PNG-class lossless coding (adaptive filters + DEFLATE)."""
+
+    name = "png"
 
     def __init__(self, level: int = 6):
         if not 0 <= level <= 9:
@@ -122,9 +126,10 @@ class PNGCostCodec(Codec):
         )
 
 
-@register("scc")
 class SCCCodec(Codec):
     """Set-Cover Coding: constant table-index width per pixel."""
+
+    name = "scc"
 
     def __init__(self, eccentricity: float = DEFAULT_SCC_ECCENTRICITY, model=None):
         self.eccentricity = float(eccentricity)
@@ -201,7 +206,6 @@ class FrameResult(EncodedFrame):
         return self.breakdown.reduction_vs(self.baseline_breakdown)
 
 
-@register("perceptual", streaming="perceptual")
 class PerceptualCodec(Codec):
     """The paper's perceptual color adjustment in front of Base+Delta.
 
@@ -225,7 +229,7 @@ class PerceptualCodec(Codec):
     ----------
     model:
         Discrimination model ``Phi``; defaults to the library's
-        parametric model (swap in :class:`~repro.perception.RBFModel`
+        parametric model (swap in :class:`~repro.perception.model.RBFModel`
         for the paper-faithful network, or a calibrated per-user model).
     tile_size:
         Square tile edge; 4 matches the paper's hardware.
@@ -237,6 +241,8 @@ class PerceptualCodec(Codec):
         Where a tile's common plane sits (see
         :func:`~repro.core.adjust.adjust_tiles`).
     """
+
+    name = "perceptual"
 
     gaze_contingent = True
 
@@ -310,7 +316,6 @@ class PerceptualCodec(Codec):
         )
 
 
-@register("variable-bd", aliases=("varbd",), streaming="variable-bd")
 class VariableBDCostCodec(Codec):
     """Variable-width Base+Delta (footnote 1): per-group delta widths.
 
@@ -318,6 +323,8 @@ class VariableBDCostCodec(Codec):
     the real bitstream (vectorized) as ``metadata["payload"]``,
     decodable with :class:`repro.encoding.bd_variable.VariableBDCodec`.
     """
+
+    name = "variable-bd"
 
     def __init__(self, tile_size: int = 4, group_size: int = 4, payload: bool = False):
         # The bitstream codec's constructor rejects sizes no stream can use.
@@ -343,7 +350,6 @@ class VariableBDCostCodec(Codec):
         )
 
 
-@register("temporal-bd", aliases=("tbd",))
 class TemporalBDCodec(Codec):
     """Inter-frame BD: spatial vs previous-frame deltas per tile-channel.
 
@@ -351,6 +357,8 @@ class TemporalBDCodec(Codec):
     one stream of frames in display order.  Call :meth:`reset` on a
     scene cut.
     """
+
+    name = "temporal-bd"
 
     stateful = True
 

@@ -8,30 +8,3 @@ Three representations appear in the paper and are mirrored here:
 * **DKL** — the opponent space in which discrimination ellipsoids are
   axis-aligned; a linear transform away from linear RGB (paper Eq. 2).
 """
-
-from .dkl import DKL_TO_RGB, RGB_TO_DKL, dkl_to_rgb, rgb_to_dkl
-from .srgb import (
-    LINEAR_THRESHOLD,
-    SRGB_THRESHOLD,
-    decode_srgb8,
-    encode_srgb8,
-    linear_to_srgb,
-    srgb_to_linear,
-)
-from .utils import ensure_color_array, parse_hex, relative_luminance
-
-__all__ = [
-    "DKL_TO_RGB",
-    "RGB_TO_DKL",
-    "dkl_to_rgb",
-    "rgb_to_dkl",
-    "LINEAR_THRESHOLD",
-    "SRGB_THRESHOLD",
-    "decode_srgb8",
-    "encode_srgb8",
-    "linear_to_srgb",
-    "srgb_to_linear",
-    "ensure_color_array",
-    "parse_hex",
-    "relative_luminance",
-]

@@ -5,42 +5,3 @@ with a ``table()`` rendering; the ``benchmarks/`` suite wraps these in
 pytest-benchmark targets, and the modules are runnable directly
 (``python -m repro.experiments.fig10_bandwidth``).
 """
-
-from . import (
-    ablations,
-    adaptive,
-    extensions,
-    fleet,
-    quality,
-    fig02_ellipsoids,
-    fig10_bandwidth,
-    fig11_bits,
-    fig12_cases,
-    fig13_power,
-    fig14_study,
-    fig15_tilesize,
-    sec61_hardware,
-    sec63_psnr,
-)
-from .common import ExperimentConfig, encoder_for, format_table, render_eval_frames
-
-__all__ = [
-    "ablations",
-    "adaptive",
-    "extensions",
-    "fleet",
-    "quality",
-    "fig02_ellipsoids",
-    "fig10_bandwidth",
-    "fig11_bits",
-    "fig12_cases",
-    "fig13_power",
-    "fig14_study",
-    "fig15_tilesize",
-    "sec61_hardware",
-    "sec63_psnr",
-    "ExperimentConfig",
-    "encoder_for",
-    "format_table",
-    "render_eval_frames",
-]

@@ -6,7 +6,7 @@ Headline numbers: ours averages 66.9% over NoCom, 50.3% over SCC and
 15.6% (up to 20.4%) over BD; PNG beats ours on two scenes.
 
 All methods dispatch through the unified codec registry and share one
-:class:`~repro.codecs.FrameContext` per frame, so a frame is sRGB
+:class:`~repro.codecs.context.FrameContext` per frame, so a frame is sRGB
 quantized once and tiled once however many codecs sweep it.  The
 baseline roster is configurable via ``ExperimentConfig.codec_names``
 (the CLI's ``--codecs``); the default is the paper's Fig. 10 set.

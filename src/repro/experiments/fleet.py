@@ -27,7 +27,7 @@ from ..scenes.gaze import saccade_trace
 from ..streaming.adaptive import RateController, get_controller
 from ..streaming.cohort import CohortFleetReport, CohortSpec, simulate_cohort_fleet
 from ..streaming.link import WIFI6_LINK, WirelessLink
-from ..streaming.server import (
+from ..streaming.fleet import (
     ClientConfig,
     FleetReport,
     encode_client_streams,
@@ -214,8 +214,8 @@ def build_fleet_cohorts(
     is O(classes), not O(clients).
 
     Representatives encode through
-    :func:`~repro.streaming.server.encode_client_streams`, the rung plan
-    :func:`~repro.streaming.server.simulate_fleet` uses: each cohort
+    :func:`~repro.streaming.fleet.encode_client_streams`, the rung plan
+    :func:`~repro.streaming.fleet.simulate_fleet` uses: each cohort
     starts on the rung matching its codec, and a pinned
     :class:`~repro.streaming.adaptive.FixedController` encodes only the
     pinned rung.

@@ -1,31 +1,1 @@
 """Analytical hardware models: the CAU and the DRAM energy accounting."""
-
-from .cau import CAUConfig, CAUModel, pe_count_for_gpu
-from .datapath import FixedPointSpec, adjust_tiles_fixed_point, quantize_fixed
-from .pipeline_sim import PipelineConfig, PipelineStats, simulate_frame
-from .energy import (
-    DRAM_ENERGY_PER_BIT_J,
-    DRAM_ENERGY_PER_PIXEL_PJ,
-    SYSTEM_POWER_REFERENCE_W,
-    OperatingPoint,
-    dram_traffic_power_w,
-    power_saving_w,
-)
-
-__all__ = [
-    "FixedPointSpec",
-    "adjust_tiles_fixed_point",
-    "quantize_fixed",
-    "PipelineConfig",
-    "PipelineStats",
-    "simulate_frame",
-    "CAUConfig",
-    "CAUModel",
-    "pe_count_for_gpu",
-    "DRAM_ENERGY_PER_BIT_J",
-    "DRAM_ENERGY_PER_PIXEL_PJ",
-    "SYSTEM_POWER_REFERENCE_W",
-    "OperatingPoint",
-    "dram_traffic_power_w",
-    "power_saving_w",
-]

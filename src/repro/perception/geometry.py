@@ -167,6 +167,7 @@ def channel_halfwidth(semi_axes, axis: int) -> np.ndarray:
     s = np.asarray(semi_axes, dtype=np.float64)
     if s.shape[-1] != 3:
         raise ValueError(f"semi_axes needs trailing axis 3, got {s.shape}")
+    _check_semi_axes(s)
     row = DKL_TO_RGB[axis]
     return np.sqrt(np.square(s) @ np.square(row))
 

@@ -25,53 +25,3 @@ over real sockets and measures it:
 line; reports serialize through :mod:`repro.streaming.reports`, so
 simulated and served metrics diff with the same tooling.
 """
-
-from .chaos import CHAOS_ACTIONS, ChaosConfig, ChaosInjector, parse_chaos_spec
-from .client import LoadgenClientReport, LoadgenConfig, LoadgenReport, run_loadgen
-from .frames import FrameBank, filler_payload
-from .protocol import (
-    MAX_BODY_BYTES,
-    PROTOCOL_MAGIC,
-    PROTOCOL_VERSION,
-    Ack,
-    Bye,
-    Frame,
-    Hello,
-    Message,
-    MessageDecoder,
-    ProtocolError,
-    StreamSetup,
-    Welcome,
-    encode_message,
-)
-from .server import ServeConfig, ServedClientReport, ServerReport, StreamServer
-
-__all__ = [
-    "PROTOCOL_MAGIC",
-    "PROTOCOL_VERSION",
-    "MAX_BODY_BYTES",
-    "ProtocolError",
-    "StreamSetup",
-    "Hello",
-    "Welcome",
-    "Frame",
-    "Ack",
-    "Bye",
-    "Message",
-    "encode_message",
-    "MessageDecoder",
-    "FrameBank",
-    "filler_payload",
-    "ServeConfig",
-    "ServedClientReport",
-    "ServerReport",
-    "StreamServer",
-    "LoadgenConfig",
-    "LoadgenClientReport",
-    "LoadgenReport",
-    "run_loadgen",
-    "ChaosConfig",
-    "ChaosInjector",
-    "parse_chaos_spec",
-    "CHAOS_ACTIONS",
-]

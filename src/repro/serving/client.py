@@ -17,7 +17,7 @@ virtual finish before processing the bytes, so ACKs fire at emulated
 delivery times.
 
 Per-connection outcomes are
-:class:`~repro.streaming.server.ClientReport`-compatible (same frame
+:class:`~repro.streaming.fleet.ClientReport`-compatible (same frame
 rows, same aggregates), so loadgen output, server reports, and
 simulator fleets all diff with the same tooling.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from ..streaming.engine import FrameTiming
 from ..streaming.loss import Backoff
 from ..streaming.reports import OMIT_DEFAULT
-from ..streaming.server import ClientReport, ClientRollup
+from ..streaming.fleet import ClientReport, ClientRollup
 from ..streaming.traces import BandwidthTrace
 from .protocol import (
     Ack,
@@ -111,7 +111,7 @@ class LoadgenConfig:
 
 
 @dataclass(frozen=True)
-class LoadgenClientReport(ClientReport, tag="loadgen-client"):
+class LoadgenClientReport(ClientReport):
     """One loadgen connection's view of its stream.
 
     Frame rows measure what the *client* saw: ``serialization_time_s``
@@ -147,11 +147,11 @@ class LoadgenClientReport(ClientReport, tag="loadgen-client"):
 
 
 @dataclass(frozen=True)
-class LoadgenReport(ClientRollup, tag="loadgen"):
+class LoadgenReport(ClientRollup):
     """Aggregate outcome of one load-generation run.
 
     Frame rows carry no encode time, so :meth:`tail_latency_s` (from
-    :class:`~repro.streaming.server.ClientRollup`) is the
+    :class:`~repro.streaming.fleet.ClientRollup`) is the
     client-observed delivery latency.
     """
 

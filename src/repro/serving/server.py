@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from ..streaming.adaptive import get_controller
 from ..streaming.engine import AdaptationState, FrameTiming
 from ..streaming.reports import OMIT_DEFAULT
-from ..streaming.server import ClientReport, ClientRollup
+from ..streaming.fleet import ClientReport, ClientRollup
 from ..streaming.traces import BandwidthTrace
 from ..streaming.validation import validate_stream_timing
 from .chaos import ChaosConfig, ChaosInjector
@@ -150,10 +150,10 @@ class ServeConfig:
 
 
 @dataclass(frozen=True)
-class ServedClientReport(ClientReport, tag="served-client"):
+class ServedClientReport(ClientReport):
     """One connection's outcome, in the fleet report's vocabulary.
 
-    A :class:`~repro.streaming.server.ClientReport` — same frame rows,
+    A :class:`~repro.streaming.fleet.ClientReport` — same frame rows,
     same aggregate properties, same adaptation telemetry — plus the
     counters only a real transport has.
 
@@ -189,11 +189,11 @@ class ServedClientReport(ClientReport, tag="served-client"):
 
 
 @dataclass(frozen=True)
-class ServerReport(ClientRollup, tag="server"):
+class ServerReport(ClientRollup):
     """Aggregate outcome of a serving run — the live FleetReport.
 
-    Shares :class:`~repro.streaming.server.FleetReport`'s roll-ups
-    (:class:`~repro.streaming.server.ClientRollup`: client count, tail
+    Shares :class:`~repro.streaming.fleet.FleetReport`'s roll-ups
+    (:class:`~repro.streaming.fleet.ClientRollup`: client count, tail
     latency, stalls) and adds what only a real server has: drop and
     protocol-error counters, wall-clock duration, rung occupancy
     measured from actual transmissions.

@@ -265,7 +265,7 @@ def get_controller(controller: str | RateController) -> RateController:
 
 
 @dataclass(frozen=True)
-class AdaptiveSessionReport(SessionReport, tag="adaptive-session"):
+class AdaptiveSessionReport(SessionReport):
     """A :class:`~repro.streaming.session.SessionReport` plus adaptation.
 
     All aggregate properties of the base report apply unchanged; the

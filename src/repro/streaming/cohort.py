@@ -29,7 +29,7 @@ clients, proven against the exact engine by *tracer clients*:
 * The first ``n_tracers`` members of each cohort are **tracers**,
   priced from that trajectory by
   :meth:`~repro.streaming.engine.StreamingEngine.price_trajectory`:
-  their :class:`~repro.streaming.server.ClientReport` is reproducible
+  their :class:`~repro.streaming.fleet.ClientReport` is reproducible
   by running :class:`~repro.streaming.engine.StreamingEngine` on the
   cohort's effective member link with :func:`tracer_seed` — bit for
   bit, loss and jitter included, because the tracer RNG replicates
@@ -70,7 +70,7 @@ from .engine import (
 from .link import WIFI6_LINK, WirelessLink
 from .loss import RecoveryPolicy
 from .reports import Report
-from .server import ClientReport
+from .fleet import ClientReport
 from .sketch import QuantileSketch
 from .traces import BandwidthTrace
 from .validation import validate_finite, validate_stream_timing, validate_stream_window
@@ -684,12 +684,12 @@ def _simulate_cohort(
 
 
 @dataclass(frozen=True)
-class CohortFleetReport(Report, tag="cohort-fleet"):
+class CohortFleetReport(Report):
     """Aggregate outcome of a cohort-mode fleet simulation.
 
-    Mirrors :class:`~repro.streaming.server.FleetReport` at fleet
+    Mirrors :class:`~repro.streaming.fleet.FleetReport` at fleet
     scale: per-cohort summaries instead of per-client reports, tracer
-    :class:`~repro.streaming.server.ClientReport` rows for the fully
+    :class:`~repro.streaming.fleet.ClientReport` rows for the fully
     simulated members, and a latency
     :class:`~repro.streaming.sketch.QuantileSketch` instead of every
     retained sample.  Deliberately carries no job count —

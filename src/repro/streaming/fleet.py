@@ -219,7 +219,7 @@ class ClientConfig:
 
 
 @dataclass(frozen=True)
-class ClientReport(SessionReport, tag="client"):
+class ClientReport(SessionReport):
     """One client's session outcome inside a fleet.
 
     Identical to a :class:`~repro.streaming.session.SessionReport` —
@@ -293,7 +293,7 @@ class ClientRollup(Report):
 # payloads byte-identical to earlier writers, and the reader rejects
 # reports priced any other way.
 @dataclass(frozen=True)
-class FleetReport(ClientRollup, tag="fleet", constants={"pricing": "backlog"}):
+class FleetReport(ClientRollup, constants={"pricing": "backlog"}):
     """Aggregate outcome of a multi-client streaming simulation."""
 
     clients: tuple[ClientReport, ...]

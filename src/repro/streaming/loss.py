@@ -22,7 +22,7 @@ predicts each frame from the previous one, so an undelivered frame
 outcome up into :class:`LossStats` — resync counts, recovery latency,
 and goodput versus delivered quality — surfaced on
 :class:`~repro.streaming.session.SessionReport` and
-:class:`~repro.streaming.server.FleetReport`.
+:class:`~repro.streaming.fleet.FleetReport`.
 
 Determinism contract: all randomness comes from the engine's
 per-stream ``Generator`` (the ``SeedSequence.spawn`` scheme), and the

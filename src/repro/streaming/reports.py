@@ -1,7 +1,7 @@
 """One JSON format for every streaming report, simulated or served.
 
 The simulators (:mod:`repro.streaming.session`, ``adaptive``,
-``server``, ``cohort``) and the real serving path
+``fleet``, ``cohort``) and the real serving path
 (:mod:`repro.serving`) all describe their outcomes with the same
 vocabulary — per-frame :class:`~repro.streaming.engine.FrameTiming`
 rows, per-stream :class:`~repro.streaming.engine.AdaptiveStats`,
@@ -18,18 +18,17 @@ object through its own ``to_dict``/``from_dict``.  Decoding rebuilds
 each field from its type hint, and a missing key takes the field's
 default.  Every payload carries a ``"report"`` type tag and a
 ``"version"``; a class joins the format by subclassing :class:`Report`
-with its tag, so one loader handles simulator and server output alike::
-
-    @dataclass(frozen=True)
-    class ServerReport(Report, tag="server"):
-        clients: tuple[ServedClientReport, ...]
-        handshake_errors: int = field(default=0, metadata=OMIT_DEFAULT)
+and taking a row in :data:`_REPORT_TYPES`, the one map from each tag to
+its class.  The map names classes by path and the reader imports them
+on first use, so one loader handles simulator and server output alike,
+whatever else the caller has imported.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib
 import json
 import types
 import typing
@@ -64,38 +63,45 @@ _SUPPORTED_VERSIONS = frozenset({1, 2})
 #: Readers fill the default back in.
 OMIT_DEFAULT: Mapping[str, bool] = types.MappingProxyType({"omit_default": True})
 
-#: tag -> report class, filled by ``Report`` subclasses naming a tag.
-_REPORT_TYPES: dict[str, type] = {}
+#: ``"report"`` tag -> ``module:Class`` of the report it names.
+#: Dispatch is on the exact type, so a subclass has its own tag
+#: (``AdaptiveSessionReport`` writes ``adaptive-session``, not its
+#: base's ``session``).
+_REPORT_TYPES: dict[str, str] = {
+    "session": "repro.streaming.session:SessionReport",
+    "adaptive-session": "repro.streaming.adaptive:AdaptiveSessionReport",
+    "client": "repro.streaming.fleet:ClientReport",
+    "fleet": "repro.streaming.fleet:FleetReport",
+    "cohort-fleet": "repro.streaming.cohort:CohortFleetReport",
+    "loadgen-client": "repro.serving.client:LoadgenClientReport",
+    "loadgen": "repro.serving.client:LoadgenReport",
+    "served-client": "repro.serving.server:ServedClientReport",
+    "server": "repro.serving.server:ServerReport",
+}
+
+#: ``module:Class`` -> tag, for the writer.
+_REPORT_TAGS: dict[str, str] = {path: tag for tag, path in _REPORT_TYPES.items()}
+
+
+def _report_class(tag: str) -> type:
+    module, _, name = _REPORT_TYPES[tag].partition(":")
+    return getattr(importlib.import_module(module), name)
 
 
 class Report:
     """Base of every tagged report dataclass.
 
-    ``class FleetReport(Report, tag="fleet")`` registers the class under
-    its ``"report"`` tag.  Dispatch is on the exact type, so a subclass
-    names its own tag (``AdaptiveSessionReport`` writes
-    ``adaptive-session``, not its base's ``session``).  ``constants``
-    are keys written after the fields with a fixed value; the reader
-    rejects a payload carrying any other value for them.
+    ``constants`` are keys written after the fields with a fixed value;
+    the reader rejects a payload carrying any other value for them.
     """
 
     #: Fixed trailing keys (set through the ``constants=`` class keyword).
     _constants: Mapping[str, Any] = types.MappingProxyType({})
 
-    def __init_subclass__(
-        cls,
-        *,
-        tag: str | None = None,
-        constants: Mapping[str, Any] | None = None,
-        **kwargs,
-    ):
+    def __init_subclass__(cls, *, constants: Mapping[str, Any] | None = None, **kwargs):
         super().__init_subclass__(**kwargs)
         if constants is not None:
             cls._constants = types.MappingProxyType(dict(constants))
-        if tag is not None:
-            if tag in _REPORT_TYPES:
-                raise ValueError(f"report tag {tag!r} already registered")
-            _REPORT_TYPES[tag] = cls
 
     def to_json(self, indent: int | None = 2) -> str:
         """This report as a tagged, versioned JSON document."""
@@ -187,18 +193,15 @@ def _fields_from_dict(cls: type, data: dict[str, Any]) -> Any:
 
 
 def report_to_dict(report: Report) -> dict[str, Any]:
-    """Serialize any registered report to its tagged mapping form."""
-    for tag, cls in _REPORT_TYPES.items():
-        if type(report) is cls:
-            return {
-                "report": tag,
-                "version": REPORT_FORMAT_VERSION,
-                **_fields_to_dict(report),
-            }
-    raise TypeError(
-        f"no serializer registered for {type(report).__name__}; "
-        f"known tags: {sorted(_REPORT_TYPES)}"
-    )
+    """Serialize any tagged report to its tagged mapping form."""
+    cls = type(report)
+    tag = _REPORT_TAGS.get(f"{cls.__module__}:{cls.__qualname__}")
+    if tag is None:
+        raise TypeError(
+            f"no serializer registered for {cls.__name__}; "
+            f"known tags: {sorted(_REPORT_TYPES)}"
+        )
+    return {"report": tag, "version": REPORT_FORMAT_VERSION, **_fields_to_dict(report)}
 
 
 def report_from_dict(data: dict[str, Any]) -> Report:
@@ -214,11 +217,11 @@ def report_from_dict(data: dict[str, Any]) -> Report:
             f"report format version {version!r} not supported "
             f"(this build reads versions {sorted(_SUPPORTED_VERSIONS)})"
         )
-    return _fields_from_dict(_REPORT_TYPES[tag], data)
+    return _fields_from_dict(_report_class(tag), data)
 
 
 def report_to_json(report: Report, indent: int | None = 2) -> str:
-    """Any registered report as a JSON document."""
+    """Any tagged report as a JSON document."""
     return json.dumps(report_to_dict(report), indent=indent)
 
 

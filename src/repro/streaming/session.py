@@ -51,7 +51,7 @@ ENCODER_CHOICES = streaming_codec_names()
 
 
 @dataclass(frozen=True)
-class SessionReport(Report, tag="session"):
+class SessionReport(Report):
     """Aggregate outcome of a simulated streaming session.
 
     ``loss`` carries the per-stream

@@ -2,7 +2,7 @@
 
 Every public simulator — :func:`~repro.streaming.session.simulate_session`,
 :func:`~repro.streaming.adaptive.simulate_adaptive_session`, and
-:func:`~repro.streaming.server.simulate_fleet` — used to carry its own
+:func:`~repro.streaming.fleet.simulate_fleet` — used to carry its own
 copy of the same guard clauses, with error messages drifting apart one
 review at a time.  They now all validate here, as does the
 :class:`~repro.streaming.engine.StreamingEngine` they dispatch through,
@@ -101,7 +101,7 @@ def validate_stream_window(
     A stream joins the session at ``start_s`` and (optionally) departs
     at ``stop_s``: frames whose ready time falls at or after ``stop_s``
     are never streamed.  Both the fleet's
-    :class:`~repro.streaming.server.ClientConfig` and the engine's
+    :class:`~repro.streaming.fleet.ClientConfig` and the engine's
     :class:`~repro.streaming.engine.StreamSpec` validate here, so a bad
     window raises the same message whichever door it comes in by.
 

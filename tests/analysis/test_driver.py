@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import check_source, load_baseline, run, write_baseline
+from repro.analysis.driver import check_source, load_baseline, run, write_baseline
 from repro.analysis.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"

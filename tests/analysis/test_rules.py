@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import check_source
+from repro.analysis.driver import check_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

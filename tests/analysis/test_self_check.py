@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import repro
-from repro.analysis import load_baseline, run
+from repro.analysis.driver import load_baseline, run
 
 REPO_ROOT = Path(repro.__file__).resolve().parent.parent.parent
 SRC = REPO_ROOT / "src"

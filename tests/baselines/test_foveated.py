@@ -8,7 +8,9 @@ from repro.baselines.foveated import (
     _foveate_frame,
     foveated_bd_bits,
 )
-from repro.codecs import FrameContext, PerceptualCodec, get_codec
+from repro.codecs.context import FrameContext
+from repro.codecs.registry import get_codec
+from repro.codecs.wrappers import PerceptualCodec
 from repro.color.srgb import encode_srgb8
 from repro.scenes.display import QUEST2_DISPLAY
 from repro.scenes.library import render_scene

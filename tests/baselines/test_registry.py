@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.codecs import FrameContext, get_codec
+from repro.codecs.context import FrameContext
+from repro.codecs.registry import get_codec
 from repro.color.srgb import encode_srgb8
 from repro.experiments.fig10_bandwidth import BASELINE_NAMES
 from repro.scenes.library import render_scene

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from repro import FrameResult
-from repro.codecs import FrameContext, encode_batch, get_codec
+from repro.codecs.batch import encode_batch
+from repro.codecs.context import FrameContext
+from repro.codecs.registry import get_codec
 from repro.scenes.library import render_scene
 
 

@@ -16,7 +16,8 @@ import hashlib
 
 import pytest
 
-from repro.codecs import available_codecs, encode_batch, get_codec
+from repro.codecs.batch import encode_batch
+from repro.codecs.registry import available_codecs, get_codec
 from repro.experiments import fig10_bandwidth, fig11_bits
 from repro.experiments.common import ExperimentConfig
 from repro.scenes.library import render_scene

@@ -3,11 +3,11 @@
 import pytest
 
 from repro import FrameResult
-from repro.codecs import (
-    Codec,
-    CodecRegistry,
-    EncodedFrame,
-    FrameContext,
+from repro.codecs.base import EncodedFrame
+from repro.codecs.context import FrameContext
+from repro.codecs.registry import (
+    _ALIASES,
+    _CODECS,
     available_codecs,
     get_codec,
     resolve_codec_name,
@@ -77,18 +77,15 @@ class TestLookup:
         assert resolve_codec_name("NoCom") == "nocom"
         assert resolve_codec_name("PNG") == "png"
 
-    def test_duplicate_registration_rejected(self):
-        registry = CodecRegistry()
-
-        @registry.register("x")
-        class XCodec(Codec):
-            def encode(self, ctx):
-                raise NotImplementedError
-
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("x")(XCodec)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("y", aliases=("x",))(XCodec)
+    def test_table_keys_are_distinct_lowercase_names(self):
+        keys = list(_CODECS) + list(_ALIASES)
+        assert len(set(keys)) == len(keys)
+        assert all(key == key.lower() for key in keys)
+        for name, cls in _CODECS.items():
+            assert cls.name == name
+        assert set(_ALIASES.values()) <= set(_CODECS)
+        for name in streaming_codec_names():
+            assert resolve_codec_name(name) in _CODECS
 
 
 class TestKwargRouting:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.codecs import FrameContext
+from repro.codecs.context import FrameContext
 from repro.color.srgb import encode_srgb8
 from repro.scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from repro.scenes.library import render_scene

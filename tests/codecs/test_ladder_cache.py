@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.codecs import FrameContext, PerceptualCodec, get_codec
+from repro.codecs.context import FrameContext
+from repro.codecs.registry import get_codec
+from repro.codecs.wrappers import PerceptualCodec
 from repro.codecs.ladder import QualityLadder, QualityRung
 from repro.encoding import bd as bd_module
 from repro.encoding import bd_variable as bd_variable_module

@@ -20,7 +20,7 @@ from repro.experiments.fleet import run_fleet
 from repro.serving.client import LoadgenClientReport, LoadgenReport
 from repro.serving.server import ServedClientReport, ServerReport
 from repro.streaming.link import WirelessLink
-from repro.streaming.server import ClientConfig, ClientReport, simulate_fleet
+from repro.streaming.fleet import ClientConfig, ClientReport, simulate_fleet
 
 LINK = WirelessLink(bandwidth_mbps=150.0, propagation_ms=3.0, jitter_ms=0.4)
 

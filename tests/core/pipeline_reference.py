@@ -36,7 +36,7 @@ class PerceptualEncoder:
     ----------
     model:
         Discrimination model ``Phi``; defaults to the library's
-        parametric model (swap in :class:`~repro.perception.RBFModel`
+        parametric model (swap in :class:`~repro.perception.model.RBFModel`
         for the paper-faithful network, or a calibrated per-user model).
     tile_size:
         Square tile edge; 4 matches the paper's hardware.

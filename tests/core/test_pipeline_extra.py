@@ -73,7 +73,7 @@ class TestModelVariants:
 
 class TestBookkeeping:
     def test_baseline_breakdown_matches_standalone_bd(self, frame):
-        from repro.codecs import get_codec
+        from repro.codecs.registry import get_codec
         from repro.color.srgb import encode_srgb8
 
         result = _encode(PerceptualCodec(), frame, 25.0)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.codecs import FrameContext, get_codec
+from repro.codecs.context import FrameContext
+from repro.codecs.registry import get_codec
 from repro.encoding.bd import bd_breakdown
 from repro.encoding.bd_temporal import TemporalBDAccountant, temporal_delta_widths
 from repro.scenes.library import render_scene

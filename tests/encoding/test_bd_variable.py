@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codecs import get_codec
+from repro.codecs.registry import get_codec
 from repro.encoding.bd import BDCodec, EncodedFrame, bd_breakdown, delta_widths
 from repro.encoding.bd_variable import (
     VariableBDCodec,

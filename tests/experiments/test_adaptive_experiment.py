@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ExperimentConfig
+from repro.experiments.common import ExperimentConfig
 from repro.experiments.adaptive import run
 
 TINY = ExperimentConfig(height=48, width=48)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ExperimentConfig
+from repro.experiments.common import ExperimentConfig
 from repro.experiments.extensions import (
     ADAPTATION_STATES,
     GAZE_ERRORS_DEG,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ExperimentConfig
+from repro.experiments.common import ExperimentConfig
 from repro.experiments.fleet import (
     DEFAULT_FLEET_CODECS,
     build_fleet_clients,

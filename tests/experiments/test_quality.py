@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ExperimentConfig
+from repro.experiments.common import ExperimentConfig
 from repro.experiments.quality import (
     RD_SCALES,
     run_flicker,

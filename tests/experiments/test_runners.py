@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
-    ExperimentConfig,
     fig02_ellipsoids,
     fig10_bandwidth,
     fig11_bits,
@@ -20,6 +19,7 @@ from repro.experiments import (
     sec61_hardware,
     sec63_psnr,
 )
+from repro.experiments.common import ExperimentConfig
 from repro.experiments.ablations import (
     run_axis_ablation,
     run_fovea_ablation,

@@ -153,6 +153,18 @@ class TestChannelExtrema:
         with pytest.raises(ValueError, match="axis"):
             channel_halfwidth(axes, -1)
 
+    def test_halfwidth_rejects_non_positive_semi_axes(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            channel_halfwidth([-1e-3, 0.0, 1e-3], 2)
+
+    def test_halfwidth_rejects_nan_semi_axes(self):
+        with pytest.raises(ValueError, match="finite"):
+            channel_halfwidth([1e-3, np.nan, 1e-3], 0)
+
+    def test_halfwidth_rejects_infinite_semi_axes(self):
+        with pytest.raises(ValueError, match="finite"):
+            channel_halfwidth([1e-3, 1e-3, np.inf], 1)
+
     def test_blue_halfwidth_dominates_green(self, sample):
         """The documented RGB anisotropy: blue >> green wiggle room."""
         _, axes = sample

@@ -13,19 +13,11 @@ import dataclasses
 
 import pytest
 
-from repro.serving import (
-    CHAOS_ACTIONS,
-    ChaosConfig,
-    FrameBank,
-    LoadgenConfig,
-    LoadgenReport,
-    ServeConfig,
-    ServerReport,
-    StreamServer,
-    StreamSetup,
-    parse_chaos_spec,
-    run_loadgen,
-)
+from repro.serving.chaos import CHAOS_ACTIONS, ChaosConfig, parse_chaos_spec
+from repro.serving.client import LoadgenConfig, LoadgenReport, run_loadgen
+from repro.serving.frames import FrameBank
+from repro.serving.protocol import StreamSetup
+from repro.serving.server import ServeConfig, ServerReport, StreamServer
 from repro.streaming.loss import Backoff
 
 SIZES = (80_000, 40_000, 20_000, 10_000, 5_000)

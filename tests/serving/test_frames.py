@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.codecs.ladder import QualityLadder, QualityRung, encode_rung_streams
-from repro.scenes import get_scene
+from repro.scenes.library import get_scene
 from repro.scenes.display import QUEST2_DISPLAY
 from repro.serving.frames import FrameBank, filler_payload
 

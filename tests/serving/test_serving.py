@@ -1,6 +1,6 @@
 """Server + loadgen integration tests over real loopback sockets.
 
-Everything here runs end to end: a :class:`~repro.serving.StreamServer`
+Everything here runs end to end: a :class:`~repro.serving.server.StreamServer`
 bound to an ephemeral port, real TCP connections, real backpressure.
 Streams are kept short so the whole module stays in tier-1 time.
 """
@@ -12,31 +12,27 @@ import json
 import numpy as np
 import pytest
 
-from repro.color import encode_srgb8
+from repro.color.srgb import encode_srgb8
 from repro.encoding.bd import BDCodec
 from repro.encoding.bd import EncodedFrame as BDStream
 from repro.encoding.bd_variable import VariableBDCodec, VariableEncodedFrame
 from repro.encoding.tiling import TileGrid
-from repro.scenes import get_scene
-from repro.serving import (
+from repro.scenes.library import get_scene
+from repro.serving.client import LoadgenConfig, LoadgenReport, run_loadgen
+from repro.serving.frames import FrameBank
+from repro.serving.protocol import (
     Ack,
     Bye,
     Frame,
-    FrameBank,
     Hello,
-    LoadgenConfig,
-    LoadgenReport,
     MessageDecoder,
-    ServeConfig,
-    ServerReport,
-    StreamServer,
     StreamSetup,
     Welcome,
     encode_message,
-    run_loadgen,
 )
+from repro.serving.server import ServeConfig, ServerReport, StreamServer
 from repro.serving.cli import loadgen_main, serve_main
-from repro.streaming import BandwidthTrace
+from repro.streaming.traces import BandwidthTrace
 
 #: A tiny synthetic ladder: every frame offers the same five sizes.
 SIZES = (80_000, 40_000, 20_000, 10_000, 5_000)

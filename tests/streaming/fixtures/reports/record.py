@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.scenes import get_scene
+from repro.scenes.library import get_scene
 from repro.serving.client import LoadgenClientReport, LoadgenReport
 from repro.serving.server import ServedClientReport, ServerReport
 from repro.streaming.adaptive import simulate_adaptive_session
@@ -26,7 +26,7 @@ from repro.streaming.engine import AdaptiveStats, FrameTiming
 from repro.streaming.link import WirelessLink
 from repro.streaming.loss import LossTrace
 from repro.streaming.reports import report_from_json
-from repro.streaming.server import ClientConfig, simulate_fleet
+from repro.streaming.fleet import ClientConfig, simulate_fleet
 from repro.streaming.session import simulate_session
 from repro.streaming.traces import BandwidthTrace
 

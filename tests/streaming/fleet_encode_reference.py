@@ -1,6 +1,6 @@
 """Reference rung plan: every client renders and encodes its own stream.
 
-The fleet's rung plan, :func:`repro.streaming.server.encode_client_streams`,
+The fleet's rung plan, :func:`repro.streaming.fleet.encode_client_streams`,
 renders each frame once per (scene, resolution) group and shares
 encodes across the group's clients.  This is the plain per-client loop
 it replaced, kept as the oracle the fast path must match exactly: for

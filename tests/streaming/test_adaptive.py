@@ -1,6 +1,5 @@
 """Tests for adaptive rate control: ladder, controllers, simulators."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +18,7 @@ from repro.streaming.adaptive import (
 )
 from repro.streaming.engine import AdaptationState, ControllerContext
 from repro.streaming.link import WirelessLink
-from repro.streaming.server import ClientConfig, simulate_fleet
+from repro.streaming.fleet import ClientConfig, simulate_fleet
 from repro.streaming.session import ENCODER_CHOICES, simulate_session
 from repro.streaming.traces import BandwidthTrace
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.streaming import ClientConfig, WirelessLink, simulate_fleet
+from repro.streaming.fleet import ClientConfig, simulate_fleet
+from repro.streaming.link import WirelessLink
 from repro.streaming.engine import (
     PrecomputedSource,
     StreamSpec,

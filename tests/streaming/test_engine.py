@@ -23,7 +23,7 @@ from repro.streaming.engine import (
     StreamSpec,
 )
 from repro.streaming.link import WirelessLink
-from repro.streaming.server import ClientConfig, simulate_fleet
+from repro.streaming.fleet import ClientConfig, simulate_fleet
 from repro.streaming.session import ENCODER_CHOICES, simulate_session
 from repro.streaming.validation import validate_stream_timing
 

@@ -1,6 +1,6 @@
 """The fleet rung plan shares work across clients of one scene and size.
 
-:func:`~repro.streaming.server.encode_client_streams` renders each frame
+:func:`~repro.streaming.fleet.encode_client_streams` renders each frame
 once per (scene, resolution) group, encodes each gaze-free stateless
 rung once per frame and each gaze-contingent rung once per (frame,
 fixation), while stateful rungs stay per client.  These tests hold it
@@ -17,7 +17,8 @@ from fleet_encode_reference import encode_client_streams_reference
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.codecs import FrameContext, available_codecs, get_codec, wrappers
+from repro.codecs.context import FrameContext
+from repro.codecs.registry import _CODECS, available_codecs, get_codec
 from repro.codecs.ladder import QualityLadder, QualityRung
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.fleet import run_fleet
@@ -25,7 +26,7 @@ from repro.scenes.display import QUEST2_DISPLAY
 from repro.scenes.gaze import saccade_trace
 from repro.scenes.library import Scene, get_scene
 from repro.streaming.adaptive import FixedController, get_controller
-from repro.streaming.server import ClientConfig, encode_client_streams
+from repro.streaming.fleet import ClientConfig, encode_client_streams
 
 SCENES = ("office", "thai", "skyline")
 SIZES = ((16, 16), (16, 24))
@@ -186,8 +187,7 @@ def work(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(Scene, "render_stereo", counting_render)
-    for name in wrappers.__all__:
-        cls = getattr(wrappers, name)
+    for cls in _CODECS.values():
         monkeypatch.setattr(cls, "encode", counting(cls.encode))
     return counts
 

@@ -37,7 +37,7 @@ from repro.streaming.loss import (
     get_recovery_policy,
     parse_loss_spec,
 )
-from repro.streaming.server import FleetReport
+from repro.streaming.fleet import FleetReport
 from repro.streaming.session import SessionReport
 from repro.streaming.validation import (
     validate_backoff,

@@ -16,7 +16,7 @@ from repro.cli import main
 from repro.streaming.cohort import CohortSpec
 from repro.streaming.engine import PrecomputedSource, StreamSpec
 from repro.streaming.link import WirelessLink
-from repro.streaming.server import ClientConfig
+from repro.streaming.fleet import ClientConfig
 from repro.streaming.traces import BandwidthTrace
 from repro.streaming.validation import validate_stream_timing, validate_stream_window
 

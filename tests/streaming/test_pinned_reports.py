@@ -34,7 +34,7 @@ from repro.scenes.library import get_scene
 from repro.streaming.adaptive import FixedController, simulate_adaptive_session
 from repro.streaming.link import WirelessLink
 from repro.streaming.loss import LossTrace
-from repro.streaming.server import ClientConfig, simulate_fleet
+from repro.streaming.fleet import ClientConfig, simulate_fleet
 from repro.streaming.session import ENCODER_CHOICES, simulate_session
 from repro.streaming.traces import BandwidthTrace
 

@@ -12,32 +12,25 @@ import json
 import numpy as np
 import pytest
 
-from repro.scenes import get_scene
-from repro.serving import (
-    LoadgenClientReport,
-    LoadgenReport,
-    ServedClientReport,
-    ServerReport,
-)
-from repro.streaming import (
+from repro.scenes.library import get_scene
+from repro.serving.client import LoadgenClientReport, LoadgenReport
+from repro.serving.server import ServedClientReport, ServerReport
+from repro.streaming.adaptive import AdaptiveSessionReport, simulate_adaptive_session
+from repro.streaming.fleet import ClientConfig, ClientReport, FleetReport, simulate_fleet
+from repro.streaming.link import WirelessLink
+from repro.streaming.reports import (
     REPORT_FORMAT_VERSION,
-    BandwidthTrace,
-    ClientConfig,
-    FleetReport,
-    WirelessLink,
+    _REPORT_TYPES,
+    report_from_dict,
     report_from_json,
+    report_to_dict,
     report_to_json,
-    simulate_adaptive_session,
-    simulate_fleet,
-    simulate_session,
 )
-from repro.streaming.adaptive import AdaptiveSessionReport
+from repro.streaming.session import SessionReport, simulate_session
+from repro.streaming.traces import BandwidthTrace
 from repro.streaming.cohort import CohortFleetReport, CohortSummary
 from repro.streaming.engine import AdaptiveStats, FrameTiming
 from repro.streaming.loss import LossStats, LossTrace
-from repro.streaming.reports import _REPORT_TYPES, report_from_dict, report_to_dict
-from repro.streaming.server import ClientReport
-from repro.streaming.session import SessionReport
 from repro.streaming.sketch import QuantileSketch
 
 LINK = WirelessLink(bandwidth_mbps=200.0, propagation_ms=2.0)

@@ -16,7 +16,7 @@ from repro.streaming.engine import (
     get_scheduler,
 )
 from repro.streaming.link import WirelessLink
-from repro.streaming.server import (
+from repro.streaming.fleet import (
     ClientConfig,
     ClientReport,
     FleetReport,

@@ -15,7 +15,7 @@ import pytest
 from repro.streaming.cohort import CohortSpec, simulate_cohort_fleet
 from repro.streaming.link import WirelessLink
 from repro.streaming.reports import report_to_json
-from repro.streaming.server import ClientConfig, simulate_fleet
+from repro.streaming.fleet import ClientConfig, simulate_fleet
 from repro.streaming.traces import BandwidthTrace
 
 #: Jitter on so the per-client RNG path is exercised, not bypassed.

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.color.srgb import encode_srgb8
-from repro.imageio import write_png, write_ppm
+from repro.imageio.png_file import write_png
+from repro.imageio.ppm import write_ppm
 from repro.scenes.library import render_scene
 
 from imageio_reference import read_png, read_ppm

@@ -1,35 +1,141 @@
-"""The package imports with only its declared dependencies, and its
-public surface is pinned.
+"""The package imports with only its declared dependencies, each name
+has one import path, and its public surface is pinned.
 
 ``pyproject.toml`` declares numpy alone, so ``import repro`` must not
 pull in anything else — scipy in particular, which only the test-side
 reference solver (``tests/core/reference_solver.py``) uses.
+
+Every subpackage ``__init__`` is its docstring alone: a name is
+imported from the module that defines it (``repro`` itself keeps the
+quick-start façade).  Each registry is complete as soon as its reader
+is imported, whatever else the process has loaded, which the
+fresh-interpreter tests below check.
 
 ``PUBLIC_NAMES`` is the distinct union of every ``repro`` module's
 ``__all__``.  A name that enters or leaves the public API shows up as a
 diff of that list.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 
-PROBE = "import sys, repro; print('scipy' in sys.modules)"
+SRC = Path(repro.__file__).resolve().parents[1]
+REPO = SRC.parent
+REPORT_FIXTURES = Path(__file__).parent / "streaming" / "fixtures" / "reports"
+
+
+def _fresh(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports from src."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    return result.stdout.strip()
 
 
 def test_import_repro_leaves_scipy_unloaded():
-    src = str(Path(repro.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    result = subprocess.run(
-        [sys.executable, "-c", PROBE], capture_output=True, text=True, check=True, env=env
+    assert _fresh("import sys, repro; print('scipy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize(
+    "init", sorted(SRC.glob("repro/*/__init__.py")), ids=lambda p: p.parent.name
+)
+def test_subpackage_init_is_its_docstring_alone(init):
+    (node,) = ast.parse(init.read_text()).body
+    assert isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    assert isinstance(node.value.value, str)
+
+
+def test_only_the_facade_re_exports():
+    """No module but ``repro`` lists an imported name in its ``__all__``."""
+    for path in sorted(SRC.glob("repro/**/*.py")):
+        if path == SRC / "repro" / "__init__.py":
+            continue
+        body = ast.parse(path.read_text()).body
+        imported = {
+            alias.asname or alias.name
+            for node in body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        exported = {
+            element.value
+            for node in body
+            if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+            for element in node.value.elts
+        }
+        assert not exported & imported, f"{path.relative_to(SRC)} re-exports"
+
+
+def test_codec_registry_is_complete_on_its_own():
+    names = _fresh(
+        "from repro.codecs.registry import available_codecs, streaming_codec_names; "
+        "print(','.join(available_codecs()), ','.join(streaming_codec_names()))"
     )
-    assert result.stdout.strip() == "False"
+    assert names.split() == [
+        "nocom,bd,png,scc,perceptual,variable-bd,temporal-bd",
+        "raw,bd,perceptual,variable-bd",
+    ]
+
+
+def test_report_reader_loads_every_fixture_on_its_own():
+    loaded = _fresh(
+        "import pathlib; "
+        "from repro.streaming.reports import report_from_json; "
+        f"paths = pathlib.Path({str(REPORT_FIXTURES)!r}).glob('*.json'); "
+        "print(len([report_from_json(p.read_text()) for p in paths]))"
+    )
+    assert loaded == "17"
+
+
+def test_lint_catalog_is_complete_on_its_own():
+    rules = _fresh(
+        "from repro.analysis.driver import rule_catalog; "
+        "print(' '.join(rule_id for rule_id, _ in rule_catalog()))"
+    )
+    assert rules.split() == [
+        "RPR101", "RPR102", "RPR103", "RPR104",
+        "RPR201", "RPR202", "RPR203",
+        "RPR301", "RPR302", "RPR303",
+        "RPR401",
+    ]
+
+
+#: ``from repro... import ...`` in a doc, single-line or parenthesized.
+_DOC_IMPORT = re.compile(r"^\s*from (repro[\w.]*) import (\([^)]*\)|[^\n(]+)$", re.M)
+
+
+def _doc_imports():
+    """(doc, module, name) for every import snippet in README.md and
+    docs/*.md, except the migration guide, whose tables show old paths."""
+    docs = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
+    for doc in docs:
+        if doc.name == "migration.md":
+            continue
+        for match in _DOC_IMPORT.finditer(doc.read_text()):
+            for item in match.group(2).strip("()").split(","):
+                name = item.split(" as ")[0].strip()
+                if name:
+                    yield doc.name, match.group(1), name
+
+
+def test_doc_import_snippets_resolve():
+    imports = list(_doc_imports())
+    assert imports
+    for doc, module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{doc}: {module}.{name}"
 
 
 def _public_modules():
@@ -75,7 +181,6 @@ PUBLIC_NAMES = (
     "ClientReport",
     "ClientRollup",
     "Codec",
-    "CodecRegistry",
     "CohortFleetReport",
     "CohortFleetResult",
     "CohortSpec",
@@ -84,7 +189,6 @@ PUBLIC_NAMES = (
     "DEFAULT_FLEET_CODECS",
     "DEFAULT_FOVEAL_RADIUS_DEG",
     "DEFAULT_LADDER_SPEC",
-    "DEFAULT_REGISTRY",
     "DEFAULT_SCC_ECCENTRICITY",
     "DEFAULT_SCENE",
     "DEFAULT_TILE_SIZES",
@@ -182,7 +286,6 @@ PUBLIC_NAMES = (
     "RECOVERY_CHOICES",
     "REPORT_FORMAT_VERSION",
     "RGB_TO_DKL",
-    "RULES",
     "RateController",
     "RateDistortionResult",
     "RecoveryPolicy",
@@ -237,8 +340,6 @@ PUBLIC_NAMES = (
     "Welcome",
     "WirelessLink",
     "__version__",
-    "ablations",
-    "adaptive",
     "adjust_tiles",
     "adjust_tiles_fixed_point",
     "available_codecs",
@@ -284,16 +385,7 @@ PUBLIC_NAMES = (
     "encode_stereo_bits",
     "encoder_for",
     "ensure_color_array",
-    "extensions",
-    "fig02_ellipsoids",
-    "fig10_bandwidth",
-    "fig11_bits",
-    "fig12_cases",
-    "fig13_power",
-    "fig14_study",
-    "fig15_tilesize",
     "filler_payload",
-    "fleet",
     "flicker_report",
     "format_table",
     "foveated_bd_bits",
@@ -338,10 +430,7 @@ PUBLIC_NAMES = (
     "psnr",
     "quadric_coefficients",
     "quadric_matrix",
-    "quality",
     "quantize_fixed",
-    "register",
-    "register_codec",
     "register_rule",
     "relative_luminance",
     "reliability_factor",
@@ -376,8 +465,6 @@ PUBLIC_NAMES = (
     "scatter_fields",
     "scc_bits_per_pixel",
     "scene_exceedance",
-    "sec61_hardware",
-    "sec63_psnr",
     "serve_main",
     "simulate_adaptive_session",
     "simulate_cohort_fleet",

@@ -5,8 +5,8 @@ executions:
 
 * :func:`repro.streaming.adaptive.simulate_adaptive_session` — the
   discrete-event engine pricing the stream analytically;
-* a loopback :class:`repro.serving.StreamServer` streaming a
-  :class:`repro.serving.FrameBank` built from the *same* sizes to a
+* a loopback :class:`repro.serving.server.StreamServer` streaming a
+  :class:`repro.serving.frames.FrameBank` built from the *same* sizes to a
   read-throttled loadgen client emulating the *same* trace.
 
 Rung choices must agree exactly: the controller's dominant input (the
@@ -22,22 +22,16 @@ import math
 
 import pytest
 
-from repro.scenes import get_scene
-from repro.serving import (
-    ChaosConfig,
-    FrameBank,
-    LoadgenConfig,
-    ServeConfig,
-    StreamServer,
-    StreamSetup,
-    run_loadgen,
-)
-from repro.streaming import (
-    BandwidthTrace,
-    LossTrace,
-    WirelessLink,
-    simulate_adaptive_session,
-)
+from repro.scenes.library import get_scene
+from repro.serving.chaos import ChaosConfig
+from repro.serving.client import LoadgenConfig, run_loadgen
+from repro.serving.frames import FrameBank
+from repro.serving.protocol import StreamSetup
+from repro.serving.server import ServeConfig, StreamServer
+from repro.streaming.adaptive import simulate_adaptive_session
+from repro.streaming.link import WirelessLink
+from repro.streaming.loss import LossTrace
+from repro.streaming.traces import BandwidthTrace
 
 #: Ladder sizes (bits, best rung first) for every frame.  On the
 #: default ladder (nocom, png, bd, variable-bd, perceptual) these give
