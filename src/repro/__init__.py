@@ -28,23 +28,13 @@ Sweep several codecs over a frame sequence with shared context work::
 
     results = encode_batch(frames, codecs=("bd", "png", "perceptual"))
     print({name: sum(r.total_bits for r in rs) for name, rs in results.items()})
+
+The quick-start names load on first access (PEP 562), so ``import
+repro`` alone imports no NumPy and the stdlib-only linter
+(``python -m repro.analysis``) runs without it.
 """
 
-from .codecs.base import Codec, EncodedFrame
-from .codecs.batch import encode_batch
-from .codecs.context import FrameContext
-from .codecs.ladder import QualityLadder, QualityRung
-from .codecs.registry import available_codecs, get_codec
-from .codecs.wrappers import DEFAULT_FOVEAL_RADIUS_DEG, FrameResult, PerceptualCodec
-from .encoding.bd import BDCodec
-from .perception.model import ParametricModel, RBFModel, ScaledModel, default_model
-from .scenes.display import QUEST2_DISPLAY, DisplayGeometry
-from .scenes.library import SCENE_NAMES, get_scene, render_scene
-from .streaming.adaptive import simulate_adaptive_session
-from .streaming.fleet import ClientConfig, FleetReport, simulate_fleet
-from .streaming.link import WIFI6_LINK, WIGIG_LINK, WirelessLink
-from .streaming.session import simulate_session
-from .streaming.traces import BandwidthTrace
+import importlib
 
 __version__ = "1.3.0"
 
@@ -81,3 +71,51 @@ __all__ = [
     "simulate_session",
     "__version__",
 ]
+
+#: Where each quick-start name is defined, read on its first access.
+_FACADE = {
+    "Codec": "repro.codecs.base",
+    "EncodedFrame": "repro.codecs.base",
+    "encode_batch": "repro.codecs.batch",
+    "FrameContext": "repro.codecs.context",
+    "QualityLadder": "repro.codecs.ladder",
+    "QualityRung": "repro.codecs.ladder",
+    "available_codecs": "repro.codecs.registry",
+    "get_codec": "repro.codecs.registry",
+    "DEFAULT_FOVEAL_RADIUS_DEG": "repro.codecs.wrappers",
+    "FrameResult": "repro.codecs.wrappers",
+    "PerceptualCodec": "repro.codecs.wrappers",
+    "BDCodec": "repro.encoding.bd",
+    "ParametricModel": "repro.perception.model",
+    "RBFModel": "repro.perception.model",
+    "ScaledModel": "repro.perception.model",
+    "default_model": "repro.perception.model",
+    "QUEST2_DISPLAY": "repro.scenes.display",
+    "DisplayGeometry": "repro.scenes.display",
+    "SCENE_NAMES": "repro.scenes.library",
+    "get_scene": "repro.scenes.library",
+    "render_scene": "repro.scenes.library",
+    "simulate_adaptive_session": "repro.streaming.adaptive",
+    "ClientConfig": "repro.streaming.fleet",
+    "FleetReport": "repro.streaming.fleet",
+    "simulate_fleet": "repro.streaming.fleet",
+    "WIFI6_LINK": "repro.streaming.link",
+    "WIGIG_LINK": "repro.streaming.link",
+    "WirelessLink": "repro.streaming.link",
+    "simulate_session": "repro.streaming.session",
+    "BandwidthTrace": "repro.streaming.traces",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _FACADE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_FACADE})

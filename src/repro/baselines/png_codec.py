@@ -29,22 +29,6 @@ __all__ = [
 ]
 
 
-def _paeth_predictor(left: np.ndarray, up: np.ndarray, upleft: np.ndarray) -> np.ndarray:
-    """The Paeth predictor of the PNG spec, vectorized (int16 inputs)."""
-    p = left + up - upleft
-    pa = np.abs(p - left)
-    pb = np.abs(p - up)
-    pc = np.abs(p - upleft)
-    return np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft))
-
-
-def _shift_left(row: np.ndarray, channels: int) -> np.ndarray:
-    """Row shifted right by one pixel (PNG's 'left' neighbor), zero fill."""
-    out = np.zeros_like(row)
-    out[channels:] = row[:-channels]
-    return out
-
-
 def png_filter_rows(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply per-row adaptive PNG filtering.
 
@@ -54,38 +38,57 @@ def png_filter_rows(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     All five candidate filters read *unfiltered* neighbor rows (the
     PNG spec filters against raw scanlines), so the whole frame is
-    filtered in one batch: stack the five candidate encodings for
-    every row, one vectorized cost reduction, one ``argmin`` over the
-    stack — no per-row Python.
+    filtered in one pass: every candidate's residuals are computed in
+    ``uint8``, which wraps modulo 256 exactly as residual bytes do, and
+    costed per row; one ``argmin`` then picks each row's filter (the
+    first of equal costs) and the chosen rows are gathered.  No
+    per-row Python.
     """
     if frame.ndim != 3 or frame.dtype != np.uint8:
         raise ValueError("png_filter_rows expects a (H, W, C) uint8 frame")
     height, width, channels = frame.shape
-    rows = frame.reshape(height, width * channels).astype(np.int16)
-    previous = np.zeros_like(rows)
-    previous[1:] = rows[:-1]
-    left = np.zeros_like(rows)
-    left[:, channels:] = rows[:, :-channels]
-    upleft = np.zeros_like(rows)
-    upleft[:, channels:] = previous[:, :-channels]
+    row_bytes = width * channels
+    # Zero-padded above and to the left, so the neighbors are views.
+    padded = np.zeros((height + 1, row_bytes + channels), dtype=np.uint8)
+    padded[1:, channels:] = frame.reshape(height, row_bytes)
+    rows = padded[1:, channels:]
+    left = padded[1:, :-channels]
+    up = padded[:-1, channels:]
+    upleft = padded[:-1, :-channels]
 
-    candidates = np.stack(
-        (
-            rows,
-            rows - left,
-            rows - previous,
-            rows - (left + previous) // 2,
-            rows - _paeth_predictor(left, previous, upleft),
-        )
-    )  # (5, height, width * channels)
-    encoded = candidates & 0xFF
+    residuals = np.empty((5, height, row_bytes), dtype=np.uint8)
+    residuals[0] = rows
+    np.subtract(rows, left, out=residuals[1])
+    np.subtract(rows, up, out=residuals[2])
+    # floor((left + up) / 2) without leaving uint8.
+    average = left & up
+    average += (left ^ up) >> 1
+    np.subtract(rows, average, out=residuals[3])
+    # Paeth: with p = left + up - upleft, the spec's distances
+    # pa = |p - left|, pb = |p - up| and pc = |p - upleft| are
+    # |up - upleft|, |left - upleft| and |(up - upleft) + (left - upleft)|,
+    # all within int16.
+    pa = up.astype(np.int16) - upleft
+    pb = left.astype(np.int16) - upleft
+    pc = pa + pb
+    np.abs(pa, out=pa)
+    np.abs(pb, out=pb)
+    np.abs(pc, out=pc)
+    # Select by 0xFF/0x00 byte masks, which is cheaper than np.where.
+    take_up = -(pb <= pc).view(np.uint8)
+    predictor = upleft ^ ((up ^ upleft) & take_up)
+    take_left = -((pa <= pb) & (pa <= pc)).view(np.uint8)
+    predictor ^= (left ^ predictor) & take_left
+    np.subtract(rows, predictor, out=residuals[4])
+
     # Spec heuristic: minimize the sum of absolute signed residuals.
-    # For a residual byte e in [0, 256), |signed(e)| == min(e, 256 - e).
-    costs = np.minimum(encoded, 256 - encoded).sum(axis=2)  # (5, height)
+    # For a residual byte e, |signed(e)| == min(e, 256 - e), and in
+    # uint8 256 - e is -e.
+    magnitude = -residuals
+    np.minimum(magnitude, residuals, out=magnitude)
+    costs = magnitude.sum(axis=2, dtype=np.int64)  # (5, height)
     filter_ids = np.argmin(costs, axis=0).astype(np.uint8)
-    filtered = np.take_along_axis(
-        encoded, filter_ids[None, :, None].astype(np.intp), axis=0
-    )[0].astype(np.uint8)
+    filtered = residuals[filter_ids, np.arange(height)]
     return filter_ids, filtered
 
 

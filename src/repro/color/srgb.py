@@ -48,6 +48,17 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _clipped_copy(values, name: str) -> np.ndarray:
+    """``values`` clipped to ``[0, 1]`` in a new float64 buffer.
+
+    The transfer functions compute in place in this buffer.  It is
+    never the caller's array, which :func:`_as_float_array` may return
+    as is, and a 0-d input gives a 0-d array, not a scalar.
+    """
+    arr = _as_float_array(values, name)
+    return np.clip(arr, 0.0, 1.0, out=np.empty_like(arr))
+
+
 def linear_to_srgb(linear) -> np.ndarray:
     """Apply the continuous sRGB transfer function to linear values.
 
@@ -62,19 +73,38 @@ def linear_to_srgb(linear) -> np.ndarray:
     -------
     numpy.ndarray
         sRGB-encoded values in ``[0, 1]`` (not yet quantized).
+
+    Notes
+    -----
+    One output buffer, no full-size temporaries: the linear segment's
+    values are set aside, the power segment runs in place over the
+    whole buffer, and the set-aside values are written back.  Each
+    value sees the same operations, in the same order, as the two
+    branch functions do.
     """
-    x = np.clip(_as_float_array(linear, "linear"), 0.0, 1.0)
-    low = 12.92 * x
-    high = 1.055 * np.power(x, 1.0 / 2.4, where=x > 0, out=np.zeros_like(x)) - 0.055
-    return np.where(x <= LINEAR_THRESHOLD, low, high)
+    x = _clipped_copy(linear, "linear")
+    low = x <= LINEAR_THRESHOLD
+    low_values = 12.92 * x[low]
+    np.power(x, 1.0 / 2.4, out=x)
+    x *= 1.055
+    x -= 0.055
+    x[low] = low_values
+    return x
 
 
 def srgb_to_linear(srgb) -> np.ndarray:
-    """Invert :func:`linear_to_srgb` (continuous, un-quantized form)."""
-    s = np.clip(_as_float_array(srgb, "srgb"), 0.0, 1.0)
-    low = s / 12.92
-    high = np.power((s + 0.055) / 1.055, 2.4)
-    return np.where(s <= SRGB_THRESHOLD, low, high)
+    """Invert :func:`linear_to_srgb` (continuous, un-quantized form).
+
+    Computed in one buffer, as :func:`linear_to_srgb` is.
+    """
+    s = _clipped_copy(srgb, "srgb")
+    low = s <= SRGB_THRESHOLD
+    low_values = s[low] / 12.92
+    s += 0.055
+    s /= 1.055
+    np.power(s, 2.4, out=s)
+    s[low] = low_values
+    return s
 
 
 def encode_srgb8(linear) -> np.ndarray:
@@ -89,9 +119,14 @@ def encode_srgb8(linear) -> np.ndarray:
     Returns
     -------
     numpy.ndarray of uint8
+        A NumPy ``uint8`` scalar for a scalar input.
     """
     encoded = linear_to_srgb(linear)
-    return np.clip(np.round(encoded * 255.0), 0, 255).astype(np.uint8)
+    encoded *= 255.0
+    np.round(encoded, out=encoded)
+    np.clip(encoded, 0, 255, out=encoded)
+    codes = encoded.astype(np.uint8)
+    return codes[()] if codes.ndim == 0 else codes
 
 
 def decode_srgb8(codes) -> np.ndarray:

@@ -43,13 +43,12 @@ import numpy as np
 
 from .accounting import SizeBreakdown
 from .packing import (
+    _pack_byte_windows,
     bits_to_bytes,
     bytes_to_bits,
     gather_field_runs,
     gather_fields,
     pack_fields,
-    scatter_field_runs,
-    scatter_fields,
     sliding_field_values,
     unpack_fields,
 )
@@ -172,32 +171,44 @@ def _header_bits(grid: TileGrid) -> np.ndarray:
 def _serialize(
     arr: np.ndarray, grid: TileGrid, bases: np.ndarray, widths: np.ndarray, group_size: int
 ) -> bytes:
-    """Scatter-pack the stream of a tile stack planned by :func:`_plan`.
+    """Pack the stream of a tile stack planned by :func:`_plan`.
 
-    The layout is fully determined by the widths, so one zeroed bit
-    array is allocated and each field family is scattered into place
-    (:func:`~repro.encoding.packing.scatter_fields`): all bases at
-    once, all width fields at once, then the delta runs of each
-    distinct width (at most 8 passes).
+    The layout is fully determined by the widths: one ``cumsum`` gives
+    every delta run's bit offset (:func:`_run_starts`), and from those
+    every base, width field and delta has its own.  The three field
+    families are then added into the byte windows they start in
+    (:func:`~repro.encoding.packing._pack_byte_windows`), with no
+    per-bit array.  Offsets are ``int32`` whenever the stream is
+    shorter than 2**31 bits, which halves their memory traffic.
     """
-    n_tiles, pixels = arr.shape[0], arr.shape[1]
-    n_groups = pixels // group_size
+    header = np.frombuffer(bits_to_bytes(_header_bits(grid)), dtype=np.uint8)
+    n_groups = arr.shape[1] // group_size
     # Stream order: tile, then channel, then group.
     run_widths = widths.transpose(0, 2, 1).reshape(-1)
     run_starts = _run_starts(run_widths, n_groups, group_size)
-    bits = np.zeros(int(run_starts[-1]) + group_size * int(run_widths[-1]), dtype=np.uint8)
-    bits[:HEADER_BITS] = _header_bits(grid)
+    n_bits = int(run_starts[-1]) + group_size * int(run_widths[-1])
+    offset = np.int32 if n_bits < 2**31 else np.int64
+    run_starts = run_starts.astype(offset)
+    run_widths = run_widths.astype(offset)
     block_starts = run_starts[::n_groups] - (BASE_FIELD_BITS + WIDTH_FIELD_BITS)
-    scatter_fields(bits, block_starts, bases.reshape(-1), BASE_FIELD_BITS, validate=False)
-    scatter_fields(
-        bits, run_starts - WIDTH_FIELD_BITS, run_widths, WIDTH_FIELD_BITS, validate=False
-    )
     # Deltas are value - tile minimum, so they are non-negative and fit
-    # their group's width by construction.
-    deltas = (arr - bases[:, None, :]).reshape(n_tiles, n_groups, group_size, 3)
-    runs = deltas.transpose(0, 3, 1, 2).reshape(-1, group_size)
-    scatter_field_runs(bits, run_starts, run_widths, runs, group_size)
-    return bits_to_bytes(bits)
+    # their group's width by construction.  Stream order is (tile,
+    # channel, pixel): copy transposed, then subtract in place (a copy
+    # even where the transpose is contiguous, as with 1-pixel tiles).
+    deltas = arr.transpose(0, 2, 1).copy()
+    deltas -= bases[:, :, None]
+    delta_starts = np.arange(group_size, dtype=offset) * run_widths[:, None]
+    delta_starts += run_starts[:, None]
+    stream = _pack_byte_windows(
+        n_bits,
+        (
+            (block_starts, bases.reshape(-1), BASE_FIELD_BITS),
+            (run_starts - WIDTH_FIELD_BITS, run_widths, WIDTH_FIELD_BITS),
+            (delta_starts.reshape(-1), deltas.reshape(-1), np.repeat(run_widths, group_size)),
+        ),
+    )
+    stream[: header.size] = header
+    return stream.tobytes()
 
 
 def _encode(tiles: np.ndarray, grid: TileGrid, group_size: int) -> tuple[bytes, SizeBreakdown]:

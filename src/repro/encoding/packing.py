@@ -26,6 +26,13 @@ Two field layouts are supported:
   carries ``counts[s]`` fields of ``widths[s]`` bits.  A whole BD
   frame (header, per-tile bases, width fields, delta runs) is one such
   descriptor list.
+
+An encoder that knows every field's bit offset up front needs no bit
+array at all: the private ``_pack_byte_windows`` adds each field of at
+most 8 bits into the 16-bit window of the byte it starts in, sums the
+windows per byte with ``np.bincount`` and folds neighbouring windows
+into bytes.  The BD serializer (:mod:`repro.encoding.bd`) writes its
+streams that way.
 """
 
 from __future__ import annotations
@@ -247,11 +254,10 @@ def scatter_fields(bits: np.ndarray, starts, values, width: int, validate: bool 
 
     The scatter complement of :func:`pack_fields`: field ``i``'s
     ``width`` bits land at ``bits[starts[i] : starts[i] + width]``
-    MSB-first.  Encoders that know their field offsets up front (the
-    BD stream layout is fully determined by the per-tile delta widths)
-    allocate one zeroed bit array and scatter each field family —
-    bases, width fields, the delta runs of each distinct width — in a
-    handful of these calls.
+    MSB-first.  A caller that knows its field offsets up front can
+    allocate one zeroed bit array and scatter each field family into
+    it in a handful of these calls (``_pack_byte_windows`` writes such
+    a layout straight to bytes).
 
     Parameters
     ----------
@@ -338,6 +344,37 @@ def scatter_field_runs(
             starts[sel][:, None] + np.arange(run_length, dtype=np.int64) * w
         ).reshape(-1)
         scatter_fields(bits, field_starts, values[sel].reshape(-1), w, validate=False)
+
+
+def _pack_byte_windows(n_bits: int, fields) -> np.ndarray:
+    """Pack fields of at most 8 bits at known bit offsets into bytes.
+
+    ``fields`` is a sequence of ``(starts, values, widths)`` families:
+    ``starts`` a signed integer array, ``values`` an integer array of
+    the same length and ``widths`` an integer or an array of that
+    length.  A field starting at bit ``s`` lies inside the 16-bit
+    big-endian window of byte ``s // 8``, as ``value << (16 - width -
+    s % 8)``.  Each family's windows are summed per byte with one
+    ``np.bincount``; fields never overlap, so the sum is their OR, and
+    every per-byte sum is below 2**16, so its float64 weights are
+    exact.  Byte ``i`` of the stream is then the high byte of window
+    ``i`` ORed with the low byte of window ``i - 1``.
+
+    Values must fit their widths (no validation), as BD fields do by
+    construction.  Returns ``ceil(n_bits / 8)`` ``uint8`` bytes, the
+    final partial byte zero-padded like ``BitWriter.getvalue``.
+    """
+    n_bytes = -(-n_bits // 8)
+    # A zero-width field may start at bit n_bits, in window n_bytes.
+    windows = np.zeros(n_bytes + 1)
+    for starts, values, widths in fields:
+        weights = values.astype(starts.dtype)
+        weights <<= (16 - widths) - (starts & 7)
+        windows += np.bincount(starts >> 3, weights=weights, minlength=n_bytes + 1)
+    packed = windows[:n_bytes].astype(np.uint16)
+    stream = (packed >> 8).astype(np.uint8)
+    stream[1:] |= packed[:-1].astype(np.uint8)
+    return stream
 
 
 def gather_fields(bits: np.ndarray, starts, width: int) -> np.ndarray:

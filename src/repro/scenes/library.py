@@ -36,6 +36,9 @@ __all__ = ["Scene", "SCENE_NAMES", "get_scene", "render_scene"]
 
 _BASE_SEED = 20240427  # ASPLOS'24 opening day; fixed for reproducibility.
 
+#: Stereo disparity as a fraction of the frame width (at least 1 px).
+_DISPARITY_FRACTION = 0.01
+
 Renderer = Callable[[int, int, np.random.Generator, int], np.ndarray]
 
 
@@ -190,7 +193,7 @@ class Scene:
 
     def render(
         self, height: int, width: int, frame: int = 0, eye: str | None = None,
-        disparity_fraction: float = 0.01,
+        disparity_fraction: float = _DISPARITY_FRACTION,
     ) -> np.ndarray:
         """Render one (sub-)frame in linear RGB.
 
@@ -201,19 +204,49 @@ class Scene:
         (their rendering grain differs, as it would between two real
         render passes).
         """
+        self._check(height, width, frame)
+        if eye not in (None, "left", "right"):
+            raise ValueError(f"eye must be None, 'left' or 'right', got {eye!r}")
+        disparity = max(1, int(width * disparity_fraction)) if eye else 0
+        canvas = self._canvas(height, width + 2 * disparity, frame)
+        offset = {None: disparity, "left": 0, "right": 2 * disparity}[eye]
+        return self._crop(canvas, offset, width, frame, eye)
+
+    def render_stereo(
+        self, height: int, width: int, frame: int = 0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Render the (left, right) sub-frame pair for one frame.
+
+        Equal to ``render(..., eye="left")`` and ``render(...,
+        eye="right")``, but the canvas the two eyes crop is rendered
+        once.
+        """
+        self._check(height, width, frame)
+        disparity = max(1, int(width * _DISPARITY_FRACTION))
+        canvas = self._canvas(height, width + 2 * disparity, frame)
+        return (
+            self._crop(canvas, 0, width, frame, "left"),
+            self._crop(canvas, 2 * disparity, width, frame, "right"),
+        )
+
+    @staticmethod
+    def _check(height: int, width: int, frame: int) -> None:
         if height < 8 or width < 8:
             raise ValueError(f"scene frames must be at least 8x8, got {height}x{width}")
         if frame < 0:
             raise ValueError(f"frame index must be >= 0, got {frame}")
-        if eye not in (None, "left", "right"):
-            raise ValueError(f"eye must be None, 'left' or 'right', got {eye!r}")
-        disparity = max(1, int(width * disparity_fraction)) if eye else 0
-        canvas_width = width + 2 * disparity
+
+    def _canvas(self, height: int, canvas_width: int, frame: int) -> np.ndarray:
+        """The composed canvas, deterministic in (scene, frame, size)."""
         rng = np.random.default_rng(
             np.random.SeedSequence([_BASE_SEED, self.scene_id, frame])
         )
-        canvas = self.renderer(height, canvas_width, rng, frame)
-        offset = {None: disparity, "left": 0, "right": 2 * disparity}[eye]
+        return self.renderer(height, canvas_width, rng, frame)
+
+    def _crop(
+        self, canvas: np.ndarray, offset: int, width: int, frame: int, eye: str | None
+    ) -> np.ndarray:
+        """One eye's (or the cyclopean) crop of ``canvas``, with its grain."""
         out = np.clip(canvas[:, offset : offset + width], 0.0, 1.0)
         if self.grain_codes > 0:
             eye_id = {None: 0, "left": 1, "right": 2}[eye]
@@ -226,17 +259,8 @@ class Scene:
             srgb += grain_rng.uniform(
                 -self.grain_codes / 255.0, self.grain_codes / 255.0, size=out.shape
             )
-            out = srgb_to_linear(np.clip(srgb, 0.0, 1.0))
+            out = srgb_to_linear(np.clip(srgb, 0.0, 1.0, out=srgb))
         return out
-
-    def render_stereo(
-        self, height: int, width: int, frame: int = 0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Render the (left, right) sub-frame pair for one frame."""
-        return (
-            self.render(height, width, frame, eye="left"),
-            self.render(height, width, frame, eye="right"),
-        )
 
 
 _SCENES = {

@@ -1,4 +1,10 @@
-"""Tests for the PNG-class lossless codec."""
+"""Tests for the PNG-class lossless codec.
+
+Two oracles hold :func:`png_filter_rows` to its filter choices and
+residual bytes: ``_reference_filter_rows``, a transcription of the
+original per-row loop, and ``_batched_filter_rows``, the int16
+five-plane stack the package ran before it filtered in one uint8 pass.
+"""
 
 import numpy as np
 import pytest
@@ -30,20 +36,18 @@ class TestFiltering:
         rows = frame.reshape(6, 24).astype(np.int16)
         for mode in range(5):
             # Build the filtered rows by hand for this single mode.
-            import repro.baselines.png_codec as png
-
             filtered = np.empty((6, 24), dtype=np.uint8)
             previous = np.zeros(24, dtype=np.int16)
             for y in range(6):
                 row = rows[y]
-                left = png._shift_left(row, 3)
-                upleft = png._shift_left(previous, 3)
+                left = _shift_left(row, 3)
+                upleft = _shift_left(previous, 3)
                 candidates = (
                     row,
                     row - left,
                     row - previous,
                     row - (left + previous) // 2,
-                    row - png._paeth_predictor(left, previous, upleft),
+                    row - _paeth_predictor(left, previous, upleft),
                 )
                 filtered[y] = (np.asarray(candidates[mode], dtype=np.int16) & 0xFF).astype(np.uint8)
                 previous = row
@@ -74,14 +78,28 @@ class TestFiltering:
             png_unfilter_rows(ids, filtered, (3, 4, 3))
 
 
+def _paeth_predictor(left: np.ndarray, up: np.ndarray, upleft: np.ndarray) -> np.ndarray:
+    """The Paeth predictor of the PNG spec, vectorized (int16 inputs)."""
+    p = left + up - upleft
+    pa = np.abs(p - left)
+    pb = np.abs(p - up)
+    pc = np.abs(p - upleft)
+    return np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft))
+
+
+def _shift_left(row: np.ndarray, channels: int) -> np.ndarray:
+    """Row shifted right by one pixel (PNG's 'left' neighbor), zero fill."""
+    out = np.zeros_like(row)
+    out[channels:] = row[:-channels]
+    return out
+
+
 def _reference_filter_rows(frame):
-    """Transcription of the original per-row filter loop (pre-PR 5).
+    """Transcription of the original per-row filter loop.
 
     Retained verbatim so the batched :func:`png_filter_rows` is pinned
     to the exact same filter choices and residual bytes.
     """
-    import repro.baselines.png_codec as png
-
     height, width, channels = frame.shape
     rows = frame.reshape(height, width * channels).astype(np.int16)
     filter_ids = np.empty(height, dtype=np.uint8)
@@ -89,14 +107,14 @@ def _reference_filter_rows(frame):
     previous = np.zeros(width * channels, dtype=np.int16)
     for y in range(height):
         row = rows[y]
-        left = png._shift_left(row, channels)
-        upleft = png._shift_left(previous, channels)
+        left = _shift_left(row, channels)
+        upleft = _shift_left(previous, channels)
         candidates = (
             row,
             row - left,
             row - previous,
             row - (left + previous) // 2,
-            row - png._paeth_predictor(left, previous, upleft),
+            row - _paeth_predictor(left, previous, upleft),
         )
         encoded = [np.asarray(c, dtype=np.int16) & 0xFF for c in candidates]
         costs = [int(np.abs(np.where(e > 127, e - 256, e)).sum()) for e in encoded]
@@ -105,6 +123,94 @@ def _reference_filter_rows(frame):
         filtered[y] = encoded[best].astype(np.uint8)
         previous = row
     return filter_ids, filtered
+
+
+def _batched_filter_rows(frame):
+    """The int16 five-plane filter choice :func:`png_filter_rows` replaced.
+
+    Stacks the five candidate encodings of every row, masks them to
+    bytes, costs each row and takes the first minimum.
+    """
+    height, width, channels = frame.shape
+    rows = frame.reshape(height, width * channels).astype(np.int16)
+    previous = np.zeros_like(rows)
+    previous[1:] = rows[:-1]
+    left = np.zeros_like(rows)
+    left[:, channels:] = rows[:, :-channels]
+    upleft = np.zeros_like(rows)
+    upleft[:, channels:] = previous[:, :-channels]
+
+    candidates = np.stack(
+        (
+            rows,
+            rows - left,
+            rows - previous,
+            rows - (left + previous) // 2,
+            rows - _paeth_predictor(left, previous, upleft),
+        )
+    )  # (5, height, width * channels)
+    encoded = candidates & 0xFF
+    # For a residual byte e in [0, 256), |signed(e)| == min(e, 256 - e).
+    costs = np.minimum(encoded, 256 - encoded).sum(axis=2)  # (5, height)
+    filter_ids = np.argmin(costs, axis=0).astype(np.uint8)
+    filtered = np.take_along_axis(
+        encoded, filter_ids[None, :, None].astype(np.intp), axis=0
+    )[0].astype(np.uint8)
+    return filter_ids, filtered
+
+
+def _assert_filters_match_oracles(frame):
+    ids, rows = png_filter_rows(frame)
+    for oracle in (_reference_filter_rows, _batched_filter_rows):
+        ref_ids, ref_rows = oracle(frame)
+        assert ids.dtype == ref_ids.dtype and rows.dtype == ref_rows.dtype
+        assert np.array_equal(ids, ref_ids), oracle.__name__
+        assert np.array_equal(rows, ref_rows), oracle.__name__
+    assert np.array_equal(png_unfilter_rows(ids, rows, frame.shape), frame)
+
+
+class TestOnePassFilterMatchesOracles:
+    """The one-pass uint8 filter choice equals both oracles: ids and
+    bytes, ties included (equal costs keep the first filter)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(("random", "low-bits", "constant", "gradient")),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_synthetic_frames(self, height, width, channels, kind, seed):
+        rng = np.random.default_rng(seed)
+        shape = (height, width, channels)
+        if kind == "random":
+            frame = rng.integers(0, 256, shape, dtype=np.uint8)
+        elif kind == "low-bits":
+            frame = rng.integers(0, 4, shape, dtype=np.uint8)
+        elif kind == "constant":
+            frame = np.full(shape, rng.integers(0, 256), dtype=np.uint8)
+        else:
+            step = int(rng.integers(1, 40))
+            frame = (np.arange(height * width * channels) * step % 256).astype(np.uint8)
+            frame = frame.reshape(shape)
+        _assert_filters_match_oracles(frame)
+
+    def test_constant_frame_ties_keep_the_first_filter(self):
+        """Every row of a zero frame costs 0 under all five filters."""
+        frame = np.zeros((5, 6, 3), dtype=np.uint8)
+        ids, _ = png_filter_rows(frame)
+        assert (ids == 0).all()
+        _assert_filters_match_oracles(frame)
+
+    @pytest.mark.parametrize("channels", [1, 2, 3, 4])
+    def test_rendered_frames(self, channels):
+        codes = encode_srgb8(render_scene("monkey", 40, 56, frame=3))
+        frame = np.concatenate([codes, codes[..., :1]], axis=2)[..., :channels]
+        _assert_filters_match_oracles(np.ascontiguousarray(frame))
+
+    def test_rendered_frame_at_full_size(self):
+        _assert_filters_match_oracles(encode_srgb8(render_scene("skyline", 192, 192, frame=1)))
 
 
 class TestBatchedFilterMatchesReference:

@@ -15,6 +15,20 @@ from repro.color.srgb import (
     srgb_to_linear,
 )
 
+from srgb_reference import encode_srgb8_select, linear_to_srgb_select, srgb_to_linear_select
+
+#: (package function, its two-branch oracle).
+_ORACLES = [
+    (linear_to_srgb, linear_to_srgb_select),
+    (srgb_to_linear, srgb_to_linear_select),
+    (encode_srgb8, encode_srgb8_select),
+]
+
+
+def _neighbours(value: float) -> list[float]:
+    """``value`` and its 1-ulp neighbours."""
+    return [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
+
 
 class TestTransferFunction:
     def test_zero_maps_to_zero(self):
@@ -100,6 +114,57 @@ class TestQuantized:
         # Half a code of sRGB error, mapped through the steepest part
         # of the inverse transfer (slope 1/12.92 near black).
         assert np.max(np.abs(linear_to_srgb(recovered) - linear_to_srgb(x))) <= 0.5 / 255 + 1e-9
+
+
+class TestOneBufferMatchesBranchOracle:
+    """The one-buffer transfers equal the both-branches-then-select
+    oracle byte for byte, dtype, shape and result type included."""
+
+    @staticmethod
+    def _assert_equal(value):
+        for function, oracle in _ORACLES:
+            got, expected = function(value), oracle(value)
+            assert type(got) is type(expected), function.__name__
+            assert got.dtype == expected.dtype, function.__name__
+            assert got.shape == expected.shape, function.__name__
+            assert got.tobytes() == expected.tobytes(), function.__name__
+
+    def test_random_arrays(self, rng):
+        for shape in [(7,), (5, 6, 3), (64, 64, 3)]:
+            self._assert_equal(rng.random(shape))
+            self._assert_equal(rng.uniform(-0.2, 1.2, shape))
+            self._assert_equal(rng.random(shape) * 0.01)
+
+    def test_dense_linspace(self):
+        self._assert_equal(np.linspace(-0.1, 1.1, 1_000_001))
+
+    def test_thresholds_and_their_neighbours(self):
+        for threshold in (LINEAR_THRESHOLD, SRGB_THRESHOLD):
+            values = _neighbours(threshold)
+            self._assert_equal(np.array(values))
+            for value in values:
+                self._assert_equal(value)
+
+    @pytest.mark.parametrize(
+        "value", [0.0, 0.5, 1.0, -1.0, 2.0, 1e-3, 3, np.float32(0.3), np.array(0.02)]
+    )
+    def test_scalars_keep_their_result_types(self, value):
+        """A scalar gives a 0-d array from the transfers, a NumPy uint8
+        from ``encode_srgb8``."""
+        self._assert_equal(value)
+
+    def test_lists_empty_and_strided_inputs(self, rng):
+        self._assert_equal([0.5, 0.001, 0.9])
+        self._assert_equal([])
+        self._assert_equal(np.zeros((0, 3)))
+        self._assert_equal(np.asfortranarray(rng.random((5, 7))))
+        self._assert_equal(rng.random((9, 9, 3))[::2, 1::3])
+
+    def test_non_finite_input_still_raises(self):
+        for function, _ in _ORACLES:
+            for bad in (np.nan, np.inf, [0.5, -np.inf]):
+                with pytest.raises(ValueError, match="finite"):
+                    function(bad)
 
 
 class TestQuantizeUnit:

@@ -8,6 +8,10 @@ vectorized :class:`~repro.encoding.bd.BDCodec` and
 these streams byte for byte and decode each other's output; the tests
 in this directory and the legacy kernel benchmarks compare against
 them.
+
+:func:`serialize_scatter` is the serializer the package ran before it
+packed byte windows: one byte per stream bit, every field scattered
+into place, then ``np.packbits``.
 """
 
 from __future__ import annotations
@@ -16,9 +20,12 @@ import numpy as np
 
 from repro.encoding.bd import (
     BASE_FIELD_BITS,
+    HEADER_BITS,
     WIDTH_FIELD_BITS,
     BDCodec,
     EncodedFrame,
+    _header_bits,
+    _run_starts,
     bd_breakdown,
     delta_widths,
 )
@@ -28,6 +35,7 @@ from repro.encoding.bd_variable import (
     group_delta_widths,
     variable_bd_breakdown,
 )
+from repro.encoding.packing import bits_to_bytes, scatter_field_runs, scatter_fields
 from repro.encoding.tiling import TileGrid, tile_frame, untile_frame
 
 from bitio import BitReader, BitWriter
@@ -133,3 +141,34 @@ def decode_variable_legacy(encoded: VariableEncodedFrame) -> np.ndarray:
                 else:
                     tiles[tile_index, run, channel] = base
     return untile_frame(tiles, grid)
+
+
+def serialize_scatter(
+    arr: np.ndarray, grid: TileGrid, bases: np.ndarray, widths: np.ndarray, group_size: int
+) -> bytes:
+    """Scatter-pack the stream of a tile stack planned by ``bd._plan``.
+
+    The layout is fully determined by the widths, so one zeroed bit
+    array is allocated and each field family is scattered into place
+    (:func:`~repro.encoding.packing.scatter_fields`): all bases at
+    once, all width fields at once, then the delta runs of each
+    distinct width (at most 8 passes).
+    """
+    n_tiles, pixels = arr.shape[0], arr.shape[1]
+    n_groups = pixels // group_size
+    # Stream order: tile, then channel, then group.
+    run_widths = widths.transpose(0, 2, 1).reshape(-1)
+    run_starts = _run_starts(run_widths, n_groups, group_size)
+    bits = np.zeros(int(run_starts[-1]) + group_size * int(run_widths[-1]), dtype=np.uint8)
+    bits[:HEADER_BITS] = _header_bits(grid)
+    block_starts = run_starts[::n_groups] - (BASE_FIELD_BITS + WIDTH_FIELD_BITS)
+    scatter_fields(bits, block_starts, bases.reshape(-1), BASE_FIELD_BITS, validate=False)
+    scatter_fields(
+        bits, run_starts - WIDTH_FIELD_BITS, run_widths, WIDTH_FIELD_BITS, validate=False
+    )
+    # Deltas are value - tile minimum, so they are non-negative and fit
+    # their group's width by construction.
+    deltas = (arr - bases[:, None, :]).reshape(n_tiles, n_groups, group_size, 3)
+    runs = deltas.transpose(0, 3, 1, 2).reshape(-1, group_size)
+    scatter_field_runs(bits, run_starts, run_widths, runs, group_size)
+    return bits_to_bytes(bits)

@@ -12,13 +12,16 @@ from repro.encoding.bd import (
     WIDTH_FIELD_BITS,
     BDCodec,
     EncodedFrame,
+    _plan,
+    _serialize,
     bd_breakdown,
+    bd_stream_bytes,
     delta_widths,
 )
-from repro.encoding.tiling import tile_frame
+from repro.encoding.tiling import TileGrid, tile_frame
 from repro.scenes.library import render_scene
 
-from bd_reference import decode_legacy, encode_legacy
+from bd_reference import decode_legacy, encode_legacy, serialize_scatter
 
 
 class TestDeltaWidths:
@@ -210,6 +213,86 @@ class TestVectorizedMatchesLegacy:
         )
         with pytest.raises(ValueError, match="header disagrees"):
             codec.decode(mismatched)
+
+
+def _group_sizes(tile_size):
+    pixels = tile_size * tile_size
+    return [g for g in range(1, pixels + 1) if pixels % g == 0]
+
+
+def _assert_serializers_agree(tiles, grid):
+    """Byte windows equal the bit-scatter serializer at every group size."""
+    for group_size in _group_sizes(grid.tile_size):
+        plan = _plan(tiles, group_size)
+        stream = _serialize(tiles, grid, *plan, group_size)
+        assert stream == serialize_scatter(tiles, grid, *plan, group_size), group_size
+        bits = HEADER_BITS + bd_breakdown(tiles).base_bits
+        bits += WIDTH_FIELD_BITS * int(plan[1].size) + group_size * int(plan[1].sum())
+        assert len(stream) == -(-bits // 8)
+
+
+class TestByteWindowSerializer:
+    """The byte-window serializer writes the bit-scatter serializer's
+    bytes (``tests/encoding/bd_reference.py``) at every tile size 1-8
+    and every group size that divides the tile."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from(("random", "narrow", "flat-patches")),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_matches_scatter_serializer(self, height, width, tile_size, kind, seed):
+        rng = np.random.default_rng(seed)
+        frame = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
+        if kind == "narrow":
+            # Small ranges: widths 0-3, many zero-width runs.
+            frame >>= np.uint8(rng.integers(5, 9))
+        elif kind == "flat-patches":
+            frame[rng.random((height, width)) < 0.7] = 128
+        _assert_serializers_agree(*tile_frame(frame, tile_size))
+
+    @pytest.mark.parametrize("tile_size", range(1, 9))
+    @pytest.mark.parametrize("value", [0, 77, 255])
+    def test_all_equal_tiles(self, tile_size, value):
+        """Every delta run is zero-width, so the stream is bases and widths."""
+        frame = np.full((2 * tile_size, 3 * tile_size, 3), value, dtype=np.uint8)
+        _assert_serializers_agree(*tile_frame(frame, tile_size))
+
+    @pytest.mark.parametrize("tile_size", range(1, 9))
+    def test_all_255_against_zero(self, tile_size):
+        """Full 8-bit deltas: every run is 8 bits wide."""
+        frame = np.full((tile_size, 2 * tile_size, 3), 255, dtype=np.uint8)
+        frame[::2, ::2] = 0
+        _assert_serializers_agree(*tile_frame(frame, tile_size))
+
+    def test_stream_ending_on_a_byte_boundary(self):
+        """One 1x1 tile: 40 + 8 + 4 = 52 bits, and a 4-bit delta ends at 56."""
+        tiles = np.array([[[3, 9, 12]]], dtype=np.uint8)
+        grid = TileGrid(1, 1, 1)
+        stream = _serialize(tiles, grid, *_plan(tiles, 1), 1)
+        assert stream == serialize_scatter(tiles, grid, *_plan(tiles, 1), 1)
+        pairs = np.array([[[0, 0, 0], [15, 3, 8]]], dtype=np.uint8).reshape(2, 1, 3)
+        two = TileGrid(2, 1, 1)
+        plan = _plan(pairs, 1)
+        bits = HEADER_BITS + 6 * (BASE_FIELD_BITS + WIDTH_FIELD_BITS) + int(plan[1].sum())
+        assert bits % 8 == 0
+        assert _serialize(pairs, two, *plan, 1) == serialize_scatter(pairs, two, *plan, 1)
+
+    def test_scene_frame(self):
+        frame = encode_srgb8(render_scene("thai", 64, 48, frame=2))
+        _assert_serializers_agree(*tile_frame(frame, 4))
+
+    @pytest.mark.parametrize("height,width", [(65_536, 1), (1, 65_536), (70_000, 2)])
+    def test_oversized_header_still_raises(self, height, width):
+        grid = TileGrid(height, width, 1)
+        tiles = np.zeros((grid.n_tiles, 1, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="does not fit in 16 bits"):
+            bd_stream_bytes(tiles, grid)
+        with pytest.raises(ValueError, match="does not fit in 16 bits"):
+            serialize_scatter(tiles, grid, *_plan(tiles, 1), 1)
 
 
 class TestCodecValidation:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.encoding.packing import (
+    _pack_byte_windows,
     bits_to_bytes,
     bytes_to_bits,
     gather_field_runs,
@@ -204,6 +205,52 @@ class TestScatterFields:
         bits = np.zeros(3, dtype=np.uint8)
         scatter_fields(bits, [0], [0b111], 3, validate=False)
         assert bits.tolist() == [1, 1, 1]
+
+
+class TestByteWindows:
+    """``_pack_byte_windows`` writes ``BitWriter``'s bytes for fields of
+    0-8 bits, whatever order its families and fields come in."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.integers(min_value=0, max_value=8).flatmap(
+                lambda w: st.tuples(st.just(w), st.integers(0, (1 << w) - 1 if w else 0))
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from((np.int32, np.int64)),
+        st.integers(min_value=0, max_value=1_000),
+    )
+    def test_matches_bitwriter(self, fields, n_families, dtype, seed):
+        writer = BitWriter()
+        for width, value in fields:
+            writer.write(value, width)
+        widths = np.array([w for w, _ in fields], dtype=dtype)
+        values = np.array([v for _, v in fields], dtype=np.uint8)
+        starts = (np.cumsum(widths) - widths).astype(dtype)
+        # Split the fields into families in a shuffled order.
+        order = np.random.default_rng(seed).permutation(len(fields))
+        families = [
+            (starts[part], values[part], widths[part])
+            for part in np.array_split(order, n_families)
+        ]
+        stream = _pack_byte_windows(int(widths.sum()), families)
+        assert stream.dtype == np.uint8
+        assert stream.tobytes() == writer.getvalue()
+
+    def test_scalar_width_family(self):
+        # Four 4-bit fields end exactly on a byte boundary.
+        stream = _pack_byte_windows(16, [(np.arange(4) * 4, np.array([1, 2, 3, 15]), 4)])
+        assert stream.tobytes() == b"\x12\x3f"
+
+    def test_zero_width_field_at_the_end(self):
+        starts = np.array([0, 8, 8])
+        values = np.array([0xAB, 0, 0])
+        widths = np.array([8, 0, 0])
+        assert _pack_byte_windows(8, [(starts, values, widths)]).tobytes() == b"\xab"
 
 
 class TestFieldRuns:

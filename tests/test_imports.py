@@ -18,6 +18,7 @@ diff of that list.
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -46,6 +47,31 @@ def _fresh(code: str) -> str:
 
 def test_import_repro_leaves_scipy_unloaded():
     assert _fresh("import sys, repro; print('scipy' in sys.modules)") == "False"
+
+
+def test_linter_runs_without_numpy():
+    """``python -m repro.analysis`` is stdlib-only: with numpy blocked,
+    importing ``repro`` (the façade loads its names on first access)
+    and linting ``src`` still works and finds nothing."""
+    out = _fresh(
+        "import runpy, sys; "
+        "sys.modules['numpy'] = None; "
+        f"sys.argv = ['repro.analysis', {str(SRC)!r}, '--json']; "
+        "runpy.run_module('repro.analysis', run_name='__main__')"
+    )
+    report = json.loads(out)
+    assert report["files"] > 0
+    assert report["findings"] == []
+
+
+def test_facade_names_load_on_first_access():
+    loaded = _fresh(
+        "import sys, repro; before = 'numpy' in sys.modules; "
+        "listed = 'FrameContext' in dir(repro); "
+        "from repro import *; "
+        "print(before, listed, FrameContext.__module__)"
+    )
+    assert loaded == "False True repro.codecs.context"
 
 
 @pytest.mark.parametrize(
