@@ -8,6 +8,13 @@ per connection, length-prefixed :class:`~repro.serving.protocol.Frame`
 messages on the wire, and per-client backpressure with deadline-based
 frame dropping where the simulator would grow a backlog without bound.
 
+Backpressure is ACK-clocked (Jacobson, *Congestion Avoidance and
+Control*, 1988), not left to the kernel: each connection keeps at most
+one deadline's worth of the hinted channel (``link_bps_at(ready) *
+deadline_s / 8`` bytes) written but not yet acknowledged, and a frame
+that waits for that window past its deadline is dropped.  A throttled
+client therefore sheds frames however much its socket buffers hold.
+
 The adaptation loop is **literally the engine's**: each connection
 owns an :class:`~repro.streaming.engine.AdaptationState` driving the
 same :class:`~repro.streaming.adaptive.RateController` policies, with
@@ -43,6 +50,8 @@ from ..streaming.validation import validate_stream_timing
 from .chaos import ChaosConfig, ChaosInjector
 from .frames import FrameBank
 from .protocol import (
+    _FRAME_HEAD,
+    _HEADER,
     PROTOCOL_VERSION,
     Ack,
     Bye,
@@ -55,6 +64,9 @@ from .protocol import (
 )
 
 __all__ = ["ServeConfig", "ServedClientReport", "ServerReport", "StreamServer"]
+
+#: Bytes a FRAME message adds to its payload on the wire.
+_FRAME_OVERHEAD_BYTES = _HEADER.size + _FRAME_HEAD.size
 
 
 @dataclass(frozen=True)
@@ -77,9 +89,12 @@ class ServeConfig:
         time — the live analog of a traced
         :class:`~repro.streaming.link.WirelessLink`.
     deadline_s:
-        A frame still queued this long after its ready time is dropped
+        A frame still unsent this long after its ready time is dropped
         instead of sent (late frames are worthless to a head-mounted
-        display).  ``None`` never drops.
+        display).  It also sizes each connection's send window: at most
+        ``link_bps_at(ready_s) * deadline_s / 8`` bytes may be written
+        and not yet ACKed, and time spent waiting for that window counts
+        toward the deadline.  ``None`` never drops and keeps no window.
     queue_frames:
         Per-client send-queue capacity, in frames; a full queue drops
         the *new* frame at enqueue (counted separately from deadline
@@ -90,16 +105,19 @@ class ServeConfig:
     handshake_timeout_s:
         How long a fresh connection may take to present a valid HELLO.
     send_stall_timeout_s:
-        Per-frame watchdog on the socket write: a client that keeps
-        the TCP connection open but stops reading blocks ``drain()``
-        indefinitely, which would pin the connection (and its bank
-        payload references) until server shutdown.  A drain stalled
-        this long marks the client gone and aborts the transport.
-        ``None`` disables the watchdog.
+        Per-frame watchdog on the sender: a client that keeps the TCP
+        connection open but stops reading blocks ``drain()``
+        indefinitely, and one that reads but stops ACKing holds the
+        send window shut; either would pin the connection (and its
+        bank payload references) until server shutdown.  A drain
+        stalled this long, or a window wait this long without an ACK,
+        marks the client gone and aborts the transport.  ``None``
+        disables the watchdog.
     write_buffer_bytes:
-        Transport write-buffer high-water mark.  Small values make
-        ``drain()`` exert backpressure promptly instead of buffering
-        megabytes in user space; ``None`` keeps asyncio's default.
+        Transport write-buffer high-water mark, above which ``drain()``
+        blocks instead of buffering megabytes in user space; ``None``
+        keeps asyncio's default.  The bytes in flight to a client are
+        bounded by the send window (see ``deadline_s``), not by this.
     max_frames:
         Upper clamp on a client's requested stream length.
     chaos:
@@ -324,10 +342,11 @@ class _Connection:
       interval, asks the :class:`AdaptationState` for a rung exactly as
       the engine's solo path does, and enqueues the frame — dropping it
       if the queue is full;
-    * the **sender** drains the queue onto the socket, dropping frames
-      whose deadline passed while they waited (that wait *is* the
-      backpressure signal: a throttled client fills the transport
-      buffer, ``drain()`` blocks, the queue backs up);
+    * the **sender** drains the queue onto the socket through an
+      ACK-clocked window, dropping frames whose deadline passed while
+      they waited (that wait *is* the backpressure signal: a throttled
+      client ACKs slowly, the window stays shut, the queue backs up —
+      whatever the kernel's socket buffers could have absorbed);
     * the **ACK reader** turns acknowledgement arrival times into
       measured drain samples and replays them into the adaptation
       state strictly in frame order, so the feedback loop sees the same
@@ -366,7 +385,11 @@ class _Connection:
             maxsize=config.queue_frames
         )
         self.epoch: float = 0.0  # loop.time() at session start
-        self.send_time_s: dict[int, float] = {}  # frame -> session send time
+        # The in-flight ledger: frames written and not yet ACKed, as
+        # frame -> (session send time, wire bytes), plus their sum.
+        self.in_flight: dict[int, tuple[float, int]] = {}
+        self.in_flight_bytes = 0
+        self.ack_arrived = asyncio.Event()  # wakes a sender waiting on the window
         self.chosen: dict[int, tuple[int, int]] = {}  # frame -> (rung, bits)
         self.last_ack_s = 0.0
         self.timings: list[FrameTiming] = []
@@ -492,8 +515,56 @@ class _Connection:
                     if stale is not None:
                         self._drop(stale, deadline=True)
 
+    async def _await_window(self, frame: _QueuedFrame) -> bool:
+        """Wait until the ACK-clocked send window admits ``frame``.
+
+        The window is what the hinted channel delivers within one
+        deadline, ``link_bps_at(ready_s) * deadline_s / 8`` bytes, read
+        from the same session-time PHY hint as the controller's clamp.
+        A frame is admitted when nothing is in flight or when its wire
+        bytes fit beside the un-ACKed ones, so a frame larger than the
+        window still goes out, alone.  Returns False when the client is
+        gone, or when no ACK arrived for ``send_stall_timeout_s``: the
+        transport is then aborted, as for a stalled ``drain()``.
+        """
+        config = self.config
+        window_bytes = config.link_bps_at(frame.ready_s) * config.deadline_s / 8
+        wire_bytes = _FRAME_OVERHEAD_BYTES + len(frame.payload)
+        while self.in_flight_bytes and self.in_flight_bytes + wire_bytes > window_bytes:
+            if self.client_gone.is_set():
+                return False
+            self.ack_arrived.clear()
+            # The reader (EOF, BYE) and the pacer (giving up on its
+            # sentinel) set client_gone while this waits; wake on it too.
+            wakers = [
+                asyncio.ensure_future(event.wait())
+                for event in (self.ack_arrived, self.client_gone)
+            ]
+            try:
+                done, _ = await asyncio.wait(
+                    wakers,
+                    timeout=config.send_stall_timeout_s,
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+            finally:
+                for waker in wakers:
+                    waker.cancel()
+            if not done:
+                self.client_gone.set()
+                self.writer.transport.abort()
+                return False
+        return not self.client_gone.is_set()
+
     async def send(self) -> None:
-        """Drain the queue to the socket, dropping past-deadline frames."""
+        """Drain the queue to the socket through the send window.
+
+        Each frame waits for :meth:`_await_window` to admit it, then is
+        dropped if that wait or its time in the queue carried it past
+        its deadline.  Otherwise it enters the in-flight ledger, stamped
+        with its send time, and is written; ``drain()`` flushes the
+        transport under the stall watchdog.  With ``deadline_s=None``
+        there is no window and nothing is dropped for lateness.
+        """
         deadline_s = self.config.deadline_s
         stall_s = self.config.send_stall_timeout_s
         while True:
@@ -503,9 +574,13 @@ class _Connection:
             if self.client_gone.is_set():
                 self._drop(frame, deadline=True)
                 continue
-            if deadline_s is not None and self.now_s() > frame.ready_s + deadline_s:
-                self._drop(frame, deadline=True)
-                continue
+            if deadline_s is not None:
+                # Admission first, so the time spent waiting for ACKs
+                # counts toward the deadline.
+                admitted = await self._await_window(frame)
+                if not admitted or self.now_s() > frame.ready_s + deadline_s:
+                    self._drop(frame, deadline=True)
+                    continue
             message = Frame(
                 frame_index=frame.frame_index,
                 rung=frame.rung,
@@ -535,7 +610,10 @@ class _Connection:
                     continue
                 if action == "delay":
                     await asyncio.sleep(self.chaos.delay_s)
-            self.send_time_s[frame.frame_index] = self.now_s()
+            # Into the ledger before the write, so an ACK that arrives
+            # before drain() returns settles it and leaves nothing stale.
+            self.in_flight[frame.frame_index] = (self.now_s(), len(wire))
+            self.in_flight_bytes += len(wire)
             try:
                 self.writer.write(wire)
                 if stall_s is None:
@@ -551,10 +629,12 @@ class _Connection:
                 # an OSError subclass.
                 self.client_gone.set()
                 self.writer.transport.abort()
+                self._settle(frame.frame_index)
                 self._drop(frame, deadline=True)
                 continue
             except (ConnectionError, OSError):
                 self.client_gone.set()
+                self._settle(frame.frame_index)
                 self._drop(frame, deadline=True)
                 continue
             self.bytes_sent += len(wire)
@@ -590,12 +670,22 @@ class _Connection:
         finally:
             self.client_gone.set()
 
+    def _settle(self, frame_index: int) -> float | None:
+        """Take a frame out of the in-flight ledger; its send time, if any."""
+        entry = self.in_flight.pop(frame_index, None)
+        if entry is None:
+            return None
+        send_s, wire_bytes = entry
+        self.in_flight_bytes -= wire_bytes
+        return send_s
+
     def _on_ack(self, ack: Ack) -> None:
-        send_s = self.send_time_s.pop(ack.frame_index, None)
+        send_s = self._settle(ack.frame_index)
         chosen = self.chosen.get(ack.frame_index)
         if send_s is None or chosen is None:
             self.protocol_errors += 1  # ACK for a frame never sent
             return
+        self.ack_arrived.set()
         ack_s = self.now_s()
         # The channel was busy until the previous ACK: measure this
         # frame's drain from whichever came later, its own send or the

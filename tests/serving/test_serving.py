@@ -37,10 +37,11 @@ from repro.streaming.traces import BandwidthTrace
 #: A tiny synthetic ladder: every frame offers the same five sizes.
 SIZES = (80_000, 40_000, 20_000, 10_000, 5_000)
 
-#: Heavyweight ladder for the backpressure test: even the min rung
+#: Heavyweight ladder for the backpressure tests: even the min rung
 #: (50 KB/frame) outweighs the throttled client's channel many times
-#: over, so kernel buffers fill, ``drain()`` blocks, and the send
-#: queue backs up into the deadline.
+#: over and is larger than its send window, so each frame waits for
+#: the previous one's ACK and the send queue backs up into the
+#: deadline.
 HEAVY_SIZES = (2_000_000, 1_000_000, 800_000, 600_000, 400_000)
 
 
@@ -96,9 +97,10 @@ class TestBackpressure:
     def test_throttled_fleet_engages_deadline_drops(self):
         # The acceptance scenario of the serving subsystem: 64 clients
         # each consuming at 2 Mbps while even the min rung wants
-        # 200 ms/frame against a 20 ms interval.  Socket buffers fill,
-        # ``drain()`` blocks, the send queue backs up, and frames
-        # queued past the 100 ms deadline are dropped instead of sent.
+        # 200 ms/frame against a 20 ms interval.  The send window (one
+        # deadline of the 2 Mbps hint) admits a frame only once the
+        # previous one is ACKed, the send queue backs up, and frames
+        # still unsent past the 100 ms deadline are dropped.
         setup = StreamSetup(
             scene="synthetic", target_fps=50.0, n_frames=40, controller="throughput"
         )
@@ -210,6 +212,70 @@ class TestBackpressure:
 
         report = asyncio.run(run())
         assert report.n_clients == 1, "stalled drain pinned the connection"
+        assert report.clients[0].deadline_drops > 0
+
+    @pytest.mark.parametrize("stall_s", [1.0, None], ids=["watchdog", "no-watchdog"])
+    def test_window_holds_frames_a_client_never_acks(self, stall_s):
+        # A client that reads every byte at loopback speed but never
+        # ACKs keeps the socket buffers empty, so ``drain()`` never
+        # blocks and only the ACK-clocked window can hold the sender
+        # back.  At a 2 Mbps hint and a 100 ms deadline the window is
+        # 25,000 bytes, less than one 50,023-byte min-rung frame: the
+        # first frame goes out alone and every later one waits for an
+        # ACK that never comes.  The wait ends on the watchdog, or
+        # without one when the pacer gives up on its sentinel.
+        async def run():
+            config = ServeConfig(
+                bank=_bank(HEAVY_SIZES),
+                port=0,
+                phy_trace=BandwidthTrace([0.0], [2.0]),
+                deadline_s=0.1,
+                queue_frames=8,
+                send_stall_timeout_s=stall_s,
+            )
+            server = StreamServer(config)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            frames: list[Frame] = []
+
+            async def consume(reader):
+                decoder = MessageDecoder()
+                try:
+                    while data := await reader.read(65536):
+                        frames.extend(
+                            m for m in decoder.feed(data) if isinstance(m, Frame)
+                        )
+                except (ConnectionError, OSError):
+                    pass  # an aborted transport resets the connection
+
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                setup = StreamSetup(
+                    scene="synthetic", target_fps=50.0, n_frames=40,
+                    controller="throughput",
+                )
+                writer.write(encode_message(Hello(setup=setup)))
+                await writer.drain()
+                consumer = asyncio.create_task(consume(reader))
+                # A window wait that never ends pins the connection
+                # until shutdown, so poll the *live* report.
+                deadline = loop.time() + 10.0
+                while server.report().n_clients == 0 and loop.time() < deadline:
+                    await asyncio.sleep(0.05)
+                report = server.report()
+                await asyncio.wait_for(consumer, 5.0)
+                writer.close()
+            finally:
+                await server.stop()
+            return report, frames
+
+        report, frames = asyncio.run(run())
+        assert report.n_clients == 1, "a client that never ACKs pinned the connection"
+        assert len(frames) == 1, "frames went out past a shut send window"
+        assert report.frames_sent == 0
+        assert report.dropped_frames == 40 - len(frames)
         assert report.clients[0].deadline_drops > 0
 
     def test_unknown_scene_is_rejected_at_handshake(self):
