@@ -15,6 +15,6 @@ depends on but no generic tool checks:
   vectorized kernel modules).
 
 Run ``python -m repro.analysis`` (stdlib-only, fast) or ``repro
-lint``.  See ``docs/analysis.md`` for the catalog, suppression, and
-baseline workflow.
+lint``.  Every finding fails; ``# noqa: RPR###`` suppresses one.  See
+``docs/analysis.md`` for the catalog and suppression.
 """

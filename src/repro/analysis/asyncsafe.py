@@ -28,7 +28,8 @@ from typing import Iterator
 from .determinism import dotted_name
 from .findings import Finding, ModuleContext, register_rule
 
-__all__ = ["check_rpr301", "check_rpr302", "check_rpr303"]
+#: The rules are read through the rule table, not by name.
+__all__: list[str] = []
 
 _BLOCKING_DOTTED = frozenset({
     "time.sleep",
@@ -70,7 +71,7 @@ def _async_defs(tree: ast.Module) -> Iterator[ast.AsyncFunctionDef]:
 
 
 @register_rule("RPR301", "blocking call in the immediate body of an `async def`")
-def check_rpr301(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
+def _check_rpr301(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
     for fn in _async_defs(tree):
         for node in _immediate_body(fn):
             if not isinstance(node, ast.Call):
@@ -97,7 +98,7 @@ def check_rpr301(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
 
 
 @register_rule("RPR302", "`asyncio.create_task` result dropped (task may be GC'd)")
-def check_rpr302(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
+def _check_rpr302(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
             continue
@@ -112,7 +113,7 @@ def check_rpr302(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
 
 
 @register_rule("RPR303", "`.write()` in an `async def` with no reachable `.drain()`")
-def check_rpr303(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
+def _check_rpr303(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
     for fn in _async_defs(tree):
         writes: list[ast.Call] = []
         has_drain = False

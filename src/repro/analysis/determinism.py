@@ -26,13 +26,7 @@ from typing import Iterator
 
 from .findings import Finding, ModuleContext, register_rule
 
-__all__ = [
-    "DETERMINISTIC_PACKAGES",
-    "check_rpr201",
-    "check_rpr202",
-    "check_rpr203",
-    "dotted_name",
-]
+__all__ = ["DETERMINISTIC_PACKAGES", "dotted_name"]
 
 #: Packages promising bit-for-bit determinism under a fixed seed.
 DETERMINISTIC_PACKAGES: tuple[str, ...] = (
@@ -75,7 +69,7 @@ def dotted_name(node: ast.AST) -> str | None:
 
 
 @register_rule("RPR201", "wall-clock read inside a deterministic package")
-def check_rpr201(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
+def _check_rpr201(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
     if not ctx.in_package(DETERMINISTIC_PACKAGES):
         return
     for node in ast.walk(tree):
@@ -91,7 +85,7 @@ def check_rpr201(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
 
 
 @register_rule("RPR202", "stdlib `random` module inside a deterministic package")
-def check_rpr202(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
+def _check_rpr202(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
     if not ctx.in_package(DETERMINISTIC_PACKAGES):
         return
     for node in ast.walk(tree):
@@ -121,7 +115,7 @@ def check_rpr202(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
 
 
 @register_rule("RPR203", "numpy legacy global RNG call (seed does not flow)")
-def check_rpr203(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
+def _check_rpr203(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue

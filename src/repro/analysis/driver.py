@@ -1,25 +1,19 @@
 """The analysis driver: walk files, run rules, filter, report.
 
 The pipeline per file is parse → run every registered rule → drop
-findings suppressed by an inline ``# noqa: RPR###`` → (at the run
-level) drop findings matched by the committed baseline.  Files are
-checked in parallel through :func:`repro.parallel.run_tasks` — each
-file is independent, so results are reassembled in path order and
-the output is identical for any worker count.
-
-The baseline file exists so the linter could have been adopted on a
-dirty tree; this repository keeps it **empty**, which makes every
-finding a CI failure.  ``--update-baseline`` rewrites it from the
-current findings when a rule must land before its cleanup.
+findings suppressed by an inline ``# noqa: RPR###``; every finding
+left is a failure.  Files are checked in parallel through
+:func:`repro.parallel.run_tasks` — each file is independent, so
+results are reassembled in path order and the output is identical for
+any worker count.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,13 +33,9 @@ __all__ = [
     "check_source",
     "check_file",
     "collect_files",
-    "load_baseline",
-    "write_baseline",
     "run",
     "rule_catalog",
 ]
-
-BASELINE_VERSION = 1
 
 #: ``# noqa`` (suppress everything) or ``# noqa: RPR101, RPR203``.
 _NOQA_RE = re.compile(
@@ -177,32 +167,6 @@ def collect_files(paths: Sequence[Path | str]) -> list[Path]:
     return sorted(files)
 
 
-# -- baseline -----------------------------------------------------------
-
-
-def load_baseline(path: Path | str) -> Counter[str]:
-    """Fingerprint multiset from a baseline file (empty if absent)."""
-    p = Path(path)
-    if not p.exists():
-        return Counter()
-    data = json.loads(p.read_text(encoding="utf-8"))
-    if data.get("version") != BASELINE_VERSION:
-        raise ValueError(
-            f"baseline {p} has version {data.get('version')!r}, "
-            f"expected {BASELINE_VERSION}"
-        )
-    return Counter(data.get("fingerprints", []))
-
-
-def write_baseline(path: Path | str, fingerprints: Iterable[str]) -> None:
-    """Write a baseline file absorbing exactly ``fingerprints``."""
-    payload = {
-        "version": BASELINE_VERSION,
-        "fingerprints": sorted(fingerprints),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
 # -- the run ------------------------------------------------------------
 
 
@@ -210,12 +174,8 @@ def write_baseline(path: Path | str, fingerprints: Iterable[str]) -> None:
 class AnalysisReport:
     """Outcome of one driver run over a file set."""
 
-    #: New findings (not absorbed by the baseline), sorted.
+    #: Every finding, sorted.
     findings: list[Finding]
-    #: Findings matched (and hidden) by the baseline.
-    baselined: list[Finding]
-    #: Fingerprints of *all* current findings, for ``--update-baseline``.
-    fingerprints: list[str] = field(default_factory=list)
     #: Number of files checked.
     n_files: int = 0
 
@@ -224,8 +184,9 @@ class AnalysisReport:
         return 1 if self.findings else 0
 
     def to_dict(self) -> dict:
+        """The ``--json`` report."""
         return {
-            "version": BASELINE_VERSION,
+            "version": 1,  # of this layout
             "files": self.n_files,
             "findings": [
                 {
@@ -237,7 +198,6 @@ class AnalysisReport:
                 }
                 for f in self.findings
             ],
-            "baselined": len(self.baselined),
             "counts": dict(Counter(f.rule for f in self.findings)),
         }
 
@@ -247,24 +207,14 @@ def _check_one(path: str, root: str, rules: tuple[str, ...] | None) -> list[Find
     return check_file(path, root=root or None, rules=rules)
 
 
-def _source_line(finding: Finding, root: Path) -> str:
-    try:
-        text = (root / finding.path).read_text(encoding="utf-8")
-        lines = text.splitlines()
-        return lines[finding.line - 1] if 0 < finding.line <= len(lines) else ""
-    except OSError:
-        return ""
-
-
 def run(
     paths: Sequence[Path | str],
     *,
     root: Path | str | None = None,
-    baseline: Path | str | None = None,
     rules: Iterable[str] | None = None,
     jobs: int = 1,
 ) -> AnalysisReport:
-    """Check ``paths``, apply the baseline, and report.
+    """Check ``paths`` and report every finding.
 
     ``jobs > 1`` fans files over a process pool, one task per file
     (:func:`repro.parallel.run_tasks`, which rejects a ``jobs`` that is
@@ -278,22 +228,5 @@ def run(
     work = [(str(f), str(root), rule_tuple) for f in files]
     per_file = run_tasks(_check_one, work, jobs)
 
-    all_findings = sorted(f for batch in per_file for f in batch)
-    fingerprints = [f.fingerprint(_source_line(f, root)) for f in all_findings]
-
-    absorbed = load_baseline(baseline) if baseline is not None else Counter()
-    new: list[Finding] = []
-    baselined: list[Finding] = []
-    budget = Counter(absorbed)
-    for finding, fingerprint in zip(all_findings, fingerprints):
-        if budget[fingerprint] > 0:
-            budget[fingerprint] -= 1
-            baselined.append(finding)
-        else:
-            new.append(finding)
-    return AnalysisReport(
-        findings=new,
-        baselined=baselined,
-        fingerprints=fingerprints,
-        n_files=len(files),
-    )
+    findings = sorted(f for batch in per_file for f in batch)
+    return AnalysisReport(findings=findings, n_files=len(files))

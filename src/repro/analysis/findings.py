@@ -44,15 +44,6 @@ class Finding:
         """Clickable ``file:line:col: RULE message`` text form."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
-    def fingerprint(self, source_line: str = "") -> str:
-        """Location-drift-tolerant identity used by the baseline file.
-
-        Keyed on file, rule, and the *text* of the offending line
-        rather than its number, so unrelated edits above a baselined
-        finding do not resurrect it.
-        """
-        return f"{self.path}::{self.rule}::{source_line.strip()}"
-
 
 @dataclass
 class ModuleContext:
@@ -63,7 +54,7 @@ class ModuleContext:
     #: Dotted module name (``repro.streaming.engine``); drives the
     #: per-package scoping of the determinism rules.
     module: str
-    #: Source text, for line lookups in messages/fingerprints.
+    #: Source text, for line lookups in messages.
     source: str
     #: True when the module is a vectorized-kernel module (RPR4xx).
     kernel: bool = False

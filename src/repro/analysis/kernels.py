@@ -23,7 +23,7 @@ from typing import Iterator
 from .determinism import dotted_name
 from .findings import Finding, ModuleContext, register_rule
 
-__all__ = ["KERNEL_MODULES", "KERNEL_PRAGMA", "check_rpr401"]
+__all__ = ["KERNEL_MODULES", "KERNEL_PRAGMA"]
 
 #: Modules promising vectorized (no per-element Python) inner loops.
 KERNEL_MODULES: tuple[str, ...] = ("repro.encoding.packing",)
@@ -102,7 +102,7 @@ def _scan(
 
 
 @register_rule("RPR401", "per-element Python loop in a kernel module")
-def check_rpr401(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
+def _check_rpr401(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
     if not ctx.kernel:
         return
     yield from _scan(tree, ctx, "<module>", set())

@@ -29,7 +29,8 @@ from typing import Iterator
 from .findings import Finding, ModuleContext, register_rule
 from .unitnames import describe, unit_of, unit_of_node
 
-__all__ = ["check_rpr101", "check_rpr102", "check_rpr103", "check_rpr104"]
+#: The rules are read through the rule table, not by name.
+__all__: list[str] = []
 
 #: Operators whose operands must share a unit.  Mult/Div/Pow/etc. are
 #: dimension-changing and deliberately absent.
@@ -47,7 +48,7 @@ def _mismatch(node_a: ast.AST, node_b: ast.AST) -> tuple[str, str, str, str] | N
 
 
 @register_rule("RPR101", "arithmetic/comparison mixes conflicting unit suffixes")
-def check_rpr101(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
+def _check_rpr101(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
     for node in ast.walk(tree):
         pairs: list[tuple[ast.AST, ast.AST, ast.AST]] = []
         if isinstance(node, ast.BinOp) and isinstance(node.op, _ADDITIVE):
@@ -71,7 +72,7 @@ def check_rpr101(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
 
 
 @register_rule("RPR102", "keyword argument unit suffix conflicts with its value")
-def check_rpr102(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
+def _check_rpr102(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -105,7 +106,7 @@ def _function_returns(fn: ast.AST) -> Iterator[ast.Return]:
 
 
 @register_rule("RPR103", "function name unit suffix conflicts with returned name")
-def check_rpr103(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
+def _check_rpr103(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -172,7 +173,7 @@ def _collect_callees(tree: ast.Module) -> tuple[_Callees, _Callees]:
 
 
 @register_rule("RPR104", "positional argument unit suffix conflicts with the parameter")
-def check_rpr104(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
+def _check_rpr104(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
     functions, methods = _collect_callees(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):

@@ -53,49 +53,6 @@ class FoveationConfig:
             )
 
 
-def _block_average(frame: np.ndarray, factor: int) -> np.ndarray:
-    """Box-downsample then nearest-upsample by ``factor`` (pad-safe)."""
-    height, width = frame.shape[:2]
-    pad_h = (-height) % factor
-    pad_w = (-width) % factor
-    padded = np.pad(frame, [(0, pad_h), (0, pad_w), (0, 0)], mode="edge")
-    ph, pw = padded.shape[:2]
-    blocks = padded.reshape(ph // factor, factor, pw // factor, factor, 3)
-    means = blocks.mean(axis=(1, 3))
-    up = np.repeat(np.repeat(means, factor, axis=0), factor, axis=1)
-    return up[:height, :width]
-
-
-def _foveate_frame(
-    frame_linear: np.ndarray,
-    eccentricity_deg: np.ndarray,
-    config: FoveationConfig | None = None,
-) -> np.ndarray:
-    """Apply ring-wise peripheral resolution reduction.
-
-    Returns the *reconstructed* frame (downsample + upsample), i.e.
-    what the display would show; the bit accounting in
-    :func:`foveated_bd_bits` charges only the reduced sample counts.
-    """
-    config = config or FoveationConfig()
-    frame = np.asarray(frame_linear, dtype=np.float64)
-    ecc = np.asarray(eccentricity_deg, dtype=np.float64)
-    if frame.ndim != 3 or frame.shape[2] != 3:
-        raise ValueError(f"frame must be (H, W, 3), got {frame.shape}")
-    if ecc.shape != frame.shape[:2]:
-        raise ValueError(
-            f"eccentricity map {ecc.shape} does not match frame {frame.shape[:2]}"
-        )
-    half = _block_average(frame, 2)
-    quarter = _block_average(frame, 4)
-    out = frame.copy()
-    ring2 = (ecc >= config.half_rate_deg) & (ecc < config.quarter_rate_deg)
-    ring4 = ecc >= config.quarter_rate_deg
-    out[ring2] = half[ring2]
-    out[ring4] = quarter[ring4]
-    return out
-
-
 def _downsample(frame: np.ndarray, factor: int) -> np.ndarray:
     """Box-downsample to the actual low-resolution layer (pad-safe)."""
     height, width = frame.shape[:2]

@@ -26,16 +26,11 @@ survives and is in fact strengthened: SCC loses badly to BD, its
 tables are far too large for a mobile SoC, and our scheme beats it by
 an even wider margin.
 
-Two implementations are provided:
-
-* :func:`greedy_set_cover` — the literal Chvatal greedy algorithm over
-  an explicit universe, exact but O(candidates x universe); used on
-  reduced color sets (the full 2^24 is out of reach for pure Python).
-* :func:`grid_cover` — a constructive cover marching the RGB cube in
-  steps sized to the inscribed cube of the local JND sphere; provably
-  covers the cube, runs in milliseconds, and approximates what greedy
-  converges to at scale.  The experiments use it to size the full-cube
-  table.
+:func:`grid_cover` builds the cover: it marches the RGB cube in steps
+sized to the inscribed cube of the local JND sphere, so it provably
+covers the cube, and it stands in for Chvatal's greedy heuristic, whose
+O(candidates x universe) cost puts the full 2^24 colors out of reach.
+The experiments use it to size the full-cube table.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ from ..perception.model import DiscriminationModel, default_model
 __all__ = [
     "SCCTable",
     "jnd_radius",
-    "greedy_set_cover",
     "grid_cover",
     "scc_bits_per_pixel",
     "DEFAULT_SCC_ECCENTRICITY",
@@ -136,49 +130,6 @@ class SCCTable:
     def decode_table_bytes(self) -> int:
         """Size of the index -> 24-bit color table."""
         return self.size * 3
-
-
-def greedy_set_cover(
-    universe: np.ndarray,
-    candidates: np.ndarray,
-    model: DiscriminationModel | None = None,
-    eccentricity: float = DEFAULT_SCC_ECCENTRICITY,
-) -> SCCTable:
-    """Chvatal's greedy heuristic on explicit point sets.
-
-    ``universe`` and ``candidates`` are ``(n, 3)`` arrays of normalized
-    sRGB colors.  Each candidate's set is the universe points within
-    its JND-proxy radius (in sRGB space).  Iteratively picks the candidate covering the most
-    uncovered points until everything is covered.
-
-    Every universe point must be coverable (each point always covers
-    itself, so passing ``candidates=universe`` guarantees termination).
-    """
-    model = model if model is not None else default_model()
-    uni = np.asarray(universe, dtype=np.float64)
-    cand = np.asarray(candidates, dtype=np.float64)
-    if uni.ndim != 2 or uni.shape[1] != 3 or cand.ndim != 2 or cand.shape[1] != 3:
-        raise ValueError("universe and candidates must be (n, 3) arrays")
-
-    radii = jnd_radius(cand, eccentricity, model)
-    # membership[i, j]: candidate i covers universe point j.
-    distances = np.linalg.norm(uni[None, :, :] - cand[:, None, :], axis=-1)
-    membership = distances <= radii[:, None]
-    uncovered = np.ones(uni.shape[0], dtype=bool)
-    chosen: list[int] = []
-    while uncovered.any():
-        gains = membership[:, uncovered].sum(axis=1)
-        best = int(gains.argmax())
-        if gains[best] == 0:
-            raise ValueError(
-                "universe contains points no candidate covers; include the "
-                "universe itself among the candidates"
-            )
-        chosen.append(best)
-        uncovered &= ~membership[best]
-    return SCCTable(
-        representatives=cand[chosen], universe_size=uni.shape[0], method="greedy"
-    )
 
 
 def _march(step_samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,20 +20,16 @@ We adopt that convention throughout and note the Eq. 2 typo here once.
 
 The matrix is nearly singular (determinant ~= 9.8e-5) because the G and
 B rows are almost parallel — a property of the underlying cone
-fundamentals — so its inverse has large entries.  All transforms go
-through an explicitly precomputed inverse to keep them bit-reproducible.
+fundamentals — so its inverse has large entries.  The inverse is
+precomputed once, so every conversion back to RGB multiplies by the
+same matrix and stays bit-reproducible.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "RGB_TO_DKL",
-    "DKL_TO_RGB",
-    "rgb_to_dkl",
-    "dkl_to_rgb",
-]
+__all__ = ["RGB_TO_DKL", "DKL_TO_RGB"]
 
 #: Constant linear map from linear RGB to DKL (paper Sec. 2.1).
 RGB_TO_DKL = np.array(
@@ -47,25 +43,3 @@ RGB_TO_DKL = np.array(
 
 #: Precomputed inverse map from DKL back to linear RGB.
 DKL_TO_RGB = np.linalg.inv(RGB_TO_DKL)
-
-
-def _transform(colors, matrix: np.ndarray, name: str) -> np.ndarray:
-    """Apply a 3x3 linear map to an array of 3-vectors (last axis = 3)."""
-    arr = np.asarray(colors, dtype=np.float64)
-    if arr.shape[-1] != 3:
-        raise ValueError(f"{name} expects last axis of size 3, got shape {arr.shape}")
-    return arr @ matrix.T
-
-
-def rgb_to_dkl(rgb) -> np.ndarray:
-    """Convert linear-RGB colors to DKL.
-
-    Accepts any array whose last axis has size 3; the transform is applied
-    per 3-vector.  Input is *linear* RGB (no gamma), per the paper.
-    """
-    return _transform(rgb, RGB_TO_DKL, "rgb_to_dkl")
-
-
-def dkl_to_rgb(dkl) -> np.ndarray:
-    """Convert DKL colors back to linear RGB (inverse of :func:`rgb_to_dkl`)."""
-    return _transform(dkl, DKL_TO_RGB, "dkl_to_rgb")

@@ -23,7 +23,6 @@ __all__ = [
     "linear_to_srgb",
     "srgb_to_linear",
     "encode_srgb8",
-    "decode_srgb8",
 ]
 
 #: Linear-domain breakpoint below which the sRGB curve is linear.
@@ -113,8 +112,8 @@ def encode_srgb8(linear) -> np.ndarray:
     This is the paper's ``f_s2r`` (Eq. 1) scaled to the 0..255 code range:
     the non-linear transfer followed by rounding to the nearest integer
     code.  Rounding (rather than a strict floor on the scaled value) is
-    what real framebuffer hardware does and keeps the function an exact
-    inverse of :func:`decode_srgb8` on code points.
+    what real framebuffer hardware does, and it maps each code's linear
+    value ``srgb_to_linear(code / 255)`` back to that code.
 
     Returns
     -------
@@ -127,24 +126,3 @@ def encode_srgb8(linear) -> np.ndarray:
     np.clip(encoded, 0, 255, out=encoded)
     codes = encoded.astype(np.uint8)
     return codes[()] if codes.ndim == 0 else codes
-
-
-def decode_srgb8(codes) -> np.ndarray:
-    """Map 8-bit sRGB codes back to linear RGB floats in ``[0, 1]``."""
-    codes = np.asarray(codes)
-    if codes.dtype.kind not in "iu":
-        raise TypeError(f"sRGB codes must be integers, got dtype {codes.dtype}")
-    if codes.size and (codes.min() < 0 or codes.max() > 255):
-        raise ValueError("sRGB codes must lie in [0, 255]")
-    return srgb_to_linear(codes.astype(np.float64) / 255.0)
-
-
-def _quantize_unit(values, levels: int = 256) -> np.ndarray:
-    """Quantize ``[0, 1]`` floats onto a uniform grid of ``levels`` codes.
-
-    Utility used by baselines that quantize in spaces other than sRGB.
-    """
-    if levels < 2:
-        raise ValueError(f"levels must be >= 2, got {levels}")
-    arr = np.clip(_as_float_array(values, "values"), 0.0, 1.0)
-    return np.round(arr * (levels - 1)) / (levels - 1)

@@ -38,17 +38,6 @@ def parse_hex(code: str) -> np.ndarray:
     return srgb_to_linear(srgb8 / 255.0)
 
 
-def _format_hex(srgb8) -> str:
-    """Format an 8-bit sRGB triple as ``#RRGGBB``."""
-    arr = np.asarray(srgb8)
-    if arr.shape != (3,):
-        raise ValueError(f"expected a single sRGB triple, got shape {arr.shape}")
-    values = [int(v) for v in arr]
-    if any(v < 0 or v > 255 for v in values):
-        raise ValueError(f"sRGB codes must lie in [0, 255], got {values}")
-    return "#" + "".join(f"{v:02X}" for v in values)
-
-
 def relative_luminance(rgb) -> np.ndarray:
     """Relative luminance of linear-RGB colors (Rec. 709 weights).
 

@@ -21,11 +21,10 @@ Two field layouts are supported:
 
 * equal width — :func:`pack_fields` / :func:`unpack_fields`, the
   per-run shape of fixed-width Base+Delta deltas;
-* per-run variable width via segment descriptors —
-  :func:`pack_segments` / :func:`unpack_segments`, where segment ``s``
-  carries ``counts[s]`` fields of ``widths[s]`` bits.  A whole BD
-  frame (header, per-tile bases, width fields, delta runs) is one such
-  descriptor list.
+* per-run variable width via segment descriptors — :func:`pack_segments`,
+  where segment ``s`` carries ``counts[s]`` fields of ``widths[s]``
+  bits.  A whole BD frame (header, per-tile bases, width fields, delta
+  runs) is one such descriptor list.
 
 An encoder that knows every field's bit offset up front needs no bit
 array at all: the private ``_pack_byte_windows`` adds each field of at
@@ -45,7 +44,6 @@ __all__ = [
     "pack_fields",
     "unpack_fields",
     "pack_segments",
-    "unpack_segments",
     "scatter_fields",
     "scatter_field_runs",
     "gather_fields",
@@ -204,49 +202,6 @@ def pack_segments(values, widths, counts) -> np.ndarray:
     within = np.arange(total, dtype=np.int64) - np.repeat(starts, field_widths)
     shifts = np.repeat(field_widths, field_widths) - 1 - within
     return ((spread_values >> shifts) & 1).astype(np.uint8)
-
-
-def unpack_segments(data, bit_offset: int, widths, counts) -> np.ndarray:
-    """Inverse of :func:`pack_segments`: read described runs of fields.
-
-    Parameters
-    ----------
-    data:
-        Byte stream or 0/1 bit array (see :func:`unpack_fields`).
-    bit_offset:
-        Bit position where the first segment starts.
-    widths, counts:
-        Segment descriptors: ``counts[s]`` fields of ``widths[s]`` bits.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``int64`` values of all fields, concatenated in stream order
-        (zero-width fields decode to 0).
-    """
-    w, c = _segment_arrays(widths, counts)
-    bits = data if isinstance(data, np.ndarray) else bytes_to_bits(data)
-    field_widths = np.repeat(w, c)
-    n_fields = field_widths.size
-    total = int(field_widths.sum())
-    if bit_offset + total > bits.size:
-        raise EOFError(
-            f"bitstream exhausted: need {total} bits at position "
-            f"{bit_offset}, stream has {bits.size}"
-        )
-    values = np.zeros(n_fields, dtype=np.int64)
-    if total == 0:
-        return values
-    nonzero = field_widths > 0
-    nz_widths = field_widths[nonzero]
-    ends = np.cumsum(nz_widths)
-    starts = ends - nz_widths
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, nz_widths)
-    shifts = np.repeat(nz_widths, nz_widths) - 1 - within
-    gathered = bits[bit_offset : bit_offset + total].astype(np.int64)
-    contributions = gathered << shifts
-    values[nonzero] = np.add.reduceat(contributions, starts)
-    return values
 
 
 def scatter_fields(bits: np.ndarray, starts, values, width: int, validate: bool = True) -> None:

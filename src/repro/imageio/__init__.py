@@ -1,1 +1,1 @@
-"""Image file writers: real PNG files and binary PPM, dependency-free."""
+"""Image file writer: real PNG files, dependency-free."""

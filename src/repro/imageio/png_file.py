@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..baselines.png_codec import png_filter_rows
+from ..baselines.png_codec import png_encode
 
 __all__ = ["write_png"]
 
@@ -36,26 +36,19 @@ def _chunk(tag: bytes, payload: bytes) -> bytes:
 def write_png(path, frame: np.ndarray, level: int = 6) -> int:
     """Write an ``(H, W, 3)`` uint8 frame as a standard PNG file.
 
-    Returns the number of bytes written.  Uses the same adaptive
-    per-row filtering as the bandwidth baseline, so file sizes match
-    the accounting (plus the fixed container overhead).
+    Returns the number of bytes written.  The IDAT payload is the
+    bandwidth baseline's own :func:`png_encode` payload, so file sizes
+    match the accounting (plus the fixed container overhead).
     """
     arr = np.asarray(frame)
     if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:
         raise ValueError(f"write_png expects (H, W, 3) uint8, got {arr.shape} {arr.dtype}")
     height, width = arr.shape[:2]
-
-    filter_ids, filtered = png_filter_rows(arr)
-    raw = bytearray()
-    for y in range(height):
-        raw.append(int(filter_ids[y]))
-        raw.extend(filtered[y].tobytes())
-
     ihdr = struct.pack(">IIBBBBB", width, height, 8, _COLOR_TYPE_RGB, 0, 0, 0)
     blob = (
         _SIGNATURE
         + _chunk(b"IHDR", ihdr)
-        + _chunk(b"IDAT", zlib.compress(bytes(raw), level))
+        + _chunk(b"IDAT", png_encode(arr, level).payload)
         + _chunk(b"IEND", b"")
     )
     path = Path(path)

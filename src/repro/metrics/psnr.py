@@ -4,7 +4,7 @@ The paper reports PSNR of the compressed frames to make a point: the
 scheme is *subjectively* clean while scoring poorly on objective
 metrics (mean 46 dB with huge variance, most scenes below 37 dB —
 normally "visible artifacts" territory).  We implement PSNR over
-8-bit sRGB frames, per frame and per channel.
+8-bit sRGB frames, per frame.
 """
 
 from __future__ import annotations
@@ -42,14 +42,3 @@ def psnr(reference, test, peak: float = 255.0) -> float:
     if error == 0:
         return float("inf")
     return float(10.0 * np.log10(peak * peak / error))
-
-
-def _psnr_per_channel(reference, test, peak: float = 255.0) -> np.ndarray:
-    """PSNR of each color channel separately, shape ``(C,)``."""
-    ref, tst = _validate_pair(reference, test)
-    if ref.ndim != 3:
-        raise ValueError(f"expected (H, W, C) images, got shape {ref.shape}")
-    out = np.empty(ref.shape[2])
-    for channel in range(ref.shape[2]):
-        out[channel] = psnr(ref[..., channel], tst[..., channel], peak=peak)
-    return out

@@ -38,13 +38,3 @@ def summarize(values) -> Summary:
         maximum=float(arr.max()),
         count=int(arr.size),
     )
-
-
-def _geometric_mean(values) -> float:
-    """Geometric mean of positive values (compression-ratio friendly)."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("cannot average an empty sample")
-    if arr.min() <= 0:
-        raise ValueError("geometric mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(arr))))

@@ -10,14 +10,13 @@ the RGB-space surface is
 
 This module provides, fully vectorized over batches of pixels:
 
-* the center-form matrix ``Q`` and the general quadric coefficients
-  ``A..I`` of the paper's Eq. 9 (both the raw polynomial and the paper's
-  Eq. 10 normalization with unit constant term);
 * per-channel extrema of an ellipsoid — the highest and lowest point
   along R, G or B — via the closed form ``p = center +/- Q^{-1} e_k /
   sqrt(e_k^T Q^{-1} e_k)``, which the tests cross-check against the
   paper's own Eq. 11-13 recipe (cross product of tangent planes, then
-  line-ellipsoid intersection in DKL).
+  line-ellipsoid intersection in DKL);
+* the Mahalanobis distance of points from ellipsoid centres, ``<= 1``
+  inside or on an ellipsoid.
 
 Channel indices follow numpy order: 0 = R, 1 = G, 2 = B.
 """
@@ -32,11 +31,8 @@ from ..color.dkl import DKL_TO_RGB, RGB_TO_DKL
 
 __all__ = [
     "ChannelExtrema",
-    "quadric_matrix",
-    "quadric_coefficients",
     "channel_halfwidth",
     "channel_extrema",
-    "contains",
     "mahalanobis",
 ]
 
@@ -86,73 +82,6 @@ class ChannelExtrema:
     high: np.ndarray
     displacement: np.ndarray
     axis: int
-
-
-def quadric_matrix(semi_axes) -> np.ndarray:
-    """Center-form quadric matrix ``Q`` in RGB space, batched.
-
-    ``Q`` depends only on the semi-axes (the center merely translates
-    the surface).  Returns shape ``(..., 3, 3)``.
-    """
-    s = np.asarray(semi_axes, dtype=np.float64)
-    if s.shape[-1] != 3:
-        raise ValueError(f"semi_axes needs trailing axis 3, got {s.shape}")
-    _check_semi_axes(s)
-    inv_sq = 1.0 / np.square(s)
-    # Q = T^T diag(inv_sq) T, batched over leading dims.
-    scaled = inv_sq[..., :, None] * RGB_TO_DKL
-    return np.swapaxes(np.broadcast_to(RGB_TO_DKL, scaled.shape), -1, -2) @ scaled
-
-
-def quadric_coefficients(centers, semi_axes) -> dict[str, np.ndarray]:
-    """Raw polynomial coefficients of the RGB-space quadric.
-
-    Expanding ``(p - c)^T Q (p - c) = 1`` gives
-
-        A x^2 + B y^2 + C z^2 + G xy + H yz + I zx
-        + D x + E y + F z + c0 = 0,
-
-    with ``c0 = c^T Q c - 1``.  Keys mirror the paper's Eq. 9 letters
-    plus ``"c0"``; each value has the batch's leading shape.  Unlike the
-    paper's normalized form this representation is valid even when the
-    ellipsoid contains the RGB origin.
-    """
-    c, s = _validate(centers, semi_axes)
-    q = quadric_matrix(s)
-    linear = -2.0 * np.einsum("...ij,...j->...i", q, c)
-    c0 = np.einsum("...i,...ij,...j->...", c, q, c) - 1.0
-    return {
-        "A": q[..., 0, 0],
-        "B": q[..., 1, 1],
-        "C": q[..., 2, 2],
-        "G": 2.0 * q[..., 0, 1],
-        "H": 2.0 * q[..., 1, 2],
-        "I": 2.0 * q[..., 0, 2],
-        "D": linear[..., 0],
-        "E": linear[..., 1],
-        "F": linear[..., 2],
-        "c0": c0,
-    }
-
-
-def _paper_normalized_coefficients(centers, semi_axes) -> dict[str, np.ndarray]:
-    """Eq. 10 form of the quadric: coefficients scaled to a ``+1`` constant.
-
-    The paper divides the polynomial by ``-t`` with ``t = 1 - kappa^T S
-    kappa`` so the constant term is exactly 1.  That normalization is
-    undefined when the ellipsoid surface passes through the RGB origin
-    (``c0 == 0``); practical discrimination ellipsoids are tiny and far
-    from the origin so ``c0 > 0`` always holds, but we raise explicitly
-    rather than divide by ~0.
-    """
-    coeffs = quadric_coefficients(centers, semi_axes)
-    c0 = coeffs.pop("c0")
-    if np.any(np.abs(c0) < 1e-12):
-        raise ValueError(
-            "quadric constant term vanishes; the paper's Eq. 10 normalization "
-            "is undefined for ellipsoids through the RGB origin"
-        )
-    return {key: value / c0 for key, value in coeffs.items()}
 
 
 def channel_halfwidth(semi_axes, axis: int) -> np.ndarray:
@@ -218,8 +147,3 @@ def mahalanobis(points, centers, semi_axes) -> np.ndarray:
     c, s = _validate(centers, semi_axes)
     delta_dkl = (p - c) @ RGB_TO_DKL.T
     return np.sqrt(np.sum(np.square(delta_dkl / s), axis=-1))
-
-
-def contains(points, centers, semi_axes, tolerance: float = 1e-9) -> np.ndarray:
-    """Boolean mask: is each point inside (or on) its ellipsoid?"""
-    return mahalanobis(points, centers, semi_axes) <= 1.0 + tolerance

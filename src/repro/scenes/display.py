@@ -151,18 +151,3 @@ class DisplayGeometry:
 
 #: Default headset geometry used throughout the experiments.
 QUEST2_DISPLAY = DisplayGeometry()
-
-
-def _peripheral_fraction(
-    eccentricity_map: np.ndarray, threshold_deg: float = 20.0
-) -> float:
-    """Fraction of pixels beyond an eccentricity threshold.
-
-    The paper motivates the approach with "above 90% of a frame's
-    pixels are in the peripheral vision (outside 20 deg)"; this helper
-    lets tests and examples verify the claim for our geometry.
-    """
-    ecc = np.asarray(eccentricity_map, dtype=np.float64)
-    if ecc.size == 0:
-        raise ValueError("eccentricity map is empty")
-    return float(np.mean(ecc > threshold_deg))

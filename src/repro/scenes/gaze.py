@@ -1,23 +1,12 @@
-"""Synthetic gaze traces and gaze prediction.
+"""Synthetic gaze traces.
 
 The paper's user study attributed some reported artifacts to "rendering
-lag or slow gaze detection" during rapid eye movement (Sec. 6.3).  To
-study — and mitigate — that effect, this module provides:
-
-* :func:`saccade_trace` — a synthetic eye-movement trace alternating
-  fixations with ballistic saccades (the standard two-state model of
-  free viewing);
-* :class:`LastSamplePredictor` / :class:`LinearPredictor` — what the
-  encoder believes the gaze is, given a tracker latency: either the
-  stale last sample, or a constant-velocity extrapolation from the two
-  most recent samples (what real eye-tracked headsets ship).
-
-The predictors expose a known subtlety the tests document: velocity
-extrapolation reduces error *during* an ongoing saccade but overshoots
-at saccade endings, so at saccade-scale latencies its whole-trace
-average is no better than the stale sample — gaze prediction is
-genuinely hard, which is why the paper's participants could see
-artifacts under rapid eye movement at all.
+lag or slow gaze detection" during rapid eye movement (Sec. 6.3).
+:func:`saccade_trace` generates the eye movement behind that effect: a
+synthetic trace alternating fixations with ballistic saccades (the
+standard two-state model of free viewing).  A fleet client that
+carries a trace fixates at its latest sample
+(:meth:`repro.streaming.fleet.ClientConfig.fixation_at`).
 """
 
 from __future__ import annotations
@@ -26,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "GazeSample",
-    "saccade_trace",
-    "LastSamplePredictor",
-    "LinearPredictor",
-]
+__all__ = ["GazeSample", "saccade_trace"]
 
 
 @dataclass(frozen=True)
@@ -97,74 +81,3 @@ def saccade_trace(
             time += dt
         position = target
     return samples
-
-
-class LastSamplePredictor:
-    """Gaze estimate = the most recent sample older than the latency."""
-
-    def predict(self, trace: list[GazeSample], now_s: float, latency_s: float):
-        """Return the (x, y) the encoder would use at time ``now_s``."""
-        if latency_s < 0:
-            raise ValueError(f"latency_s must be >= 0, got {latency_s}")
-        visible = [s for s in trace if s.time_s <= now_s - latency_s]
-        if not visible:
-            return (0.5, 0.5)
-        last = visible[-1]
-        return (last.x, last.y)
-
-
-class LinearPredictor:
-    """Velocity extrapolation with saccade gating.
-
-    Velocity is estimated over a ``velocity_window_s`` span (not
-    adjacent samples — fixation tremor would dominate) and only applied
-    when it exceeds ``min_speed`` — the saccade-detection deadband real
-    eye trackers use; during fixations the predictor degrades
-    gracefully to the last sample.  Extrapolation is capped at
-    ``max_extrapolation_s``.
-    """
-
-    def __init__(
-        self,
-        max_extrapolation_s: float = 0.1,
-        velocity_window_s: float = 0.025,
-        min_speed: float = 0.5,
-    ):
-        if max_extrapolation_s < 0:
-            raise ValueError("max_extrapolation_s must be >= 0")
-        if velocity_window_s <= 0:
-            raise ValueError("velocity_window_s must be positive")
-        if min_speed < 0:
-            raise ValueError("min_speed must be >= 0")
-        self.max_extrapolation_s = max_extrapolation_s
-        self.velocity_window_s = velocity_window_s
-        self.min_speed = min_speed
-
-    def predict(self, trace: list[GazeSample], now_s: float, latency_s: float):
-        if latency_s < 0:
-            raise ValueError(f"latency_s must be >= 0, got {latency_s}")
-        visible = [s for s in trace if s.time_s <= now_s - latency_s]
-        if not visible:
-            return (0.5, 0.5)
-        last = visible[-1]
-        if len(visible) == 1:
-            return (last.x, last.y)
-        # Reference sample one velocity window back (or the oldest).
-        cutoff = last.time_s - self.velocity_window_s
-        reference = visible[0]
-        for sample in reversed(visible[:-1]):
-            if sample.time_s <= cutoff:
-                reference = sample
-                break
-        dt = last.time_s - reference.time_s
-        if dt <= 0:
-            return (last.x, last.y)
-        vx = (last.x - reference.x) / dt
-        vy = (last.y - reference.y) / dt
-        if np.hypot(vx, vy) < self.min_speed:
-            return (last.x, last.y)  # fixation: do not amplify tremor
-        horizon = min(now_s - last.time_s, self.max_extrapolation_s)
-        return (
-            float(np.clip(last.x + vx * horizon, 0.0, 1.0)),
-            float(np.clip(last.y + vy * horizon, 0.0, 1.0)),
-        )

@@ -293,11 +293,6 @@ def get_scene(name: str) -> Scene:
         raise ValueError(f"unknown scene {name!r}; expected one of {SCENE_NAMES}") from None
 
 
-def _all_scenes() -> list[Scene]:
-    """All six scenes in plotting order."""
-    return [_SCENES[name] for name in SCENE_NAMES]
-
-
 def render_scene(name: str, height: int, width: int, frame: int = 0, eye: str | None = None):
     """Convenience wrapper: ``get_scene(name).render(...)``."""
     return get_scene(name).render(height, width, frame=frame, eye=eye)

@@ -20,14 +20,6 @@ __all__ = [
 ]
 
 
-def _solid(shape: tuple[int, int], color) -> np.ndarray:
-    """A constant-color frame of ``shape`` (height, width)."""
-    height, width = shape
-    frame = np.empty((height, width, 3), dtype=np.float64)
-    frame[:] = np.asarray(color, dtype=np.float64)
-    return frame
-
-
 def vertical_gradient(shape: tuple[int, int], top_color, bottom_color) -> np.ndarray:
     """Linear vertical blend from ``top_color`` to ``bottom_color``."""
     height, width = shape

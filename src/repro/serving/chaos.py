@@ -30,12 +30,7 @@ import numpy as np
 
 from ..streaming.validation import validate_probability
 
-__all__ = ["ChaosConfig", "ChaosInjector", "parse_chaos_spec", "CHAOS_ACTIONS"]
-
-#: Per-frame outcomes an injector can hand the sender, in evaluation
-#: order (reset is checked first so a configured reset rate is not
-#: shadowed by a high drop rate).
-CHAOS_ACTIONS = ("reset", "drop", "delay", "send")
+__all__ = ["ChaosConfig", "ChaosInjector", "parse_chaos_spec"]
 
 
 @dataclass(frozen=True)
@@ -180,7 +175,9 @@ class ChaosInjector:
         self.resets = 0
 
     def frame_action(self) -> str:
-        """Draw this frame's fate: one of :data:`CHAOS_ACTIONS`."""
+        """Draw this frame's fate: ``"reset"``, ``"drop"``, ``"delay"`` or
+        ``"send"``, checked in that order, so a configured reset rate is
+        not shadowed by a high drop rate."""
         config = self.config
         draw = float(self.rng.random())
         if draw < config.reset_prob:

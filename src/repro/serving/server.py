@@ -68,6 +68,12 @@ __all__ = ["ServeConfig", "ServedClientReport", "ServerReport", "StreamServer"]
 #: Bytes a FRAME message adds to its payload on the wire.
 _FRAME_OVERHEAD_BYTES = _HEADER.size + _FRAME_HEAD.size
 
+#: How long a fresh connection may take to present a valid HELLO.
+_HANDSHAKE_TIMEOUT_S = 5.0
+
+#: Upper clamp on a client's requested stream length, in frames.
+_MAX_FRAMES = 100_000
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -102,8 +108,6 @@ class ServeConfig:
     drain_grace_s:
         How long shutdown and stream completion wait for outstanding
         ACKs before closing anyway.
-    handshake_timeout_s:
-        How long a fresh connection may take to present a valid HELLO.
     send_stall_timeout_s:
         Per-frame watchdog on the sender: a client that keeps the TCP
         connection open but stops reading blocks ``drain()``
@@ -118,8 +122,6 @@ class ServeConfig:
         blocks instead of buffering megabytes in user space; ``None``
         keeps asyncio's default.  The bytes in flight to a client are
         bounded by the send window (see ``deadline_s``), not by this.
-    max_frames:
-        Upper clamp on a client's requested stream length.
     chaos:
         Optional :class:`~repro.serving.chaos.ChaosConfig` injecting
         frame drops, delays, and connection resets into every
@@ -136,10 +138,8 @@ class ServeConfig:
     deadline_s: float | None = 0.25
     queue_frames: int = 32
     drain_grace_s: float = 2.0
-    handshake_timeout_s: float = 5.0
     send_stall_timeout_s: float | None = 10.0
     write_buffer_bytes: int | None = 65536
-    max_frames: int = 100_000
     chaos: ChaosConfig | None = None
 
     def __post_init__(self):
@@ -157,8 +157,6 @@ class ServeConfig:
                 f"send_stall_timeout_s must be positive, "
                 f"got {self.send_stall_timeout_s}"
             )
-        if self.max_frames < 1:
-            raise ValueError(f"max_frames must be >= 1, got {self.max_frames}")
 
     def link_bps_at(self, time_s: float) -> float:
         """The PHY-rate hint a controller sees at session time ``time_s``."""
@@ -190,6 +188,9 @@ class ServedClientReport(ClientReport):
         Faults injected into this connection by the server's
         :class:`~repro.serving.chaos.ChaosConfig` (all zero when chaos
         is off).  A reset also drops the frame it interrupted.
+    in_flight_at_close:
+        Frames written to the socket whose ACK had not arrived when
+        the connection closed: neither delivered nor dropped.
     """
 
     deadline_drops: int = 0
@@ -199,6 +200,7 @@ class ServedClientReport(ClientReport):
     chaos_drops: int = field(default=0, metadata=OMIT_DEFAULT)
     chaos_delays: int = field(default=0, metadata=OMIT_DEFAULT)
     chaos_resets: int = field(default=0, metadata=OMIT_DEFAULT)
+    in_flight_at_close: int = field(default=0, metadata=OMIT_DEFAULT)
 
     @property
     def dropped_frames(self) -> int:
@@ -238,6 +240,11 @@ class ServerReport(ClientRollup):
     def queue_drops(self) -> int:
         """Summed queue-full drops across clients."""
         return sum(r.queue_drops for r in self.clients)
+
+    @property
+    def in_flight_at_close(self) -> int:
+        """Summed frames still un-ACKed at close across clients."""
+        return sum(r.in_flight_at_close for r in self.clients)
 
     @property
     def dropped_frames(self) -> int:
@@ -378,7 +385,7 @@ class _Connection:
         self.name = hello.client_name or session
         self.writer = writer
         self.interval_s = 1.0 / setup.target_fps
-        self.n_frames = min(setup.n_frames, config.max_frames)
+        self.n_frames = min(setup.n_frames, _MAX_FRAMES)
         self.state = AdaptationState(controller, ladder, start, self.interval_s)
         self.controller_name = controller.name
         self.queue: asyncio.Queue[_QueuedFrame | None] = asyncio.Queue(
@@ -715,6 +722,7 @@ class _Connection:
             chaos_drops=self.chaos.drops if self.chaos is not None else 0,
             chaos_delays=self.chaos.delays if self.chaos is not None else 0,
             chaos_resets=self.chaos.resets if self.chaos is not None else 0,
+            in_flight_at_close=len(self.in_flight),
         )
 
 
@@ -862,9 +870,7 @@ class StreamServer:
                     )
 
         # wait_for, not asyncio.timeout(): the support floor is 3.10.
-        hello = await asyncio.wait_for(
-            read_hello(), self.config.handshake_timeout_s
-        )
+        hello = await asyncio.wait_for(read_hello(), _HANDSHAKE_TIMEOUT_S)
         return hello, decoder
 
     async def _serve_connection(

@@ -31,12 +31,7 @@ from .reports import OMIT_DEFAULT
 from .traces import BandwidthTrace
 from .validation import validate_finite
 
-__all__ = ["WirelessLink", "WIFI6_LINK", "WIGIG_LINK", "HALF_NORMAL_MEAN_FACTOR"]
-
-#: Mean of a standard half-normal distribution: ``E[|N(0, 1)|]``.
-#: The jitter model draws ``abs(normal(0, jitter_ms))``, so the mean
-#: added delay is ``jitter_ms * HALF_NORMAL_MEAN_FACTOR`` milliseconds.
-HALF_NORMAL_MEAN_FACTOR = float(np.sqrt(2.0 / np.pi))
+__all__ = ["WirelessLink", "WIFI6_LINK", "WIGIG_LINK"]
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.foveated import (
-    FoveationConfig,
-    _foveate_frame,
-    foveated_bd_bits,
-)
+from repro.baselines.foveated import FoveationConfig, foveated_bd_bits
 from repro.codecs.context import FrameContext
 from repro.codecs.registry import get_codec
 from repro.codecs.wrappers import PerceptualCodec
@@ -26,38 +22,6 @@ def setup():
     frame = render_scene("skyline", 96, 96)
     ecc = QUEST2_DISPLAY.eccentricity_map(96, 96)
     return frame, ecc
-
-
-class TestFoveateFrame:
-    def test_fovea_untouched(self, setup):
-        frame, ecc = setup
-        out = _foveate_frame(frame, ecc)
-        foveal = ecc < FoveationConfig().half_rate_deg
-        assert np.array_equal(out[foveal], frame[foveal])
-
-    def test_periphery_blurred(self, setup):
-        frame, ecc = setup
-        out = _foveate_frame(frame, ecc)
-        periphery = ecc >= FoveationConfig().quarter_rate_deg
-        assert periphery.any()
-        assert not np.allclose(out[periphery], frame[periphery])
-
-    def test_output_in_gamut(self, setup):
-        frame, ecc = setup
-        out = _foveate_frame(frame, ecc)
-        assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_zero_thresholds_blur_everything(self, setup):
-        frame, ecc = setup
-        config = FoveationConfig(half_rate_deg=0.0, quarter_rate_deg=0.0)
-        out = _foveate_frame(frame, ecc, config)
-        # Everything is in the 4x ring: values constant over 4x4 blocks.
-        assert np.allclose(out[:4, :4], out[0, 0])
-
-    def test_shape_validation(self, setup):
-        frame, _ = setup
-        with pytest.raises(ValueError, match="does not match"):
-            _foveate_frame(frame, np.zeros((4, 4)))
 
 
 class TestFoveatedBits:
@@ -89,6 +53,11 @@ class TestFoveatedBits:
         plain = foveated_bd_bits(frame, ecc)
         composed = foveated_bd_bits(frame, ecc, codec=PerceptualCodec())
         assert composed < plain
+
+    def test_shape_validation(self, setup):
+        frame, _ = setup
+        with pytest.raises(ValueError, match="does not match"):
+            foveated_bd_bits(frame, np.zeros((4, 4)))
 
 
 class TestConfigValidation:

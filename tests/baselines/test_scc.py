@@ -7,19 +7,11 @@ from repro.baselines.scc import (
     DEFAULT_SCC_ECCENTRICITY,
     RADIUS_FLOOR,
     SCCTable,
-    greedy_set_cover,
     grid_cover,
     jnd_radius,
     scc_bits_per_pixel,
 )
 from repro.perception.model import ParametricModel
-
-
-@pytest.fixture(scope="module")
-def small_universe():
-    rng = np.random.default_rng(0)
-    # A tight sRGB color cluster so greedy can cover it with few reps.
-    return 0.5 + 0.01 * rng.uniform(-1, 1, (150, 3))
 
 
 class TestJndRadius:
@@ -39,49 +31,6 @@ class TestJndRadius:
     def test_rejects_bad_shape(self, model):
         with pytest.raises(ValueError, match="trailing axis"):
             jnd_radius(np.zeros((4, 2)), 20.0, model)
-
-
-class TestGreedy:
-    def test_covers_everything(self, small_universe, model):
-        table = greedy_set_cover(small_universe, small_universe, model=model)
-        radii = jnd_radius(table.representatives, DEFAULT_SCC_ECCENTRICITY, model)
-        distances = np.linalg.norm(
-            small_universe[None, :, :] - table.representatives[:, None, :], axis=-1
-        )
-        assert ((distances <= radii[:, None]).any(axis=0)).all()
-
-    def test_compresses_cluster(self, small_universe, model):
-        table = greedy_set_cover(small_universe, small_universe, model=model)
-        assert table.size < small_universe.shape[0] / 2
-
-    def test_deterministic(self, small_universe, model):
-        a = greedy_set_cover(small_universe, small_universe, model=model)
-        b = greedy_set_cover(small_universe, small_universe, model=model)
-        assert np.array_equal(a.representatives, b.representatives)
-
-    def test_single_point_universe(self, model):
-        point = np.array([[0.5, 0.5, 0.5]])
-        table = greedy_set_cover(point, point, model=model)
-        assert table.size == 1
-
-    def test_uncoverable_universe_rejected(self, model):
-        universe = np.array([[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]])
-        candidates = np.array([[0.5, 0.5, 0.5]])
-        with pytest.raises(ValueError, match="no candidate covers"):
-            greedy_set_cover(universe, candidates, model=model)
-
-    def test_rejects_bad_shapes(self, model):
-        with pytest.raises(ValueError, match=r"\(n, 3\)"):
-            greedy_set_cover(np.zeros((4, 2)), np.zeros((4, 2)), model=model)
-
-    def test_larger_ellipsoids_need_fewer_reps(self, small_universe, model):
-        near = greedy_set_cover(
-            small_universe, small_universe, model=model, eccentricity=5.0
-        )
-        far = greedy_set_cover(
-            small_universe, small_universe, model=model, eccentricity=40.0
-        )
-        assert far.size <= near.size
 
 
 @pytest.mark.slow  # full-gamut cover construction takes minutes

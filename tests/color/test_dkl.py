@@ -1,12 +1,8 @@
 """Tests for the RGB<->DKL transform (paper Eq. 2)."""
 
 import numpy as np
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from repro.color.dkl import DKL_TO_RGB, RGB_TO_DKL, dkl_to_rgb, rgb_to_dkl
+from repro.color.dkl import DKL_TO_RGB, RGB_TO_DKL
 
 
 class TestMatrix:
@@ -24,44 +20,3 @@ class TestMatrix:
         det = np.linalg.det(RGB_TO_DKL)
         assert det != 0
         assert abs(det) < 1e-3  # the documented near-singularity
-
-
-class TestTransforms:
-    def test_single_color_round_trip(self):
-        color = np.array([0.3, 0.6, 0.1])
-        assert np.allclose(dkl_to_rgb(rgb_to_dkl(color)), color, atol=1e-9)
-
-    def test_matches_matrix_product(self):
-        color = np.array([0.25, 0.5, 0.75])
-        assert np.allclose(rgb_to_dkl(color), RGB_TO_DKL @ color)
-
-    def test_batch_shapes_preserved(self):
-        batch = np.zeros((4, 5, 3))
-        assert rgb_to_dkl(batch).shape == (4, 5, 3)
-
-    def test_rejects_wrong_trailing_axis(self):
-        with pytest.raises(ValueError, match="last axis"):
-            rgb_to_dkl(np.zeros((4, 4)))
-
-    def test_black_maps_to_origin(self):
-        assert np.allclose(rgb_to_dkl([0.0, 0.0, 0.0]), 0.0)
-
-    def test_linearity(self):
-        a = np.array([0.1, 0.2, 0.3])
-        b = np.array([0.4, 0.1, 0.2])
-        assert np.allclose(
-            rgb_to_dkl(a) + rgb_to_dkl(b), rgb_to_dkl(a + b), atol=1e-12
-        )
-
-    @given(
-        arrays(
-            np.float64,
-            (7, 3),
-            elements=st.floats(min_value=-10, max_value=10, allow_nan=False),
-        )
-    )
-    def test_round_trip_property(self, colors):
-        recovered = dkl_to_rgb(rgb_to_dkl(colors))
-        # The matrix is near-singular, so allow a generous relative
-        # tolerance scaled by the inverse's conditioning.
-        assert np.allclose(recovered, colors, atol=1e-6)

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from repro.color.srgb import (
     LINEAR_THRESHOLD,
     SRGB_THRESHOLD,
-    decode_srgb8,
     encode_srgb8,
     linear_to_srgb,
-    _quantize_unit,
     srgb_to_linear,
 )
 
@@ -85,7 +83,7 @@ class TestTransferFunction:
 class TestQuantized:
     def test_all_codes_round_trip(self):
         codes = np.arange(256, dtype=np.uint8)
-        recovered = encode_srgb8(decode_srgb8(codes))
+        recovered = encode_srgb8(srgb_to_linear(codes / 255.0))
         assert np.array_equal(recovered, codes)
 
     def test_output_dtype(self):
@@ -95,22 +93,9 @@ class TestQuantized:
         assert encode_srgb8(0.0) == 0
         assert encode_srgb8(1.0) == 255
 
-    def test_decode_rejects_floats(self):
-        with pytest.raises(TypeError, match="integers"):
-            decode_srgb8(np.array([0.5]))
-
-    def test_decode_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match=r"\[0, 255\]"):
-            decode_srgb8(np.array([300]))
-
-    def test_decode_values_in_unit_interval(self):
-        values = decode_srgb8(np.arange(256))
-        assert values.min() == 0.0
-        assert values.max() == pytest.approx(1.0)
-
     def test_quantization_error_bounded(self):
         x = np.linspace(0, 1, 999)
-        recovered = decode_srgb8(encode_srgb8(x))
+        recovered = srgb_to_linear(encode_srgb8(x) / 255.0)
         # Half a code of sRGB error, mapped through the steepest part
         # of the inverse transfer (slope 1/12.92 near black).
         assert np.max(np.abs(linear_to_srgb(recovered) - linear_to_srgb(x))) <= 0.5 / 255 + 1e-9
@@ -165,24 +150,3 @@ class TestOneBufferMatchesBranchOracle:
             for bad in (np.nan, np.inf, [0.5, -np.inf]):
                 with pytest.raises(ValueError, match="finite"):
                     function(bad)
-
-
-class TestQuantizeUnit:
-    def test_endpoints_preserved(self):
-        assert _quantize_unit(0.0) == 0.0
-        assert _quantize_unit(1.0) == 1.0
-
-    def test_grid_size(self):
-        values = _quantize_unit(np.linspace(0, 1, 100), levels=4)
-        unique = np.unique(values)
-        assert len(unique) == 4
-        assert np.allclose(unique, [0.0, 1 / 3, 2 / 3, 1.0])
-
-    def test_rejects_bad_levels(self):
-        with pytest.raises(ValueError, match="levels"):
-            _quantize_unit([0.5], levels=1)
-
-    @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=2, max_value=256))
-    def test_error_bounded_by_half_step(self, x, levels):
-        q = float(_quantize_unit(x, levels=levels))
-        assert abs(q - x) <= 0.5 / (levels - 1) + 1e-12

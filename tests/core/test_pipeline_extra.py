@@ -8,7 +8,7 @@ from repro.perception.adaptation import DarkAdaptedModel
 from repro.perception.calibration import ObserverProfile, calibrated_model
 from repro.perception.model import ParametricModel
 from repro.scenes.display import QUEST2_DISPLAY
-from repro.scenes.gaze import LastSamplePredictor, saccade_trace
+from repro.scenes.gaze import saccade_trace
 from repro.scenes.library import render_scene
 
 
@@ -23,13 +23,14 @@ def frame():
 
 class TestGazeDrivenEncoding:
     def test_trace_driven_fixations_produce_valid_encodings(self, frame):
-        """End-to-end: gaze trace -> predictor -> eccentricity map ->
-        encoder, the loop a real system runs per frame."""
+        """End-to-end: gaze trace -> last sample 10 ms before now ->
+        eccentricity map -> encoder, the loop a real system runs per
+        frame."""
         trace = saccade_trace(0.5, rng=np.random.default_rng(2))
-        predictor = LastSamplePredictor()
         encoder = PerceptualCodec()
         for now in (0.1, 0.3, 0.45):
-            fixation = predictor.predict(trace, now, latency_s=0.01)
+            last = [s for s in trace if s.time_s <= now - 0.01][-1]
+            fixation = (last.x, last.y)
             ecc = QUEST2_DISPLAY.eccentricity_map(64, 64, fixation=fixation)
             result = _encode(encoder, frame, ecc)
             assert result.max_mahalanobis <= 1.0 + 1e-9

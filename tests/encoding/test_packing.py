@@ -23,7 +23,6 @@ from repro.encoding.packing import (
     scatter_fields,
     sliding_field_values,
     unpack_fields,
-    unpack_segments,
 )
 
 from bitio import BitReader, BitWriter
@@ -136,24 +135,6 @@ class TestSegments:
         packed = bits_to_bytes(pack_segments(values, widths, counts))
         assert packed == _write_segments(segments)
 
-    @settings(max_examples=60, deadline=None)
-    @given(_segments_strategy())
-    def test_unpack_inverts_pack(self, segments):
-        widths = [w for w, _ in segments]
-        counts = [len(vals) for _, vals in segments]
-        values = [v for _, vals in segments for v in vals]
-        data = _write_segments(segments)
-        out = unpack_segments(data, 0, widths, counts)
-        assert out.tolist() == values
-
-    def test_unpack_at_offset(self):
-        writer = BitWriter()
-        writer.write(0b11, 2)
-        writer.write_many([3, 0, 5], 3)
-        writer.write_many([200, 17], 8)
-        out = unpack_segments(writer.getvalue(), 2, [3, 8], [3, 2])
-        assert out.tolist() == [3, 0, 5, 200, 17]
-
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="counts sum"):
             pack_segments([1, 2, 3], [4], [2])
@@ -165,10 +146,6 @@ class TestSegments:
     def test_mismatched_descriptors_rejected(self):
         with pytest.raises(ValueError, match="matching 1-D"):
             pack_segments([1], [3, 4], [1])
-
-    def test_unpack_eof_raises(self):
-        with pytest.raises(EOFError, match="exhausted"):
-            unpack_segments(b"\x00", 0, [8], [2])
 
 
 class TestScatterFields:

@@ -1,11 +1,10 @@
-"""Reference readers: the oracles of the package's PNG and PPM writers.
+"""Reference reader: the oracle of the package's PNG writer.
 
 ``repro.imageio`` only writes image files; nothing in the package reads
-them back.  These readers, once part of the package, parse exactly the
-subset the writers produce (8-bit RGB, non-interlaced, one IDAT
-sequence for PNG; binary P6 with maxval 255 for PPM) and reject
-anything else, so ``tests/test_imageio.py`` can hold every written file
-to a byte-exact round trip.
+them back.  This reader, once part of the package, parses exactly the
+subset the writer produces (8-bit RGB, non-interlaced, one IDAT
+sequence) and rejects anything else, so ``tests/test_imageio.py`` can
+hold every written file to a byte-exact round trip.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from repro.baselines.png_codec import png_unfilter_rows
 
-__all__ = ["read_png", "read_ppm"]
+__all__ = ["read_png"]
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _COLOR_TYPE_RGB = 2
@@ -66,20 +65,3 @@ def read_png(path) -> np.ndarray:
         filter_ids[y] = stream[start]
         filtered[y] = np.frombuffer(stream, np.uint8, row_bytes, start + 1)
     return png_unfilter_rows(filter_ids, filtered, (height, width, 3))
-
-
-def read_ppm(path) -> np.ndarray:
-    """Read a binary PPM written by ``write_ppm``."""
-    data = Path(path).read_bytes()
-    parts = data.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P6":
-        raise ValueError(f"{path}: not a binary PPM (P6) file")
-    try:
-        width, height = (int(v) for v in parts[1].split())
-        maxval = int(parts[2])
-    except ValueError as error:
-        raise ValueError(f"{path}: malformed PPM header") from error
-    if maxval != 255:
-        raise ValueError(f"{path}: only 8-bit PPM supported, got maxval {maxval}")
-    pixels = np.frombuffer(parts[3], dtype=np.uint8, count=height * width * 3)
-    return pixels.reshape(height, width, 3).copy()

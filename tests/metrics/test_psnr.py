@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.psnr import mse, psnr, _psnr_per_channel
+from repro.metrics.psnr import mse, psnr
 
 
 class TestMSE:
@@ -54,18 +54,3 @@ class TestPSNR:
     def test_rejects_bad_peak(self):
         with pytest.raises(ValueError, match="peak"):
             psnr(np.zeros((2, 2)), np.zeros((2, 2)), peak=0.0)
-
-
-class TestPerChannel:
-    def test_isolates_channels(self):
-        a = np.zeros((4, 4, 3), dtype=np.uint8)
-        b = a.copy()
-        b[..., 2] = 10  # damage blue only
-        values = _psnr_per_channel(a, b)
-        assert values[0] == float("inf")
-        assert values[1] == float("inf")
-        assert np.isfinite(values[2])
-
-    def test_requires_3d(self):
-        with pytest.raises(ValueError, match=r"\(H, W, C\)"):
-            _psnr_per_channel(np.zeros((4, 4)), np.zeros((4, 4)))

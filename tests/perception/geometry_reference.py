@@ -3,7 +3,8 @@
 :func:`repro.perception.geometry.channel_extrema` uses a Lagrange closed
 form; this module keeps the paper's construction — cross product of
 tangent planes, then line-ellipsoid intersection in DKL — as an
-independent cross-check the geometry tests compare against.
+independent cross-check the geometry tests compare against, with the
+quadric matrix of Eq. 9-10 it starts from.
 """
 
 from __future__ import annotations
@@ -11,7 +12,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.color.dkl import DKL_TO_RGB, RGB_TO_DKL
-from repro.perception.geometry import ChannelExtrema, quadric_matrix
+from repro.perception.geometry import ChannelExtrema
+
+
+def quadric_matrix(semi_axes) -> np.ndarray:
+    """Center-form quadric matrix ``Q`` in RGB space, batched.
+
+    ``Q = T^T diag(1/s^2) T`` with ``T = RGB_TO_DKL``; it depends only
+    on the semi-axes (the center merely translates the surface).
+    Returns shape ``(..., 3, 3)``.
+    """
+    s = np.asarray(semi_axes, dtype=np.float64)
+    if s.shape[-1] != 3:
+        raise ValueError(f"semi_axes needs trailing axis 3, got {s.shape}")
+    # Written so that NaN fails it: every comparison with NaN is False.
+    if s.size and not (s.min() > 0.0 and s.max() < np.inf):
+        raise ValueError("semi-axes must be finite and strictly positive")
+    scaled = (1.0 / np.square(s))[..., :, None] * RGB_TO_DKL
+    return np.swapaxes(np.broadcast_to(RGB_TO_DKL, scaled.shape), -1, -2) @ scaled
 
 
 def channel_extrema_paper(centers, semi_axes, axis: int) -> ChannelExtrema:

@@ -9,7 +9,6 @@ from repro.scenes.display import (
     QUEST2_LOW_RESOLUTION,
     QUEST2_REFRESH_RATES,
     DisplayGeometry,
-    _peripheral_fraction,
 )
 
 
@@ -43,7 +42,7 @@ class TestEccentricityMap:
     def test_most_pixels_peripheral(self):
         """The paper's motivation: >90% of pixels beyond 20 deg."""
         ecc = QUEST2_DISPLAY.eccentricity_map(128, 128)
-        assert _peripheral_fraction(ecc, 20.0) > 0.9
+        assert np.mean(ecc > 20.0) > 0.9
 
     def test_rejects_out_of_frame_fixation(self):
         with pytest.raises(ValueError, match="fixation"):
@@ -129,15 +128,3 @@ class TestQuestConstants:
 
     def test_refresh_rates(self):
         assert QUEST2_REFRESH_RATES == (72, 80, 90, 120)
-
-
-class TestPeripheralFraction:
-    def test_all_foveal(self):
-        assert _peripheral_fraction(np.zeros((4, 4)), 20.0) == 0.0
-
-    def test_all_peripheral(self):
-        assert _peripheral_fraction(np.full((4, 4), 30.0), 20.0) == 1.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            _peripheral_fraction(np.zeros((0,)), 20.0)

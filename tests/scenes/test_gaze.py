@@ -1,14 +1,9 @@
-"""Tests for synthetic gaze traces and gaze prediction."""
+"""Tests for synthetic gaze traces."""
 
 import numpy as np
 import pytest
 
-from repro.scenes.gaze import (
-    GazeSample,
-    LastSamplePredictor,
-    LinearPredictor,
-    saccade_trace,
-)
+from repro.scenes.gaze import saccade_trace
 
 
 @pytest.fixture(scope="module")
@@ -49,79 +44,3 @@ class TestSaccadeTrace:
             saccade_trace(0.0)
         with pytest.raises(ValueError, match="sample_rate_hz"):
             saccade_trace(1.0, sample_rate_hz=0.0)
-
-
-class TestPredictors:
-    def test_zero_latency_returns_current_sample(self, trace):
-        now = trace[len(trace) // 2].time_s
-        middle = trace[len(trace) // 2]
-        x, y = LastSamplePredictor().predict(trace, now, 0.0)
-        assert (x, y) == (middle.x, middle.y)
-
-    def test_latency_returns_stale_sample(self, trace):
-        now = trace[-10].time_s
-        stale_x, stale_y = LastSamplePredictor().predict(trace, now, 0.1)
-        visible = [s for s in trace if s.time_s <= now - 0.1]
-        assert (stale_x, stale_y) == (visible[-1].x, visible[-1].y)
-
-    def test_before_first_sample_defaults_to_center(self, trace):
-        assert LastSamplePredictor().predict(trace, 0.0, 1.0) == (0.5, 0.5)
-        assert LinearPredictor().predict(trace, 0.0, 1.0) == (0.5, 0.5)
-
-    def test_linear_helps_mid_saccade(self, trace):
-        """Extrapolation reduces error while a saccade is in flight —
-        the regime where the paper's participants saw artifacts."""
-        latency = 0.03
-        last = LastSamplePredictor()
-        linear = LinearPredictor(max_extrapolation_s=0.03)
-        errors_last, errors_linear = [], []
-        for index in range(51, len(trace)):
-            sample, previous = trace[index], trace[index - 1]
-            speed = np.hypot(sample.x - previous.x, sample.y - previous.y) / (
-                sample.time_s - previous.time_s
-            )
-            if speed <= 2.0:
-                continue  # only mid-saccade samples
-            truth = np.array([sample.x, sample.y])
-            for predictor, errors in ((last, errors_last), (linear, errors_linear)):
-                guess = np.array(predictor.predict(trace, sample.time_s, latency))
-                errors.append(np.linalg.norm(guess - truth))
-        assert errors_last  # premise: the trace contains saccades
-        assert np.mean(errors_linear) < np.mean(errors_last)
-
-    def test_linear_no_worse_in_fixations(self):
-        """The saccade-gating deadband keeps fixation predictions
-        identical to the last sample (no tremor amplification).  Uses a
-        pure-fixation trace so every stale window is tremor-only."""
-        rng = np.random.default_rng(4)
-        trace = [
-            GazeSample(i / 120.0, 0.5 + rng.normal(0, 0.002), 0.5 + rng.normal(0, 0.002))
-            for i in range(120)
-        ]
-        last = LastSamplePredictor()
-        linear = LinearPredictor()
-        for sample in trace[10::5]:
-            assert linear.predict(trace, sample.time_s, 0.03) == (
-                last.predict(trace, sample.time_s, 0.03)
-            )
-
-    def test_linear_extrapolation_capped(self, trace):
-        """With a zero cap, linear prediction degenerates to the last
-        sample."""
-        capped = LinearPredictor(max_extrapolation_s=0.0)
-        for sample in trace[::30]:
-            assert capped.predict(trace, sample.time_s, 0.08) == (
-                LastSamplePredictor().predict(trace, sample.time_s, 0.08)
-            )
-
-    def test_predictions_stay_in_unit_square(self, trace):
-        linear = LinearPredictor()
-        for sample in trace[::50]:
-            x, y = linear.predict(trace, sample.time_s, 0.1)
-            assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
-
-    def test_negative_latency_rejected(self, trace):
-        with pytest.raises(ValueError, match="latency_s"):
-            LastSamplePredictor().predict(trace, 1.0, -0.1)
-        with pytest.raises(ValueError, match="latency_s"):
-            LinearPredictor().predict(trace, 1.0, -0.1)

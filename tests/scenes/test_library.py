@@ -12,7 +12,7 @@ import pytest
 import repro
 from repro.color.srgb import encode_srgb8
 from repro.color.utils import relative_luminance
-from repro.scenes.library import SCENE_NAMES, _all_scenes, get_scene, render_scene
+from repro.scenes.library import SCENE_NAMES, get_scene, render_scene
 
 
 class TestRegistry:
@@ -20,7 +20,7 @@ class TestRegistry:
         assert SCENE_NAMES == ("office", "fortnite", "skyline", "dumbo", "thai", "monkey")
 
     def test_all_scenes_order(self):
-        assert [s.name for s in _all_scenes()] == list(SCENE_NAMES)
+        assert [get_scene(name).name for name in SCENE_NAMES] == list(SCENE_NAMES)
 
     def test_unknown_scene_rejected(self):
         with pytest.raises(ValueError, match="unknown scene"):

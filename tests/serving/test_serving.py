@@ -277,6 +277,10 @@ class TestBackpressure:
         assert report.frames_sent == 0
         assert report.dropped_frames == 40 - len(frames)
         assert report.clients[0].deadline_drops > 0
+        # The one frame written and never ACKed is in flight at close,
+        # so every paced frame has an outcome.
+        assert report.in_flight_at_close == len(frames)
+        assert report.frames_sent + report.dropped_frames + report.in_flight_at_close == 40
 
     def test_unknown_scene_is_rejected_at_handshake(self):
         async def run():

@@ -19,6 +19,8 @@ carries at least 8 tracer clients.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -32,7 +34,7 @@ from repro.streaming.engine import (
     StreamingEngine,
     StreamSpec,
 )
-from repro.streaming.link import HALF_NORMAL_MEAN_FACTOR, WirelessLink
+from repro.streaming.link import WirelessLink
 from repro.streaming.loss import RECOVERY_CHOICES, LossTrace
 from repro.streaming.traces import BandwidthTrace
 
@@ -250,7 +252,7 @@ def test_jittery_bulk_rollup_within_tolerance_band(specs, scheduler, seed):
     report = simulate_cohort_fleet(specs, link, scheduler=scheduler, seed=seed)
     baseline = simulate_cohort_fleet(specs, twin, scheduler=scheduler, seed=seed)
 
-    jitter_mean_s = jitter_ms * 1e-3 * HALF_NORMAL_MEAN_FACTOR
+    jitter_mean_s = jitter_ms * 1e-3 * math.sqrt(2 / math.pi)
     expected_mean_s = baseline.mean_latency_s + jitter_mean_s
     # The sample mean of the jitter component concentrates as 1/sqrt(n);
     # a 4-sigma band keeps hypothesis from hunting unlucky seeds while

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.streaming.link import (
-    HALF_NORMAL_MEAN_FACTOR,
-    WIFI6_LINK,
-    WIGIG_LINK,
-    WirelessLink,
-)
+from repro.streaming.link import WIFI6_LINK, WIGIG_LINK, WirelessLink
 
 
 class TestTiming:
@@ -47,7 +42,7 @@ class TestTiming:
             [(link.overhead_time_s(rng) - 0.005) * 1e3 for _ in range(4000)]
         )
         assert np.all(samples_ms >= 0)  # one-sided by construction
-        expected_mean = scale_ms * HALF_NORMAL_MEAN_FACTOR
+        expected_mean = scale_ms * np.sqrt(2.0 / np.pi)
         assert samples_ms.mean() == pytest.approx(expected_mean, rel=0.05)
 
     def test_sustainable_fps(self):

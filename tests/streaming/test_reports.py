@@ -167,6 +167,7 @@ def _served_client():
     return ServedClientReport(
         **CLIENT_FIELDS, deadline_drops=1, queue_drops=2, protocol_errors=3,
         bytes_sent=4, chaos_drops=5, chaos_delays=6, chaos_resets=7,
+        in_flight_at_close=8,
     )
 
 

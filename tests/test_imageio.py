@@ -1,14 +1,16 @@
-"""Tests for the PNG-file and PPM writers, read back by the reference readers."""
+"""Tests for the PNG-file writer, read back by the reference reader."""
+
+import struct
 
 import numpy as np
 import pytest
 
+from repro.baselines.png_codec import png_encode
 from repro.color.srgb import encode_srgb8
 from repro.imageio.png_file import write_png
-from repro.imageio.ppm import write_ppm
 from repro.scenes.library import render_scene
 
-from imageio_reference import read_png, read_ppm
+from imageio_reference import read_png
 
 
 @pytest.fixture
@@ -62,25 +64,17 @@ class TestPNGFile:
         best = write_png(tmp_path / "l9.png", scene_frame, level=9)
         assert best <= fast
 
-
-class TestPPM:
-    def test_round_trip(self, tmp_path, scene_frame):
-        path = tmp_path / "frame.ppm"
-        write_ppm(path, scene_frame)
-        assert np.array_equal(read_ppm(path), scene_frame)
-
-    def test_size_is_header_plus_raw(self, tmp_path, scene_frame):
-        path = tmp_path / "frame.ppm"
-        written = write_ppm(path, scene_frame)
-        assert written == path.stat().st_size
-        assert written > scene_frame.size  # header on top of raw bytes
-
-    def test_rejects_bad_input(self, tmp_path):
-        with pytest.raises(ValueError, match="uint8"):
-            write_ppm(tmp_path / "bad.ppm", np.zeros((4, 4, 3), dtype=np.float64))
-
-    def test_rejects_non_ppm(self, tmp_path):
-        path = tmp_path / "not.ppm"
-        path.write_bytes(b"P5\n1 1\n255\nx")
-        with pytest.raises(ValueError, match="P6"):
-            read_ppm(path)
+    @pytest.mark.parametrize("level", [1, 6, 9])
+    @pytest.mark.parametrize("shape", [(17, 23), (64, 64), (1, 1)])
+    def test_idat_is_the_png_baseline_payload(self, tmp_path, rng, shape, level):
+        """The file's one IDAT chunk carries ``png_encode``'s payload,
+        and the reference reader still round-trips it."""
+        frame = rng.integers(0, 256, (*shape, 3), dtype=np.uint8)
+        path = tmp_path / "idat.png"
+        write_png(path, frame, level=level)
+        data = path.read_bytes()
+        ihdr_end = 8 + 12 + 13
+        (length,) = struct.unpack_from(">I", data, ihdr_end)
+        assert data[ihdr_end + 4 : ihdr_end + 8] == b"IDAT"
+        assert data[ihdr_end + 8 : ihdr_end + 8 + length] == png_encode(frame, level).payload
+        assert np.array_equal(read_png(path), frame)

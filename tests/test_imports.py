@@ -13,7 +13,8 @@ fresh-interpreter tests below check.
 
 ``PUBLIC_NAMES`` is the distinct union of every ``repro`` module's
 ``__all__``.  A name that enters or leaves the public API shows up as a
-diff of that list.
+diff of that list, and each name must be reached by code outside
+``tests/``: a helper only the tests call lives in ``tests/``.
 """
 
 import ast
@@ -197,7 +198,6 @@ PUBLIC_NAMES = (
     "CASE2_PLACEMENTS",
     "CAUConfig",
     "CAUModel",
-    "CHAOS_ACTIONS",
     "CONTROLLER_CHOICES",
     "CaseResult",
     "ChannelExtrema",
@@ -256,7 +256,6 @@ PUBLIC_NAMES = (
     "FrameTiming",
     "GazeLatencyResult",
     "GazeSample",
-    "HALF_NORMAL_MEAN_FACTOR",
     "HEADER_BITS",
     "HardwareResult",
     "Hello",
@@ -264,8 +263,6 @@ PUBLIC_NAMES = (
     "KERNEL_PRAGMA",
     "LINEAR_THRESHOLD",
     "LOSS_SPEC_KINDS",
-    "LastSamplePredictor",
-    "LinearPredictor",
     "LinkScheduler",
     "LoadgenClientReport",
     "LoadgenConfig",
@@ -379,25 +376,11 @@ PUBLIC_NAMES = (
     "channel_extrema",
     "channel_halfwidth",
     "check_file",
-    "check_rpr101",
-    "check_rpr102",
-    "check_rpr103",
-    "check_rpr104",
-    "check_rpr201",
-    "check_rpr202",
-    "check_rpr203",
-    "check_rpr301",
-    "check_rpr302",
-    "check_rpr303",
-    "check_rpr401",
     "check_source",
     "collect_files",
-    "contains",
-    "decode_srgb8",
     "default_model",
     "delta_widths",
     "describe",
-    "dkl_to_rgb",
     "dotted_name",
     "dram_traffic_power_w",
     "draw_box",
@@ -424,13 +407,11 @@ PUBLIC_NAMES = (
     "get_recovery_policy",
     "get_scene",
     "get_scheduler",
-    "greedy_set_cover",
     "green_masking_factor",
     "grid_cover",
     "group_delta_widths",
     "jnd_radius",
     "linear_to_srgb",
-    "load_baseline",
     "loadgen_main",
     "mahalanobis",
     "main",
@@ -454,8 +435,6 @@ PUBLIC_NAMES = (
     "png_unfilter_rows",
     "power_saving_w",
     "psnr",
-    "quadric_coefficients",
-    "quadric_matrix",
     "quantize_fixed",
     "register_rule",
     "relative_luminance",
@@ -467,7 +446,6 @@ PUBLIC_NAMES = (
     "report_to_dict",
     "report_to_json",
     "resolve_codec_name",
-    "rgb_to_dkl",
     "rule_catalog",
     "run",
     "run_axis_ablation",
@@ -511,7 +489,6 @@ PUBLIC_NAMES = (
     "unit_of",
     "unit_of_node",
     "unpack_fields",
-    "unpack_segments",
     "untile_frame",
     "validate_backoff",
     "validate_burst_length",
@@ -523,9 +500,7 @@ PUBLIC_NAMES = (
     "variable_bd_breakdown",
     "variable_bd_stream_bytes",
     "vertical_gradient",
-    "write_baseline",
     "write_png",
-    "write_ppm",
 )
 
 
@@ -541,3 +516,78 @@ def test_every_exported_name_resolves():
     for module in _public_modules():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+#: The trees whose code may reach a public name: everything but tests.
+_REACHING_TREES = ("src", "examples", "benchmarks", "perfbench")
+
+#: Public names that only the tests reach, each kept on purpose.
+_UNREACHED_ON_PURPOSE = {
+    "png_decode": "the receiving side's PNG decoder (ROADMAP item 7)",
+    "bd_stream_bytes": "the receiving side's BD stream reader (ROADMAP item 7)",
+    "variable_bd_stream_bytes": "the receiving side's variable-BD stream reader (ROADMAP item 7)",
+    "group_delta_widths": "the receiving side's variable-BD width decoder (ROADMAP item 7)",
+    "__version__": "the package version, read by users, not by code",
+}
+
+
+def _assigned(node: ast.stmt) -> set[str]:
+    """Names a top-level (annotated) assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        targets = []
+    return {target.id for target in targets if isinstance(target, ast.Name)}
+
+
+def _defines(node: ast.stmt) -> set[str]:
+    """Names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    return _assigned(node)
+
+
+def _named(node: ast.AST) -> str | None:
+    """The name ``node`` refers to: a name, an attribute, an import, or a
+    string that is a name or ends in ``:name`` or ``.name``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rsplit(".", 1)[-1]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return re.split(r"[:.]", node.value)[-1]
+    return None
+
+
+def _unreached_public_names(root: Path) -> list[str]:
+    """Names in some ``__all__`` under ``root/src`` that no code in the
+    reaching trees names outside the name's own top-level definition,
+    an ``__all__`` or the façade map of ``repro/__init__.py``."""
+    public: set[str] = set()
+    reached: set[str] = set()
+    for tree in _REACHING_TREES:
+        for path in sorted((root / tree).rglob("*.py")):
+            facade = path == root / "src" / "repro" / "__init__.py"
+            for node in ast.parse(path.read_text()).body:
+                if "__all__" in _assigned(node):
+                    if tree == "src":
+                        public.update(element.value for element in node.value.elts)
+                    continue
+                if facade and "_FACADE" in _assigned(node):
+                    continue
+                own = _defines(node)
+                reached.update(
+                    name for sub in ast.walk(node)
+                    if (name := _named(sub)) is not None and name not in own
+                )
+    return sorted(public - reached - set(_UNREACHED_ON_PURPOSE))
+
+
+def test_no_public_name_is_reached_only_by_tests():
+    """A public name that no src, example, benchmark or perfbench code
+    names is a test-only helper: it belongs in ``tests/``, or nowhere."""
+    assert _unreached_public_names(REPO) == []
