@@ -104,7 +104,6 @@ class SCCTable:
 
     representatives: np.ndarray  # (n, 3) normalized sRGB
     universe_size: int
-    method: str
     n_representatives: int | None = None
 
     @property
@@ -241,7 +240,6 @@ def grid_cover(
     return SCCTable(
         representatives=np.asarray(representatives, dtype=np.float64).reshape(-1, 3),
         universe_size=universe_size,
-        method="grid",
         n_representatives=count if count_only else None,
     )
 

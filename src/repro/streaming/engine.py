@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -155,6 +156,15 @@ class FrameTiming:
 # -- link schedulers ----------------------------------------------------
 
 
+def _check_weights(weights: Sequence[float]) -> None:
+    """Reject a weight that is not positive and finite; NaN fails too."""
+    for weight in weights:
+        if not 0.0 < weight < math.inf:
+            raise ValueError(
+                f"scheduler weights must be positive and finite, got {weight!r}"
+            )
+
+
 class LinkScheduler:
     """Divides one link's capacity among concurrently backlogged flows.
 
@@ -183,9 +193,13 @@ class LinkScheduler:
         -------
         list of float
             One share per flow, non-negative, summing to at most 1.
+
+        Raises
+        ------
+        ValueError
+            If a weight is not positive and finite (NaN included).
         """
-        if any(w <= 0 for w in weights):
-            raise ValueError("scheduler weights must be positive")
+        _check_weights(weights)
         total = sum(weights)
         return [w / total for w in weights]
 
@@ -214,8 +228,7 @@ class PriorityScheduler(LinkScheduler):
 
     def instantaneous_shares(self, weights):
         """All capacity to the heaviest backlogged flow (ties: first)."""
-        if any(w <= 0 for w in weights):
-            raise ValueError("scheduler weights must be positive")
+        _check_weights(weights)
         top = min(range(len(weights)), key=lambda i: (-weights[i], i))
         return [1.0 if i == top else 0.0 for i in range(len(weights))]
 
@@ -948,6 +961,12 @@ class StreamingEngine:
         beside it as ``(finish_s, stream_index)``: between reschedules
         every flow drains at a fixed share of the same link, so the
         flow with the least ``remaining_bits / share`` finishes first.
+
+        The in-flight streams' indices, flows and weights sit in three
+        aligned lists in ascending stream order, updated when a
+        transmission starts or finishes.  So an event drains and prices
+        only in-flight flows, and the scheduler still sees the weights
+        in stream order: its sum and its tie-break depend on that order.
         """
         heap: list[tuple] = []
         seq = 0
@@ -971,6 +990,9 @@ class StreamingEngine:
 
         clock = 0.0
         completion: tuple[float, int] | None = None
+        in_flight: list[int] = []
+        flows: list[_Flow] = []
+        weights: list[float] = []
         if self.link.trace is None:
             rate_lo = rate_hi = self.link.bandwidth_mbps * 1e6
         else:
@@ -983,12 +1005,13 @@ class StreamingEngine:
             if now <= clock:
                 return
             capacity = self.link.capacity_bits(clock, now)
-            for rt in runtimes:
-                flow = rt.flow
-                if flow is not None and flow.share > 0.0:
-                    flow.remaining_bits = max(
-                        0.0, flow.remaining_bits - flow.share * capacity
-                    )
+            for flow in flows:
+                share = flow.share
+                if share > 0.0:
+                    remaining = flow.remaining_bits - share * capacity
+                    # max(0.0, remaining) without the call: NaN and -0.0
+                    # give 0.0 either way.
+                    flow.remaining_bits = remaining if remaining > 0.0 else 0.0
             clock = now
 
         def finish_s(now: float, key: float) -> float:
@@ -1001,16 +1024,13 @@ class StreamingEngine:
             """Re-divide the link and price the next completion."""
             nonlocal completion
             completion = None
-            active = [i for i, rt in enumerate(runtimes) if rt.flow is not None]
-            if not active:
+            if not flows:
                 return
-            shares = self.scheduler.instantaneous_shares(
-                [runtimes[i].spec.weight for i in active]
-            )
+            # A copy: a scheduler may keep or reorder its input.
+            shares = self.scheduler.instantaneous_shares(weights[:])
             keyed = []
             least = math.inf
-            for i, share in zip(active, shares):
-                flow = runtimes[i].flow
+            for i, flow, share in zip(in_flight, flows, shares):
                 flow.share = share
                 if share <= 0.0:
                     continue  # re-priced when the active set next changes
@@ -1076,6 +1096,10 @@ class StreamingEngine:
                 self._log(time_s, TRANSMIT_START, spec.name, frame_index)
                 advance(time_s)
                 rt.flow = _Flow(frame_index, payload, wire, rung_name, nominal_s, time_s)
+                slot = bisect_left(in_flight, index)
+                in_flight.insert(slot, index)
+                flows.insert(slot, rt.flow)
+                weights.insert(slot, spec.weight)
                 reschedule(time_s)
             else:  # TRANSMIT_DONE
                 flow = rt.flow
@@ -1105,6 +1129,8 @@ class StreamingEngine:
                     )
                 )
                 rt.flow = None
+                slot = bisect_left(in_flight, index)
+                del in_flight[slot], flows[slot], weights[slot]
                 if rt.queue and not rt.pending_start:
                     rt.pending_start = True
                     push(time_s, TRANSMIT_START, index)

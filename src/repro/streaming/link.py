@@ -17,7 +17,7 @@ A link is constant-rate by default.  Attach a
 :meth:`WirelessLink.traced`) and it becomes time-varying: serialization
 time then depends on *when* a payload starts transmitting, and
 :meth:`WirelessLink.at` exposes the instantaneous rate — both cheap,
-via the trace's precomputed cumulative-capacity arrays.
+via the trace's precomputed cumulative-capacity lists.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class WirelessLink:
         """Instantaneous bandwidth in Mbps at a session time.
 
         Constant links return ``bandwidth_mbps`` for every time; traced
-        links answer from the trace's precomputed segment arrays in
+        links answer from the trace's precomputed segment lists in
         O(log segments).
 
         Parameters
@@ -135,7 +135,7 @@ class WirelessLink:
             Session time in seconds (>= 0).
         """
         if self.trace is None:
-            if time_s < 0:
+            if not time_s >= 0:  # NaN fails too
                 raise ValueError(f"time_s must be >= 0, got {time_s}")
             return self.bandwidth_mbps
         return self.trace.bandwidth_mbps_at(time_s)
@@ -157,7 +157,7 @@ class WirelessLink:
         float
             Deliverable capacity in bits over ``[start_s, end_s]``.
         """
-        if end_s < start_s:
+        if not end_s >= start_s:  # NaN fails too
             raise ValueError(
                 f"end_s must be >= start_s, got [{start_s}, {end_s}]"
             )
@@ -182,7 +182,7 @@ class WirelessLink:
         float
             Airtime in seconds.
         """
-        if payload_bits < 0:
+        if not payload_bits >= 0:  # NaN fails too
             raise ValueError(f"payload_bits must be >= 0, got {payload_bits}")
         if self.trace is None:
             return payload_bits / (self.bandwidth_mbps * 1e6)

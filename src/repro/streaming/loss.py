@@ -289,15 +289,19 @@ class LossTrace:
         # Walk the chain one state run at a time.  A run ends at the first
         # packet at or after its start whose transition draw fires in the
         # run's state; every packet up to and including that one is
-        # erased with the state's loss probability.
-        fires = (
-            np.flatnonzero(u[:, 0] < self.p_good_to_bad).tolist(),
-            np.flatnonzero(u[:, 0] < self.p_bad_to_good).tolist(),
-        )
+        # erased with the state's loss probability.  A state's fire list
+        # is built when the chain first enters it: most frames never
+        # leave the good state.
+        fires: list[list[int] | None] = [None, None]
+        p_leave = (self.p_good_to_bad, self.p_bad_to_good)
         p_loss = (self.p_loss_good, self.p_loss_bad)
         start = 0
         while start < n_packets:
             state_fires = fires[state]
+            if state_fires is None:
+                state_fires = fires[state] = np.flatnonzero(
+                    u[:, 0] < p_leave[state]
+                ).tolist()
             k = bisect.bisect_left(state_fires, start)
             if k == len(state_fires):  # the run outlasts the frame
                 lost[start:] = u[start:, 1] < p_loss[state]

@@ -13,11 +13,12 @@ frame-granularity simulator asks:
 * when does a payload that starts transmitting at ``t`` finish
   (``finish_time_s``)?
 
-Both are O(log segments) via precomputed cumulative-capacity arrays —
-as is the capacity integral (``capacity_bits``) the discrete-event
-kernel in :mod:`repro.streaming.engine` charges concurrent
-transmissions against — so the simulators can query the trace at every
-event without rescanning it.
+Both are O(log segments) bisections of precomputed cumulative-capacity
+lists — as is the capacity integral (``capacity_bits``) the
+discrete-event kernel in :mod:`repro.streaming.engine` charges
+concurrent transmissions against — so the simulators can query the
+trace at every event without rescanning it.  The lists hold Python
+floats: a scalar NumPy call costs more than the whole lookup.
 
 Examples
 --------
@@ -30,6 +31,7 @@ True
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +52,7 @@ class BandwidthTrace:
     boundary; the last segment extends forever.  Construction
     precomputes the cumulative capacity delivered by each boundary, so
     instantaneous-rate, capacity-integral, and finish-time queries are
-    all binary searches.
+    all binary searches (``bisect`` over lists of Python floats).
 
     Parameters
     ----------
@@ -89,13 +91,13 @@ class BandwidthTrace:
             raise ValueError("segment start times must be strictly ascending")
         if np.any(rates <= 0):
             raise ValueError("all rates must be positive Mbps")
-        self._times = times
-        self._rates_bps = rates * 1e6
+        rates_bps = rates * 1e6
         # Capacity (bits) delivered by each segment boundary; the open
         # last segment contributes beyond _cum_bits[-1] at _rates_bps[-1].
-        self._cum_bits = np.concatenate(
-            ([0.0], np.cumsum(self._rates_bps[:-1] * np.diff(times)))
-        )
+        cum_bits = np.concatenate(([0.0], np.cumsum(rates_bps[:-1] * np.diff(times))))
+        self._times: list[float] = times.tolist()
+        self._rates_bps: list[float] = rates_bps.tolist()
+        self._cum_bits: list[float] = cum_bits.tolist()
 
     # -- constructors ---------------------------------------------------
 
@@ -231,12 +233,12 @@ class BandwidthTrace:
     @property
     def n_segments(self) -> int:
         """Number of piecewise-constant segments."""
-        return int(self._times.size)
+        return len(self._times)
 
     @property
     def times_s(self) -> tuple[float, ...]:
         """Segment start times in seconds, ascending from 0."""
-        return tuple(float(t) for t in self._times)
+        return tuple(self._times)
 
     @property
     def rates_mbps(self) -> tuple[float, ...]:
@@ -246,12 +248,12 @@ class BandwidthTrace:
         equivalent trace — :meth:`to_dict` and :meth:`from_dict` rely on
         exactly that.
         """
-        return tuple(float(r) / 1e6 for r in self._rates_bps)
+        return tuple(r / 1e6 for r in self._rates_bps)
 
     @property
     def duration_s(self) -> float:
         """Start time of the last (open-ended) segment."""
-        return float(self._times[-1])
+        return self._times[-1]
 
     @property
     def mean_mbps(self) -> float:
@@ -261,22 +263,22 @@ class BandwidthTrace:
         otherwise the open-ended tail is excluded from the average.
         """
         if self.n_segments == 1:
-            return float(self._rates_bps[0] / 1e6)
-        return float(self._cum_bits[-1] / self._times[-1] / 1e6)
+            return self._rates_bps[0] / 1e6
+        return self._cum_bits[-1] / self._times[-1] / 1e6
 
     @property
     def min_mbps(self) -> float:
         """Lowest rate anywhere in the trace."""
-        return float(self._rates_bps.min() / 1e6)
+        return min(self._rates_bps) / 1e6
 
     def _segment_at(self, time_s: float) -> int:
-        if time_s < 0:
+        if not time_s >= 0:  # NaN fails too
             raise ValueError(f"time_s must be >= 0, got {time_s}")
-        return int(np.searchsorted(self._times, time_s, side="right") - 1)
+        return bisect_right(self._times, time_s) - 1
 
     def bandwidth_mbps_at(self, time_s: float) -> float:
         """Instantaneous bandwidth in Mbps at ``time_s``."""
-        return float(self._rates_bps[self._segment_at(time_s)] / 1e6)
+        return self._rates_bps[self._segment_at(time_s)] / 1e6
 
     def cumulative_bits(self, time_s: float) -> float:
         """Total capacity (bits) the link delivered over ``[0, time_s]``."""
@@ -297,22 +299,23 @@ class BandwidthTrace:
 
         The inverse of :meth:`capacity_bits`: the smallest ``t`` with
         ``capacity_bits(start_s, t) >= payload_bits``.  Computed by
-        binary search over the cumulative-capacity array, then linear
+        binary search over the cumulative-capacity list, then linear
         interpolation inside the final segment.
         """
-        if payload_bits < 0:
+        if not payload_bits >= 0:  # NaN fails too
             raise ValueError(f"payload_bits must be >= 0, got {payload_bits}")
         if payload_bits == 0:
             # Validate start_s even though no bits move.
             self._segment_at(start_s)
             return float(start_s)
         target = self.cumulative_bits(start_s) + payload_bits
-        if target >= self._cum_bits[-1]:
+        cum_bits = self._cum_bits
+        if target >= cum_bits[-1]:
             # Drains inside the open-ended last segment.
-            residual = target - self._cum_bits[-1]
+            residual = target - cum_bits[-1]
             return float(self._times[-1] + residual / self._rates_bps[-1])
-        index = int(np.searchsorted(self._cum_bits, target, side="right") - 1)
-        residual = target - self._cum_bits[index]
+        index = bisect_right(cum_bits, target) - 1
+        residual = target - cum_bits[index]
         return float(self._times[index] + residual / self._rates_bps[index])
 
     def __eq__(self, other: object) -> bool:
@@ -325,12 +328,10 @@ class BandwidthTrace:
         """
         if not isinstance(other, BandwidthTrace):
             return NotImplemented
-        return np.array_equal(self._times, other._times) and np.array_equal(
-            self._rates_bps, other._rates_bps
-        )
+        return self._times == other._times and self._rates_bps == other._rates_bps
 
     def __hash__(self) -> int:
-        return hash((self._times.tobytes(), self._rates_bps.tobytes()))
+        return hash((tuple(self._times), tuple(self._rates_bps)))
 
     def to_dict(self) -> dict[str, list[float]]:
         """JSON-ready mapping: segment start times and rates."""

@@ -92,19 +92,18 @@ class TestBitsPerPixel:
 
 class TestSCCTable:
     def test_empty_cover_rejected(self):
-        table = SCCTable(representatives=np.zeros((0, 3)), universe_size=10, method="x")
+        table = SCCTable(representatives=np.zeros((0, 3)), universe_size=10)
         with pytest.raises(ValueError, match="empty"):
             _ = table.bits_per_pixel
 
     def test_single_color_table(self):
-        table = SCCTable(representatives=np.zeros((1, 3)), universe_size=10, method="x")
+        table = SCCTable(representatives=np.zeros((1, 3)), universe_size=10)
         assert table.bits_per_pixel == 1
 
     def test_count_only_size(self):
         table = SCCTable(
             representatives=np.zeros((0, 3)),
             universe_size=10,
-            method="grid",
             n_representatives=1000,
         )
         assert table.size == 1000

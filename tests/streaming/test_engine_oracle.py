@@ -8,11 +8,15 @@ Gilbert–Elliott chain one state run at a time.  ``engine_reference``
 keeps the loops they replaced, which price every flow and every packet.
 These tests hold outcomes, event logs, erasure masks and random draws
 exactly equal to the oracles, and pin the work saved by counting
-:meth:`~repro.streaming.link.WirelessLink.serialization_time_s` calls.
+:meth:`~repro.streaming.link.WirelessLink.serialization_time_s` calls
+and the NumPy calls left in the hot loop.  The reference kernel prices
+a traced link through ``trace_reference``'s NumPy lookups, so a lookup
+slip cannot hide on both sides.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +24,7 @@ import pytest
 from engine_reference import ReferenceEngine, sample_packets_reference
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from trace_reference import ReferenceTrace
 
 from repro.codecs.ladder import QualityLadder
 from repro.streaming.adaptive import CONTROLLER_CHOICES, get_controller
@@ -150,10 +155,20 @@ def fleets(draw):
 
 
 def run_both(link, scheduler, recovery, make_specs, seed):
-    """Outcomes and event log of the fast kernel and of the oracle."""
+    """Outcomes and event log of the fast kernel and of the oracle.
+
+    The oracle's link carries the reference twin of a traced link's
+    trace, so its lookups are the NumPy searches.
+    """
+    reference_link = (
+        link if link.trace is None
+        else dataclasses.replace(link, trace=ReferenceTrace.of(link.trace))
+    )
     runs = []
-    for engine_class in (StreamingEngine, ReferenceEngine):
-        engine = engine_class(link, scheduler=scheduler, recovery=recovery)
+    for engine_class, engine_link in (
+        (StreamingEngine, link), (ReferenceEngine, reference_link)
+    ):
+        engine = engine_class(engine_link, scheduler=scheduler, recovery=recovery)
         outcomes = engine.run(make_specs(), seed=seed)
         runs.append((outcomes, engine.last_events))
     return runs
@@ -276,6 +291,20 @@ def count_pricing(monkeypatch, engine, specs):
     return calls, reschedules, frames
 
 
+def count_numpy_calls(monkeypatch, *names):
+    """Calls of each ``np.<name>`` from now on, counted by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(np, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    return counts
+
+
 class TestOneCompletionPerReschedule:
     """The kernel prices at most one key per reschedule, ties aside."""
 
@@ -308,10 +337,16 @@ class TestOneCompletionPerReschedule:
             for i, start_s in enumerate(np.sort(rng.uniform(0.0, 0.5, 16)))
         ]
         engine = StreamingEngine(link, scheduler="fair", recovery="arq")
+        numpy_calls = count_numpy_calls(monkeypatch, "searchsorted", "flatnonzero")
         calls, reschedules, frames = count_pricing(monkeypatch, engine, specs)
         assert frames == 16 * 72
         assert len(engine.last_events) == 3 * frames
         assert calls <= reschedules
+        # Trace lookups bisect lists: no scalar NumPy search is left.  A
+        # frame builds a chain state's fire list only once the chain is
+        # in that state, and most frames never leave the good state.
+        assert numpy_calls["searchsorted"] == 0
+        assert numpy_calls["flatnonzero"] < 1.5 * frames
 
     def test_tie_heavy_run(self, monkeypatch):
         """40 identical streams starting together on a constant link."""

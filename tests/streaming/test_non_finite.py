@@ -5,7 +5,9 @@ the event kernel orders completions by comparing finish times, and an
 infinity prices a payload at zero or infinite time.  Links, bandwidth
 traces and stream specs therefore reject non-finite values with a
 ``ValueError`` that names the offending parameter, and ``repro fleet``
-exits 2 on a non-finite ``--bandwidth``.
+exits 2 on a non-finite ``--bandwidth``.  The per-event queries (a
+trace's or link's rate, capacity and finish time, and the schedulers'
+shares) write each guard so that NaN fails it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ import pytest
 
 from repro.cli import main
 from repro.streaming.cohort import CohortSpec
-from repro.streaming.engine import PrecomputedSource, StreamSpec
+from repro.streaming.engine import (
+    FairShareScheduler,
+    PrecomputedSource,
+    PriorityScheduler,
+    StreamSpec,
+)
 from repro.streaming.link import WirelessLink
 from repro.streaming.fleet import ClientConfig
 from repro.streaming.traces import BandwidthTrace
@@ -73,6 +80,45 @@ def test_non_finite_link_input_is_rejected_by_name(case):
     name, build = LINK_CASES[case]
     with pytest.raises(ValueError, match=name):
         build()
+
+
+SQUARE = BandwidthTrace.square(100.0, 50.0, 1.0)
+CONSTANT_LINK = WirelessLink(bandwidth_mbps=100.0)
+TRACED_LINK = WirelessLink.traced(SQUARE)
+
+QUERY_CASES = {
+    "trace-rate-nan-time": ("time_s", lambda: SQUARE.bandwidth_mbps_at(NAN)),
+    "trace-cumulative-nan-time": ("time_s", lambda: SQUARE.cumulative_bits(NAN)),
+    "trace-capacity-nan-end": ("time_s", lambda: SQUARE.capacity_bits(0.0, NAN)),
+    "trace-finish-nan-payload": ("payload_bits", lambda: SQUARE.finish_time_s(0.0, NAN)),
+    "trace-finish-nan-start": ("time_s", lambda: SQUARE.finish_time_s(NAN, 1000.0)),
+    "traced-link-at-nan": ("time_s", lambda: TRACED_LINK.at(NAN)),
+    "traced-link-serialize-nan": (
+        "payload_bits", lambda: TRACED_LINK.serialization_time_s(NAN, start_s=1.0)
+    ),
+    "link-at-nan": ("time_s", lambda: CONSTANT_LINK.at(NAN)),
+    "link-capacity-nan-start": ("start_s", lambda: CONSTANT_LINK.capacity_bits(NAN, 1.0)),
+    "link-serialize-nan": ("payload_bits", lambda: CONSTANT_LINK.serialization_time_s(NAN)),
+    "fair-nan-weight": (
+        "weights", lambda: FairShareScheduler().instantaneous_shares([1.0, NAN])
+    ),
+    "fair-inf-weight": (
+        "weights", lambda: FairShareScheduler().instantaneous_shares([1.0, INF])
+    ),
+    "priority-nan-weight": (
+        "weights", lambda: PriorityScheduler().instantaneous_shares([1.0, NAN])
+    ),
+    "priority-inf-weight": (
+        "weights", lambda: PriorityScheduler().instantaneous_shares([INF, 1.0])
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUERY_CASES))
+def test_non_finite_query_is_rejected_by_name(case):
+    name, query = QUERY_CASES[case]
+    with pytest.raises(ValueError, match=name):
+        query()
 
 
 @pytest.mark.parametrize("value", ("nan", "inf"))
