@@ -19,23 +19,24 @@ cell) — SCC would be impossible, when the paper's fitted model yields a
 proxy**: a sphere in *sRGB code space* whose radius is the geometric
 mean of the three gamma-space channel half-widths, floored at one
 8-bit code step (the display quantization floor).  Even with this
-proxy our law's tight thresholds produce a table of ~2^23 colors
-(~23 bits/pixel) instead of the paper's 32k (15 bits/pixel); the
-deviation is recorded in EXPERIMENTS.md.  Every qualitative conclusion
-survives and is in fact strengthened: SCC loses badly to BD, its
-tables are far too large for a mobile SoC, and our scheme beats it by
-an even wider margin.
+proxy our law's tight thresholds give a cover of 7,317,184 cells
+(23 bits/pixel) where the paper's model gives 32k colors (15
+bits/pixel).  Every qualitative conclusion survives and is in fact
+strengthened: SCC loses badly to BD, its tables are far too large for
+a mobile SoC, and our scheme beats it by an even wider margin.
 
-:func:`grid_cover` builds the cover: it marches the RGB cube in steps
-sized to the inscribed cube of the local JND sphere, so it provably
-covers the cube, and it stands in for Chvatal's greedy heuristic, whose
-O(candidates x universe) cost puts the full 2^24 colors out of reach.
-The experiments use it to size the full-cube table.
+:func:`grid_cover` counts the cells of the cover: it marches the RGB
+cube in steps sized to the inscribed cube of the local JND sphere, so
+the cells provably cover the cube, and it stands in for Chvatal's
+greedy heuristic, whose O(candidates x universe) cost puts the full
+2^24 colors out of reach.  Fig. 10 reads only the count, so no cell or
+representative color is ever stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from ..perception.geometry import channel_halfwidth
 from ..perception.model import DiscriminationModel, default_model
 
 __all__ = [
-    "SCCTable",
     "jnd_radius",
     "grid_cover",
     "scc_bits_per_pixel",
@@ -60,6 +60,10 @@ DEFAULT_SCC_ECCENTRICITY = 40.0
 #: Radius floor: one 8-bit sRGB code step (the display cannot express
 #: finer differences).
 RADIUS_FLOOR = 1.0 / 255.0
+
+#: Red columns whose green runs are probed and counted together; it
+#: bounds the probe arrays to a few MB whatever the cover's size.
+_GREEN_BATCH = 2048
 
 
 def jnd_radius(
@@ -93,172 +97,93 @@ def jnd_radius(
     )
 
 
-@dataclass(frozen=True)
-class SCCTable:
-    """A color cover: representative colors plus derived costs.
+def _steps_at(probes: np.ndarray) -> np.ndarray:
+    """Cell side at each probe: the local JND sphere's inscribed cube.
 
-    ``representatives`` holds normalized sRGB colors; a count-only
-    cover (see :func:`grid_cover`) stores an empty array and records
-    ``n_representatives`` instead.
+    The 0.9 safety margin absorbs the radius variation within a cell
+    (the probes sample the radius at cell corners, not its cell-wide
+    minimum).
     """
-
-    representatives: np.ndarray  # (n, 3) normalized sRGB
-    universe_size: int
-    n_representatives: int | None = None
-
-    @property
-    def size(self) -> int:
-        if self.n_representatives is not None:
-            return self.n_representatives
-        return self.representatives.shape[0]
-
-    @property
-    def bits_per_pixel(self) -> int:
-        """Index width: ``ceil(log2 |C|)`` bits for every pixel."""
-        if self.size < 1:
-            raise ValueError("empty cover has no code")
-        return max(1, int(np.ceil(np.log2(self.size))))
-
-    @property
-    def encode_table_bytes(self) -> int:
-        """Size of the color -> index lookup over the universe."""
-        index_bytes = max(1, -(-self.bits_per_pixel // 8))
-        return self.universe_size * index_bytes
-
-    @property
-    def decode_table_bytes(self) -> int:
-        """Size of the index -> 24-bit color table."""
-        return self.size * 3
+    return 0.9 * 2.0 * jnd_radius(probes) / np.sqrt(3.0)
 
 
 def _march(step_samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walk [0, 1] taking locally-sampled steps.
+    """Walk [0, 1] along every row of ``step_samples`` in lockstep.
 
-    ``step_samples`` holds the step size at uniformly spaced positions.
-    To stay conservative (never over-step a region where the true step
-    is smaller) each move uses the minimum of the two samples bracketing
-    the current position.  Returns ``(cell_starts, cell_widths)``.
+    Each row holds the step size at uniformly spaced positions.  To
+    stay conservative (never over-step a region where the true step
+    is smaller) each move uses the minimum of the two samples
+    bracketing the current position.  Returns the row and the start of
+    every cell, ordered by step number, then row.
     """
-    n = step_samples.shape[0]
-    padded = np.minimum(step_samples, np.roll(step_samples, -1))
-    padded[-1] = step_samples[-1]
-    starts, widths = [], []
-    position = 0.0
-    while position < 1.0:
-        index = min(int(position * (n - 1)), n - 1)
-        starts.append(position)
-        widths.append(padded[index])
-        position += padded[index]
-    return np.asarray(starts), np.asarray(widths)
+    n = step_samples.shape[1]
+    padded = np.minimum(step_samples, np.roll(step_samples, -1, axis=1))
+    padded[:, -1] = step_samples[:, -1]
+    rows = np.arange(step_samples.shape[0])
+    position = np.zeros(rows.shape[0])
+    cell_rows, cell_starts = [], []
+    while rows.size:
+        cell_rows.append(rows)
+        cell_starts.append(position)
+        index = np.minimum((position * (n - 1)).astype(np.int64), n - 1)
+        position = position + padded[rows, index]
+        more = position < 1.0
+        rows, position = rows[more], position[more]
+    return np.concatenate(cell_rows), np.concatenate(cell_starts)
 
 
-def grid_cover(
-    model: DiscriminationModel | None = None,
-    eccentricity: float = DEFAULT_SCC_ECCENTRICITY,
-    universe_size: int = 1 << 24,
-    samples_per_axis: int = 64,
-    count_only: bool = False,
-) -> SCCTable:
-    """Constructive full-cube cover via locally-sized inscribed cubes.
+def grid_cover(samples_per_axis: int = 64) -> int:
+    """Number of cells in the constructive full-cube cover.
 
-    Marches the sRGB code cube axis by axis taking steps equal to the
-    side of the cube inscribed in the local JND sphere (``2 r /
-    sqrt(3)``), which guarantees every color of a cell lies within its
-    representative's radius.  Representatives are normalized sRGB
-    colors.  Step fields are sampled on a uniform grid
-    per axis (batched through the model); the marches use the
-    conservative bracketing minimum, so the construction remains a
-    valid cover with three batched model evaluations total.
+    Marches the sRGB code cube axis by axis — blue slabs, then red
+    columns within each slab, then green runs within each column —
+    taking steps equal to the side of the cube inscribed in the local
+    JND sphere (``2 r / sqrt(3)``), which guarantees every color of a
+    cell lies within the radius of the cell's centre.  Step fields are
+    sampled on ``samples_per_axis`` uniform positions per axis, and
+    the marches use the conservative bracketing minimum, so the cells
+    form a valid cover.
     """
-    model = model if model is not None else default_model()
     positions = np.linspace(0.0, 1.0, samples_per_axis)
-    # Safety margin absorbing the radius variation within a cell (the
-    # probes sample the radius at cell corners, not its cell-wide min).
-    safety = 0.9
-
-    def steps_at(colors: np.ndarray) -> np.ndarray:
-        return safety * 2.0 * jnd_radius(colors, eccentricity, model) / np.sqrt(3.0)
-
     # The sRGB-space radius is not monotone in the non-marching
     # channels (linear thresholds grow with luminance while the gamma
-    # slope shrinks), so each march probes a small cross-section grid
-    # in the free channels and keeps the minimum step.
-    probe_levels = (0.0, 0.5, 1.0)
+    # slope shrinks), so the blue and red marches probe a small
+    # cross-section grid in their free channels and keep the minimum.
+    levels = np.array([0.0, 0.5, 1.0])
 
     # 1. Blue slabs (free channels: red, green).  All coordinates here
     # are normalized sRGB codes.
-    blue_fields = []
-    for red_level in probe_levels:
-        for green_level in probe_levels:
-            probe = np.column_stack(
-                [
-                    np.full(samples_per_axis, red_level),
-                    np.full(samples_per_axis, green_level),
-                    positions,
-                ]
-            )
-            blue_fields.append(steps_at(probe))
-    blue_starts, blue_widths = _march(np.min(blue_fields, axis=0))
+    blue_probe = np.empty((levels.size**2, samples_per_axis, 3))
+    blue_probe[..., 0] = np.repeat(levels, levels.size)[:, None]
+    blue_probe[..., 1] = np.tile(levels, levels.size)[:, None]
+    blue_probe[..., 2] = positions
+    _, blue_starts = _march(_steps_at(blue_probe).min(axis=0, keepdims=True))
 
     # 2. Red columns within every blue slab (free channel: green).
-    red_fields = []
-    for green_level in probe_levels:
-        red_probe = np.empty((blue_starts.shape[0], samples_per_axis, 3))
-        red_probe[..., 0] = positions
-        red_probe[..., 1] = green_level
-        red_probe[..., 2] = blue_starts[:, None]
-        red_fields.append(steps_at(red_probe))
-    red_steps = np.min(red_fields, axis=0)
-    cells = []
-    for b_index, blue in enumerate(blue_starts):
-        red_starts, red_widths = _march(red_steps[b_index])
-        for red, red_width in zip(red_starts, red_widths):
-            cells.append((red, red_width, blue, blue_widths[b_index]))
-    cell_array = np.asarray(cells)
+    red_probe = np.empty((levels.size, blue_starts.size, samples_per_axis, 3))
+    red_probe[..., 0] = positions
+    red_probe[..., 1] = levels[:, None, None]
+    red_probe[..., 2] = blue_starts[:, None]
+    slabs, red_starts = _march(_steps_at(red_probe).min(axis=0))
 
-    # 3. Green runs within every (red, blue) cell (batched across cells).
-    green_probe = np.empty((cell_array.shape[0], samples_per_axis, 3))
-    green_probe[..., 0] = cell_array[:, 0:1]
-    green_probe[..., 1] = positions
-    green_probe[..., 2] = cell_array[:, 2:3]
-    green_steps = steps_at(green_probe)
-
-    count = 0
-    representatives: list[list[float]] = []
-    for index, (red, red_width, blue, blue_width) in enumerate(cell_array):
-        green_starts, green_widths = _march(green_steps[index])
-        count += green_starts.shape[0]
-        if not count_only:
-            for green, green_width in zip(green_starts, green_widths):
-                representatives.append(
-                    [
-                        min(red + red_width / 2, 1.0),
-                        min(green + green_width / 2, 1.0),
-                        min(blue + blue_width / 2, 1.0),
-                    ]
-                )
-    return SCCTable(
-        representatives=np.asarray(representatives, dtype=np.float64).reshape(-1, 3),
-        universe_size=universe_size,
-        n_representatives=count if count_only else None,
-    )
+    # 3. Green runs within every (red, blue) column, counted a batch of
+    # columns at a time.
+    cells = 0
+    for first in range(0, red_starts.size, _GREEN_BATCH):
+        columns = slice(first, first + _GREEN_BATCH)
+        green_probe = np.empty((red_starts[columns].size, samples_per_axis, 3))
+        green_probe[..., 0] = red_starts[columns, None]
+        green_probe[..., 1] = positions
+        green_probe[..., 2] = blue_starts[slabs[columns], None]
+        cells += _march(_steps_at(green_probe))[1].size
+    return cells
 
 
-_GRID_COVER_CACHE: dict[tuple[float, int], SCCTable] = {}
-
-
-def scc_bits_per_pixel(
-    eccentricity: float = DEFAULT_SCC_ECCENTRICITY,
-    model: DiscriminationModel | None = None,
-) -> int:
-    """Bits per pixel of the full-cube SCC table (cached).
+@functools.cache
+def scc_bits_per_pixel() -> int:
+    """Bits per pixel of the full-cube SCC index (computed once).
 
     This is the constant per-pixel cost the SCC series of Fig. 10 pays
     regardless of content — SCC has no spatial redundancy stage.
     """
-    key = (float(eccentricity), id(model) if model is not None else 0)
-    if key not in _GRID_COVER_CACHE:
-        _GRID_COVER_CACHE[key] = grid_cover(
-            model=model, eccentricity=eccentricity, count_only=True
-        )
-    return _GRID_COVER_CACHE[key].bits_per_pixel
+    return max(1, math.ceil(math.log2(grid_cover())))

@@ -131,18 +131,14 @@ class SCCCodec(Codec):
 
     name = "scc"
 
-    def __init__(self, eccentricity: float = DEFAULT_SCC_ECCENTRICITY, model=None):
-        self.eccentricity = float(eccentricity)
-        self.model = model
-
     def encode(self, ctx: FrameContext) -> EncodedFrame:
         """Cost the frame at SCC's constant per-pixel index width."""
-        bpp = scc_bits_per_pixel(self.eccentricity, model=self.model)
+        bpp = scc_bits_per_pixel()
         return EncodedFrame(
             codec=self.name,
             total_bits=bpp * ctx.n_pixels,
             n_pixels=ctx.n_pixels,
-            metadata={"bits_per_pixel": bpp, "table_eccentricity": self.eccentricity},
+            metadata={"bits_per_pixel": bpp, "table_eccentricity": DEFAULT_SCC_ECCENTRICITY},
         )
 
 

@@ -5,8 +5,8 @@ packets analytically; this module is its live counterpart — a
 :class:`ChaosConfig` the server (or the loadgen's spawned server)
 applies to real connections: FRAME messages are dropped before they
 reach the socket, delayed by a fixed stall, or the connection is reset
-mid-stream (optionally after writing a truncated frame, which is what
-a connection dying mid-segment actually looks like to the peer).
+mid-stream (after writing a truncated frame, which is what a
+connection dying mid-segment actually looks like to the peer).
 
 Chaos is *injected above the protocol layer on purpose*: a dropped
 frame is simply never written, a reset aborts the transport, so a
@@ -51,14 +51,13 @@ class ChaosConfig:
     delay_ms:
         Stall applied to a delayed frame, in milliseconds.
     reset_prob:
-        Per-frame probability the connection is reset (transport
-        abort) instead of sending.
-    truncate_on_reset:
-        Write a truncated prefix of the frame before aborting, so the
-        peer sees a mid-message EOF — the realistic shape of a
-        connection dying mid-segment.  Truncation only ever pairs with
-        a reset: truncating on a healthy connection would desynchronize
-        the byte stream and manufacture protocol errors.
+        Per-frame probability the connection is reset instead of
+        sending: the server writes a truncated prefix of the frame,
+        then aborts the transport, so the peer sees a mid-message EOF —
+        the realistic shape of a connection dying mid-segment.
+        Truncation only ever pairs with a reset: truncating on a healthy
+        connection would desynchronize the byte stream and manufacture
+        protocol errors.
     seed:
         Master seed; each connection draws from an independent child
         stream keyed on its connection index.
@@ -68,7 +67,6 @@ class ChaosConfig:
     delay_prob: float = 0.0
     delay_ms: float = 25.0
     reset_prob: float = 0.0
-    truncate_on_reset: bool = True
     seed: int = 0
 
     def __post_init__(self):

@@ -411,13 +411,11 @@ class _Connection:
             if config.chaos is not None and config.chaos.is_active
             else None
         )
-        self.chaos_dropped_frames = 0  # frames lost to chaos drop or reset
         self.client_gone = asyncio.Event()
-        self.acked = 0  # frames whose ACK has arrived
-        self.sent = 0  # frames actually written
         # In-order record replay (ACKs for sent frames arrive in order,
         # but drop records originate in the pacer/sender and may lap
-        # them).
+        # them).  Every frame's outcome is pushed exactly once, so the
+        # cursor reaches n_frames when every frame is accounted for.
         self._pending_records: dict[int, tuple[int, int, float, float | None]] = {}
         self._next_record = 0
 
@@ -458,16 +456,6 @@ class _Connection:
             self.deadline_drops += 1
         else:
             self.queue_drops += 1
-        self._push_record(frame.frame_index, 0, 0.0, None)
-
-    def _chaos_drop(self, frame: _QueuedFrame) -> None:
-        """Account a frame the chaos injector kept off the wire.
-
-        Same record-replay bookkeeping as a real drop, so the
-        adaptation state and the stream-drain accounting never stall
-        on an injected fault.
-        """
-        self.chaos_dropped_frames += 1
         self._push_record(frame.frame_index, 0, 0.0, None)
 
     # -- coroutines -----------------------------------------------------
@@ -600,20 +588,22 @@ class _Connection:
                 if action == "drop":
                     # Never written: the client sees a frame-index gap,
                     # exactly like an erased packet in the simulator.
-                    self._chaos_drop(frame)
+                    # Recorded as a drop, so neither the adaptation state
+                    # nor the end-of-stream wait stalls on the fault.
+                    self._push_record(frame.frame_index, 0, 0.0, None)
                     continue
                 if action == "reset":
                     # Kill the connection the way real networks do:
-                    # optionally mid-message (the peer reads a
-                    # truncated frame then EOF), then a hard abort.
+                    # mid-message (the peer reads a truncated frame
+                    # then EOF), then a hard abort.
                     self.client_gone.set()
                     try:
-                        if self.chaos.config.truncate_on_reset and len(wire) > 8:
+                        if len(wire) > 8:
                             self.writer.write(wire[: len(wire) // 2])
                         self.writer.transport.abort()
                     except (ConnectionError, OSError):
                         pass
-                    self._chaos_drop(frame)
+                    self._push_record(frame.frame_index, 0, 0.0, None)
                     continue
                 if action == "delay":
                     await asyncio.sleep(self.chaos.delay_s)
@@ -645,7 +635,6 @@ class _Connection:
                 self._drop(frame, deadline=True)
                 continue
             self.bytes_sent += len(wire)
-            self.sent += 1
 
     async def read(self, reader: asyncio.StreamReader, decoder: MessageDecoder) -> None:
         """Consume ACKs (and a possible client BYE) off the socket.
@@ -700,7 +689,6 @@ class _Connection:
         # queue-behind-backlog serialization pricing.
         drain_s = max(1e-9, ack_s - max(send_s, self.last_ack_s))
         self.last_ack_s = ack_s
-        self.acked += 1
         self._push_record(ack.frame_index, chosen[1], drain_s, ack_s)
 
     # -- report ---------------------------------------------------------
@@ -935,9 +923,7 @@ class StreamServer:
             # acknowledged before declaring the stream over.
             deadline = asyncio.get_running_loop().time() + config.drain_grace_s
             while (
-                connection.acked + connection.deadline_drops + connection.queue_drops
-                + connection.chaos_dropped_frames
-                < connection.n_frames
+                connection._next_record < connection.n_frames
                 and not connection.client_gone.is_set()
                 and asyncio.get_running_loop().time() < deadline
             ):

@@ -50,6 +50,7 @@ retained samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -373,8 +374,20 @@ def plan_member_links(
     -------
     list of WirelessLink
         One effective member link per cohort, in input order.
+
+    Raises
+    ------
+    ValueError
+        If the cohorts' aggregate weights, ``weight * n_members``, do
+        not have a finite sum.
     """
     scheduler_name = get_scheduler(scheduler).name
+    if not math.isfinite(sum(spec.weight * spec.n_members for spec in cohorts)):
+        raise ValueError(
+            "cohort weights times n_members must have a finite sum, got weights "
+            f"{[spec.weight for spec in cohorts]!r} and n_members "
+            f"{[spec.n_members for spec in cohorts]!r}"
+        )
     bounds_s = _segment_bounds_s(cohorts, link)
     n_segments = len(bounds_s) - 1
     n_cohorts = len(cohorts)

@@ -197,10 +197,15 @@ class LinkScheduler:
         Raises
         ------
         ValueError
-            If a weight is not positive and finite (NaN included).
+            If a weight is not positive and finite (NaN included), or
+            if the weights' sum overflows to infinity.
         """
         _check_weights(weights)
         total = sum(weights)
+        if total == math.inf:
+            raise ValueError(
+                f"scheduler weights must have a finite sum, got {list(weights)!r}"
+            )
         return [w / total for w in weights]
 
 

@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
+import scc_reference
 
 from repro.baselines.scc import (
     DEFAULT_SCC_ECCENTRICITY,
     RADIUS_FLOOR,
-    SCCTable,
     grid_cover,
     jnd_radius,
     scc_bits_per_pixel,
 )
-from repro.perception.model import ParametricModel
+
+#: Cover sizes of the per-cell loop construction (``scc_reference``).
+PINNED_COVERS = {16: 7_908_215, 64: 7_317_184}
 
 
 class TestJndRadius:
@@ -33,47 +35,52 @@ class TestJndRadius:
             jnd_radius(np.zeros((4, 2)), 20.0, model)
 
 
-@pytest.mark.slow  # full-gamut cover construction takes minutes
+@pytest.fixture(scope="module")
+def covers():
+    """Cell count of the cover at each pinned grid."""
+    return {samples: grid_cover(samples) for samples in PINNED_COVERS}
+
+
+@pytest.fixture(scope="module")
+def sampled_cells():
+    """200 random colors and, per grid, the bounds of each one's cell."""
+    colors = np.random.default_rng(3).uniform(0, 1, (200, 3))
+    bounds = {samples: scc_reference.cell_bounds(colors, samples) for samples in PINNED_COVERS}
+    return colors, bounds
+
+
 class TestGridCover:
-    @pytest.fixture(scope="class")
-    def table(self):
-        return grid_cover(model=ParametricModel())
+    def test_pinned_counts(self, covers):
+        assert covers == PINNED_COVERS
 
-    def test_covers_random_colors(self, table):
-        model = ParametricModel()
-        rng = np.random.default_rng(3)
-        colors = rng.uniform(0, 1, (200, 3))
-        reps = table.representatives
-        radii = jnd_radius(reps, DEFAULT_SCC_ECCENTRICITY, model)
-        covered = np.zeros(colors.shape[0], dtype=bool)
-        for start in range(0, reps.shape[0], 50_000):
-            block = reps[start : start + 50_000]
-            distances = np.linalg.norm(
-                colors[None, :, :] - block[:, None, :], axis=-1
-            )
-            covered |= (distances <= radii[start : start + 50_000][:, None]).any(axis=0)
-        assert covered.all()
+    @pytest.mark.slow  # the per-cell loop takes seconds per grid
+    @pytest.mark.parametrize("samples", sorted(PINNED_COVERS))
+    def test_count_matches_oracle(self, covers, samples):
+        oracle = scc_reference.grid_cover(samples_per_axis=samples, count_only=True)
+        assert covers[samples] == oracle.size
 
-    def test_smaller_than_universe(self, table):
-        assert table.size < (1 << 24)
+    @pytest.mark.slow
+    def test_covers_random_colors(self, sampled_cells):
+        """Each color lies in its own cell and within its centre's radius."""
+        colors, cells = sampled_cells
+        for starts, widths in cells.values():
+            assert np.all((starts <= colors) & (colors < starts + widths))
+            centres = np.minimum(starts + widths / 2, 1.0)
+            radii = jnd_radius(centres, DEFAULT_SCC_ECCENTRICITY)
+            assert np.all(np.linalg.norm(colors - centres, axis=-1) <= radii)
 
-    def test_bits_between_bd_and_raw(self, table):
-        assert 12 <= table.bits_per_pixel < 24
+    @pytest.mark.slow
+    def test_reps_in_gamut(self, sampled_cells):
+        for starts, widths in sampled_cells[1].values():
+            centres = np.minimum(starts + widths / 2, 1.0)
+            assert centres.min() >= 0.0
+            assert centres.max() <= 1.0
 
-    def test_table_sizes_reported(self, table):
-        assert table.decode_table_bytes == table.size * 3
-        assert table.encode_table_bytes >= (1 << 24)
+    def test_smaller_than_universe(self, covers):
+        assert covers[64] < (1 << 24)
 
-    def test_reps_in_gamut(self, table):
-        assert table.representatives.min() >= 0.0
-        assert table.representatives.max() <= 1.0
-
-    def test_count_only_matches_full(self):
-        model = ParametricModel()
-        full = grid_cover(model=model, samples_per_axis=16)
-        counted = grid_cover(model=model, samples_per_axis=16, count_only=True)
-        assert counted.size == full.size
-        assert counted.representatives.shape == (0, 3)
+    def test_bits_between_bd_and_raw(self):
+        assert 12 <= scc_bits_per_pixel() < 24
 
 
 class TestBitsPerPixel:
@@ -88,23 +95,3 @@ class TestBitsPerPixel:
 
     def test_scc_better_than_nocom(self):
         assert scc_bits_per_pixel() < 24
-
-
-class TestSCCTable:
-    def test_empty_cover_rejected(self):
-        table = SCCTable(representatives=np.zeros((0, 3)), universe_size=10)
-        with pytest.raises(ValueError, match="empty"):
-            _ = table.bits_per_pixel
-
-    def test_single_color_table(self):
-        table = SCCTable(representatives=np.zeros((1, 3)), universe_size=10)
-        assert table.bits_per_pixel == 1
-
-    def test_count_only_size(self):
-        table = SCCTable(
-            representatives=np.zeros((0, 3)),
-            universe_size=10,
-            n_representatives=1000,
-        )
-        assert table.size == 1000
-        assert table.bits_per_pixel == 10

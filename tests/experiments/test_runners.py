@@ -2,7 +2,8 @@
 
 These use a tiny configuration so the whole module runs in seconds;
 the assertions target the *shape* facts each paper figure reports, the
-same shape facts EXPERIMENTS.md records at full size.
+same shape facts the figure benchmarks in ``benchmarks/`` assert at
+full size.
 """
 
 import numpy as np

@@ -187,8 +187,8 @@ class TestChaosEndToEnd:
         assert loadgen.total_resyncs > 0
 
     def test_truncated_reset_is_not_a_protocol_error(self):
-        """truncate_on_reset writes half a frame then aborts — the
-        decoder must treat the partial message as EOF, not garbage."""
+        """A reset writes half a frame then aborts — the decoder must
+        treat the partial message as EOF, not garbage."""
         setup = StreamSetup(
             scene="synthetic", target_fps=60.0, n_frames=20, controller="throughput"
         )
@@ -196,9 +196,7 @@ class TestChaosEndToEnd:
             _serve_and_load(
                 ServeConfig(
                     bank=_bank(), port=0, deadline_s=10.0,
-                    chaos=ChaosConfig(
-                        reset_prob=0.08, truncate_on_reset=True, seed=2
-                    ),
+                    chaos=ChaosConfig(reset_prob=0.08, seed=2),
                 ),
                 LoadgenConfig(
                     setup=setup, n_clients=3, timeout_s=30.0, max_reconnects=12,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.codecs.ladder import QualityLadder
 from repro.scenes.library import get_scene
-from repro.streaming.adaptive import FixedController, simulate_adaptive_session
+from repro.streaming.adaptive import FixedController, get_controller, simulate_adaptive_session
 from repro.streaming.engine import (
     FRAME_READY,
     TRANSMIT_DONE,
@@ -25,6 +25,7 @@ from repro.streaming.engine import (
 from repro.streaming.link import WirelessLink
 from repro.streaming.fleet import ClientConfig, simulate_fleet
 from repro.streaming.session import ENCODER_CHOICES, simulate_session
+from repro.streaming.traces import BandwidthTrace
 from repro.streaming.validation import validate_stream_timing
 
 JITTERY_LINK = WirelessLink(bandwidth_mbps=200.0, propagation_ms=3.0, jitter_ms=1.0)
@@ -287,3 +288,27 @@ class TestRungMap:
         engine = StreamingEngine(CALM_LINK)
         with pytest.raises(ValueError, match=r"stream 's': frame 0 chose rung 4 \(perceptual\)"):
             engine.run([fixed_one_rung_stream((0,), start_rung=4)])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="TRANSMIT_DONE records a frame under the stream's current rung, "
+    "which the next FRAME_READY's choose may already have moved",
+)
+def test_adaptive_stats_record_each_frame_at_its_own_rung():
+    """Contending adaptive streams: a frame can finish after its
+    stream's next frame was chosen, so ``record`` must be told the
+    frame's rung.  Fixing it changes fleet digests that perfbench pins."""
+    ladder = QualityLadder.default()
+    source = PrecomputedSource([(960_000, 420_000, 330_000, 300_000, 260_000)])
+    streams = [
+        StreamSpec(
+            name=f"s{index}", source=source, n_frames=60, target_fps=72.0,
+            start_s=0.003 * index,
+            adaptation=AdaptationState(get_controller("buffer"), ladder, 0, 1.0 / 72.0),
+        )
+        for index in range(3)
+    ]
+    link = WirelessLink.traced(BandwidthTrace.square(60.0, 15.0, 0.25))
+    for outcome in StreamingEngine(link).run(streams, seed=1):
+        assert outcome.adaptive.rungs == tuple(f.rung for f in outcome.frames)

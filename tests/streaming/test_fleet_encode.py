@@ -145,7 +145,7 @@ def test_shared_groups_match_the_per_client_loop(clients, ladder_name):
 
 @pytest.fixture(scope="module")
 def codecs():
-    """One instance per registered codec; SCC builds its table once."""
+    """One instance per registered codec; SCC counts its cover once."""
     return {name: get_codec(name) for name in available_codecs()}
 
 

@@ -7,19 +7,24 @@ traces and stream specs therefore reject non-finite values with a
 ``ValueError`` that names the offending parameter, and ``repro fleet``
 exits 2 on a non-finite ``--bandwidth``.  The per-event queries (a
 trace's or link's rate, capacity and finish time, and the schedulers'
-shares) write each guard so that NaN fails it.
+shares) write each guard so that NaN fails it.  Finite weights whose
+sum overflows to infinity fail too, in both engines: a fair share of
+``w / inf`` is 0 and no frame would ever drain.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.cli import main
-from repro.streaming.cohort import CohortSpec
+from repro.streaming.cohort import CohortSpec, plan_member_links
 from repro.streaming.engine import (
     FairShareScheduler,
     PrecomputedSource,
     PriorityScheduler,
+    StreamingEngine,
     StreamSpec,
 )
 from repro.streaming.link import WirelessLink
@@ -190,3 +195,18 @@ def test_non_finite_stream_input_is_rejected_by_name(case):
 
 def test_no_departure_is_still_none():
     assert stream(stop_s=None).frames_to_stream == 3
+
+
+def test_fair_weights_with_an_infinite_sum_are_rejected():
+    streams = [stream(name=f"s{i}", weight=1e308) for i in range(2)]
+    with pytest.raises(ValueError, match="weights"):
+        StreamingEngine(CONSTANT_LINK).run(streams)
+    assert PriorityScheduler().instantaneous_shares([1e308, 1e308]) == [1.0, 0.0]
+
+
+def test_cohort_weights_with_an_infinite_sum_are_rejected():
+    cohorts = [cohort(name=f"c{i}", n_members=2, weight=1e308) for i in range(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no NumPy overflow on the way
+        with pytest.raises(ValueError, match="weights"):
+            plan_member_links(cohorts, CONSTANT_LINK)

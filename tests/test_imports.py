@@ -316,7 +316,6 @@ PUBLIC_NAMES = (
     "Report",
     "Rule",
     "SCCCodec",
-    "SCCTable",
     "SCENE_NAMES",
     "SCHEDULER_CHOICES",
     "SRGB_THRESHOLD",
