@@ -19,7 +19,7 @@ import numpy as np
 
 from ..codecs.context import FrameContext
 from ..hardware.cau import CAUModel
-from ..hardware.energy import SYSTEM_POWER_REFERENCE_W, OperatingPoint, power_saving_w
+from ..hardware.energy import OperatingPoint, power_saving_w
 from ..scenes.display import (
     QUEST2_HIGH_RESOLUTION,
     QUEST2_LOW_RESOLUTION,
@@ -36,11 +36,6 @@ class PowerCell:
 
     point: OperatingPoint
     saving_w: float
-
-    @property
-    def fraction_of_reference_system_power(self) -> float:
-        """Saving relative to the measured uncompressed system power."""
-        return self.saving_w / SYSTEM_POWER_REFERENCE_W
 
 
 @dataclass(frozen=True)

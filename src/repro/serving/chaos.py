@@ -102,11 +102,12 @@ def parse_chaos_spec(spec: str) -> ChaosConfig:
         drop=0.05,delay=0.1:25,reset=0.02,seed=7
 
     ``drop``, ``reset``, and ``seed`` take one number; ``delay`` takes
-    ``PROB`` or ``PROB:MS`` (milliseconds default 25).  Unknown keys
-    and malformed numbers raise ``ValueError`` with the offending
-    field named.
+    ``PROB`` or ``PROB:MS`` (milliseconds default 25).  Unknown or
+    repeated keys and malformed numbers raise ``ValueError`` with the
+    offending field named.
     """
     kwargs: dict = {}
+    seen: set[str] = set()
     for field_text in spec.split(","):
         field_text = field_text.strip()
         if not field_text:
@@ -118,6 +119,9 @@ def parse_chaos_spec(spec: str) -> ChaosConfig:
                 f"bad chaos field {field_text!r}: expected KEY=VALUE "
                 f"(e.g. drop=0.05)"
             )
+        if key in seen:
+            raise ValueError(f"repeated chaos key {key!r} in {spec!r}")
+        seen.add(key)
         try:
             if key == "drop":
                 kwargs["drop_prob"] = float(value)

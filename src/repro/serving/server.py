@@ -760,12 +760,6 @@ class StreamServer:
         )
         self._started_at = asyncio.get_running_loop().time()
 
-    async def serve_forever(self) -> None:
-        """Block until cancelled (pair with :meth:`stop`)."""
-        if self._server is None:
-            raise RuntimeError("server is not started")
-        await self._server.serve_forever()
-
     async def stop(self) -> ServerReport:
         """Graceful drain: stop accepting, let streams finish, report.
 
@@ -893,6 +887,14 @@ class StreamServer:
             reject(
                 f"scene {hello.setup.scene!r} not served "
                 f"(bank holds {bank.scene_name!r})"
+            )
+            return
+        requested = (hello.setup.height, hello.setup.width)
+        if (bank.height or bank.width) and requested != (bank.height, bank.width):
+            self._handshake_errors += 1
+            reject(
+                f"resolution {requested[0]}x{requested[1]} not served "
+                f"(bank holds {bank.height}x{bank.width})"
             )
             return
         try:

@@ -149,28 +149,18 @@ class BufferController(RateController):
 
     Watches the transmit backlog — how many seconds of encoded frames
     are waiting for air time — and steps one rung down when it exceeds
-    ``high_s``, one rung up when it falls below ``low_s``, holding in
-    between.  The one-rung-at-a-time rule keeps switching smooth, at
-    the price of reacting over several frames.
-
-    Parameters
-    ----------
-    high_s:
-        Backlog (seconds) above which the controller steps down to a
-        cheaper rung.
-    low_s:
-        Backlog below which it steps back up toward quality.
+    :attr:`high_s`, one rung up when it falls below :attr:`low_s`,
+    holding in between.  The one-rung-at-a-time rule keeps switching
+    smooth, at the price of reacting over several frames.
     """
 
     name = "buffer"
 
-    def __init__(self, high_s: float = 0.01, low_s: float = 0.002):
-        if not 0 <= low_s < high_s:
-            raise ValueError(
-                f"need 0 <= low_s < high_s, got low_s={low_s}, high_s={high_s}"
-            )
-        self.high_s = high_s
-        self.low_s = low_s
+    #: Backlog (seconds) above which the controller steps down to a
+    #: cheaper rung.
+    high_s = 0.01
+    #: Backlog below which it steps back up toward quality.
+    low_s = 0.002
 
     def select_rung(self, ladder: QualityLadder, ctx: ControllerContext) -> int:
         """Step down on high backlog, up on low, else hold."""
@@ -184,35 +174,22 @@ class BufferController(RateController):
 class ThroughputController(RateController):
     """Goodput-driven adaptation with a PHY-rate clamp.
 
-    Estimates deliverable bits per frame interval as ``safety`` times
-    the smaller of (a) the EWMA of measured goodput — what this client
-    actually achieved, which under contention is its *share* — and (b)
-    the MAC's instantaneous PHY rate, which reacts to fades within the
-    same frame.  It then transmits the best rung whose exact encoded
+    Estimates deliverable bits per frame interval as :attr:`safety`
+    times the smaller of (a) the EWMA of measured goodput — what this
+    client actually achieved, which under contention is its *share* —
+    and (b) the MAC's instantaneous PHY rate, which reacts to fades
+    within the same frame.  It then transmits the best rung whose exact encoded
     size fits that budget; when none does, it sends the smallest
     payload on offer (per-frame bitrates are content-dependent, so the
-    smallest rung is not always the last one).
-
-    Parameters
-    ----------
-    safety:
-        Fraction of the estimated capacity to actually spend, in
-        ``(0, 1]``; headroom against estimation error.
-    ewma_alpha:
-        Weight of the newest goodput sample in the EWMA, in
-        ``(0, 1]``.  The effective adaptation window is roughly
-        ``interval / alpha`` seconds.
+    smallest rung is not always the last one).  The goodput EWMA uses
+    the base class's :attr:`~RateController.ewma_alpha`.
     """
 
     name = "throughput"
 
-    def __init__(self, safety: float = 0.8, ewma_alpha: float = 0.3):
-        if not 0.0 < safety <= 1.0:
-            raise ValueError(f"safety must be in (0, 1], got {safety}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        self.safety = safety
-        self.ewma_alpha = ewma_alpha
+    #: Fraction of the estimated capacity to actually spend; headroom
+    #: against estimation error.
+    safety = 0.8
 
     def select_rung(self, ladder: QualityLadder, ctx: ControllerContext) -> int:
         """Best rung whose exact size fits the estimated capacity."""
@@ -239,8 +216,8 @@ CONTROLLER_CHOICES = tuple(_CONTROLLERS)
 def get_controller(controller: str | RateController) -> RateController:
     """Resolve a controller name (or pass an instance through).
 
-    Named controllers take their default tuning; construct the class
-    directly (e.g. ``ThroughputController(safety=0.5)``) to tune one.
+    Only :class:`FixedController` takes a constructor argument (the
+    rung to pin); the other controllers' tuning is class constants.
 
     Parameters
     ----------

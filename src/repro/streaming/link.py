@@ -58,9 +58,9 @@ class WirelessLink:
         the constant-rate behavior.
     loss:
         Optional :class:`~repro.streaming.loss.LossTrace` making the
-        link erase (and reorder) packets.  ``None`` (default) keeps
-        the lossless behavior — the engine then makes no loss draws at
-        all, so lossless runs stay bit-for-bit identical.
+        link erase packets.  ``None`` (default) keeps the lossless
+        behavior — the engine then makes no loss draws at all, so
+        lossless runs stay bit-for-bit identical.
     """
 
     bandwidth_mbps: float
@@ -212,46 +212,6 @@ class WirelessLink:
         if self.jitter_ms > 0 and rng is not None:
             base += abs(float(rng.normal(0.0, self.jitter_ms))) * 1e-3
         return base
-
-    def transmit_time_s(
-        self,
-        payload_bits: int,
-        rng: np.random.Generator | None = None,
-        *,
-        start_s: float = 0.0,
-    ) -> float:
-        """Total one-way latency for a payload, with optional jitter.
-
-        Parameters
-        ----------
-        payload_bits:
-            Payload size in bits.
-        rng:
-            Jitter source, forwarded to :meth:`overhead_time_s`.
-        start_s:
-            Send time, forwarded to :meth:`serialization_time_s`
-            (matters only for traced links).
-        """
-        return self.serialization_time_s(payload_bits, start_s=start_s) + self.overhead_time_s(rng)
-
-    def sustainable_fps(self, payload_bits: int, *, at_s: float = 0.0) -> float:
-        """Frame rate the link alone can sustain for this payload size.
-
-        Serialization is the recurring cost; propagation pipelines
-        away.  For traced links the rate is evaluated at ``at_s``.
-
-        Parameters
-        ----------
-        payload_bits:
-            Per-frame payload size in bits.
-        at_s:
-            Session time at which to evaluate a traced link's rate.
-        """
-        if payload_bits < 0:
-            raise ValueError(f"payload_bits must be >= 0, got {payload_bits}")
-        if payload_bits == 0:
-            return float("inf")
-        return self.at(at_s) * 1e6 / payload_bits
 
 
 #: A realistic effective Wi-Fi 6 link for untethered streaming.

@@ -3,21 +3,20 @@
 The bandwidth traces in :mod:`repro.streaming.traces` make links
 *slow*; this module makes them *lossy*.  A :class:`LossTrace` models
 per-packet erasure — independent (Bernoulli) or bursty
-(Gilbert–Elliott two-state) — plus bounded reordering, and a
-:class:`RecoveryPolicy` decides what the transport does about a frame
-that lost packets:
+(Gilbert–Elliott two-state) — and a :class:`RecoveryPolicy` decides
+what the transport does about a frame that lost packets:
 
 * :class:`ArqPolicy` retransmits the missing packets in rounds under
   capped exponential :class:`Backoff`, giving up at the frame deadline;
-* :class:`FecPolicy` ships ``k`` parity packets with every frame and
-  absorbs up to ``k`` losses with zero recovery latency;
+* :class:`FecPolicy` ships ``FecPolicy.k`` parity packets with every
+  frame and absorbs up to that many losses with zero recovery latency;
 * :class:`DropSkipPolicy` gives up immediately — cheapest on the wire,
   harshest on the decoder.
 
 The decoder consequence is explicit: the temporal-BD codec path
 predicts each frame from the previous one, so an undelivered frame
-*poisons* its successors until the policy forces an I-frame resync
-(``resync_delay_frames`` delivered frames after the loss run ends).
+*poisons* its successors until the policy forces an I-frame resync,
+which the first delivered frame after the loss run carries.
 :class:`LossRuntime` runs that state machine per stream and rolls the
 outcome up into :class:`LossStats` — resync counts, recovery latency,
 and goodput versus delivered quality — surfaced on
@@ -27,8 +26,7 @@ and goodput versus delivered quality — surfaced on
 Determinism contract: all randomness comes from the engine's
 per-stream ``Generator`` (the ``SeedSequence.spawn`` scheme), and the
 draw order per frame is fixed — packet erasures
-(:meth:`LossTrace.sample_packets`), then reordering
-(:meth:`LossTrace.sample_reorder`), then any policy retransmission
+(:meth:`LossTrace.sample_packets`), then any policy retransmission
 draws, then the link's jitter draw.  A ``None`` loss trace makes *no*
 draws and *no* arithmetic changes, which is what keeps lossless
 configurations bit-for-bit identical to the pre-loss engine.
@@ -46,7 +44,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,10 +92,7 @@ class LossTrace:
     advanced once per packet: in the good state packets are lost with
     probability ``p_loss_good``, in the bad state with ``p_loss_bad``.
     ``p_good_to_bad == 0`` degenerates to the memoryless Bernoulli
-    channel.  Reordering is modeled as bounded displacement: each
-    delivered packet is, with probability ``reorder_prob``, delayed by
-    up to ``reorder_depth`` packet slots, and the frame is not decodable
-    until its last straggler lands.
+    channel.
 
     Instances are immutable, hashable, and value-comparable so they can
     ride on the frozen :class:`~repro.streaming.link.WirelessLink`.
@@ -115,10 +111,6 @@ class LossTrace:
     packet_bits:
         Packet size in bits; frames are fragmented into
         ``ceil(wire_bits / packet_bits)`` packets.
-    reorder_prob:
-        Per-packet probability of out-of-order delivery.
-    reorder_depth:
-        Maximum displacement, in packet slots, of a reordered packet.
     """
 
     p_loss_good: float = 0.0
@@ -126,12 +118,14 @@ class LossTrace:
     p_good_to_bad: float = 0.0
     p_bad_to_good: float = 1.0
     packet_bits: int = DEFAULT_PACKET_BITS
-    reorder_prob: float = 0.0
-    reorder_depth: int = 0
+
+    # Packets arrive in order; the constant keys keep serialized links
+    # byte-identical to earlier writers, and the reader rejects traces
+    # that reordered packets.
+    _constants = types.MappingProxyType({"reorder_prob": 0.0, "reorder_depth": 0})
 
     def __post_init__(self) -> None:
-        for name in ("p_loss_good", "p_loss_bad", "p_good_to_bad",
-                     "p_bad_to_good", "reorder_prob"):
+        for name in ("p_loss_good", "p_loss_bad", "p_good_to_bad", "p_bad_to_good"):
             object.__setattr__(
                 self, name, validate_probability(getattr(self, name), name)
             )
@@ -146,26 +140,11 @@ class LossTrace:
                 f"got {self.packet_bits!r}"
             )
         object.__setattr__(self, "packet_bits", int(self.packet_bits))
-        if int(self.reorder_depth) < 0:
-            raise ValueError(
-                f"reorder_depth must be >= 0 packets, got {self.reorder_depth!r}"
-            )
-        object.__setattr__(self, "reorder_depth", int(self.reorder_depth))
-        if self.reorder_prob > 0.0 and self.reorder_depth < 1:
-            raise ValueError(
-                "reorder_depth must be >= 1 packet when reorder_prob > 0"
-            )
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def bernoulli(
-        cls,
-        p: float,
-        packet_bits: int = DEFAULT_PACKET_BITS,
-        reorder_prob: float = 0.0,
-        reorder_depth: int = 0,
-    ) -> "LossTrace":
+    def bernoulli(cls, p: float, packet_bits: int = DEFAULT_PACKET_BITS) -> "LossTrace":
         """Independent per-packet loss with probability ``p``."""
         return cls(
             p_loss_good=p,
@@ -173,8 +152,6 @@ class LossTrace:
             p_good_to_bad=0.0,
             p_bad_to_good=1.0,
             packet_bits=packet_bits,
-            reorder_prob=reorder_prob,
-            reorder_depth=reorder_depth,
         )
 
     @classmethod
@@ -185,8 +162,6 @@ class LossTrace:
         p_loss_bad: float = 1.0,
         p_loss_good: float = 0.0,
         packet_bits: int = DEFAULT_PACKET_BITS,
-        reorder_prob: float = 0.0,
-        reorder_depth: int = 0,
     ) -> "LossTrace":
         """Bursty loss: bad states entered at ``p_enter_bad`` per packet.
 
@@ -199,7 +174,7 @@ class LossTrace:
             probability is its reciprocal); must be >= 1.
         p_loss_bad, p_loss_good:
             Loss probabilities inside and outside bursts.
-        packet_bits, reorder_prob, reorder_depth:
+        packet_bits:
             As on the class.
         """
         mean_burst = validate_burst_length(mean_burst_packets, "mean_burst_packets")
@@ -209,8 +184,6 @@ class LossTrace:
             p_good_to_bad=p_enter_bad,
             p_bad_to_good=1.0 / mean_burst,
             packet_bits=packet_bits,
-            reorder_prob=reorder_prob,
-            reorder_depth=reorder_depth,
         )
 
     # -- analytic properties --------------------------------------------
@@ -241,11 +214,6 @@ class LossTrace:
     def mean_burst_packets(self) -> float:
         """Mean bad-state dwell in packets (geometric)."""
         return 1.0 / self.p_bad_to_good
-
-    @property
-    def is_lossless(self) -> bool:
-        """True when no packet can be lost or reordered."""
-        return self.steady_state_loss_rate == 0.0 and self.reorder_prob == 0.0
 
     # -- sampling -------------------------------------------------------
 
@@ -311,22 +279,6 @@ class LossTrace:
             state = _BAD if state == _GOOD else _GOOD
             start = end
         return lost, state
-
-    def sample_reorder(self, rng: np.random.Generator, n_packets: int) -> int:
-        """Extra packet slots the frame waits for its last straggler.
-
-        Makes no draws when ``reorder_prob == 0``; otherwise one
-        uniform vector plus, if any packet reordered, one integer
-        vector for the displacements.
-        """
-        if self.reorder_prob <= 0.0:
-            return 0
-        displaced = rng.random(n_packets) < self.reorder_prob
-        count = int(np.count_nonzero(displaced))
-        if count == 0:
-            return 0
-        depths = rng.integers(1, self.reorder_depth + 1, size=count)
-        return int(depths.max())
 
     def __repr__(self) -> str:
         kind = "GE" if self.is_bursty else "bernoulli"
@@ -441,24 +393,9 @@ class RecoveryPolicy:
     :meth:`resolve` (whether the frame is ultimately delivered, at what
     extra latency).  Policies are frozen, stateless, and picklable —
     one instance is shared across streams and process-pool tasks; all
-    per-stream state lives in :class:`LossRuntime`.
-
-    Parameters
-    ----------
-    resync_delay_frames:
-        Delivered frames the decoder must see after a loss run before
-        the forced I-frame resync lands (1 = the very next delivered
-        frame resynchronizes).
+    per-stream state lives in :class:`LossRuntime`.  Their tuning is
+    class constants, not constructor parameters.
     """
-
-    resync_delay_frames: int = 1
-
-    def __post_init__(self) -> None:
-        if int(self.resync_delay_frames) < 1:
-            raise ValueError(
-                f"resync_delay_frames must be >= 1, "
-                f"got {self.resync_delay_frames!r}"
-            )
 
     #: Registry name; subclasses set it.
     name = "abstract"
@@ -490,37 +427,16 @@ class ArqPolicy(RecoveryPolicy):
     fate at the trace's steady-state loss rate (retransmissions are
     spaced far enough apart to decorrelate from the burst that killed
     the originals).  The frame is delivered when no packets remain
-    missing; it is abandoned when the retry cap is hit or the
-    accumulated delay crosses the deadline.
-
-    Parameters
-    ----------
-    max_retries:
-        Maximum retransmission rounds per frame.
-    backoff:
-        Delay schedule between rounds.
-    deadline_fraction:
-        Fraction of the frame interval the recovery may consume before
-        the frame is abandoned (1.0 = the full frame time).
+    missing; it is abandoned when :attr:`max_retries` rounds have run or
+    the accumulated delay passes the deadline of one frame interval.
     """
 
-    max_retries: int = 4
-    backoff: Backoff = field(default_factory=Backoff)
-    deadline_fraction: float = 1.0
+    #: Maximum retransmission rounds per frame.
+    max_retries = 4
+    #: Delay schedule between rounds.
+    backoff = Backoff()
 
     name = "arq"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if int(self.max_retries) < 1:
-            raise ValueError(
-                f"max_retries must be >= 1, got {self.max_retries!r}"
-            )
-        if not math.isfinite(self.deadline_fraction) or self.deadline_fraction <= 0:
-            raise ValueError(
-                f"deadline_fraction must be finite and positive, "
-                f"got {self.deadline_fraction!r}"
-            )
 
     def resolve(
         self,
@@ -562,21 +478,12 @@ class FecPolicy(RecoveryPolicy):
     as real FEC inflates airtime — and recovery is instantaneous: the
     frame decodes iff at most ``k`` of its data+parity packets were
     erased.
-
-    Parameters
-    ----------
-    k:
-        Parity packets per frame (also the per-frame loss budget).
     """
 
-    k: int = 2
+    #: Parity packets per frame (also the per-frame loss budget).
+    k = 2
 
     name = "fec"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if int(self.k) < 1:
-            raise ValueError(f"fec k must be >= 1 parity packet, got {self.k!r}")
 
     def wire_bits(self, payload_bits: float, packet_bits: int) -> float:
         if payload_bits <= 0:
@@ -619,9 +526,9 @@ def get_recovery_policy(policy: "str | RecoveryPolicy | None") -> RecoveryPolicy
     """Resolve a recovery policy by name or pass an instance through.
 
     Mirrors :func:`~repro.streaming.adaptive.get_controller`: ``None``
-    and ``"arq"`` both give the default ARQ policy, and named policies
-    take their default tuning; construct the class directly (e.g.
-    ``FecPolicy(k=4)``) to tune one.
+    and ``"arq"`` both give the ARQ policy.  A policy takes no
+    constructor arguments; its tuning is class constants
+    (:attr:`ArqPolicy.max_retries`, :attr:`FecPolicy.k`).
 
     Raises
     ------
@@ -647,17 +554,19 @@ def get_recovery_policy(policy: "str | RecoveryPolicy | None") -> RecoveryPolicy
 class LossStats:
     """Per-stream loss/recovery telemetry, attached to session reports.
 
-    Every frame lands in exactly one of three bins: *displayed*
+    Every frame lands in exactly one of two bins: *displayed*
     (delivered to a synchronized decoder, including the forced resync
-    I-frames), *lost* (undelivered), or *poisoned* (delivered bits the
-    decoder could not use because a temporal-BD reference was missing).
+    I-frames) or *lost* (undelivered).  The first delivered frame after
+    a loss run carries the resync, so no delivered frame is poisoned.
 
     Parameters
     ----------
     policy:
         Recovery policy name (``"arq"``, ``"fec"``, or ``"skip"``).
-    frames_displayed, frames_lost, frames_poisoned:
-        The three frame bins.
+    frames_displayed, frames_lost:
+        The two frame bins.
+    frames_poisoned:
+        Always 0; the key stays so report JSON keeps its key order.
     resyncs:
         Completed forced I-frame resynchronizations.
     recovery_time_s:
@@ -672,7 +581,7 @@ class LossStats:
     goodput_bits:
         Payload bits of displayed frames.
     wasted_bits:
-        Payload bits of lost and poisoned frames.
+        Payload bits of lost frames.
     """
 
     policy: str = "skip"
@@ -698,11 +607,6 @@ class LossStats:
         """Fraction of frames the viewer actually saw decoded."""
         total = self.n_frames
         return self.frames_displayed / total if total else 1.0
-
-    @property
-    def packet_loss_rate(self) -> float:
-        """Empirical first-transmission packet loss rate."""
-        return self.packets_lost / self.packets_sent if self.packets_sent else 0.0
 
     @property
     def mean_recovery_latency_s(self) -> float:
@@ -744,11 +648,9 @@ class LossRuntime:
         "rtt_s",
         "_state",
         "_poisoned",
-        "_countdown",
         "_loss_time_s",
         "_frames_displayed",
         "_frames_lost",
-        "_frames_poisoned",
         "_resyncs",
         "_recovery_time_s",
         "_packets_sent",
@@ -772,11 +674,9 @@ class LossRuntime:
         self.rtt_s = rtt_s
         self._state = _GOOD
         self._poisoned = False
-        self._countdown = 0
         self._loss_time_s = 0.0
         self._frames_displayed = 0
         self._frames_lost = 0
-        self._frames_poisoned = 0
         self._resyncs = 0
         self._recovery_time_s = 0.0
         self._packets_sent = 0
@@ -800,10 +700,10 @@ class LossRuntime:
         """Impair one transmitted frame; return the recovery delay.
 
         Draw order (fixed, replicated by cohort tracers): packet
-        erasures, reorder displacement, then policy retransmission
-        rounds.  The returned delay — retransmission rounds plus
-        straggler wait — is added to the frame's transmit time but,
-        like jitter, never fed back into the sender's backlog.
+        erasures, then policy retransmission rounds.  The returned
+        delay — the retransmission rounds' — is added to the frame's
+        transmit time but, like jitter, never fed back into the
+        sender's backlog.
 
         Parameters
         ----------
@@ -833,13 +733,12 @@ class LossRuntime:
             rng, n_packets, self._state
         )
         n_lost = int(np.count_nonzero(lost_mask))
-        straggler_slots = self.trace.sample_reorder(rng, n_packets)
         result = self.policy.resolve(
             rng,
             n_lost,
             packet_time_s=packet_time_s,
             rtt_s=self.rtt_s,
-            deadline_s=self.policy_deadline_s,
+            deadline_s=self.interval_s,
             retx_loss_rate=self.trace.steady_state_loss_rate,
         )
         self._packets_sent += n_packets
@@ -849,13 +748,7 @@ class LossRuntime:
             (wire - payload_bits) + result.retransmits * self.trace.packet_bits
         )
         self._classify(result.delivered, payload_bits, time_s)
-        return result.delay_s + straggler_slots * packet_time_s
-
-    @property
-    def policy_deadline_s(self) -> float:
-        """Recovery deadline in seconds for this stream's frame rate."""
-        fraction = getattr(self.policy, "deadline_fraction", 1.0)
-        return fraction * self.interval_s
+        return result.delay_s
 
     def _classify(self, delivered: bool, payload_bits: float, time_s: float) -> None:
         """Advance the decoder poisoning/resync state machine."""
@@ -863,23 +756,14 @@ class LossRuntime:
             if not self._poisoned:
                 self._poisoned = True
                 self._loss_time_s = time_s
-            self._countdown = self.policy.resync_delay_frames
             self._frames_lost += 1
             self._wasted_bits += payload_bits
             return
         if self._poisoned:
-            self._countdown -= 1
-            if self._countdown <= 0:
-                # This delivered frame is the forced I-frame resync.
-                self._poisoned = False
-                self._resyncs += 1
-                self._recovery_time_s += time_s - self._loss_time_s
-                self._frames_displayed += 1
-                self._goodput_bits += payload_bits
-            else:
-                self._frames_poisoned += 1
-                self._wasted_bits += payload_bits
-            return
+            # This delivered frame is the forced I-frame resync.
+            self._poisoned = False
+            self._resyncs += 1
+            self._recovery_time_s += time_s - self._loss_time_s
         self._frames_displayed += 1
         self._goodput_bits += payload_bits
 
@@ -889,7 +773,6 @@ class LossRuntime:
             policy=self.policy.name,
             frames_displayed=self._frames_displayed,
             frames_lost=self._frames_lost,
-            frames_poisoned=self._frames_poisoned,
             resyncs=self._resyncs,
             recovery_time_s=self._recovery_time_s,
             packets_sent=self._packets_sent,

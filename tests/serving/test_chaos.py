@@ -89,6 +89,15 @@ class TestParseChaosSpec:
         with pytest.raises(ValueError):
             parse_chaos_spec(spec)
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [("drop=0.1,drop=0.2", "drop"), ("delay=0.1:5,reset=0.01,delay=0.2", "delay")],
+    )
+    def test_rejects_repeated_keys(self, spec, key):
+        """A repeated key is an error, not a silent last-one-wins."""
+        with pytest.raises(ValueError, match=f"repeated chaos key '{key}'"):
+            parse_chaos_spec(spec)
+
 
 class TestChaosInjector:
     def test_same_seed_same_index_same_sequence(self):

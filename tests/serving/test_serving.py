@@ -313,6 +313,43 @@ class TestBackpressure:
         assert messages, "server closed without answering the HELLO"
         assert not isinstance(messages[0], Welcome)
 
+    def test_wrong_resolution_is_rejected_at_handshake(self):
+        """A bank encoded at 16x16 must not serve a 96x96 request: a
+        decoder would read its payloads at the wrong shape."""
+        bank = FrameBank.from_scene("office", n_frames=1, height=16, width=16)
+        setup = StreamSetup(
+            scene="office", height=96, width=96, target_fps=100.0, n_frames=4
+        )
+
+        async def run():
+            server = StreamServer(ServeConfig(bank=bank, port=0))
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(encode_message(Hello(setup=setup)))
+                await writer.drain()
+                decoder = MessageDecoder()
+                messages = []
+                while not messages:
+                    data = await reader.read(4096)
+                    if not data:
+                        break
+                    messages.extend(decoder.feed(data))
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                report = await server.stop()
+            return messages, report
+
+        messages, report = asyncio.run(asyncio.wait_for(run(), 30.0))
+        assert messages, "server closed without answering the HELLO"
+        assert isinstance(messages[0], Bye)
+        assert "96x96" in messages[0].reason and "16x16" in messages[0].reason
+        assert report.handshake_errors == 1
+        assert report.n_clients == 0
+
 
 async def _receive_frames(config: ServeConfig, setup: StreamSetup) -> list[Frame]:
     """Stream one session to a raw client that ACKs every frame."""

@@ -111,18 +111,19 @@ class TestControllers:
                 )
 
     def test_buffer_steps_with_occupancy(self, ladder):
-        controller = BufferController(high_s=0.01, low_s=0.002)
+        controller = BufferController()
+        assert (controller.high_s, controller.low_s) == (0.01, 0.002)
         assert controller.select_rung(ladder, ctx(backlog_s=0.02)) == 3
         assert controller.select_rung(ladder, ctx(backlog_s=0.0)) == 1
         assert controller.select_rung(ladder, ctx(backlog_s=0.005)) == 2
-        with pytest.raises(ValueError, match="low_s"):
-            BufferController(high_s=0.01, low_s=0.02)
 
     def test_throughput_picks_best_fitting_rung(self, ladder):
-        controller = ThroughputController(safety=1.0)
+        controller = ThroughputController()
         interval = 1 / 72
-        # Budget of 700 bits/interval: first fitting rung is index 2.
-        budget_bps = 700 / interval
+        assert controller.safety == 0.8
+        # Budget of 700 bits/interval after the safety factor: first
+        # fitting rung is index 2.
+        budget_bps = 700 / (controller.safety * interval)
         assert (
             controller.select_rung(
                 ladder, ctx(goodput_bps=budget_bps, link_bps=1e9)
@@ -136,15 +137,19 @@ class TestControllers:
             )
             == 2
         )
+        # The safety factor keeps headroom: 800 bits of capacity per
+        # interval budgets 640, so the 800-bit rung does not fit.
+        assert (
+            controller.select_rung(
+                ladder, ctx(goodput_bps=800 / interval, link_bps=1e9)
+            )
+            == 2
+        )
         # Nothing fits: fall back to the cheapest rung.
         assert (
             controller.select_rung(ladder, ctx(goodput_bps=1.0, link_bps=1.0))
             == 4
         )
-        with pytest.raises(ValueError, match="safety"):
-            ThroughputController(safety=0.0)
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            ThroughputController(ewma_alpha=2.0)
 
 
 class TestAdaptationState:

@@ -88,7 +88,6 @@ def cohort_fleets(draw, rung_count: int = 1):
 LOSS_TRACES = (
     LossTrace.bernoulli(0.1),
     LossTrace.gilbert_elliott(0.05, mean_burst_packets=3.0),
-    LossTrace.bernoulli(0.1, reorder_prob=0.2, reorder_depth=2),
 )
 
 

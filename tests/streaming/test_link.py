@@ -14,21 +14,25 @@ class TestTiming:
 
     def test_propagation_added(self):
         link = WirelessLink(bandwidth_mbps=100.0, propagation_ms=5.0)
-        assert link.transmit_time_s(0) == pytest.approx(0.005)
+        assert link.serialization_time_s(0) == 0.0
+        assert link.overhead_time_s() == pytest.approx(0.005)
 
     def test_faster_link_faster_transfer(self):
         payload = 8_000_000
-        assert WIGIG_LINK.transmit_time_s(payload) < WIFI6_LINK.transmit_time_s(payload)
+        assert (
+            WIGIG_LINK.serialization_time_s(payload) + WIGIG_LINK.overhead_time_s()
+            < WIFI6_LINK.serialization_time_s(payload) + WIFI6_LINK.overhead_time_s()
+        )
 
     def test_jitter_deterministic_without_rng(self):
         link = WirelessLink(bandwidth_mbps=100.0, jitter_ms=10.0)
-        assert link.transmit_time_s(1000) == link.transmit_time_s(1000)
+        assert link.overhead_time_s() == link.overhead_time_s()
 
     def test_jitter_adds_delay(self):
         link = WirelessLink(bandwidth_mbps=100.0, jitter_ms=10.0)
         rng = np.random.default_rng(0)
-        base = link.transmit_time_s(1000)
-        jittered = [link.transmit_time_s(1000, rng=rng) for _ in range(10)]
+        base = link.overhead_time_s()
+        jittered = [link.overhead_time_s(rng) for _ in range(10)]
         assert all(j >= base for j in jittered)
         assert max(j - base for j in jittered) > 0
 
@@ -48,10 +52,10 @@ class TestTiming:
     def test_sustainable_fps(self):
         link = WirelessLink(bandwidth_mbps=100.0)
         # 1 Mb payload -> 100 frames per second.
-        assert link.sustainable_fps(1_000_000) == pytest.approx(100.0)
+        assert 1.0 / link.serialization_time_s(1_000_000) == pytest.approx(100.0)
 
     def test_zero_payload_infinite_fps(self):
-        assert WIFI6_LINK.sustainable_fps(0) == float("inf")
+        assert WIFI6_LINK.serialization_time_s(0) == 0.0
 
 
 class TestValidation:

@@ -14,6 +14,7 @@ Three layers of pinning:
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.streaming.adaptive import BufferController, ThroughputController
 from repro.streaming.engine import PrecomputedSource, StreamingEngine, StreamSpec
 from repro.streaming.link import WirelessLink
 from repro.streaming.loss import (
@@ -82,8 +84,8 @@ class TestLossTraceConstruction:
         assert not trace.is_bursty
         assert trace.stationary_bad_fraction == 0.0
         assert trace.steady_state_loss_rate == pytest.approx(0.03)
-        assert not trace.is_lossless
-        assert LossTrace.bernoulli(0.0).is_lossless
+        assert trace.steady_state_loss_rate != 0.0
+        assert LossTrace.bernoulli(0.0).steady_state_loss_rate == 0.0
 
     def test_gilbert_elliott_analytics(self):
         trace = LossTrace.gilbert_elliott(p_enter_bad=0.01, mean_burst_packets=5.0)
@@ -114,10 +116,9 @@ class TestLossTraceConstruction:
     def test_rejects_bad_packet_and_reorder_shapes(self):
         with pytest.raises(ValueError, match="packet_bits"):
             LossTrace.bernoulli(0.1, packet_bits=0)
-        with pytest.raises(ValueError, match="reorder_depth"):
-            LossTrace(reorder_depth=-1)
-        with pytest.raises(ValueError, match="reorder_depth"):
-            LossTrace(reorder_prob=0.5, reorder_depth=0)
+        # Packets arrive in order: a trace has no reordering to configure.
+        with pytest.raises(TypeError, match="reorder_prob"):
+            LossTrace(reorder_prob=0.5)
 
     def test_trace_is_hashable_and_value_compared(self):
         a = LossTrace.bernoulli(0.02)
@@ -246,13 +247,13 @@ class TestPolicies:
         assert tuple(sorted(RECOVERY_CHOICES)) == ("arq", "fec", "skip")
 
     def test_registry_kwargs_and_passthrough(self):
-        instance = DropSkipPolicy(resync_delay_frames=3)
+        instance = DropSkipPolicy()
         assert get_recovery_policy(instance) is instance
         with pytest.raises(ValueError, match="unknown recovery policy"):
             get_recovery_policy("hope")
 
     def test_fec_wire_inflation(self):
-        fec = FecPolicy(k=2)
+        fec = FecPolicy()
         assert fec.wire_bits(100_000, 12_000) == 124_000
         assert fec.wire_bits(0, 12_000) == 0  # empty frames ship nothing
         arq = ArqPolicy()
@@ -260,13 +261,14 @@ class TestPolicies:
 
     def test_fec_absorbs_up_to_k_losses(self):
         rng = np.random.default_rng(0)
-        fec = FecPolicy(k=2)
+        fec = FecPolicy()
         kwargs = dict(packet_time_s=1e-4, rtt_s=6e-3, deadline_s=0.01,
                       retx_loss_rate=0.1)
+        assert fec.k == 2
         assert fec.resolve(rng, 0, **kwargs).delivered
-        assert fec.resolve(rng, 2, **kwargs).delivered
-        assert not fec.resolve(rng, 3, **kwargs).delivered
-        assert fec.resolve(rng, 3, **kwargs).delay_s == 0.0
+        assert fec.resolve(rng, fec.k, **kwargs).delivered
+        assert not fec.resolve(rng, fec.k + 1, **kwargs).delivered
+        assert fec.resolve(rng, fec.k + 1, **kwargs).delay_s == 0.0
 
     def test_skip_gives_up_immediately(self):
         rng = np.random.default_rng(0)
@@ -282,7 +284,8 @@ class TestPolicies:
         """retx_loss_rate=0: one round recovers everything, and the
         delay is exactly backoff + RTT + missing airtime."""
         rng = np.random.default_rng(0)
-        arq = ArqPolicy(max_retries=4, backoff=Backoff(0.002, 2.0, 0.064))
+        arq = ArqPolicy()
+        assert arq.backoff == Backoff(0.002, 2.0, 0.064)
         result = arq.resolve(
             rng, 3, packet_time_s=1e-4, rtt_s=6e-3, deadline_s=0.05,
             retx_loss_rate=0.0,
@@ -294,22 +297,23 @@ class TestPolicies:
     def test_arq_gives_up_at_retry_cap(self):
         """retx_loss_rate=1: every round fails, the cap ends it."""
         rng = np.random.default_rng(0)
-        arq = ArqPolicy(max_retries=3)
+        arq = ArqPolicy()
         result = arq.resolve(
             rng, 2, packet_time_s=1e-4, rtt_s=6e-3, deadline_s=10.0,
             retx_loss_rate=1.0,
         )
         assert not result.delivered
-        assert result.retransmits == 3 * 2
+        assert result.retransmits == ArqPolicy.max_retries * 2
 
     def test_arq_gives_up_at_deadline(self):
         rng = np.random.default_rng(0)
-        arq = ArqPolicy(max_retries=10)
+        arq = ArqPolicy()
         result = arq.resolve(
             rng, 5, packet_time_s=1e-4, rtt_s=6e-3, deadline_s=1e-6,
             retx_loss_rate=0.5,
         )
         assert not result.delivered
+        assert result.retransmits == 5  # one round: the deadline, not the cap
 
     def test_arq_no_loss_is_free(self):
         rng = np.random.default_rng(0)
@@ -321,17 +325,15 @@ class TestPolicies:
         assert result.delivered and result.delay_s == 0.0
         assert rng.bit_generator.state == state  # zero draws
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            ArqPolicy(max_retries=0)
-        with pytest.raises(ValueError):
-            ArqPolicy(deadline_fraction=0.0)
-        with pytest.raises(ValueError):
-            ArqPolicy(deadline_fraction=float("nan"))
-        with pytest.raises(ValueError):
-            FecPolicy(k=0)
-        with pytest.raises(ValueError):
-            DropSkipPolicy(resync_delay_frames=0)
+    @pytest.mark.parametrize(
+        "cls",
+        [ArqPolicy, FecPolicy, DropSkipPolicy, BufferController, ThroughputController],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_policies_take_no_tuning_parameters(self, cls):
+        """Tuning is class constants: a constructor parameter would be a
+        setting that only its own tests reach."""
+        assert inspect.signature(cls).parameters == {}
 
 
 class TestGilbertElliottStatistics:
@@ -390,20 +392,6 @@ class TestGilbertElliottStatistics:
             rng_b.random((10, 2))
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
-    def test_reorder_makes_no_draws_when_disabled(self):
-        trace = LossTrace.bernoulli(0.5)
-        rng = np.random.default_rng(5)
-        state = rng.bit_generator.state
-        assert trace.sample_reorder(rng, 50) == 0
-        assert rng.bit_generator.state == state
-
-    def test_reorder_straggler_bounded_by_depth(self):
-        trace = LossTrace.bernoulli(0.0, reorder_prob=0.5, reorder_depth=3)
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            slots = trace.sample_reorder(rng, 20)
-            assert 0 <= slots <= 3
-
 
 class TestLossRuntimeStateMachine:
     def _runtime(self, policy, trace=None) -> LossRuntime:
@@ -412,7 +400,7 @@ class TestLossRuntimeStateMachine:
 
     def test_poisoning_until_resync(self):
         """lost, delivered => the delivered frame is the resync."""
-        rt = self._runtime(DropSkipPolicy(resync_delay_frames=1))
+        rt = self._runtime(DropSkipPolicy())
         rt._classify(False, 1000, time_s=0.0)
         rt._classify(True, 1000, time_s=0.5)
         rt._classify(True, 1000, time_s=1.0)
@@ -425,21 +413,8 @@ class TestLossRuntimeStateMachine:
         assert stats.goodput_bits == 2000
         assert stats.wasted_bits == 1000
 
-    def test_delayed_resync_poisons_successors(self):
-        """resync_delay_frames=2: the first delivered frame after a
-        loss is still poisoned; the second resynchronizes."""
-        rt = self._runtime(DropSkipPolicy(resync_delay_frames=2))
-        rt._classify(False, 1000, time_s=0.0)
-        rt._classify(True, 1000, time_s=0.5)   # poisoned
-        rt._classify(True, 1000, time_s=1.0)   # resync
-        stats = rt.stats()
-        assert stats.frames_poisoned == 1
-        assert stats.resyncs == 1
-        assert stats.frames_displayed == 1
-        assert stats.recovery_time_s == pytest.approx(1.0)
-
     def test_consecutive_losses_are_one_resync(self):
-        rt = self._runtime(DropSkipPolicy(resync_delay_frames=1))
+        rt = self._runtime(DropSkipPolicy())
         for k in range(3):
             rt._classify(False, 1000, time_s=float(k))
         rt._classify(True, 1000, time_s=3.0)
@@ -474,7 +449,7 @@ class TestLossRuntimeStateMachine:
 
     def test_fec_overhead_accounting(self):
         trace = LossTrace.bernoulli(0.0, packet_bits=12_000)
-        rt = LossRuntime(trace, FecPolicy(k=2), interval_s=1 / 72.0, rtt_s=6e-3)
+        rt = LossRuntime(trace, FecPolicy(), interval_s=1 / 72.0, rtt_s=6e-3)
         assert rt.wire_bits(100_000) == 124_000
         rng = np.random.default_rng(0)
         rt.on_frame(rng, 100_000, serialization_s=1e-3, time_s=0.0)
@@ -579,11 +554,22 @@ class TestLosslessBitIdentity:
         assert lossy["link"]["loss"]["p_loss_good"] == pytest.approx(0.02)
 
     def test_loss_trace_serialization_round_trips(self):
-        trace = LossTrace.gilbert_elliott(
-            0.01, 5.0, packet_bits=9000, reorder_prob=0.1, reorder_depth=2
-        )
+        trace = LossTrace.gilbert_elliott(0.01, 5.0, packet_bits=9000)
         report = _fleet(_lossy_link(trace))
         assert FleetReport.from_json(report.to_json()).link.loss == trace
+
+    @pytest.mark.parametrize(
+        "key, value", [("reorder_prob", 0.2), ("reorder_depth", 2)]
+    )
+    def test_reordering_loss_trace_is_rejected(self, key, value):
+        """Packets arrive in order; a report written with a reordering
+        trace names the key and points at the migration notes."""
+        data = json.loads(_fleet(_lossy_link(LossTrace.bernoulli(0.1))).to_json())
+        assert data["link"]["loss"]["reorder_prob"] == 0.0
+        assert data["link"]["loss"]["reorder_depth"] == 0
+        data["link"]["loss"][key] = value
+        with pytest.raises(ValueError, match=rf"{key}={value}.*docs/migration\.md"):
+            FleetReport.from_json(json.dumps(data))
 
     def test_default_packet_is_an_mtu(self):
         assert DEFAULT_PACKET_BITS == 12_000  # 1500 bytes

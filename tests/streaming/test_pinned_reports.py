@@ -235,7 +235,6 @@ def lossy_cohort_fleet(loss: LossTrace, recovery, controller):
 
 
 BURSTY_LOSS = LossTrace.gilbert_elliott(0.05, mean_burst_packets=3.0)
-REORDERING_LOSS = LossTrace.bernoulli(0.1, reorder_prob=0.2, reorder_depth=2)
 
 REPORT_SCENARIOS = {
     **{
@@ -266,10 +265,6 @@ REPORT_SCENARIOS = {
         for recovery in ("arq", "fec", "skip")
         for controller in (None, "throughput")
     },
-    # No recovery argument: a lossy link defaults to ARQ.
-    "cohort-lossy-reorder-buffer": functools.partial(
-        lossy_cohort_fleet, REORDERING_LOSS, None, "buffer"
-    ),
 }
 
 REPORT_SHA256 = {
@@ -282,7 +277,6 @@ REPORT_SHA256 = {
     "cohort-lossy-arq-throughput": "1a25e6c5f74ac07c9dce4dbe4cd20fc578f3573cf64f6e74d6f33f95d918597f",
     "cohort-lossy-fec-pinned": "47991590076d1dba7bbb660805bda791e6b81c2e3d7be84d82f34f61fda8c19c",
     "cohort-lossy-fec-throughput": "0d6a0307dc5da1060a1d25992e686d23d9426adef14debfb9b3287a439e726d4",
-    "cohort-lossy-reorder-buffer": "c14327c2aedb52c9b56a95b227f97027c99c7be3ea9f7222631ffaa18ffd2212",
     "cohort-lossy-skip-pinned": "46fe081139dd8db073ca332e653f0b13a77fc8f06aef2dcad7f5c8ce5a546c42",
     "cohort-lossy-skip-throughput": "3ff8257868c0037935e5e5696e548e32b7d6e3956a798fc324b8b75240725826",
     "cohort-none": "3ae38729d9a02b1ebccd60dd4fd9446121884eabb7371c065be3951d68e0c531",

@@ -121,8 +121,10 @@ class TestTracedLink:
 
     def test_sustainable_fps_tracks_the_fade(self):
         link = WirelessLink.traced(BandwidthTrace.square(400.0, 100.0, 5.0))
-        assert link.sustainable_fps(1_000_000, at_s=0.0) == pytest.approx(400.0)
-        assert link.sustainable_fps(1_000_000, at_s=6.0) == pytest.approx(100.0)
+        # A 1 Mb payload's airtime sets the frames per second.
+        for start_s, fps in ((0.0, 400.0), (6.0, 100.0)):
+            airtime_s = link.serialization_time_s(1_000_000, start_s=start_s)
+            assert 1.0 / airtime_s == pytest.approx(fps)
 
 
 class TestParseTraceSpec:
