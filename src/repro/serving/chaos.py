@@ -128,9 +128,9 @@ def parse_chaos_spec(spec: str) -> ChaosConfig:
             elif key == "reset":
                 kwargs["reset_prob"] = float(value)
             elif key == "delay":
-                prob, _, ms = value.partition(":")
+                prob, sep, ms = value.partition(":")
                 kwargs["delay_prob"] = float(prob)
-                if ms:
+                if sep:
                     kwargs["delay_ms"] = float(ms)
             elif key == "seed":
                 kwargs["seed"] = int(value)

@@ -18,9 +18,11 @@ Every message is one frame::
 
 2-byte magic, 1-byte type tag, big-endian 32-bit body length, body.
 Control messages (:class:`Hello`, :class:`Welcome`, :class:`Bye`)
-carry a UTF-8 JSON body; the hot-path messages (:class:`Frame`,
-:class:`Ack`) carry fixed ``struct``-packed headers so the per-frame
-cost stays flat.
+carry a compact UTF-8 JSON body: the message's dataclass fields in
+declaration order, written and read by the report codec
+(:mod:`repro.streaming.reports`), so a new field is one dataclass
+field.  The hot-path messages (:class:`Frame`, :class:`Ack`) carry
+fixed ``struct``-packed headers so the per-frame cost stays flat.
 
 The handshake mirrors the simulator's configuration surface: a
 :class:`Hello` carries a :class:`StreamSetup` — the
@@ -36,6 +38,8 @@ import json
 import struct
 from dataclasses import dataclass, field
 from typing import Any, Iterator
+
+from ..streaming.reports import _fields_from_dict, _fields_to_dict
 
 __all__ = [
     "PROTOCOL_MAGIC",
@@ -71,11 +75,8 @@ _HEADER = struct.Struct(">2sBI")  # magic, type, body length
 _FRAME_HEAD = struct.Struct(">IHHd")  # frame_index, rung, flags, ready_time_s
 _ACK_BODY = struct.Struct(">Id")  # frame_index, recv_time_s
 
-_TYPE_HELLO = 0x01
-_TYPE_WELCOME = 0x02
 _TYPE_FRAME = 0x03
 _TYPE_ACK = 0x04
-_TYPE_BYE = 0x05
 
 
 class ProtocolError(Exception):
@@ -118,51 +119,26 @@ class StreamSetup:
     controller: str = "throughput"
     start_rung: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready mapping (the :class:`Hello` body payload)."""
-        return {
-            "scene": self.scene,
-            "height": self.height,
-            "width": self.width,
-            "target_fps": self.target_fps,
-            "n_frames": self.n_frames,
-            "controller": self.controller,
-            "start_rung": self.start_rung,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "StreamSetup":
-        """Rebuild from the mapping form, with type coercion."""
-        return cls(
-            scene=str(data["scene"]),
-            height=int(data.get("height", 192)),
-            width=int(data.get("width", 192)),
-            target_fps=float(data.get("target_fps", 72.0)),
-            n_frames=int(data.get("n_frames", 72)),
-            controller=str(data.get("controller", "throughput")),
-            start_rung=(
-                None if data.get("start_rung") is None else str(data["start_rung"])
-            ),
-        )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Hello:
     """Client -> server: open a stream.
 
+    Keyword-only, so the fields can sit in wire order.
+
     Attributes
     ----------
-    setup:
-        The requested stream configuration.
-    client_name:
-        Label echoed into the server's per-client report.
     version:
         Protocol version the client speaks.
+    client_name:
+        Label echoed into the server's per-client report.
+    setup:
+        The requested stream configuration.
     """
 
-    setup: StreamSetup
-    client_name: str = ""
     version: int = PROTOCOL_VERSION
+    client_name: str = ""
+    setup: StreamSetup
 
 
 @dataclass(frozen=True)
@@ -252,6 +228,10 @@ class Bye:
 
 Message = Hello | Welcome | Frame | Ack | Bye
 
+#: Type tag of each JSON-bodied control message.
+_JSON_TYPES: dict[type, int] = {Hello: 0x01, Welcome: 0x02, Bye: 0x05}
+_JSON_CLASSES = {tag: cls for cls, tag in _JSON_TYPES.items()}
+
 
 def _frame_bytes(msg_type: int, body: bytes) -> bytes:
     if len(body) > MAX_BODY_BYTES:
@@ -262,35 +242,12 @@ def _frame_bytes(msg_type: int, body: bytes) -> bytes:
     return _HEADER.pack(PROTOCOL_MAGIC, msg_type, len(body)) + body
 
 
-def _json_body(payload: dict[str, Any]) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
-
-
 def encode_message(message: Message) -> bytes:
     """Serialize any protocol message to its wire frame."""
-    if isinstance(message, Hello):
-        return _frame_bytes(
-            _TYPE_HELLO,
-            _json_body(
-                {
-                    "version": message.version,
-                    "client_name": message.client_name,
-                    "setup": message.setup.to_dict(),
-                }
-            ),
-        )
-    if isinstance(message, Welcome):
-        return _frame_bytes(
-            _TYPE_WELCOME,
-            _json_body(
-                {
-                    "ladder": list(message.ladder),
-                    "interval_s": message.interval_s,
-                    "n_frames": message.n_frames,
-                    "session": message.session,
-                }
-            ),
-        )
+    msg_type = _JSON_TYPES.get(type(message))
+    if msg_type is not None:
+        body = json.dumps(_fields_to_dict(message), separators=(",", ":"))
+        return _frame_bytes(msg_type, body.encode("utf-8"))
     if isinstance(message, Frame):
         head = _FRAME_HEAD.pack(
             message.frame_index, message.rung, message.flags, message.ready_time_s
@@ -300,44 +257,31 @@ def encode_message(message: Message) -> bytes:
         return _frame_bytes(
             _TYPE_ACK, _ACK_BODY.pack(message.frame_index, message.recv_time_s)
         )
-    if isinstance(message, Bye):
-        return _frame_bytes(
-            _TYPE_BYE, _json_body({"reason": message.reason, "stats": message.stats})
-        )
     raise TypeError(f"not a protocol message: {type(message).__name__}")
 
 
-def _decode_json(body: bytes, what: str) -> dict[str, Any]:
+def _decode_json(cls: type, body: bytes) -> Message:
+    what = cls.__name__.upper()
     try:
         data = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"malformed {what} body: {exc}") from exc
     if not isinstance(data, dict):
         raise ProtocolError(f"{what} body must be a JSON object")
-    return data
+    if cls is Hello:
+        # A HELLO that names no version predates versioning: the server
+        # refuses version 0 rather than guessing.
+        data.setdefault("version", 0)
+    try:
+        return _fields_from_dict(cls, data)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed {what} body: {exc}") from exc
 
 
 def _decode_body(msg_type: int, body: bytes) -> Message:
-    if msg_type == _TYPE_HELLO:
-        data = _decode_json(body, "HELLO")
-        try:
-            setup = StreamSetup.from_dict(data["setup"])
-            client_name = str(data.get("client_name", ""))
-            version = int(data.get("version", 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed HELLO body: {exc}") from exc
-        return Hello(setup=setup, client_name=client_name, version=version)
-    if msg_type == _TYPE_WELCOME:
-        data = _decode_json(body, "WELCOME")
-        try:
-            return Welcome(
-                ladder=tuple(str(name) for name in data["ladder"]),
-                interval_s=float(data["interval_s"]),
-                n_frames=int(data["n_frames"]),
-                session=str(data.get("session", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed WELCOME body: {exc}") from exc
+    cls = _JSON_CLASSES.get(msg_type)
+    if cls is not None:
+        return _decode_json(cls, body)
     if msg_type == _TYPE_FRAME:
         if len(body) < _FRAME_HEAD.size:
             raise ProtocolError(
@@ -359,12 +303,6 @@ def _decode_body(msg_type: int, body: bytes) -> Message:
             )
         frame_index, recv_time_s = _ACK_BODY.unpack(body)
         return Ack(frame_index=frame_index, recv_time_s=recv_time_s)
-    if msg_type == _TYPE_BYE:
-        data = _decode_json(body, "BYE")
-        stats = data.get("stats", {})
-        if not isinstance(stats, dict):
-            raise ProtocolError("BYE stats must be a JSON object")
-        return Bye(reason=str(data.get("reason", "")), stats=stats)
     raise ProtocolError(f"unknown message type 0x{msg_type:02x}")
 
 

@@ -15,13 +15,14 @@ The form is read off the report dataclasses themselves.  A body is the
 dataclass fields in declaration order: nested dataclasses encode field
 by field, lists, tuples and dicts element by element, and any other
 object through its own ``to_dict``/``from_dict``.  Decoding rebuilds
-each field from its type hint, and a missing key takes the field's
-default.  Every payload carries a ``"report"`` type tag and a
-``"version"``; a class joins the format by subclassing :class:`Report`
-and taking a row in :data:`_REPORT_TYPES`, the one map from each tag to
-its class.  The map names classes by path and the reader imports them
-on first use, so one loader handles simulator and server output alike,
-whatever else the caller has imported.
+each field from its type hint (an ``Any`` value is kept as it is), and
+a missing key takes the field's default.  Every payload carries a
+``"report"`` type tag and a ``"version"``; a class joins the format by
+subclassing :class:`Report` and taking a row in :data:`_REPORT_TYPES`,
+the one map from each tag to its class.  The map names classes by path
+and the reader imports them on first use, so one loader handles
+simulator and server output alike, whatever else the caller has
+imported.
 """
 
 from __future__ import annotations
@@ -153,6 +154,8 @@ def _type_hints(cls: type) -> dict[str, Any]:
 
 
 def _decode(hint: Any, value: Any) -> Any:
+    if hint is Any:
+        return value
     origin = typing.get_origin(hint)
     args = typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):

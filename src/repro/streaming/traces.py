@@ -31,7 +31,9 @@ True
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +46,7 @@ __all__ = ["BandwidthTrace", "parse_trace_spec", "TRACE_SPEC_KINDS"]
 TRACE_SPEC_KINDS = ("const", "step", "markov", "file")
 
 
+@dataclass(frozen=True)
 class BandwidthTrace:
     """A piecewise-constant bandwidth profile over time.
 
@@ -54,14 +57,19 @@ class BandwidthTrace:
     instantaneous-rate, capacity-integral, and finish-time queries are
     all binary searches (``bisect`` over lists of Python floats).
 
-    Parameters
+    The two fields are the trace's value: equality, hash and the report
+    JSON all read them.
+
+    Attributes
     ----------
     times_s:
         Segment start times in seconds, strictly ascending, beginning
-        at ``0.0``.
+        at ``0.0``.  Any sequence is accepted; a tuple of floats is kept.
     rates_mbps:
         Bandwidth of each segment in megabits per second, all positive,
-        same length as ``times_s``.
+        same length as ``times_s``.  Kept as each rate in bits per
+        second over ``1e6``, so ``BandwidthTrace(trace.times_s,
+        trace.rates_mbps)`` rebuilds an equal trace.
 
     Raises
     ------
@@ -71,9 +79,12 @@ class BandwidthTrace:
         differ in length.
     """
 
-    def __init__(self, times_s: Sequence[float], rates_mbps: Sequence[float]):
-        times = np.asarray(times_s, dtype=np.float64)
-        rates = np.asarray(rates_mbps, dtype=np.float64)
+    times_s: tuple[float, ...]
+    rates_mbps: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        times = np.asarray(self.times_s, dtype=np.float64)
+        rates = np.asarray(self.rates_mbps, dtype=np.float64)
         if times.ndim != 1 or rates.ndim != 1 or times.size != rates.size:
             raise ValueError(
                 f"times_s and rates_mbps must be 1-D and equal length, "
@@ -82,9 +93,9 @@ class BandwidthTrace:
         if times.size == 0:
             raise ValueError("a trace needs at least one segment")
         if not np.all(np.isfinite(times)):
-            raise ValueError(f"times_s must be finite, got {times_s!r}")
+            raise ValueError(f"times_s must be finite, got {self.times_s!r}")
         if not np.all(np.isfinite(rates)):
-            raise ValueError(f"rates_mbps must be finite, got {rates_mbps!r}")
+            raise ValueError(f"rates_mbps must be finite, got {self.rates_mbps!r}")
         if times[0] != 0.0:
             raise ValueError(f"the first segment must start at 0.0 s, got {times[0]}")
         if np.any(np.diff(times) <= 0):
@@ -95,9 +106,11 @@ class BandwidthTrace:
         # Capacity (bits) delivered by each segment boundary; the open
         # last segment contributes beyond _cum_bits[-1] at _rates_bps[-1].
         cum_bits = np.concatenate(([0.0], np.cumsum(rates_bps[:-1] * np.diff(times))))
-        self._times: list[float] = times.tolist()
-        self._rates_bps: list[float] = rates_bps.tolist()
-        self._cum_bits: list[float] = cum_bits.tolist()
+        object.__setattr__(self, "_times", times.tolist())
+        object.__setattr__(self, "_rates_bps", rates_bps.tolist())
+        object.__setattr__(self, "_cum_bits", cum_bits.tolist())
+        object.__setattr__(self, "times_s", tuple(self._times))
+        object.__setattr__(self, "rates_mbps", tuple(r / 1e6 for r in self._rates_bps))
 
     # -- constructors ---------------------------------------------------
 
@@ -209,7 +222,8 @@ class BandwidthTrace:
         """Load a trace from a ``time_s,mbps`` CSV file.
 
         Blank lines and lines starting with ``#`` are skipped.  The
-        first sample must be at time 0; times must ascend.
+        first sample must be at time 0, times must ascend, and a bad
+        line raises ``ValueError`` naming its file and line number.
         """
         times, rates = [], []
         with open(path) as handle:
@@ -217,13 +231,15 @@ class BandwidthTrace:
                 text = line.split("#", 1)[0].strip()
                 if not text:
                     continue
-                parts = text.replace(",", " ").split()
-                if len(parts) != 2:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected 'time_s,mbps', got {line!r}"
-                    )
-                times.append(float(parts[0]))
-                rates.append(float(parts[1]))
+                try:
+                    time_s, mbps = map(float, text.replace(",", " ").split())
+                except ValueError:
+                    time_s = mbps = math.nan
+                if not (math.isfinite(time_s) and math.isfinite(mbps)):
+                    raise ValueError(f"{path}:{lineno}: expected 'time_s,mbps' as "
+                                     f"two finite numbers, got {line!r}")
+                times.append(time_s)
+                rates.append(mbps)
         if not times:
             raise ValueError(f"{path}: no samples found")
         return cls(times, rates)
@@ -234,21 +250,6 @@ class BandwidthTrace:
     def n_segments(self) -> int:
         """Number of piecewise-constant segments."""
         return len(self._times)
-
-    @property
-    def times_s(self) -> tuple[float, ...]:
-        """Segment start times in seconds, ascending from 0."""
-        return tuple(self._times)
-
-    @property
-    def rates_mbps(self) -> tuple[float, ...]:
-        """Segment rates in Mbps, aligned with :attr:`times_s`.
-
-        ``BandwidthTrace(trace.times_s, trace.rates_mbps)`` rebuilds an
-        equivalent trace — :meth:`to_dict` and :meth:`from_dict` rely on
-        exactly that.
-        """
-        return tuple(r / 1e6 for r in self._rates_bps)
 
     @property
     def duration_s(self) -> float:
@@ -317,30 +318,6 @@ class BandwidthTrace:
         index = bisect_right(cum_bits, target) - 1
         residual = target - cum_bits[index]
         return float(self._times[index] + residual / self._rates_bps[index])
-
-    def __eq__(self, other: object) -> bool:
-        """Segment-wise value equality.
-
-        Two traces are equal when their boundary times and rates match
-        exactly — the invariant that makes the
-        ``BandwidthTrace(trace.times_s, trace.rates_mbps)`` rebuild
-        (and therefore report serialization round-trips) lossless.
-        """
-        if not isinstance(other, BandwidthTrace):
-            return NotImplemented
-        return self._times == other._times and self._rates_bps == other._rates_bps
-
-    def __hash__(self) -> int:
-        return hash((tuple(self._times), tuple(self._rates_bps)))
-
-    def to_dict(self) -> dict[str, list[float]]:
-        """JSON-ready mapping: segment start times and rates."""
-        return {"times_s": list(self.times_s), "rates_mbps": list(self.rates_mbps)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Sequence[float]]) -> "BandwidthTrace":
-        """Rebuild a trace serialized by :meth:`to_dict`."""
-        return cls(data["times_s"], data["rates_mbps"])
 
     def __repr__(self) -> str:
         return (

@@ -83,7 +83,8 @@ class TestParseChaosSpec:
         assert config.delay_ms == pytest.approx(25.0)
 
     @pytest.mark.parametrize(
-        "spec", ["", "drop", "drop=x", "jitter=0.1", "drop=0.05,oops=1"]
+        "spec",
+        ["", "drop", "drop=x", "jitter=0.1", "drop=0.05,oops=1", "delay=0.1:"],
     )
     def test_rejects_malformed_specs(self, spec):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ recover exactly the encoded message sequence regardless of where the
 splits fall.
 """
 
+import dataclasses
 import json
 import struct
 
@@ -94,6 +95,12 @@ def _chunked(blob: bytes, cut_points: list[int]) -> list[bytes]:
     return [blob[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def _body(msg_type: int, data: dict) -> bytes:
+    """A raw frame of ``msg_type`` whose body is ``data`` as JSON."""
+    encoded = json.dumps(data).encode()
+    return struct.pack(">2sBI", PROTOCOL_MAGIC, msg_type, len(encoded)) + encoded
+
+
 class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -179,16 +186,80 @@ class TestErrors:
         # version/client_name coercion belongs to the decoder's error
         # contract: a bare ValueError would escape every
         # ``except ProtocolError`` caller and skip poisoning.
-        body = json.dumps(
-            {"setup": StreamSetup(scene="office").to_dict(), "version": "abc"}
-        ).encode()
-        blob = struct.pack(">2sBI", PROTOCOL_MAGIC, 0x01, len(body)) + body
+        setup = dataclasses.asdict(StreamSetup(scene="office"))
         decoder = MessageDecoder()
         with pytest.raises(ProtocolError, match="HELLO"):
-            decoder.feed(blob)
+            decoder.feed(_body(0x01, {"setup": setup, "version": "abc"}))
         with pytest.raises(ProtocolError):
             decoder.feed(b"")  # poisoned, like every other decode error
 
     def test_hello_version_default(self):
         hello = Hello(setup=StreamSetup(scene="office"))
         assert hello.version == PROTOCOL_VERSION
+
+    @pytest.mark.parametrize(
+        "msg_type, body",
+        [
+            (0x01, {"setup": "office"}),
+            (0x01, {"setup": ["office"]}),
+            (0x01, {"version": 1}),
+            (0x01, {"setup": {"height": 96}}),
+            (0x02, {"ladder": ["bd"], "n_frames": 3}),
+            (0x02, {"ladder": ["bd"], "interval_s": "fast", "n_frames": 3}),
+            (0x02, {"ladder": ["bd"], "interval_s": 0.1, "n_frames": float("inf")}),
+            (0x01, {"version": float("inf"), "setup": {"scene": "office"}}),
+            (0x05, {"stats": ["frames", 3]}),
+            (0x05, {"stats": None}),
+        ],
+    )
+    def test_malformed_control_body_poisons(self, msg_type, body):
+        decoder = MessageDecoder()
+        with pytest.raises(ProtocolError, match="malformed|must be"):
+            decoder.feed(_body(msg_type, body))
+        with pytest.raises(ProtocolError):
+            decoder.feed(b"")
+
+
+def test_bye_without_reason_reads_as_its_default():
+    (bye,) = MessageDecoder().feed(_body(0x05, {"stats": {"frames": 3}}))
+    assert bye == Bye(reason="complete", stats={"frames": 3})
+
+
+#: Wire bytes of one message of each JSON type, recorded before the
+#: control messages moved onto the report codec.
+GOLDEN_MESSAGES = [
+    (
+        Hello(
+            setup=StreamSetup(
+                scene="office", height=64, width=48, target_fps=90.0,
+                n_frames=12, controller="buffer", start_rung="bd",
+            ),
+            client_name="client-7",
+        ),
+        b'RV\x01\x00\x00\x00\xa0{"version":1,"client_name":"client-7","setup":'
+        b'{"scene":"office","height":64,"width":48,"target_fps":90.0,'
+        b'"n_frames":12,"controller":"buffer","start_rung":"bd"}}',
+    ),
+    (
+        Welcome(
+            ladder=("nocom", "png", "bd", "variable-bd", "perceptual"),
+            interval_s=1 / 90, n_frames=12, session="session-3",
+        ),
+        b'RV\x02\x00\x00\x00\x80{"ladder":["nocom","png","bd","variable-bd",'
+        b'"perceptual"],"interval_s":0.011111111111111112,"n_frames":12,'
+        b'"session":"session-3"}',
+    ),
+    (
+        Bye(reason="complete", stats={"frames": 12, "stall_s": 0.25, "rung": "bd"}),
+        b'RV\x05\x00\x00\x00F{"reason":"complete","stats":{"frames":12,'
+        b'"stall_s":0.25,"rung":"bd"}}',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "message, wire", GOLDEN_MESSAGES, ids=["hello", "welcome", "bye"]
+)
+def test_control_messages_keep_their_wire_bytes(message, wire):
+    assert encode_message(message) == wire
+    assert MessageDecoder().feed(wire) == [message]

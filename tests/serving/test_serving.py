@@ -8,6 +8,7 @@ Streams are kept short so the whole module stays in tier-1 time.
 import asyncio
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.scenes.library import get_scene
 from repro.serving.client import LoadgenConfig, LoadgenReport, run_loadgen
 from repro.serving.frames import FrameBank
 from repro.serving.protocol import (
+    PROTOCOL_MAGIC,
     Ack,
     Bye,
     Frame,
@@ -283,33 +285,8 @@ class TestBackpressure:
         assert report.frames_sent + report.dropped_frames + report.in_flight_at_close == 40
 
     def test_unknown_scene_is_rejected_at_handshake(self):
-        async def run():
-            server = StreamServer(ServeConfig(bank=_bank(), port=0))
-            await server.start()
-            try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                writer.write(
-                    encode_message(
-                        Hello(setup=StreamSetup(scene="not-in-the-bank"))
-                    )
-                )
-                await writer.drain()
-                decoder = MessageDecoder()
-                messages = []
-                while not messages:
-                    data = await reader.read(4096)
-                    if not data:
-                        break
-                    messages.extend(decoder.feed(data))
-                writer.close()
-                await writer.wait_closed()
-                return messages
-            finally:
-                await server.stop()
-
-        messages = asyncio.run(run())
+        hello = Hello(setup=StreamSetup(scene="not-in-the-bank"))
+        messages, _ = _handshake(_bank(), encode_message(hello))
         assert messages, "server closed without answering the HELLO"
         assert not isinstance(messages[0], Welcome)
 
@@ -320,35 +297,50 @@ class TestBackpressure:
         setup = StreamSetup(
             scene="office", height=96, width=96, target_fps=100.0, n_frames=4
         )
-
-        async def run():
-            server = StreamServer(ServeConfig(bank=bank, port=0))
-            await server.start()
-            try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                writer.write(encode_message(Hello(setup=setup)))
-                await writer.drain()
-                decoder = MessageDecoder()
-                messages = []
-                while not messages:
-                    data = await reader.read(4096)
-                    if not data:
-                        break
-                    messages.extend(decoder.feed(data))
-                writer.close()
-                await writer.wait_closed()
-            finally:
-                report = await server.stop()
-            return messages, report
-
-        messages, report = asyncio.run(asyncio.wait_for(run(), 30.0))
+        messages, report = _handshake(bank, encode_message(Hello(setup=setup)))
         assert messages, "server closed without answering the HELLO"
         assert isinstance(messages[0], Bye)
         assert "96x96" in messages[0].reason and "16x16" in messages[0].reason
         assert report.handshake_errors == 1
         assert report.n_clients == 0
+
+    def test_hello_without_version_is_refused(self):
+        """A HELLO body that names no version reads as version 0, which
+        the server refuses with a BYE and one handshake error."""
+        setup = dataclasses.asdict(StreamSetup(scene="synthetic", n_frames=4))
+        body = json.dumps({"client_name": "old", "setup": setup}).encode()
+        hello = struct.pack(">2sBI", PROTOCOL_MAGIC, 0x01, len(body)) + body
+        messages, report = _handshake(_bank(), hello)
+        assert messages == [Bye(reason="unsupported protocol version 0")]
+        assert report.handshake_errors == 1
+        assert report.n_clients == 0
+
+
+def _handshake(bank: FrameBank, hello: bytes) -> tuple[list, ServerReport]:
+    """Send raw ``hello`` bytes to a fresh server; return the messages
+    answering it and the server's report."""
+
+    async def run():
+        server = StreamServer(ServeConfig(bank=bank, port=0))
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(hello)
+            await writer.drain()
+            decoder = MessageDecoder()
+            messages = []
+            while not messages:
+                data = await reader.read(4096)
+                if not data:
+                    break
+                messages.extend(decoder.feed(data))
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            report = await server.stop()
+        return messages, report
+
+    return asyncio.run(asyncio.wait_for(run(), 30.0))
 
 
 async def _receive_frames(config: ServeConfig, setup: StreamSetup) -> list[Frame]:

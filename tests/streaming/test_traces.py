@@ -1,5 +1,8 @@
 """Tests for bandwidth traces and the time-varying link."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,13 @@ class TestConstruction:
         assert trace.n_segments == 3
         assert trace.bandwidth_mbps_at(2.0) == 80.0
 
+    @pytest.mark.parametrize("bad", ["1,abc", "1,nan", "inf,80", "1,80,3", "1"])
+    def test_from_file_names_the_bad_line(self, tmp_path, bad):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"0,400\n{bad}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+            BandwidthTrace.from_file(path)
+
 
 class TestCapacityMath:
     def test_capacity_integrates_the_profile(self):
@@ -98,6 +108,16 @@ class TestCapacityMath:
     def test_mean_excludes_open_tail(self):
         trace = BandwidthTrace([0.0, 1.0], [300.0, 100.0])
         assert trace.mean_mbps == pytest.approx(300.0)
+
+
+def test_the_two_fields_are_the_value():
+    """Equality, hash and the report JSON read ``times_s`` and
+    ``rates_mbps``; ``BandwidthTrace(**asdict(trace))`` rebuilds it."""
+    trace = BandwidthTrace([0, 1.5], np.array([400.0, 80.0]))
+    assert dataclasses.asdict(trace) == {"times_s": (0.0, 1.5), "rates_mbps": (400.0, 80.0)}
+    rebuilt = BandwidthTrace(**dataclasses.asdict(trace))
+    assert rebuilt == trace and hash(rebuilt) == hash(trace)
+    assert trace != BandwidthTrace([0.0, 1.5], [400.0, 81.0])
 
 
 class TestTracedLink:

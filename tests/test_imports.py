@@ -14,7 +14,8 @@ fresh-interpreter tests below check.
 ``PUBLIC_NAMES`` is the distinct union of every ``repro`` module's
 ``__all__``.  A name that enters or leaves the public API shows up as a
 diff of that list, and each name must be reached by code outside
-``tests/``: a helper only the tests call lives in ``tests/``.
+``tests/``: a helper only the tests call lives in ``tests/``.  No class
+in src writes its own JSON beside the report codec, bar two on purpose.
 """
 
 import ast
@@ -590,3 +591,33 @@ def test_no_public_name_is_reached_only_by_tests():
     """A public name that no src, example, benchmark or perfbench code
     names is a test-only helper: it belongs in ``tests/``, or nowhere."""
     assert _unreached_public_names(REPO) == []
+
+
+#: Classes in src that keep a hand-written JSON mapping, each on purpose.
+_HAND_WRITTEN_JSON = {
+    "QuantileSketch": "merges its pending batches into the centroids before it "
+    "writes; a field form would merge on every add and move the cohort pins",
+    "AnalysisReport": "the linter's --json layout, whose keys are not its field names",
+}
+
+
+def _hand_written_json_classes(root: Path) -> list[str]:
+    """Classes under ``root/src`` that define ``to_dict`` or ``from_dict``,
+    less the allow-list."""
+    found = set()
+    for path in sorted((root / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef)
+                and item.name in ("to_dict", "from_dict")
+                for item in node.body
+            ):
+                found.add(node.name)
+    return sorted(found - set(_HAND_WRITTEN_JSON))
+
+
+def test_json_bodies_go_through_the_report_codec():
+    """A dataclass's JSON is its fields, written and read by
+    ``repro.streaming.reports``; a per-class ``to_dict``/``from_dict``
+    is a second serializer to keep in step."""
+    assert _hand_written_json_classes(REPO) == []
