@@ -348,14 +348,13 @@ def encode_rung_streams(
     height: int,
     width: int,
     display: "DisplayGeometry",
-    fixations: Sequence[tuple[float, float]] | None = None,
     payloads: list | None = None,
 ) -> list[tuple[int, ...]]:
     """Render and encode a stream's frames at every codec rung.
 
-    The one-stream case of :func:`encode_scene_streams`, which documents
-    the arguments: the solo and adaptive sessions precompute their
-    streams here and replay them through
+    The one-stream, centered-gaze case of :func:`encode_scene_streams`,
+    which documents the arguments: the solo and adaptive sessions
+    precompute their streams here and replay them through
     :class:`~repro.streaming.engine.PrecomputedSource`, and
     :meth:`repro.serving.frames.FrameBank.from_scene` encodes its bank
     here.  ``payloads`` receives one tuple of bitstreams per frame.
@@ -368,7 +367,7 @@ def encode_rung_streams(
     """
     collected: list = []
     (stream,) = encode_scene_streams(
-        scene, [(codecs, n_frames, fixations)], height, width, display, collected
+        scene, [(codecs, n_frames, None)], height, width, display, collected
     )
     if payloads is not None:
         payloads.extend(collected[0])

@@ -192,22 +192,21 @@ class Scene:
     grain_codes: float = 1.0
 
     def render(
-        self, height: int, width: int, frame: int = 0, eye: str | None = None,
-        disparity_fraction: float = _DISPARITY_FRACTION,
+        self, height: int, width: int, frame: int = 0, eye: str | None = None
     ) -> np.ndarray:
         """Render one (sub-)frame in linear RGB.
 
         ``eye`` is ``None`` for a cyclopean frame, or ``"left"`` /
         ``"right"`` for the stereo sub-frames the paper renders; the
-        two eyes crop a wider canvas offset by ``disparity_fraction``
-        of the width, so their content is identical up to parallax
-        (their rendering grain differs, as it would between two real
-        render passes).
+        two eyes crop a wider canvas offset by a fixed fraction of the
+        width (the disparity :meth:`render_stereo` uses), so their
+        content is identical up to parallax (their rendering grain
+        differs, as it would between two real render passes).
         """
         self._check(height, width, frame)
         if eye not in (None, "left", "right"):
             raise ValueError(f"eye must be None, 'left' or 'right', got {eye!r}")
-        disparity = max(1, int(width * disparity_fraction)) if eye else 0
+        disparity = max(1, int(width * _DISPARITY_FRACTION)) if eye else 0
         canvas = self._canvas(height, width + 2 * disparity, frame)
         offset = {None: disparity, "left": 0, "right": 2 * disparity}[eye]
         return self._crop(canvas, offset, width, frame, eye)

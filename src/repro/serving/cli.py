@@ -92,7 +92,7 @@ def _serve_parser() -> argparse.ArgumentParser:
     policy = parser.add_argument_group("serving policy")
     policy.add_argument(
         "--deadline", type=float, default=0.25, metavar="S",
-        help="drop frames still queued this long after ready (0 disables)",
+        help="drop frames still unsent this long after ready",
     )
     policy.add_argument(
         "--queue", type=int, default=32, metavar="FRAMES",
@@ -122,7 +122,7 @@ def _serve_config(args: argparse.Namespace, bank: FrameBank) -> ServeConfig:
         port=args.port,
         nominal_bandwidth_mbps=args.bandwidth,
         phy_trace=trace,
-        deadline_s=None if args.deadline == 0 else args.deadline,
+        deadline_s=args.deadline,
         queue_frames=args.queue,
         chaos=parse_chaos_spec(args.chaos) if args.chaos else None,
     )
@@ -249,7 +249,7 @@ def _loadgen_parser() -> argparse.ArgumentParser:
     )
     spawn.add_argument(
         "--deadline", type=float, default=0.25, metavar="S",
-        help="spawned server's frame deadline (0 disables)",
+        help="spawned server's frame deadline",
     )
     spawn.add_argument(
         "--chaos", default=None, metavar="SPEC",
@@ -297,7 +297,7 @@ def loadgen_main(argv: list[str] | None = None) -> int:
                     port=0,
                     nominal_bandwidth_mbps=args.server_bandwidth,
                     phy_trace=server_trace,
-                    deadline_s=None if args.deadline == 0 else args.deadline,
+                    deadline_s=args.deadline,
                     chaos=parse_chaos_spec(args.chaos) if args.chaos else None,
                 )
             except (ValueError, KeyError, OSError) as exc:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..codecs.ladder import QualityLadder, encode_rung_streams
-from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
+from ..scenes.display import QUEST2_DISPLAY
 from ..scenes.library import Scene, get_scene
 from ..streaming.engine import PrecomputedSource, modeled_encode_time_s
 
@@ -67,9 +67,9 @@ def _bank_payloads(rung_streams, streams) -> list[tuple[bytes, ...]]:
 class FrameBank(PrecomputedSource):
     """Per-frame ladder sizes plus the payload bytes that carry them.
 
-    Construct with :meth:`from_scene` (render + encode a scene) or
-    :meth:`from_rung_streams` (synthetic sizes — the twin test's entry
-    point).  Frame sizes, cycling and validation are the engine's
+    Construct with :meth:`from_scene` (render + encode a scene), or
+    directly from sizes and payloads.  Frame sizes, cycling and
+    validation are the engine's
     :class:`~repro.streaming.engine.PrecomputedSource`; the bank adds
     one payload per ``(frame, rung)``.
 
@@ -125,8 +125,6 @@ class FrameBank(PrecomputedSource):
         n_frames: int = 8,
         height: int = 192,
         width: int = 192,
-        display: DisplayGeometry = QUEST2_DISPLAY,
-        encode_throughput_mpixels_s: float = 500.0,
     ) -> "FrameBank":
         """Render and ladder-encode ``n_frames`` of a scene.
 
@@ -135,7 +133,9 @@ class FrameBank(PrecomputedSource):
         included — exactly as the simulators do.  Each rung's codec is
         built fresh, with its bitstream switched on where it has one;
         the ladder's cached codecs, which simulators share, are never
-        touched.
+        touched.  The bank uses the Quest 2 display geometry, and its
+        ``encode_time_s`` is the simulators' modeled encode time at
+        their default 500 Mpixel/s.
 
         Parameters
         ----------
@@ -148,11 +148,6 @@ class FrameBank(PrecomputedSource):
             Unique frames to encode (streams cycle over them).
         height, width:
             Per-eye render resolution.
-        display:
-            Headset geometry for the eccentricity map.
-        encode_throughput_mpixels_s:
-            Modeled server-side encoder rate; sets the bank's
-            ``encode_time_s`` with the same formula the simulators use.
         """
         if n_frames < 1:
             raise ValueError(f"n_frames must be >= 1, got {n_frames}")
@@ -164,42 +159,16 @@ class FrameBank(PrecomputedSource):
                 codec.payload = True
         streams: list[tuple[bytes | None, ...]] = []
         rung_streams = encode_rung_streams(
-            scene, codecs, n_frames, height, width, display, payloads=streams
+            scene, codecs, n_frames, height, width, QUEST2_DISPLAY, payloads=streams
         )
         return cls(
             ladder=ladder,
             rung_streams=rung_streams,
             payloads=_bank_payloads(rung_streams, streams),
-            encode_time_s=modeled_encode_time_s(height, width, encode_throughput_mpixels_s),
+            encode_time_s=modeled_encode_time_s(height, width, 500.0),
             scene_name=scene.name,
             height=height,
             width=width,
-        )
-
-    @classmethod
-    def from_rung_streams(
-        cls,
-        rung_streams: Sequence[Sequence[int]],
-        ladder: QualityLadder | None = None,
-        encode_time_s: float = 0.0,
-        scene_name: str = "synthetic",
-    ) -> "FrameBank":
-        """Wrap precomputed sizes with synthesized payload bytes.
-
-        The twin test's constructor: the exact ``rung_streams`` handed
-        to :func:`~repro.streaming.adaptive.simulate_adaptive_session`
-        become a servable bank, so simulator and server stream
-        byte-for-bit the same ladder sizes.
-        """
-        rung_streams = [tuple(int(b) for b in frame) for frame in rung_streams]
-        return cls(
-            ladder=ladder if ladder is not None else QualityLadder.default(),
-            rung_streams=rung_streams,
-            payloads=_bank_payloads(
-                rung_streams, [[None] * len(frame) for frame in rung_streams]
-            ),
-            encode_time_s=encode_time_s,
-            scene_name=scene_name,
         )
 
     # -- queries --------------------------------------------------------

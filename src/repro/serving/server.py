@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..streaming.adaptive import get_controller
@@ -74,6 +76,15 @@ _HANDSHAKE_TIMEOUT_S = 5.0
 #: Upper clamp on a client's requested stream length, in frames.
 _MAX_FRAMES = 100_000
 
+#: Transport write-buffer high-water mark, above which ``drain()``
+#: blocks instead of buffering megabytes in user space.  The bytes in
+#: flight to a client are bounded by the send window, not by this.
+_WRITE_BUFFER_BYTES = 65536
+
+#: How a paced frame ended: its ACK arrived, it was dropped past its
+#: deadline, at a full send queue, or by the chaos injector.
+_ACKED, _DEADLINE, _QUEUE, _CHAOS = "acked", "deadline", "queue", "chaos"
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -100,7 +111,8 @@ class ServeConfig:
         display).  It also sizes each connection's send window: at most
         ``link_bps_at(ready_s) * deadline_s / 8`` bytes may be written
         and not yet ACKed, and time spent waiting for that window counts
-        toward the deadline.  ``None`` never drops and keeps no window.
+        toward the deadline.  To serve without drops, pass a deadline
+        longer than the stream.
     queue_frames:
         Per-client send-queue capacity, in frames; a full queue drops
         the *new* frame at enqueue (counted separately from deadline
@@ -115,13 +127,7 @@ class ServeConfig:
         send window shut; either would pin the connection (and its
         bank payload references) until server shutdown.  A drain
         stalled this long, or a window wait this long without an ACK,
-        marks the client gone and aborts the transport.  ``None``
-        disables the watchdog.
-    write_buffer_bytes:
-        Transport write-buffer high-water mark, above which ``drain()``
-        blocks instead of buffering megabytes in user space; ``None``
-        keeps asyncio's default.  The bytes in flight to a client are
-        bounded by the send window (see ``deadline_s``), not by this.
+        marks the client gone and aborts the transport.
     chaos:
         Optional :class:`~repro.serving.chaos.ChaosConfig` injecting
         frame drops, delays, and connection resets into every
@@ -135,28 +141,22 @@ class ServeConfig:
     port: int = 0
     nominal_bandwidth_mbps: float = 400.0
     phy_trace: BandwidthTrace | None = None
-    deadline_s: float | None = 0.25
+    deadline_s: float = 0.25
     queue_frames: int = 32
     drain_grace_s: float = 2.0
-    send_stall_timeout_s: float | None = 10.0
-    write_buffer_bytes: int | None = 65536
+    send_stall_timeout_s: float = 10.0
     chaos: ChaosConfig | None = None
 
     def __post_init__(self):
-        if self.nominal_bandwidth_mbps <= 0:
-            raise ValueError(
-                f"nominal_bandwidth_mbps must be positive, "
-                f"got {self.nominal_bandwidth_mbps}"
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
+        # NaN fails every comparison, so the range checks reject it too.
+        for name in ("nominal_bandwidth_mbps", "deadline_s", "send_stall_timeout_s"):
+            value = getattr(self, name)
+            if value is None or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0 <= self.drain_grace_s < math.inf:
+            raise ValueError(f"drain_grace_s must be >= 0 and finite, got {self.drain_grace_s}")
         if self.queue_frames < 1:
             raise ValueError(f"queue_frames must be >= 1, got {self.queue_frames}")
-        if self.send_stall_timeout_s is not None and self.send_stall_timeout_s <= 0:
-            raise ValueError(
-                f"send_stall_timeout_s must be positive, "
-                f"got {self.send_stall_timeout_s}"
-            )
 
     def link_bps_at(self, time_s: float) -> float:
         """The PHY-rate hint a controller sees at session time ``time_s``."""
@@ -176,8 +176,11 @@ class ServedClientReport(ClientReport):
     Attributes
     ----------
     deadline_drops:
-        Frames dropped because they were still queued past their
-        deadline.
+        Frames dropped because they were still unsent past their
+        deadline.  Frames still queued, or held at the send window,
+        when the connection closed (the client left, or
+        :meth:`StreamServer.stop` cancelled the connection) count here
+        too, so every paced frame is ACKed, dropped or in flight.
     queue_drops:
         Frames dropped at enqueue because the send queue was full.
     protocol_errors:
@@ -249,7 +252,7 @@ class ServerReport(ClientRollup):
     @property
     def dropped_frames(self) -> int:
         """Frames dropped for any reason, across clients."""
-        return self.deadline_drops + self.queue_drops + self.chaos_drops
+        return sum(r.dropped_frames for r in self.clients)
 
     @property
     def protocol_errors(self) -> int:
@@ -327,17 +330,20 @@ class _EmptyConnection(Exception):
     """A peer connected and closed without ever sending a byte."""
 
 
-class _QueuedFrame:
-    """One frame waiting in a connection's send queue."""
+@dataclass(slots=True)
+class _Frame:
+    """One paced frame in a connection's ledger, from choice to outcome."""
 
-    __slots__ = ("frame_index", "rung", "ready_s", "payload_bits", "payload")
-
-    def __init__(self, frame_index, rung, ready_s, payload_bits, payload):
-        self.frame_index = frame_index
-        self.rung = rung
-        self.ready_s = ready_s
-        self.payload_bits = payload_bits
-        self.payload = payload
+    index: int
+    rung: int
+    bits: int
+    payload: bytes
+    ready_s: float
+    send_s: float | None = None  # session time it was written, if it was
+    wire_bytes: int = 0
+    drain_s: float = 0.0
+    ack_s: float | None = None
+    outcome: str | None = None  # _ACKED, _DEADLINE, _QUEUE or _CHAOS once settled
 
 
 class _Connection:
@@ -355,53 +361,46 @@ class _Connection:
       client ACKs slowly, the window stays shut, the queue backs up —
       whatever the kernel's socket buffers could have absorbed);
     * the **ACK reader** turns acknowledgement arrival times into
-      measured drain samples and replays them into the adaptation
-      state strictly in frame order, so the feedback loop sees the same
-      ordering the simulator guarantees by construction.
+      measured drain samples.
+
+    All three write one ledger, ``frames``: a :class:`_Frame` per paced
+    frame, in frame order.  Each frame is settled once, with one
+    outcome, and the settled prefix is replayed into the adaptation
+    state strictly in frame order, so the feedback loop sees the same
+    ordering the simulator guarantees by construction.
     """
 
     def __init__(
         self,
-        server: "StreamServer",
+        config: ServeConfig,
         session: str,
         hello: Hello,
         writer: asyncio.StreamWriter,
         session_index: int = 0,
     ):
-        config = server.config
         bank = config.bank
         setup = hello.setup
-        validate_stream_timing(
-            n_frames=setup.n_frames, target_fps=setup.target_fps
-        )
+        validate_stream_timing(n_frames=setup.n_frames, target_fps=setup.target_fps)
         controller = get_controller(setup.controller)
         ladder = bank.ladder
         start = 0 if setup.start_rung is None else ladder.index_of(setup.start_rung)
-        self.server = server
         self.config = config
         self.bank = bank
         self.setup = setup
-        self.session = session
         self.name = hello.client_name or session
         self.writer = writer
         self.interval_s = 1.0 / setup.target_fps
         self.n_frames = min(setup.n_frames, _MAX_FRAMES)
         self.state = AdaptationState(controller, ladder, start, self.interval_s)
         self.controller_name = controller.name
-        self.queue: asyncio.Queue[_QueuedFrame | None] = asyncio.Queue(
-            maxsize=config.queue_frames
-        )
+        self.queue: asyncio.Queue[_Frame | None] = asyncio.Queue(config.queue_frames)
         self.epoch: float = 0.0  # loop.time() at session start
-        # The in-flight ledger: frames written and not yet ACKed, as
-        # frame -> (session send time, wire bytes), plus their sum.
-        self.in_flight: dict[int, tuple[float, int]] = {}
-        self.in_flight_bytes = 0
+        self.frames: list[_Frame] = []
+        self.replayed = 0  # frames[:replayed] are in the adaptation state
+        self.in_flight_bytes = 0  # wire bytes written and not yet settled
         self.ack_arrived = asyncio.Event()  # wakes a sender waiting on the window
-        self.chosen: dict[int, tuple[int, int]] = {}  # frame -> (rung, bits)
         self.last_ack_s = 0.0
         self.timings: list[FrameTiming] = []
-        self.deadline_drops = 0
-        self.queue_drops = 0
         self.protocol_errors = 0
         self.bytes_sent = 0
         # Fault injection: one deterministic chaos stream per
@@ -412,12 +411,6 @@ class _Connection:
             else None
         )
         self.client_gone = asyncio.Event()
-        # In-order record replay (ACKs for sent frames arrive in order,
-        # but drop records originate in the pacer/sender and may lap
-        # them).  Every frame's outcome is pushed exactly once, so the
-        # cursor reaches n_frames when every frame is accounted for.
-        self._pending_records: dict[int, tuple[int, int, float, float | None]] = {}
-        self._next_record = 0
 
     # -- session clock --------------------------------------------------
 
@@ -425,38 +418,38 @@ class _Connection:
         """Session time: seconds since this connection's first frame."""
         return asyncio.get_running_loop().time() - self.epoch
 
-    # -- adaptation-state bookkeeping -----------------------------------
+    # -- the ledger -----------------------------------------------------
 
-    def _push_record(
-        self, frame_index: int, payload_bits: int, drain_s: float, ack_s: float | None
+    def _settle(
+        self, frame: _Frame, outcome: str, drain_s: float = 0.0, ack_s: float | None = None
     ) -> None:
-        """Queue one frame's outcome; replay any in-order prefix."""
-        rung, _ = self.chosen[frame_index]
-        self._pending_records[frame_index] = (rung, payload_bits, drain_s, ack_s)
-        while self._next_record in self._pending_records:
-            rung, bits, drain, ack = self._pending_records.pop(self._next_record)
-            self.state.record(bits, drain, rung=rung)
-            if ack is not None:
-                ready_s = self._next_record * self.interval_s
+        """End ``frame`` with ``outcome``; replay the settled prefix.
+
+        A frame already settled keeps its first outcome.  A written
+        frame gives its bytes back to the send window.  A dropped frame
+        moved zero bits while its interval passed.
+        """
+        if frame.outcome is not None:
+            return
+        frame.outcome, frame.drain_s, frame.ack_s = outcome, drain_s, ack_s
+        if frame.send_s is not None:
+            self.in_flight_bytes -= frame.wire_bytes
+        while self.replayed < len(self.frames) and self.frames[self.replayed].outcome:
+            done = self.frames[self.replayed]
+            acked = done.outcome == _ACKED
+            self.state.record(done.bits if acked else 0, done.drain_s, rung=done.rung)
+            if acked:
                 self.timings.append(
                     FrameTiming(
-                        frame_index=self._next_record,
-                        payload_bits=bits,
+                        frame_index=done.index,
+                        payload_bits=done.bits,
                         encode_time_s=self.bank.encode_time_s,
-                        serialization_time_s=drain,
-                        transmit_time_s=max(0.0, ack - ready_s),
-                        rung=self.state.ladder[rung].name,
+                        serialization_time_s=done.drain_s,
+                        transmit_time_s=max(0.0, done.ack_s - done.ready_s),
+                        rung=self.state.ladder[done.rung].name,
                     )
                 )
-            self._next_record += 1
-
-    def _drop(self, frame: _QueuedFrame, *, deadline: bool) -> None:
-        """Account one dropped frame (zero bits moved, interval passed)."""
-        if deadline:
-            self.deadline_drops += 1
-        else:
-            self.queue_drops += 1
-        self._push_record(frame.frame_index, 0, 0.0, None)
+            self.replayed += 1
 
     # -- coroutines -----------------------------------------------------
 
@@ -478,25 +471,20 @@ class _Connection:
             rung = self.state.choose(
                 frame_index, ready_s, rung_bits, self.config.link_bps_at(ready_s)
             )
-            frame = _QueuedFrame(
-                frame_index=frame_index,
-                rung=rung,
-                ready_s=ready_s,
-                payload_bits=rung_bits[rung],
-                payload=self.bank.payload(frame_index, rung),
+            frame = _Frame(
+                frame_index, rung, rung_bits[rung],
+                self.bank.payload(frame_index, rung), ready_s,
             )
-            self.chosen[frame_index] = (rung, rung_bits[rung])
+            self.frames.append(frame)
             try:
                 self.queue.put_nowait(frame)
             except asyncio.QueueFull:
-                self._drop(frame, deadline=False)
+                self._settle(frame, _QUEUE)
         # Sender sentinel.  A healthy sender frees a slot within one
         # drain-watchdog period, so bound the wait; past it the sender
         # is wedged or dead, and blocking here would pin the
         # connection — force the sentinel in instead.
-        grace = self.config.drain_grace_s
-        if self.config.send_stall_timeout_s is not None:
-            grace = max(grace, self.config.send_stall_timeout_s)
+        grace = max(self.config.drain_grace_s, self.config.send_stall_timeout_s)
         try:
             await asyncio.wait_for(self.queue.put(None), grace)
         except asyncio.TimeoutError:
@@ -508,9 +496,9 @@ class _Connection:
                 except asyncio.QueueFull:
                     stale = self.queue.get_nowait()
                     if stale is not None:
-                        self._drop(stale, deadline=True)
+                        self._settle(stale, _DEADLINE)
 
-    async def _await_window(self, frame: _QueuedFrame) -> bool:
+    async def _await_window(self, frame: _Frame) -> bool:
         """Wait until the ACK-clocked send window admits ``frame``.
 
         The window is what the hinted channel delivers within one
@@ -553,12 +541,12 @@ class _Connection:
     async def send(self) -> None:
         """Drain the queue to the socket through the send window.
 
-        Each frame waits for :meth:`_await_window` to admit it, then is
-        dropped if that wait or its time in the queue carried it past
-        its deadline.  Otherwise it enters the in-flight ledger, stamped
-        with its send time, and is written; ``drain()`` flushes the
-        transport under the stall watchdog.  With ``deadline_s=None``
-        there is no window and nothing is dropped for lateness.
+        Each frame waits for :meth:`_await_window` to admit it (so the
+        time spent waiting for ACKs counts toward its deadline), then is
+        dropped if the client is gone or the frame is past its deadline.
+        Otherwise it is stamped with its send time, its wire bytes join
+        the window's in-flight count, and it is written; ``drain()``
+        flushes the transport under the stall watchdog.
         """
         deadline_s = self.config.deadline_s
         stall_s = self.config.send_stall_timeout_s
@@ -566,18 +554,12 @@ class _Connection:
             frame = await self.queue.get()
             if frame is None:
                 return
-            if self.client_gone.is_set():
-                self._drop(frame, deadline=True)
+            admitted = await self._await_window(frame)
+            if not admitted or self.now_s() > frame.ready_s + deadline_s:
+                self._settle(frame, _DEADLINE)
                 continue
-            if deadline_s is not None:
-                # Admission first, so the time spent waiting for ACKs
-                # counts toward the deadline.
-                admitted = await self._await_window(frame)
-                if not admitted or self.now_s() > frame.ready_s + deadline_s:
-                    self._drop(frame, deadline=True)
-                    continue
             message = Frame(
-                frame_index=frame.frame_index,
+                frame_index=frame.index,
                 rung=frame.rung,
                 ready_time_s=frame.ready_s,
                 payload=frame.payload,
@@ -588,9 +570,9 @@ class _Connection:
                 if action == "drop":
                     # Never written: the client sees a frame-index gap,
                     # exactly like an erased packet in the simulator.
-                    # Recorded as a drop, so neither the adaptation state
+                    # Settled as a drop, so neither the adaptation state
                     # nor the end-of-stream wait stalls on the fault.
-                    self._push_record(frame.frame_index, 0, 0.0, None)
+                    self._settle(frame, _CHAOS)
                     continue
                 if action == "reset":
                     # Kill the connection the way real networks do:
@@ -603,36 +585,24 @@ class _Connection:
                         self.writer.transport.abort()
                     except (ConnectionError, OSError):
                         pass
-                    self._push_record(frame.frame_index, 0, 0.0, None)
+                    self._settle(frame, _CHAOS)
                     continue
                 if action == "delay":
                     await asyncio.sleep(self.chaos.delay_s)
-            # Into the ledger before the write, so an ACK that arrives
-            # before drain() returns settles it and leaves nothing stale.
-            self.in_flight[frame.frame_index] = (self.now_s(), len(wire))
+            # Stamped before the write, so an ACK that arrives before
+            # drain() returns settles it and leaves nothing stale.
+            frame.send_s, frame.wire_bytes = self.now_s(), len(wire)
             self.in_flight_bytes += len(wire)
             try:
                 self.writer.write(wire)
-                if stall_s is None:
-                    await self.writer.drain()
-                else:
-                    await asyncio.wait_for(self.writer.drain(), stall_s)
-            except asyncio.TimeoutError:
-                # The client holds the connection open but stopped
-                # reading (no transport-buffer room for this long);
-                # abort rather than stay pinned on an unresponsive
-                # peer.  Must precede the OSError clause: on 3.11+
-                # asyncio.TimeoutError is the builtin TimeoutError,
-                # an OSError subclass.
+                await asyncio.wait_for(self.writer.drain(), stall_s)
+            except (asyncio.TimeoutError, ConnectionError, OSError):
+                # The connection broke, or the client holds it open but
+                # stopped reading (no transport-buffer room for
+                # stall_s): abort rather than stay pinned on it.
                 self.client_gone.set()
                 self.writer.transport.abort()
-                self._settle(frame.frame_index)
-                self._drop(frame, deadline=True)
-                continue
-            except (ConnectionError, OSError):
-                self.client_gone.set()
-                self._settle(frame.frame_index)
-                self._drop(frame, deadline=True)
+                self._settle(frame, _DEADLINE)
                 continue
             self.bytes_sent += len(wire)
 
@@ -666,20 +636,11 @@ class _Connection:
         finally:
             self.client_gone.set()
 
-    def _settle(self, frame_index: int) -> float | None:
-        """Take a frame out of the in-flight ledger; its send time, if any."""
-        entry = self.in_flight.pop(frame_index, None)
-        if entry is None:
-            return None
-        send_s, wire_bytes = entry
-        self.in_flight_bytes -= wire_bytes
-        return send_s
-
     def _on_ack(self, ack: Ack) -> None:
-        send_s = self._settle(ack.frame_index)
-        chosen = self.chosen.get(ack.frame_index)
-        if send_s is None or chosen is None:
-            self.protocol_errors += 1  # ACK for a frame never sent
+        index = ack.frame_index
+        frame = self.frames[index] if 0 <= index < len(self.frames) else None
+        if frame is None or frame.send_s is None or frame.outcome is not None:
+            self.protocol_errors += 1  # ACK for a frame not in flight
             return
         self.ack_arrived.set()
         ack_s = self.now_s()
@@ -687,14 +648,23 @@ class _Connection:
         # frame's drain from whichever came later, its own send or the
         # previous frame's completion — the live twin of the engine's
         # queue-behind-backlog serialization pricing.
-        drain_s = max(1e-9, ack_s - max(send_s, self.last_ack_s))
+        drain_s = max(1e-9, ack_s - max(frame.send_s, self.last_ack_s))
         self.last_ack_s = ack_s
-        self._push_record(ack.frame_index, chosen[1], drain_s, ack_s)
+        self._settle(frame, _ACKED, drain_s, ack_s)
 
     # -- report ---------------------------------------------------------
 
     def report(self) -> ServedClientReport:
-        """Freeze this connection's outcome."""
+        """Freeze this connection's outcome from its ledger.
+
+        A frame still unsettled at close is in flight if it was written,
+        and otherwise a deadline drop: it was queued, or held at the
+        send window, when the connection ended.
+        """
+        outcomes = Counter(
+            frame.outcome or ("in flight" if frame.send_s is not None else _DEADLINE)
+            for frame in self.frames
+        )
         return ServedClientReport(
             encoder=f"serving:{self.controller_name}",
             frames=list(self.timings),
@@ -703,14 +673,14 @@ class _Connection:
             scene=self.setup.scene,
             weight=1.0,
             adaptive=self.state.stats(),
-            deadline_drops=self.deadline_drops,
-            queue_drops=self.queue_drops,
+            deadline_drops=outcomes[_DEADLINE],
+            queue_drops=outcomes[_QUEUE],
             protocol_errors=self.protocol_errors,
             bytes_sent=self.bytes_sent,
             chaos_drops=self.chaos.drops if self.chaos is not None else 0,
             chaos_delays=self.chaos.delays if self.chaos is not None else 0,
             chaos_resets=self.chaos.resets if self.chaos is not None else 0,
-            in_flight_at_close=len(self.in_flight),
+            in_flight_at_close=outcomes["in flight"],
         )
 
 
@@ -859,8 +829,7 @@ class StreamServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         config = self.config
-        if config.write_buffer_bytes is not None:
-            writer.transport.set_write_buffer_limits(high=config.write_buffer_bytes)
+        writer.transport.set_write_buffer_limits(high=_WRITE_BUFFER_BYTES)
         session_index = next(self._sessions)
         session = f"session-{session_index}"
         try:
@@ -898,7 +867,7 @@ class StreamServer:
             )
             return
         try:
-            connection = _Connection(self, session, hello, writer, session_index)
+            connection = _Connection(config, session, hello, writer, session_index)
         except (ValueError, KeyError) as exc:
             self._handshake_errors += 1
             reject(f"bad stream setup: {exc}")
@@ -925,7 +894,7 @@ class StreamServer:
             # acknowledged before declaring the stream over.
             deadline = asyncio.get_running_loop().time() + config.drain_grace_s
             while (
-                connection._next_record < connection.n_frames
+                connection.replayed < connection.n_frames
                 and not connection.client_gone.is_set()
                 and asyncio.get_running_loop().time() < deadline
             ):

@@ -222,8 +222,10 @@ class BandwidthTrace:
         """Load a trace from a ``time_s,mbps`` CSV file.
 
         Blank lines and lines starting with ``#`` are skipped.  The
-        first sample must be at time 0, times must ascend, and a bad
-        line raises ``ValueError`` naming its file and line number.
+        first sample must be at time 0, times must ascend and rates be
+        positive; each sample is checked against the one before it as
+        it is read, so a bad line raises ``ValueError`` naming its file
+        and line number.
         """
         times, rates = [], []
         with open(path) as handle:
@@ -236,10 +238,18 @@ class BandwidthTrace:
                 except ValueError:
                     time_s = mbps = math.nan
                 if not (math.isfinite(time_s) and math.isfinite(mbps)):
-                    raise ValueError(f"{path}:{lineno}: expected 'time_s,mbps' as "
-                                     f"two finite numbers, got {line!r}")
-                times.append(time_s)
-                rates.append(mbps)
+                    problem = "expected 'time_s,mbps' as two finite numbers"
+                elif not times and time_s != 0.0:
+                    problem = "the first segment must start at 0.0 s"
+                elif times and time_s <= times[-1]:
+                    problem = "segment start times must be strictly ascending"
+                elif mbps <= 0:
+                    problem = "all rates must be positive Mbps"
+                else:
+                    times.append(time_s)
+                    rates.append(mbps)
+                    continue
+                raise ValueError(f"{path}:{lineno}: {problem}, got {line!r}")
         if not times:
             raise ValueError(f"{path}: no samples found")
         return cls(times, rates)

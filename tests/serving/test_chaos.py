@@ -19,12 +19,13 @@ from repro.serving.frames import FrameBank
 from repro.serving.protocol import StreamSetup
 from repro.serving.server import ServeConfig, ServerReport, StreamServer
 from repro.streaming.loss import Backoff
+from serving_support import assert_conserved, synthetic_bank
 
 SIZES = (80_000, 40_000, 20_000, 10_000, 5_000)
 
 
 def _bank() -> FrameBank:
-    return FrameBank.from_rung_streams([SIZES])
+    return synthetic_bank([SIZES])
 
 
 async def _serve_and_load(config: ServeConfig, load: LoadgenConfig):
@@ -165,6 +166,7 @@ class TestChaosEndToEnd:
         assert loadgen.total_resyncs > 0
         # Dropped frames never reach a socket.
         assert loadgen.frames_received + report.chaos_drops == 3 * 25
+        assert_conserved(report, 25)
 
     def test_resets_ride_out_on_reconnects(self):
         """Connection resets mid-stream: clients reconnect under
@@ -289,6 +291,7 @@ class TestChaosReportSerialization:
         """Chaos-free serializations stay byte-compatible with the
         pre-chaos format: no chaos, reconnect, or resync keys."""
         report, loadgen = self._run(None, max_reconnects=0)
+        assert_conserved(report, 15)
         for text in (report.to_json(), loadgen.to_json()):
             assert '"chaos_drops"' not in text
             assert '"reconnects"' not in text

@@ -9,6 +9,7 @@ from repro.codecs.ladder import QualityLadder, QualityRung, encode_rung_streams
 from repro.scenes.library import get_scene
 from repro.scenes.display import QUEST2_DISPLAY
 from repro.serving.frames import FrameBank, filler_payload
+from serving_support import synthetic_bank
 
 
 #: A ladder with a stateful rung: temporal BD prices each frame
@@ -57,46 +58,47 @@ class TestFillerPayload:
 
 
 class TestFromRungStreams:
+    """Banks built from prescribed sizes, as the serving tests build them."""
+
     def test_payload_bytes_carry_exactly_the_priced_bits(self):
         streams = [(80_000, 40_000, 16_000), (64_000, 32_000, 8_000)]
-        ladder = _sub_ladder(3)
-        bank = FrameBank.from_rung_streams(streams, ladder=ladder)
+        bank = synthetic_bank(streams, ladder=_sub_ladder(3))
         for frame in range(2):
             for rung in range(3):
                 payload = bank.payload(frame, rung)
                 assert 8 * len(payload) == streams[frame][rung]
+                assert payload == filler_payload(streams[frame][rung], frame, rung)
 
     def test_cycles_like_precomputed_source(self):
         streams = [(100, 50), (200, 80), (300, 90)]
-        ladder = _sub_ladder(2)
-        bank = FrameBank.from_rung_streams(streams, ladder=ladder)
+        bank = synthetic_bank(streams, ladder=_sub_ladder(2))
         assert bank.n_unique_frames == 3
         assert bank.rung_bits(4) == bank.rung_bits(1)
         assert bank.payload(4, 0) == bank.payload(1, 0)
 
     def test_rung_streams_round_trip(self):
         streams = [(100, 50), (200, 80)]
-        ladder = _sub_ladder(2)
-        bank = FrameBank.from_rung_streams(streams, ladder=ladder)
+        bank = synthetic_bank(streams, ladder=_sub_ladder(2))
         assert bank.rung_streams == [tuple(s) for s in streams]
 
     def test_rung_index_bounds_checked(self):
-        bank = FrameBank.from_rung_streams(
-            [(100, 50)], ladder=_sub_ladder(2)
-        )
+        bank = synthetic_bank([(100, 50)], ladder=_sub_ladder(2))
         with pytest.raises(IndexError):
             bank.payload(0, 2)
 
     def test_validation(self):
         ladder = _sub_ladder(2)
+        pair = (b"a", b"b")
         with pytest.raises(ValueError, match="at least one frame"):
-            FrameBank.from_rung_streams([], ladder=ladder)
+            FrameBank(ladder, [], [])
         with pytest.raises(ValueError, match="one entry per rung"):
-            FrameBank.from_rung_streams([(100,)], ladder=ladder)
+            FrameBank(ladder, [(100,)], [(b"a",)])
+        with pytest.raises(ValueError, match="one entry per rung"):
+            FrameBank(ladder, [(100, 50)], [(b"a",)])
+        with pytest.raises(ValueError, match="same frames"):
+            FrameBank(ladder, [(100, 50), (100, 50)], [pair])
         with pytest.raises(ValueError, match="encode_time_s"):
-            FrameBank.from_rung_streams(
-                [(100, 50)], ladder=ladder, encode_time_s=-1.0
-            )
+            FrameBank(ladder, [(100, 50)], [pair], encode_time_s=-1.0)
 
 
 class TestFromScene:

@@ -8,6 +8,7 @@ Streams are kept short so the whole module stays in tier-1 time.
 import asyncio
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.serving.protocol import (
 from repro.serving.server import ServeConfig, ServerReport, StreamServer
 from repro.serving.cli import loadgen_main, serve_main
 from repro.streaming.traces import BandwidthTrace
+from serving_support import assert_conserved, synthetic_bank
 
 #: A tiny synthetic ladder: every frame offers the same five sizes.
 SIZES = (80_000, 40_000, 20_000, 10_000, 5_000)
@@ -48,7 +50,7 @@ HEAVY_SIZES = (2_000_000, 1_000_000, 800_000, 600_000, 400_000)
 
 
 def _bank(sizes=SIZES) -> FrameBank:
-    return FrameBank.from_rung_streams([sizes])
+    return synthetic_bank([sizes])
 
 
 async def _serve_and_load(config: ServeConfig, load: LoadgenConfig):
@@ -78,6 +80,7 @@ class TestHappyPath:
         assert report.protocol_errors == 0
         assert report.frames_sent == 40
         assert report.dropped_frames == 0
+        assert_conserved(report, 10)
         # Unthrottled loopback never pressures the controller off the
         # best rung.
         assert report.rung_occupancy.get("nocom", 0.0) == pytest.approx(1.0)
@@ -93,6 +96,30 @@ class TestHappyPath:
         rebuilt = ServerReport.from_json(report.to_json())
         assert rebuilt == report
         assert rebuilt.summary() == report.summary()
+        assert_conserved(report, 5)
+
+
+class TestServeConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nominal_bandwidth_mbps", math.nan),
+            ("nominal_bandwidth_mbps", math.inf),
+            ("deadline_s", 0.0),
+            ("deadline_s", math.nan),
+            ("deadline_s", math.inf),
+            ("deadline_s", None),
+            ("send_stall_timeout_s", math.nan),
+            ("send_stall_timeout_s", None),
+            ("drain_grace_s", -1.0),
+            ("drain_grace_s", math.nan),
+        ],
+    )
+    def test_rejects_non_finite_and_out_of_range_values(self, field, value):
+        # A NaN or infinite deadline would leave the send window
+        # unbounded and never drop a frame.
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ServeConfig(bank=_bank(), **{field: value})
 
 
 class TestBackpressure:
@@ -137,6 +164,7 @@ class TestBackpressure:
         # Sustained starvation pins the controller to the min-payload
         # rung.
         assert occupancy.get("perceptual", 0.0) > 0.5
+        assert_conserved(report, 40)
 
     def test_bye_pipelined_behind_hello_ends_the_stream(self):
         # A BYE in the same TCP segment as the HELLO must not vanish
@@ -176,18 +204,17 @@ class TestBackpressure:
 
     def test_stalled_client_trips_send_watchdog(self):
         # A client that handshakes and then never reads wedges
-        # ``drain()`` once kernel and transport buffers fill; the
-        # watchdog must abort the connection instead of pinning it
-        # (and its bank payloads) until server shutdown.
+        # ``drain()`` once kernel and transport buffers fill, or holds
+        # the send window shut, whichever comes first; the watchdog must
+        # abort the connection instead of pinning it (and its bank
+        # payloads) until server shutdown.
         async def run():
             config = ServeConfig(
                 bank=_bank(HEAVY_SIZES),
                 port=0,
-                deadline_s=None,
                 queue_frames=4,
                 drain_grace_s=0.2,
                 send_stall_timeout_s=0.3,
-                write_buffer_bytes=4096,
             )
             server = StreamServer(config)
             await server.start()
@@ -216,51 +243,23 @@ class TestBackpressure:
         assert report.n_clients == 1, "stalled drain pinned the connection"
         assert report.clients[0].deadline_drops > 0
 
-    @pytest.mark.parametrize("stall_s", [1.0, None], ids=["watchdog", "no-watchdog"])
-    def test_window_holds_frames_a_client_never_acks(self, stall_s):
+    def test_window_holds_frames_a_client_never_acks(self):
         # A client that reads every byte at loopback speed but never
         # ACKs keeps the socket buffers empty, so ``drain()`` never
         # blocks and only the ACK-clocked window can hold the sender
         # back.  At a 2 Mbps hint and a 100 ms deadline the window is
         # 25,000 bytes, less than one 50,023-byte min-rung frame: the
         # first frame goes out alone and every later one waits for an
-        # ACK that never comes.  The wait ends on the watchdog, or
-        # without one when the pacer gives up on its sentinel.
+        # ACK that never comes, until the watchdog ends the wait.
         async def run():
-            config = ServeConfig(
-                bank=_bank(HEAVY_SIZES),
-                port=0,
-                phy_trace=BandwidthTrace([0.0], [2.0]),
-                deadline_s=0.1,
-                queue_frames=8,
-                send_stall_timeout_s=stall_s,
-            )
-            server = StreamServer(config)
+            server = StreamServer(_window_config(send_stall_timeout_s=1.0))
             await server.start()
             loop = asyncio.get_running_loop()
             frames: list[Frame] = []
-
-            async def consume(reader):
-                decoder = MessageDecoder()
-                try:
-                    while data := await reader.read(65536):
-                        frames.extend(
-                            m for m in decoder.feed(data) if isinstance(m, Frame)
-                        )
-                except (ConnectionError, OSError):
-                    pass  # an aborted transport resets the connection
-
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
+                writer, consumer = await _never_acking_client(
+                    server, frames, target_fps=50.0, n_frames=40
                 )
-                setup = StreamSetup(
-                    scene="synthetic", target_fps=50.0, n_frames=40,
-                    controller="throughput",
-                )
-                writer.write(encode_message(Hello(setup=setup)))
-                await writer.drain()
-                consumer = asyncio.create_task(consume(reader))
                 # A window wait that never ends pins the connection
                 # until shutdown, so poll the *live* report.
                 deadline = loop.time() + 10.0
@@ -283,6 +282,37 @@ class TestBackpressure:
         # so every paced frame has an outcome.
         assert report.in_flight_at_close == len(frames)
         assert report.frames_sent + report.dropped_frames + report.in_flight_at_close == 40
+        assert_conserved(report, 40)
+
+    def test_stop_accounts_for_frames_it_cancels(self):
+        # The window test's client, stopped long before the default
+        # 10 s watchdog: 20 frames at 100 fps are all paced within
+        # 0.2 s, frame 0 goes out, one
+        # frame is held at the window, eight wait in the queue and the
+        # rest are queue drops.  stop() then cancels the connection;
+        # the held and queued frames are deadline drops, not lost.
+        async def run():
+            server = StreamServer(_window_config(drain_grace_s=0.2))
+            await server.start()
+            frames: list[Frame] = []
+            try:
+                writer, consumer = await _never_acking_client(
+                    server, frames, target_fps=100.0, n_frames=20
+                )
+                await asyncio.sleep(0.5)
+            finally:
+                report = await server.stop()
+            await asyncio.wait_for(consumer, 5.0)
+            writer.close()
+            return report, frames
+
+        report, frames = asyncio.run(run())
+        assert report.unclean_closes == 1
+        assert report.n_clients == 1
+        assert_conserved(report, 20)
+        client = report.clients[0]
+        assert len(frames) == 1 and client.in_flight_at_close == 1
+        assert client.queue_drops > 0 and client.deadline_drops > 0
 
     def test_unknown_scene_is_rejected_at_handshake(self):
         hello = Hello(setup=StreamSetup(scene="not-in-the-bank"))
@@ -314,6 +344,40 @@ class TestBackpressure:
         assert messages == [Bye(reason="unsupported protocol version 0")]
         assert report.handshake_errors == 1
         assert report.n_clients == 0
+
+
+def _window_config(**overrides) -> ServeConfig:
+    """Heavy frames against a 25,000-byte send window (2 Mbps x 0.1 s)."""
+    return ServeConfig(
+        bank=_bank(HEAVY_SIZES),
+        port=0,
+        phy_trace=BandwidthTrace([0.0], [2.0]),
+        deadline_s=0.1,
+        queue_frames=8,
+        **overrides,
+    )
+
+
+async def _never_acking_client(server, frames: list, target_fps: float, n_frames: int):
+    """Connect a client that reads every frame into ``frames`` and ACKs
+    none; return its writer and the task reading the stream."""
+
+    async def consume(reader):
+        decoder = MessageDecoder()
+        try:
+            while data := await reader.read(65536):
+                frames.extend(m for m in decoder.feed(data) if isinstance(m, Frame))
+        except (ConnectionError, OSError):
+            pass  # an aborted transport resets the connection
+
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    setup = StreamSetup(
+        scene="synthetic", target_fps=target_fps, n_frames=n_frames,
+        controller="throughput",
+    )
+    writer.write(encode_message(Hello(setup=setup)))
+    await writer.drain()
+    return writer, asyncio.create_task(consume(reader))
 
 
 def _handshake(bank: FrameBank, hello: bytes) -> tuple[list, ServerReport]:
@@ -368,7 +432,8 @@ async def _receive_frames(config: ServeConfig, setup: StreamSetup) -> list[Frame
         writer.close()
         await writer.wait_closed()
     finally:
-        await server.stop()
+        report = await server.stop()
+    assert_conserved(report, setup.n_frames)
     return frames
 
 
@@ -495,3 +560,14 @@ class TestCli:
     def test_bad_scene_exits_2(self, capsys):
         assert serve_main(["--scene", "no-such-scene"]) == 2
         assert "repro serve:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("main", [serve_main, loadgen_main], ids=["serve", "loadgen"])
+    def test_deadline_zero_exits_2(self, main, capsys):
+        # Every frame has a deadline, so 0 is out of range; the error
+        # names the field it rejects.
+        argv = ["--deadline", "0", "--port", "0", "--bank-frames", "1",
+                "--height", "16", "--width", "16"]
+        # A stream length, so that accepting the flag ends the run.
+        argv += ["--duration", "0.1"] if main is serve_main else ["--spawn-server", "--frames", "1"]
+        assert main(argv) == 2
+        assert "deadline_s must be positive and finite" in capsys.readouterr().err

@@ -65,6 +65,28 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
             BandwidthTrace.from_file(path)
 
+    @pytest.mark.parametrize(
+        "text, lineno, problem",
+        [
+            ("0,400\n2,80\n1,80\n", 3, "strictly ascending"),
+            ("0,400\n2,80\n2,60\n", 3, "strictly ascending"),
+            ("# time_s, mbps\n1,400\n", 2, "must start at 0.0 s"),
+            ("0,400\n\n1,-5\n", 3, "positive"),
+            ("0,0\n", 1, "positive"),
+        ],
+        ids=["descending", "repeated", "late-start", "negative-rate", "zero-rate"],
+    )
+    def test_from_file_names_the_line_that_breaks_the_trace(
+        self, tmp_path, text, lineno, problem
+    ):
+        # Every sample parses; the first one that breaks the trace's
+        # order, start or sign rules is the line named.
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        pattern = f"^{re.escape(str(path))}:{lineno}: .*{problem}"
+        with pytest.raises(ValueError, match=pattern):
+            BandwidthTrace.from_file(path)
+
 
 class TestCapacityMath:
     def test_capacity_integrates_the_profile(self):

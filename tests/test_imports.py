@@ -621,3 +621,13 @@ def test_json_bodies_go_through_the_report_codec():
     ``repro.streaming.reports``; a per-class ``to_dict``/``from_dict``
     is a second serializer to keep in step."""
     assert _hand_written_json_classes(REPO) == []
+
+
+def test_pyproject_reads_the_package_version():
+    """One version number: ``pyproject.toml`` states none of its own and
+    reads ``repro.__version__``.  A regex, not ``tomllib``, which
+    Python 3.10 lacks."""
+    text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    assert not re.search(r"(?m)^\s*version\s*=\s*['\"]", text)
+    assert re.search(r"(?m)^dynamic\s*=\s*\[\s*\"version\"\s*\]", text)
+    assert re.search(r"(?m)^version\s*=\s*\{\s*attr\s*=\s*\"repro\.__version__\"\s*\}", text)

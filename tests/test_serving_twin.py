@@ -25,13 +25,13 @@ import pytest
 from repro.scenes.library import get_scene
 from repro.serving.chaos import ChaosConfig
 from repro.serving.client import LoadgenConfig, run_loadgen
-from repro.serving.frames import FrameBank
 from repro.serving.protocol import StreamSetup
 from repro.serving.server import ServeConfig, StreamServer
 from repro.streaming.adaptive import simulate_adaptive_session
 from repro.streaming.link import WirelessLink
 from repro.streaming.loss import LossTrace
 from repro.streaming.traces import BandwidthTrace
+from serving_support import assert_conserved, synthetic_bank
 
 #: Ladder sizes (bits, best rung first) for every frame.  On the
 #: default ladder (nocom, png, bd, variable-bd, perceptual) these give
@@ -63,10 +63,9 @@ def _simulate(trace: BandwidthTrace):
 
 async def _serve(trace: BandwidthTrace):
     """Stream the same spec over loopback; return (server, loadgen) reports."""
-    bank = FrameBank.from_rung_streams([SIZES])
     server = StreamServer(
         ServeConfig(
-            bank=bank,
+            bank=synthetic_bank([SIZES]),
             port=0,
             phy_trace=trace,
             deadline_s=10.0,  # never drop: the sim never drops either
@@ -108,6 +107,7 @@ def _served_client(trace: BandwidthTrace):
     client = report.clients[0]
     assert len(client.frames) == N_FRAMES
     assert client.dropped_frames == 0
+    assert_conserved(report, N_FRAMES)
     return client
 
 
@@ -192,10 +192,9 @@ def _simulate_lossy():
 
 
 async def _serve_lossy():
-    bank = FrameBank.from_rung_streams([SIZES])
     server = StreamServer(
         ServeConfig(
-            bank=bank,
+            bank=synthetic_bank([SIZES]),
             port=0,
             deadline_s=10.0,
             queue_frames=64,
@@ -248,6 +247,7 @@ class TestLossyTwin:
         served_resyncs = loadgen.clients[0].resyncs
         assert low <= sim_resyncs <= high, (sim_resyncs, low, high)
         assert low <= served_resyncs <= high, (served_resyncs, low, high)
+        assert_conserved(report, LOSSY_N_FRAMES)
 
     def test_delivered_quality_lands_in_the_shared_band(self):
         sim = _simulate_lossy()
@@ -266,6 +266,7 @@ class TestLossyTwin:
         assert low <= delivered_served <= high
         # And the server's ledger agrees with the client's.
         assert loadgen.frames_received + report.chaos_drops == LOSSY_N_FRAMES
+        assert_conserved(report, LOSSY_N_FRAMES)
 
     def test_lossless_sibling_stays_exact(self):
         """The statistical banding above never loosens the exact
