@@ -31,11 +31,12 @@ start times and mixed refresh rates without a fastest-client hack.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -86,10 +87,25 @@ TRANSMIT_DONE = "transmit-done"
 #: kernel's pending completion, kept beside the heap, lands before both
 #: (freeing the link and recording feedback); then newly ready frames
 #: (controllers see that feedback), then queued payloads reaching the air.
-_EVENT_ORDER = {FRAME_READY: 1, TRANSMIT_START: 2}
+_FRAME_READY_ORDER, _TRANSMIT_START_ORDER = 1, 2
+
+_new = object.__new__
 
 
-@dataclass(frozen=True)
+def _slot_setters(cls: type) -> tuple:
+    """Each field's slot ``__set__`` of a slotted dataclass, in field order.
+
+    The engine builds three frozen records per frame.  A frozen
+    dataclass's ``__init__`` writes every field through
+    ``object.__setattr__``; the positional constructors below
+    (:func:`_event`, :func:`_frame_timing`, :func:`_controller_context`)
+    write the slots through their member descriptors instead, about twice
+    as fast, and build records equal to ``cls(*values)``.
+    """
+    return tuple(cls.__dict__[field.name].__set__ for field in fields(cls))
+
+
+@dataclass(frozen=True, slots=True)
 class Event:
     """One kernel event, as recorded in the engine's event log.
 
@@ -112,10 +128,24 @@ class Event:
     frame_index: int
 
 
+_EVENT_SLOTS = _slot_setters(Event)
+
+
+def _event(time_s, kind, stream, frame_index) -> Event:
+    """``Event(time_s, kind, stream, frame_index)``, slot by slot."""
+    set_time, set_kind, set_stream, set_frame_index = _EVENT_SLOTS
+    event = _new(Event)
+    set_time(event, time_s)
+    set_kind(event, kind)
+    set_stream(event, stream)
+    set_frame_index(event, frame_index)
+    return event
+
+
 # -- per-frame timing ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameTiming:
     """Timing of one stereo frame through the remote pipeline.
 
@@ -153,6 +183,25 @@ class FrameTiming:
         return self.encode_time_s + self.transmit_time_s
 
 
+_FRAME_TIMING_SLOTS = _slot_setters(FrameTiming)
+
+
+def _frame_timing(
+    frame_index, payload_bits, encode_time_s, serialization_time_s, transmit_time_s, rung
+) -> FrameTiming:
+    """``FrameTiming(...)`` from all six fields in order, slot by slot."""
+    (set_frame_index, set_payload, set_encode, set_serialization, set_transmit,
+     set_rung) = _FRAME_TIMING_SLOTS
+    timing = _new(FrameTiming)
+    set_frame_index(timing, frame_index)
+    set_payload(timing, payload_bits)
+    set_encode(timing, encode_time_s)
+    set_serialization(timing, serialization_time_s)
+    set_transmit(timing, transmit_time_s)
+    set_rung(timing, rung)
+    return timing
+
+
 # -- link schedulers ----------------------------------------------------
 
 
@@ -163,6 +212,38 @@ def _check_weights(weights: Sequence[float]) -> None:
             raise ValueError(
                 f"scheduler weights must be positive and finite, got {weight!r}"
             )
+
+
+#: How many weights, summed over its vectors, one scheduler's share memo
+#: holds before it starts over.  fleet-sim's 16 streams need 136; a full
+#: memo of long vectors stays a few MB.
+_SHARES_MEMO_WEIGHTS = 1 << 17
+
+
+class _SharesMemo(dict):
+    """Shares per weight vector (a tuple) for one scheduler's discipline.
+
+    The kernel asks for shares at every reschedule, but a fleet's
+    in-flight weight vectors repeat: fleet-sim's 22,748 reschedules per
+    run see 16 distinct ones.  Only checked vectors are stored, so a hit
+    needs no check; vectors that compare equal share one entry.  The
+    stored lists never leave the memo: callers get copies.
+    """
+
+    __slots__ = ("n_weights",)
+
+    def __init__(self):
+        super().__init__()
+        self.n_weights = 0
+
+    def remember(self, key: tuple, shares: list[float]) -> list[float]:
+        """Store ``shares`` under ``key``, first emptying a full memo."""
+        if self.n_weights + len(key) > _SHARES_MEMO_WEIGHTS:
+            self.clear()
+            self.n_weights = 0
+        self[key] = shares
+        self.n_weights += len(key)
+        return shares
 
 
 class LinkScheduler:
@@ -176,12 +257,18 @@ class LinkScheduler:
     #: Registry name (the CLI's ``--scheduler`` spelling).
     name: str = ""
 
+    @functools.cached_property
+    def _proportional_memo(self) -> _SharesMemo:
+        return _SharesMemo()
+
     def instantaneous_shares(self, weights: Sequence[float]) -> list[float]:
         """Fraction of link capacity each backlogged flow gets *now*.
 
         The event kernel calls this whenever the set of in-flight
         transmissions changes and lets each flow drain at its share of
-        the (possibly traced) link rate until the next event.
+        the (possibly traced) link rate until the next event.  The
+        built-in disciplines compute each distinct weight vector's
+        shares once per scheduler and return a fresh list per call.
 
         Parameters
         ----------
@@ -200,13 +287,18 @@ class LinkScheduler:
             If a weight is not positive and finite (NaN included), or
             if the weights' sum overflows to infinity.
         """
-        _check_weights(weights)
-        total = sum(weights)
-        if total == math.inf:
-            raise ValueError(
-                f"scheduler weights must have a finite sum, got {list(weights)!r}"
-            )
-        return [w / total for w in weights]
+        key = tuple(weights)
+        memo = self._proportional_memo
+        shares = memo.get(key)
+        if shares is None:
+            _check_weights(key)
+            total = sum(key)
+            if total == math.inf:
+                raise ValueError(
+                    f"scheduler weights must have a finite sum, got {list(key)!r}"
+                )
+            shares = memo.remember(key, [w / total for w in key])
+        return shares[:]
 
 
 class FairShareScheduler(LinkScheduler):
@@ -231,11 +323,22 @@ class PriorityScheduler(LinkScheduler):
 
     name = "priority"
 
+    @functools.cached_property
+    def _priority_memo(self) -> _SharesMemo:
+        return _SharesMemo()
+
     def instantaneous_shares(self, weights):
         """All capacity to the heaviest backlogged flow (ties: first)."""
-        _check_weights(weights)
-        top = min(range(len(weights)), key=lambda i: (-weights[i], i))
-        return [1.0 if i == top else 0.0 for i in range(len(weights))]
+        key = tuple(weights)
+        memo = self._priority_memo
+        shares = memo.get(key)
+        if shares is None:
+            _check_weights(key)
+            top = min(range(len(key)), key=lambda i: (-key[i], i))
+            shares = memo.remember(
+                key, [1.0 if i == top else 0.0 for i in range(len(key))]
+            )
+        return shares[:]
 
 
 _SCHEDULERS = {cls.name: cls for cls in (FairShareScheduler, PriorityScheduler)}
@@ -271,7 +374,7 @@ def get_scheduler(scheduler: str | LinkScheduler) -> LinkScheduler:
 # -- adaptation state ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControllerContext:
     """Everything a rate controller may look at when picking a rung.
 
@@ -311,6 +414,28 @@ class ControllerContext:
     goodput_bps: float | None
     link_bps: float
     current_rung: int
+
+
+_CONTROLLER_CONTEXT_SLOTS = _slot_setters(ControllerContext)
+
+
+def _controller_context(
+    frame_index, time_s, interval_s, rung_bits, backlog_s, goodput_bps, link_bps,
+    current_rung,
+) -> ControllerContext:
+    """``ControllerContext(...)`` from all eight fields in order, slot by slot."""
+    (set_frame_index, set_time, set_interval, set_rung_bits, set_backlog, set_goodput,
+     set_link, set_current_rung) = _CONTROLLER_CONTEXT_SLOTS
+    ctx = _new(ControllerContext)
+    set_frame_index(ctx, frame_index)
+    set_time(ctx, time_s)
+    set_interval(ctx, interval_s)
+    set_rung_bits(ctx, rung_bits)
+    set_backlog(ctx, backlog_s)
+    set_goodput(ctx, goodput_bps)
+    set_link(ctx, link_bps)
+    set_current_rung(ctx, current_rung)
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -416,15 +541,9 @@ class AdaptationState:
         int
             The chosen rung index (clamped into the ladder).
         """
-        ctx = ControllerContext(
-            frame_index=frame_index,
-            time_s=time_s,
-            interval_s=self.interval_s,
-            rung_bits=tuple(rung_bits),
-            backlog_s=self.backlog_s,
-            goodput_bps=self.goodput_bps,
-            link_bps=link_bps,
-            current_rung=self.rung,
+        ctx = _controller_context(
+            frame_index, time_s, self.interval_s, tuple(rung_bits), self.backlog_s,
+            self.goodput_bps, link_bps, self.rung,
         )
         chosen = int(self.controller.select_rung(self.ladder, ctx))
         chosen = max(0, min(chosen, len(self.ladder) - 1))
@@ -514,9 +633,15 @@ class PrecomputedSource:
     Parameters
     ----------
     frames:
-        One tuple of payload bits per frame (best rung first); shorter
-        streams cycle over the timeline, decoupling simulated duration
-        from encode cost.
+        One tuple of payload bits per frame (best rung first), each
+        ``>= 0``; shorter streams cycle over the timeline, decoupling
+        simulated duration from encode cost.
+
+    Raises
+    ------
+    ValueError
+        If there is no frame, if frames list different numbers of
+        rungs, or if a size is negative (naming its frame and rung).
     """
 
     def __init__(self, frames: Sequence[Sequence[int]]):
@@ -528,6 +653,13 @@ class PrecomputedSource:
             raise ValueError(
                 f"every frame must list the same number of rungs, got {sorted(widths)}"
             )
+        for frame_index, frame in enumerate(frames):
+            for rung, bits in enumerate(frame):
+                if bits < 0:
+                    raise ValueError(
+                        f"frame {frame_index} rung {rung}: payload bits must be "
+                        f">= 0, got {bits}"
+                    )
         self._frames = frames
 
     def rung_bits(self, frame_index: int) -> tuple[int, ...]:
@@ -858,19 +990,22 @@ class StreamingEngine:
         if state is None:
             return bits[0], ""
         chosen = state.choose(frame_index, time_s, bits, self.link.at(time_s) * 1e6)
-        rung_map = (
-            spec.rung_map if spec.rung_map is not None else tuple(range(len(bits)))
-        )
-        if chosen not in rung_map:
+        rung_map = spec.rung_map
+        if rung_map is None:  # the identity map
+            slot = chosen if 0 <= chosen < len(bits) else -1
+        else:
+            slot = rung_map.index(chosen) if chosen in rung_map else -1
+        if slot < 0:
+            held = rung_map if rung_map is not None else range(len(bits))
             raise ValueError(
                 f"stream {spec.name!r}: frame {frame_index} chose rung {chosen} "
                 f"({state.ladder[chosen].name}), which its rung_map "
-                f"{tuple(rung_map)} does not hold"
+                f"{tuple(held)} does not hold"
             )
-        return bits[rung_map.index(chosen)], state.ladder[chosen].name
+        return bits[slot], state.ladder[chosen].name
 
     def _log(self, time_s: float, kind: str, stream: str, frame_index: int) -> None:
-        self._events.append(Event(time_s, kind, stream, frame_index))
+        self._events.append(_event(time_s, kind, stream, frame_index))
 
     # -- solo path (deterministic timeline) -----------------------------
 
@@ -930,14 +1065,13 @@ class StreamingEngine:
             )
             overhead_s = self.link.overhead_time_s(rng)
             timings.append(
-                FrameTiming(
-                    frame_index=frame_index,
-                    payload_bits=payload,
-                    encode_time_s=spec.encode_time_s,
-                    serialization_time_s=serialization_s,
-                    transmit_time_s=queue_wait_s + serialization_s + overhead_s
-                    + recovery_s,
-                    rung=rung_name,
+                _frame_timing(
+                    frame_index,
+                    payload,
+                    spec.encode_time_s,
+                    serialization_s,
+                    queue_wait_s + serialization_s + overhead_s + recovery_s,
+                    rung_name,
                 )
             )
         return timings
@@ -961,11 +1095,21 @@ class StreamingEngine:
     def _run_event_kernel(self, runtimes: list[_StreamRuntime]) -> None:
         """Event-driven backlog pricing for contending streams.
 
-        The heap holds FRAME_READY and TRANSMIT_START events.  The one
-        completion that can land before the next reschedule is kept
-        beside it as ``(finish_s, stream_index)``: between reschedules
-        every flow drains at a fixed share of the same link, so the
-        flow with the least ``remaining_bits / share`` finishes first.
+        The heap holds FRAME_READY and TRANSMIT_START events, keyed
+        ``(time, kind order, seq)``.  Frames are numbered stream-major,
+        ahead of every TRANSMIT_START, so frame ``k`` of stream ``i``
+        carries ``seq`` ``first_seq[i] + k`` whenever it is pushed.  Each
+        stream keeps only its next FRAME_READY on the heap, pushed when
+        the one before it pops: a later frame of a stream sorts after
+        its earlier ones, so the heap pops in the order it would if it
+        held every frame from the start, and stays about one entry per
+        stream long.
+
+        The one completion that can land before the next reschedule is
+        kept beside the heap as ``(finish_s, stream_index)``: between
+        reschedules every flow drains at a fixed share of the same link,
+        so the flow with the least ``remaining_bits / share`` finishes
+        first.
 
         The in-flight streams' indices, flows and weights sit in three
         aligned lists in ascending stream order, updated when a
@@ -974,34 +1118,47 @@ class StreamingEngine:
         in stream order: its sum and its tie-break depend on that order.
         """
         heap: list[tuple] = []
+        heappush = heapq.heappush
+        log = self._events.append
+        link = self.link
+        capacity_bits = link.capacity_bits
+        serialization_time_s = link.serialization_time_s
+        scheduler = self.scheduler
+        starts = [rt.spec.start_s for rt in runtimes]
+        intervals = [rt.spec.interval_s for rt in runtimes]
+        n_frames = [rt.spec.frames_to_stream for rt in runtimes]
+        first_seq = []
         seq = 0
+        for frames in n_frames:
+            first_seq.append(seq)
+            seq += frames
 
-        def push(time_s, kind, stream_index, frame_index=-1):
+        def push_frame(index: int, frame_index: int) -> None:
+            """Push a stream's FRAME_READY with its stream-major ``seq``."""
+            heappush(heap, (
+                starts[index] + frame_index * intervals[index], _FRAME_READY_ORDER,
+                first_seq[index] + frame_index, FRAME_READY, index, frame_index,
+            ))
+
+        def push_start(time_s: float, index: int) -> None:
+            """Push a stream's TRANSMIT_START, numbered after every frame."""
             nonlocal seq
-            heapq.heappush(
-                heap, (time_s, _EVENT_ORDER[kind], seq, kind, stream_index, frame_index)
-            )
+            heappush(heap, (time_s, _TRANSMIT_START_ORDER, seq, TRANSMIT_START, index, -1))
             seq += 1
 
-        for index, rt in enumerate(runtimes):
-            interval_s = rt.spec.interval_s
-            for frame_index in range(rt.spec.frames_to_stream):
-                push(
-                    rt.spec.start_s + frame_index * interval_s,
-                    FRAME_READY,
-                    index,
-                    frame_index,
-                )
+        for index, frames in enumerate(n_frames):
+            if frames:
+                push_frame(index, 0)
 
         clock = 0.0
         completion: tuple[float, int] | None = None
         in_flight: list[int] = []
         flows: list[_Flow] = []
         weights: list[float] = []
-        if self.link.trace is None:
-            rate_lo = rate_hi = self.link.bandwidth_mbps * 1e6
+        if link.trace is None:
+            rate_lo = rate_hi = link.bandwidth_mbps * 1e6
         else:
-            rates_mbps = self.link.trace.rates_mbps
+            rates_mbps = link.trace.rates_mbps
             rate_lo, rate_hi = min(rates_mbps) * 1e6, max(rates_mbps) * 1e6
 
         def advance(now: float) -> None:
@@ -1009,7 +1166,7 @@ class StreamingEngine:
             nonlocal clock
             if now <= clock:
                 return
-            capacity = self.link.capacity_bits(clock, now)
+            capacity = capacity_bits(clock, now)
             for flow in flows:
                 share = flow.share
                 if share > 0.0:
@@ -1023,7 +1180,7 @@ class StreamingEngine:
             """When a flow with ``key`` bits per unit share drains."""
             if key == 0.0:  # drained to round-off
                 return now
-            return now + self.link.serialization_time_s(key, start_s=now)
+            return now + serialization_time_s(key, start_s=now)
 
         def reschedule(now: float) -> None:
             """Re-divide the link and price the next completion."""
@@ -1032,7 +1189,7 @@ class StreamingEngine:
             if not flows:
                 return
             # A copy: a scheduler may keep or reorder its input.
-            shares = self.scheduler.instantaneous_shares(weights[:])
+            shares = scheduler.instantaneous_shares(weights[:])
             keyed = []
             least = math.inf
             for i, flow, share in zip(in_flight, flows, shares):
@@ -1088,17 +1245,19 @@ class StreamingEngine:
             rt = runtimes[index]
             spec = rt.spec
             if kind == FRAME_READY:
-                self._log(time_s, FRAME_READY, spec.name, frame_index)
+                if frame_index + 1 < n_frames[index]:
+                    push_frame(index, frame_index + 1)
+                log(_event(time_s, FRAME_READY, spec.name, frame_index))
                 payload, rung_name = self._choose_payload(spec, frame_index, time_s)
                 wire = self._wire_bits(payload)
                 rt.queue.append((frame_index, payload, wire, rung_name, time_s))
                 if rt.flow is None and not rt.pending_start:
                     rt.pending_start = True
-                    push(time_s, TRANSMIT_START, index)
+                    push_start(time_s, index)
             elif kind == TRANSMIT_START:
                 rt.pending_start = False
                 frame_index, payload, wire, rung_name, nominal_s = rt.queue.popleft()
-                self._log(time_s, TRANSMIT_START, spec.name, frame_index)
+                log(_event(time_s, TRANSMIT_START, spec.name, frame_index))
                 advance(time_s)
                 rt.flow = _Flow(frame_index, payload, wire, rung_name, nominal_s, time_s)
                 slot = bisect_left(in_flight, index)
@@ -1108,7 +1267,7 @@ class StreamingEngine:
                 reschedule(time_s)
             else:  # TRANSMIT_DONE
                 flow = rt.flow
-                self._log(time_s, TRANSMIT_DONE, spec.name, flow.frame_index)
+                log(_event(time_s, TRANSMIT_DONE, spec.name, flow.frame_index))
                 advance(time_s)
                 serialization = time_s - flow.send_start_s
                 queue_wait_s = flow.send_start_s - flow.nominal_s
@@ -1119,18 +1278,17 @@ class StreamingEngine:
                     if rt.loss is not None
                     else 0.0
                 )
-                overhead = self.link.overhead_time_s(rt.rng)
+                overhead = link.overhead_time_s(rt.rng)
                 if spec.adaptation is not None:
                     spec.adaptation.record(flow.payload_bits, serialization)
                 rt.timings.append(
-                    FrameTiming(
-                        frame_index=flow.frame_index,
-                        payload_bits=flow.payload_bits,
-                        encode_time_s=spec.encode_time_s,
-                        serialization_time_s=serialization,
-                        transmit_time_s=queue_wait_s + serialization + overhead
-                        + recovery_s,
-                        rung=flow.rung_name,
+                    _frame_timing(
+                        flow.frame_index,
+                        flow.payload_bits,
+                        spec.encode_time_s,
+                        serialization,
+                        queue_wait_s + serialization + overhead + recovery_s,
+                        flow.rung_name,
                     )
                 )
                 rt.flow = None
@@ -1138,7 +1296,7 @@ class StreamingEngine:
                 del in_flight[slot], flows[slot], weights[slot]
                 if rt.queue and not rt.pending_start:
                     rt.pending_start = True
-                    push(time_s, TRANSMIT_START, index)
+                    push_start(time_s, index)
                 reschedule(time_s)
         for rt in runtimes:
             rt.timings.sort(key=lambda timing: timing.frame_index)

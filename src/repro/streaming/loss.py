@@ -249,36 +249,70 @@ class LossTrace:
             ``(lost, state)``: a boolean erasure mask of length
             ``n_packets`` and the chain state after the last packet.
         """
-        u = rng.random((n_packets, 2))
+        u, runs, state = self._state_runs(rng, n_packets, state)
         lost = np.empty(n_packets, dtype=bool)
+        for start, end, p_loss in runs:
+            lost[start:end] = u[start:end, 1] < p_loss
+        return lost, state
+
+    def _count_lost(
+        self, rng: np.random.Generator, n_packets: int, state: int
+    ) -> tuple[int, int]:
+        """:meth:`sample_packets`' erasure count and end state, mask-free.
+
+        Same draw, same walk.  A run whose loss probability is 0 loses
+        nothing and one whose probability is 1 loses every packet
+        (``rng.random`` is below 1), so neither compares a draw.
+        """
+        u, runs, state = self._state_runs(rng, n_packets, state)
+        n_lost = 0
+        for start, end, p_loss in runs:
+            if p_loss == 1.0:
+                n_lost += end - start
+            elif p_loss > 0.0:
+                n_lost += int(np.count_nonzero(u[start:end, 1] < p_loss))
+        return n_lost, state
+
+    def _state_runs(
+        self, rng: np.random.Generator, n_packets: int, state: int
+    ) -> tuple[np.ndarray, list[tuple[int, int, float]], int]:
+        """The frame's one draw, split into runs of one chain state.
+
+        Returns ``(u, runs, state)``: the ``rng.random((n_packets, 2))``
+        draw, one ``(start, end, p_loss)`` per run of packets
+        ``start:end`` sent in one state (erased where ``u[:, 1] <
+        p_loss``), and the state after the last packet.
+        """
+        u = rng.random((n_packets, 2))
         if not self.is_bursty:
-            lost[:] = u[:, 1] < self.p_loss_good
-            return lost, state
+            return u, [(0, n_packets, self.p_loss_good)], state
         # Walk the chain one state run at a time.  A run ends at the first
         # packet at or after its start whose transition draw fires in the
         # run's state; every packet up to and including that one is
         # erased with the state's loss probability.  A state's fire list
-        # is built when the chain first enters it: most frames never
-        # leave the good state.
+        # is built when the chain first enters it, and only if a draw
+        # fires: most frames never leave the good state.
         fires: list[list[int] | None] = [None, None]
         p_leave = (self.p_good_to_bad, self.p_bad_to_good)
         p_loss = (self.p_loss_good, self.p_loss_bad)
+        runs = []
         start = 0
         while start < n_packets:
             state_fires = fires[state]
             if state_fires is None:
-                state_fires = fires[state] = np.flatnonzero(
-                    u[:, 0] < p_leave[state]
-                ).tolist()
+                fired = u[:, 0] < p_leave[state]
+                state_fires = fires[state] = (
+                    np.flatnonzero(fired).tolist() if fired.any() else []
+                )
             k = bisect.bisect_left(state_fires, start)
             if k == len(state_fires):  # the run outlasts the frame
-                lost[start:] = u[start:, 1] < p_loss[state]
+                runs.append((start, n_packets, p_loss[state]))
                 break
             end = state_fires[k] + 1
-            lost[start:end] = u[start:end, 1] < p_loss[state]
+            runs.append((start, end, p_loss[state]))
             state = _BAD if state == _GOOD else _GOOD
             start = end
-        return lost, state
+        return u, runs, state
 
     def __repr__(self) -> str:
         kind = "GE" if self.is_bursty else "bernoulli"
@@ -646,6 +680,7 @@ class LossRuntime:
         "policy",
         "interval_s",
         "rtt_s",
+        "_retx_loss_rate",
         "_state",
         "_poisoned",
         "_loss_time_s",
@@ -672,6 +707,7 @@ class LossRuntime:
         self.policy = policy
         self.interval_s = interval_s
         self.rtt_s = rtt_s
+        self._retx_loss_rate = trace.steady_state_loss_rate
         self._state = _GOOD
         self._poisoned = False
         self._loss_time_s = 0.0
@@ -729,17 +765,14 @@ class LossRuntime:
             return 0.0
         n_packets = self.trace.n_packets(wire)
         packet_time_s = serialization_s / n_packets
-        lost_mask, self._state = self.trace.sample_packets(
-            rng, n_packets, self._state
-        )
-        n_lost = int(np.count_nonzero(lost_mask))
+        n_lost, self._state = self.trace._count_lost(rng, n_packets, self._state)
         result = self.policy.resolve(
             rng,
             n_lost,
             packet_time_s=packet_time_s,
             rtt_s=self.rtt_s,
             deadline_s=self.interval_s,
-            retx_loss_rate=self.trace.steady_state_loss_rate,
+            retx_loss_rate=self._retx_loss_rate,
         )
         self._packets_sent += n_packets
         self._packets_lost += n_lost

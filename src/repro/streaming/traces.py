@@ -109,6 +109,9 @@ class BandwidthTrace:
         object.__setattr__(self, "_times", times.tolist())
         object.__setattr__(self, "_rates_bps", rates_bps.tolist())
         object.__setattr__(self, "_cum_bits", cum_bits.tolist())
+        # One slot holding (time_s, bits) of the last cumulative_bits
+        # search; NaN matches no time, so the first call searches.
+        object.__setattr__(self, "_last_cumulative", [(math.nan, math.nan)])
         object.__setattr__(self, "times_s", tuple(self._times))
         object.__setattr__(self, "rates_mbps", tuple(r / 1e6 for r in self._rates_bps))
 
@@ -292,18 +295,41 @@ class BandwidthTrace:
         return self._rates_bps[self._segment_at(time_s)] / 1e6
 
     def cumulative_bits(self, time_s: float) -> float:
-        """Total capacity (bits) the link delivered over ``[0, time_s]``."""
+        """Total capacity (bits) the link delivered over ``[0, time_s]``.
+
+        The last instant searched is remembered, and a time equal to it
+        is answered without a search.  The event kernel's drain to
+        ``now`` searches ``now``; its completion pricing and the next
+        event's drain both start at ``now``, so an event searches once.
+        Equal times give equal answers: ``-0.0`` and ``0.0`` both
+        deliver ``0.0`` bits, and NaN equals nothing, so it is always
+        searched and rejected.
+        """
+        last = self._last_cumulative
+        last_s, last_bits = last[0]
+        if time_s == last_s:
+            return last_bits
         index = self._segment_at(time_s)
-        return float(
+        bits = float(
             self._cum_bits[index]
             + self._rates_bps[index] * (time_s - self._times[index])
         )
+        last[0] = (time_s, bits)
+        return bits
 
     def capacity_bits(self, start_s: float, end_s: float) -> float:
-        """Capacity (bits) deliverable over ``[start_s, end_s]``."""
+        """Capacity (bits) deliverable over ``[start_s, end_s]``.
+
+        ``start_s`` is read first: in the event kernel it is the
+        instant the previous event priced, so it is remembered, and only
+        ``end_s`` searches.
+        """
         if end_s < start_s:
             raise ValueError(f"end_s {end_s} precedes start_s {start_s}")
-        return self.cumulative_bits(end_s) - self.cumulative_bits(start_s)
+        last_s, start_bits = self._last_cumulative[0]
+        if start_s != last_s:
+            start_bits = self.cumulative_bits(start_s)
+        return self.cumulative_bits(end_s) - start_bits
 
     def finish_time_s(self, start_s: float, payload_bits: float) -> float:
         """Earliest time a payload starting at ``start_s`` fully drains.

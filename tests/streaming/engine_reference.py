@@ -1,25 +1,30 @@
 """Reference event kernel and loss sampler: price every flow, every packet.
 
 :meth:`repro.streaming.engine.StreamingEngine._run_event_kernel` prices
-only the next completion at each reschedule, and
+only the next completion at each reschedule, the built-in schedulers
+remember each weight vector's shares, and
 :meth:`repro.streaming.loss.LossTrace.sample_packets` walks the
 Gilbert–Elliott chain one state run at a time.  This module keeps the
 loops they replaced, as the oracles the fast paths must match exactly:
 
 * :class:`ReferenceEngine` inverts the link trace for every in-flight
   flow at every reschedule, pushes one versioned TRANSMIT_DONE per flow
-  onto the event heap and skips the entries a later reschedule made
-  stale;
+  onto the event heap (every frame's FRAME_READY from the start) and
+  skips the entries a later reschedule made stale;
+* a scheduler named to :class:`ReferenceEngine` is the matching
+  :data:`REFERENCE_SCHEDULERS` class, which checks and divides the
+  weights at every call;
 * :func:`sample_packets_reference` advances the chain one packet at a
   time.
 
-Both consume the same random draws, in the same order, as the code
+All consume the same random draws, in the same order, as the code
 under test.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from repro.streaming.engine import (
     TRANSMIT_DONE,
     TRANSMIT_START,
     FrameTiming,
+    LinkScheduler,
     StreamingEngine,
 )
 
@@ -67,8 +73,57 @@ class _VersionedFlow:
         self.version = 0
 
 
+def _check_weights(weights) -> None:
+    for weight in weights:
+        if not 0.0 < weight < math.inf:
+            raise ValueError(
+                f"scheduler weights must be positive and finite, got {weight!r}"
+            )
+
+
+class ReferenceFairScheduler(LinkScheduler):
+    """Proportional shares, checked and summed at every call."""
+
+    name = "fair"
+
+    def instantaneous_shares(self, weights):
+        _check_weights(weights)
+        total = sum(weights)
+        if total == math.inf:
+            raise ValueError(
+                f"scheduler weights must have a finite sum, got {list(weights)!r}"
+            )
+        return [w / total for w in weights]
+
+
+class ReferencePriorityScheduler(LinkScheduler):
+    """All capacity to the heaviest flow (ties: first), checked at every call."""
+
+    name = "priority"
+
+    def instantaneous_shares(self, weights):
+        _check_weights(weights)
+        top = min(range(len(weights)), key=lambda i: (-weights[i], i))
+        return [1.0 if i == top else 0.0 for i in range(len(weights))]
+
+
+#: Scheduler name -> its reference class.
+REFERENCE_SCHEDULERS = {
+    cls.name: cls for cls in (ReferenceFairScheduler, ReferencePriorityScheduler)
+}
+
+
 class ReferenceEngine(StreamingEngine):
-    """A :class:`StreamingEngine` whose kernel prices every flow."""
+    """A :class:`StreamingEngine` whose kernel prices every flow.
+
+    A scheduler given by name is its reference class; an instance is
+    used as it is.
+    """
+
+    def __init__(self, link, scheduler="fair", recovery=None):
+        super().__init__(link, scheduler=scheduler, recovery=recovery)
+        if isinstance(scheduler, str):
+            self.scheduler = REFERENCE_SCHEDULERS[scheduler]()
 
     def _run_event_kernel(self, runtimes) -> None:
         """Event-driven backlog pricing for contending streams."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.codecs.ladder import QualityLadder
 from repro.scenes.library import get_scene
+from repro.serving.frames import FrameBank
 from repro.streaming.adaptive import FixedController, get_controller, simulate_adaptive_session
 from repro.streaming.engine import (
     FRAME_READY,
@@ -23,6 +24,7 @@ from repro.streaming.engine import (
     StreamSpec,
 )
 from repro.streaming.link import WirelessLink
+from repro.streaming.loss import LossTrace
 from repro.streaming.fleet import ClientConfig, simulate_fleet
 from repro.streaming.session import ENCODER_CHOICES, simulate_session
 from repro.streaming.traces import BandwidthTrace
@@ -264,6 +266,34 @@ class TestEngineValidation:
             PrecomputedSource([])
         with pytest.raises(ValueError, match="same number of rungs"):
             PrecomputedSource([(1, 2), (1,)])
+
+    @pytest.mark.parametrize("n_streams", (1, 2), ids=("solo", "contended"))
+    def test_negative_sizes_are_rejected_on_both_engine_paths(self, n_streams):
+        """A negative size used to pass the contended kernel: beside a
+        1000-bit stream it came out as a frame of ``payload_bits=-5`` and
+        no airtime, while the solo path raised from the link."""
+        lossy = WirelessLink(bandwidth_mbps=1.0, loss=LossTrace.bernoulli(0.5))
+        for link in (TOY_LINK, lossy):
+            with pytest.raises(
+                ValueError, match=r"frame 0 rung 0: payload bits must be >= 0, got -5"
+            ):
+                StreamingEngine(link).run(
+                    [
+                        StreamSpec(name=f"s{index}", source=PrecomputedSource(frames),
+                                   n_frames=2, target_fps=1.0)
+                        for index, frames in enumerate(([(-5,)], [(1000,)])[:n_streams])
+                    ]
+                )
+
+    def test_frame_bank_rejects_negative_sizes(self):
+        with pytest.raises(
+            ValueError, match=r"frame 1 rung 2: payload bits must be >= 0, got -8"
+        ):
+            FrameBank(
+                QualityLadder.default(),
+                [(100,) * 5, (100, 100, -8, 100, 100)],
+                [[b""] * 5] * 2,
+            )
 
 
 def fixed_one_rung_stream(rung_map, start_rung):
