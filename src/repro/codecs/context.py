@@ -13,17 +13,45 @@ perceptual codec needs) or ``FrameContext(srgb8=..., ...)`` over an
 already-quantized uint8 *sRGB* frame (the baseline shim's input).
 ``ctx.stats`` counts the expensive derivations, which the batch tests
 use to assert the amortization actually happens.
+
+Everything but the eccentricity map is gaze-free, so a frame seen under
+several gazes derives it once: the streaming encoder builds one context
+per eye and frame, and each fixation encodes through a view of it
+(``_at``) that shares the gaze-free caches and has its own gaze.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..color.srgb import encode_srgb8
+from ..encoding.accounting import SizeBreakdown
+from ..encoding.bd import bd_breakdown
 from ..encoding.tiling import TileGrid, tile_frame
 from ..scenes.display import QUEST2_DISPLAY, DisplayGeometry
 
 __all__ = ["FrameContext"]
+
+
+class _GazeFree:
+    """One frame's gaze-free derivations, shared by its views under every gaze.
+
+    ``srgb8`` is the uint8 sRGB quantization; ``tiles`` and
+    ``linear_tiles`` map a tile size to the sRGB and linear-RGB tile
+    stacks, and ``breakdowns`` to the unadjusted frame's Base+Delta
+    accounting.  ``stats`` counts the derivations.
+    """
+
+    __slots__ = ("srgb8", "tiles", "linear_tiles", "breakdowns", "stats")
+
+    def __init__(self, srgb8: np.ndarray | None):
+        self.srgb8 = srgb8
+        self.tiles: dict[int, tuple[np.ndarray, TileGrid]] = {}
+        self.linear_tiles: dict[int, tuple[np.ndarray, TileGrid]] = {}
+        self.breakdowns: dict[int, SizeBreakdown] = {}
+        self.stats = {"quantize": 0, "tile": 0, "eccentricity": 0}
 
 
 class FrameContext:
@@ -66,7 +94,7 @@ class FrameContext:
             self._frame_linear = np.asarray(frame_linear, dtype=np.float64)
             self._check_shape(self._frame_linear, "frame_linear")
 
-        self._srgb8 = None
+        arr = None
         if srgb8 is not None:
             arr = np.asarray(srgb8)
             self._check_shape(arr, "srgb8")
@@ -77,9 +105,9 @@ class FrameContext:
                     f"srgb8 {arr.shape} does not match frame_linear "
                     f"{self._frame_linear.shape}"
                 )
-            self._srgb8 = arr
+        self._shared = _GazeFree(arr)
 
-        shape = (self._frame_linear if self._frame_linear is not None else self._srgb8).shape
+        shape = (self._frame_linear if self._frame_linear is not None else arr).shape
         self.height: int = shape[0]
         self.width: int = shape[1]
 
@@ -98,9 +126,8 @@ class FrameContext:
                 )
             self._eccentricity = ecc
 
-        self._tiles: dict[int, tuple[np.ndarray, TileGrid]] = {}
         #: Derivation counters: how often each expensive step actually ran.
-        self.stats = {"quantize": 0, "tile": 0, "eccentricity": 0}
+        self.stats = self._shared.stats
 
     @staticmethod
     def _check_shape(arr: np.ndarray, name: str) -> None:
@@ -126,10 +153,11 @@ class FrameContext:
     @property
     def srgb8(self) -> np.ndarray:
         """uint8 sRGB quantization, computed at most once."""
-        if self._srgb8 is None:
+        shared = self._shared
+        if shared.srgb8 is None:
             self.stats["quantize"] += 1
-            self._srgb8 = encode_srgb8(self._frame_linear)
-        return self._srgb8
+            shared.srgb8 = encode_srgb8(self._frame_linear)
+        return shared.srgb8
 
     @property
     def eccentricity(self) -> np.ndarray:
@@ -144,7 +172,38 @@ class FrameContext:
     def tiles(self, tile_size: int) -> tuple[np.ndarray, TileGrid]:
         """sRGB tile stack for ``tile_size``, computed at most once each."""
         key = int(tile_size)
-        if key not in self._tiles:
+        cache = self._shared.tiles
+        if key not in cache:
             self.stats["tile"] += 1
-            self._tiles[key] = tile_frame(self.srgb8, key)
-        return self._tiles[key]
+            cache[key] = tile_frame(self.srgb8, key)
+        return cache[key]
+
+    def _linear_tiles(self, tile_size: int) -> tuple[np.ndarray, TileGrid]:
+        """Linear-RGB tile stack for ``tile_size``, computed at most once each."""
+        cache = self._shared.linear_tiles
+        if tile_size not in cache:
+            cache[tile_size] = tile_frame(self.frame_linear, tile_size)
+        return cache[tile_size]
+
+    def _bd_breakdown(self, tile_size: int) -> SizeBreakdown:
+        """Base+Delta accounting of the unadjusted frame, at most once per tile size.
+
+        The bd rung's cost and the perceptual rung's baseline.  A bd
+        encode that writes its bitstream files the breakdown it takes
+        from the same plan here itself.
+        """
+        cache = self._shared.breakdowns
+        if tile_size not in cache:
+            cache[tile_size] = bd_breakdown(self.tiles(tile_size)[0], n_pixels=self.n_pixels)
+        return cache[tile_size]
+
+    def _at(self, fixation, eccentricity=None) -> "FrameContext":
+        """This frame under the gaze ``fixation``, sharing its gaze-free caches.
+
+        The view takes ``eccentricity``, that gaze's map, or derives its
+        own on first read, as any context does.
+        """
+        view = copy.copy(self)
+        view.fixation = (float(fixation[0]), float(fixation[1]))
+        view._eccentricity = eccentricity
+        return view

@@ -214,28 +214,23 @@ def _bits_and_payload(encoded) -> tuple[int, bytes | None]:
 
 def encode_stereo_bits(
     codecs: Sequence["Codec"],
-    eyes,
-    eccentricity,
-    display: "DisplayGeometry",
+    ctxs: Sequence[FrameContext],
     payloads: list | None = None,
 ) -> tuple[int, ...]:
     """Stereo-payload bits of one frame under each codec.
 
-    The per-frame step of :func:`encode_scene_streams`: each eye gets a
-    single :class:`~repro.codecs.context.FrameContext` reused across all
-    codecs, so quantization and tiling run at most once per eye however
-    many rungs are encoded.
+    The per-frame step of :func:`encode_scene_streams`: every codec
+    encodes each eye's context in turn, so quantization and tiling run
+    at most once per eye however many rungs are encoded.
 
     Parameters
     ----------
     codecs:
         Codec instances, one per ladder rung (order preserved).
-    eyes:
-        The per-eye linear-RGB frames (typically the left/right pair).
-    eccentricity:
-        Shared per-pixel eccentricity map for both eyes.
-    display:
-        Headset geometry forwarded to the contexts.
+    ctxs:
+        One :class:`~repro.codecs.context.FrameContext` per eye
+        (typically the left/right pair), each carrying the gaze its
+        gaze-contingent codecs read.
     payloads:
         Optional list that receives one tuple for the frame: per codec,
         the bitstream it wrote to ``metadata["payload"]`` (both eyes
@@ -246,9 +241,6 @@ def encode_stereo_bits(
     tuple of int
         Summed both-eye payload bits, one entry per codec.
     """
-    ctxs = [
-        FrameContext(eye, eccentricity=eccentricity, display=display) for eye in eyes
-    ]
     bits, streams = [], []
     for codec in codecs:
         # Each eye's encoded result is dropped as soon as it is read.
@@ -281,7 +273,12 @@ def encode_scene_streams(
     has encoded for that frame: streams holding one stateless codec
     instance share its result, per frame if the codec is gaze-free and
     per fixation if it is :attr:`~repro.codecs.base.Codec.gaze_contingent`.
-    Only frame ``k``'s eyes and results are held at a time.
+    Each eye gets one :class:`~repro.codecs.context.FrameContext` per
+    frame, and every fixation encodes through views of it, so the
+    frame is quantized and tiled once however many gazes see it; an
+    eccentricity map is derived only for an encode that holds a
+    gaze-contingent codec, once for both eyes.  Only frame ``k``'s eyes,
+    contexts and results are held at a time.
 
     Parameters
     ----------
@@ -312,7 +309,10 @@ def encode_scene_streams(
     bits = [[] for _ in streams]
     streams_payloads = [[] for _ in streams]
     for index in range(max((n_frames for _, n_frames, _ in streams), default=0)):
-        eyes = scene.render_stereo(height, width, frame=index)
+        frame_ctxs = [
+            FrameContext(eye, display=display)
+            for eye in scene.render_stereo(height, width, frame=index)
+        ]
         done = {}  # share key -> (bits, payload), for this frame only
         for (codecs, n_frames, fixations), rows, rows_payloads in zip(
             streams, bits, streams_payloads
@@ -328,11 +328,12 @@ def encode_scene_streams(
             ]
             todo = {key: codec for key, codec in zip(keys, codecs) if key not in done}
             if todo:
-                eccentricity = display.eccentricity_map(height, width, fixation=fixation)
+                eccentricity = None
+                if any(codec.gaze_contingent for codec in todo.values()):
+                    eccentricity = display.eccentricity_map(height, width, fixation=fixation)
+                views = [ctx._at(fixation, eccentricity) for ctx in frame_ctxs]
                 frame_payloads: list = []
-                encoded = encode_stereo_bits(
-                    list(todo.values()), eyes, eccentricity, display, frame_payloads
-                )
+                encoded = encode_stereo_bits(list(todo.values()), views, frame_payloads)
                 done.update(zip(todo, zip(encoded, frame_payloads[0])))
             rows.append(tuple(done[key][0] for key in keys))
             rows_payloads.append(tuple(done[key][1] for key in keys))

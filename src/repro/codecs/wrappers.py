@@ -17,7 +17,8 @@ contract over a shared :class:`~repro.codecs.context.FrameContext`:
 
 Each codec is configured by its constructor.  Codecs that operate on
 sRGB tiles pull them from the context cache, so running several of
-them over one frame quantizes and tiles it once.
+them over one frame quantizes and tiles it once; the bd and perceptual
+rungs share the context's Base+Delta accounting of the unadjusted frame.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from ..encoding.accounting import SizeBreakdown
 from ..encoding.bd import _encode, bd_breakdown
 from ..encoding.bd_temporal import TemporalBDAccountant
 from ..encoding.bd_variable import VariableBDCodec, variable_bd_breakdown
-from ..encoding.tiling import TileGrid, tile_frame, tile_scalar_field, untile_frame
-from ..perception.geometry import mahalanobis
+from ..encoding.tiling import TileGrid, tile_scalar_field, untile_frame
+from ..perception.geometry import _squared_mahalanobis
 from ..perception.law import ParametricEllipsoidLaw
 from ..perception.model import DiscriminationModel, default_model
 from .base import Codec, EncodedFrame
@@ -90,12 +91,13 @@ class BDCostCodec(Codec):
 
     def encode(self, ctx: FrameContext) -> EncodedFrame:
         """Cost the frame under fixed-width Base+Delta tiling."""
-        tiles, grid = ctx.tiles(self.tile_size)
         metadata = {"tile_size": self.tile_size}
         if self.payload:
+            tiles, grid = ctx.tiles(self.tile_size)
             metadata["payload"], breakdown = _encode(tiles, grid, grid.pixels_per_tile)
+            ctx._shared.breakdowns.setdefault(self.tile_size, breakdown)
         else:
-            breakdown = bd_breakdown(tiles, n_pixels=ctx.n_pixels)
+            breakdown = ctx._bd_breakdown(self.tile_size)
         return EncodedFrame(
             codec=self.name,
             total_bits=breakdown.total_bits,
@@ -217,9 +219,9 @@ class PerceptualCodec(Codec):
     central 10 degrees untouched, Sec. 5.1) are pinned by giving them
     near-zero semi-axes; they still take part in their tile's HL/LH
     reduction, so mixed fovea/periphery tiles stay correct rather than
-    special-cased.  The unadjusted frame's sRGB quantization and tiles,
-    which its BD baseline is accounted from, come from the context's
-    cache.
+    special-cased.  The frame's linear tiles, its sRGB quantization and
+    its BD baseline come from the context's cache, so a frame encoded
+    under several gazes derives them once.
 
     Parameters
     ----------
@@ -263,7 +265,7 @@ class PerceptualCodec(Codec):
 
     def encode(self, ctx: FrameContext) -> FrameResult:
         """Adjust colors perceptually, then cost the frame under BD."""
-        tiles, grid = tile_frame(ctx.frame_linear, self.tile_size)
+        tiles, grid = ctx._linear_tiles(self.tile_size)
         ecc_tiles, _ = tile_scalar_field(ctx.eccentricity, self.tile_size)
 
         semi_axes = self.model.semi_axes(tiles, ecc_tiles)
@@ -278,15 +280,17 @@ class PerceptualCodec(Codec):
 
         n_pixels = ctx.n_pixels
         breakdown = bd_breakdown(optimized.adjusted_srgb, n_pixels=n_pixels)
-        baseline = bd_breakdown(ctx.tiles(self.tile_size)[0], n_pixels=n_pixels)
+        baseline = ctx._bd_breakdown(self.tile_size)
 
         # Perceptual guarantee audit on the pixels we actually moved, against
-        # the model's own ellipsoids (the foveal pin touched no moved pixel).
-        # Taken over the whole tile stack and maximized under the mask:
-        # gathering the moved pixels would make one (n, 3) @ (3, 3) product,
-        # which OpenBLAS splits over its threads and at times stalls on.
-        distances = mahalanobis(optimized.adjusted, tiles, semi_axes)
-        max_distance = float(distances.max(where=~foveal, initial=0.0))
+        # the model's own ellipsoids (the foveal pin touched no moved pixel),
+        # on the arrays optimize_tiles has checked.  Foveal distances are
+        # zeroed, not gathered out, and the root is taken of the largest
+        # square: sqrt is correctly rounded and monotone, so that is the
+        # largest distance exactly.
+        squared = _squared_mahalanobis(optimized.adjusted, tiles, semi_axes)
+        squared[foveal] = 0.0
+        max_distance = float(np.sqrt(squared.max(initial=0.0)))
 
         axis_fractions = {
             axis: count / grid.n_tiles

@@ -1,7 +1,8 @@
 """Small color utilities shared across the library.
 
 Hex-code parsing (used to reproduce the paper's Fig. 1 demonstration),
-relative luminance, and shape validation helpers for color arrays.
+relative luminance, shape validation helpers for color arrays, and the
+flat matrix product that every per-pixel color transform runs on.
 """
 
 from __future__ import annotations
@@ -22,6 +23,34 @@ _HEX_RE = re.compile(r"^#?([0-9a-fA-F]{6})$")
 
 #: Rec. 709 / sRGB luminance weights for linear RGB.
 _LUMA_WEIGHTS = np.array([0.2126, 0.7152, 0.0722], dtype=np.float64)
+
+#: Most rows one flat color product takes.  OpenBLAS keeps a product
+#: this size on one thread; a ``(262144, 3) @ (3, 3)`` product spreads
+#: over threads and at times stalls for 100 ms (docs/performance.md).
+_PRODUCT_ROWS = 16_384
+
+
+def _color_product(colors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``colors @ matrix`` for ``(..., 3)`` colors, run as flat row products.
+
+    NumPy runs a stacked ``(tiles, pixels, 3)`` product as one BLAS call
+    per tile.  This multiplies the same rows as ``(rows, 3)`` products
+    over slices of at most :data:`_PRODUCT_ROWS` rows, balanced so that
+    no slice is a single row, and returns the same bytes.  Two shapes
+    keep NumPy's own product: a lone color, and a stack of 1-pixel
+    tiles, whose per-tile products take a vector path that rounds
+    differently from the flat one.
+    """
+    if colors.ndim < 2 or (colors.ndim > 2 and colors.shape[-2] == 1):
+        return colors @ matrix
+    rows = colors.reshape(-1, 3)
+    n_rows = rows.shape[0]
+    n_slices = max(1, -(-n_rows // _PRODUCT_ROWS))
+    size = max(1, -(-n_rows // n_slices))
+    product = np.empty((n_rows,) + matrix.shape[1:])
+    for start in range(0, n_rows, size):
+        np.matmul(rows[start : start + size], matrix, out=product[start : start + size])
+    return product.reshape(colors.shape[:-1] + matrix.shape[1:])
 
 
 def parse_hex(code: str) -> np.ndarray:
@@ -45,8 +74,7 @@ def relative_luminance(rgb) -> np.ndarray:
     with brightness, and by the scene generator to report scene
     statistics.  Works on any array with a trailing axis of size 3.
     """
-    arr = ensure_color_array(rgb, "rgb")
-    return arr @ _LUMA_WEIGHTS
+    return _color_product(ensure_color_array(rgb, "rgb"), _LUMA_WEIGHTS)
 
 
 def ensure_color_array(colors, name: str = "colors") -> np.ndarray:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..perception.geometry import _extrema_vectors
+from ..perception.geometry import _check_axis, _extrema_vectors, _validate
 
 __all__ = ["CASE2_PLACEMENTS", "AxisAdjustment", "adjust_tiles"]
 
@@ -56,17 +56,12 @@ class AxisAdjustment:
         ``(n_tiles, pixels, 3)``.
     case2:
         Boolean per tile; True where a common plane existed (Fig. 6b).
-    span_before, span_after:
-        Channel value span (max - min) per tile before and after, in
-        linear RGB.  ``span_after`` is measured on the *clamped* result.
     axis:
         The channel that was optimized (0=R, 1=G, 2=B).
     """
 
     adjusted: np.ndarray
     case2: np.ndarray
-    span_before: np.ndarray
-    span_after: np.ndarray
     axis: int
 
 
@@ -80,33 +75,27 @@ def _clamp_to_gamut(centers: np.ndarray, moved: np.ndarray) -> np.ndarray:
     constraints.
 
     A pixel whose move stays in the cube has scale 1, so every pixel
-    first takes ``c + (p - c)``; real frames rarely leave the cube, and
-    only the pixels that do are gathered and rescaled.  ``centers`` and
-    ``moved`` must have the same shape.
+    first takes ``c + (p - c)``; real frames rarely leave the cube, so
+    the out-of-cube mask is built only when ``moved`` leaves it, and
+    only the pixels that do are gathered and rescaled.  ``moved`` is
+    consumed: the delta and then the clamped result are built in its
+    buffer.  ``centers`` and ``moved`` must have the same shape.
     """
-    delta = moved - centers
-    outside = (moved > 1.0) | (moved < 0.0)
-    leaves = np.nonzero(outside[..., 0] | outside[..., 1] | outside[..., 2])
-    c, d, p = centers[leaves], delta[leaves], moved[leaves]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale_high = np.where(p > 1.0, (1.0 - c) / d, 1.0)
-        scale_low = np.where(p < 0.0, -c / d, 1.0)
-    scale = np.clip(np.minimum(scale_high, scale_low).min(axis=-1), 0.0, 1.0)
-    clamped = np.add(centers, delta, out=delta)
-    clamped[leaves] = c + scale[:, None] * d
+    leaves = None
+    # Written so that NaN takes the masked path, as any value outside would.
+    if moved.size and not (moved.min() >= 0.0 and moved.max() <= 1.0):
+        outside = (moved > 1.0) | (moved < 0.0)
+        leaves = np.nonzero(outside[..., 0] | outside[..., 1] | outside[..., 2])
+        c, p = centers[leaves], moved[leaves]
+    clamped = np.add(centers, np.subtract(moved, centers, out=moved), out=moved)
+    if leaves is not None:
+        d = p - c  # the gathered deltas: the same subtraction as above
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale_high = np.where(p > 1.0, (1.0 - c) / d, 1.0)
+            scale_low = np.where(p < 0.0, -c / d, 1.0)
+        scale = np.clip(np.minimum(scale_high, scale_low).min(axis=-1), 0.0, 1.0)
+        clamped[leaves] = c + scale[:, None] * d
     return clamped
-
-
-def _span(channel: np.ndarray) -> np.ndarray:
-    """Per-tile ``max - min`` of an ``(n_tiles, pixels)`` channel.
-
-    Reduced over a pixel-major copy, as the Base+Delta plan does: the
-    leading axis of ``(pixels, n_tiles)`` reduces as one elementwise
-    min or max per pixel, where the short strided pixel axis of the
-    tile stack costs about three times as much.
-    """
-    by_pixel = np.ascontiguousarray(channel.T)
-    return by_pixel.max(axis=0) - by_pixel.min(axis=0)
 
 
 #: Valid case-2 plane placements: the paper uses the HL/LH mean.
@@ -138,9 +127,34 @@ def adjust_tiles(
         achieve zero span along ``axis``; they differ in how far the
         *other* channels drift.
     """
-    return _adjust_phases(
-        np.asarray(tiles_rgb, dtype=np.float64), semi_axes, axis, case2_placement, _identity
-    )
+    tiles, semi_axes = _checked(tiles_rgb, semi_axes, (axis,), case2_placement)
+    return _adjust_phases(tiles, semi_axes, axis, case2_placement)
+
+
+def _checked(
+    tiles_rgb, semi_axes, axes: tuple[int, ...], case2_placement: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tiles and semi-axes as float64 arrays of one shape, once checked.
+
+    Checks, in this order, the case-2 placement, the tiles' shape and
+    ``[0, 1]`` range, every candidate axis and the semi-axes, so a
+    caller that adjusts several axes
+    (:func:`~repro.core.optimizer.optimize_tiles`) checks its inputs
+    once for all of them.
+    """
+    if case2_placement not in CASE2_PLACEMENTS:
+        raise ValueError(
+            f"case2_placement must be one of {CASE2_PLACEMENTS}, got {case2_placement!r}"
+        )
+    tiles = np.asarray(tiles_rgb, dtype=np.float64)
+    if tiles.ndim != 3 or tiles.shape[2] != 3:
+        raise ValueError(f"tiles_rgb must be (n_tiles, pixels, 3), got {tiles.shape}")
+    # Written so that NaN fails it: every comparison with NaN is False.
+    if tiles.size and not (tiles.min() >= 0.0 and tiles.max() <= 1.0):
+        raise ValueError("tiles_rgb must be linear RGB in [0, 1]")
+    for axis in axes:
+        _check_axis(axis)
+    return _validate(tiles, semi_axes)
 
 
 def _identity(values: np.ndarray) -> np.ndarray:
@@ -148,10 +162,15 @@ def _identity(values: np.ndarray) -> np.ndarray:
 
 
 def _adjust_phases(
-    tiles: np.ndarray, semi_axes, axis: int, case2_placement: str, quantize
+    tiles: np.ndarray,
+    semi_axes: np.ndarray,
+    axis: int,
+    case2_placement: str,
+    quantize=_identity,
 ) -> AxisAdjustment:
-    """The body of :func:`adjust_tiles`, phase by phase.
+    """The body of :func:`adjust_tiles`, phase by phase, on checked inputs.
 
+    ``tiles`` and ``semi_axes`` come from :func:`_checked`.
     ``quantize`` maps every value that crosses a phase boundary:
     Compute Extrema hands on the extrema vector and the channel's
     low/high, Compute Planes the plane, and Color Shift ends in the
@@ -160,23 +179,12 @@ def _adjust_phases(
     quantizer.  HL, LH and the case flags are comparisons of values
     already quantized, so they need no quantizer of their own.
     """
-    if case2_placement not in CASE2_PLACEMENTS:
-        raise ValueError(
-            f"case2_placement must be one of {CASE2_PLACEMENTS}, got {case2_placement!r}"
-        )
-    if tiles.ndim != 3 or tiles.shape[2] != 3:
-        raise ValueError(f"tiles_rgb must be (n_tiles, pixels, 3), got {tiles.shape}")
-    # Written so that NaN fails it: every comparison with NaN is False.
-    if tiles.size and not (tiles.min() >= 0.0 and tiles.max() <= 1.0):
-        raise ValueError("tiles_rgb must be linear RGB in [0, 1]")
-
     # Compute Extrema.  Only the optimized channel's extrema are needed;
     # the extrema vector itself is needed in full, since moves follow it.
-    centers, displacement = _extrema_vectors(tiles, semi_axes, axis)
-    displacement = quantize(displacement)
+    displacement = quantize(_extrema_vectors(semi_axes, axis))
     z = tiles[..., axis]
-    low = quantize(centers[..., axis] - displacement[..., axis])
-    high = quantize(centers[..., axis] + displacement[..., axis])
+    low = quantize(z - displacement[..., axis])
+    high = quantize(z + displacement[..., axis])
 
     # Compute Planes: the comparator trees.
     hl = low.max(axis=1)
@@ -201,13 +209,10 @@ def _adjust_phases(
     # |step| <= 1 holds analytically; enforce against float round-off.
     np.clip(step, -1.0, 1.0, out=step)
     step = quantize(step)
-    moved = tiles + step[..., None] * displacement
-    adjusted = quantize(_clamp_to_gamut(centers, moved))
+    # The move, its delta and the clamped output share one buffer: the
+    # extrema vector's, which nothing reads after this.
+    moved = np.multiply(displacement, step[..., None], out=displacement)
+    moved += tiles
+    adjusted = quantize(_clamp_to_gamut(tiles, moved))
 
-    return AxisAdjustment(
-        adjusted=adjusted,
-        case2=case2,
-        span_before=_span(z),
-        span_after=_span(adjusted[..., axis]),
-        axis=axis,
-    )
+    return AxisAdjustment(adjusted=adjusted, case2=case2, axis=axis)

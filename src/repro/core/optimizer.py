@@ -16,7 +16,7 @@ import numpy as np
 
 from ..color.srgb import encode_srgb8
 from ..encoding.bd import BASE_FIELD_BITS, WIDTH_FIELD_BITS, delta_widths
-from .adjust import AxisAdjustment, adjust_tiles
+from .adjust import AxisAdjustment, _adjust_phases, _checked
 
 __all__ = ["tile_bd_bits", "OptimizedTiles", "optimize_tiles"]
 
@@ -86,11 +86,13 @@ def optimize_tiles(
     if len(set(axes)) != len(axes):
         raise ValueError(f"duplicate axes in {axes}")
 
+    # One check of the tiles and semi-axes serves every candidate axis.
+    tiles, semi_axes = _checked(tiles_rgb, semi_axes, axes, case2_placement)
     per_axis: dict[int, AxisAdjustment] = {}
     srgb_stack = []
     bits_stack = []
     for axis in axes:
-        result = adjust_tiles(tiles_rgb, semi_axes, axis, case2_placement=case2_placement)
+        result = _adjust_phases(tiles, semi_axes, axis, case2_placement)
         per_axis[axis] = result
         srgb = encode_srgb8(result.adjusted)
         srgb_stack.append(srgb)

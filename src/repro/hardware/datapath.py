@@ -55,7 +55,7 @@ from functools import partial
 
 import numpy as np
 
-from ..core.adjust import AxisAdjustment, _adjust_phases
+from ..core.adjust import AxisAdjustment, _adjust_phases, _checked
 
 __all__ = ["FixedPointSpec", "quantize_fixed", "adjust_tiles_fixed_point"]
 
@@ -115,4 +115,5 @@ def adjust_tiles_fixed_point(
     """
     spec = spec or FixedPointSpec()
     tiles = np.clip(quantize_fixed(tiles_rgb, spec), 0.0, 1.0)
+    tiles, semi_axes = _checked(tiles, semi_axes, (axis,), "mid")
     return _adjust_phases(tiles, semi_axes, axis, "mid", partial(quantize_fixed, spec=spec))

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..color.dkl import DKL_TO_RGB, RGB_TO_DKL
+from ..color.utils import _color_product
 
 __all__ = [
     "ChannelExtrema",
@@ -58,6 +59,11 @@ def _check_semi_axes(s: np.ndarray) -> None:
     # Written so that NaN fails it: every comparison with NaN is False.
     if s.size and not (s.min() > 0.0 and s.max() < np.inf):
         raise ValueError("semi-axes must be finite and strictly positive")
+
+
+def _check_axis(axis: int) -> None:
+    if axis not in _CHANNELS:
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +97,7 @@ def channel_halfwidth(semi_axes, axis: int) -> np.ndarray:
     ``B = DKL_TO_RGB``, since ``e_k^T Q^{-1} e_k = (B^T e_k)^T
     diag(s^2) (B^T e_k)``.
     """
-    if axis not in _CHANNELS:
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
+    _check_axis(axis)
     s = np.asarray(semi_axes, dtype=np.float64)
     if s.shape[-1] != 3:
         raise ValueError(f"semi_axes needs trailing axis 3, got {s.shape}")
@@ -101,24 +106,23 @@ def channel_halfwidth(semi_axes, axis: int) -> np.ndarray:
     return np.sqrt(np.square(s) @ np.square(row))
 
 
-def _extrema_vectors(centers, semi_axes, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validated centers and the extrema vector of each ellipsoid along ``axis``.
+def _extrema_vectors(semi_axes: np.ndarray, axis: int) -> np.ndarray:
+    """The extrema vector of each ellipsoid along ``axis``.
 
     The extrema vector runs from the center to the highest point along
-    the channel (the lowest is its mirror image).  The color adjustment
-    needs it in full but only the ``axis`` component of the extrema, so
-    it builds on this rather than on :func:`channel_extrema`.
+    the channel (the lowest is its mirror image).  ``semi_axes`` must
+    already be checked (:func:`_validate`), and ``axis`` too.  The color
+    adjustment needs the vector in full but only the ``axis`` component
+    of the extrema, so it builds on this rather than on
+    :func:`channel_extrema`.
     """
-    if axis not in _CHANNELS:
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-    c, s = _validate(centers, semi_axes)
     row = DKL_TO_RGB[axis]
-    weighted = np.square(s)
+    weighted = np.square(semi_axes)
     weighted *= row  # diag(s^2) B^T e_k, batched
-    halfwidth = np.sqrt(weighted @ row)
-    displacement = weighted @ DKL_TO_RGB.T  # B @ weighted per pixel
+    halfwidth = np.sqrt(_color_product(weighted, row))
+    displacement = _color_product(weighted, DKL_TO_RGB.T)  # B @ weighted per pixel
     displacement /= halfwidth[..., None]
-    return c, displacement
+    return displacement
 
 
 def channel_extrema(centers, semi_axes, axis: int) -> ChannelExtrema:
@@ -130,7 +134,9 @@ def channel_extrema(centers, semi_axes, axis: int) -> ChannelExtrema:
     displacement's own ``axis`` component equals the channel half-width
     exactly, a property the unit tests rely on.
     """
-    c, displacement = _extrema_vectors(centers, semi_axes, axis)
+    _check_axis(axis)
+    c, s = _validate(centers, semi_axes)
+    displacement = _extrema_vectors(s, axis)
     return ChannelExtrema(
         low=c - displacement, high=c + displacement, displacement=displacement, axis=axis
     )
@@ -145,5 +151,12 @@ def mahalanobis(points, centers, semi_axes) -> np.ndarray:
     """
     p = np.asarray(points, dtype=np.float64)
     c, s = _validate(centers, semi_axes)
-    delta_dkl = (p - c) @ RGB_TO_DKL.T
-    return np.sqrt(np.sum(np.square(delta_dkl / s), axis=-1))
+    return np.sqrt(_squared_mahalanobis(p, c, s))
+
+
+def _squared_mahalanobis(points: np.ndarray, centers: np.ndarray, semi_axes: np.ndarray):
+    """Squared :func:`mahalanobis` distances of already-checked float64 arrays."""
+    delta_dkl = _color_product(points - centers, RGB_TO_DKL.T)
+    delta_dkl /= semi_axes
+    np.square(delta_dkl, out=delta_dkl)
+    return delta_dkl.sum(axis=-1)

@@ -641,7 +641,8 @@ class PrecomputedSource:
     ------
     ValueError
         If there is no frame, if frames list different numbers of
-        rungs, or if a size is negative (naming its frame and rung).
+        rungs or no rung at all, or if a size is negative (naming its
+        frame and rung).
     """
 
     def __init__(self, frames: Sequence[Sequence[int]]):
@@ -653,6 +654,8 @@ class PrecomputedSource:
             raise ValueError(
                 f"every frame must list the same number of rungs, got {sorted(widths)}"
             )
+        if widths == {0}:
+            raise ValueError("every frame must list at least one rung, got frames with none")
         for frame_index, frame in enumerate(frames):
             for rung, bits in enumerate(frame):
                 if bits < 0:

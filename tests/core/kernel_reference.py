@@ -13,20 +13,26 @@ their outputs do not need:
 * ``_clamp_to_gamut`` computes a scale for every pixel (the package
   rescales only the pixels whose move leaves the unit cube);
 * ``case2_plane`` is the HL/LH reduction the package's adjustment now
-  takes inline.
+  takes inline;
+* ``_extrema_vectors``, ``mahalanobis`` and ``relative_luminance`` take
+  their color products stacked, ``(tiles, pixels, 3) @ (3, 3)``, which
+  NumPy runs as one BLAS call per tile (the package runs the same rows
+  as flat ``(rows, 3)`` products, ``repro.color.utils._color_product``).
 
-Each function body is unchanged; only the imports point at this module,
-so the oracle chain never reaches a rewritten kernel.
-``tests/core/test_kernel_oracle.py`` holds the package's kernels equal
-to these byte for byte, and ``pipeline_reference.py`` builds the frame
-pipeline oracle on them.
+Each function body is unchanged, except that ``adjust_tiles`` no longer
+fills the per-tile spans ``AxisAdjustment`` dropped; only the imports
+point at this module, so the oracle chain never reaches a rewritten
+kernel.  ``tests/core/test_kernel_oracle.py`` holds the package's
+kernels equal to these byte for byte, ``test_color_products.py`` the
+flat products, and ``pipeline_reference.py`` builds the frame pipeline
+oracle on them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.color.dkl import DKL_TO_RGB
+from repro.color.dkl import DKL_TO_RGB, RGB_TO_DKL
 from repro.color.srgb import encode_srgb8
 from repro.core.adjust import CASE2_PLACEMENTS, AxisAdjustment
 from repro.core.optimizer import OptimizedTiles
@@ -38,13 +44,17 @@ from repro.encoding.bd import (
     _breakdown,
     _validate_tiles,
 )
+from repro.color.utils import _LUMA_WEIGHTS, ensure_color_array
 from repro.perception.geometry import ChannelExtrema, _validate
 
 __all__ = [
     "_plan",
     "delta_widths",
     "bd_breakdown",
+    "relative_luminance",
+    "_extrema_vectors",
     "channel_extrema",
+    "mahalanobis",
     "case2_plane",
     "_clamp_to_gamut",
     "adjust_tiles",
@@ -83,7 +93,38 @@ def bd_breakdown(tiles, n_pixels: int | None = None) -> SizeBreakdown:
     return _breakdown(_plan(arr, arr.shape[1])[1], arr.shape[1], n_pixels)
 
 
+# -- repro.color.utils ------------------------------------------------------
+
+
+def relative_luminance(rgb) -> np.ndarray:
+    """Relative luminance of linear-RGB colors (Rec. 709 weights)."""
+    arr = ensure_color_array(rgb, "rgb")
+    return arr @ _LUMA_WEIGHTS
+
+
 # -- repro.perception.geometry ----------------------------------------------
+
+
+def _extrema_vectors(centers, semi_axes, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated centers and the extrema vector of each ellipsoid along ``axis``."""
+    if axis not in _CHANNELS:
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
+    c, s = _validate(centers, semi_axes)
+    row = DKL_TO_RGB[axis]
+    weighted = np.square(s)
+    weighted *= row  # diag(s^2) B^T e_k, batched
+    halfwidth = np.sqrt(weighted @ row)
+    displacement = weighted @ DKL_TO_RGB.T  # B @ weighted per pixel
+    displacement /= halfwidth[..., None]
+    return c, displacement
+
+
+def mahalanobis(points, centers, semi_axes) -> np.ndarray:
+    """Ellipsoid-normalized distance of RGB points from ellipsoid centers."""
+    p = np.asarray(points, dtype=np.float64)
+    c, s = _validate(centers, semi_axes)
+    delta_dkl = (p - c) @ RGB_TO_DKL.T
+    return np.sqrt(np.sum(np.square(delta_dkl / s), axis=-1))
 
 
 def channel_extrema(centers, semi_axes, axis: int) -> ChannelExtrema:
@@ -186,14 +227,7 @@ def adjust_tiles(
     moved = tiles + step[..., None] * extrema.displacement
     adjusted = _clamp_to_gamut(tiles, moved)
 
-    z_after = adjusted[..., axis]
-    return AxisAdjustment(
-        adjusted=adjusted,
-        case2=case2,
-        span_before=z.max(axis=1) - z.min(axis=1),
-        span_after=z_after.max(axis=1) - z_after.min(axis=1),
-        axis=axis,
-    )
+    return AxisAdjustment(adjusted=adjusted, case2=case2, axis=axis)
 
 
 # -- repro.core.optimizer ---------------------------------------------------

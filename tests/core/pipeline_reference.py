@@ -8,9 +8,11 @@ time for its audit.  The codec reads all of that from its
 ``FrameContext`` instead; ``tests/core/test_pipeline_oracle.py`` holds
 every ``FrameResult`` field of the two equal.
 
-Its optimizer and Base+Delta accounting are the pre-rewrite kernels of
-``kernel_reference.py`` beside this module, so the comparison reaches
-none of the package's rewritten kernels.
+Its optimizer, Base+Delta accounting and audit distance are the
+pre-rewrite kernels of ``kernel_reference.py`` beside this module, so
+the comparison reaches none of the package's rewritten kernels but the
+discrimination model's flat luminance product, which
+``test_color_products.py`` holds to the stacked one.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ import numpy as np
 from repro.codecs.wrappers import DEFAULT_FOVEAL_RADIUS_DEG, FrameResult
 from repro.color.srgb import encode_srgb8
 from repro.encoding.tiling import tile_frame, tile_scalar_field, untile_frame
-from repro.perception.geometry import mahalanobis
 from repro.perception.law import ParametricEllipsoidLaw
 from repro.perception.model import DiscriminationModel, default_model
 
-from kernel_reference import bd_breakdown, optimize_tiles
+from kernel_reference import bd_breakdown, mahalanobis, optimize_tiles
 
 __all__ = ["PerceptualEncoder"]
 

@@ -28,8 +28,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from pipeline_reference import PerceptualEncoder
 
+import kernel_reference
 from repro import FrameContext, FrameResult, PerceptualCodec, render_scene
 from repro.core.adjust import CASE2_PLACEMENTS
+from repro.encoding.tiling import tile_frame, tile_scalar_field
+from repro.perception.law import ParametricEllipsoidLaw
 from repro.perception.model import ParametricModel, RBFModel, ScaledModel
 from repro.scenes.display import QUEST2_DISPLAY
 
@@ -124,3 +127,43 @@ def test_rbf_codec_equals_oracle_but_for_audit_rounding(tile_size, radius):
     oracle = PerceptualEncoder(**params).encode_frame(frame, ecc)
     ours = PerceptualCodec(**params).encode(FrameContext(frame, eccentricity=ecc))
     _assert_equal(ours, oracle)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    tiles_down=st.integers(2, 10),
+    tiles_across=st.integers(2, 10),
+    content=st.sampled_from(["noise", "office", "fortnite", "monkey"]),
+    seed=st.integers(0, 2**16),
+    tile_size=st.integers(1, 8),
+    fixation=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    radius=st.sampled_from([0.0, 10.0, 25.0]),
+)
+def test_audit_is_the_stacked_masked_maximum_bit_for_bit(
+    tiles_down, tiles_across, content, seed, tile_size, fixation, radius
+):
+    """The audit zeroes foveal squares and takes one root of their maximum.
+
+    It must equal, bit for bit, the distance the codec used to take: the
+    stacked ``mahalanobis`` of every pixel, maximized under the moved
+    mask.  Whole tiles only, so the adjusted frame tiles back exactly,
+    and at least 8 pixels a side, as scenes render.
+    """
+    height, width = ((n + 8 // tile_size) * tile_size for n in (tiles_down, tiles_across))
+    frame = _frame(content, height, width, seed)
+    ecc = QUEST2_DISPLAY.eccentricity_map(height, width, fixation=fixation)
+    codec = PerceptualCodec(tile_size=tile_size, foveal_radius_deg=radius)
+    result = codec.encode(FrameContext(frame, eccentricity=ecc))
+
+    tiles, _ = tile_frame(frame, tile_size)
+    ecc_tiles, _ = tile_scalar_field(ecc, tile_size)
+    foveal = ecc_tiles < radius
+    semi_axes = np.where(
+        foveal[..., None],
+        ParametricEllipsoidLaw.MIN_SEMI_AXIS,
+        codec.model.semi_axes(tiles, ecc_tiles),
+    )
+    adjusted, _ = tile_frame(result.adjusted_frame, tile_size)
+    distances = kernel_reference.mahalanobis(adjusted, tiles, semi_axes)
+    expected = float(distances.max(where=~foveal, initial=0.0))
+    assert result.max_mahalanobis.hex() == expected.hex()

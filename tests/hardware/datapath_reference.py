@@ -96,11 +96,4 @@ def adjust_tiles_fixed_point(
     adjusted = quantize_fixed(tiles + scale[..., None] * delta, spec)
     adjusted = np.clip(adjusted, 0.0, 1.0)
 
-    z_after = adjusted[..., axis]
-    return AxisAdjustment(
-        adjusted=adjusted,
-        case2=case2,
-        span_before=z.max(axis=1) - z.min(axis=1),
-        span_after=z_after.max(axis=1) - z_after.min(axis=1),
-        axis=axis,
-    )
+    return AxisAdjustment(adjusted=adjusted, case2=case2, axis=axis)

@@ -110,9 +110,14 @@ class TestDatapathAccuracy:
 
     def test_red_axis_supported(self, workload):
         tiles, axes = workload
-        fixed = adjust_tiles_fixed_point(tiles, axes, 0, FixedPointSpec(frac_bits=16))
+        spec = FixedPointSpec(frac_bits=16)
+        fixed = adjust_tiles_fixed_point(tiles, axes, 0, spec)
         assert fixed.axis == 0
-        assert np.all(fixed.span_after <= fixed.span_before + 2 * 2.0**-16)
+        # Spans along R of the datapath's input grid and of its output.
+        before = np.clip(quantize_fixed(tiles, spec), 0.0, 1.0)[..., 0]
+        after = fixed.adjusted[..., 0]
+        span_before = before.max(axis=1) - before.min(axis=1)
+        assert np.all(after.max(axis=1) - after.min(axis=1) <= span_before + 2 * 2.0**-16)
 
 
 class TestNonFiniteInput:

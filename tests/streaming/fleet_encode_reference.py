@@ -10,6 +10,7 @@ that client's eccentricity map and encodes every rung it holds.
 
 from __future__ import annotations
 
+from repro.codecs.context import FrameContext
 from repro.codecs.ladder import encode_stereo_bits
 from repro.scenes.library import get_scene
 from repro.streaming.adaptive import FixedController
@@ -29,7 +30,8 @@ def client_stream(client, n_frames, rung_map, display, ladder):
         eccentricity = display.eccentricity_map(
             client.height, client.width, fixation=fixation
         )
-        stream.append(encode_stereo_bits(codecs, eyes, eccentricity, display))
+        ctxs = [FrameContext(eye, eccentricity=eccentricity, display=display) for eye in eyes]
+        stream.append(encode_stereo_bits(codecs, ctxs))
     return stream
 
 

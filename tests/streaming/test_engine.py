@@ -285,6 +285,23 @@ class TestEngineValidation:
                     ]
                 )
 
+    @pytest.mark.parametrize("n_streams", (1, 2), ids=("solo", "contended"))
+    def test_frames_without_rungs_are_rejected_on_both_engine_paths(self, n_streams):
+        """A frame listing no rung used to build, and the run then died
+        with an ``IndexError`` when the engine chose its payload."""
+        with pytest.raises(ValueError, match="at least one rung"):
+            StreamingEngine(TOY_LINK).run(
+                [
+                    StreamSpec(name=f"s{index}", source=PrecomputedSource(frames),
+                               n_frames=2, target_fps=1.0)
+                    for index, frames in enumerate(([()], [(1000,)])[:n_streams])
+                ]
+            )
+
+    def test_frame_bank_rejects_frames_without_rungs(self):
+        with pytest.raises(ValueError, match="at least one rung"):
+            FrameBank(QualityLadder.default(), [(), ()], [(), ()])
+
     def test_frame_bank_rejects_negative_sizes(self):
         with pytest.raises(
             ValueError, match=r"frame 1 rung 2: payload bits must be >= 0, got -8"

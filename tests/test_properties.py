@@ -82,7 +82,9 @@ class TestAdjustmentProperties:
         result = adjust_tiles(tiles, axes, axis)
         assert mahalanobis(result.adjusted, tiles, axes).max() <= 1.0 + 1e-9
         assert result.adjusted.min() >= 0.0 and result.adjusted.max() <= 1.0
-        assert np.all(result.span_after <= result.span_before + 1e-12)
+        span_before = tiles[..., axis].max(axis=1) - tiles[..., axis].min(axis=1)
+        moved = result.adjusted[..., axis]
+        assert np.all(moved.max(axis=1) - moved.min(axis=1) <= span_before + 1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
