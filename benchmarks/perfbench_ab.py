@@ -3,14 +3,15 @@
 
 Usage::
 
-    python benchmarks/perfbench_ab.py BASE [--workload W ...] [--pairs N]
+    python benchmarks/perfbench_ab.py BASE [--workload W ...] [--pairs N] [--first-seed S]
 
 Checks ``BASE`` out with ``git worktree add`` into a temporary
 directory, then runs ``python3 perfbench/run.py --workload W --seed i
 --seconds 20`` in the base tree and in this working tree ("head") for
-``i = 1 .. N``.  The two sides of a pair run back to back, and the side
-that goes first alternates by pair, so a slow phase of the host lands on
-both sides alike.
+``i = S .. S + N - 1`` (``S`` is 1 unless given, so a claim can be
+checked on seeds no earlier run used).  The two sides of a pair run
+back to back, and the side that goes first alternates by pair, so a
+slow phase of the host lands on both sides alike.
 
 For each workload it prints every run, then each end-to-end metric's
 median and quartiles per side and how many pairs head won.  It exits 1
@@ -131,6 +132,9 @@ def main(argv=None) -> int:
         help="workload to compare (repeatable; default: all three)",
     )
     parser.add_argument("--pairs", type=int, default=3, help="base/head run pairs per workload")
+    parser.add_argument(
+        "--first-seed", type=int, default=1, help="seed of the first pair (pair i runs S + i - 1)"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -148,15 +152,16 @@ def main(argv=None) -> int:
         for workload in workloads:
             runs: dict[str, list[dict]] = {"base": [], "head": []}
             for pair in range(1, args.pairs + 1):
+                seed = args.first_seed + pair - 1
                 order = ("base", "head") if pair % 2 else ("head", "base")
                 for side in order:
-                    result = run_side(trees[side], workload, seed=pair)
+                    result = run_side(trees[side], workload, seed=seed)
                     runs[side].append(result)
                     values = " ".join(
                         f"{name}={value:.6g}" for name, value in result["metrics"].items()
                     )
                     print(
-                        f"# run {workload} pair {pair} seed {pair} {side}"
+                        f"# run {workload} pair {pair} seed {seed} {side}"
                         f"{' (first)' if side == order[0] else ''}: "
                         f"failed {result['failed']}/{result['attempted']} {values}",
                         flush=True,

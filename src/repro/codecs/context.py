@@ -67,8 +67,8 @@ class FrameContext:
         lazily from ``frame_linear`` on first access.
     eccentricity:
         Per-pixel eccentricity map in degrees, or a scalar applied to
-        every pixel.  If omitted it is derived lazily from ``display``
-        and ``fixation``.
+        every pixel; NaN is rejected.  If omitted it is derived lazily
+        from ``display`` and ``fixation``.
     display:
         Display geometry used to derive the eccentricity map; defaults
         to the Quest 2 model.
@@ -124,6 +124,8 @@ class FrameContext:
                     f"eccentricity map {ecc.shape} does not match frame "
                     f"{(self.height, self.width)}"
                 )
+            if np.isnan(ecc).any():
+                raise ValueError("eccentricity map contains NaN")
             self._eccentricity = ecc
 
         #: Derivation counters: how often each expensive step actually ran.

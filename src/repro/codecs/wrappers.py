@@ -268,11 +268,10 @@ class PerceptualCodec(Codec):
         tiles, grid = ctx._linear_tiles(self.tile_size)
         ecc_tiles, _ = tile_scalar_field(ctx.eccentricity, self.tile_size)
 
-        semi_axes = self.model.semi_axes(tiles, ecc_tiles)
+        # A copy: the pin must not write into an array the model may keep.
+        semi_axes = np.array(self.model.semi_axes(tiles, ecc_tiles))
         foveal = ecc_tiles < self.foveal_radius_deg
-        semi_axes = np.where(
-            foveal[..., None], ParametricEllipsoidLaw.MIN_SEMI_AXIS, semi_axes
-        )
+        semi_axes[foveal] = ParametricEllipsoidLaw.MIN_SEMI_AXIS
 
         optimized = optimize_tiles(
             tiles, semi_axes, axes=self.axes, case2_placement=self.case2_placement

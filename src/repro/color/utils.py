@@ -39,12 +39,17 @@ def _color_product(colors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     no slice is a single row, and returns the same bytes.  Two shapes
     keep NumPy's own product: a lone color, and a stack of 1-pixel
     tiles, whose per-tile products take a vector path that rounds
-    differently from the flat one.
+    differently from the flat one.  Slices of two or more rows take a
+    C-ordered ``matrix`` (a transpose is F-ordered), which OpenBLAS
+    multiplies about three times faster with the same bytes; one row
+    keeps the operand as given, since that product's bytes depend on it.
     """
     if colors.ndim < 2 or (colors.ndim > 2 and colors.shape[-2] == 1):
         return colors @ matrix
     rows = colors.reshape(-1, 3)
     n_rows = rows.shape[0]
+    if n_rows > 1:
+        matrix = np.ascontiguousarray(matrix)
     n_slices = max(1, -(-n_rows // _PRODUCT_ROWS))
     size = max(1, -(-n_rows // n_slices))
     product = np.empty((n_rows,) + matrix.shape[1:])

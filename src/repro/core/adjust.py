@@ -186,9 +186,10 @@ def _adjust_phases(
     low = quantize(z - displacement[..., axis])
     high = quantize(z + displacement[..., axis])
 
-    # Compute Planes: the comparator trees.
-    hl = low.max(axis=1)
-    lh = high.min(axis=1)
+    # Compute Planes: the comparator trees, reduced across a pixel-major
+    # copy (max and min are exact, so any order gives the same bytes).
+    hl = np.ascontiguousarray(low.T).max(axis=0)
+    lh = np.ascontiguousarray(high.T).min(axis=0)
     case2 = lh >= hl
     if case2_placement == "mid":
         plane = 0.5 * (hl + lh)
@@ -200,18 +201,21 @@ def _adjust_phases(
 
     # Color Shift.  Case 1 target: clamp into [LH, HL]; case 2 target:
     # the common plane.
-    target = quantize(
-        np.where(case2[:, None], plane[:, None], np.clip(z, lh[:, None], hl[:, None]))
-    )
+    target = np.clip(z, lh[:, None], hl[:, None])
+    target[case2] = plane[case2, None]
+    target = quantize(target)
     halfwidth = high - z  # equals z - low by central symmetry
     with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(halfwidth > 0, (target - z) / halfwidth, 0.0)
+        step = np.divide(target - z, halfwidth)
+    step[~(halfwidth > 0)] = 0.0
     # |step| <= 1 holds analytically; enforce against float round-off.
     np.clip(step, -1.0, 1.0, out=step)
     step = quantize(step)
     # The move, its delta and the clamped output share one buffer: the
     # extrema vector's, which nothing reads after this.
-    moved = np.multiply(displacement, step[..., None], out=displacement)
+    moved = displacement
+    for k in range(3):
+        moved[..., k] *= step
     moved += tiles
     adjusted = quantize(_clamp_to_gamut(tiles, moved))
 

@@ -118,10 +118,12 @@ def _extrema_vectors(semi_axes: np.ndarray, axis: int) -> np.ndarray:
     """
     row = DKL_TO_RGB[axis]
     weighted = np.square(semi_axes)
-    weighted *= row  # diag(s^2) B^T e_k, batched
+    for k in range(3):  # diag(s^2) B^T e_k, batched, one channel at a time
+        weighted[..., k] *= row[k]
     halfwidth = np.sqrt(_color_product(weighted, row))
     displacement = _color_product(weighted, DKL_TO_RGB.T)  # B @ weighted per pixel
-    displacement /= halfwidth[..., None]
+    for k in range(3):
+        displacement[..., k] /= halfwidth
     return displacement
 
 
@@ -159,4 +161,5 @@ def _squared_mahalanobis(points: np.ndarray, centers: np.ndarray, semi_axes: np.
     delta_dkl = _color_product(points - centers, RGB_TO_DKL.T)
     delta_dkl /= semi_axes
     np.square(delta_dkl, out=delta_dkl)
-    return delta_dkl.sum(axis=-1)
+    # Added in ``sum(axis=-1)``'s order, as whole-array passes.
+    return (delta_dkl[..., 0] + delta_dkl[..., 1]) + delta_dkl[..., 2]

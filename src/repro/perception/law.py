@@ -98,10 +98,11 @@ class ParametricEllipsoidLaw:
         Parameters
         ----------
         rgb:
-            Linear-RGB colors, shape ``(..., 3)``.
+            Linear-RGB colors, shape ``(..., 3)``; NaN and infinite
+            channels are rejected.
         eccentricity_deg:
             Eccentricity in degrees, broadcastable against the leading
-            shape of ``rgb``.  Negative values are rejected.
+            shape of ``rgb``.  Negative and NaN values are rejected.
 
         Returns
         -------
@@ -110,8 +111,14 @@ class ParametricEllipsoidLaw:
         """
         colors = ensure_color_array(rgb, "rgb")
         ecc = np.asarray(eccentricity_deg, dtype=np.float64)
-        if ecc.size and ecc.min() < 0:
-            raise ValueError("eccentricity must be non-negative degrees")
+        # Written so that NaN fails it: every comparison with NaN is False.
+        if ecc.size and not ecc.min() >= 0:
+            raise ValueError("eccentricity must be non-negative degrees, not NaN")
+        # The channel sum in ``sum(axis=-1)``'s order.  A NaN or infinite
+        # channel makes it NaN or infinite, which fails the check.
+        total = (colors[..., 0] + colors[..., 1]) + colors[..., 2]
+        if total.size and not (total.min() > -np.inf and total.max() < np.inf):
+            raise ValueError("rgb colors must be finite")
         p = self.params
         ecc = np.clip(ecc, 0.0, p.max_eccentricity)
 
@@ -123,7 +130,6 @@ class ParametricEllipsoidLaw:
         )
         chromatic = p.base_scale * (1.0 + p.eccentricity_gain * ecc) * lum_factor
 
-        total = colors.sum(axis=-1)
         redness = np.divide(
             colors[..., 0],
             total,
@@ -133,10 +139,9 @@ class ParametricEllipsoidLaw:
         red_ratio = p.red_axis_base + p.red_axis_gain * redness
 
         axes = np.empty(colors.shape, dtype=np.float64)
-        axes[..., 0] = red_ratio * chromatic
-        axes[..., 1] = chromatic
-        axes[..., 2] = chromatic
-        return np.maximum(axes, self.MIN_SEMI_AXIS)
+        axes[..., 0] = np.maximum(red_ratio * chromatic, self.MIN_SEMI_AXIS)
+        axes[..., 1] = axes[..., 2] = np.maximum(chromatic, self.MIN_SEMI_AXIS)
+        return axes
 
     def training_samples(
         self, count: int, rng: np.random.Generator

@@ -86,11 +86,12 @@ class DisplayGeometry:
         ys = (np.arange(height) + 0.5) / height * 2.0 - 1.0
         plane_x = xs[None, :] * tan_h
         plane_y = ys[:, None] * tan_v
+        # Ray lengths, summed in ``np.linalg.norm(rays, axis=-1)``'s order.
+        norm = np.sqrt((np.square(plane_x) + np.square(plane_y)) + 1.0)
         rays = np.empty((height, width, 3), dtype=np.float64)
-        rays[..., 0] = plane_x
-        rays[..., 1] = plane_y
-        rays[..., 2] = 1.0
-        rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
+        np.divide(plane_x, norm, out=rays[..., 0])
+        np.divide(plane_y, norm, out=rays[..., 1])
+        np.divide(1.0, norm, out=rays[..., 2])
         return rays
 
     def eccentricity_map(

@@ -27,9 +27,9 @@ def _bilinear_upsample(lattice: np.ndarray, shape: tuple[int, int]) -> np.ndarra
     fx = (xs - x0)[None, :]
     y1 = np.minimum(y0 + 1, lat_h - 1)
     x1 = np.minimum(x0 + 1, lat_w - 1)
-    top = lattice[np.ix_(y0, x0)] * (1 - fx) + lattice[np.ix_(y0, x1)] * fx
-    bottom = lattice[np.ix_(y1, x0)] * (1 - fx) + lattice[np.ix_(y1, x1)] * fx
-    return top * (1 - fy) + bottom * fy
+    # Blend each lattice row horizontally once, then pick the rows.
+    rows = lattice[:, x0] * (1 - fx) + lattice[:, x1] * fx
+    return rows[y0] * (1 - fy) + rows[y1] * fy
 
 
 def value_noise(shape: tuple[int, int], cell: int, rng: np.random.Generator) -> np.ndarray:

@@ -30,8 +30,8 @@ def vertical_gradient(shape: tuple[int, int], top_color, bottom_color) -> np.nda
 
 
 def _clip_span(start: float, stop: float, limit: int) -> tuple[int, int]:
-    lo = int(np.clip(round(start), 0, limit))
-    hi = int(np.clip(round(stop), 0, limit))
+    lo = min(max(round(start), 0), limit)
+    hi = min(max(round(stop), 0), limit)
     return lo, max(lo, hi)
 
 

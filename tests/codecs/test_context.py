@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.codecs.context import FrameContext
+from repro.codecs.wrappers import PerceptualCodec
 from repro.color.srgb import encode_srgb8
 from repro.scenes.display import QUEST2_DISPLAY, DisplayGeometry
 from repro.scenes.library import render_scene
@@ -76,6 +77,22 @@ class TestConstruction:
     def test_rejects_mismatched_eccentricity(self, frame):
         with pytest.raises(ValueError, match="does not match"):
             FrameContext(frame, eccentricity=np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_rejects_nan_eccentricity(self, frame, scalar):
+        """A NaN anywhere in the map is named at construction, not by the kernel."""
+        ecc = np.full((24, 24), 12.0)
+        ecc[5, 7] = np.nan
+        with pytest.raises(ValueError, match="eccentricity map contains NaN"):
+            FrameContext(frame, eccentricity=np.nan if scalar else ecc)
+
+    def test_accepts_large_and_infinite_eccentricity(self, frame):
+        """The law clips large finite and infinite eccentricities; only NaN fails."""
+        ecc = np.full((24, 24), 1e300)
+        ecc[0, 0] = np.inf
+        result = PerceptualCodec().encode(FrameContext(frame, eccentricity=ecc))
+        clipped = PerceptualCodec().encode(FrameContext(frame, eccentricity=60.0))
+        assert result.total_bits == clipped.total_bits
 
     def test_geometry(self, frame):
         ctx = FrameContext(frame)

@@ -14,18 +14,35 @@ their outputs do not need:
   rescales only the pixels whose move leaves the unit cube);
 * ``case2_plane`` is the HL/LH reduction the package's adjustment now
   takes inline;
-* ``_extrema_vectors``, ``mahalanobis`` and ``relative_luminance`` take
-  their color products stacked, ``(tiles, pixels, 3) @ (3, 3)``, which
-  NumPy runs as one BLAS call per tile (the package runs the same rows
-  as flat ``(rows, 3)`` products, ``repro.color.utils._color_product``).
+* ``_extrema_vectors``, ``mahalanobis``, ``_squared_mahalanobis`` and
+  ``relative_luminance`` take their color products stacked,
+  ``(tiles, pixels, 3) @ (3, 3)``, which NumPy runs as one BLAS call
+  per tile (the package runs the same rows as flat ``(rows, 3)``
+  products, ``repro.color.utils._color_product``).
+
+The per-pixel forms the package now runs as per-channel passes are
+kept here as they stood before that rewrite, each in NumPy's slower
+form:
+
+* ``law`` is ``ParametricEllipsoidLaw.__call__``, with its channel sum
+  ``colors.sum(axis=-1)`` and its ``np.maximum`` over all three axes;
+* ``foveal_pin`` is the perceptual codec's ``np.where`` pin of the
+  foveal pixels' semi-axes;
+* ``_squared_mahalanobis`` is the audit's squared distance, summed with
+  ``sum(axis=-1)``;
+* ``_adjust_phases`` is the adjustment's body with the HL/LH reduced
+  along each tile's pixels, an ``np.where`` target and step and a move
+  broadcast along the color axis.
 
 Each function body is unchanged, except that ``adjust_tiles`` no longer
-fills the per-tile spans ``AxisAdjustment`` dropped; only the imports
-point at this module, so the oracle chain never reaches a rewritten
-kernel.  ``tests/core/test_kernel_oracle.py`` holds the package's
-kernels equal to these byte for byte, ``test_color_products.py`` the
-flat products, and ``pipeline_reference.py`` builds the frame pipeline
-oracle on them.
+fills the per-tile spans ``AxisAdjustment`` dropped, ``law`` reads its
+parameters from an argument rather than ``self`` and ``_adjust_phases``
+takes its extrema vectors from ``_extrema_vectors`` below; only the
+imports point at this module, so the oracle chain never reaches a
+rewritten kernel.  ``tests/core/test_kernel_oracle.py`` holds the
+package's kernels equal to these byte for byte, ``test_color_products.py``
+the flat products and the per-pixel forms, and ``pipeline_reference.py``
+builds the frame pipeline oracle on them.
 """
 
 from __future__ import annotations
@@ -46,18 +63,23 @@ from repro.encoding.bd import (
 )
 from repro.color.utils import _LUMA_WEIGHTS, ensure_color_array
 from repro.perception.geometry import ChannelExtrema, _validate
+from repro.perception.law import EllipsoidLawParameters, ParametricEllipsoidLaw
 
 __all__ = [
     "_plan",
     "delta_widths",
     "bd_breakdown",
     "relative_luminance",
+    "law",
+    "foveal_pin",
     "_extrema_vectors",
     "channel_extrema",
     "mahalanobis",
+    "_squared_mahalanobis",
     "case2_plane",
     "_clamp_to_gamut",
     "adjust_tiles",
+    "_adjust_phases",
     "tile_bd_bits",
     "optimize_tiles",
 ]
@@ -102,6 +124,50 @@ def relative_luminance(rgb) -> np.ndarray:
     return arr @ _LUMA_WEIGHTS
 
 
+# -- repro.perception.law ---------------------------------------------------
+
+
+def law(params: EllipsoidLawParameters, rgb, eccentricity_deg) -> np.ndarray:
+    """``ParametricEllipsoidLaw(params)(rgb, eccentricity_deg)``."""
+    colors = ensure_color_array(rgb, "rgb")
+    ecc = np.asarray(eccentricity_deg, dtype=np.float64)
+    if ecc.size and ecc.min() < 0:
+        raise ValueError("eccentricity must be non-negative degrees")
+    p = params
+    ecc = np.clip(ecc, 0.0, p.max_eccentricity)
+
+    lum = relative_luminance(colors)
+    lum_factor = np.clip(
+        p.luminance_floor + p.luminance_gain * lum,
+        p.luminance_floor,
+        p.luminance_floor + p.luminance_gain,
+    )
+    chromatic = p.base_scale * (1.0 + p.eccentricity_gain * ecc) * lum_factor
+
+    total = colors.sum(axis=-1)
+    redness = np.divide(
+        colors[..., 0],
+        total,
+        out=np.full(total.shape, 1.0 / 3.0),
+        where=total > 1e-12,
+    )
+    red_ratio = p.red_axis_base + p.red_axis_gain * redness
+
+    axes = np.empty(colors.shape, dtype=np.float64)
+    axes[..., 0] = red_ratio * chromatic
+    axes[..., 1] = chromatic
+    axes[..., 2] = chromatic
+    return np.maximum(axes, ParametricEllipsoidLaw.MIN_SEMI_AXIS)
+
+
+# -- repro.codecs.wrappers --------------------------------------------------
+
+
+def foveal_pin(semi_axes, foveal: np.ndarray) -> np.ndarray:
+    """The model's semi-axes with every foveal pixel's pinned to the minimum."""
+    return np.where(foveal[..., None], ParametricEllipsoidLaw.MIN_SEMI_AXIS, semi_axes)
+
+
 # -- repro.perception.geometry ----------------------------------------------
 
 
@@ -125,6 +191,14 @@ def mahalanobis(points, centers, semi_axes) -> np.ndarray:
     c, s = _validate(centers, semi_axes)
     delta_dkl = (p - c) @ RGB_TO_DKL.T
     return np.sqrt(np.sum(np.square(delta_dkl / s), axis=-1))
+
+
+def _squared_mahalanobis(points: np.ndarray, centers: np.ndarray, semi_axes: np.ndarray):
+    """Squared :func:`mahalanobis` distances of already-checked float64 arrays."""
+    delta_dkl = (points - centers) @ RGB_TO_DKL.T
+    delta_dkl /= semi_axes
+    np.square(delta_dkl, out=delta_dkl)
+    return delta_dkl.sum(axis=-1)
 
 
 def channel_extrema(centers, semi_axes, axis: int) -> ChannelExtrema:
@@ -226,6 +300,57 @@ def adjust_tiles(
     np.clip(step, -1.0, 1.0, out=step)
     moved = tiles + step[..., None] * extrema.displacement
     adjusted = _clamp_to_gamut(tiles, moved)
+
+    return AxisAdjustment(adjusted=adjusted, case2=case2, axis=axis)
+
+
+def _identity(values: np.ndarray) -> np.ndarray:
+    return values
+
+
+def _adjust_phases(
+    tiles: np.ndarray,
+    semi_axes: np.ndarray,
+    axis: int,
+    case2_placement: str,
+    quantize=_identity,
+) -> AxisAdjustment:
+    """The body of ``adjust_tiles``, phase by phase, on checked inputs."""
+    # Compute Extrema.  Only the optimized channel's extrema are needed;
+    # the extrema vector itself is needed in full, since moves follow it.
+    displacement = quantize(_extrema_vectors(tiles, semi_axes, axis)[1])
+    z = tiles[..., axis]
+    low = quantize(z - displacement[..., axis])
+    high = quantize(z + displacement[..., axis])
+
+    # Compute Planes: the comparator trees.
+    hl = low.max(axis=1)
+    lh = high.min(axis=1)
+    case2 = lh >= hl
+    if case2_placement == "mid":
+        plane = 0.5 * (hl + lh)
+    elif case2_placement == "hl":
+        plane = hl
+    else:  # "lh"
+        plane = lh
+    plane = quantize(plane)
+
+    # Color Shift.  Case 1 target: clamp into [LH, HL]; case 2 target:
+    # the common plane.
+    target = quantize(
+        np.where(case2[:, None], plane[:, None], np.clip(z, lh[:, None], hl[:, None]))
+    )
+    halfwidth = high - z  # equals z - low by central symmetry
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(halfwidth > 0, (target - z) / halfwidth, 0.0)
+    # |step| <= 1 holds analytically; enforce against float round-off.
+    np.clip(step, -1.0, 1.0, out=step)
+    step = quantize(step)
+    # The move, its delta and the clamped output share one buffer: the
+    # extrema vector's, which nothing reads after this.
+    moved = np.multiply(displacement, step[..., None], out=displacement)
+    moved += tiles
+    adjusted = quantize(_clamp_to_gamut(tiles, moved))
 
     return AxisAdjustment(adjusted=adjusted, case2=case2, axis=axis)
 

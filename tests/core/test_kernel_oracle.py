@@ -3,11 +3,15 @@
 ``kernel_reference.py`` keeps the Base+Delta plan, the per-tile color
 adjustment, its gamut clamp and the two-axis optimizer as they stood
 before the package's kernels were rewritten (pixel-major plan, one
-channel's extrema, a clamp that rescales only out-of-gamut pixels).
+channel's extrema, a clamp that rescales only out-of-gamut pixels), and
+the adjustment's phases before their per-pixel forms were (HL/LH over a
+pixel-major copy, a clipped target with the case-2 rows assigned, a
+step zeroed where the half-width is not positive, a move per channel).
 Every output array must match in dtype, shape and bytes.
 """
 
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,9 +19,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import kernel_reference as oracle
-from repro.core.adjust import CASE2_PLACEMENTS, AxisAdjustment, adjust_tiles
+from repro.core.adjust import CASE2_PLACEMENTS, AxisAdjustment, _adjust_phases, adjust_tiles
 from repro.core.optimizer import OptimizedTiles, optimize_tiles
 from repro.encoding.bd import _plan, bd_breakdown, delta_widths
+from repro.hardware.datapath import FixedPointSpec, quantize_fixed
 from repro.perception.geometry import mahalanobis
 from repro.perception.law import ParametricEllipsoidLaw
 
@@ -152,6 +157,47 @@ class TestAdjustTiles:
         _assert_same_adjustment(result, expected)
         assert result.adjusted.min() >= -1e-12 and result.adjusted.max() <= 1.0 + 1e-12
         assert mahalanobis(result.adjusted, tiles, semi_axes).max() <= 1.0 + 1e-9
+
+
+#: The identity, and ``Q2.f`` grids from coarse to fine; a range of 0.5
+#: puts many tiles' extrema on the rails.
+QUANTIZERS = {
+    "identity": None,
+    "Q2.8": FixedPointSpec(frac_bits=8),
+    "Q2.16": FixedPointSpec(frac_bits=16),
+    "Q0.5-range.12": FixedPointSpec(frac_bits=12, total_range=0.5),
+}
+
+
+class TestAdjustPhases:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_tiles=st.integers(1, 12),
+        pixels=st.sampled_from([1, 2, 4, 9, 16, 64]),
+        axis=st.integers(0, 2),
+        placement=st.sampled_from(CASE2_PLACEMENTS),
+        quantizer=st.sampled_from(sorted(QUANTIZERS)),
+        pinned=st.sampled_from([0.0, 0.3, 1.0]),
+        scale=st.sampled_from([0.1, 1.0, 30.0, 3000.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_phases_equal_oracle(
+        self, n_tiles, pixels, axis, placement, quantizer, pinned, scale, seed
+    ):
+        """HL/LH, target, step and move under every placement and quantizer.
+
+        A scale of 3000 makes ellipsoids wide enough that moves leave the
+        cube and, on the narrow grid, extrema sit on the rails.
+        """
+        tiles, semi_axes = _tiles_and_semi_axes(n_tiles, pixels, seed, pinned, scale)
+        spec = QUANTIZERS[quantizer]
+        kwargs = {} if spec is None else {"quantize": partial(quantize_fixed, spec=spec)}
+        if spec is not None:
+            tiles = np.clip(quantize_fixed(tiles, spec), 0.0, 1.0)
+        _assert_same_adjustment(
+            _adjust_phases(tiles, semi_axes, axis, placement, **kwargs),
+            oracle._adjust_phases(tiles, semi_axes, axis, placement, **kwargs),
+        )
 
 
 class TestOptimizeTiles:

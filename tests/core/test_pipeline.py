@@ -114,10 +114,10 @@ class TestInputHandling:
         with pytest.raises(ValueError, match=r"\(H, W, 3\)"):
             _encode(encoder, np.zeros((64, 64)), 25.0)
 
-    def test_nan_eccentricity_fails_in_the_kernel(self, encoder, rng):
-        """A NaN eccentricity makes NaN semi-axes, which the adjustment
-        rejects before any color is moved."""
-        with pytest.raises(ValueError, match="semi-axes"):
+    def test_nan_eccentricity_rejected_before_the_kernel(self, encoder, rng):
+        """A NaN eccentricity is named by the context that receives it,
+        before the law could turn it into NaN semi-axes."""
+        with pytest.raises(ValueError, match="eccentricity map contains NaN"):
             _encode(encoder, _smooth(rng), float("nan"))
 
     def test_non_multiple_of_tile_size(self, encoder, rng):

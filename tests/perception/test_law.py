@@ -30,10 +30,17 @@ class TestEccentricityDependence:
         at_max = law(MID_GRAY, law.params.max_eccentricity)
         beyond = law(MID_GRAY, law.params.max_eccentricity + 50)
         assert np.allclose(at_max, beyond)
+        assert np.array_equal(law(MID_GRAY, np.inf), at_max)
 
     def test_negative_eccentricity_rejected(self, law):
         with pytest.raises(ValueError, match="non-negative"):
             law(MID_GRAY, -1.0)
+
+    @pytest.mark.parametrize("ecc", [np.nan, [5.0, np.nan, 7.0]])
+    def test_nan_eccentricity_rejected(self, law, ecc):
+        """``min() < 0`` is false for NaN, which used to give NaN semi-axes."""
+        with pytest.raises(ValueError, match="non-negative degrees, not NaN"):
+            law(np.full((3, 3), 0.5), ecc)
 
     @given(st.floats(min_value=0, max_value=59), st.floats(min_value=0.1, max_value=1))
     def test_monotone_in_eccentricity(self, ecc, lum):
@@ -81,6 +88,17 @@ class TestOutputContract:
         out = law(colors, np.array([0.0, 10.0, 20.0]))
         assert out.shape == (3, 3)
         assert out[2, 1] > out[0, 1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    def test_rejects_non_finite_colors(self, law, bad, channel):
+        """Any NaN or infinite channel used to give NaN semi-axes or pass."""
+        colors = np.full((2, 4, 3), 0.5)
+        colors[1, 2, channel] = bad
+        with pytest.raises(ValueError, match="rgb colors must be finite"):
+            law(colors, 5.0)
+        with pytest.raises(ValueError, match="rgb colors must be finite"):
+            law(colors[1, 2], 5.0)
 
     def test_rejects_bad_color_shape(self, law):
         with pytest.raises(ValueError, match="trailing axis"):

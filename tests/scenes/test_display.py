@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenes.display import (
     QUEST2_DISPLAY,
@@ -111,6 +113,56 @@ class TestMapCacheLifetime:
         assert np.array_equal(
             clone.eccentricity_map(16, 16), display.eccentricity_map(16, 16)
         )
+
+
+def _view_rays_oracle(display: DisplayGeometry, height: int, width: int) -> np.ndarray:
+    """``DisplayGeometry._view_rays`` before it took the lengths per pixel.
+
+    The body is unchanged: it normalized the ``(H, W, 3)`` rays with
+    ``np.linalg.norm`` along the color axis and one broadcast divide.
+    """
+    tan_h = np.tan(np.radians(display.fov_horizontal_deg / 2.0))
+    tan_v = np.tan(np.radians(display.fov_vertical_deg / 2.0))
+    # Pixel centers in normalized device coordinates [-1, 1].
+    xs = (np.arange(width) + 0.5) / width * 2.0 - 1.0
+    ys = (np.arange(height) + 0.5) / height * 2.0 - 1.0
+    plane_x = xs[None, :] * tan_h
+    plane_y = ys[:, None] * tan_v
+    rays = np.empty((height, width, 3), dtype=np.float64)
+    rays[..., 0] = plane_x
+    rays[..., 1] = plane_y
+    rays[..., 2] = 1.0
+    rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
+    return rays
+
+
+def _assert_same_rays(display, height, width):
+    ours = display._view_rays(height, width)
+    theirs = _view_rays_oracle(display, height, width)
+    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+    assert ours.flags.c_contiguous
+    assert ours.tobytes() == theirs.tobytes()
+
+
+class TestViewRaysOracle:
+    """The per-pixel ray lengths equal ``np.linalg.norm``'s, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        height=st.integers(1, 300),
+        width=st.integers(1, 300),
+        fov_h=st.sampled_from([1.0, 40.0, 90.0, 100.0, 110.0, 179.0]),
+        fov_v=st.sampled_from([1.0, 40.0, 96.0, 100.0, 179.0]),
+    )
+    def test_equals_oracle(self, height, width, fov_h, fov_v):
+        _assert_same_rays(DisplayGeometry(fov_h, fov_v), height, width)
+
+    @pytest.mark.parametrize(
+        "height, width", [(1, 1), (1, 1920), (1832, 1), (192, 192), (512, 512), (1832, 1920)]
+    )
+    def test_sizes_equal_oracle(self, height, width):
+        """From one pixel to one eye of a Quest 2 at 1832x1920."""
+        _assert_same_rays(QUEST2_DISPLAY, height, width)
 
 
 class TestGeometryValidation:

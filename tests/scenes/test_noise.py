@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scenes.noise import fractal_noise, value_noise
+import noise_reference as oracle
+from repro.scenes.noise import _bilinear_upsample, fractal_noise, value_noise
 
 
 class TestValueNoise:
@@ -81,3 +82,62 @@ class TestFractalNoise:
     def test_rejects_bad_persistence(self, rng):
         with pytest.raises(ValueError, match="persistence"):
             fractal_noise((8, 8), cell=4, rng=rng, persistence=0.0)
+
+
+def _assert_same_array(ours, theirs):
+    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+    assert ours.tobytes() == theirs.tobytes()
+
+
+class TestUpsampleOracle:
+    """The row-first upsampler equals the four-gather one byte for byte."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        lattice_shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        height=st.integers(1, 70),
+        width=st.integers(1, 70),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_oracle(self, lattice_shape, height, width, seed):
+        """Every lattice from 1x1 (no neighbour to blend with) up, any output size."""
+        lattice = np.random.default_rng(seed).random(lattice_shape)
+        _assert_same_array(
+            _bilinear_upsample(lattice, (height, width)),
+            oracle._bilinear_upsample(lattice, (height, width)),
+        )
+
+    @pytest.mark.parametrize(
+        "lattice_shape, shape",
+        [
+            ((2, 2), (1, 1)),
+            ((2, 2), (2, 2)),
+            ((2, 2), (64, 48)),
+            ((2, 9), (1, 37)),  # 1xN output
+            ((9, 2), (37, 1)),  # Nx1 output
+            ((2, 2), (1, 5)),  # width below a 16-pixel cell
+            ((2, 2), (5, 3)),
+            ((14, 14), (192, 192)),
+            ((194, 194), (192, 192)),  # one lattice node per pixel
+        ],
+    )
+    def test_edge_shapes_equal_oracle(self, lattice_shape, shape):
+        lattice = np.random.default_rng(sum(shape)).random(lattice_shape)
+        _assert_same_array(
+            _bilinear_upsample(lattice, shape), oracle._bilinear_upsample(lattice, shape)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        height=st.integers(1, 40),
+        width=st.integers(1, 40),
+        cell=st.integers(1, 48),
+        seed=st.integers(0, 2**16),
+    )
+    def test_value_noise_equals_oracle_upsample(self, height, width, cell, seed):
+        """Through ``value_noise``'s own lattice sizes, widths below the cell included."""
+        field = value_noise((height, width), cell=cell, rng=np.random.default_rng(seed))
+        lat_h = max(2, -(-height // cell) + 1)
+        lat_w = max(2, -(-width // cell) + 1)
+        lattice = np.random.default_rng(seed).random((lat_h, lat_w))
+        _assert_same_array(field, oracle._bilinear_upsample(lattice, (height, width)))

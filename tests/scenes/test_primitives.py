@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.scenes.primitives import (
+    _clip_span,
     draw_box,
     draw_disk,
     mix_noise,
@@ -122,3 +125,46 @@ class TestMixNoise:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             mix_noise(np.full((4, 4, 3), [0, 0, 0], dtype=float), np.zeros((3, 3)), [1, 1, 1], 0.5)
+
+
+def _clip_span_oracle(start: float, stop: float, limit: int) -> tuple[int, int]:
+    """``_clip_span`` before it clipped with ``min``/``max``; body unchanged."""
+    lo = int(np.clip(round(start), 0, limit))
+    hi = int(np.clip(round(stop), 0, limit))
+    return lo, max(lo, hi)
+
+
+class TestClipSpanOracle:
+    """Python ``min``/``max`` clip a span exactly as ``np.clip`` did."""
+
+    @given(
+        start=st.floats(-1e6, 1e6),
+        stop=st.floats(-1e6, 1e6),
+        limit=st.integers(0, 4096),
+        wrap=st.sampled_from([float, np.float64, np.float32]),
+    )
+    def test_equals_oracle(self, start, stop, limit, wrap):
+        ours = _clip_span(wrap(start), wrap(stop), limit)
+        assert ours == _clip_span_oracle(wrap(start), wrap(stop), limit)
+        assert all(type(end) is int for end in ours)
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [
+            (-5.0, 3.4),
+            (2.5, 3.5),  # round half to even at both ends
+            (np.float64(-0.5), np.float64(96.5)),
+            (50, 20),  # a reversed span is empty
+            (np.int64(7), 1e9),
+            (-1e18, 1e18),
+        ],
+    )
+    def test_out_of_range_equals_oracle(self, start, stop):
+        assert _clip_span(start, stop, 96) == _clip_span_oracle(start, stop, 96)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64("nan")])
+    def test_non_finite_raises_as_oracle(self, bad):
+        with pytest.raises((ValueError, OverflowError)) as raised:
+            _clip_span(bad, 10.0, 96)
+        with pytest.raises(raised.type):
+            _clip_span_oracle(bad, 10.0, 96)
